@@ -4,7 +4,7 @@ GO ?= go
 COVER_PKGS = ./internal/dtmc ./internal/pathmodel ./internal/core ./internal/obs ./internal/link ./internal/channel ./internal/cluster
 COVER_MIN  = 85
 
-.PHONY: all build test race vet lint lint-selftest sarif bench cover fleet-smoke cluster-smoke clean
+.PHONY: all build test race vet lint lint-selftest sarif bench bench-check cover fleet-smoke cluster-smoke clean
 
 all: build vet test
 
@@ -59,6 +59,14 @@ sarif:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository benchmark (bench/, its own module with a replace of this
+# one) sits outside the root `go test ./...` and `make lint`, yet compiles
+# against the engine, core and pathmodel APIs: vet it, test it and run the
+# analyzer suite over it, as bench/README.md does.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) -C tools/lint run ./cmd/whart-lint -dir $(CURDIR)/bench ./...
 
 # CI fleet smoke: sweep a 50-network population twice with a fixed seed
 # and require byte-identical reports — the end-to-end determinism check

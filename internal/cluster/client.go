@@ -152,6 +152,14 @@ func (c *Client) settle(peer Member, err error, now time.Time) {
 	}
 }
 
+// release ends an admitted call without an outcome: a half-open probe
+// slot is freed and the failure count left as it was.
+func (c *Client) release(peer Member) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.breakers[peer.ID].probing = false
+}
+
 // Healthy reports whether peer's breaker currently admits forwards.
 func (c *Client) Healthy(peer Member) bool {
 	c.mu.Lock()
@@ -168,7 +176,9 @@ func (c *Client) Healthy(peer Member) bool {
 // off with jitter in between; transport errors and 5xx responses are
 // retried, any other HTTP status is returned to the caller as a terminal
 // error. When the peer's breaker is open, or every attempt fails, the
-// returned error wraps ErrPeerUnavailable.
+// returned error wraps ErrPeerUnavailable. When ctx ends first, Post
+// returns ctx's error and counts nothing against the peer: a caller that
+// hangs up says nothing about the peer's health.
 func (c *Client) Post(ctx context.Context, peer Member, path string, body []byte) ([]byte, error) {
 	if peer.URL == "" {
 		return nil, fmt.Errorf("%w: member %q has no URL", ErrPeerUnavailable, peer.ID)
@@ -182,7 +192,7 @@ func (c *Client) Post(ctx context.Context, peer Member, path string, body []byte
 			backoff := c.cfg.BackoffBase << (attempt - 1)
 			jittered := time.Duration(float64(backoff) * (0.5 + c.cfg.Rand()))
 			if err := c.cfg.Sleep(ctx, jittered); err != nil {
-				c.settle(peer, lastErr, time.Now())
+				c.release(peer)
 				return nil, err
 			}
 		}
@@ -191,6 +201,10 @@ func (c *Client) Post(ctx context.Context, peer Member, path string, body []byte
 			c.settle(peer, nil, time.Now())
 			return out, nil
 		}
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			c.release(peer)
+			return nil, ctxErr
+		}
 		if !retryable {
 			// The peer is up and answered: its refusal (a 4xx) is the
 			// request's problem, not the peer's health.
@@ -198,9 +212,6 @@ func (c *Client) Post(ctx context.Context, peer Member, path string, body []byte
 			return nil, err
 		}
 		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
 	}
 	c.settle(peer, lastErr, time.Now())
 	return nil, fmt.Errorf("%w: %q: %v", ErrPeerUnavailable, peer.ID, lastErr)

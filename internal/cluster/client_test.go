@@ -179,6 +179,66 @@ func TestPostContextCanceled(t *testing.T) {
 	}
 }
 
+// slowPeer answers only after its caller has hung up (or after a long
+// delay), so the caller's own context always ends first.
+func slowPeer(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-time.After(5 * time.Second):
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestPostCallerCancelIsNotPeerFailure: a caller that gives up mid-forward
+// gets its own context error back, and the healthy-but-slow peer's breaker
+// stays closed even at a failure threshold of one.
+func TestPostCallerCancelIsNotPeerFailure(t *testing.T) {
+	peer := Member{ID: "p", URL: slowPeer(t).URL}
+	c := testClient(ClientConfig{FailureThreshold: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err := c.Post(ctx, peer, "/", nil)
+	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrPeerUnavailable) {
+		t.Fatalf("err = %v, want the caller's context error", err)
+	}
+	if !c.Healthy(peer) {
+		t.Error("caller cancellation opened the peer's breaker")
+	}
+}
+
+// TestPostCallerCancelReleasesProbe: a half-open probe whose caller hangs
+// up frees the probe slot, so the next call may probe again.
+func TestPostCallerCancelReleasesProbe(t *testing.T) {
+	var slow atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if slow.Load() {
+			<-r.Context().Done()
+			return
+		}
+		http.Error(w, "down", http.StatusBadGateway)
+	}))
+	defer srv.Close()
+	c := testClient(ClientConfig{Retries: -1, FailureThreshold: 1, Cooldown: 20 * time.Millisecond})
+	peer := Member{ID: "p", URL: srv.URL}
+	if _, err := c.Post(context.Background(), peer, "/", nil); !errors.Is(err, ErrPeerUnavailable) {
+		t.Fatalf("err = %v", err)
+	}
+	time.Sleep(30 * time.Millisecond)
+	slow.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := c.Post(ctx, peer, "/", nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("probe err = %v, want the caller's context error", err)
+	}
+	if !c.acquire(peer, time.Now()) {
+		t.Error("a canceled probe kept the half-open slot")
+	}
+}
+
 func TestDefaultsApplied(t *testing.T) {
 	cfg := ClientConfig{}.withDefaults()
 	if cfg.Timeout <= 0 || cfg.Retries != 1 || cfg.BackoffBase <= 0 ||

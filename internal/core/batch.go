@@ -102,8 +102,8 @@ func (a *Analyzer) analyzeBatchWith(resolvers []func(topology.LinkID) link.Avail
 }
 
 // SourceModel pairs one reporting source with its built (unsolved) path
-// model — the unit the evaluation engine's batch endpoint groups by shared
-// structure before solving many scenarios in one pass.
+// model — the unit a batch driver groups by shared structure before
+// solving many scenarios in one pass.
 type SourceModel struct {
 	Source topology.NodeID
 	Model  *pathmodel.Model
@@ -111,9 +111,9 @@ type SourceModel struct {
 
 // PathModels builds every reporting source's path model under the
 // analyzer's configuration without solving any of them, in source-id order.
-// Builds flow through the configured structure and path-model caches
-// exactly as in Analyze; the caller owns the solve (typically a cross-
-// scenario pathmodel.SolveBatch) and feeds the results back through
+// Builds flow through the configured structure cache exactly as in
+// Analyze; the caller owns the solve (typically a cross-scenario
+// pathmodel.SolveBatch) and feeds the results back through
 // AssembleAnalysis.
 func (a *Analyzer) PathModels() ([]SourceModel, error) {
 	out := make([]SourceModel, 0, len(a.sources))

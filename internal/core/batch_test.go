@@ -69,8 +69,8 @@ func TestSensitivityBatchMatchesScalarSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, err := New(net, etaA,
-		WithUniformLinkModel(mustAvail(t, 0.9)),
-		WithLinkModel(weak, mustAvail(t, 0.7)),
+		WithUniformLinkProcess(mustAvail(t, 0.9)),
+		WithLinkProcess(weak, mustAvail(t, 0.7)),
 		WithLinkAvailability(e3.ID, down),
 	)
 	if err != nil {
@@ -117,7 +117,7 @@ func TestAnalyzeInjectionGridMatchesScalar(t *testing.T) {
 	}
 	scenarios = append(scenarios, InjectionScenario{e3.ID: link.PermanentDown()})
 
-	a, err := New(net, etaA, WithUniformLinkModel(m))
+	a, err := New(net, etaA, WithUniformLinkProcess(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAnalyzeInjectionGridMatchesScalar(t *testing.T) {
 		t.Fatalf("%d analyses, want %d", len(grid), len(scenarios))
 	}
 	for j, sc := range scenarios {
-		opts := []Option{WithUniformLinkModel(m)}
+		opts := []Option{WithUniformLinkProcess(m)}
 		for id, av := range sc {
 			opts = append(opts, WithLinkAvailability(id, av))
 		}
@@ -176,7 +176,7 @@ func TestAnalyzeInjectionGridMatchesScalar(t *testing.T) {
 // batch), assemble — against the one-shot Analyze.
 func TestPathModelsAssembleAnalysisMatchesAnalyze(t *testing.T) {
 	net, _, etaA := typicalSetup(t)
-	a, err := New(net, etaA, WithUniformLinkModel(mustAvail(t, 0.83)))
+	a, err := New(net, etaA, WithUniformLinkProcess(mustAvail(t, 0.83)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func benchModel(b *testing.B, avail float64) link.Model {
 // network analyses of 10 paths each.
 func BenchmarkSensitivityAnalysis(b *testing.B) {
 	net, _, etaA := benchSetup(b)
-	a, err := New(net, etaA, WithUniformLinkModel(benchModel(b, 0.83)))
+	a, err := New(net, etaA, WithUniformLinkProcess(benchModel(b, 0.83)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func BenchmarkInjectionAnalyze(b *testing.B) {
 					b.Fatal(err)
 				}
 				opts := []Option{
-					WithUniformLinkModel(m),
+					WithUniformLinkProcess(m),
 					WithLinkAvailability(e3.ID, av),
 				}
 				if cached {
@@ -149,7 +149,7 @@ func BenchmarkInjectionGrid(b *testing.B) {
 		}
 		scenarios[i] = InjectionScenario{e3.ID: av}
 	}
-	a, err := New(net, etaA, WithUniformLinkModel(m))
+	a, err := New(net, etaA, WithUniformLinkProcess(m))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -33,25 +33,8 @@ type Analyzer struct {
 	procs     map[topology.LinkID]link.Process
 	overrides map[topology.LinkID]link.Availability
 	sources   []topology.NodeID
-	cache     PathModelCache
 	structs   StructureCache
 	tracer    Tracer
-
-	// localStructs memoizes built structures within this analyzer so the
-	// paths of one analysis — and the perturbed re-analyses of a
-	// sensitivity sweep — share each geometry's state space even without
-	// an external StructureCache.
-	structMu     sync.Mutex
-	localStructs map[string]*pathmodel.Structure
-}
-
-// PathModelCache shares built (and kernel-compiled) path models across
-// analyses keyed by PathKey. Cached models are solved concurrently by the
-// evaluation engine, which is safe because path-model kernels are
-// time-homogeneous; implementations must be safe for concurrent use.
-type PathModelCache interface {
-	GetModel(key string) (*pathmodel.Model, bool)
-	PutModel(key string, m *pathmodel.Model)
 }
 
 // Tracer receives stage-timing hooks from an analysis: StartSpan opens a
@@ -79,16 +62,38 @@ type StructureCache interface {
 	PutStructure(key string, s *pathmodel.Structure)
 }
 
+// structureMap is the unbounded StructureCache New installs when none is
+// passed, so the paths of one analysis — and the perturbed re-analyses of
+// a sensitivity sweep or a peer-composition prediction — share each
+// geometry's state space.
+type structureMap struct {
+	mu sync.Mutex
+	m  map[string]*pathmodel.Structure
+}
+
+func (c *structureMap) GetStructure(key string) (*pathmodel.Structure, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st, ok := c.m[key]
+	return st, ok
+}
+
+func (c *structureMap) PutStructure(key string, st *pathmodel.Structure) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = st
+}
+
 // ProcessKey is the canonical identity of a steady-state path DTMC: the
 // schedule geometry (slots within a Fup-slot frame), the reporting
 // interval, the TTL override (0 = default), and each hop's canonical
 // link-process encoding (link.Process.AppendKey). Two paths with equal
-// keys build identical chains, so their compiled kernels and solutions are
-// interchangeable; process encodings are collision-free across
-// implementations, so a k-state fading hop never shares a key with a
-// two-state hop. The key is only meaningful for hops driven by their
-// process's steady-state availability — callers must not use it when a
-// per-slot availability override is in effect.
+// keys build identical chains, so their solutions are interchangeable;
+// process encodings are collision-free across implementations, so a
+// k-state fading hop never shares a key with a two-state hop. The key is
+// only meaningful for hops driven by their process's steady-state
+// availability — callers must not use it when a per-slot availability
+// override is in effect.
 func ProcessKey(slots []int, fup, is, ttl int, procs []link.Process) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d|%d|%d|", fup, is, ttl)
@@ -103,16 +108,6 @@ func ProcessKey(slots []int, fup, is, ttl int, procs []link.Process) string {
 		sb.Write(buf)
 	}
 	return sb.String()
-}
-
-// PathKey is ProcessKey for paths whose hops all run the classic two-state
-// model.
-func PathKey(slots []int, fup, is, ttl int, models []link.Model) string {
-	procs := make([]link.Process, len(models))
-	for i, m := range models {
-		procs[i] = m
-	}
-	return ProcessKey(slots, fup, is, ttl, procs)
 }
 
 // Option configures an Analyzer.
@@ -155,7 +150,8 @@ func WithTTL(ttl int) Option {
 }
 
 // WithUniformLinkProcess sets the link process used for every link that
-// has no per-link override.
+// has no per-link override — the paper's homogeneous evaluations pass a
+// two-state link.Model here.
 func WithUniformLinkProcess(p link.Process) Option {
 	return func(a *Analyzer) error {
 		if p == nil {
@@ -166,14 +162,9 @@ func WithUniformLinkProcess(p link.Process) Option {
 	}
 }
 
-// WithUniformLinkModel sets the two-state link model used for every link
-// that has no per-link override — the paper's homogeneous evaluations.
-func WithUniformLinkModel(m link.Model) Option {
-	return WithUniformLinkProcess(m)
-}
-
-// WithLinkProcess sets the link process of one specific link — the general
-// form of WithLinkModel that also accepts k-state fading processes.
+// WithLinkProcess sets the link process of one specific link
+// (inhomogeneous links): a two-state link.Model or a k-state fading
+// process.
 func WithLinkProcess(id topology.LinkID, p link.Process) Option {
 	return func(a *Analyzer) error {
 		if p == nil {
@@ -182,12 +173,6 @@ func WithLinkProcess(id topology.LinkID, p link.Process) Option {
 		a.procs[id] = p
 		return nil
 	}
-}
-
-// WithLinkModel sets the two-state model of one specific link
-// (inhomogeneous links).
-func WithLinkModel(id topology.LinkID, m link.Model) Option {
-	return WithLinkProcess(id, m)
 }
 
 // WithLinkAvailability overrides one link's per-slot availability entirely
@@ -202,23 +187,11 @@ func WithLinkAvailability(id topology.LinkID, av link.Availability) Option {
 	}
 }
 
-// WithPathModelCache shares built path models (with their compiled solver
-// kernels) across analyzers through the given cache — the evaluation
-// engine's bound-kernel cache. Only paths without availability overrides
-// are cached at this value level; failure injections skip it but still
-// reuse cached structures (see WithStructureCache), so an injection
-// scenario costs one value bind instead of a full rebuild.
-func WithPathModelCache(cache PathModelCache) Option {
-	return func(a *Analyzer) error {
-		a.cache = cache
-		return nil
-	}
-}
-
 // WithStructureCache shares link-model-free path structures across
 // analyzers through the given cache — the evaluation engine's structure
 // cache. Every build consults it, availability overrides included: the
-// structure depends only on the schedule geometry.
+// structure depends only on the schedule geometry. Without it, each
+// analyzer keeps a private map.
 func WithStructureCache(cache StructureCache) Option {
 	return func(a *Analyzer) error {
 		a.structs = cache
@@ -253,7 +226,7 @@ func WithSources(sources ...topology.NodeID) Option {
 // New validates the schedule against the network's uplink routes and
 // returns an analyzer. By default every link uses the paper's reference
 // model (BER 2e-4, p_rc 0.9, pi(up) = 0.8304); override with
-// WithUniformLinkModel or per-link options.
+// WithUniformLinkProcess or per-link options.
 func New(net *topology.Network, sched schedule.Plan, opts ...Option) (*Analyzer, error) {
 	if net == nil || sched == nil {
 		return nil, errors.New("core: network and schedule are required")
@@ -267,20 +240,22 @@ func New(net *topology.Network, sched schedule.Plan, opts ...Option) (*Analyzer,
 		return nil, err
 	}
 	a := &Analyzer{
-		net:          net,
-		routes:       routes,
-		sched:        sched,
-		is:           4,
-		fdown:        -1, // resolved to Fup below unless set
-		uniform:      def,
-		procs:        map[topology.LinkID]link.Process{},
-		overrides:    map[topology.LinkID]link.Availability{},
-		localStructs: map[string]*pathmodel.Structure{},
+		net:       net,
+		routes:    routes,
+		sched:     sched,
+		is:        4,
+		fdown:     -1, // resolved to Fup below unless set
+		uniform:   def,
+		procs:     map[topology.LinkID]link.Process{},
+		overrides: map[topology.LinkID]link.Availability{},
 	}
 	for _, opt := range opts {
 		if err := opt(a); err != nil {
 			return nil, err
 		}
+	}
+	if a.structs == nil {
+		a.structs = &structureMap{m: map[string]*pathmodel.Structure{}}
 	}
 	if a.sources == nil {
 		for src := range routes {
@@ -335,6 +310,31 @@ func (a *Analyzer) Fdown() int { return a.fdown }
 // Is returns the reporting interval.
 func (a *Analyzer) Is() int { return a.is }
 
+// Sources returns the reporting sources in source-id order: the order of
+// PathModels and of the results AssembleAnalysis takes.
+func (a *Analyzer) Sources() []topology.NodeID {
+	return append([]topology.NodeID(nil), a.sources...)
+}
+
+// SourceKey returns the ProcessKey of one source's path DTMC under the
+// analyzer's configuration. It reports false when a hop carries an
+// availability override (or the source has no route): such a chain
+// depends on more than the key, so its solution must not be shared.
+func (a *Analyzer) SourceKey(source topology.NodeID) (string, bool) {
+	p, ok := a.routes[source]
+	if !ok {
+		return "", false
+	}
+	procs := make([]link.Process, p.Hops())
+	for h, lid := range p.Links() {
+		if _, overridden := a.overrides[lid]; overridden {
+			return "", false
+		}
+		procs[h] = a.LinkProcess(lid)
+	}
+	return ProcessKey(a.sched.SlotsForSource(source), a.sched.Fup(), a.is, a.ttl, procs), true
+}
+
 // PathAnalysis bundles the measures of one uplink path.
 type PathAnalysis struct {
 	// Source is the path's source node.
@@ -356,9 +356,7 @@ type PathAnalysis struct {
 }
 
 // BuildPathModel constructs the path DTMC for one source under the
-// analyzer's configuration, reusing a cached (kernel-compiled) model when
-// a PathModelCache is configured and every hop runs on its model's
-// steady-state availability. All builds — failure injections included —
+// analyzer's configuration. All builds — failure injections included —
 // bind their values onto a structure shared per schedule geometry.
 func (a *Analyzer) BuildPathModel(source topology.NodeID) (*pathmodel.Model, error) {
 	return a.buildPathModelWith(source, nil)
@@ -376,29 +374,15 @@ func (a *Analyzer) span(name string, attrs ...string) func(attrs ...string) {
 // noopSpanEnd is the closer handed out when tracing is off.
 func noopSpanEnd(...string) {}
 
-// structureFor returns the path structure for one schedule geometry,
-// consulting the analyzer-local memo first and the shared StructureCache
-// second; a freshly built structure is published to both. The "structure"
-// span reports where the lookup landed: "local" (analyzer memo), "hit"
-// (shared cache) or "miss" (Algorithm 1 ran).
+// structureFor returns the path structure for one schedule geometry from
+// the StructureCache, publishing a freshly built one. The "structure" span
+// reports where the lookup landed: "hit" or "miss" (Algorithm 1 ran).
 func (a *Analyzer) structureFor(slots []int, ttl int) (*pathmodel.Structure, error) {
 	end := a.span("structure")
 	key := pathmodel.StructKey(slots, a.sched.Fup(), a.is, ttl)
-	a.structMu.Lock()
-	st, ok := a.localStructs[key]
-	a.structMu.Unlock()
-	if ok {
-		end("cache", "local")
+	if st, ok := a.structs.GetStructure(key); ok {
+		end("cache", "hit")
 		return st, nil
-	}
-	if a.structs != nil {
-		if st, ok := a.structs.GetStructure(key); ok {
-			a.structMu.Lock()
-			a.localStructs[key] = st
-			a.structMu.Unlock()
-			end("cache", "hit")
-			return st, nil
-		}
 	}
 	st, err := pathmodel.BuildStructure(slots, a.sched.Fup(), a.is, ttl)
 	if err != nil {
@@ -406,20 +390,14 @@ func (a *Analyzer) structureFor(slots []int, ttl int) (*pathmodel.Structure, err
 		return nil, err
 	}
 	defer end("cache", "miss")
-	a.structMu.Lock()
-	a.localStructs[key] = st
-	a.structMu.Unlock()
-	if a.structs != nil {
-		a.structs.PutStructure(key, st)
-	}
+	a.structs.PutStructure(key, st)
 	return st, nil
 }
 
 // buildPathModelWith builds one source's model, resolving per-link
 // availabilities through availOf when non-nil (the sensitivity sweep's
 // side-effect-free perturbations) and through the analyzer's configuration
-// otherwise. Only the default resolution may touch the value-level model
-// cache; the structural state space is shared either way.
+// otherwise.
 func (a *Analyzer) buildPathModelWith(source topology.NodeID, availOf func(topology.LinkID) link.Availability) (*pathmodel.Model, error) {
 	p, ok := a.routes[source]
 	if !ok {
@@ -428,19 +406,6 @@ func (a *Analyzer) buildPathModelWith(source topology.NodeID, availOf func(topol
 	slots := a.sched.SlotsForSource(source)
 	if len(slots) != p.Hops() {
 		return nil, fmt.Errorf("core: source %d has %d slots for %d hops", source, len(slots), p.Hops())
-	}
-	key := ""
-	if a.cache != nil && availOf == nil {
-		if procs, cacheable := a.pathProcesses(p); cacheable {
-			key = ProcessKey(slots, a.sched.Fup(), a.is, a.ttl, procs)
-			endKernel := a.span("kernel", "source", itoa(int(source)))
-			m, ok := a.cache.GetModel(key)
-			if ok {
-				endKernel("cache", "hit")
-				return m, nil
-			}
-			endKernel("cache", "miss")
-		}
 	}
 	st, err := a.structureFor(slots, a.ttl)
 	if err != nil {
@@ -456,30 +421,11 @@ func (a *Analyzer) buildPathModelWith(source topology.NodeID, availOf func(topol
 	endBind := a.span("bind", "source", itoa(int(source)))
 	m, err := st.Bind(avails)
 	endBind()
-	if err != nil {
-		return nil, err
-	}
-	if key != "" {
-		a.cache.PutModel(key, m)
-	}
-	return m, nil
+	return m, err
 }
 
 // itoa keeps span-attribute call sites short.
 func itoa(v int) string { return strconv.Itoa(v) }
-
-// pathProcesses returns the link process of each hop, and whether the path
-// is cacheable (no per-slot availability override on any hop).
-func (a *Analyzer) pathProcesses(p topology.Path) ([]link.Process, bool) {
-	procs := make([]link.Process, p.Hops())
-	for h, lid := range p.Links() {
-		if _, overridden := a.overrides[lid]; overridden {
-			return nil, false
-		}
-		procs[h] = a.LinkProcess(lid)
-	}
-	return procs, true
-}
 
 // AnalyzePath solves one source's path model and derives its measures.
 func (a *Analyzer) AnalyzePath(source topology.NodeID) (*PathAnalysis, error) {

@@ -113,7 +113,7 @@ func TestAnalyzeFig13Reachability(t *testing.T) {
 	// pi(up)=0.83 the 1/2/3-hop paths give 0.9992/0.9964/0.9907; at 0.693
 	// the 3-hop paths drop to ~0.93.
 	net, sources, etaA := typicalSetup(t)
-	a, err := New(net, etaA, WithUniformLinkModel(mustAvail(t, 0.83)))
+	a, err := New(net, etaA, WithUniformLinkProcess(mustAvail(t, 0.83)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestAnalyzeFig13Reachability(t *testing.T) {
 		}
 	}
 	// Low availability: the three-hop paths are the bottleneck.
-	low, err := New(net, etaA, WithUniformLinkModel(mustAvail(t, 0.693)))
+	low, err := New(net, etaA, WithUniformLinkProcess(mustAvail(t, 0.693)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestAnalyzeTable2UtilizationSweep(t *testing.T) {
 	want := []float64{0.313, 0.297, 0.283, 0.263, 0.25, 0.24}
 	var prev float64 = 1
 	for i, avail := range avails {
-		a, err := New(net, etaA, WithUniformLinkModel(mustAvail(t, avail)))
+		a, err := New(net, etaA, WithUniformLinkProcess(mustAvail(t, avail)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestTable3RandomFailureBlockedCycle(t *testing.T) {
 	// Blocked-cycle mode: every link of every affected path is blocked
 	// during cycle 1 (slots 1..20).
 	lm := mustAvail(t, 0.8304)
-	opts := []Option{WithUniformLinkModel(lm)}
+	opts := []Option{WithUniformLinkProcess(lm)}
 	blockedLinks := map[topology.LinkID]bool{}
 	for _, src := range affected {
 		for _, lid := range routes[src].Links() {
@@ -365,7 +365,7 @@ func TestTable3RandomFailureExactInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, err := New(net, etaA,
-		WithUniformLinkModel(lm),
+		WithUniformLinkProcess(lm),
 		WithLinkAvailability(e3.ID, down),
 	)
 	if err != nil {
@@ -400,12 +400,12 @@ func TestFig19FastControl(t *testing.T) {
 	net, _, etaA := typicalSetup(t)
 	for _, avail := range []float64{0.83, 0.693} {
 		fast, err := New(net, etaA,
-			WithUniformLinkModel(mustAvail(t, avail)), WithReportingInterval(2))
+			WithUniformLinkProcess(mustAvail(t, avail)), WithReportingInterval(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		regular, err := New(net, etaA,
-			WithUniformLinkModel(mustAvail(t, avail)), WithReportingInterval(4))
+			WithUniformLinkProcess(mustAvail(t, avail)), WithReportingInterval(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +453,7 @@ func TestFig18ReportingIntervalOneHop(t *testing.T) {
 	want := map[int]float64{1: 0.903, 2: 0.9906, 4: 0.99909}
 	for is, w := range want {
 		a, err := New(net, s,
-			WithUniformLinkModel(mustAvail(t, 0.903)), WithReportingInterval(is))
+			WithUniformLinkProcess(mustAvail(t, 0.903)), WithReportingInterval(is))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +514,7 @@ func TestPredictPeerCompositionMultiHop(t *testing.T) {
 	// equal the directly built 3-hop reachability (all at 0.83).
 	net, sources, etaA := typicalSetup(t)
 	lm := mustAvail(t, 0.83)
-	a, err := New(net, etaA, WithUniformLinkModel(lm))
+	a, err := New(net, etaA, WithUniformLinkProcess(lm))
 	if err != nil {
 		t.Fatal(err)
 	}

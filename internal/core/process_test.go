@@ -18,7 +18,7 @@ func TestAnalyzeTwoStateProcessEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic, err := New(net, etaA, WithUniformLinkModel(m))
+	classic, err := New(net, etaA, WithUniformLinkProcess(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +65,12 @@ func TestAnalyzeKStateFadingLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := New(net, etaA, WithUniformLinkModel(m))
+	base, err := New(net, etaA, WithUniformLinkProcess(m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	faded, err := New(net, etaA,
-		WithUniformLinkModel(m), WithLinkProcess(fadingLink.ID, bursty))
+		WithUniformLinkProcess(m), WithLinkProcess(fadingLink.ID, bursty))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestWithLinkProcessValidation(t *testing.T) {
 	}
 }
 
-// TestProcessKeySeparatesImplementations guards the value-tier cache: the
+// TestProcessKeySeparatesImplementations guards the path-result memo: the
 // k=2 embedding and the classic model yield provably equal results but are
 // distinct processes, and must never share a path key.
 func TestProcessKeySeparatesImplementations(t *testing.T) {
@@ -130,9 +130,5 @@ func TestProcessKeySeparatesImplementations(t *testing.T) {
 	fading := ProcessKey(slots, 10, 4, 0, []link.Process{ks, ks})
 	if classic == fading {
 		t.Error("classic and k-state processes share a path key")
-	}
-	legacy := PathKey(slots, 10, 4, 0, []link.Model{m, m})
-	if legacy != classic {
-		t.Errorf("PathKey = %q, ProcessKey = %q; the delegation must be exact", legacy, classic)
 	}
 }

@@ -15,7 +15,7 @@ func TestAnalyzeRoundTripSymmetricMatchesConvolution(t *testing.T) {
 	// Homogeneous links: the explicit downlink model must reproduce the
 	// paper's symmetric shortcut exactly.
 	net, sources, etaA := typicalSetup(t)
-	a, err := New(net, etaA, WithUniformLinkModel(mustAvail(t, 0.83)))
+	a, err := New(net, etaA, WithUniformLinkProcess(mustAvail(t, 0.83)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAnalyzeRoundTripPaperClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, err := New(net, sched,
-		WithUniformLinkModel(mustAvail(t, 0.75)), WithSources(src))
+		WithUniformLinkProcess(mustAvail(t, 0.75)), WithSources(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,8 @@ func TestAnalyzeRoundTripAsymmetricLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, err := New(net, sched,
-		WithLinkModel(l1, mustAvail(t, 0.9)),
-		WithLinkModel(l2, mustAvail(t, 0.8)),
+		WithLinkProcess(l1, mustAvail(t, 0.9)),
+		WithLinkProcess(l2, mustAvail(t, 0.8)),
 		WithSources(dev),
 	)
 	if err != nil {
@@ -126,7 +126,7 @@ func TestAnalyzeRoundTripAsymmetricLinks(t *testing.T) {
 
 	// Kill the device-side link: the loop cannot complete.
 	dead, err := New(net, sched,
-		WithLinkModel(l1, mustAvail(t, 0.9)),
+		WithLinkProcess(l1, mustAvail(t, 0.9)),
 		WithLinkAvailability(l2, link.PermanentDown()),
 		WithSources(dev),
 	)

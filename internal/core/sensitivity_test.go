@@ -12,7 +12,7 @@ func TestSensitivityAnalysisRanksSharedLinkFirst(t *testing.T) {
 	// yields the largest mean-reachability gain in the homogeneous
 	// network.
 	net, _, etaA := typicalSetup(t)
-	a, err := New(net, etaA, WithUniformLinkModel(mustAvail(t, 0.83)))
+	a, err := New(net, etaA, WithUniformLinkProcess(mustAvail(t, 0.83)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSensitivityAnalysisRestoresModels(t *testing.T) {
 	// The perturbation must not leak: a second Analyze reproduces the
 	// baseline.
 	net, _, etaA := typicalSetup(t)
-	a, err := New(net, etaA, WithUniformLinkModel(mustAvail(t, 0.83)))
+	a, err := New(net, etaA, WithUniformLinkProcess(mustAvail(t, 0.83)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +95,8 @@ func TestSensitivityAnalysisPerLinkModels(t *testing.T) {
 	p9links := routes[sources[8]].Links()
 	weak := p9links[0]
 	a, err := New(net, etaA,
-		WithUniformLinkModel(mustAvail(t, 0.9)),
-		WithLinkModel(weak, mustAvail(t, 0.7)),
+		WithUniformLinkProcess(mustAvail(t, 0.9)),
+		WithLinkProcess(weak, mustAvail(t, 0.7)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestSensitivityAnalysisOverrideMasksPerturbation(t *testing.T) {
 	gw, _ := net.Gateway()
 	e3, _ := net.LinkBetween(n3.ID, gw)
 	a, err := New(net, etaA,
-		WithUniformLinkModel(mustAvail(t, 0.83)),
+		WithUniformLinkProcess(mustAvail(t, 0.83)),
 		WithLinkAvailability(e3.ID, link.PermanentDown()),
 	)
 	if err != nil {

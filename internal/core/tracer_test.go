@@ -41,7 +41,8 @@ func (r *recordingTracer) count(substr string) int {
 
 // TestAnalyzeEmitsStageSpans pins the Tracer hook: a full analysis must
 // report every pipeline stage, with structure-cache outcomes visible —
-// the first geometry misses, repeated geometries land in the local memo.
+// the first geometry misses, repeated geometries hit the analyzer's
+// private structure cache.
 func TestAnalyzeEmitsStageSpans(t *testing.T) {
 	net, _, etaA := typicalSetup(t)
 	tr := &recordingTracer{}
@@ -64,12 +65,12 @@ func TestAnalyzeEmitsStageSpans(t *testing.T) {
 	if got := tr.count("solve|source="); got != 10 {
 		t.Errorf("%d solve spans, want 10", got)
 	}
-	// A second analysis reuses every geometry from the analyzer memo.
+	// A second analysis reuses every geometry from the private cache.
 	if _, err := a.Analyze(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.count("structure|cache=local"); got != 10 {
-		t.Errorf("%d local structure hits after re-analysis, want 10", got)
+	if got := tr.count("structure|cache=hit"); got != 10 {
+		t.Errorf("%d structure hits after re-analysis, want 10", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -12,14 +13,14 @@ import (
 	"wirelesshart/internal/spec"
 )
 
-// batchItem tracks one sub-scenario of a batch evaluation through dedup,
-// cache lookup, single-flight and the batched solve.
+// batchItem tracks one scenario of an evaluation through dedup, cache
+// lookup, single-flight and the solve.
 type batchItem struct {
 	spec  *spec.Spec
 	key   string
-	dupOf int   // index of the earlier identical sub-scenario, or -1
+	dupOf int   // index of the earlier identical scenario, or -1
 	join  *call // another goroutine's in-flight solve to wait on
-	owned *call // the single-flight entry this batch registered and must resolve
+	owned *call // the single-flight entry this evaluation registered and must resolve
 
 	res *Result
 	err error
@@ -30,8 +31,9 @@ type batchItem struct {
 // within the request collapse onto one slot, cached results are returned
 // directly, sub-scenarios already being solved elsewhere are joined
 // single-flight, and only the residual misses are solved — together, under
-// one worker token, with their per-source path models grouped by shared
-// structure and advanced through each frozen CSR pattern in lock-step.
+// one worker token, each distinct path DTMC once, with the path models
+// grouped by shared structure and advanced through each frozen CSR pattern
+// in lock-step.
 //
 // Results are indexed like specs and shared (treat them as read-only). The
 // call fails as a whole — with the first failing sub-scenario identified —
@@ -44,18 +46,30 @@ func (e *Engine) EvaluateBatch(ctx context.Context, specs []*spec.Spec) ([]*Resu
 	e.metrics.batchRequests.Add(1)
 	e.metrics.batchScenarios.Add(int64(len(specs)))
 	e.metrics.batchSize.Observe(float64(len(specs)))
+	return e.evaluate(ctx, specs, true, true)
+}
 
-	items := make([]*batchItem, len(specs))
-	first := map[string]int{}
-	for i, s := range specs {
-		if s == nil {
-			e.metrics.errors.Add(1)
-			return nil, fmt.Errorf("%w: scenario %d is null", ErrBadScenario, i)
+// evaluate is the one evaluation path: Evaluate and EvaluatePeer are a
+// batch of one. forward lets keys owned by another replica go to their
+// owner; batch selects the /v1/batch bookkeeping (the "batch" trace, the
+// whart_engine_batch_* metrics and per-scenario error prefixes) over the
+// single-scenario one (a "solve" trace and the solve-latency histogram).
+func (e *Engine) evaluate(ctx context.Context, specs []*spec.Spec, forward, batch bool) ([]*Result, error) {
+	fail := func(i int, err error) error {
+		if batch {
+			return fmt.Errorf("engine: batch scenario %d: %w", i, err)
 		}
+		return err
+	}
+	canonStart := time.Now()
+	items := make([]*batchItem, len(specs))
+	first := make(map[string]int, len(specs))
+	todo := make([]*batchItem, 0, len(specs))
+	for i, s := range specs {
 		key, err := Key(s)
 		if err != nil {
 			e.metrics.errors.Add(1)
-			return nil, fmt.Errorf("%w: scenario %d: %v", ErrBadScenario, i, err)
+			return nil, fail(i, fmt.Errorf("%w: %v", ErrBadScenario, err))
 		}
 		it := &batchItem{spec: s, key: key, dupOf: -1}
 		if j, ok := first[key]; ok {
@@ -63,19 +77,60 @@ func (e *Engine) EvaluateBatch(ctx context.Context, specs []*spec.Spec) ([]*Resu
 			e.metrics.batchDeduped.Add(1)
 		} else {
 			first[key] = i
+			todo = append(todo, it)
 		}
 		items[i] = it
 	}
+	canonDur := time.Since(canonStart)
 
-	// One atomic pass over the shared state: serve unique sub-scenarios
-	// from the cache, join in-flight solves, and register the residual
-	// misses as our own single-flight entries.
-	var owned []*batchItem
+	for len(todo) > 0 {
+		owned, joined := e.claim(todo)
+		if forward {
+			owned = e.forwardOwned(ctx, owned)
+		}
+		if len(owned) > 0 {
+			e.solveOwned(ctx, owned, batch, canonStart, canonDur)
+		}
+		// A leader that failed on its own context says nothing about this
+		// scenario: while our context is live, join or lead again.
+		todo = todo[:0]
+		for _, it := range joined {
+			select {
+			case <-it.join.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if isContextErr(it.join.err) && ctx.Err() == nil {
+				todo = append(todo, it)
+				continue
+			}
+			it.res, it.err = it.join.res, it.join.err
+		}
+	}
+
+	out := make([]*Result, len(items))
+	for i, it := range items {
+		if it.dupOf >= 0 {
+			it.res, it.err = items[it.dupOf].res, items[it.dupOf].err
+		}
+		if it.err != nil {
+			return nil, fail(i, it.err)
+		}
+		out[i] = it.res
+	}
+	return out, nil
+}
+
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// claim makes one atomic pass over the shared state: it serves items from
+// the result cache, joins in-flight solves, and registers the remaining
+// misses as single-flight entries this evaluation owns.
+func (e *Engine) claim(items []*batchItem) (owned, joined []*batchItem) {
 	e.mu.Lock()
 	for _, it := range items {
-		if it.dupOf >= 0 {
-			continue
-		}
 		if v, ok := e.cache.get(it.key); ok {
 			it.res = v.(*Result)
 			e.metrics.cacheHits.Add(1)
@@ -84,119 +139,111 @@ func (e *Engine) EvaluateBatch(ctx context.Context, specs []*spec.Spec) ([]*Resu
 		if c, ok := e.inflight[it.key]; ok {
 			it.join = c
 			e.metrics.deduped.Add(1)
+			joined = append(joined, it)
 			continue
 		}
-		c := &call{done: make(chan struct{})}
-		e.inflight[it.key] = c
-		it.owned = c
+		it.owned = &call{done: make(chan struct{})}
+		e.inflight[it.key] = it.owned
 		owned = append(owned, it)
 	}
 	e.mu.Unlock()
-	for range owned {
-		e.metrics.cacheMisses.Add(1)
-	}
-
-	// In a cluster, residual misses owned by another replica are
-	// forwarded to their owner first; whatever the forward settles is
-	// cached and released exactly like a local solve, and whatever it
-	// cannot settle (owner down, breaker open) degrades into the local
-	// batch below.
-	if e.ring != nil {
-		local := owned[:0]
-		for _, it := range owned {
-			if e.ring.IsOwner(it.key) {
-				local = append(local, it)
-				continue
-			}
-			if res, err := e.forwardSolve(ctx, it.spec, it.key); err == nil {
-				it.res = res
-				e.resolveOwnedForward(it)
-				continue
-			}
-			e.metrics.peerDegradedLocal.Add(1)
-			local = append(local, it)
-		}
-		owned = local
-	}
-
-	if len(owned) > 0 {
-		e.solveOwnedBatch(ctx, owned)
-	}
-	for _, it := range items {
-		if it.join == nil {
-			continue
-		}
-		select {
-		case <-it.join.done:
-			it.res, it.err = it.join.res, it.join.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-
-	out := make([]*Result, len(items))
-	var firstErr error
-	for i, it := range items {
-		if it.dupOf >= 0 {
-			it.res, it.err = items[it.dupOf].res, items[it.dupOf].err
-		}
-		if it.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("engine: batch scenario %d: %w", i, it.err)
-		}
-		out[i] = it.res
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	e.metrics.cacheMisses.Add(int64(len(owned)))
+	return owned, joined
 }
 
-// solveOwnedBatch solves the batch's residual misses under one worker
-// token: every miss is built through the shared kernel/structure caches,
-// all their per-source path models are grouped by shared structure in
-// first-occurrence order, each group is solved in one lock-step
-// pathmodel.SolveBatch pass, and each miss's network analysis is assembled
-// from its scattered results. Per-item outcomes land on the items; the
+// release resolves owned single-flight entries: successes are cached, the
+// entries removed, and their followers woken with the outcome.
+func (e *Engine) release(items []*batchItem) {
+	e.mu.Lock()
+	for _, it := range items {
+		delete(e.inflight, it.key)
+		if it.err == nil {
+			e.cache.add(it.key, it.res)
+		}
+	}
+	e.mu.Unlock()
+	for _, it := range items {
+		it.owned.res, it.owned.err = it.res, it.err
+		close(it.owned.done)
+	}
+}
+
+// forwardOwned sends owned misses that the ring assigns to another replica
+// to their owner and releases whatever the forward settles. It returns the
+// items left to solve here: the locally owned ones, plus degraded forwards
+// whose owner was unreachable or answered garbage — a dead peer must never
+// fail a request, so those are solved and cached here until the owner
+// returns. A forward that failed because the caller gave up is not
+// degraded: a local solve would die on the same context.
+func (e *Engine) forwardOwned(ctx context.Context, owned []*batchItem) []*batchItem {
+	if e.ring == nil {
+		return owned
+	}
+	local := owned[:0]
+	for _, it := range owned {
+		if e.ring.IsOwner(it.key) {
+			local = append(local, it)
+			continue
+		}
+		res, err := e.forwardSolve(ctx, it.spec, it.key)
+		switch {
+		case err == nil:
+			it.res = res
+		case ctx.Err() != nil:
+			it.err = ctx.Err()
+		default:
+			e.metrics.peerDegradedLocal.Add(1)
+			local = append(local, it)
+			continue
+		}
+		e.release([]*batchItem{it})
+	}
+	return local
+}
+
+// pathSolve is one distinct path DTMC of a solve: its bound model and the
+// (item, path) slots its result fills.
+type pathSolve struct {
+	key   string // core.ProcessKey; "" when an availability override rules out sharing
+	model *pathmodel.Model
+	refs  []pathRef
+}
+
+type pathRef struct{ item, path int }
+
+// solveOwned solves owned misses under one worker token, recording one
+// trace: every miss is built through the shared structure cache, each of
+// its paths is answered by the path-result memo or becomes one distinct
+// solve (paths repeated across the misses are solved once), the solves are
+// grouped by shared structure in first-occurrence order and each group
+// runs one pathmodel.SolveBatch, and each miss's network analysis is
+// assembled from its results. Per-item outcomes land on the items; the
 // single-flight entries are always resolved, success or not.
-func (e *Engine) solveOwnedBatch(ctx context.Context, owned []*batchItem) {
+func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool, canonStart time.Time, canonDur time.Duration) {
+	defer e.release(owned)
+
+	var tr *obs.Trace
+	if batch {
+		tr = e.traces.StartTrace("batch", "size", strconv.Itoa(len(owned)))
+	} else {
+		tr = e.traces.StartTrace("solve", "key", owned[0].key)
+	}
+	tr.RecordSpan("canonicalize", canonStart, canonDur)
 	defer func() {
-		e.mu.Lock()
+		var err error
 		for _, it := range owned {
-			delete(e.inflight, it.key)
-			if it.err == nil && it.res != nil {
-				e.cache.add(it.key, it.res)
+			if it.err != nil {
+				err = it.err
+				break
 			}
 		}
-		e.mu.Unlock()
-		for _, it := range owned {
-			it.owned.res, it.owned.err = it.res, it.err
-			close(it.owned.done)
-		}
+		tr.End(err)
 	}()
-
-	tr := e.traces.StartTrace("batch", "size", strconv.Itoa(len(owned)))
-	var trErr error
-	defer func() { tr.End(trErr) }()
 	ctx = obs.ContextWithTrace(ctx, tr)
 
-	endQueue := obs.StartSpan(ctx, "queue")
-	if err := ctx.Err(); err != nil {
-		// Don't let a free worker token race an already-dead context.
-		endQueue("canceled", "true")
-		trErr = err
+	if err := e.acquire(ctx); err != nil {
 		for _, it := range owned {
 			it.err = err
-		}
-		return
-	}
-	select {
-	case e.sem <- struct{}{}:
-		endQueue()
-	case <-ctx.Done():
-		endQueue("canceled", "true")
-		trErr = ctx.Err()
-		for _, it := range owned {
-			it.err = ctx.Err()
 		}
 		return
 	}
@@ -205,101 +252,140 @@ func (e *Engine) solveOwnedBatch(ctx context.Context, owned []*batchItem) {
 	defer e.metrics.inFlight.Add(-1)
 
 	start := time.Now()
-	type buildState struct {
-		built   *spec.Built
-		sms     []core.SourceModel
-		results []*pathmodel.Result
-	}
-	builds := make([]buildState, len(owned))
+	builds := make([]*spec.Built, len(owned))
+	results := make([][]*pathmodel.Result, len(owned))
+	var solves []*pathSolve
+	pending := map[string]*pathSolve{}
+	var hits, misses int64
 	endBuild := obs.StartSpan(ctx, "build")
 	for i, it := range owned {
-		built, err := it.spec.BuildWith(core.WithPathModelCache(kernels{e}), core.WithStructureCache(kernels{e}),
-			core.WithTracer(tr))
+		built, err := it.spec.BuildWith(core.WithStructureCache(structures{e}), core.WithTracer(tr))
 		if err != nil {
 			it.err = fmt.Errorf("%w: %v", ErrBadScenario, err)
 			e.metrics.errors.Add(1)
 			continue
 		}
-		sms, err := built.Analyzer.PathModels()
-		if err != nil {
-			it.err = fmt.Errorf("engine: batch solve: %w", err)
-			e.metrics.errors.Add(1)
-			continue
-		}
-		builds[i] = buildState{built: built, sms: sms, results: make([]*pathmodel.Result, len(sms))}
-	}
-	endBuild()
-
-	// Group every miss's path models by shared structure. Iterating misses
-	// and their sources in order keeps the grouping — and therefore every
-	// floating-point reduction downstream — deterministic.
-	type ref struct{ item, path int }
-	var order []*pathmodel.Structure
-	groups := map[*pathmodel.Structure][]ref{}
-	for i := range builds {
-		if owned[i].err != nil {
-			continue
-		}
-		for p, sm := range builds[i].sms {
-			st := sm.Model.Structure()
-			if _, ok := groups[st]; !ok {
-				order = append(order, st)
+		builds[i] = built
+		an := built.Analyzer
+		sources := an.Sources()
+		results[i] = make([]*pathmodel.Result, len(sources))
+		for p, src := range sources {
+			key, shared := an.SourceKey(src)
+			if shared {
+				if ps, ok := pending[key]; ok {
+					hits++
+					ps.refs = append(ps.refs, pathRef{i, p})
+					continue
+				}
+				if res, ok := e.memoGet(key); ok {
+					hits++
+					results[i][p] = res
+					continue
+				}
+				misses++
 			}
-			groups[st] = append(groups[st], ref{item: i, path: p})
+			m, err := an.BuildPathModel(src)
+			if err != nil {
+				it.err = fmt.Errorf("engine: solve: path from %d: %w", src, err)
+				e.metrics.errors.Add(1)
+				break
+			}
+			ps := &pathSolve{key: key, model: m, refs: []pathRef{{i, p}}}
+			solves = append(solves, ps)
+			if key != "" {
+				pending[key] = ps
+			}
 		}
 	}
-	endSolve := obs.StartSpan(ctx, "analyze", "groups", strconv.Itoa(len(order)))
-	for _, st := range order {
-		refs := groups[st]
-		models := make([]*pathmodel.Model, len(refs))
-		for k, r := range refs {
-			models[k] = builds[r.item].sms[r.path].Model
+	e.metrics.kernelHits.Add(hits)
+	e.metrics.kernelMisses.Add(misses)
+	endBuild("memo.hits", strconv.FormatInt(hits, 10), "memo.misses", strconv.FormatInt(misses, 10))
+
+	// Group the distinct solves by shared structure. Iterating in
+	// first-occurrence order keeps the grouping — and therefore every
+	// floating-point reduction downstream — deterministic.
+	var order []*pathmodel.Structure
+	groups := map[*pathmodel.Structure][]*pathSolve{}
+	for _, ps := range solves {
+		st := ps.model.Structure()
+		if _, ok := groups[st]; !ok {
+			order = append(order, st)
 		}
-		batch, err := pathmodel.SolveBatch(models)
-		if err != nil {
-			// A failed group takes down every sub-scenario with a path in
-			// it; the error names the solve, not a scenario index, because
-			// the failure is a property of the shared pass.
-			for _, r := range refs {
-				if owned[r.item].err == nil {
-					owned[r.item].err = fmt.Errorf("engine: batch solve: %w", err)
+		groups[st] = append(groups[st], ps)
+	}
+	endAnalyze := obs.StartSpan(ctx, "analyze", "groups", strconv.Itoa(len(order)))
+	for _, st := range order {
+		group := groups[st]
+		models := make([]*pathmodel.Model, len(group))
+		for k, ps := range group {
+			models[k] = ps.model
+		}
+		endSolve := obs.StartSpan(ctx, "solve", "paths", strconv.Itoa(len(models)))
+		solved, err := pathmodel.SolveBatch(models)
+		endSolve()
+		for k, ps := range group {
+			if err == nil && ps.key != "" {
+				e.memoPut(ps.key, solved[k])
+			}
+			for _, r := range ps.refs {
+				switch {
+				case err == nil:
+					results[r.item][r.path] = solved[k]
+				case owned[r.item].err == nil:
+					// A failed group takes down every scenario with a path
+					// in it: the failure is a property of the shared pass.
+					owned[r.item].err = fmt.Errorf("engine: solve: %w", err)
 					e.metrics.errors.Add(1)
 				}
 			}
-			continue
-		}
-		for k, r := range refs {
-			builds[r.item].results[r.path] = batch[k]
 		}
 	}
-	endSolve()
 
-	solved := 0
+	var solvedItems int64
 	for i, it := range owned {
 		if it.err != nil {
 			continue
 		}
-		na, err := builds[i].built.Analyzer.AssembleAnalysis(builds[i].results)
+		na, err := builds[i].Analyzer.AssembleAnalysis(results[i])
+		if err == nil {
+			it.res, err = assembleResult(it.key, builds[i], na)
+		}
 		if err != nil {
-			it.err = fmt.Errorf("engine: batch solve: %w", err)
+			it.err = fmt.Errorf("engine: solve: %w", err)
 			e.metrics.errors.Add(1)
 			continue
 		}
-		res, err := assembleResult(it.key, builds[i].built, na)
-		if err != nil {
-			it.err = fmt.Errorf("engine: batch solve: %w", err)
-			e.metrics.errors.Add(1)
-			continue
-		}
-		it.res = res
-		solved++
-		e.metrics.solves.Add(1)
+		solvedItems++
 	}
-	if solved > 0 {
-		e.metrics.batchSolved.Add(int64(solved))
-		per := time.Since(start) / time.Duration(solved)
-		for i := 0; i < solved; i++ {
-			e.metrics.batchSubSeconds.Observe(per.Seconds())
+	endAnalyze()
+	if solvedItems == 0 {
+		return
+	}
+	e.metrics.solves.Add(solvedItems)
+	elapsed := time.Since(start)
+	if !batch {
+		e.metrics.observeLatency(elapsed)
+		return
+	}
+	e.metrics.batchSolved.Add(solvedItems)
+	per := (elapsed / time.Duration(solvedItems)).Seconds()
+	for i := int64(0); i < solvedItems; i++ {
+		e.metrics.batchSubSeconds.Observe(per)
+	}
+}
+
+// acquire waits for a worker token under a "queue" span, giving up when
+// ctx ends first. A dead context never races a free token.
+func (e *Engine) acquire(ctx context.Context) error {
+	endQueue := obs.StartSpan(ctx, "queue")
+	if ctx.Err() == nil {
+		select {
+		case e.sem <- struct{}{}:
+			endQueue()
+			return nil
+		case <-ctx.Done():
 		}
 	}
+	endQueue("canceled", "true")
+	return ctx.Err()
 }

@@ -56,18 +56,3 @@ func (e *Engine) forwardSolve(ctx context.Context, s *spec.Spec, key string) (re
 	}
 	return out, nil
 }
-
-// resolveOwnedForward finishes a batch item that was settled by a
-// forward: the result is cached, the single-flight entry resolved and
-// followers released — the same epilogue solveOwnedBatch performs for
-// locally solved items.
-func (e *Engine) resolveOwnedForward(it *batchItem) {
-	e.mu.Lock()
-	delete(e.inflight, it.key)
-	if it.err == nil && it.res != nil {
-		e.cache.add(it.key, it.res)
-	}
-	e.mu.Unlock()
-	it.owned.res, it.owned.err = it.res, it.err
-	close(it.owned.done)
-}

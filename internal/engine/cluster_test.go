@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -169,6 +171,39 @@ func TestClusterRejectsMismatchedPeerResult(t *testing.T) {
 	if snap.PeerForwardErrors != 1 || snap.PeerDegradedLocal != 1 || snap.Solves != 1 {
 		t.Errorf("errors=%d degraded=%d solves=%d, want 1/1/1",
 			snap.PeerForwardErrors, snap.PeerDegradedLocal, snap.Solves)
+	}
+}
+
+// TestClusterCallerCancelDoesNotDegrade: a caller that hangs up while its
+// request is being forwarded gets its context error; the engine neither
+// counts a degraded local solve nor starts one.
+func TestClusterCallerCancelDoesNotDegrade(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // a drained body lets the server see the hang-up
+		select {
+		case <-r.Context().Done():
+		case <-time.After(5 * time.Second):
+		}
+	}))
+	defer slow.Close()
+	ring, err := cluster.NewRing("b", []cluster.Member{{ID: "a", URL: slow.URL}, {ID: "b"}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(Config{Ring: ring, PeerClient: fastPeerClient()})
+	s := scenarioOwnedBy(t, ring, "a")
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := eng.Evaluate(ctx, s); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the caller's deadline", err)
+	}
+	snap := eng.MetricsSnapshot()
+	if snap.PeerForwarded != 1 || snap.PeerDegradedLocal != 0 || snap.Solves != 0 {
+		t.Errorf("forwarded=%d degraded=%d solves=%d, want 1/0/0",
+			snap.PeerForwarded, snap.PeerDegradedLocal, snap.Solves)
+	}
+	if !eng.peer.Healthy(ring.Owner(mustKey(t, s))) {
+		t.Error("the caller's cancellation counted against the peer")
 	}
 }
 

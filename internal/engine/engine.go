@@ -7,10 +7,7 @@ import (
 	"log/slog"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
 
 	"wirelesshart/internal/cluster"
 	"wirelesshart/internal/core"
@@ -31,7 +28,8 @@ type Config struct {
 	// Workers bounds the number of concurrent DTMC solves. Default
 	// GOMAXPROCS.
 	Workers int
-	// CacheSize bounds the scenario result cache (entries). Default 256.
+	// CacheSize bounds the scenario result cache and the path-result memo
+	// (entries each). Default 256.
 	CacheSize int
 	// StructCacheSize bounds the structure cache (entries). Structures
 	// are keyed by schedule geometry alone, so far fewer distinct entries
@@ -65,11 +63,8 @@ type Engine struct {
 	cache    *lruCache        // Key -> *Result (immutable once cached)
 	inflight map[string]*call // Key -> the solve in progress
 
-	peerMu    sync.Mutex
-	peerCache *lruCache // peer-path solves reused across predictions
-
-	kernelMu    sync.Mutex
-	kernelCache *lruCache // core.PathKey -> *pathmodel.Model with compiled kernel
+	memoMu sync.Mutex
+	memo   *lruCache // core.ProcessKey -> solved *pathmodel.Result, shared read-only
 
 	structMu    sync.Mutex
 	structCache *lruCache // pathmodel.StructKey -> *pathmodel.Structure
@@ -107,8 +102,7 @@ func New(cfg Config) *Engine {
 		sem:         make(chan struct{}, cfg.Workers),
 		cache:       newLRU(cfg.CacheSize),
 		inflight:    map[string]*call{},
-		peerCache:   newLRU(cfg.CacheSize),
-		kernelCache: newLRU(cfg.CacheSize),
+		memo:        newLRU(cfg.CacheSize),
 		structCache: newLRU(cfg.StructCacheSize),
 		metrics:     newMetrics(),
 		traces:      obs.NewRecorder(cfg.TraceCapacity),
@@ -132,10 +126,10 @@ func New(cfg Config) *Engine {
 	})
 	reg.GaugeFunc("whart_engine_cache_capacity", "Scenario cache capacity.",
 		func() float64 { return float64(e.cache.cap) })
-	reg.GaugeFunc("whart_engine_kernel_cache_entries", "Compiled kernels currently cached.", func() float64 {
-		e.kernelMu.Lock()
-		defer e.kernelMu.Unlock()
-		return float64(e.kernelCache.len())
+	reg.GaugeFunc("whart_engine_kernel_cache_entries", "Solved path results currently in the path-result memo.", func() float64 {
+		e.memoMu.Lock()
+		defer e.memoMu.Unlock()
+		return float64(e.memo.len())
 	})
 	reg.GaugeFunc("whart_engine_struct_cache_entries", "Path structures currently cached.", func() float64 {
 		e.structMu.Lock()
@@ -145,42 +139,15 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// kernels is the engine's view of its two-tier model cache as a
-// core.PathModelCache plus core.StructureCache.
-//
-// The value tier (GetModel/PutModel, keyed by core.PathKey) shares fully
-// bound models: scenario solves and peer-path predictions that realize
-// identical path DTMCs (same slots, frame, interval, TTL and link
-// parameters) reuse one model and its compiled kernel, skipping the whole
-// build.
-//
-// The structure tier (GetStructure/PutStructure, keyed by
-// pathmodel.StructKey) shares the link-model-free state space: scenarios
-// that differ only in link quality or failure injections — which can never
-// hit the value tier — still reuse the Algorithm 1 state space and frozen
-// CSR pattern and pay one value bind. Hits and misses of both tiers are
-// exported through /metrics.
-type kernels struct{ e *Engine }
+// structures is the engine's structure tier as a core.StructureCache,
+// keyed by pathmodel.StructKey. It shares the link-model-free state space:
+// scenarios that differ only in link quality or failure injections — whose
+// overridden paths can never hit the path-result memo — still reuse the
+// Algorithm 1 state space and frozen CSR pattern and pay one value bind.
+// Hits and misses are exported through /metrics.
+type structures struct{ e *Engine }
 
-func (k kernels) GetModel(key string) (*pathmodel.Model, bool) {
-	k.e.kernelMu.Lock()
-	v, ok := k.e.kernelCache.get(key)
-	k.e.kernelMu.Unlock()
-	if !ok {
-		k.e.metrics.kernelMisses.Add(1)
-		return nil, false
-	}
-	k.e.metrics.kernelHits.Add(1)
-	return v.(*pathmodel.Model), true
-}
-
-func (k kernels) PutModel(key string, m *pathmodel.Model) {
-	k.e.kernelMu.Lock()
-	k.e.kernelCache.add(key, m)
-	k.e.kernelMu.Unlock()
-}
-
-func (k kernels) GetStructure(key string) (*pathmodel.Structure, bool) {
+func (k structures) GetStructure(key string) (*pathmodel.Structure, bool) {
 	k.e.structMu.Lock()
 	v, ok := k.e.structCache.get(key)
 	k.e.structMu.Unlock()
@@ -192,10 +159,33 @@ func (k kernels) GetStructure(key string) (*pathmodel.Structure, bool) {
 	return v.(*pathmodel.Structure), true
 }
 
-func (k kernels) PutStructure(key string, s *pathmodel.Structure) {
+func (k structures) PutStructure(key string, s *pathmodel.Structure) {
 	k.e.structMu.Lock()
 	k.e.structCache.add(key, s)
 	k.e.structMu.Unlock()
+}
+
+// memoGet returns the memoized solution of the path DTMC with the given
+// core.ProcessKey. The path-result memo is the engine's one path-level
+// memo: scenario solves, batch solves and peer-path predictions that
+// realize identical steady-state path DTMCs (same slots, frame, interval,
+// TTL and link processes) share one solve. Only paths without an
+// availability override have a key, so failure-injected paths never enter
+// it. Lookups feed the kernelCache* counters; the caller counts them.
+func (e *Engine) memoGet(key string) (*pathmodel.Result, bool) {
+	e.memoMu.Lock()
+	defer e.memoMu.Unlock()
+	v, ok := e.memo.get(key)
+	if !ok {
+		return nil, false
+	}
+	return v.(*pathmodel.Result), true
+}
+
+func (e *Engine) memoPut(key string, r *pathmodel.Result) {
+	e.memoMu.Lock()
+	e.memo.add(key, r)
+	e.memoMu.Unlock()
 }
 
 // DelayPoint is one support point of a delay distribution.
@@ -269,9 +259,9 @@ func (e *Engine) MetricsSnapshot() Snapshot {
 	s.CacheLen = e.cache.len()
 	s.CacheCap = e.cache.cap
 	e.mu.Unlock()
-	e.kernelMu.Lock()
-	s.KernelCacheLen = e.kernelCache.len()
-	e.kernelMu.Unlock()
+	e.memoMu.Lock()
+	s.KernelCacheLen = e.memo.len()
+	e.memoMu.Unlock()
 	e.structMu.Lock()
 	s.StructCacheLen = e.structCache.len()
 	e.structMu.Unlock()
@@ -285,9 +275,10 @@ func (e *Engine) MetricsSnapshot() Snapshot {
 // owner (degrading to a local solve if it is unreachable); the local
 // cache is always consulted first, so restored snapshots and previously
 // forwarded results are served from any node. The returned Result is
-// shared: treat it as read-only.
+// shared: treat it as read-only. Evaluate is EvaluateBatch's path with a
+// batch of one, minus the batch bookkeeping.
 func (e *Engine) Evaluate(ctx context.Context, s *spec.Spec) (*Result, error) {
-	return e.evaluate(ctx, s, true)
+	return e.evaluateOne(ctx, s, true)
 }
 
 // EvaluatePeer is Evaluate with forwarding disabled: the handler behind
@@ -295,116 +286,19 @@ func (e *Engine) Evaluate(ctx context.Context, s *spec.Spec) (*Result, error) {
 // replicas with momentarily divergent ring configurations can never
 // bounce a request between each other.
 func (e *Engine) EvaluatePeer(ctx context.Context, s *spec.Spec) (*Result, error) {
-	return e.evaluate(ctx, s, false)
+	return e.evaluateOne(ctx, s, false)
 }
 
-func (e *Engine) evaluate(ctx context.Context, s *spec.Spec, forward bool) (*Result, error) {
-	canonStart := time.Now()
-	key, err := Key(s)
-	canonDur := time.Since(canonStart)
+func (e *Engine) evaluateOne(ctx context.Context, s *spec.Spec, forward bool) (*Result, error) {
+	out, err := e.evaluate(ctx, []*spec.Spec{s}, forward, false)
 	if err != nil {
-		e.metrics.errors.Add(1)
-		return nil, fmt.Errorf("%w: %v", ErrBadScenario, err)
-	}
-	e.mu.Lock()
-	if v, ok := e.cache.get(key); ok {
-		e.mu.Unlock()
-		e.metrics.cacheHits.Add(1)
-		return v.(*Result), nil
-	}
-	if c, ok := e.inflight[key]; ok {
-		e.mu.Unlock()
-		e.metrics.deduped.Add(1)
-		select {
-		case <-c.done:
-			return c.res, c.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	c := &call{done: make(chan struct{})}
-	e.inflight[key] = c
-	e.mu.Unlock()
-	e.metrics.cacheMisses.Add(1)
-
-	if forward && e.ring != nil && !e.ring.IsOwner(key) {
-		c.res, c.err = e.forwardSolve(ctx, s, key)
-		if c.err != nil {
-			// Degraded path: the owner is unreachable or answered
-			// garbage. A dead peer must never fail a request, so solve
-			// locally; the result is cached here and served until the
-			// owner returns.
-			e.metrics.peerDegradedLocal.Add(1)
-			c.res, c.err = e.solve(ctx, s, key, canonStart, canonDur)
-		}
-	} else {
-		c.res, c.err = e.solve(ctx, s, key, canonStart, canonDur)
-	}
-	e.mu.Lock()
-	delete(e.inflight, key)
-	if c.err == nil {
-		e.cache.add(key, c.res)
-	}
-	e.mu.Unlock()
-	close(c.done)
-	return c.res, c.err
-}
-
-// solve builds and analyzes the scenario under the worker pool, recording
-// one trace per solve: canonicalization (timed by Evaluate before the
-// cache lookup), the wait for a worker slot, the spec build, and — via the
-// core.Tracer hook — every per-path structure lookup, kernel bind,
-// transient solve and measure derivation.
-func (e *Engine) solve(ctx context.Context, s *spec.Spec, key string, canonStart time.Time, canonDur time.Duration) (res *Result, err error) {
-	tr := e.traces.StartTrace("solve", "key", key)
-	defer func() { tr.End(err) }()
-	tr.RecordSpan("canonicalize", canonStart, canonDur)
-	ctx = obs.ContextWithTrace(ctx, tr)
-
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	endQueue := obs.StartSpan(ctx, "queue")
-	select {
-	case e.sem <- struct{}{}:
-		endQueue()
-	case <-ctx.Done():
-		endQueue("canceled", "true")
-		return nil, ctx.Err()
-	}
-	defer func() { <-e.sem }()
-	e.metrics.inFlight.Add(1)
-	defer e.metrics.inFlight.Add(-1)
-
-	start := time.Now()
-	endBuild := obs.StartSpan(ctx, "build")
-	built, err := s.BuildWith(core.WithPathModelCache(kernels{e}), core.WithStructureCache(kernels{e}),
-		core.WithTracer(tr))
-	endBuild()
-	if err != nil {
-		e.metrics.errors.Add(1)
-		return nil, fmt.Errorf("%w: %v", ErrBadScenario, err)
-	}
-	endAnalyze := obs.StartSpan(ctx, "analyze")
-	na, err := built.Analyzer.Analyze()
-	endAnalyze()
-	if err != nil {
-		e.metrics.errors.Add(1)
-		return nil, fmt.Errorf("engine: solve: %w", err)
-	}
-	out, err := assembleResult(key, built, na)
-	if err != nil {
-		e.metrics.errors.Add(1)
-		return nil, err
-	}
-	e.metrics.solves.Add(1)
-	e.metrics.observeLatency(time.Since(start))
-	return out, nil
+	return out[0], nil
 }
 
 // assembleResult converts one scenario's solved network analysis into the
-// engine's wire result — the tail of a solve, shared by the scalar path and
-// the batch endpoint.
+// engine's wire result — the tail of a solve.
 func assembleResult(key string, built *spec.Built, na *core.NetworkAnalysis) (*Result, error) {
 	out := &Result{
 		Key:                key,
@@ -531,64 +425,45 @@ func (e *Engine) PredictRanked(ctx context.Context, s *spec.Spec, cands []Candid
 
 // peerSolve solves (or reuses) the DTMC of a standalone peer path scheduled
 // in the first consecutive slots of its own frame, as the paper's peer
-// paths are. Solutions are cached by (Eb/N0s, Fup, Is, bits); on a result
-// miss the built model is still shared through the engine's kernel cache.
+// paths are. The solution goes through the path-result memo like any
+// steady-state path, and on a miss the model binds onto the engine's
+// structure tier. The returned result is shared: treat it as read-only.
 func (e *Engine) peerSolve(ebN0s []float64, fup, is, bits int) (*pathmodel.Result, error) {
-	var sb strings.Builder
-	for _, x := range ebN0s {
-		sb.WriteString(strconv.FormatFloat(x, 'b', -1, 64))
-		sb.WriteByte('|')
-	}
-	fmt.Fprintf(&sb, "%d|%d|%d", fup, is, bits)
-	key := sb.String()
-
-	e.peerMu.Lock()
-	cached, ok := e.peerCache.get(key)
-	e.peerMu.Unlock()
-	if ok {
-		return cached.(*pathmodel.Result).Clone(), nil
-	}
-
 	slots := make([]int, len(ebN0s))
-	models := make([]link.Model, len(ebN0s))
+	procs := make([]link.Process, len(ebN0s))
+	avails := make([]link.Availability, len(ebN0s))
 	for i, x := range ebN0s {
 		m, err := link.FromEbN0(x, bits, link.DefaultRecoveryProb)
 		if err != nil {
 			return nil, fmt.Errorf("%w: peer hop %d: %v", ErrBadScenario, i+1, err)
 		}
 		slots[i] = i + 1
-		models[i] = m
+		procs[i] = m
+		avails[i] = m.Steady()
 	}
-	kc := kernels{e}
-	pathKey := core.PathKey(slots, fup, is, 0, models)
-	m, ok := kc.GetModel(pathKey)
+	key := core.ProcessKey(slots, fup, is, 0, procs)
+	if res, ok := e.memoGet(key); ok {
+		e.metrics.kernelHits.Add(1)
+		return res, nil
+	}
+	e.metrics.kernelMisses.Add(1)
+	st, ok := structures{e}.GetStructure(pathmodel.StructKey(slots, fup, is, 0))
 	if !ok {
-		st, ok := kc.GetStructure(pathmodel.StructKey(slots, fup, is, 0))
-		if !ok {
-			var err error
-			st, err = pathmodel.BuildStructure(slots, fup, is, 0)
-			if err != nil {
-				return nil, fmt.Errorf("%w: peer path: %v", ErrBadScenario, err)
-			}
-			kc.PutStructure(st.Key(), st)
-		}
-		avails := make([]link.Availability, len(models))
-		for i, lm := range models {
-			avails[i] = lm.Steady()
-		}
 		var err error
-		m, err = st.Bind(avails)
+		st, err = pathmodel.BuildStructure(slots, fup, is, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%w: peer path: %v", ErrBadScenario, err)
 		}
-		kc.PutModel(pathKey, m)
+		structures{e}.PutStructure(st.Key(), st)
+	}
+	m, err := st.Bind(avails)
+	if err != nil {
+		return nil, fmt.Errorf("%w: peer path: %v", ErrBadScenario, err)
 	}
 	res, err := m.Solve()
 	if err != nil {
 		return nil, err
 	}
-	e.peerMu.Lock()
-	e.peerCache.add(key, res)
-	e.peerMu.Unlock()
-	return res.Clone(), nil
+	e.memoPut(key, res)
+	return res, nil
 }

@@ -304,7 +304,8 @@ func failureSpec(t *testing.T, from, to int) *spec.Spec {
 // TestStructCacheSharesAcrossFailureScenarios checks the structure tier: a
 // failure-injection scenario must match the direct core path exactly, and
 // a second scenario with a different failure window — a guaranteed miss in
-// both the result cache and the value-level kernel cache — must rebind
+// the result cache, and for the failed link's paths in the path-result
+// memo — must rebind
 // onto the cached path structures instead of re-running Algorithm 1.
 func TestStructCacheSharesAcrossFailureScenarios(t *testing.T) {
 	eng := New(Config{})
@@ -366,10 +367,11 @@ func TestStructCacheSharesAcrossFailureScenarios(t *testing.T) {
 	}
 }
 
-// TestKernelCacheSharesPathModels checks the compiled-kernel cache: a cold
-// solve misses once per path, and a second scenario with a different
-// downlink frame (distinct scenario key, identical uplink path chains)
-// reuses every compiled model.
+// TestKernelCacheSharesPathModels checks the path-result memo (still
+// reported as kernelCache*): a cold solve misses once per path, and a
+// second scenario with a different downlink frame (distinct scenario key,
+// identical uplink path chains) is answered from the memo without binding
+// or solving any path, exactly as a direct analysis of it would be.
 func TestKernelCacheSharesPathModels(t *testing.T) {
 	eng := New(Config{})
 	ctx := context.Background()
@@ -379,31 +381,44 @@ func TestKernelCacheSharesPathModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := eng.MetricsSnapshot()
-	if snap.KernelCacheMisses == 0 {
-		t.Fatal("cold solve should compile kernels")
+	if snap.KernelCacheMisses != int64(len(first.Paths)) || snap.KernelCacheHits != 0 {
+		t.Fatalf("cold solve: memo misses=%d hits=%d, want %d/0",
+			snap.KernelCacheMisses, snap.KernelCacheHits, len(first.Paths))
 	}
-	if snap.KernelCacheLen == 0 {
-		t.Error("kernel cache empty after cold solve")
+	if snap.KernelCacheLen != len(first.Paths) {
+		t.Errorf("memo holds %d results after a cold solve, want %d", snap.KernelCacheLen, len(first.Paths))
 	}
 	misses, hits := snap.KernelCacheMisses, snap.KernelCacheHits
 
 	warm := spec.TypicalSpec()
-	warm.Fdown = 9 // new scenario key, same uplink path models
+	warm.Fdown = 9 // new scenario key, same uplink path chains
 	second, err := eng.Evaluate(ctx, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap = eng.MetricsSnapshot()
 	if snap.KernelCacheMisses != misses {
-		t.Errorf("warm solve compiled %d new kernels, want 0", snap.KernelCacheMisses-misses)
+		t.Errorf("warm solve missed the memo %d times, want 0", snap.KernelCacheMisses-misses)
 	}
 	if got := snap.KernelCacheHits - hits; got != int64(len(second.Paths)) {
-		t.Errorf("warm solve hit the kernel cache %d times, want %d", got, len(second.Paths))
+		t.Errorf("warm solve hit the memo %d times, want %d", got, len(second.Paths))
 	}
-	for i := range first.Paths {
-		if !almostEqual(first.Paths[i].Reachability, second.Paths[i].Reachability, 1e-15) {
-			t.Errorf("%s: cached-kernel reachability %v, want %v",
-				second.Paths[i].Source, second.Paths[i].Reachability, first.Paths[i].Reachability)
+	tr := eng.Traces().Snapshot()[0]
+	for _, stage := range []string{"bind", "solve"} {
+		if _, ok := tr.Span(stage); ok {
+			t.Errorf("warm solve recorded a %q span; every path should come from the memo", stage)
 		}
 	}
+	for i := range first.Paths {
+		a, b := first.Paths[i], second.Paths[i]
+		if math.Float64bits(a.Reachability) != math.Float64bits(b.Reachability) {
+			t.Errorf("%s: memoized reachability %v, want %v", b.Source, b.Reachability, a.Reachability)
+		}
+		for c := range a.CycleProbs {
+			if math.Float64bits(a.CycleProbs[c]) != math.Float64bits(b.CycleProbs[c]) {
+				t.Errorf("%s cycle %d: memoized %v, want %v", b.Source, c+1, b.CycleProbs[c], a.CycleProbs[c])
+			}
+		}
+	}
+	assertSameAsAnalyze(t, warm, second)
 }

@@ -65,8 +65,8 @@ func newMetrics() *Metrics {
 		deduped:      reg.Counter("whart_engine_deduped_total", "Evaluate calls that piggybacked on an in-flight solve."),
 		errors:       reg.Counter("whart_engine_errors_total", "Failed evaluations."),
 		inFlight:     reg.Gauge("whart_engine_in_flight", "Solves currently running."),
-		kernelHits:   reg.Counter("whart_engine_kernel_cache_hits_total", "Path-model builds served from the compiled-kernel cache."),
-		kernelMisses: reg.Counter("whart_engine_kernel_cache_misses_total", "Path-model builds that compiled a fresh kernel."),
+		kernelHits:   reg.Counter("whart_engine_kernel_cache_hits_total", "Path lookups answered by the path-result memo (no bind, no solve)."),
+		kernelMisses: reg.Counter("whart_engine_kernel_cache_misses_total", "Path lookups that missed the path-result memo and solved the path."),
 		structHits:   reg.Counter("whart_engine_struct_cache_hits_total", "Path-structure lookups served from the structure cache."),
 		structMisses: reg.Counter("whart_engine_struct_cache_misses_total", "Path-structure lookups that ran Algorithm 1."),
 		solveSeconds: reg.Histogram("whart_engine_solve_duration_seconds", "End-to-end scenario solve latency.", solveLatencyBuckets),
@@ -126,12 +126,13 @@ func (m *Metrics) Deduped() int64 { return m.deduped.Value() }
 // InFlight returns the number of solves currently running.
 func (m *Metrics) InFlight() int64 { return int64(m.inFlight.Value()) }
 
-// KernelCacheHits returns the number of path-model builds served from the
-// compiled-kernel cache.
+// KernelCacheHits returns the number of steady-state path lookups
+// answered by the path-result memo, which skip both bind and solve. The
+// name predates the memo, which replaced a cache of compiled kernels.
 func (m *Metrics) KernelCacheHits() int64 { return m.kernelHits.Value() }
 
-// KernelCacheMisses returns the number of path-model builds that had to
-// construct and compile a fresh kernel.
+// KernelCacheMisses returns the number of distinct steady-state paths
+// that missed the path-result memo and were bound and solved.
 func (m *Metrics) KernelCacheMisses() int64 { return m.kernelMisses.Value() }
 
 // StructCacheHits returns the number of path-structure lookups served from
@@ -158,6 +159,11 @@ type LatencySnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of all engine metrics, ready for JSON.
+// KernelCacheHits, KernelCacheMisses and KernelCacheLen keep their names
+// but count the path-result memo: lookups it answered, distinct paths it
+// missed (each then bound and solved once), and solved paths it holds.
+// SolveTime covers single-scenario solves, BatchSubSolveTime /v1/batch
+// sub-scenarios.
 type Snapshot struct {
 	Solves            int64           `json:"solves"`
 	CacheHits         int64           `json:"cacheHits"`

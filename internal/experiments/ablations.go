@@ -163,7 +163,7 @@ func ComputeHop(intervals int, seed int64) (*HopData, error) {
 	}
 
 	// Analytic with the Gilbert abstraction at the mixture-mean p_fl.
-	a, err := core.New(net, sched, core.WithUniformLinkModel(lm), core.WithSources(src))
+	a, err := core.New(net, sched, core.WithUniformLinkProcess(lm), core.WithSources(src))
 	if err != nil {
 		return nil, err
 	}

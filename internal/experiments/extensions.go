@@ -35,7 +35,7 @@ func ComputeXVal(intervals int, seed int64) ([]XValRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	na, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkModel(lm))
+	na, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkProcess(lm))
 	if err != nil {
 		return nil, err
 	}

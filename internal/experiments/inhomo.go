@@ -51,7 +51,7 @@ func ComputeInhomo(seed int64) ([]InhomoRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts = append(opts, core.WithLinkModel(l.ID, m))
+		opts = append(opts, core.WithLinkProcess(l.ID, m))
 		availSum += m.SteadyUp()
 	}
 	avgAvail := availSum / float64(len(links))
@@ -68,7 +68,7 @@ func ComputeInhomo(seed int64) ([]InhomoRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	homogNA, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkModel(avgModel))
+	homogNA, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkProcess(avgModel))
 	if err != nil {
 		return nil, err
 	}

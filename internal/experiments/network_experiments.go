@@ -56,7 +56,7 @@ func ComputeFig13(avails []float64) ([]Fig13Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		na, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkModel(lm))
+		na, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkProcess(lm))
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +262,7 @@ func ComputeTab2() ([]Tab2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		na, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkModel(lm))
+		na, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkProcess(lm))
 		if err != nil {
 			return nil, err
 		}
@@ -331,7 +331,7 @@ func ComputeTab3() ([]Tab3Row, error) {
 	}
 	fup := ty.EtaA.Fup()
 
-	baseline, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkModel(lm))
+	baseline, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkProcess(lm))
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +339,7 @@ func ComputeTab3() ([]Tab3Row, error) {
 	// Paper-compatible: every link of every affected path blocked during
 	// cycle 1.
 	affected := topology.PathsSharedByLink(ty.Routes, e3.ID)
-	blockedOpts := []core.Option{core.WithUniformLinkModel(lm)}
+	blockedOpts := []core.Option{core.WithUniformLinkProcess(lm)}
 	blockedLinks := map[topology.LinkID]bool{}
 	for _, src := range affected {
 		for _, lid := range ty.Routes[src].Links() {
@@ -369,7 +369,7 @@ func ComputeTab3() ([]Tab3Row, error) {
 		return nil, err
 	}
 	exact, err := analyzeTypical(ty, ty.EtaA,
-		core.WithUniformLinkModel(lm), core.WithLinkAvailability(e3.ID, downE3))
+		core.WithUniformLinkProcess(lm), core.WithLinkAvailability(e3.ID, downE3))
 	if err != nil {
 		return nil, err
 	}
@@ -498,12 +498,12 @@ func ComputeFig19(avails []float64) ([]Fig19Row, error) {
 			return nil, err
 		}
 		fast, err := analyzeTypical(ty, ty.EtaA,
-			core.WithUniformLinkModel(lm), core.WithReportingInterval(2))
+			core.WithUniformLinkProcess(lm), core.WithReportingInterval(2))
 		if err != nil {
 			return nil, err
 		}
 		regular, err := analyzeTypical(ty, ty.EtaA,
-			core.WithUniformLinkModel(lm), core.WithReportingInterval(4))
+			core.WithUniformLinkProcess(lm), core.WithReportingInterval(4))
 		if err != nil {
 			return nil, err
 		}

@@ -39,7 +39,7 @@ func ComputeRTrip(intervals int, seed int64) ([]RTripRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := core.New(ty.Net, ty.EtaA, core.WithUniformLinkModel(lm))
+	a, err := core.New(ty.Net, ty.EtaA, core.WithUniformLinkProcess(lm))
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,8 @@
 //
 // Each network of a population is generated from (seed, index) by
 // internal/gen, evaluated independently under a worker pool (the
-// engine's two-tier structure/kernel caches do the heavy lifting across
-// similar geometries), and reduced to scalar measures; per-network
+// engine's structure tier and path-result memo do the heavy lifting
+// across similar geometries), and reduced to scalar measures; per-network
 // failures are isolated into the report rather than aborting the sweep.
 // A fixed seed yields a byte-identical report, which the fleet CLI
 // echoes for reproducibility.

@@ -35,10 +35,19 @@ func (s *Structure) BindBatch(scenarios [][]link.Availability) ([]*Model, error)
 // advances all K distributions per slot, amortizing the pattern's memory
 // traffic across the batch. Every model must share the same Structure (as
 // produced by one BindBatch or repeated Bind calls on one Structure); the
-// per-scenario results are identical to calling Solve on each model.
+// per-scenario results are bit-identical to calling Solve on each model.
+// A batch of one runs Solve itself, which skips the packing the lock-step
+// pass needs.
 func SolveBatch(models []*Model) ([]*Result, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("pathmodel: empty solve batch")
+	}
+	if len(models) == 1 && models[0] != nil {
+		res, err := models[0].Solve()
+		if err != nil {
+			return nil, err
+		}
+		return []*Result{res}, nil
 	}
 	s := models[0].s
 	kernels := make([]*dtmc.Kernel, len(models))

@@ -8,12 +8,14 @@ import (
 	"wirelesshart/internal/link"
 )
 
-// TestBindBatchSolveBatchMatchesScalar is the pathmodel half of the
-// batch-vs-scalar equivalence satellite: K scenarios bound in one
-// BindBatch and solved in one SolveBatch must match K independent
-// Bind+Solve runs to 1e-12 on every result field, including K=1 and
-// time-varying availabilities (DownDuring windows and permanent failures,
-// which exercise the per-attempt-slot evaluation).
+// TestBindBatchSolveBatchMatchesScalar pins batch-vs-scalar equivalence:
+// K scenarios bound in one BindBatch and solved in one SolveBatch must
+// match K independent Bind+Solve runs bit for bit on every result field,
+// at K=1 and K>1, including time-varying availabilities (DownDuring
+// windows and permanent failures, which exercise the per-attempt-slot
+// evaluation). The engine's path-result memo depends on this: a path
+// solved in a lock-step batch is shared with scenarios that would have
+// solved it alone.
 func TestBindBatchSolveBatchMatchesScalar(t *testing.T) {
 	slots := []int{1, 2, 3}
 	const fup, is, ttl = 7, 3, 14
@@ -53,16 +55,17 @@ func TestBindBatchSolveBatchMatchesScalar(t *testing.T) {
 			if len(got.CycleProbs) != len(want.CycleProbs) {
 				t.Fatalf("%s: %d cycle probs, want %d", names[j], len(got.CycleProbs), len(want.CycleProbs))
 			}
+			same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 			for i := range got.CycleProbs {
-				if d := math.Abs(got.CycleProbs[i] - want.CycleProbs[i]); d > 1e-12 {
-					t.Errorf("%s cycle %d: batch %v vs scalar %v", names[j], i, got.CycleProbs[i], want.CycleProbs[i])
+				if !same(got.CycleProbs[i], want.CycleProbs[i]) {
+					t.Errorf("K=%d %s cycle %d: batch %v vs scalar %v", width, names[j], i, got.CycleProbs[i], want.CycleProbs[i])
 				}
 			}
-			if d := math.Abs(got.DiscardProb - want.DiscardProb); d > 1e-12 {
-				t.Errorf("%s: discard %v vs %v", names[j], got.DiscardProb, want.DiscardProb)
+			if !same(got.DiscardProb, want.DiscardProb) {
+				t.Errorf("K=%d %s: discard %v vs %v", width, names[j], got.DiscardProb, want.DiscardProb)
 			}
-			if d := math.Abs(got.ExpectedAttempts - want.ExpectedAttempts); d > 1e-12 {
-				t.Errorf("%s: attempts %v vs %v", names[j], got.ExpectedAttempts, want.ExpectedAttempts)
+			if !same(got.ExpectedAttempts, want.ExpectedAttempts) {
+				t.Errorf("K=%d %s: attempts %v vs %v", width, names[j], got.ExpectedAttempts, want.ExpectedAttempts)
 			}
 			if got.Fup != want.Fup || got.Is != want.Is || got.Hops != want.Hops {
 				t.Errorf("%s: config echo mismatch", names[j])

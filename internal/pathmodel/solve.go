@@ -7,7 +7,9 @@ import (
 )
 
 // Result holds the transient solution of a path model at the end of its
-// reporting interval.
+// reporting interval. Nothing writes to a Result once Solve or SolveBatch
+// has returned it, so solved results are shared read-only between
+// concurrent readers (the evaluation engine's path-result memo).
 type Result struct {
 	// CycleProbs[i] is the probability that the message reaches the
 	// gateway in cycle i+1 (the transient probability of goal R_{a_{i+1}}
@@ -36,16 +38,6 @@ func (r *Result) Reachability() float64 {
 		sum += p
 	}
 	return sum
-}
-
-// Clone returns a deep copy of the result. Solved results are cached and
-// shared across concurrent readers (the evaluation engine in particular);
-// Clone hands a caller its own mutable copy.
-func (r *Result) Clone() *Result {
-	out := *r
-	out.CycleProbs = append([]float64(nil), r.CycleProbs...)
-	out.GoalAges = append([]int(nil), r.GoalAges...)
-	return &out
 }
 
 // initialDistribution returns the point mass on the initial state.

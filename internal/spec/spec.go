@@ -168,10 +168,9 @@ func (s *Spec) Build() (*Built, error) {
 }
 
 // BuildWith is Build with extra analyzer options appended — the hook the
-// evaluation engine uses to inject its shared caches: the value-level
-// path-model cache (core.WithPathModelCache) and the structure cache
-// (core.WithStructureCache) that lets failure-injection scenarios reuse
-// cached state spaces through a value rebind.
+// evaluation engine uses to inject its structure cache
+// (core.WithStructureCache), which lets failure-injection scenarios reuse
+// cached state spaces through a value rebind, and its tracer.
 func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
 	if len(s.Nodes) == 0 {
 		return nil, errors.New("spec: no nodes")
@@ -259,7 +258,7 @@ func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts = append(opts, core.WithUniformLinkModel(def))
+	opts = append(opts, core.WithUniformLinkProcess(def))
 	// Options in sorted link order: the option list feeds the analyzer
 	// construction and cache keys, so map order would differ between runs.
 	procIDs := make([]topology.LinkID, 0, len(linkProcs))

@@ -624,7 +624,7 @@ func (n *Network) finishBuild(o *options, sched schedule.Plan, sources []topolog
 	}
 	sort.Slice(modelIDs, func(i, j int) bool { return modelIDs[i] < modelIDs[j] })
 	for _, id := range modelIDs {
-		opts = append(opts, core.WithLinkModel(id, n.models[id]))
+		opts = append(opts, core.WithLinkProcess(id, n.models[id]))
 	}
 	// Failure injections by link name.
 	for _, l := range n.topo.Links() {
