@@ -95,82 +95,6 @@ func TestSensitivityBatchMatchesScalarSweep(t *testing.T) {
 	}
 }
 
-// TestAnalyzeInjectionGridMatchesScalar pins the batched injection grid
-// against K independent analyzers configured with the same overrides, on
-// every derived measure, to 1e-12.
-func TestAnalyzeInjectionGridMatchesScalar(t *testing.T) {
-	net, _, etaA := typicalSetup(t)
-	m := mustAvail(t, 0.83)
-	n3, _ := net.NodeByName("n3")
-	gw, _ := net.Gateway()
-	e3, _ := net.LinkBetween(n3.ID, gw)
-	links := net.Links()
-
-	var scenarios []InjectionScenario
-	scenarios = append(scenarios, InjectionScenario{}) // no injection
-	for i := 0; i < 3; i++ {
-		av, err := m.DownDuring(i*5, i*5+14, m.Steady())
-		if err != nil {
-			t.Fatal(err)
-		}
-		scenarios = append(scenarios, InjectionScenario{links[i%len(links)].ID: av})
-	}
-	scenarios = append(scenarios, InjectionScenario{e3.ID: link.PermanentDown()})
-
-	a, err := New(net, etaA, WithUniformLinkProcess(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := a.AnalyzeInjectionGrid(scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(grid) != len(scenarios) {
-		t.Fatalf("%d analyses, want %d", len(grid), len(scenarios))
-	}
-	for j, sc := range scenarios {
-		opts := []Option{WithUniformLinkProcess(m)}
-		for id, av := range sc {
-			opts = append(opts, WithLinkAvailability(id, av))
-		}
-		ref, err := New(net, etaA, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.Analyze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := grid[j]
-		if len(got.Paths) != len(want.Paths) {
-			t.Fatalf("scenario %d: %d paths, want %d", j, len(got.Paths), len(want.Paths))
-		}
-		for i := range got.Paths {
-			if got.Paths[i].Source != want.Paths[i].Source {
-				t.Fatalf("scenario %d path %d: source order differs", j, i)
-			}
-			if d := math.Abs(got.Paths[i].Reachability - want.Paths[i].Reachability); d > 1e-12 {
-				t.Errorf("scenario %d source %d: reachability %v vs %v",
-					j, got.Paths[i].Source, got.Paths[i].Reachability, want.Paths[i].Reachability)
-			}
-			if d := math.Abs(got.Paths[i].ExpectedDelayMS - want.Paths[i].ExpectedDelayMS); d > 1e-9 {
-				t.Errorf("scenario %d source %d: delay %v vs %v",
-					j, got.Paths[i].Source, got.Paths[i].ExpectedDelayMS, want.Paths[i].ExpectedDelayMS)
-			}
-		}
-		if d := math.Abs(got.UtilizationExact - want.UtilizationExact); d > 1e-12 {
-			t.Errorf("scenario %d: utilization %v vs %v", j, got.UtilizationExact, want.UtilizationExact)
-		}
-		if d := math.Abs(got.OverallMeanDelayMS - want.OverallMeanDelayMS); d > 1e-9 {
-			t.Errorf("scenario %d: overall delay %v vs %v", j, got.OverallMeanDelayMS, want.OverallMeanDelayMS)
-		}
-	}
-
-	if _, err := a.AnalyzeInjectionGrid(nil); err == nil {
-		t.Error("empty grid accepted")
-	}
-}
-
 // TestPathModelsAssembleAnalysisMatchesAnalyze pins the engine-facing
 // split — build all models, solve externally (here as one structure-shared
 // batch), assemble — against the one-shot Analyze.

@@ -120,44 +120,3 @@ func BenchmarkInjectionAnalyze(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkInjectionGrid measures the batched failure-injection grid: the
-// same 20 DownDuring windows BenchmarkInjectionAnalyze feeds through one
-// scalar Analyze each are solved here as one AnalyzeInjectionGrid call,
-// amortizing each path structure's CSR traversal across all 20 scenarios.
-// Compare ns/op / 20 against BenchmarkInjectionAnalyze/structcached.
-func BenchmarkInjectionGrid(b *testing.B) {
-	net, _, etaA := benchSetup(b)
-	m := benchModel(b, 0.83)
-	n3, ok := net.NodeByName("n3")
-	if !ok {
-		b.Fatal("no n3")
-	}
-	gw, err := net.Gateway()
-	if err != nil {
-		b.Fatal(err)
-	}
-	e3, ok := net.LinkBetween(n3.ID, gw)
-	if !ok {
-		b.Fatal("no n3-G link")
-	}
-	scenarios := make([]InjectionScenario, 20)
-	for i := range scenarios {
-		av, err := m.DownDuring(i, i+20, m.Steady())
-		if err != nil {
-			b.Fatal(err)
-		}
-		scenarios[i] = InjectionScenario{e3.ID: av}
-	}
-	a, err := New(net, etaA, WithUniformLinkProcess(m))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.AnalyzeInjectionGrid(scenarios); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

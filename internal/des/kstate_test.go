@@ -143,7 +143,7 @@ func TestRunKStatePathMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := st.BindProcesses([]link.Process{m, m})
+	bound, err := st.Bind([]link.Availability{m.Steady(), m.Steady()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,20 +2,9 @@ package dtmc
 
 import (
 	"fmt"
-	"math"
 
 	"wirelesshart/internal/linalg"
 )
-
-// batchEdge is one time-varying transition of one scenario in a batch:
-// slot indexes the packed value block (compiled position * K + scenario)
-// that must be re-evaluated before stepping at a new time.
-type batchEdge struct {
-	scenario int
-	from     int
-	slot     int
-	fn       ProbFn
-}
 
 // BatchDist is a read-only view of a batch's K distributions at one step.
 // The block packs the K vectors scenario-fastest: one state's K scenario
@@ -42,31 +31,19 @@ func (d BatchDist) Row(state int) []float64 { return d.buf[state*d.k : state*d.k
 // frozen sparsity pattern in lock-step: every step is one row-major pass
 // over the pattern that advances all K ping-pong blocks at once, so the
 // dominant cost — memory traffic over the pattern — is paid once per step
-// instead of once per scenario. kernels[j] supplies scenario j's values
-// (and its time-varying ProbFn edges, which are re-evaluated and validated
-// per step per scenario); every kernel must share the receiver's compiled
-// pattern — by identity for the receiver itself and any kernel Rebind
-// produced from it, or element-wise for independently compiled chains with
-// the same skeleton (the per-scenario ProbFn case). p0[j] is scenario j's
-// initial distribution at time t0.
+// instead of once per scenario. kernels[j] supplies scenario j's values;
+// every kernel must share the receiver's compiled pattern — by identity
+// for the receiver itself and any kernel Rebind produced from it, or
+// element-wise for independently compiled chains with the same skeleton.
+// p0[j] is scenario j's initial distribution.
 //
-// The returned vectors are freshly allocated and owned by the caller.
-// The batch never mutates the scenario kernels — time-varying values are
-// evaluated into the batch's own packed block — so batching is safe even
-// for kernels with ProbFn edges as long as the functions themselves are
-// pure.
-func (k *Kernel) TransientBatch(kernels []*Kernel, p0 []linalg.Vector, t0, steps int) ([]linalg.Vector, error) {
-	return k.TransientBatchObserved(kernels, p0, t0, steps, nil)
-}
-
-// TransientBatchObserved is the shared batch transient driver: it runs
-// p_j(s+1) = p_j(s) P_j(t0+s) for all K scenarios j and s = 0..steps-1
-// with two reused K-wide blocks and, when observe is non-nil, calls
-// observe(s, dist) for every s = 0..steps (including the initial
-// distributions). The BatchDist passed to observe is only valid during the
-// call. Apart from the initial block, the packed value block, and the
-// result vectors, the step loop allocates nothing.
-func (k *Kernel) TransientBatchObserved(kernels []*Kernel, p0 []linalg.Vector, t0, steps int, observe func(step int, d BatchDist) error) ([]linalg.Vector, error) {
+// When observe is non-nil, TransientBatch calls observe(s, dist) for every
+// s = 0..steps (including the initial distributions). The BatchDist passed
+// to observe is only valid during the call. Apart from the initial block,
+// the packed value block, and the result vectors, the step loop allocates
+// nothing. The returned vectors are freshly allocated and owned by the
+// caller.
+func (k *Kernel) TransientBatch(kernels []*Kernel, p0 []linalg.Vector, steps int, observe func(step int, d BatchDist) error) ([]linalg.Vector, error) {
 	kk := len(kernels)
 	if kk == 0 {
 		return nil, fmt.Errorf("dtmc: empty kernel batch")
@@ -112,17 +89,12 @@ func (k *Kernel) TransientBatchObserved(kernels []*Kernel, p0 []linalg.Vector, t
 		}
 	}
 
-	// Pack the per-scenario value block (position-major, scenario-fastest)
-	// and collect every scenario's time-varying edges. Homogeneous batches
-	// pack once and never revisit the block.
+	// Pack the per-scenario value block once: position-major,
+	// scenario-fastest.
 	vals := make([]float64, k.mat.NNZ()*kk)
-	var varying []batchEdge
 	for j, kr := range kernels {
 		for p, v := range kr.mat.Values() {
 			vals[p*kk+j] = v
-		}
-		for _, e := range kr.varying {
-			varying = append(varying, batchEdge{scenario: j, from: e.from, slot: e.pos*kk + j, fn: e.fn})
 		}
 	}
 
@@ -132,16 +104,7 @@ func (k *Kernel) TransientBatchObserved(kernels []*Kernel, p0 []linalg.Vector, t
 		}
 	}
 	for s := 0; s < steps; s++ {
-		t := t0 + s
-		for _, e := range varying {
-			p := e.fn(t)
-			if math.IsNaN(p) || p < 0 || p > 1 {
-				return nil, fmt.Errorf("dtmc: batch scenario %d state %q transition probability %v out of [0,1] at t=%d",
-					e.scenario, kernels[e.scenario].names[e.from], p, t)
-			}
-			vals[e.slot] = p
-		}
-		if err := k.mat.MulVecBatchMasked(next, cur, kk, vals, curActive, nextActive); err != nil {
+		if err := k.mat.MulVecBatch(next, cur, kk, vals, curActive, nextActive); err != nil {
 			return nil, err
 		}
 		cur, next = next, cur

@@ -27,7 +27,7 @@ func TestStepIntoRejectsAliasing(t *testing.T) {
 	}
 	k := c.Compile()
 	p := linalg.Vector{1, 0}
-	if err := k.StepInto(p, p, 0); err == nil {
+	if err := k.StepInto(p, p); err == nil {
 		t.Fatal("StepInto accepted an aliased dst/src pair")
 	}
 	// The rejected call must not have touched the distribution.
@@ -35,7 +35,7 @@ func TestStepIntoRejectsAliasing(t *testing.T) {
 		t.Fatalf("aliased StepInto mutated the distribution: %v", p)
 	}
 	dst := linalg.NewVector(2)
-	if err := k.StepInto(dst, p, 0); err != nil {
+	if err := k.StepInto(dst, p); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0] != 0.6 || dst[1] != 0.4 {
@@ -44,7 +44,7 @@ func TestStepIntoRejectsAliasing(t *testing.T) {
 }
 
 // TestTransientBatchMatchesScalar is the randomized batch-vs-scalar
-// equivalence test: over seeded homogeneous chains, K rebound scenario
+// equivalence test: over seeded chains, K rebound scenario
 // kernels advanced by one TransientBatch pass must match K independent
 // Transient runs to 1e-12 at the horizon and at every observed step,
 // K=1 included.
@@ -52,7 +52,7 @@ func TestTransientBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	const horizon = 40
 	for trial := 0; trial < 30; trial++ {
-		c, _ := randomChain(t, rng, false)
+		c := randomChain(t, rng)
 		base := c.Compile()
 		n := c.NumStates()
 		for _, k := range []int{1, 2, 7} {
@@ -70,7 +70,7 @@ func TestTransientBatchMatchesScalar(t *testing.T) {
 			want := make([][]linalg.Vector, k)
 			for j := range kernels {
 				want[j] = make([]linalg.Vector, horizon+1)
-				_, err := kernels[j].TransientObserved(p0[j], 0, horizon, func(s int, p linalg.Vector) error {
+				_, err := kernels[j].Transient(p0[j], horizon, func(s int, p linalg.Vector) error {
 					want[j][s] = p.Clone()
 					return nil
 				})
@@ -78,7 +78,7 @@ func TestTransientBatchMatchesScalar(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			finals, err := base.TransientBatchObserved(kernels, p0, 0, horizon, func(s int, d BatchDist) error {
+			finals, err := base.TransientBatch(kernels, p0, horizon, func(s int, d BatchDist) error {
 				if d.Scenarios() != k {
 					return fmt.Errorf("batch width %d, want %d", d.Scenarios(), k)
 				}
@@ -97,135 +97,11 @@ func TestTransientBatchMatchesScalar(t *testing.T) {
 				t.Fatalf("trial %d k=%d: %v", trial, k, err)
 			}
 			for j := range finals {
-				d, err := finals[j].MaxAbsDiff(want[j][horizon])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d > 1e-12 {
+				if d := maxAbsDiff(finals[j], want[j][horizon]); d > 1e-12 {
 					t.Fatalf("trial %d k=%d scenario %d: final diverges by %v", trial, k, j, d)
 				}
 			}
 		}
-	}
-}
-
-// varyingChainWithPhase builds one fixed 5-state chain skeleton whose
-// time-varying edge pair oscillates with the given phase: every phase
-// yields the same compiled sparsity pattern, so different phases batch
-// together as per-scenario ProbFn scenarios.
-func varyingChainWithPhase(t *testing.T, phase int) *Chain {
-	t.Helper()
-	c := New()
-	for i := 0; i < 5; i++ {
-		c.MustAddState(fmt.Sprintf("s%d", i))
-	}
-	if err := c.MarkAbsorbing(4); err != nil {
-		t.Fatal(err)
-	}
-	// Row 0: a time-varying split of 0.6 across two targets + fixed rest.
-	f := varySplit(0.6, phase)
-	if err := c.AddTransitionFn(0, 1, f); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddTransitionFn(0, 2, func(tt int) float64 { return 0.6 - f(tt) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddTransition(0, 3, 0.4); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < 4; i++ {
-		if err := c.AddTransition(i, i+1, 0.7); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.AddTransition(i, 0, 0.3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Validate(1e-9); err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// TestTransientBatchVaryingMatchesScalar pins per-scenario time-varying
-// (ProbFn) batching: three independently compiled chains sharing one
-// skeleton but differing in their ProbFn phases must batch to the same
-// trajectories as their scalar Transient runs, at a non-zero start time.
-func TestTransientBatchVaryingMatchesScalar(t *testing.T) {
-	const k, horizon, t0 = 3, 25, 4
-	kernels := make([]*Kernel, k)
-	p0 := make([]linalg.Vector, k)
-	for j := 0; j < k; j++ {
-		kernels[j] = varyingChainWithPhase(t, j).Compile()
-		p0[j] = linalg.Vector{1, 0, 0, 0, 0}
-	}
-	want := make([]linalg.Vector, k)
-	for j := range kernels {
-		var err error
-		want[j], err = kernels[j].Transient(p0[j], t0, horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := kernels[0].TransientBatch(kernels, p0, t0, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range got {
-		d, err := got[j].MaxAbsDiff(want[j])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d > 1e-12 {
-			t.Fatalf("scenario %d: batch vs scalar diverge by %v", j, d)
-		}
-	}
-	// The batch must not have mutated any scenario kernel: scalar runs
-	// still reproduce their results exactly.
-	for j := range kernels {
-		again, err := kernels[j].Transient(p0[j], t0, horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d, _ := again.MaxAbsDiff(want[j]); d != 0 {
-			t.Fatalf("scenario %d: batching mutated the kernel (diff %v)", j, d)
-		}
-	}
-}
-
-// TestTransientBatchValidatesVaryingEdges mirrors the scalar per-step
-// validation: a scenario whose ProbFn leaves [0,1] mid-horizon must fail
-// the whole batch with a scenario-attributed error.
-func TestTransientBatchValidatesVaryingEdges(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	g := c.MustAddState("g")
-	if err := c.AddTransitionFn(a, g, func(t int) float64 {
-		if t >= 3 {
-			return 1.5
-		}
-		return 0.5
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddTransitionFn(a, a, func(t int) float64 {
-		if t >= 3 {
-			return -0.5
-		}
-		return 0.5
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkAbsorbing(g); err != nil {
-		t.Fatal(err)
-	}
-	k := c.Compile()
-	p0 := []linalg.Vector{{1, 0}}
-	if _, err := k.TransientBatch([]*Kernel{k}, p0, 0, 2); err != nil {
-		t.Fatalf("in-range horizon failed: %v", err)
-	}
-	if _, err := k.TransientBatch([]*Kernel{k}, p0, 0, 10); err == nil {
-		t.Fatal("out-of-range ProbFn accepted by the batch driver")
 	}
 }
 
@@ -241,19 +117,19 @@ func TestTransientBatchInputErrors(t *testing.T) {
 	}
 	k := c.Compile()
 	good := []linalg.Vector{{1, 0}}
-	if _, err := k.TransientBatch(nil, nil, 0, 1); err == nil {
+	if _, err := k.TransientBatch(nil, nil, 1, nil); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := k.TransientBatch([]*Kernel{k}, nil, 0, 1); err == nil {
+	if _, err := k.TransientBatch([]*Kernel{k}, nil, 1, nil); err == nil {
 		t.Error("missing initial distributions accepted")
 	}
-	if _, err := k.TransientBatch([]*Kernel{k}, good, 0, -1); err == nil {
+	if _, err := k.TransientBatch([]*Kernel{k}, good, -1, nil); err == nil {
 		t.Error("negative steps accepted")
 	}
-	if _, err := k.TransientBatch([]*Kernel{nil}, good, 0, 1); err == nil {
+	if _, err := k.TransientBatch([]*Kernel{nil}, good, 1, nil); err == nil {
 		t.Error("nil scenario kernel accepted")
 	}
-	if _, err := k.TransientBatch([]*Kernel{k}, []linalg.Vector{{1}}, 0, 1); err == nil {
+	if _, err := k.TransientBatch([]*Kernel{k}, []linalg.Vector{{1}}, 1, nil); err == nil {
 		t.Error("short distribution accepted")
 	}
 	other := New()
@@ -269,7 +145,7 @@ func TestTransientBatchInputErrors(t *testing.T) {
 	if err := other.MarkAbsorbing(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.TransientBatch([]*Kernel{other.Compile()}, good, 0, 1); err == nil {
+	if _, err := k.TransientBatch([]*Kernel{other.Compile()}, good, 1, nil); err == nil {
 		t.Error("pattern mismatch accepted")
 	}
 }
@@ -280,7 +156,7 @@ func TestTransientBatchInputErrors(t *testing.T) {
 // values, result vectors) is allocation-free.
 func TestTransientBatchStepAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260809))
-	c, _ := randomChain(t, rng, false)
+	c := randomChain(t, rng)
 	base := c.Compile()
 	const k = 8
 	kernels := make([]*Kernel, k)
@@ -295,7 +171,7 @@ func TestTransientBatchStepAllocatesNothing(t *testing.T) {
 	}
 	allocsAt := func(steps int) float64 {
 		return testing.AllocsPerRun(50, func() {
-			if _, err := base.TransientBatch(kernels, p0, 0, steps); err != nil {
+			if _, err := base.TransientBatch(kernels, p0, steps, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -350,7 +226,7 @@ func BenchmarkTransientBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("batch/K%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := base.TransientBatch(kernels, p0, 0, horizon); err != nil {
+				if _, err := base.TransientBatch(kernels, p0, horizon, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -359,7 +235,7 @@ func BenchmarkTransientBatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for j := range kernels {
-					if _, err := kernels[j].Transient(p0[j], 0, horizon); err != nil {
+					if _, err := kernels[j].Transient(p0[j], horizon, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// WriteDOT renders the chain in Graphviz DOT format, with transition
-// probabilities evaluated at time t. Absorbing states are drawn as double
+// WriteDOT renders the chain in Graphviz DOT format, labelling each edge
+// with its transition probability. Absorbing states are drawn as double
 // circles. This reproduces the paper's Figs. 4 and 5 style diagrams.
-func (c *Chain) WriteDOT(w io.Writer, title string, t int) error {
+func (c *Chain) WriteDOT(w io.Writer, title string) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", title)
 	b.WriteString("  rankdir=LR;\n")
@@ -22,7 +22,7 @@ func (c *Chain) WriteDOT(w io.Writer, title string, t int) error {
 	}
 	for id := range c.names {
 		for _, tr := range c.out[id] {
-			fmt.Fprintf(&b, "  s%d -> s%d [label=\"%.4g\"];\n", id, tr.To, tr.probAt(t))
+			fmt.Fprintf(&b, "  s%d -> s%d [label=\"%.4g\"];\n", id, tr.To, tr.Prob)
 		}
 	}
 	b.WriteString("}\n")

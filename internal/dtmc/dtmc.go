@@ -1,8 +1,9 @@
 // Package dtmc implements the discrete-time Markov chain engine underlying
-// the WirelessHART path model: labeled states, sparse transitions whose
-// probabilities may vary with the global slot number (time-inhomogeneous
-// chains, paper Eq. 5), transient analysis, absorption analysis via the
-// fundamental matrix, stationary distributions, and DOT export.
+// the WirelessHART path model: labeled states, sparse fixed-probability
+// transitions, compilation to an immutable CSR kernel for transient
+// analysis, and DOT export. Every chain is time-homogeneous: the path
+// model encodes slot time in its age-layered states (paper Algorithm 1),
+// so a chain is a fixed matrix.
 package dtmc
 
 import (
@@ -10,40 +11,24 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"wirelesshart/internal/linalg"
 )
 
-// ProbFn returns a transition probability for the step taken from time t to
-// t+1 (t starts at 0). It is the hook that lets link models drive the path
-// model with transient (not yet steady-state) availabilities.
-type ProbFn func(t int) float64
-
-// Transition is one outgoing edge of a state. Either Prob is used (Fn nil)
-// or Fn is consulted per step.
-type Transition struct {
+// transition is one outgoing edge of a state.
+type transition struct {
 	To   int
 	Prob float64
-	Fn   ProbFn
 }
 
-func (tr Transition) probAt(t int) float64 {
-	if tr.Fn != nil {
-		return tr.Fn(t)
-	}
-	return tr.Prob
-}
-
-// Chain is a labeled DTMC under construction or analysis. Create one with
-// New, add states and transitions, then call Validate before analysis.
+// Chain is a labeled DTMC under construction. Create one with New, add
+// states and transitions, call Validate, then Compile it for analysis.
 type Chain struct {
 	names     []string
 	index     map[string]int
-	out       [][]Transition
+	out       [][]transition
 	absorbing []bool
 
-	// kernel caches the compiled CSR form used by every analysis method;
-	// structural mutations invalidate it.
+	// kernel caches the compiled CSR form; structural mutations
+	// invalidate it.
 	kmu    sync.Mutex
 	kernel *Kernel
 }
@@ -91,31 +76,19 @@ func (c *Chain) StateID(name string) (int, bool) {
 
 // AddTransition adds an edge with a fixed probability.
 func (c *Chain) AddTransition(from, to int, p float64) error {
-	return c.addTransition(from, Transition{To: to, Prob: p})
-}
-
-// AddTransitionFn adds an edge whose probability is evaluated per step.
-func (c *Chain) AddTransitionFn(from, to int, fn ProbFn) error {
-	if fn == nil {
-		return errors.New("dtmc: nil probability function")
-	}
-	return c.addTransition(from, Transition{To: to, Fn: fn})
-}
-
-func (c *Chain) addTransition(from int, tr Transition) error {
 	if from < 0 || from >= len(c.names) {
 		return fmt.Errorf("dtmc: transition from unknown state %d", from)
 	}
-	if tr.To < 0 || tr.To >= len(c.names) {
-		return fmt.Errorf("dtmc: transition to unknown state %d", tr.To)
+	if to < 0 || to >= len(c.names) {
+		return fmt.Errorf("dtmc: transition to unknown state %d", to)
 	}
 	if c.absorbing[from] {
 		return fmt.Errorf("dtmc: state %q is absorbing, cannot add outgoing transition", c.names[from])
 	}
-	if tr.Fn == nil && (tr.Prob < 0 || tr.Prob > 1 || math.IsNaN(tr.Prob)) {
-		return fmt.Errorf("dtmc: probability %v out of [0,1]", tr.Prob)
+	if p < 0 || p > 1 || math.IsNaN(p) {
+		return fmt.Errorf("dtmc: probability %v out of [0,1]", p)
 	}
-	c.out[from] = append(c.out[from], tr)
+	c.out[from] = append(c.out[from], transition{To: to, Prob: p})
 	c.invalidateKernel()
 	return nil
 }
@@ -137,32 +110,9 @@ func (c *Chain) MarkAbsorbing(id int) error {
 // IsAbsorbing reports whether state id is absorbing.
 func (c *Chain) IsAbsorbing(id int) bool { return c.absorbing[id] }
 
-// AbsorbingStates returns the ids of all absorbing states in order.
-func (c *Chain) AbsorbingStates() []int {
-	var out []int
-	for id, a := range c.absorbing {
-		if a {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Transitions returns a copy of the outgoing transitions of state id.
-func (c *Chain) Transitions(id int) []Transition {
-	out := make([]Transition, len(c.out[id]))
-	copy(out, c.out[id])
-	return out
-}
-
 // Validate checks that every non-absorbing state's outgoing probabilities
-// sum to one at time 0 within tol, and that every state is either
-// absorbing or has outgoing transitions. Chains with ProbFn edges are
-// validated at t = 0 only; during analysis the compiled kernel re-checks
-// exactly the time-varying edges at every step it evaluates (NaN,
-// negative, or >1 probabilities surface as errors from the stepping
-// methods), so the per-step cost is amortized onto the edges that actually
-// vary.
+// sum to one within tol, and that every state is either absorbing or has
+// outgoing transitions.
 func (c *Chain) Validate(tol float64) error {
 	if len(c.names) == 0 {
 		return errors.New("dtmc: empty chain")
@@ -174,82 +124,13 @@ func (c *Chain) Validate(tol float64) error {
 		if len(c.out[id]) == 0 {
 			return fmt.Errorf("dtmc: state %q has no outgoing transitions and is not absorbing", c.names[id])
 		}
-		if err := c.checkRow(id, 0, tol); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *Chain) checkRow(id, t int, tol float64) error {
-	var sum float64
-	for _, tr := range c.out[id] {
-		p := tr.probAt(t)
-		if p < -tol || p > 1+tol || math.IsNaN(p) {
-			return fmt.Errorf("dtmc: state %q transition probability %v out of [0,1] at t=%d", c.names[id], p, t)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > tol {
-		return fmt.Errorf("dtmc: state %q outgoing probabilities sum to %v at t=%d", c.names[id], sum, t)
-	}
-	return nil
-}
-
-// InitialDistribution returns a distribution concentrated on state id.
-func (c *Chain) InitialDistribution(id int) (linalg.Vector, error) {
-	if id < 0 || id >= len(c.names) {
-		return nil, fmt.Errorf("dtmc: unknown state %d", id)
-	}
-	p := linalg.NewVector(len(c.names))
-	p[id] = 1
-	return p, nil
-}
-
-// StepAt advances the distribution one slot, using per-step probabilities
-// evaluated at time t: p(t+1) = p(t) P(t). It is a thin allocating wrapper
-// over Kernel.StepInto; hot loops should compile once and reuse buffers.
-func (c *Chain) StepAt(p linalg.Vector, t int) (linalg.Vector, error) {
-	out := linalg.NewVector(len(c.names))
-	if err := c.Compile().StepInto(out, p, t); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TransientAt returns the distribution after steps slots starting from p0
-// at time t0.
-func (c *Chain) TransientAt(p0 linalg.Vector, t0, steps int) (linalg.Vector, error) {
-	return c.Compile().Transient(p0, t0, steps)
-}
-
-// TransientTrajectory returns the distributions p(0..steps) (inclusive,
-// steps+1 vectors) starting from p0 at time t0.
-func (c *Chain) TransientTrajectory(p0 linalg.Vector, t0, steps int) ([]linalg.Vector, error) {
-	out := make([]linalg.Vector, 0, steps+1)
-	_, err := c.Compile().TransientObserved(p0, t0, steps, func(_ int, p linalg.Vector) error {
-		out = append(out, p.Clone())
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Matrix materializes the one-step transition matrix at time t (absorbing
-// states get a self-loop).
-func (c *Chain) Matrix(t int) *linalg.Matrix {
-	n := len(c.names)
-	m := linalg.NewMatrix(n, n)
-	for id := range c.names {
-		if c.absorbing[id] {
-			m.Set(id, id, 1)
-			continue
-		}
+		var sum float64
 		for _, tr := range c.out[id] {
-			m.Add(id, tr.To, tr.probAt(t))
+			sum += tr.Prob
+		}
+		if math.Abs(sum-1) > tol {
+			return fmt.Errorf("dtmc: state %q outgoing probabilities sum to %v", c.names[id], sum)
 		}
 	}
-	return m
+	return nil
 }

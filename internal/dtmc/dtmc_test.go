@@ -81,8 +81,8 @@ func TestAddTransitionValidation(t *testing.T) {
 	if err := c.AddTransition(a, 99, 0.5); err == nil {
 		t.Error("unknown to state should error")
 	}
-	if err := c.AddTransitionFn(a, b, nil); err == nil {
-		t.Error("nil ProbFn should error")
+	if err := c.AddTransition(a, b, math.NaN()); err == nil {
+		t.Error("NaN probability should error")
 	}
 	if err := c.MarkAbsorbing(b); err != nil {
 		t.Fatal(err)
@@ -110,10 +110,6 @@ func TestMarkAbsorbingValidation(t *testing.T) {
 	}
 	if !c.IsAbsorbing(b) || c.IsAbsorbing(a) {
 		t.Error("IsAbsorbing flags wrong")
-	}
-	abs := c.AbsorbingStates()
-	if len(abs) != 1 || abs[0] != b {
-		t.Errorf("AbsorbingStates() = %v", abs)
 	}
 }
 
@@ -148,12 +144,8 @@ func TestStepTwoStateLink(t *testing.T) {
 	// One step from UP must give [1-pfl, pfl].
 	pfl, prc := 0.0966, 0.9
 	c, up, down := buildTwoStateLink(t, pfl, prc)
-	p0, err := c.InitialDistribution(up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := c.StepAt(p0, 0)
-	if err != nil {
+	p1 := linalg.NewVector(2)
+	if err := c.Compile().StepInto(p1, pointMass(2, up)); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(p1[up]-(1-pfl)) > 1e-15 || math.Abs(p1[down]-pfl) > 1e-15 {
@@ -162,23 +154,16 @@ func TestStepTwoStateLink(t *testing.T) {
 }
 
 func TestTransientConvergesToStationary(t *testing.T) {
+	// The two-state link's stationary P(up) is prc/(prc+pfl).
 	pfl, prc := 0.184, 0.9
 	c, up, down := buildTwoStateLink(t, pfl, prc)
-	p0, _ := c.InitialDistribution(down)
-	pT, err := c.TransientAt(p0, 0, 200)
+	pT, err := c.Compile().Transient(pointMass(2, down), 200, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	pi, err := c.Stationary(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pT[up]-pi[up]) > 1e-12 {
-		t.Errorf("transient after 200 steps %v, stationary %v", pT[up], pi[up])
 	}
 	wantUp := prc / (prc + pfl)
-	if math.Abs(pi[up]-wantUp) > 1e-12 {
-		t.Errorf("stationary up = %v, want %v", pi[up], wantUp)
+	if math.Abs(pT[up]-wantUp) > 1e-12 {
+		t.Errorf("transient after 200 steps %v, stationary %v", pT[up], wantUp)
 	}
 }
 
@@ -186,8 +171,11 @@ func TestTransientTrajectoryFig17(t *testing.T) {
 	// Fig. 17: starting DOWN, the link recovers almost immediately. After
 	// one slot P(up) = prc = 0.9; within a few slots it is at steady state.
 	c, up, down := buildTwoStateLink(t, 0.184, 0.9)
-	p0, _ := c.InitialDistribution(down)
-	traj, err := c.TransientTrajectory(p0, 0, 6)
+	var traj []linalg.Vector
+	_, err := c.Compile().Transient(pointMass(2, down), 6, func(_ int, p linalg.Vector) error {
+		traj = append(traj, p.Clone())
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,42 +194,6 @@ func TestTransientTrajectoryFig17(t *testing.T) {
 	}
 }
 
-func TestMixingTimeFig17(t *testing.T) {
-	// Fig. 17: from DOWN with p_fl = 0.184, the link mixes to within 1e-3
-	// of steady state in a few slots.
-	c, _, down := buildTwoStateLink(t, 0.184, 0.9)
-	steps, err := c.MixingTime(down, 1e-3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if steps < 1 || steps > 5 {
-		t.Errorf("mixing time = %d, want a few slots", steps)
-	}
-	// Starting at steady state needs zero steps only if the start state
-	// IS the stationary distribution — a point mass is not, so it still
-	// takes a couple of steps.
-	if _, err := c.MixingTime(down, -1, 10); err == nil {
-		t.Error("non-positive eps should error")
-	}
-	if _, err := c.MixingTime(down, 1e-3, -1); err == nil {
-		t.Error("negative maxSteps should error")
-	}
-	if _, err := c.MixingTime(down, 1e-12, 1); err == nil {
-		t.Error("unreachable tolerance within budget should error")
-	}
-}
-
-func TestMixingTimeRejectsAbsorbing(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	g := c.MustAddState("g")
-	_ = c.AddTransition(a, g, 1)
-	_ = c.MarkAbsorbing(g)
-	if _, err := c.MixingTime(a, 1e-3, 10); err == nil {
-		t.Error("absorbing chain has no stationary distribution to mix to")
-	}
-}
-
 func TestStepPreservesMass(t *testing.T) {
 	f := func(a, b, seed uint8) bool {
 		pfl := float64(a%99+1) / 100
@@ -254,14 +206,15 @@ func TestStepPreservesMass(t *testing.T) {
 		_ = c.AddTransition(down, up, prc)
 		_ = c.AddTransition(down, down, 1-prc)
 		w := float64(seed) / 255
-		p := linalg.Vector{w, 1 - w}
+		k := c.Compile()
+		p, next := linalg.Vector{w, 1 - w}, linalg.NewVector(2)
 		for s := 0; s < 10; s++ {
-			var err error
-			if p, err = c.StepAt(p, s); err != nil {
+			if err := k.StepInto(next, p); err != nil {
 				return false
 			}
+			p, next = next, p
 		}
-		return math.Abs(p.Sum()-1) < 1e-12
+		return math.Abs(sum(p)-1) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -278,8 +231,7 @@ func TestStepAbsorbingKeepsMass(t *testing.T) {
 	if err := c.MarkAbsorbing(g); err != nil {
 		t.Fatal(err)
 	}
-	p0, _ := c.InitialDistribution(a)
-	p, err := c.TransientAt(p0, 0, 5)
+	p, err := c.Compile().Transient(pointMass(2, a), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,101 +240,10 @@ func TestStepAbsorbingKeepsMass(t *testing.T) {
 	}
 }
 
-func TestStepErrors(t *testing.T) {
-	c, _, _ := buildTwoStateLink(t, 0.1, 0.9)
-	if _, err := c.StepAt(linalg.Vector{1}, 0); err == nil {
-		t.Error("wrong distribution length should error")
-	}
-	if _, err := c.TransientAt(linalg.Vector{1, 0}, 0, -1); err == nil {
-		t.Error("negative steps should error")
-	}
-	if _, err := c.TransientTrajectory(linalg.Vector{1, 0}, 0, -1); err == nil {
-		t.Error("negative steps should error")
-	}
-	if _, err := c.InitialDistribution(-1); err == nil {
-		t.Error("unknown initial state should error")
-	}
-}
-
-func TestTimeInhomogeneousTransition(t *testing.T) {
-	// A link that is forced DOWN during slots [0,3) and UP afterwards.
-	c := New()
-	a := c.MustAddState("a")
-	g := c.MustAddState("goal")
-	f := c.MustAddState("fail")
-	up := func(t int) float64 {
-		if t < 3 {
-			return 0
-		}
-		return 1
-	}
-	downFn := func(t int) float64 { return 1 - up(t) }
-	if err := c.AddTransitionFn(a, g, up); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddTransitionFn(a, f, downFn); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkAbsorbing(g); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddTransition(f, a, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(1e-12); err != nil {
-		t.Fatal(err)
-	}
-	p0, _ := c.InitialDistribution(a)
-	// After 3 steps the walker has bounced a->fail->a; at t=3 the edge
-	// opens. It needs one more alternation because at t=3 it sits in
-	// "fail" (odd steps land in fail).
-	p, err := c.TransientAt(p0, 0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p[g] != 1 {
-		t.Errorf("mass in goal after gate opens = %v, want 1 (dist %v)", p[g], p)
-	}
-}
-
-func TestMatrixMaterialization(t *testing.T) {
-	c, up, down := buildTwoStateLink(t, 0.2, 0.8)
-	m := c.Matrix(0)
-	if m.At(up, down) != 0.2 || m.At(down, up) != 0.8 {
-		t.Errorf("Matrix() wrong: %v", m)
-	}
-	if !m.IsRowStochastic(1e-12) {
-		t.Error("materialized matrix not row stochastic")
-	}
-}
-
-func TestTransitionsCopy(t *testing.T) {
-	c, up, _ := buildTwoStateLink(t, 0.2, 0.8)
-	trs := c.Transitions(up)
-	if len(trs) != 2 {
-		t.Fatalf("Transitions() = %d edges, want 2", len(trs))
-	}
-	trs[0].Prob = 99
-	if c.Transitions(up)[0].Prob == 99 {
-		t.Error("Transitions() must return a copy")
-	}
-}
-
-func TestStationaryRejectsAbsorbing(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	g := c.MustAddState("g")
-	_ = c.AddTransition(a, g, 1)
-	_ = c.MarkAbsorbing(g)
-	if _, err := c.Stationary(0); err == nil {
-		t.Error("Stationary of absorbing chain should error")
-	}
-}
-
 func TestWriteDOT(t *testing.T) {
 	c, _, _ := buildTwoStateLink(t, 0.2, 0.8)
 	var b strings.Builder
-	if err := c.WriteDOT(&b, "link", 0); err != nil {
+	if err := c.WriteDOT(&b, "link"); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -400,7 +261,7 @@ func TestWriteDOTAbsorbingShape(t *testing.T) {
 	_ = c.AddTransition(a, g, 1)
 	_ = c.MarkAbsorbing(g)
 	var b strings.Builder
-	if err := c.WriteDOT(&b, "m", 0); err != nil {
+	if err := c.WriteDOT(&b, "m"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "doublecircle") {

@@ -7,39 +7,20 @@ import (
 	"wirelesshart/internal/linalg"
 )
 
-// varyingEdge is one time-varying transition of a compiled kernel: pos
-// indexes the CSR value slot that must be re-evaluated before stepping at
-// a new time.
-type varyingEdge struct {
-	from int
-	pos  int
-	fn   ProbFn
-}
-
 // Kernel is a chain compiled to compressed-sparse-row form for repeated
-// transient steps. Fixed-probability edges (and the implicit self-loops of
-// absorbing states) are frozen into the value array once at compile time;
-// edges with a ProbFn are listed separately and refreshed — and validated —
-// only when the step time changes, so fully homogeneous chains pay no
-// per-step probability evaluation at all.
-//
-// A Kernel is safe for concurrent use only when Homogeneous reports true
-// (stepping is then read-only); kernels with time-varying edges update the
-// value array in place and need external synchronization.
+// transient steps. Edge probabilities (and the implicit self-loops of
+// absorbing states) are frozen into the value array at compile time, so a
+// Kernel is an immutable matrix: stepping is read-only and one Kernel may
+// be shared by any number of goroutines.
 type Kernel struct {
-	n       int
-	names   []string // shared with the source chain, for error messages
-	mat     *linalg.CSR
-	varying []varyingEdge
-	// lastT is the step time the varying values currently reflect;
-	// -1 means "never refreshed", -2 "partially refreshed after an error".
-	lastT int
+	n     int
+	names []string // shared with the source chain, for error messages
+	mat   *linalg.CSR
 }
 
 // Compile returns the chain's compiled kernel, building it on first use
 // and caching it on the chain; mutating the chain (AddState,
-// AddTransition, MarkAbsorbing) invalidates the cache. The kernel of a
-// homogeneous chain may be shared across goroutines; see Kernel.
+// AddTransition, MarkAbsorbing) invalidates the cache.
 func (c *Chain) Compile() *Kernel {
 	c.kmu.Lock()
 	defer c.kmu.Unlock()
@@ -72,7 +53,6 @@ func (c *Chain) compile() *Kernel {
 	rowPtr := make([]int, n+1)
 	col := make([]int, 0, nnz)
 	val := make([]float64, 0, nnz)
-	k := &Kernel{n: n, names: c.names, lastT: -1}
 	for id := range c.names {
 		if c.absorbing[id] {
 			col = append(col, id)
@@ -81,11 +61,8 @@ func (c *Chain) compile() *Kernel {
 			continue
 		}
 		for _, tr := range c.out[id] {
-			if tr.Fn != nil {
-				k.varying = append(k.varying, varyingEdge{from: id, pos: len(col), fn: tr.Fn})
-			}
 			col = append(col, tr.To)
-			val = append(val, tr.Prob) // zero placeholder for Fn edges
+			val = append(val, tr.Prob)
 		}
 		rowPtr[id+1] = len(col)
 	}
@@ -95,8 +72,7 @@ func (c *Chain) compile() *Kernel {
 		// AddTransition already rejected out-of-range targets.
 		panic(fmt.Sprintf("dtmc: compiled CSR invalid: %v", err))
 	}
-	k.mat = mat
-	return k
+	return &Kernel{n: n, names: c.names, mat: mat}
 }
 
 // NumStates returns the kernel's state count.
@@ -110,7 +86,7 @@ func (k *Kernel) NumStates() int { return k.n }
 func (k *Kernel) RowSpan(id int) (lo, hi int) { return k.mat.RowSpan(id) }
 
 // Row returns views of state id's compiled outgoing edges: the column
-// (target state) indices and the current values. Both slices must be
+// (target state) indices and the values. Both slices must be
 // treated as read-only.
 func (k *Kernel) Row(id int) (cols []int, vals []float64) { return k.mat.Row(id) }
 
@@ -129,19 +105,13 @@ func (k *Kernel) ValuesCopy() []float64 {
 // values-only recompile. values must hold one probability per compiled
 // edge (NNZ entries, positions per RowSpan) and is retained by the
 // returned kernel; every row is checked to be a probability distribution
-// within tol. The result is always homogeneous and safe for concurrent
-// stepping. Rebinding a kernel that has time-varying edges is an error:
-// its value array holds unevaluated placeholders, so positions would not
-// mean what the caller thinks.
+// within tol.
 func (k *Kernel) Rebind(values []float64, tol float64) (*Kernel, error) {
-	if len(k.varying) > 0 {
-		return nil, fmt.Errorf("dtmc: cannot rebind a kernel with %d time-varying edges", len(k.varying))
-	}
 	mat, err := k.mat.WithValues(values)
 	if err != nil {
 		return nil, err
 	}
-	nk := &Kernel{n: k.n, names: k.names, mat: mat, lastT: -1}
+	nk := &Kernel{n: k.n, names: k.names, mat: mat}
 	for id := 0; id < nk.n; id++ {
 		var sum float64
 		lo, hi := mat.RowSpan(id)
@@ -163,36 +133,11 @@ func (k *Kernel) Rebind(values []float64, tol float64) (*Kernel, error) {
 // self-loops).
 func (k *Kernel) NNZ() int { return k.mat.NNZ() }
 
-// Homogeneous reports whether every edge probability is frozen, i.e. the
-// chain is time-homogeneous and stepping never re-evaluates probabilities.
-func (k *Kernel) Homogeneous() bool { return len(k.varying) == 0 }
-
-// refresh evaluates the time-varying edges at step time t and validates
-// each evaluated probability (NaN, negative, or >1 are errors). The
-// validation cost is amortized onto exactly the edges that actually vary;
-// frozen edges were checked when they were added to the chain.
-func (k *Kernel) refresh(t int) error {
-	if len(k.varying) == 0 || k.lastT == t {
-		return nil
-	}
-	vals := k.mat.Values()
-	k.lastT = -2
-	for _, e := range k.varying {
-		p := e.fn(t)
-		if math.IsNaN(p) || p < 0 || p > 1 {
-			return fmt.Errorf("dtmc: state %q transition probability %v out of [0,1] at t=%d", k.names[e.from], p, t)
-		}
-		vals[e.pos] = p
-	}
-	k.lastT = t
-	return nil
-}
-
-// StepInto advances the distribution one slot in place: dst = src P(t).
+// StepInto advances the distribution one slot: dst = src P.
 // dst and src must be distinct vectors of the chain's state count; dst is
 // overwritten. Aliased dst/src would silently scatter already-propagated
 // mass again, so aliasing is detected and rejected.
-func (k *Kernel) StepInto(dst, src linalg.Vector, t int) error {
+func (k *Kernel) StepInto(dst, src linalg.Vector) error {
 	if len(src) != k.n {
 		return fmt.Errorf("dtmc: distribution length %d, want %d", len(src), k.n)
 	}
@@ -202,27 +147,17 @@ func (k *Kernel) StepInto(dst, src linalg.Vector, t int) error {
 	if k.n > 0 && &dst[0] == &src[0] {
 		return fmt.Errorf("dtmc: step destination aliases the source distribution")
 	}
-	if err := k.refresh(t); err != nil {
-		return err
-	}
 	return k.mat.MulVecInto(dst, src)
 }
 
-// Transient returns the distribution after steps slots starting from p0 at
-// time t0, reusing two ping-pong buffers for the whole horizon. The
-// returned vector is freshly allocated and owned by the caller.
-func (k *Kernel) Transient(p0 linalg.Vector, t0, steps int) (linalg.Vector, error) {
-	return k.TransientObserved(p0, t0, steps, nil)
-}
-
-// TransientObserved is the shared transient driver: it runs p(s+1) = p(s)
-// P(t0+s) for s = 0..steps-1 with two reused buffers and, when observe is
+// Transient is the transient driver: it runs p(s+1) = p(s) P for
+// s = 0..steps-1 from p0 with two reused buffers and, when observe is
 // non-nil, calls observe(s, p(s)) for every s = 0..steps (including the
 // initial distribution). The vector passed to observe is only valid during
 // the call and must not be modified or retained. The final distribution is
 // returned; it is freshly allocated within the call and owned by the
 // caller.
-func (k *Kernel) TransientObserved(p0 linalg.Vector, t0, steps int, observe func(step int, p linalg.Vector) error) (linalg.Vector, error) {
+func (k *Kernel) Transient(p0 linalg.Vector, steps int, observe func(step int, p linalg.Vector) error) (linalg.Vector, error) {
 	if steps < 0 {
 		return nil, fmt.Errorf("dtmc: negative step count %d", steps)
 	}
@@ -237,7 +172,7 @@ func (k *Kernel) TransientObserved(p0 linalg.Vector, t0, steps int, observe func
 		}
 	}
 	for s := 0; s < steps; s++ {
-		if err := k.StepInto(next, cur, t0+s); err != nil {
+		if err := k.StepInto(next, cur); err != nil {
 			return nil, err
 		}
 		cur, next = next, cur

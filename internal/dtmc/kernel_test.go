@@ -10,10 +10,9 @@ import (
 )
 
 // legacyStepAt is the pre-kernel reference implementation of the transient
-// step — the slice-of-slices walk with per-edge probAt evaluation that
-// StepAt used before compilation. The equivalence tests pin the compiled
-// kernel against it.
-func legacyStepAt(c *Chain, p linalg.Vector, t int) (linalg.Vector, error) {
+// step — the slice-of-slices walk over the chain's edges. The equivalence
+// tests pin the compiled kernel against it.
+func legacyStepAt(c *Chain, p linalg.Vector) (linalg.Vector, error) {
 	if len(p) != c.NumStates() {
 		return nil, fmt.Errorf("legacy: distribution length %d, want %d", len(p), c.NumStates())
 	}
@@ -26,31 +25,41 @@ func legacyStepAt(c *Chain, p linalg.Vector, t int) (linalg.Vector, error) {
 			out[id] += mass
 			continue
 		}
-		for _, tr := range c.Transitions(id) {
-			pr := tr.Prob
-			if tr.Fn != nil {
-				pr = tr.Fn(t)
-			}
-			out[tr.To] += mass * pr
+		for _, tr := range c.out[id] {
+			out[tr.To] += mass * tr.Prob
 		}
 	}
 	return out, nil
 }
 
-// varySplit returns a deterministic oscillating probability in
-// (0, share): the two halves of a time-varying edge pair sum to share at
-// every t, keeping the row stochastic.
-func varySplit(share float64, phase int) ProbFn {
-	return func(t int) float64 {
-		return share * (0.2 + 0.6*float64((t+phase)%5)/4)
-	}
+// pointMass returns the distribution over n states concentrated on id.
+func pointMass(n, id int) linalg.Vector {
+	p := linalg.NewVector(n)
+	p[id] = 1
+	return p
 }
 
-// randomChain builds a seeded random chain: every non-absorbing row's
-// probabilities sum to one at all times. With withFn, some rows split a
-// share of their mass across a time-varying edge pair; the second return
-// reports whether any Fn edge was actually added.
-func randomChain(t *testing.T, rng *rand.Rand, withFn bool) (*Chain, bool) {
+func sum(v linalg.Vector) float64 {
+	var s float64
+	for _, x := range v {
+		s += x
+	}
+	return s
+}
+
+// maxAbsDiff returns the largest entry-wise difference of two
+// equal-length vectors.
+func maxAbsDiff(a, b linalg.Vector) float64 {
+	var m float64
+	for i := range a {
+		m = math.Max(m, math.Abs(a[i]-b[i]))
+	}
+	return m
+}
+
+// randomChain builds a seeded random chain whose non-absorbing rows each
+// sum to one.
+func randomChain(t *testing.T, rng *rand.Rand) *Chain {
 	t.Helper()
 	c := New()
 	n := 3 + rng.Intn(10)
@@ -64,40 +73,18 @@ func randomChain(t *testing.T, rng *rand.Rand, withFn bool) (*Chain, bool) {
 			}
 		}
 	}
-	hasFn := false
 	for i := 0; i < n; i++ {
 		if c.IsAbsorbing(i) {
 			continue
 		}
-		k := 1 + rng.Intn(4)
-		weights := make([]float64, k)
-		var sum float64
+		weights := make([]float64, 1+rng.Intn(4))
+		var total float64
 		for j := range weights {
 			weights[j] = 0.05 + rng.Float64()
-			sum += weights[j]
+			total += weights[j]
 		}
-		for j := range weights {
-			weights[j] /= sum
-		}
-		targets := make([]int, k)
-		for j := range targets {
-			targets[j] = rng.Intn(n)
-		}
-		if withFn && k >= 2 && rng.Float64() < 0.7 {
-			share := weights[0] + weights[1]
-			f := varySplit(share, rng.Intn(7))
-			if err := c.AddTransitionFn(i, targets[0], f); err != nil {
-				t.Fatal(err)
-			}
-			err := c.AddTransitionFn(i, targets[1], func(t int) float64 { return share - f(t) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			hasFn = true
-			weights, targets = weights[2:], targets[2:]
-		}
-		for j := range weights {
-			if err := c.AddTransition(i, targets[j], weights[j]); err != nil {
+		for _, w := range weights {
+			if err := c.AddTransition(i, rng.Intn(n), w/total); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -105,113 +92,63 @@ func randomChain(t *testing.T, rng *rand.Rand, withFn bool) (*Chain, bool) {
 	if err := c.Validate(1e-9); err != nil {
 		t.Fatal(err)
 	}
-	return c, hasFn
+	return c
 }
 
 func randomDistribution(rng *rand.Rand, n int) linalg.Vector {
 	p := linalg.NewVector(n)
-	var sum float64
+	var total float64
 	for i := range p {
 		p[i] = rng.Float64()
-		sum += p[i]
+		total += p[i]
 	}
 	for i := range p {
-		p[i] /= sum
+		p[i] /= total
 	}
 	return p
 }
 
 // TestKernelMatchesLegacyStep is the randomized equivalence test: over
-// seeded homogeneous and ProbFn chains, Kernel.StepInto must match the
-// legacy per-edge walk to 1e-12 at every step of the horizon, and both
-// must conserve probability mass throughout.
+// seeded chains, Kernel.StepInto must match the legacy per-edge walk to
+// 1e-12 at every step of the horizon, and both must conserve probability
+// mass throughout.
 func TestKernelMatchesLegacyStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	const horizon = 40
 	for trial := 0; trial < 40; trial++ {
-		withFn := trial%2 == 1
-		c, hasFn := randomChain(t, rng, withFn)
+		c := randomChain(t, rng)
 		k := c.Compile()
-		if k.Homogeneous() == hasFn {
-			t.Fatalf("trial %d: Homogeneous() = %v with hasFn = %v", trial, k.Homogeneous(), hasFn)
-		}
 		n := c.NumStates()
 		p0 := randomDistribution(rng, n)
 		legacy := p0.Clone()
 		cur, next := p0.Clone(), linalg.NewVector(n)
 		for s := 0; s < horizon; s++ {
 			var err error
-			if legacy, err = legacyStepAt(c, legacy, s); err != nil {
+			if legacy, err = legacyStepAt(c, legacy); err != nil {
 				t.Fatal(err)
 			}
-			if err := k.StepInto(next, cur, s); err != nil {
+			if err := k.StepInto(next, cur); err != nil {
 				t.Fatal(err)
 			}
 			cur, next = next, cur
-			d, err := cur.MaxAbsDiff(legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d > 1e-12 {
+			if d := maxAbsDiff(cur, legacy); d > 1e-12 {
 				t.Fatalf("trial %d step %d: kernel vs legacy diverge by %v", trial, s, d)
 			}
-			if m := math.Abs(cur.Sum() - 1); m > 1e-12 {
+			if m := math.Abs(sum(cur) - 1); m > 1e-12 {
 				t.Fatalf("trial %d step %d: kernel mass off by %v", trial, s, m)
 			}
-			if m := math.Abs(legacy.Sum() - 1); m > 1e-12 {
+			if m := math.Abs(sum(legacy) - 1); m > 1e-12 {
 				t.Fatalf("trial %d step %d: legacy mass off by %v", trial, s, m)
 			}
 		}
 		// The full-horizon driver must land on the same distribution.
-		final, err := k.Transient(p0, 0, horizon)
+		final, err := k.Transient(p0, horizon, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := final.MaxAbsDiff(legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d > 1e-12 {
+		if d := maxAbsDiff(final, legacy); d > 1e-12 {
 			t.Fatalf("trial %d: Transient vs legacy diverge by %v", trial, d)
 		}
-	}
-}
-
-func TestKernelValidatesVaryingEdgesPerStep(t *testing.T) {
-	for _, bad := range []float64{math.NaN(), -0.1, 1.5} {
-		name := fmt.Sprintf("%v", bad)
-		t.Run(name, func(t *testing.T) {
-			c := New()
-			a := c.MustAddState("a")
-			g := c.MustAddState("g")
-			if err := c.AddTransitionFn(a, g, func(t int) float64 {
-				if t < 2 {
-					return 1
-				}
-				return bad
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.MarkAbsorbing(g); err != nil {
-				t.Fatal(err)
-			}
-			// Validation at t = 0 sees only healthy values...
-			if err := c.Validate(1e-9); err != nil {
-				t.Fatal(err)
-			}
-			p0, _ := c.InitialDistribution(a)
-			// ... stepping before the defect works ...
-			if _, err := c.StepAt(p0, 1); err != nil {
-				t.Errorf("step at healthy t errored: %v", err)
-			}
-			// ... and the kernel surfaces the bad probability at t = 2.
-			if _, err := c.StepAt(p0, 2); err == nil {
-				t.Error("step at defective t should error")
-			}
-			if _, err := c.TransientAt(p0, 0, 5); err == nil {
-				t.Error("transient crossing defective t should error")
-			}
-		})
 	}
 }
 
@@ -238,7 +175,7 @@ func rerollValues(rng *rand.Rand, k *Kernel) []float64 {
 }
 
 // TestKernelRebindMatchesFreshCompile is the randomized rebind equivalence
-// test: over seeded homogeneous chains, rebinding new values onto a
+// test: over seeded chains, rebinding new values onto a
 // compiled kernel's frozen CSR pattern must match a chain rebuilt from
 // scratch with those probabilities to 1e-12 over the whole horizon, and
 // must leave the original kernel untouched.
@@ -246,12 +183,12 @@ func TestKernelRebindMatchesFreshCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	const horizon = 40
 	for trial := 0; trial < 40; trial++ {
-		c, _ := randomChain(t, rng, false)
+		c := randomChain(t, rng)
 		k := c.Compile()
 		n := c.NumStates()
 		p0 := randomDistribution(rng, n)
 
-		before, err := k.Transient(p0, 0, horizon)
+		before, err := k.Transient(p0, horizon, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,29 +221,25 @@ func TestKernelRebindMatchesFreshCompile(t *testing.T) {
 		if err := fresh.Validate(1e-9); err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.Compile().Transient(p0, 0, horizon)
+		want, err := fresh.Compile().Transient(p0, horizon, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rk.Transient(p0, 0, horizon)
+		got, err := rk.Transient(p0, horizon, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := got.MaxAbsDiff(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d > 1e-12 {
+		if d := maxAbsDiff(got, want); d > 1e-12 {
 			t.Fatalf("trial %d: rebind vs fresh compile diverge by %v", trial, d)
 		}
 
 		// The source kernel still computes with its original values.
-		after, err := k.Transient(p0, 0, horizon)
+		after, err := k.Transient(p0, horizon, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d, err := after.MaxAbsDiff(before); err != nil || d != 0 {
-			t.Fatalf("trial %d: rebind mutated the source kernel (diff %v, err %v)", trial, d, err)
+		if d := maxAbsDiff(after, before); d != 0 {
+			t.Fatalf("trial %d: rebind mutated the source kernel (diff %v)", trial, d)
 		}
 	}
 }
@@ -343,22 +276,6 @@ func TestKernelRebindRejectsBadValues(t *testing.T) {
 	}
 }
 
-func TestKernelRebindRejectsTimeVarying(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	g := c.MustAddState("g")
-	if err := c.AddTransitionFn(a, g, func(t int) float64 { return 1 }); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkAbsorbing(g); err != nil {
-		t.Fatal(err)
-	}
-	k := c.Compile()
-	if _, err := k.Rebind(k.ValuesCopy(), 1e-9); err == nil {
-		t.Error("rebinding a time-varying kernel should error")
-	}
-}
-
 func TestKernelHomogeneousStepAllocatesNothing(t *testing.T) {
 	c := New()
 	up := c.MustAddState("UP")
@@ -376,16 +293,14 @@ func TestKernelHomogeneousStepAllocatesNothing(t *testing.T) {
 	k := c.Compile()
 	src := linalg.Vector{1, 0}
 	dst := linalg.NewVector(2)
-	tick := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := k.StepInto(dst, src, tick); err != nil {
+		if err := k.StepInto(dst, src); err != nil {
 			t.Fatal(err)
 		}
 		src, dst = dst, src
-		tick++
 	})
 	if allocs != 0 {
-		t.Errorf("homogeneous StepInto allocates %v objects per step, want 0", allocs)
+		t.Errorf("StepInto allocates %v objects per step, want 0", allocs)
 	}
 }
 
@@ -429,9 +344,6 @@ func TestKernelAccessors(t *testing.T) {
 	if k.NNZ() != 2 { // the edge plus the absorbing self-loop
 		t.Errorf("NNZ() = %d, want 2", k.NNZ())
 	}
-	if !k.Homogeneous() {
-		t.Error("fixed-probability chain should compile homogeneous")
-	}
 }
 
 func TestKernelStepErrors(t *testing.T) {
@@ -441,16 +353,16 @@ func TestKernelStepErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := c.Compile()
-	if err := k.StepInto(linalg.NewVector(1), linalg.NewVector(2), 0); err == nil {
+	if err := k.StepInto(linalg.NewVector(1), linalg.NewVector(2)); err == nil {
 		t.Error("wrong src length should error")
 	}
-	if err := k.StepInto(linalg.NewVector(2), linalg.NewVector(1), 0); err == nil {
+	if err := k.StepInto(linalg.NewVector(2), linalg.NewVector(1)); err == nil {
 		t.Error("wrong dst length should error")
 	}
-	if _, err := k.Transient(linalg.NewVector(1), 0, -1); err == nil {
+	if _, err := k.Transient(linalg.NewVector(1), -1, nil); err == nil {
 		t.Error("negative steps should error")
 	}
-	if _, err := k.Transient(linalg.NewVector(2), 0, 1); err == nil {
+	if _, err := k.Transient(linalg.NewVector(2), 1, nil); err == nil {
 		t.Error("wrong p0 length should error")
 	}
 }
@@ -462,7 +374,7 @@ func TestTransientObservedPropagatesObserverError(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fmt.Errorf("observer says no")
-	_, err := c.Compile().TransientObserved(linalg.Vector{1}, 0, 3, func(s int, p linalg.Vector) error {
+	_, err := c.Compile().Transient(linalg.Vector{1}, 3, func(s int, p linalg.Vector) error {
 		if s == 2 {
 			return want
 		}
@@ -509,20 +421,17 @@ func ladderChain(b *testing.B, n int) (*Chain, int) {
 	return c, 0
 }
 
-// BenchmarkKernelStepHomogeneous measures one compiled in-place step of a
-// 512-state homogeneous ladder: the hot loop, 0 allocs/op.
+// BenchmarkKernelStepHomogeneous measures one compiled step of a 512-state
+// ladder: the hot loop, 0 allocs/op.
 func BenchmarkKernelStepHomogeneous(b *testing.B) {
 	c, start := ladderChain(b, 512)
 	k := c.Compile()
-	src, err := c.InitialDistribution(start)
-	if err != nil {
-		b.Fatal(err)
-	}
+	src := pointMass(c.NumStates(), start)
 	dst := linalg.NewVector(c.NumStates())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := k.StepInto(dst, src, i); err != nil {
+		if err := k.StepInto(dst, src); err != nil {
 			b.Fatal(err)
 		}
 		src, dst = dst, src
@@ -533,14 +442,12 @@ func BenchmarkKernelStepHomogeneous(b *testing.B) {
 // chain, kept for comparison.
 func BenchmarkLegacyStepHomogeneous(b *testing.B) {
 	c, start := ladderChain(b, 512)
-	p, err := c.InitialDistribution(start)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := pointMass(c.NumStates(), start)
+	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if p, err = legacyStepAt(c, p, i); err != nil {
+		if p, err = legacyStepAt(c, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,9 +8,8 @@ import (
 // CSR is a sparse matrix in compressed-sparse-row format: row i's nonzeros
 // occupy positions RowPtr[i]..RowPtr[i+1] of the column-index and value
 // arrays. The DTMC kernel compiles transition structures into this layout
-// once and then multiplies against it every slot, so the representation is
-// deliberately open: the value array may be updated in place (time-varying
-// edges) while the sparsity pattern stays frozen.
+// once and then multiplies against it every slot; WithValues binds a new
+// value array onto the frozen sparsity pattern.
 type CSR struct {
 	rows, cols int
 	rowPtr     []int
@@ -48,12 +47,6 @@ func NewCSR(rows, cols int, rowPtr, col []int, val []float64) (*CSR, error) {
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, col: col, val: val}, nil
 }
 
-// Rows returns the number of rows.
-func (m *CSR) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *CSR) Cols() int { return m.cols }
-
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.val) }
 
@@ -65,8 +58,7 @@ func (m *CSR) Row(i int) (cols []int, vals []float64) {
 	return m.col[lo:hi], m.val[lo:hi]
 }
 
-// Values returns the backing value array (a view). The DTMC kernel
-// refreshes time-varying entries through it between multiplies.
+// Values returns the backing value array (a view).
 func (m *CSR) Values() []float64 { return m.val }
 
 // RowSpan returns the half-open range [lo, hi) of positions in the value
@@ -94,7 +86,7 @@ func sameBacking(a, b []float64) bool {
 }
 
 // MulVecInto computes dst = x*M for a row vector x, overwriting dst. This
-// is the sparse form of the transient step p(t+1) = p(t) P(t): mass in
+// is the sparse form of the transient step p(t+1) = p(t) P: mass in
 // state i scatters along row i's edges. dst and x must not alias; aliased
 // arguments are rejected rather than silently corrupting the product.
 func (m *CSR) MulVecInto(dst, x Vector) error {
@@ -140,8 +132,7 @@ func (m *CSR) SamePattern(o *CSR) bool {
 // EqualPattern reports whether o's sparsity pattern is element-wise equal
 // to m's: same shape, row pointers and column indices. SamePattern identity
 // is the fast path; otherwise the patterns are compared entry by entry, so
-// two independently compiled but structurally identical matrices (e.g. the
-// same chain skeleton built twice with different ProbFn edges) still
+// two independently compiled but structurally identical matrices still
 // qualify for one shared batched traversal.
 func (m *CSR) EqualPattern(o *CSR) bool {
 	if m.SamePattern(o) {
@@ -169,75 +160,20 @@ func (m *CSR) EqualPattern(o *CSR) bool {
 // scenario-fastest ("column-major" across scenarios): entry i*k+j is
 // scenario j's component of state i, so one row's K components are
 // contiguous and the inner loop over scenarios streams cache lines
-// instead of re-walking the pattern per scenario.
+// instead of re-walking the pattern per scenario. vals packs one value
+// per stored entry per scenario the same way (vals[p*k+j] is scenario j's
+// value at position p). dst must not alias x or vals.
 //
-// vals packs one value per stored entry per scenario the same way
-// (vals[p*k+j] is scenario j's value at position p); a nil vals broadcasts
-// the matrix's own value array across every scenario. dst must not alias x
-// or vals. The pass allocates nothing.
-func (m *CSR) MulVecBatch(dst, x []float64, k int, vals []float64) error {
-	if k < 1 {
-		return fmt.Errorf("linalg: CSR batch width %d must be positive", k)
-	}
-	if len(x) != m.rows*k {
-		return fmt.Errorf("%w: CSR batch mulVec %d vs %d rows x %d scenarios", ErrDimension, len(x), m.rows, k)
-	}
-	if len(dst) != m.cols*k {
-		return fmt.Errorf("%w: CSR batch mulVec dst %d vs %d cols x %d scenarios", ErrDimension, len(dst), m.cols, k)
-	}
-	if vals != nil && len(vals) != len(m.val)*k {
-		return fmt.Errorf("%w: CSR batch values %d, want %d", ErrDimension, len(vals), len(m.val)*k)
-	}
-	if sameBacking(dst, x) || sameBacking(dst, vals) {
-		return errors.New("linalg: CSR batch mulVec dst aliases an input")
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.rows; i++ {
-		xi := x[i*k : i*k+k]
-		active := false
-		for _, v := range xi {
-			if v != 0 {
-				active = true
-				break
-			}
-		}
-		if !active {
-			continue
-		}
-		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-		if vals == nil {
-			for p := lo; p < hi; p++ {
-				dj := dst[m.col[p]*k:]
-				v := m.val[p]
-				for j, xj := range xi {
-					dj[j] += xj * v
-				}
-			}
-			continue
-		}
-		for p := lo; p < hi; p++ {
-			dj := dst[m.col[p]*k:]
-			vp := vals[p*k : p*k+k]
-			for j, xj := range xi {
-				dj[j] += xj * vp[j]
-			}
-		}
-	}
-	return nil
-}
-
-// MulVecBatchMasked is MulVecBatch with an activity frontier: srcActive[i]
-// == false asserts that row i of x is all zero across every scenario, so
-// the pass skips it in O(1) instead of scanning K components — the win that
-// matters for age-layered absorbing chains where almost every state is
-// empty at any step. A conservatively true srcActive entry is always safe:
-// the row is then scanned and skipped if it turns out to be zero. On
-// return, dstActive (cleared first) marks every column that may hold mass —
-// a superset of the truly nonzero rows of dst, suitable as the next step's
+// The pass keeps an activity frontier: srcActive[i] == false asserts that
+// row i of x is all zero across every scenario, so the pass skips it in
+// O(1) instead of scanning K components — the win that matters for
+// age-layered absorbing chains where almost every state is empty at any
+// step. A conservatively true srcActive entry is always safe: the row is
+// then scanned and skipped if it turns out to be zero. On return,
+// dstActive (cleared first) marks every column that may hold mass — a
+// superset of the truly nonzero rows of dst, suitable as the next step's
 // srcActive. The pass allocates nothing.
-func (m *CSR) MulVecBatchMasked(dst, x []float64, k int, vals []float64, srcActive, dstActive []bool) error {
+func (m *CSR) MulVecBatch(dst, x []float64, k int, vals []float64, srcActive, dstActive []bool) error {
 	if k < 1 {
 		return fmt.Errorf("linalg: CSR batch width %d must be positive", k)
 	}
@@ -247,7 +183,7 @@ func (m *CSR) MulVecBatchMasked(dst, x []float64, k int, vals []float64, srcActi
 	if len(dst) != m.cols*k {
 		return fmt.Errorf("%w: CSR batch mulVec dst %d vs %d cols x %d scenarios", ErrDimension, len(dst), m.cols, k)
 	}
-	if vals != nil && len(vals) != len(m.val)*k {
+	if len(vals) != len(m.val)*k {
 		return fmt.Errorf("%w: CSR batch values %d, want %d", ErrDimension, len(vals), len(m.val)*k)
 	}
 	if len(srcActive) != m.rows || len(dstActive) != m.cols {
@@ -278,18 +214,6 @@ func (m *CSR) MulVecBatchMasked(dst, x []float64, k int, vals []float64, srcActi
 			continue
 		}
 		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-		if vals == nil {
-			for p := lo; p < hi; p++ {
-				c := m.col[p]
-				dstActive[c] = true
-				dj := dst[c*k:]
-				v := m.val[p]
-				for j, xj := range xi {
-					dj[j] += xj * v
-				}
-			}
-			continue
-		}
 		for p := lo; p < hi; p++ {
 			c := m.col[p]
 			dstActive[c] = true
@@ -301,17 +225,4 @@ func (m *CSR) MulVecBatchMasked(dst, x []float64, k int, vals []float64, srcActi
 		}
 	}
 	return nil
-}
-
-// Dense materializes the matrix, summing duplicate entries; mostly useful
-// for tests and debugging.
-func (m *CSR) Dense() *Matrix {
-	out := NewMatrix(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		cols, vals := m.Row(i)
-		for k, j := range cols {
-			out.Add(i, j, vals[k])
-		}
-	}
-	return out
 }

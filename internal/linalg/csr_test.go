@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,17 +74,16 @@ func TestCSRMulVecMatchesDense(t *testing.T) {
 			}
 		}
 		sparse := buildCSR(t, rows)
-		dense, err := FromRows(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
 		x := NewVector(n)
 		for i := range x {
 			x[i] = rng.Float64()
 		}
-		want, err := dense.MulVec(x)
-		if err != nil {
-			t.Fatal(err)
+		// Dense reference: want[j] = sum_i x[i] * rows[i][j].
+		want := NewVector(n)
+		for i, r := range rows {
+			for j, v := range r {
+				want[j] += x[i] * v
+			}
 		}
 		got := NewVector(n)
 		if err := sparse.MulVecInto(got, x); err != nil {
@@ -124,7 +124,7 @@ func TestCSRRowAndValuesAreViews(t *testing.T) {
 	if len(cols) != 2 || cols[0] != 1 || cols[1] != 2 {
 		t.Fatalf("row 0 cols = %v, want [1 2]", cols)
 	}
-	vals[0] = 0.1 // in-place update, the time-varying-edge path
+	vals[0] = 0.1 // in-place update through the view
 	if m.Values()[0] != 0.1 {
 		t.Error("Row values should alias the backing array")
 	}
@@ -137,15 +137,38 @@ func TestCSRRowAndValuesAreViews(t *testing.T) {
 	}
 }
 
+// TestCSRDense pins the layout against its dense source: every row's
+// RowSpan indexes exactly that row's nonzeros in the column and value
+// arrays, in column order, and the spans tile [0, NNZ).
 func TestCSRDense(t *testing.T) {
-	rows := [][]float64{{0, 0.5, 0.5}, {0, 0, 1}, {1, 0, 0}}
-	d := buildCSR(t, rows).Dense()
-	for i := range rows {
-		for j := range rows[i] {
-			if d.At(i, j) != rows[i][j] {
-				t.Errorf("dense[%d][%d] = %v, want %v", i, j, d.At(i, j), rows[i][j])
+	rows := [][]float64{{0, 0.5, 0.5}, {0, 0, 0}, {1, 0, 0}, {0.25, 0.25, 0.5}}
+	m := buildCSR(t, rows)
+	next := 0
+	for i, r := range rows {
+		lo, hi := m.RowSpan(i)
+		if lo != next {
+			t.Fatalf("row %d span starts at %d, want %d", i, lo, next)
+		}
+		next = hi
+		cols, vals := m.Row(i)
+		if len(cols) != hi-lo {
+			t.Fatalf("row %d: Row has %d entries, RowSpan %d", i, len(cols), hi-lo)
+		}
+		got := make([]float64, len(r))
+		for e, j := range cols {
+			if vals[e] != m.Values()[lo+e] {
+				t.Errorf("row %d entry %d: Row value %v, Values()[%d] = %v", i, e, vals[e], lo+e, m.Values()[lo+e])
+			}
+			got[j] = vals[e]
+		}
+		for j := range r {
+			if got[j] != r[j] {
+				t.Errorf("dense[%d][%d] = %v, want %v", i, j, got[j], r[j])
 			}
 		}
+	}
+	if next != m.NNZ() {
+		t.Errorf("row spans end at %d, want NNZ %d", next, m.NNZ())
 	}
 }
 
@@ -154,8 +177,8 @@ func TestCSREmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rows() != 0 || m.Cols() != 0 || m.NNZ() != 0 {
-		t.Error("empty CSR should have zero dims")
+	if m.NNZ() != 0 {
+		t.Error("empty CSR should have no entries")
 	}
 	if err := m.MulVecInto(Vector{}, Vector{}); err != nil {
 		t.Error("empty multiply should succeed")
@@ -185,6 +208,12 @@ func TestCSRSamePattern(t *testing.T) {
 	if !m.SamePattern(m) || !m.SamePattern(reb) || !reb.SamePattern(m) {
 		t.Error("rebind must share the pattern")
 	}
+	if _, err := m.WithValues([]float64{0.3, 0.7}); !errors.Is(err, ErrDimension) {
+		t.Errorf("short rebind: err = %v, want ErrDimension", err)
+	}
+	if _, err := m.WithValues(nil); !errors.Is(err, ErrDimension) {
+		t.Errorf("nil rebind: err = %v, want ErrDimension", err)
+	}
 	other := buildCSR(t, [][]float64{{0.5, 0.5}, {1, 0}})
 	if m.SamePattern(other) {
 		t.Error("independently built CSR must not count as the same pattern")
@@ -201,7 +230,7 @@ func TestCSREqualPattern(t *testing.T) {
 		t.Error("rebind must be pattern-equal (identity fast path)")
 	}
 	// Independently built, structurally identical: not SamePattern but
-	// EqualPattern — the per-scenario ProbFn batching case.
+	// EqualPattern.
 	twin := buildCSR(t, [][]float64{{0.1, 0.9}, {0.4, 0}})
 	if m.SamePattern(twin) {
 		t.Error("independent twin must not share pattern identity")
@@ -216,9 +245,25 @@ func TestCSREqualPattern(t *testing.T) {
 	}
 }
 
+// exactMask marks the rows of a K-wide block that hold any nonzero.
+func exactMask(x []float64, n, k int) []bool {
+	mask := make([]bool, n)
+	for i := range mask {
+		for _, v := range x[i*k : i*k+k] {
+			if v != 0 {
+				mask[i] = true
+				break
+			}
+		}
+	}
+	return mask
+}
+
 // TestCSRMulVecBatchMatchesScalar pins the batched pass against K
-// independent scalar multiplies over random stochastic-ish matrices, with
-// and without a per-scenario value block.
+// independent scalar multiplies over random sparse matrices. The same
+// pass under conservative all-true source masks must be bit-identical to
+// the exact-mask pass, and the returned destination mask must cover every
+// nonzero row of the product.
 func TestCSRMulVecBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -237,15 +282,14 @@ func TestCSRMulVecBatchMatchesScalar(t *testing.T) {
 			// Per-scenario values: scenario j scales every entry by a
 			// scenario factor, realized through rebound CSRs for the
 			// scalar reference and a packed block for the batch.
-			factors := make([]float64, k)
 			vals := make([]float64, m.NNZ()*k)
 			scalars := make([]*CSR, k)
 			for j := 0; j < k; j++ {
-				factors[j] = 0.5 + rng.Float64()
+				factor := 0.5 + rng.Float64()
 				scaled := make([]float64, m.NNZ())
 				for p, v := range m.Values() {
-					scaled[p] = v * factors[j]
-					vals[p*k+j] = v * factors[j]
+					scaled[p] = v * factor
+					vals[p*k+j] = v * factor
 				}
 				var err error
 				scalars[j], err = m.WithValues(scaled)
@@ -266,7 +310,8 @@ func TestCSRMulVecBatchMatchesScalar(t *testing.T) {
 				}
 			}
 			dst := make([]float64, n*k)
-			if err := m.MulVecBatch(dst, x, k, vals); err != nil {
+			dstActive := make([]bool, n)
+			if err := m.MulVecBatch(dst, x, k, vals, exactMask(x, n, k), dstActive); err != nil {
 				t.Fatal(err)
 			}
 			want := NewVector(n)
@@ -281,19 +326,24 @@ func TestCSRMulVecBatchMatchesScalar(t *testing.T) {
 					}
 				}
 			}
-			// nil vals broadcasts the matrix's own values.
-			if err := m.MulVecBatch(dst, x, k, nil); err != nil {
+			for i, nonzero := range exactMask(dst, n, k) {
+				if nonzero && !dstActive[i] {
+					t.Fatalf("trial %d k=%d: row %d holds mass but dstActive is false", trial, k, i)
+				}
+			}
+
+			all := make([]bool, n)
+			for i := range all {
+				all[i] = true
+			}
+			conservative := make([]float64, n*k)
+			if err := m.MulVecBatch(conservative, x, k, vals, all, dstActive); err != nil {
 				t.Fatal(err)
 			}
-			for j := 0; j < k; j++ {
-				if err := m.MulVecInto(want, xj[j]); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < n; i++ {
-					if math.Abs(dst[i*k+j]-want[i]) > 1e-12 {
-						t.Fatalf("trial %d k=%d scenario %d state %d (broadcast): batch %v vs scalar %v",
-							trial, k, j, i, dst[i*k+j], want[i])
-					}
+			for i := range dst {
+				if conservative[i] != dst[i] {
+					t.Fatalf("trial %d k=%d: all-true mask entry %d = %v, exact mask %v",
+						trial, k, i, conservative[i], dst[i])
 				}
 			}
 		}
@@ -304,20 +354,34 @@ func TestCSRMulVecBatchErrors(t *testing.T) {
 	m := buildCSR(t, [][]float64{{0.5, 0.5}, {1, 0}})
 	x := make([]float64, 4)
 	dst := make([]float64, 4)
-	if err := m.MulVecBatch(dst, x, 0, nil); err == nil {
+	vals := make([]float64, 6)
+	src, out := make([]bool, 2), make([]bool, 2)
+	if err := m.MulVecBatch(dst, x, 0, vals, src, out); err == nil {
 		t.Error("zero batch width accepted")
 	}
-	if err := m.MulVecBatch(dst, x[:3], 2, nil); err == nil {
+	if err := m.MulVecBatch(dst, x[:3], 2, vals, src, out); err == nil {
 		t.Error("short x accepted")
 	}
-	if err := m.MulVecBatch(dst[:3], x, 2, nil); err == nil {
+	if err := m.MulVecBatch(dst[:3], x, 2, vals, src, out); err == nil {
 		t.Error("short dst accepted")
 	}
-	if err := m.MulVecBatch(dst, x, 2, make([]float64, 5)); err == nil {
+	if err := m.MulVecBatch(dst, x, 2, make([]float64, 5), src, out); err == nil {
 		t.Error("wrong value-block size accepted")
 	}
-	if err := m.MulVecBatch(dst, dst, 2, nil); err == nil {
+	if err := m.MulVecBatch(dst, x, 2, nil, src, out); err == nil {
+		t.Error("missing value block accepted")
+	}
+	if err := m.MulVecBatch(dst, x, 2, vals, src[:1], out); err == nil {
+		t.Error("short source mask accepted")
+	}
+	if err := m.MulVecBatch(dst, x, 2, vals, src, out[:1]); err == nil {
+		t.Error("short destination mask accepted")
+	}
+	if err := m.MulVecBatch(dst, dst, 2, vals, src, out); err == nil {
 		t.Error("aliased dst/x accepted")
+	}
+	if err := m.MulVecBatch(vals[:4], x, 2, vals, src, out); err == nil {
+		t.Error("aliased dst/vals accepted")
 	}
 }
 
@@ -343,8 +407,9 @@ func TestCSRMulVecBatchAllocatesNothing(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.Float64()
 	}
+	srcActive, dstActive := exactMask(x, 40, k), make([]bool, 40)
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := m.MulVecBatch(dst, x, k, vals); err != nil {
+		if err := m.MulVecBatch(dst, x, k, vals, srcActive, dstActive); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,19 +1,10 @@
-// Package linalg provides the small dense linear-algebra kernel used by the
-// DTMC engine: vectors, row-major matrices, an LU solver, the GTH algorithm
-// for stationary distributions of stochastic matrices, and discrete
-// convolution for probability mass functions.
-//
-// The package is deliberately hand-rolled on the standard library only; the
-// matrices that arise from WirelessHART path models are small (hundreds to a
-// few thousand states) and dense routines with partial pivoting are both
-// simple and numerically adequate.
+// Package linalg provides the small numeric kernel under the DTMC engine:
+// dense vectors, a compressed-sparse-row matrix with scalar and batched
+// row-vector products, and discrete convolution for probability mass
+// functions. It is hand-rolled on the standard library only.
 package linalg
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "errors"
 
 // ErrDimension is returned when operand shapes are incompatible.
 var ErrDimension = errors.New("linalg: dimension mismatch")
@@ -29,85 +20,4 @@ func (v Vector) Clone() Vector {
 	out := make(Vector, len(v))
 	copy(out, v)
 	return out
-}
-
-// Sum returns the sum of all entries.
-func (v Vector) Sum() float64 {
-	// Kahan summation keeps long transient iterations from accumulating
-	// rounding drift in probability mass.
-	var sum, c float64
-	for _, x := range v {
-		y := x - c
-		t := sum + y
-		c = (t - sum) - y
-		sum = t
-	}
-	return sum
-}
-
-// Dot returns the inner product of v and w.
-func (v Vector) Dot(w Vector) (float64, error) {
-	if len(v) != len(w) {
-		return 0, fmt.Errorf("%w: dot %d vs %d", ErrDimension, len(v), len(w))
-	}
-	var sum float64
-	for i, x := range v {
-		sum += x * w[i]
-	}
-	return sum, nil
-}
-
-// AddScaled adds alpha*w to v in place.
-func (v Vector) AddScaled(alpha float64, w Vector) error {
-	if len(v) != len(w) {
-		return fmt.Errorf("%w: addScaled %d vs %d", ErrDimension, len(v), len(w))
-	}
-	for i := range v {
-		v[i] += alpha * w[i]
-	}
-	return nil
-}
-
-// Scale multiplies every entry by alpha in place.
-func (v Vector) Scale(alpha float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
-// Normalize scales v so that it sums to one. It returns an error if the
-// vector sums to zero (or is empty), in which case v is left unchanged.
-func (v Vector) Normalize() error {
-	s := v.Sum()
-	if s == 0 || len(v) == 0 {
-		return errors.New("linalg: cannot normalize zero vector")
-	}
-	v.Scale(1 / s)
-	return nil
-}
-
-// MaxAbsDiff returns the largest absolute entry-wise difference between v
-// and w.
-func (v Vector) MaxAbsDiff(w Vector) (float64, error) {
-	if len(v) != len(w) {
-		return 0, fmt.Errorf("%w: maxAbsDiff %d vs %d", ErrDimension, len(v), len(w))
-	}
-	var m float64
-	for i, x := range v {
-		if d := math.Abs(x - w[i]); d > m {
-			m = d
-		}
-	}
-	return m, nil
-}
-
-// IsDistribution reports whether v is a probability distribution: all
-// entries within [-tol, 1+tol] and the total within tol of one.
-func (v Vector) IsDistribution(tol float64) bool {
-	for _, x := range v {
-		if x < -tol || x > 1+tol || math.IsNaN(x) {
-			return false
-		}
-	}
-	return math.Abs(v.Sum()-1) <= tol
 }

@@ -303,8 +303,8 @@ func TestKStateChain(t *testing.T) {
 			t.Errorf("StateID(%q) = %d,%v", name, id, ok)
 		}
 	}
-	if len(c.Transitions(0)) != 2 {
-		t.Errorf("state 0 has %d transitions, want 2 (zero edges skipped)", len(c.Transitions(0)))
+	if cols, _ := c.Compile().Row(0); len(cols) != 2 {
+		t.Errorf("state 0 has %d transitions, want 2 (zero edges skipped)", len(cols))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"wirelesshart/internal/channel"
+	"wirelesshart/internal/linalg"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -213,16 +214,16 @@ func TestTransientUpMatchesChain(t *testing.T) {
 		t.Fatal("DOWN state missing")
 	}
 	up, _ := c.StateID("UP")
-	p0, _ := c.InitialDistribution(down)
-	for steps := 0; steps <= 10; steps++ {
-		pt, err := c.TransientAt(p0, 0, steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := m.TransientUp(0, steps)
-		if math.Abs(pt[up]-want) > 1e-12 {
+	p0 := make(linalg.Vector, c.NumStates())
+	p0[down] = 1
+	_, err = c.Compile().Transient(p0, 10, func(steps int, pt linalg.Vector) error {
+		if want := m.TransientUp(0, steps); math.Abs(pt[up]-want) > 1e-12 {
 			t.Errorf("step %d: chain %v vs closed form %v", steps, pt[up], want)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -31,7 +31,7 @@ func (s *Structure) BindBatch(scenarios [][]link.Availability) ([]*Model, error)
 }
 
 // SolveBatch runs the transient analysis of K models in lock-step over
-// their shared compiled pattern: one Kernel.TransientBatchObserved pass
+// their shared compiled pattern: one Kernel.TransientBatch pass
 // advances all K distributions per slot, amortizing the pattern's memory
 // traffic across the batch. Every model must share the same Structure (as
 // produced by one BindBatch or repeated Bind calls on one Structure); the
@@ -64,7 +64,7 @@ func SolveBatch(models []*Model) ([]*Result, error) {
 	}
 	horizon := s.is * s.fup
 	attempts := make([]float64, len(models))
-	final, err := s.base.TransientBatchObserved(kernels, p0, 0, horizon, func(t int, d dtmc.BatchDist) error {
+	final, err := s.base.TransientBatch(kernels, p0, horizon, func(t int, d dtmc.BatchDist) error {
 		// Mass sitting in a transmitting state at time t attempts a
 		// transmission during slot t+1; the final distribution makes no
 		// further attempt.

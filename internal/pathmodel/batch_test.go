@@ -1,8 +1,11 @@
 package pathmodel
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"wirelesshart/internal/link"
@@ -126,5 +129,71 @@ func TestSolveBatchErrors(t *testing.T) {
 	}
 	if _, err := SolveBatch([]*Model{m, om}); err == nil {
 		t.Error("mixed-structure batch accepted")
+	}
+}
+
+// TestSharedKernelConcurrentSolves pins that a bound kernel is an
+// immutable matrix, safe to share: 8 goroutines step one bound model
+// through Transient (Solve) while 8 more step it, beside a second scenario,
+// through TransientBatch (SolveBatch) on the same Structure's base kernel.
+// Every goroutine must reproduce the serial results bit for bit.
+func TestSharedKernelConcurrentSolves(t *testing.T) {
+	st, err := BuildStructure([]int{3, 6, 7}, 7, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm, err := link.FromAvailability(0.83, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window, err := lm.DownDuring(2, 9, lm.Steady())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := st.Bind([]link.Availability{lm.Steady(), lm.Steady(), lm.Steady()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := st.Bind([]link.Availability{lm.Steady(), window, lm.Steady()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantScalar, err := shared.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBatch, err := SolveBatch([]*Model{shared, other})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const goroutines = 8
+	errs := make(chan error, 2*goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			res, err := shared.Solve()
+			if err == nil && !reflect.DeepEqual(res, wantScalar) {
+				err = fmt.Errorf("concurrent Solve = %+v, serial %+v", res, wantScalar)
+			}
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			res, err := SolveBatch([]*Model{shared, other})
+			if err == nil && !reflect.DeepEqual(res, wantBatch) {
+				err = fmt.Errorf("concurrent SolveBatch = %+v, serial %+v", res, wantBatch)
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -204,24 +204,6 @@ func (m *Model) materializeChain() (*dtmc.Chain, error) {
 	return out, nil
 }
 
-// Compile returns the model's compiled solver kernel: the structure's
-// frozen CSR pattern carrying this model's bound values. Bound kernels are
-// always homogeneous and safe to share across concurrent solves; the
-// evaluation engine caches models with their kernels on the strength of
-// this.
-func (m *Model) Compile() *dtmc.Kernel { return m.kernel }
-
-// InitialState returns the id of the initial state (message born at the
-// source, age 0).
-func (m *Model) InitialState() int { return m.s.initial }
-
-// GoalStates returns the goal state ids in cycle order.
-func (m *Model) GoalStates() []int {
-	out := make([]int, len(m.s.goals))
-	copy(out, m.s.goals)
-	return out
-}
-
 // GoalAges returns the arrival ages a_i of the goal states in cycle order.
 func (m *Model) GoalAges() []int {
 	out := make([]int, len(m.s.ages))
@@ -229,23 +211,8 @@ func (m *Model) GoalAges() []int {
 	return out
 }
 
-// DiscardState returns the id of the discard state.
-func (m *Model) DiscardState() int { return m.s.discard }
-
-// TransmitStates returns the sorted ids of the transient states that
-// attempt a transmission — the mask the solver sums over for exact
-// utilization accounting.
-func (m *Model) TransmitStates() []int {
-	out := make([]int, len(m.s.transmitIDs))
-	copy(out, m.s.transmitIDs)
-	return out
-}
-
 // NumStates returns the model's state count (the paper's O(Is*Fs*n)).
 func (m *Model) NumStates() int { return m.s.NumStates() }
-
-// Hops returns the number of hops on the path.
-func (m *Model) Hops() int { return len(m.cfg.Slots) }
 
 // Config returns the model's configuration.
 func (m *Model) Config() Config { return m.cfg }

@@ -60,7 +60,7 @@ func TestBuildFig4Structure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goals := m.GoalStates()
+	goals := m.s.goals
 	if len(goals) != 1 {
 		t.Fatalf("goals = %d, want 1", len(goals))
 	}
@@ -80,9 +80,6 @@ func TestBuildFig4Structure(t *testing.T) {
 		if _, ok := c.StateID(want); !ok {
 			t.Errorf("missing state %s", want)
 		}
-	}
-	if m.Hops() != 3 {
-		t.Errorf("Hops() = %d, want 3", m.Hops())
 	}
 }
 
@@ -390,39 +387,6 @@ func TestGoalTrajectoriesStepShape(t *testing.T) {
 	}
 }
 
-func TestSolveMatchesAbsorptionAnalysis(t *testing.T) {
-	// Independent cross-check: exact absorbing-chain analysis (linear
-	// solve on the fundamental matrix) must give the same goal
-	// probabilities as the iterative transient solution — the chain is a
-	// finite DAG, so all mass absorbs.
-	m, err := Build(examplePath(t, 0.75, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs, err := m.Chain().AbsorbAnalysis(m.InitialState(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, goal := range m.GoalStates() {
-		if math.Abs(abs.Probs[goal]-res.CycleProbs[i]) > 1e-12 {
-			t.Errorf("goal %d: absorption %v vs transient %v",
-				i, abs.Probs[goal], res.CycleProbs[i])
-		}
-	}
-	if math.Abs(abs.Probs[m.DiscardState()]-res.DiscardProb) > 1e-12 {
-		t.Errorf("discard: absorption %v vs transient %v",
-			abs.Probs[m.DiscardState()], res.DiscardProb)
-	}
-	// Expected steps to absorption cannot exceed the horizon.
-	if abs.ExpectedSteps <= 0 || abs.ExpectedSteps > 28 {
-		t.Errorf("E[steps to absorption] = %v, want in (0, 28]", abs.ExpectedSteps)
-	}
-}
-
 func TestReachabilityMonotoneInTTLProperty(t *testing.T) {
 	// Raising the TTL can only help: R is non-decreasing in TTL.
 	f := func(availRaw, ttlRaw uint8) bool {
@@ -464,62 +428,6 @@ func TestReachabilityMonotoneInTTLProperty(t *testing.T) {
 	}
 }
 
-func TestExpectedAttemptsMatchesFundamentalMatrix(t *testing.T) {
-	// In the time-indexed DAG every transient state is visited at most
-	// once, so the fundamental-matrix expected visits are visit
-	// probabilities; summing them over transmitting states must equal
-	// Solve's attempt count.
-	m, err := Build(examplePath(t, 0.75, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs, err := m.Chain().AbsorbAnalysis(m.InitialState(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var attempts float64
-	for _, id := range m.TransmitStates() {
-		attempts += abs.ExpectedVisits[id]
-	}
-	if math.Abs(attempts-res.ExpectedAttempts) > 1e-9 {
-		t.Errorf("fundamental-matrix attempts %v vs transient %v",
-			attempts, res.ExpectedAttempts)
-	}
-}
-
-func TestSolveMatchesBoundedReachability(t *testing.T) {
-	// R equals the PCTL bounded-until P[F<=Is*Fup goals] on the chain.
-	m, err := Build(examplePath(t, 0.75, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Chain().BoundedReachability(m.InitialState(), m.GoalStates(), 0, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-res.Reachability()) > 1e-12 {
-		t.Errorf("bounded reachability %v vs Solve %v", got, res.Reachability())
-	}
-	// A tighter bound cuts off the later cycles: k = 14 keeps only
-	// cycles 1 and 2.
-	got14, err := m.Chain().BoundedReachability(m.InitialState(), m.GoalStates(), 0, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := res.CycleProbs[0] + res.CycleProbs[1]
-	if math.Abs(got14-want) > 1e-12 {
-		t.Errorf("P[F<=14] = %v, want %v", got14, want)
-	}
-}
-
 func TestStateNameFormat(t *testing.T) {
 	if got := stateName(3, 1, 3); got != "(3,3,-)" {
 		t.Errorf("stateName(3,1,3) = %q, want (3,3,-)", got)
@@ -538,7 +446,7 @@ func TestWriteDOTIncludesGoals(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := m.Chain().WriteDOT(&b, "fig4", 0); err != nil {
+	if err := m.Chain().WriteDOT(&b, "fig4"); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"R7", "Discard", "doublecircle"} {
@@ -557,8 +465,5 @@ func TestConfigEcho(t *testing.T) {
 	got := m.Config()
 	if got.Fup != cfg.Fup || got.Is != cfg.Is || len(got.Slots) != len(cfg.Slots) {
 		t.Error("Config() does not echo the build configuration")
-	}
-	if m.InitialState() < 0 || m.DiscardState() < 0 {
-		t.Error("state ids should be valid")
 	}
 }

@@ -7,9 +7,10 @@ import (
 	"wirelesshart/internal/link"
 )
 
-// TestBindProcessesTwoStateEquivalence is the satellite-1 pin at the
-// pathmodel layer: a path whose hops run the k=2 embedding of the classic
-// model must solve to the same result as the classic model, at 1e-12.
+// TestBindProcessesTwoStateEquivalence pins the two-state equivalence at
+// the pathmodel layer: a path bound to the steady marginals of the k=2
+// embedding of the classic link process must solve to the same result as
+// the classic model, at 1e-12.
 func TestBindProcessesTwoStateEquivalence(t *testing.T) {
 	slots := []int{1, 2, 3}
 	st, err := BuildStructure(slots, 7, 3, 0)
@@ -24,11 +25,11 @@ func TestBindProcessesTwoStateEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic, err := st.BindProcesses([]link.Process{m, m, m})
+	classic, err := st.Bind([]link.Availability{m.Steady(), m.Steady(), m.Steady()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fading, err := st.BindProcesses([]link.Process{ks, ks, ks})
+	fading, err := st.Bind([]link.Availability{ks.Steady(), ks.Steady(), ks.Steady()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,23 +54,6 @@ func TestBindProcessesTwoStateEquivalence(t *testing.T) {
 	}
 	if d := math.Abs(got.ExpectedAttempts - want.ExpectedAttempts); d > 1e-12 {
 		t.Errorf("expected attempts diverge by %v", d)
-	}
-}
-
-func TestBindProcessesValidation(t *testing.T) {
-	st, err := BuildStructure([]int{1, 2}, 5, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := link.New(0.1, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.BindProcesses([]link.Process{m, nil}); err == nil {
-		t.Error("nil process accepted")
-	}
-	if _, err := st.BindProcesses([]link.Process{m}); err == nil {
-		t.Error("hop-count mismatch accepted")
 	}
 }
 

@@ -47,16 +47,15 @@ func (m *Model) initialDistribution() linalg.Vector {
 	return p0
 }
 
-// Solve runs the transient analysis p(t) = p(t-1) P(t) to the end of the
+// Solve runs the transient analysis p(t) = p(t-1) P to the end of the
 // reporting interval and extracts the cycle probabilities, discard
 // probability and exact expected attempt count. The step loop runs on the
-// compiled kernel with two reused buffers: a homogeneous chain allocates
-// nothing per step.
+// compiled kernel with two reused buffers and allocates nothing per step.
 func (m *Model) Solve() (*Result, error) {
 	horizon := m.cfg.Is * m.cfg.Fup
 	p0 := m.initialDistribution()
 	var attempts float64
-	p, err := m.kernel.TransientObserved(p0, 0, horizon, func(t int, dist linalg.Vector) error {
+	p, err := m.kernel.Transient(p0, horizon, func(t int, dist linalg.Vector) error {
 		// Mass sitting in a transmitting state at time t attempts a
 		// transmission during slot t+1; the final distribution makes no
 		// further attempt.
@@ -105,7 +104,7 @@ func (m *Model) GoalTrajectories() ([][]float64, error) {
 	for i := range out {
 		out[i] = make([]float64, horizon+1)
 	}
-	_, err := m.kernel.TransientObserved(p0, 0, horizon, func(t int, dist linalg.Vector) error {
+	_, err := m.kernel.Transient(p0, horizon, func(t int, dist linalg.Vector) error {
 		for i, id := range m.s.goals {
 			out[i][t] = dist[id]
 		}

@@ -222,9 +222,6 @@ func (s *Structure) Key() string { return StructKey(s.slots, s.fup, s.is, s.ttl)
 // NumStates returns the structure's state count (the paper's O(Is*Fs*n)).
 func (s *Structure) NumStates() int { return s.chain.NumStates() }
 
-// Hops returns the number of hops on the path.
-func (s *Structure) Hops() int { return len(s.slots) }
-
 // Bind fills per-edge transition values from one availability function per
 // hop and returns the resulting model. The bound kernel shares the
 // structure's frozen CSR pattern — row pointers and column indices — and
@@ -266,20 +263,4 @@ func (s *Structure) Bind(avails []link.Availability) (*Model, error) {
 		s:      s,
 		kernel: kernel,
 	}, nil
-}
-
-// BindProcesses is Bind for hops driven by link processes in their
-// stationary regime: each hop's availability is the process's steady
-// marginal. Transient regimes (a fading link known to start in a
-// particular channel state) bind their marginals through Bind directly,
-// e.g. KState.MarginalFrom.
-func (s *Structure) BindProcesses(procs []link.Process) (*Model, error) {
-	avails := make([]link.Availability, len(procs))
-	for h, p := range procs {
-		if p == nil {
-			return nil, fmt.Errorf("pathmodel: hop %d has nil link process", h+1)
-		}
-		avails[h] = p.Steady()
-	}
-	return s.Bind(avails)
 }

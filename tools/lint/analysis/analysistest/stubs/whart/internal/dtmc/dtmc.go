@@ -22,12 +22,6 @@ func (c *Chain) AddTransition(from, to int, p float64) error {
 	return nil
 }
 
-// AddTransitionFn mirrors the time-varying edge builder.
-func (c *Chain) AddTransitionFn(from, to int, fn func(int) float64) error {
-	_, _, _ = from, to, fn
-	return nil
-}
-
 // Compile mirrors the kernel compiler (result-only API).
 func (c *Chain) Compile() *Kernel { return &Kernel{} }
 
@@ -37,15 +31,9 @@ func (k *Kernel) Rebind(values []float64, tol float64) (*Kernel, error) {
 	return k, nil
 }
 
-// TransientBatch mirrors the batched transient solve.
-func (k *Kernel) TransientBatch(kernels []*Kernel, p0 [][]float64, t0, steps int) ([][]float64, error) {
-	_, _, _, _ = kernels, p0, t0, steps
-	return nil, nil
-}
-
-// TransientBatchObserved mirrors the observed batched solve.
-func (k *Kernel) TransientBatchObserved(kernels []*Kernel, p0 [][]float64, t0, steps int,
+// TransientBatch mirrors the observed batched transient solve.
+func (k *Kernel) TransientBatch(kernels []*Kernel, p0 [][]float64, steps int,
 	observe func(int) error) ([][]float64, error) {
-	_, _, _, _, _ = kernels, p0, t0, steps, observe
+	_, _, _, _ = kernels, p0, steps, observe
 	return nil, nil
 }

@@ -16,14 +16,8 @@ func (m *CSR) WithValues(val []float64) (*CSR, error) {
 	return m, nil
 }
 
-// MulVecBatch mirrors the K-scenario batched multiply.
-func (m *CSR) MulVecBatch(dst, x []float64, k int, vals []float64) error {
-	_, _, _, _ = dst, x, k, vals
-	return nil
-}
-
-// MulVecBatchMasked mirrors the frontier-masked batched multiply.
-func (m *CSR) MulVecBatchMasked(dst, x []float64, k int, vals []float64, srcActive, dstActive []bool) error {
+// MulVecBatch mirrors the frontier-masked K-scenario batched multiply.
+func (m *CSR) MulVecBatch(dst, x []float64, k int, vals []float64, srcActive, dstActive []bool) error {
 	_, _, _, _, _, _ = dst, x, k, vals, srcActive, dstActive
 	return nil
 }

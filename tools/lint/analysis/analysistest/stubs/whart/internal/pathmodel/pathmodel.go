@@ -1,8 +1,6 @@
 // Stub of the real internal/pathmodel surface the analyzers watch.
 package pathmodel
 
-import "wirelesshart/internal/link"
-
 // Model is the bound path model stub.
 type Model struct{}
 
@@ -12,12 +10,6 @@ type Structure struct{}
 // Bind mirrors the real availability rebind.
 func (s *Structure) Bind(avails []func(int) float64) (*Model, error) {
 	_ = avails
-	return &Model{}, nil
-}
-
-// BindProcesses mirrors the link-process rebind.
-func (s *Structure) BindProcesses(procs []link.Process) (*Model, error) {
-	_ = procs
 	return &Model{}, nil
 }
 

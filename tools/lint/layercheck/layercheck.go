@@ -2,7 +2,7 @@
 // is layered leaf-to-top as
 //
 //	linalg/stats/channel/topology/obs/control
-//	  -> dtmc/schedule -> link -> pathmodel -> measures/analytic/des
+//	  -> dtmc/schedule -> link -> pathmodel -> measures/des
 //	  -> core -> spec/gen -> engine -> experiments/fleet
 //	  -> root facade -> cmd / examples
 //
@@ -58,7 +58,6 @@ var allowedImports = map[string][]string{
 	"internal/pathmodel": {"internal/dtmc", "internal/linalg", "internal/link", "internal/stats"},
 
 	"internal/measures": {"internal/linalg", "internal/link", "internal/pathmodel", "internal/schedule", "internal/stats"},
-	"internal/analytic": {"internal/link", "internal/pathmodel", "internal/schedule", "internal/stats"},
 	"internal/des":      {"internal/channel", "internal/link", "internal/pathmodel", "internal/schedule", "internal/stats", "internal/topology"},
 
 	"internal/core": {"internal/link", "internal/measures", "internal/pathmodel", "internal/schedule", "internal/stats", "internal/topology"},

@@ -19,7 +19,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "mustcheck",
 	Doc: "require callers to use the results of the solver-critical APIs " +
-		"(Kernel.Rebind, Structure.Bind, Chain.Validate, Chain.AddTransition*, " +
+		"(Kernel.Rebind, Structure.Bind, Chain.Validate, Chain.AddTransition, " +
 		"Chain.Compile, CSR.WithValues): a dropped error there poisons cached kernels",
 	Run: run,
 }
@@ -27,37 +27,33 @@ var Analyzer = &analysis.Analyzer{
 // checked is the set of functions (by types.Func.FullName) whose results
 // must not be discarded. Extend it when a new cache-poisoning API appears.
 var checked = map[string]bool{
-	"(*wirelesshart/internal/dtmc.Kernel).Rebind":         true,
-	"(*wirelesshart/internal/dtmc.Chain).Validate":        true,
-	"(*wirelesshart/internal/dtmc.Chain).AddTransition":   true,
-	"(*wirelesshart/internal/dtmc.Chain).AddTransitionFn": true,
-	"(*wirelesshart/internal/dtmc.Chain).Compile":         true,
-	"(*wirelesshart/internal/pathmodel.Structure).Bind":   true,
-	"(*wirelesshart/internal/linalg.CSR).WithValues":      true,
-	"wirelesshart/internal/linalg.NewCSR":                 true,
-	"wirelesshart/internal/link.New":                      true,
+	"(*wirelesshart/internal/dtmc.Kernel).Rebind":       true,
+	"(*wirelesshart/internal/dtmc.Chain).Validate":      true,
+	"(*wirelesshart/internal/dtmc.Chain).AddTransition": true,
+	"(*wirelesshart/internal/dtmc.Chain).Compile":       true,
+	"(*wirelesshart/internal/pathmodel.Structure).Bind": true,
+	"(*wirelesshart/internal/linalg.CSR).WithValues":    true,
+	"wirelesshart/internal/linalg.NewCSR":               true,
+	"wirelesshart/internal/link.New":                    true,
 
 	// Batched solver surface: every entry point returns an error whose
 	// loss silently corrupts a whole batch of scenarios at once.
-	"(*wirelesshart/internal/dtmc.Kernel).TransientBatch":         true,
-	"(*wirelesshart/internal/dtmc.Kernel).TransientBatchObserved": true,
-	"(*wirelesshart/internal/pathmodel.Structure).BindBatch":      true,
-	"wirelesshart/internal/pathmodel.SolveBatch":                  true,
-	"(*wirelesshart/internal/linalg.CSR).MulVecBatch":             true,
-	"(*wirelesshart/internal/linalg.CSR).MulVecBatchMasked":       true,
+	"(*wirelesshart/internal/dtmc.Kernel).TransientBatch":    true,
+	"(*wirelesshart/internal/pathmodel.Structure).BindBatch": true,
+	"wirelesshart/internal/pathmodel.SolveBatch":             true,
+	"(*wirelesshart/internal/linalg.CSR).MulVecBatch":        true,
 
 	// Fading-link surface: every constructor validates stochasticity
 	// (row sums, probability ranges, unique stationary distribution);
 	// a dropped error hands the solver an invalid chain.
-	"wirelesshart/internal/link.NewKState":                       true,
-	"wirelesshart/internal/link.FromModel":                       true,
-	"wirelesshart/internal/link.NewUniformMixing":                true,
-	"wirelesshart/internal/link.FromSNRTrace":                    true,
-	"(*wirelesshart/internal/link.KState).MarginalFrom":          true,
-	"(*wirelesshart/internal/link.KState).StartingIn":            true,
-	"wirelesshart/internal/channel.PartitionSNRTrace":            true,
-	"(*wirelesshart/internal/spec.Spec).ResolveLinkProcess":      true,
-	"(*wirelesshart/internal/pathmodel.Structure).BindProcesses": true,
+	"wirelesshart/internal/link.NewKState":                  true,
+	"wirelesshart/internal/link.FromModel":                  true,
+	"wirelesshart/internal/link.NewUniformMixing":           true,
+	"wirelesshart/internal/link.FromSNRTrace":               true,
+	"(*wirelesshart/internal/link.KState).MarginalFrom":     true,
+	"(*wirelesshart/internal/link.KState).StartingIn":       true,
+	"wirelesshart/internal/channel.PartitionSNRTrace":       true,
+	"(*wirelesshart/internal/spec.Spec).ResolveLinkProcess": true,
 
 	// Cluster surface: a dropped NewRing error leaves a replica routing on
 	// a nil or half-validated ring, and a dropped snapshot error either

@@ -4,6 +4,7 @@ import (
 	"wirelesshart/internal/cluster"
 	"wirelesshart/internal/dtmc"
 	"wirelesshart/internal/engine"
+	"wirelesshart/internal/linalg"
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/pathmodel"
 )
@@ -22,13 +23,14 @@ func bad() {
 	mdl, _ := st.Bind(nil) // want `error result of Bind assigned to blank identifier`
 	_ = mdl
 
-	k.TransientBatch(nil, nil, 0, 10)              // want `result of TransientBatch discarded; it must be checked`
-	k.TransientBatchObserved(nil, nil, 0, 10, nil) // want `result of TransientBatchObserved discarded; it must be checked`
-	st.BindBatch(nil)                              // want `result of BindBatch discarded; it must be checked`
-	pathmodel.SolveBatch(nil)                      // want `result of SolveBatch discarded; it must be checked`
-	models, _ := st.BindBatch(nil)                 // want `error result of BindBatch assigned to blank identifier`
-	results, _ := pathmodel.SolveBatch(models)     // want `error result of SolveBatch assigned to blank identifier`
+	k.TransientBatch(nil, nil, 10, nil)        // want `result of TransientBatch discarded; it must be checked`
+	st.BindBatch(nil)                          // want `result of BindBatch discarded; it must be checked`
+	pathmodel.SolveBatch(nil)                  // want `result of SolveBatch discarded; it must be checked`
+	models, _ := st.BindBatch(nil)             // want `error result of BindBatch assigned to blank identifier`
+	results, _ := pathmodel.SolveBatch(models) // want `error result of SolveBatch assigned to blank identifier`
 	_ = results
+	var csr linalg.CSR
+	csr.MulVecBatch(nil, nil, 1, nil, nil, nil) // want `result of MulVecBatch discarded; it must be checked`
 
 	link.NewKState(nil, nil)          // want `result of NewKState discarded; it must be checked`
 	link.NewUniformMixing(0.9, nil)   // want `result of NewUniformMixing discarded; it must be checked`
