@@ -62,10 +62,16 @@ type StructureCache interface {
 	PutStructure(key string, s *pathmodel.Structure)
 }
 
-// structureMap is the unbounded StructureCache New installs when none is
-// passed, so the paths of one analysis — and the perturbed re-analyses of
-// a sensitivity sweep or a peer-composition prediction — share each
-// geometry's state space.
+// NewStructureMap returns an unbounded, concurrency-safe StructureCache.
+// New installs one when no cache is passed, so the paths of one analysis —
+// and the perturbed re-analyses of a sensitivity sweep or a
+// peer-composition prediction — share each geometry's state space.
+// Structures depend only on schedule geometry, never on link quality, so
+// entries stay valid for as long as the map lives.
+func NewStructureMap() StructureCache {
+	return &structureMap{m: map[string]*pathmodel.Structure{}}
+}
+
 type structureMap struct {
 	mu sync.Mutex
 	m  map[string]*pathmodel.Structure
@@ -255,7 +261,7 @@ func New(net *topology.Network, sched schedule.Plan, opts ...Option) (*Analyzer,
 		}
 	}
 	if a.structs == nil {
-		a.structs = &structureMap{m: map[string]*pathmodel.Structure{}}
+		a.structs = NewStructureMap()
 	}
 	if a.sources == nil {
 		for src := range routes {

@@ -32,9 +32,9 @@ func (d BatchDist) Row(state int) []float64 { return d.buf[state*d.k : state*d.k
 // over the pattern that advances all K ping-pong blocks at once, so the
 // dominant cost — memory traffic over the pattern — is paid once per step
 // instead of once per scenario. kernels[j] supplies scenario j's values;
-// every kernel must share the receiver's compiled pattern — by identity
-// for the receiver itself and any kernel Rebind produced from it, or
-// element-wise for independently compiled chains with the same skeleton.
+// every kernel must share the receiver's compiled pattern by identity: the
+// receiver itself or a kernel Rebind produced from it. Separately compiled
+// kernels never share a pattern, even when their skeletons are equal.
 // p0[j] is scenario j's initial distribution.
 //
 // When observe is non-nil, TransientBatch calls observe(s, dist) for every
@@ -59,7 +59,7 @@ func (k *Kernel) TransientBatch(kernels []*Kernel, p0 []linalg.Vector, steps int
 		if kr == nil {
 			return nil, fmt.Errorf("dtmc: batch scenario %d has nil kernel", j)
 		}
-		if !k.mat.EqualPattern(kr.mat) {
+		if !k.mat.SamePattern(kr.mat) {
 			return nil, fmt.Errorf("dtmc: batch scenario %d does not share the compiled pattern", j)
 		}
 		if len(p0[j]) != n {

@@ -3,6 +3,7 @@ package dtmc
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wirelesshart/internal/linalg"
@@ -147,6 +148,12 @@ func TestTransientBatchInputErrors(t *testing.T) {
 	}
 	if _, err := k.TransientBatch([]*Kernel{other.Compile()}, good, 1, nil); err == nil {
 		t.Error("pattern mismatch accepted")
+	}
+	// A second compile of the same chain has an equal but not a shared
+	// pattern, so it is rejected too.
+	_, err := k.TransientBatch([]*Kernel{c.Compile()}, good, 1, nil)
+	if err == nil || !strings.Contains(err.Error(), "does not share the compiled pattern") {
+		t.Errorf("separately compiled twin: err = %v, want a shared-pattern error", err)
 	}
 }
 

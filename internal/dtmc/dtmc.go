@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // transition is one outgoing edge of a state.
@@ -26,11 +25,6 @@ type Chain struct {
 	index     map[string]int
 	out       [][]transition
 	absorbing []bool
-
-	// kernel caches the compiled CSR form; structural mutations
-	// invalidate it.
-	kmu    sync.Mutex
-	kernel *Kernel
 }
 
 // New returns an empty chain.
@@ -48,7 +42,6 @@ func (c *Chain) AddState(name string) (int, error) {
 	c.index[name] = id
 	c.out = append(c.out, nil)
 	c.absorbing = append(c.absorbing, false)
-	c.invalidateKernel()
 	return id, nil
 }
 
@@ -89,7 +82,6 @@ func (c *Chain) AddTransition(from, to int, p float64) error {
 		return fmt.Errorf("dtmc: probability %v out of [0,1]", p)
 	}
 	c.out[from] = append(c.out[from], transition{To: to, Prob: p})
-	c.invalidateKernel()
 	return nil
 }
 
@@ -103,7 +95,6 @@ func (c *Chain) MarkAbsorbing(id int) error {
 		return fmt.Errorf("dtmc: state %q has outgoing transitions, cannot absorb", c.names[id])
 	}
 	c.absorbing[id] = true
-	c.invalidateKernel()
 	return nil
 }
 

@@ -11,36 +11,37 @@ import (
 // transient steps. Edge probabilities (and the implicit self-loops of
 // absorbing states) are frozen into the value array at compile time, so a
 // Kernel is an immutable matrix: stepping is read-only and one Kernel may
-// be shared by any number of goroutines.
+// be shared by any number of goroutines. A kernel carries no state names;
+// its errors name states by index.
 type Kernel struct {
-	n     int
-	names []string // shared with the source chain, for error messages
-	mat   *linalg.CSR
+	n   int
+	mat *linalg.CSR
 }
 
-// Compile returns the chain's compiled kernel, building it on first use
-// and caching it on the chain; mutating the chain (AddState,
-// AddTransition, MarkAbsorbing) invalidates the cache.
-func (c *Chain) Compile() *Kernel {
-	c.kmu.Lock()
-	defer c.kmu.Unlock()
-	if c.kernel == nil {
-		c.kernel = c.compile()
+// NewKernel wraps the CSR layout of an n-state chain, n = len(rowPtr)-1,
+// as a kernel without building a Chain: the layout must pass
+// linalg.NewCSR's checks and every row must be a probability distribution
+// within tol, so absorbing states carry explicit self-loops. The slices
+// are retained, not copied. Builders that know their chain's layout (the
+// path model's Algorithm 1) emit it directly through this constructor.
+func NewKernel(rowPtr, col []int, val []float64, tol float64) (*Kernel, error) {
+	n := len(rowPtr) - 1
+	mat, err := linalg.NewCSR(n, n, rowPtr, col, val)
+	if err != nil {
+		return nil, fmt.Errorf("dtmc: %w", err)
 	}
-	return c.kernel
+	k := &Kernel{n: n, mat: mat}
+	if err := k.checkRows(tol); err != nil {
+		return nil, fmt.Errorf("dtmc: kernel: %w", err)
+	}
+	return k, nil
 }
 
-// invalidateKernel drops the cached kernel after a structural mutation.
-func (c *Chain) invalidateKernel() {
-	c.kmu.Lock()
-	c.kernel = nil
-	c.kmu.Unlock()
-}
-
-// compile lowers the slice-of-slices transition structure into CSR form.
-// Absorbing states become explicit self-loops so stepping needs no
-// per-state branch.
-func (c *Chain) compile() *Kernel {
+// Compile lowers the chain's slice-of-slices transition structure into
+// CSR form. Absorbing states become explicit self-loops so stepping needs
+// no per-state branch. Each call compiles afresh, so two kernels of one
+// chain share no pattern; a batch takes Rebinds of one kernel instead.
+func (c *Chain) Compile() *Kernel {
 	n := len(c.names)
 	nnz := 0
 	for id := range c.names {
@@ -72,7 +73,7 @@ func (c *Chain) compile() *Kernel {
 		// AddTransition already rejected out-of-range targets.
 		panic(fmt.Sprintf("dtmc: compiled CSR invalid: %v", err))
 	}
-	return &Kernel{n: n, names: c.names, mat: mat}
+	return &Kernel{n: n, mat: mat}
 }
 
 // NumStates returns the kernel's state count.
@@ -111,22 +112,30 @@ func (k *Kernel) Rebind(values []float64, tol float64) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	nk := &Kernel{n: k.n, names: k.names, mat: mat}
-	for id := 0; id < nk.n; id++ {
+	nk := &Kernel{n: k.n, mat: mat}
+	if err := nk.checkRows(tol); err != nil {
+		return nil, fmt.Errorf("dtmc: rebind: %w", err)
+	}
+	return nk, nil
+}
+
+// checkRows reports the first row that is not a probability distribution
+// within tol.
+func (k *Kernel) checkRows(tol float64) error {
+	for id := 0; id < k.n; id++ {
 		var sum float64
-		lo, hi := mat.RowSpan(id)
-		for pos := lo; pos < hi; pos++ {
-			p := values[pos]
+		_, vals := k.mat.Row(id)
+		for _, p := range vals {
 			if math.IsNaN(p) || p < -tol || p > 1+tol {
-				return nil, fmt.Errorf("dtmc: rebind: state %q value %v out of [0,1]", k.names[id], p)
+				return fmt.Errorf("state %d value %v out of [0,1]", id, p)
 			}
 			sum += p
 		}
 		if math.Abs(sum-1) > tol {
-			return nil, fmt.Errorf("dtmc: rebind: state %q outgoing probabilities sum to %v", k.names[id], sum)
+			return fmt.Errorf("state %d outgoing probabilities sum to %v", id, sum)
 		}
 	}
-	return nk, nil
+	return nil
 }
 
 // NNZ returns the number of compiled edges (including absorbing

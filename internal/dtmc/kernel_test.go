@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wirelesshart/internal/linalg"
@@ -276,6 +277,57 @@ func TestKernelRebindRejectsBadValues(t *testing.T) {
 	}
 }
 
+// TestNewKernel checks the direct CSR constructor: a layout written by hand
+// steps exactly like the compiled chain it describes, and layout errors and
+// non-stochastic rows are rejected with the offending state's index.
+func TestNewKernel(t *testing.T) {
+	// State 0 moves to 1 w.p. 0.7 and stays w.p. 0.3; state 1 absorbs.
+	k, err := NewKernel([]int{0, 2, 3}, []int{1, 0, 1}, []float64{0.7, 0.3, 1}, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	a := c.MustAddState("a")
+	g := c.MustAddState("g")
+	if err := c.AddTransition(a, g, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddTransition(a, a, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MarkAbsorbing(g); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Compile().Transient(linalg.Vector{1, 0}, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := k.Transient(linalg.Vector{1, 0}, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxAbsDiff(got, want) != 0 {
+		t.Errorf("NewKernel transient %v, compiled chain %v", got, want)
+	}
+
+	for name, tc := range map[string]struct {
+		rowPtr, col []int
+		val         []float64
+		want        string
+	}{
+		"empty row pointer":  {nil, nil, nil, "negative"},
+		"column range":       {[]int{0, 1, 2}, []int{2, 1}, []float64{1, 1}, "out of"},
+		"row pointer span":   {[]int{0, 1, 1}, []int{1, 1}, []float64{1, 1}, "span"},
+		"row sum":            {[]int{0, 2, 3}, []int{1, 0, 1}, []float64{0.7, 0.7, 1}, "state 0 outgoing probabilities sum"},
+		"value out of range": {[]int{0, 1, 2}, []int{1, 1}, []float64{1, 1.5}, "state 1 value"},
+		"no self-loop":       {[]int{0, 1, 1}, []int{1}, []float64{1}, "state 1 outgoing probabilities sum"},
+	} {
+		if _, err := NewKernel(tc.rowPtr, tc.col, tc.val, 1e-9); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, tc.want)
+		}
+	}
+}
+
 func TestKernelHomogeneousStepAllocatesNothing(t *testing.T) {
 	c := New()
 	up := c.MustAddState("UP")
@@ -304,25 +356,22 @@ func TestKernelHomogeneousStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestKernelCacheInvalidatedByMutation(t *testing.T) {
+// TestCompileReflectsMutation checks that Compile lowers the chain as it
+// stands: an edge added after one compile appears in the next.
+func TestCompileReflectsMutation(t *testing.T) {
 	c := New()
 	a := c.MustAddState("a")
 	b := c.MustAddState("b")
 	if err := c.AddTransition(a, b, 1); err != nil {
 		t.Fatal(err)
 	}
-	k1 := c.Compile()
-	if k1 != c.Compile() {
-		t.Error("Compile should cache the kernel between mutations")
+	if k1 := c.Compile(); k1.NNZ() != 1 {
+		t.Errorf("compiled kernel has %d edges, want 1", k1.NNZ())
 	}
 	if err := c.AddTransition(b, a, 1); err != nil {
 		t.Fatal(err)
 	}
-	k2 := c.Compile()
-	if k1 == k2 {
-		t.Error("mutation must invalidate the compiled kernel")
-	}
-	if k2.NNZ() != 2 {
+	if k2 := c.Compile(); k2.NNZ() != 2 {
 		t.Errorf("recompiled kernel has %d edges, want 2", k2.NNZ())
 	}
 }

@@ -129,31 +129,6 @@ func (m *CSR) SamePattern(o *CSR) bool {
 		(len(m.col) == 0 || &m.col[0] == &o.col[0])
 }
 
-// EqualPattern reports whether o's sparsity pattern is element-wise equal
-// to m's: same shape, row pointers and column indices. SamePattern identity
-// is the fast path; otherwise the patterns are compared entry by entry, so
-// two independently compiled but structurally identical matrices still
-// qualify for one shared batched traversal.
-func (m *CSR) EqualPattern(o *CSR) bool {
-	if m.SamePattern(o) {
-		return true
-	}
-	if m.rows != o.rows || m.cols != o.cols || len(m.col) != len(o.col) {
-		return false
-	}
-	for i, p := range m.rowPtr {
-		if o.rowPtr[i] != p {
-			return false
-		}
-	}
-	for i, c := range m.col {
-		if o.col[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
 // MulVecBatch computes K simultaneous products dst_j = x_j * M_j in one
 // row-major pass over the shared sparsity pattern, for K scenarios that
 // differ only in their values. The blocks pack the K vectors

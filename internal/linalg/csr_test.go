@@ -220,31 +220,6 @@ func TestCSRSamePattern(t *testing.T) {
 	}
 }
 
-func TestCSREqualPattern(t *testing.T) {
-	m := buildCSR(t, [][]float64{{0.5, 0.5}, {1, 0}})
-	reb, err := m.WithValues([]float64{0.3, 0.7, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.EqualPattern(reb) {
-		t.Error("rebind must be pattern-equal (identity fast path)")
-	}
-	// Independently built, structurally identical: not SamePattern but
-	// EqualPattern.
-	twin := buildCSR(t, [][]float64{{0.1, 0.9}, {0.4, 0}})
-	if m.SamePattern(twin) {
-		t.Error("independent twin must not share pattern identity")
-	}
-	if !m.EqualPattern(twin) || !twin.EqualPattern(m) {
-		t.Error("structurally identical twin must be pattern-equal")
-	}
-	// Different sparsity (zero entries are dropped by buildCSR): unequal.
-	sparse := buildCSR(t, [][]float64{{0.5, 0}, {0, 1}})
-	if m.EqualPattern(sparse) {
-		t.Error("different sparsity must not be pattern-equal")
-	}
-}
-
 // exactMask marks the rows of a K-wide block that hold any nonzero.
 func exactMask(x []float64, n, k int) []bool {
 	mask := make([]bool, n)

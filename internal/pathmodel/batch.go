@@ -69,8 +69,8 @@ func SolveBatch(models []*Model) ([]*Result, error) {
 		// transmission during slot t+1; the final distribution makes no
 		// further attempt.
 		if t < horizon {
-			for _, id := range s.transmitIDs {
-				for j, mass := range d.Row(id) {
+			for _, b := range s.binds {
+				for j, mass := range d.Row(b.state) {
 					attempts[j] += mass
 				}
 			}

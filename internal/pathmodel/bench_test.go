@@ -72,3 +72,19 @@ func BenchmarkGoalTrajectories(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildStructure measures Algorithm 1 alone: the structural build
+// of a 3-hop path in slots 3, 6, 7 of a 20-slot uplink frame, the cost the
+// engine pays on a structure-cache miss before any bind or solve.
+func BenchmarkBuildStructure(b *testing.B) {
+	for _, is := range []int{4, 64} {
+		b.Run(map[int]string{4: "Is4", 64: "Is64"}[is], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildStructure([]int{3, 6, 7}, 20, is, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

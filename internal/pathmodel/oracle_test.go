@@ -1,20 +1,24 @@
 package pathmodel
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"wirelesshart/internal/dtmc"
 	"wirelesshart/internal/linalg"
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/stats"
 )
 
-// This file holds the independent oracles the transient solver is checked
+// This file holds the independent oracles the path model is checked
 // against: the negative-binomial closed form for homogeneous steady-state
-// paths, the fundamental-matrix absorption solve, and goal-absorbing
-// bounded reachability.
+// paths, the fundamental-matrix absorption solve, goal-absorbing bounded
+// reachability, and a reference Algorithm 1 that builds the chain by name.
 
 // closedForm describes a homogeneous steady-state path: hops links with
 // per-hop success probability ps, Is cycles, the final hop in frame slot
@@ -114,7 +118,8 @@ func absorption(t *testing.T, m *Model) (visits, absorbed []float64) {
 	var transients []int
 	for id := range idx {
 		idx[id] = -1
-		if !m.s.chain.IsAbsorbing(id) {
+		// The absorbing states are exactly the ids <= discard.
+		if id > m.s.discard {
 			idx[id] = len(transients)
 			transients = append(transients, id)
 		}
@@ -393,8 +398,8 @@ func TestExpectedAttemptsMatchesFundamentalMatrix(t *testing.T) {
 	}
 	visits, _ := absorption(t, m)
 	var attempts float64
-	for _, id := range m.s.transmitIDs {
-		attempts += visits[id]
+	for _, b := range m.s.binds {
+		attempts += visits[b.state]
 	}
 	if math.Abs(attempts-res.ExpectedAttempts) > 1e-9 {
 		t.Errorf("fundamental-matrix attempts %v vs transient %v", attempts, res.ExpectedAttempts)
@@ -420,4 +425,288 @@ func TestSolveMatchesBoundedReachability(t *testing.T) {
 	if got := boundedReach(t, m, 14); math.Abs(got-want) > 1e-12 {
 		t.Errorf("P[F<=14] = %v, want %v", got, want)
 	}
+}
+
+// refStructure is the reference Algorithm 1: the recursive builder that
+// names every state, inserts it into a dtmc.Chain, adds its edges one
+// AddTransition at a time and compiles the validated chain. BuildStructure
+// must reproduce its state order, CSR layout and bind slots exactly.
+type refStructure struct {
+	chain   *dtmc.Chain
+	kernel  *dtmc.Kernel
+	initial int
+	discard int
+	goals   []int
+	binds   []bindSlot
+}
+
+func buildReference(slots []int, fup, is, ttl int) (*refStructure, error) {
+	cfg := Config{Slots: slots, Fup: fup, Is: is, TTL: ttl}
+	if err := cfg.validateGeometry(); err != nil {
+		return nil, err
+	}
+	n := len(slots)
+	horizon := is * fup
+	effTTL := cfg.ttl()
+
+	r := &refStructure{chain: dtmc.New()}
+	type attempt struct{ hop, slot int }
+	transmit := map[int]attempt{}
+
+	a0 := slots[n-1]
+	for i := 1; i <= is; i++ {
+		age := a0 + (i-1)*fup
+		if age > effTTL {
+			break
+		}
+		id, err := r.chain.AddState(fmt.Sprintf("R%d", age))
+		if err != nil {
+			return nil, err
+		}
+		if err := r.chain.MarkAbsorbing(id); err != nil {
+			return nil, err
+		}
+		r.goals = append(r.goals, id)
+	}
+	discard, err := r.chain.AddState("Discard")
+	if err != nil {
+		return nil, err
+	}
+	if err := r.chain.MarkAbsorbing(discard); err != nil {
+		return nil, err
+	}
+	r.discard = discard
+
+	type key struct{ t, h int }
+	ids := map[key]int{}
+	var construct func(t, h int) (int, error)
+	construct = func(t, h int) (int, error) {
+		if t >= effTTL || t >= horizon {
+			return discard, nil
+		}
+		k := key{t: t, h: h}
+		if id, ok := ids[k]; ok {
+			return id, nil
+		}
+		id, err := r.chain.AddState(stateName(t, h, n))
+		if err != nil {
+			return 0, err
+		}
+		ids[k] = id
+
+		next := t + 1
+		frameSlot := (next-1)%fup + 1
+		if frameSlot == slots[h] {
+			transmit[id] = attempt{hop: h, slot: next}
+			if h == n-1 {
+				gi := (next - slots[n-1]) / fup
+				if gi < 0 || gi >= len(r.goals) {
+					return 0, fmt.Errorf("no goal for arrival age %d", next)
+				}
+				if err := r.chain.AddTransition(id, r.goals[gi], placeholderProb); err != nil {
+					return 0, err
+				}
+			} else {
+				succ, err := construct(next, h+1)
+				if err != nil {
+					return 0, err
+				}
+				if err := r.chain.AddTransition(id, succ, placeholderProb); err != nil {
+					return 0, err
+				}
+			}
+			fail, err := construct(next, h)
+			if err != nil {
+				return 0, err
+			}
+			if err := r.chain.AddTransition(id, fail, 1-placeholderProb); err != nil {
+				return 0, err
+			}
+			return id, nil
+		}
+		nx, err := construct(next, h)
+		if err != nil {
+			return 0, err
+		}
+		if err := r.chain.AddTransition(id, nx, 1); err != nil {
+			return 0, err
+		}
+		return id, nil
+	}
+
+	if r.initial, err = construct(0, 0); err != nil {
+		return nil, err
+	}
+	if err := r.chain.Validate(bindTol); err != nil {
+		return nil, err
+	}
+	transmitIDs := make([]int, 0, len(transmit))
+	for id := range transmit {
+		transmitIDs = append(transmitIDs, id)
+	}
+	sort.Ints(transmitIDs)
+	r.kernel = r.chain.Compile()
+	for _, id := range transmitIDs {
+		lo, hi := r.kernel.RowSpan(id)
+		if hi-lo != 2 {
+			return nil, fmt.Errorf("transmit state %d compiled to %d edges, want 2", id, hi-lo)
+		}
+		at := transmit[id]
+		r.binds = append(r.binds, bindSlot{state: id, hop: at.hop, slot: at.slot, succ: lo, fail: lo + 1})
+	}
+	return r, nil
+}
+
+// solve binds avails onto the reference kernel and runs the transient
+// analysis the way Solve does, summing attempts over the transmitting
+// states in ascending id order.
+func (r *refStructure) solve(avails []link.Availability, horizon int) (linalg.Vector, float64, error) {
+	vals := r.kernel.ValuesCopy()
+	for _, b := range r.binds {
+		ps := avails[b.hop](b.slot)
+		vals[b.succ], vals[b.fail] = ps, 1-ps
+	}
+	k, err := r.kernel.Rebind(vals, bindTol)
+	if err != nil {
+		return nil, 0, err
+	}
+	p0 := linalg.NewVector(k.NumStates())
+	p0[r.initial] = 1
+	var attempts float64
+	p, err := k.Transient(p0, horizon, func(t int, dist linalg.Vector) error {
+		if t < horizon {
+			for _, b := range r.binds {
+				attempts += dist[b.state]
+			}
+		}
+		return nil
+	})
+	return p, attempts, err
+}
+
+// slotLayouts returns the distinct strictly increasing hop-slot layouts
+// the differential test covers in a fup-slot frame: packed first, packed
+// last, spread evenly, and alternating from slot 2.
+func slotLayouts(hops, fup int) [][]int {
+	var out [][]int
+	seen := map[string]bool{}
+	add := func(slots []int) {
+		prev := 0
+		for _, s := range slots {
+			if s <= prev || s > fup {
+				return
+			}
+			prev = s
+		}
+		if k := fmt.Sprint(slots); !seen[k] {
+			seen[k] = true
+			out = append(out, slots)
+		}
+	}
+	first, last, spread, alt := make([]int, hops), make([]int, hops), make([]int, hops), make([]int, hops)
+	for h := 0; h < hops; h++ {
+		first[h] = h + 1
+		last[h] = fup - hops + h + 1
+		spread[h] = (h+1)*fup/hops - (fup/hops - 1)
+		alt[h] = 2*h + 2
+	}
+	for _, l := range [][]int{first, last, spread, alt} {
+		add(l)
+	}
+	return out
+}
+
+// TestBuildStructureMatchesReference is the differential test of
+// BuildStructure against the reference Algorithm 1 over Fup 1-12 x hops
+// 1-4 x Is 1-5 x TTL in {0, 1, Fup, Is*Fup-1, Is*Fup} x slot layouts. Row
+// pointers, columns, base values, the initial, goal and discard ids, the
+// bind slots, every rendered state name and the solved outputs must be
+// bit-identical.
+func TestBuildStructureMatchesReference(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	cases := 0
+	for fup := 1; fup <= 12; fup++ {
+		for hops := 1; hops <= 4 && hops <= fup; hops++ {
+			for _, slots := range slotLayouts(hops, fup) {
+				for is := 1; is <= 5; is++ {
+					ttls := map[int]bool{}
+					for _, ttl := range []int{0, 1, fup, is*fup - 1, is * fup} {
+						if ttls[ttl] {
+							continue
+						}
+						ttls[ttl] = true
+						cases++
+						name := fmt.Sprintf("slots=%v fup=%d is=%d ttl=%d", slots, fup, is, ttl)
+						got, err := BuildStructure(slots, fup, is, ttl)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						want, err := buildReference(slots, fup, is, ttl)
+						if err != nil {
+							t.Fatalf("%s: reference: %v", name, err)
+						}
+						if got.NumStates() != want.kernel.NumStates() || got.base.NNZ() != want.kernel.NNZ() {
+							t.Fatalf("%s: %d states / %d edges, reference %d / %d", name,
+								got.NumStates(), got.base.NNZ(), want.kernel.NumStates(), want.kernel.NNZ())
+						}
+						for id := 0; id < got.NumStates(); id++ {
+							glo, ghi := got.base.RowSpan(id)
+							wlo, whi := want.kernel.RowSpan(id)
+							gc, gv := got.base.Row(id)
+							wc, wv := want.kernel.Row(id)
+							if glo != wlo || ghi != whi || !slices.Equal(gc, wc) {
+								t.Fatalf("%s: row %d spans [%d,%d) cols %v, reference [%d,%d) cols %v", name, id, glo, ghi, gc, wlo, whi, wc)
+							}
+							for e := range gv {
+								if !same(gv[e], wv[e]) {
+									t.Fatalf("%s: row %d base values %v, reference %v", name, id, gv, wv)
+								}
+							}
+						}
+						if got.initial != want.initial || got.discard != want.discard || !slices.Equal(got.goals, want.goals) {
+							t.Fatalf("%s: initial/discard/goals %d/%d/%v, reference %d/%d/%v", name,
+								got.initial, got.discard, got.goals, want.initial, want.discard, want.goals)
+						}
+						if !slices.Equal(got.binds, want.binds) {
+							t.Fatalf("%s: binds %v, reference %v", name, got.binds, want.binds)
+						}
+
+						avails := make([]link.Availability, hops)
+						for h := range avails {
+							avails[h] = func(slot int) float64 { return float64((slot*7+h*3)%10+1) / 11 }
+						}
+						m, err := got.Bind(avails)
+						if err != nil {
+							t.Fatalf("%s: Bind: %v", name, err)
+						}
+						c := m.Chain()
+						for id := 0; id < got.NumStates(); id++ {
+							if c.Name(id) != want.chain.Name(id) || c.IsAbsorbing(id) != want.chain.IsAbsorbing(id) {
+								t.Fatalf("%s: state %d is %q (absorbing %v), reference %q (%v)", name, id,
+									c.Name(id), c.IsAbsorbing(id), want.chain.Name(id), want.chain.IsAbsorbing(id))
+							}
+						}
+						res, err := m.Solve()
+						if err != nil {
+							t.Fatalf("%s: Solve: %v", name, err)
+						}
+						p, attempts, err := want.solve(avails, is*fup)
+						if err != nil {
+							t.Fatalf("%s: reference solve: %v", name, err)
+						}
+						for i, g := range want.goals {
+							if !same(res.CycleProbs[i], p[g]) {
+								t.Errorf("%s: cycle %d %v, reference %v", name, i+1, res.CycleProbs[i], p[g])
+							}
+						}
+						if !same(res.DiscardProb, p[want.discard]) || !same(res.ExpectedAttempts, attempts) {
+							t.Errorf("%s: discard/attempts %v/%v, reference %v/%v", name,
+								res.DiscardProb, res.ExpectedAttempts, p[want.discard], attempts)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d geometries", cases)
 }

@@ -120,11 +120,6 @@ type Model struct {
 	chainErr  error
 }
 
-type hopAttempt struct {
-	hop  int
-	slot int // absolute uplink slot of the attempt
-}
-
 // Build constructs the path model per Algorithm 1: a structural build of
 // the state space followed by a value bind of the link models. Callers
 // evaluating many scenarios over one schedule geometry should cache the
@@ -166,7 +161,7 @@ func (m *Model) Chain() *dtmc.Chain {
 		m.chain, m.chainErr = m.materializeChain()
 	})
 	if m.chainErr != nil {
-		// The structure's chain validated at build time and the kernel's
+		// The structure's rows validated at build time and the kernel's
 		// values validated at bind time, so re-assembling them cannot
 		// produce an invalid chain.
 		panic(fmt.Sprintf("pathmodel: materializing bound chain: %v", m.chainErr))
@@ -175,17 +170,26 @@ func (m *Model) Chain() *dtmc.Chain {
 }
 
 // materializeChain rebuilds a chain with the kernel's bound values on the
-// structure's state space.
+// structure's state space, rendering the state names from each state's
+// (age, hops) record.
 func (m *Model) materializeChain() (*dtmc.Chain, error) {
-	src := m.s.chain
+	s := m.s
 	out := dtmc.New()
-	for id := 0; id < src.NumStates(); id++ {
-		if _, err := out.AddState(src.Name(id)); err != nil {
+	for _, age := range s.ages {
+		if _, err := out.AddState(fmt.Sprintf("R%d", age)); err != nil {
 			return nil, err
 		}
 	}
-	for id := 0; id < src.NumStates(); id++ {
-		if src.IsAbsorbing(id) {
+	if _, err := out.AddState("Discard"); err != nil {
+		return nil, err
+	}
+	for _, st := range s.states {
+		if _, err := out.AddState(stateName(st.t, st.h, len(s.slots))); err != nil {
+			return nil, err
+		}
+	}
+	for id := 0; id < s.NumStates(); id++ {
+		if id <= s.discard {
 			if err := out.MarkAbsorbing(id); err != nil {
 				return nil, err
 			}

@@ -60,8 +60,8 @@ func (m *Model) Solve() (*Result, error) {
 		// transmission during slot t+1; the final distribution makes no
 		// further attempt.
 		if t < horizon {
-			for _, id := range m.s.transmitIDs {
-				attempts += dist[id]
+			for _, b := range m.s.binds {
+				attempts += dist[b.state]
 			}
 		}
 		return nil

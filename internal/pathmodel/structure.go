@@ -2,7 +2,6 @@ package pathmodel
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -10,14 +9,13 @@ import (
 	"wirelesshart/internal/link"
 )
 
-// bindTol is the row-stochasticity tolerance applied when binding values
-// onto a structure's frozen pattern, matching the chain-validation
-// tolerance used at structural build time.
+// bindTol is the row-stochasticity tolerance checked on the structure's
+// base kernel at build time and on every bound kernel.
 const bindTol = 1e-9
 
-// placeholderProb parameterizes the structural chain's transmission edges
-// before any link model is bound. Any value in (0,1) keeps the chain
-// row-stochastic for validation; Bind overwrites every placeholder.
+// placeholderProb parameterizes the base kernel's transmission edges
+// before any link model is bound. Any value in (0,1) keeps every base row
+// stochastic; Bind overwrites every placeholder.
 const placeholderProb = 0.5
 
 // StructKey is the canonical identity of a path DTMC structure: the
@@ -47,6 +45,10 @@ type bindSlot struct {
 	fail  int // value position of the failure edge
 }
 
+// ageHops is a transient state's Algorithm 1 coordinates: the message age
+// t in uplink slots and the number h of hops already completed.
+type ageHops struct{ t, h int }
+
 // Structure is the cacheable, link-model-free skeleton of a path DTMC: the
 // Algorithm 1 state space and the frozen CSR sparsity pattern for one
 // schedule geometry. One Structure serves every scenario sharing its
@@ -55,164 +57,144 @@ type bindSlot struct {
 // with Bind, skipping both chain construction and CSR compilation. A
 // Structure is immutable after BuildStructure and safe for concurrent
 // Bind calls.
+//
+// State ids follow one fixed order: the goals R_{a_1}..R_{a_G} are
+// 0..G-1, the discard state is G, and the transient states follow in
+// success-first depth-first preorder from (0,0). So the absorbing states
+// are exactly the ids <= discard.
 type Structure struct {
 	slots        []int
 	fup, is, ttl int // ttl as configured (0 = default Is*Fup)
 
-	chain   *dtmc.Chain  // placeholder-probability chain (structure only)
-	base    *dtmc.Kernel // compiled pattern shared by every bound kernel
-	baseVal []float64    // pass-through/absorbing values (1); placeholders at bind slots
+	// base is the pattern every bound kernel shares. Its values are 1 on
+	// pass-through and absorbing edges and placeholders at bind slots.
+	base *dtmc.Kernel
 
-	initial     int
-	discard     int
-	goals       []int
-	ages        []int
-	transmit    map[int]hopAttempt
-	transmitIDs []int
-	binds       []bindSlot
+	initial int
+	discard int
+	goals   []int
+	ages    []int
+	binds   []bindSlot // ascending state id
+	states  []ageHops  // transient state discard+1+i is states[i]
 }
 
 // BuildStructure constructs the path DTMC skeleton per Algorithm 1
 // (depth-first from the initial state, memoizing states by (age,
 // hops-completed)) without consulting any link model: transmission edges
-// get placeholder probabilities that Bind replaces.
+// get placeholder probabilities that Bind replaces. Every state's out-edges
+// are arithmetic on (t, h), so the pass writes the CSR layout directly into
+// slices sized up front.
 func BuildStructure(slots []int, fup, is, ttl int) (*Structure, error) {
 	cfg := Config{Slots: slots, Fup: fup, Is: is, TTL: ttl}
 	if err := cfg.validateGeometry(); err != nil {
 		return nil, err
 	}
 	n := len(slots)
-	horizon := is * fup
+	// The TTL never exceeds the horizon Is*Fup, so it bounds both.
 	effTTL := cfg.ttl()
-
-	s := &Structure{
-		slots:    append([]int(nil), slots...),
-		fup:      fup,
-		is:       is,
-		ttl:      ttl,
-		chain:    dtmc.New(),
-		transmit: map[int]hopAttempt{},
-	}
 
 	// Absorbing goal states R_{a_i}, one per cycle whose arrival age is
 	// within the TTL.
 	a0 := slots[n-1]
-	for i := 1; i <= is; i++ {
-		age := a0 + (i-1)*fup
-		if age > effTTL {
-			break
-		}
-		id, err := s.chain.AddState(fmt.Sprintf("R%d", age))
-		if err != nil {
-			return nil, err
-		}
-		if err := s.chain.MarkAbsorbing(id); err != nil {
-			return nil, err
-		}
-		s.goals = append(s.goals, id)
-		s.ages = append(s.ages, age)
+	numGoals := 0
+	if a0 <= effTTL {
+		numGoals = min(is, (effTTL-a0)/fup+1)
 	}
-	discard, err := s.chain.AddState("Discard")
-	if err != nil {
-		return nil, err
-	}
-	if err := s.chain.MarkAbsorbing(discard); err != nil {
-		return nil, err
-	}
-	s.discard = discard
+	discard := numGoals
 
-	// Transient states keyed by (age, hops completed).
-	type key struct{ t, h int }
-	ids := map[key]int{}
-	var construct func(t, h int) (int, error)
-	construct = func(t, h int) (int, error) {
-		// TTL expiry / horizon: the message is dropped the moment its age
-		// reaches the TTL without having arrived, so this "state" is the
-		// discard state itself.
-		if t >= effTTL || t >= horizon {
-			return discard, nil
+	// Size the layout. (t, h) is reachable iff t < TTL and h is at most
+	// the hops an all-success message has completed by age t, which is
+	// the number of hop slots <= t, capped at n-1 (hop n reaches a goal).
+	// It transmits iff hop h+1 is scheduled in the frame slot of age t+1.
+	transient, transmits := 0, 0
+	done := 0
+	for t := 0; t < effTTL; t++ {
+		for done < n && slots[done] <= t {
+			done++
 		}
-		k := key{t: t, h: h}
-		if id, ok := ids[k]; ok {
-			return id, nil
+		hmax := min(done, n-1)
+		transient += hmax + 1
+		for h := 0; h <= hmax; h++ {
+			if slots[h] == t%fup+1 {
+				transmits++
+			}
 		}
-		id, err := s.chain.AddState(stateName(t, h, n))
-		if err != nil {
-			return 0, err
-		}
-		ids[k] = id
+	}
+	numStates := discard + 1 + transient
+	nnz := numStates + transmits
 
+	s := &Structure{
+		slots:   append([]int(nil), slots...),
+		fup:     fup,
+		is:      is,
+		ttl:     ttl,
+		discard: discard,
+		goals:   make([]int, numGoals),
+		ages:    make([]int, numGoals),
+		binds:   make([]bindSlot, 0, transmits),
+		states:  make([]ageHops, 0, transient),
+	}
+	rowPtr := make([]int, numStates+1)
+	col := make([]int, nnz)
+	val := make([]float64, nnz)
+	// Absorbing goal and discard rows keep their mass through a self-loop.
+	for id := 0; id <= discard; id++ {
+		rowPtr[id+1] = id + 1
+		col[id] = id
+		val[id] = 1
+		if id < discard {
+			s.goals[id] = id
+			s.ages[id] = a0 + id*fup
+		}
+	}
+
+	// index[t*n+h] is the id of transient state (t, h), 0 while unvisited
+	// (transient ids start after the discard state, so 0 is never one).
+	index := make([]int, effTTL*n)
+	var visit func(t, h int) int
+	visit = func(t, h int) int {
+		// TTL expiry: the message is dropped the moment its age reaches
+		// the TTL without having arrived, so this "state" is the discard
+		// state itself.
+		if t >= effTTL {
+			return discard
+		}
+		if id := index[t*n+h]; id != 0 {
+			return id
+		}
+		id := discard + 1 + len(s.states)
+		index[t*n+h] = id
+		s.states = append(s.states, ageHops{t: t, h: h})
+		lo := rowPtr[id]
 		next := t + 1
-		frameSlot := (next-1)%fup + 1
-		if frameSlot == slots[h] {
-			// This path's hop h+1 transmits during slot `next`.
-			s.transmit[id] = hopAttempt{hop: h, slot: next}
-			if h == n-1 {
-				// Final hop: success reaches the goal of the current
-				// cycle.
-				gi := (next - slots[n-1]) / fup
-				if gi < 0 || gi >= len(s.goals) {
-					return 0, fmt.Errorf("pathmodel: internal: no goal for arrival age %d", next)
-				}
-				if err := s.chain.AddTransition(id, s.goals[gi], placeholderProb); err != nil {
-					return 0, err
-				}
-			} else {
-				succ, err := construct(next, h+1)
-				if err != nil {
-					return 0, err
-				}
-				if err := s.chain.AddTransition(id, succ, placeholderProb); err != nil {
-					return 0, err
-				}
-			}
-			fail, err := construct(next, h)
-			if err != nil {
-				return 0, err
-			}
-			if err := s.chain.AddTransition(id, fail, 1-placeholderProb); err != nil {
-				return 0, err
-			}
-			return id, nil
+		if t%fup+1 != slots[h] {
+			// No transmission for this message in slot next: age advances.
+			rowPtr[id+1] = lo + 1
+			val[lo] = 1
+			col[lo] = visit(next, h)
+			return id
 		}
-		// No transmission for this message in slot `next`: age advances.
-		nx, err := construct(next, h)
-		if err != nil {
-			return 0, err
+		// Hop h+1 transmits during slot next: the success edge, then the
+		// failure edge.
+		rowPtr[id+1] = lo + 2
+		val[lo], val[lo+1] = placeholderProb, 1-placeholderProb
+		s.binds = append(s.binds, bindSlot{state: id, hop: h, slot: next, succ: lo, fail: lo + 1})
+		if h == n-1 {
+			// Final hop: success reaches the goal of the current cycle.
+			col[lo] = (next - a0) / fup
+		} else {
+			col[lo] = visit(next, h+1)
 		}
-		if err := s.chain.AddTransition(id, nx, 1); err != nil {
-			return 0, err
-		}
-		return id, nil
+		col[lo+1] = visit(next, h)
+		return id
 	}
+	s.initial = visit(0, 0)
 
-	initial, err := construct(0, 0)
+	base, err := dtmc.NewKernel(rowPtr, col, val, bindTol)
 	if err != nil {
 		return nil, err
 	}
-	s.initial = initial
-	if err := s.chain.Validate(bindTol); err != nil {
-		return nil, fmt.Errorf("pathmodel: constructed chain invalid: %w", err)
-	}
-	for id := range s.transmit {
-		s.transmitIDs = append(s.transmitIDs, id)
-	}
-	sort.Ints(s.transmitIDs)
-
-	// Freeze the CSR pattern and locate every transmission's value slots:
-	// the success edge is always added before the failure edge, so a
-	// transmit state's row is exactly [succ, fail].
-	s.base = s.chain.Compile()
-	s.baseVal = s.base.ValuesCopy()
-	s.binds = make([]bindSlot, 0, len(s.transmitIDs))
-	for _, id := range s.transmitIDs {
-		at := s.transmit[id]
-		lo, hi := s.base.RowSpan(id)
-		if hi-lo != 2 {
-			return nil, fmt.Errorf("pathmodel: internal: transmit state %d compiled to %d edges, want 2", id, hi-lo)
-		}
-		s.binds = append(s.binds, bindSlot{state: id, hop: at.hop, slot: at.slot, succ: lo, fail: lo + 1})
-	}
+	s.base = base
 	return s, nil
 }
 
@@ -220,7 +202,7 @@ func BuildStructure(slots []int, fup, is, ttl int) (*Structure, error) {
 func (s *Structure) Key() string { return StructKey(s.slots, s.fup, s.is, s.ttl) }
 
 // NumStates returns the structure's state count (the paper's O(Is*Fs*n)).
-func (s *Structure) NumStates() int { return s.chain.NumStates() }
+func (s *Structure) NumStates() int { return s.base.NumStates() }
 
 // Bind fills per-edge transition values from one availability function per
 // hop and returns the resulting model. The bound kernel shares the
@@ -238,8 +220,7 @@ func (s *Structure) Bind(avails []link.Availability) (*Model, error) {
 			return nil, fmt.Errorf("pathmodel: hop %d has nil availability", h+1)
 		}
 	}
-	vals := make([]float64, len(s.baseVal))
-	copy(vals, s.baseVal)
+	vals := s.base.ValuesCopy()
 	for _, b := range s.binds {
 		ps := avails[b.hop](b.slot)
 		if ps < 0 || ps > 1 {

@@ -2,10 +2,10 @@
 // results corrupt shared state instead of merely losing information. A
 // dropped error from Kernel.Rebind or Structure.Bind means a caller keeps
 // using a kernel whose rows were never revalidated; a dropped
-// Chain.Validate error defeats the only stochasticity check a chain gets;
-// a Compile() whose result is thrown away silently populates the chain's
-// kernel cache. Generic errcheck would flag every fmt.Fprintf in the
-// repo; this pass watches exactly the solver-critical surface.
+// Chain.Validate or NewKernel error defeats the only stochasticity check a
+// chain gets; a Compile() whose result is thrown away compiled for
+// nothing. Generic errcheck would flag every fmt.Fprintf in the repo; this
+// pass watches exactly the solver-critical surface.
 package mustcheck
 
 import (
@@ -31,6 +31,7 @@ var checked = map[string]bool{
 	"(*wirelesshart/internal/dtmc.Chain).Validate":      true,
 	"(*wirelesshart/internal/dtmc.Chain).AddTransition": true,
 	"(*wirelesshart/internal/dtmc.Chain).Compile":       true,
+	"wirelesshart/internal/dtmc.NewKernel":              true,
 	"(*wirelesshart/internal/pathmodel.Structure).Bind": true,
 	"(*wirelesshart/internal/linalg.CSR).WithValues":    true,
 	"wirelesshart/internal/linalg.NewCSR":               true,

@@ -21,12 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"wirelesshart/internal/channel"
 	"wirelesshart/internal/core"
 	"wirelesshart/internal/link"
-	"wirelesshart/internal/pathmodel"
 	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/spec"
 	"wirelesshart/internal/topology"
@@ -43,7 +41,12 @@ type Network struct {
 	models   map[topology.LinkID]link.Model
 	explicit map[topology.LinkID]bool
 	bits     int
-	structs  *structCache
+	// structs is the Network's persistent path-structure cache. Every
+	// analyzer built from this Network shares it, so repeated analyses —
+	// Analyze with different link options, SuggestImprovements,
+	// failure-window sweeps — rebind link availabilities onto cached state
+	// spaces instead of re-running Algorithm 1 per call.
+	structs core.StructureCache
 }
 
 // New returns an empty network using the default message length.
@@ -53,33 +56,8 @@ func New() *Network {
 		models:   map[topology.LinkID]link.Model{},
 		explicit: map[topology.LinkID]bool{},
 		bits:     DefaultMessageBits,
-		structs:  &structCache{m: map[string]*pathmodel.Structure{}},
+		structs:  core.NewStructureMap(),
 	}
-}
-
-// structCache is the Network's persistent path-structure cache. Every
-// analyzer built from this Network shares it, so repeated analyses —
-// Analyze with different link options, SuggestImprovements, failure-window
-// sweeps — rebind link availabilities onto cached state spaces instead of
-// re-running the chain construction per call. Structures depend only on
-// schedule geometry, never on link quality, so entries stay valid across
-// any change of link models or injections.
-type structCache struct {
-	mu sync.Mutex
-	m  map[string]*pathmodel.Structure
-}
-
-func (c *structCache) GetStructure(key string) (*pathmodel.Structure, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.m[key]
-	return s, ok
-}
-
-func (c *structCache) PutStructure(key string, s *pathmodel.Structure) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = s
 }
 
 // Typical returns the paper's typical plant network (Fig. 12): ten field
