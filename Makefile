@@ -1,7 +1,7 @@
 GO ?= go
 
 # Minimum statement coverage for the solver-critical packages.
-COVER_PKGS = ./internal/linalg ./internal/dtmc ./internal/pathmodel ./internal/core ./internal/obs ./internal/link ./internal/channel ./internal/cluster
+COVER_PKGS = ./internal/linalg ./internal/dtmc ./internal/pathmodel ./internal/core ./internal/obs ./internal/link ./internal/channel ./internal/cluster ./internal/spec
 COVER_MIN  = 85
 
 .PHONY: all build test race vet lint lint-selftest sarif bench bench-check cover fleet-smoke cluster-smoke clean

@@ -92,6 +92,7 @@ func run(args []string, w io.Writer) error {
 		Net:       built.Net,
 		Sched:     sched,
 		Is:        built.Analyzer.Is(),
+		TTL:       built.Analyzer.TTL(),
 		Fdown:     built.Analyzer.Fdown(),
 		Intervals: *intervals,
 		Seed:      *seed,

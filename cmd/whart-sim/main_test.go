@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -44,5 +47,42 @@ func TestRunSimErrors(t *testing.T) {
 	}
 	if err := run([]string{"-typical", "-intervals", "0"}, &b); err == nil {
 		t.Error("zero intervals should error")
+	}
+}
+
+// TestRunHonorsSpecTTL simulates a spec whose TTL cuts the reporting
+// interval short: the simulator must expire messages at the same TTL the
+// analysis uses, so the reachability gap stays within sampling noise.
+func TestRunHonorsSpecTTL(t *testing.T) {
+	doc := `{
+	  "nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}, {"name": "n2"}, {"name": "n3"}],
+	  "links": [
+	    {"a": "n1", "b": "G", "availability": 0.7},
+	    {"a": "n2", "b": "n1", "availability": 0.7},
+	    {"a": "n3", "b": "n2", "availability": 0.7}
+	  ],
+	  "schedule": {"policy": "shortest-first", "extraIdle": 1},
+	  "reportingInterval": 4,
+	  "ttl": 8
+	}`
+	path := filepath.Join(t.TempDir(), "ttl.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := run([]string{"-spec", path, "-intervals", "5000", "-seed", "1"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "largest |analytic - simulated| reachability gap: "
+	i := strings.Index(b.String(), prefix)
+	if i < 0 {
+		t.Fatalf("output has no reachability gap line:\n%s", b.String())
+	}
+	gap, err := strconv.ParseFloat(strings.TrimSpace(b.String()[i+len(prefix):]), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gap > 0.03 {
+		t.Errorf("reachability gap %v under a TTL of 8 slots, want sampling noise only:\n%s", gap, b.String())
 	}
 }

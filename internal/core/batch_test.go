@@ -22,7 +22,7 @@ func scalarSensitivity(t *testing.T, a *Analyzer, delta float64) map[topology.Li
 	baseMean := meanReach(base)
 	out := map[topology.LinkID][2]float64{}
 	for _, l := range a.net.Links() {
-		m := a.LinkModel(l.ID)
+		m := link.MemorylessEquivalent(a.LinkProcess(l.ID))
 		improvedAvail := m.SteadyUp() + delta
 		if improvedAvail > 1 {
 			improvedAvail = 1

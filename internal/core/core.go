@@ -286,13 +286,6 @@ func (a *Analyzer) LinkProcess(id topology.LinkID) link.Process {
 	return a.uniform
 }
 
-// LinkModel returns the two-state view of the process in effect for a
-// link: the process itself when it is a classic model, otherwise the
-// memoryless equivalent with the same stationary availability.
-func (a *Analyzer) LinkModel(id topology.LinkID) link.Model {
-	return link.MemorylessEquivalent(a.LinkProcess(id))
-}
-
 // availability returns the per-slot availability in effect for a link.
 func (a *Analyzer) availability(id topology.LinkID) link.Availability {
 	if av, ok := a.overrides[id]; ok {
@@ -315,6 +308,10 @@ func (a *Analyzer) Fdown() int { return a.fdown }
 
 // Is returns the reporting interval.
 func (a *Analyzer) Is() int { return a.is }
+
+// TTL returns the message TTL override in uplink slots (0 selects the
+// default Is*Fup).
+func (a *Analyzer) TTL() int { return a.ttl }
 
 // Sources returns the reporting sources in source-id order: the order of
 // PathModels and of the results AssembleAnalysis takes.

@@ -100,7 +100,7 @@ func TestDefaults(t *testing.T) {
 		t.Errorf("default Fdown = %d, want Fup = 20", a.Fdown())
 	}
 	// Default link model: BER 2e-4 -> pi(up) = 0.8304.
-	if got := a.LinkModel(0).SteadyUp(); math.Abs(got-0.8304) > 5e-4 {
+	if got := a.LinkProcess(0).SteadyUp(); math.Abs(got-0.8304) > 5e-4 {
 		t.Errorf("default availability = %v, want 0.8304", got)
 	}
 	if len(a.Routes()) != 10 {

@@ -98,8 +98,8 @@ func TestAnalyzeKStateFadingLink(t *testing.T) {
 	}
 	// The memoryless view reports the fading process's stationary
 	// availability.
-	if d := math.Abs(faded.LinkModel(fadingLink.ID).SteadyUp() - bursty.SteadyUp()); d > 1e-12 {
-		t.Errorf("LinkModel steady availability diverges from process by %v", d)
+	if d := math.Abs(link.MemorylessEquivalent(faded.LinkProcess(fadingLink.ID)).SteadyUp() - bursty.SteadyUp()); d > 1e-12 {
+		t.Errorf("memoryless steady availability diverges from process by %v", d)
 	}
 	if faded.LinkProcess(fadingLink.ID).States() != 3 {
 		t.Error("LinkProcess did not surface the configured k=3 process")

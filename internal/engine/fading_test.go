@@ -104,10 +104,11 @@ func TestFadingTwoStateEngineEquivalence(t *testing.T) {
 	scalar := fadingSpec(nil)
 	// Match the scalar default exactly: resolve the default-parameterized
 	// link to its model and spell that model as a fading block.
-	m, err := scalar.ResolveLink(scalar.Links[0])
+	p, err := scalar.ResolveLinkProcess(scalar.Links[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := link.MemorylessEquivalent(p)
 	embed := fadingSpec(&spec.Fading{
 		Transitions: [][]float64{
 			{1 - m.FailureProb(), m.FailureProb()},

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"wirelesshart/internal/link"
 	"wirelesshart/internal/spec"
 )
 
@@ -20,11 +21,11 @@ func mustKey(t *testing.T, s *spec.Spec) string {
 // 2e-4 over 1016 bits: 1-(1-2e-4)^1016.
 func typicalPFl(t *testing.T) float64 {
 	t.Helper()
-	m, err := (&spec.Spec{}).ResolveLink(spec.Link{A: "a", B: "b"})
+	p, err := (&spec.Spec{}).ResolveLinkProcess(spec.Link{A: "a", B: "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.FailureProb()
+	return link.MemorylessEquivalent(p).FailureProb()
 }
 
 func TestKeyCanonicalization(t *testing.T) {

@@ -56,11 +56,10 @@ func (m Model) AppendKey(b []byte) []byte {
 }
 
 // MemorylessEquivalent reduces a process to the two-state view used where
-// an API predates richer processes (e.g. the analyzer's LinkModel accessor
-// for a fading link): a classic model passes through unchanged; any other
-// process maps to the iid chain p_fl = 1-a, p_rc = a for its stationary
-// availability a. The iid chain is the unique two-state model that is
-// genuinely memoryless — lambda = 1-p_fl-p_rc = 0, so its per-slot
+// code needs (p_fl, p_rc) parameters: a classic model passes through
+// unchanged; any other process maps to the iid chain p_fl = 1-a, p_rc = a
+// for its stationary availability a. The iid chain is the unique two-state
+// model that is genuinely memoryless — lambda = 1-p_fl-p_rc = 0, so its per-slot
 // availability equals a from every initial state — and it exists for the
 // whole range a in [0,1] that a process's SteadyUp can produce (a = 0 is
 // clamped just above zero: a two-state model needs a positive recovery

@@ -145,18 +145,13 @@ func (s *Spec) Write(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// Built is the realized network ready for analysis.
+// Built is the realized network ready for analysis. The analyzer owns
+// the resolved per-link processes (Analyzer.LinkProcess) and the reporting
+// sources (Analyzer.Sources).
 type Built struct {
 	Net      *topology.Network
 	Schedule schedule.Plan
 	Analyzer *core.Analyzer
-	// Sources are the field devices in declaration order.
-	Sources []topology.NodeID
-	// LinkProcesses maps link ids to their effective link processes.
-	LinkProcesses map[topology.LinkID]link.Process
-	// LinkModels maps link ids to the two-state view of their effective
-	// processes (the memoryless equivalent for fading links).
-	LinkModels map[topology.LinkID]link.Model
 	// Failures maps link ids to their declared failure injections.
 	Failures map[topology.LinkID]Failure
 }
@@ -178,7 +173,6 @@ func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
 	bits := s.Bits()
 	net := topology.NewNetwork()
 	ids := map[string]topology.NodeID{}
-	var sources []topology.NodeID
 	for _, n := range s.Nodes {
 		kind := topology.FieldDevice
 		switch n.Kind {
@@ -193,13 +187,9 @@ func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
 			return nil, fmt.Errorf("spec: %w", err)
 		}
 		ids[n.Name] = id
-		if kind == topology.FieldDevice {
-			sources = append(sources, id)
-		}
 	}
 
 	linkProcs := map[topology.LinkID]link.Process{}
-	linkModels := map[topology.LinkID]link.Model{}
 	injections := map[topology.LinkID]link.Availability{}
 	failures := map[topology.LinkID]Failure{}
 	for i, l := range s.Links {
@@ -217,7 +207,6 @@ func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
 			return nil, fmt.Errorf("spec: link %q-%q: %w", l.A, l.B, err)
 		}
 		linkProcs[lid] = p
-		linkModels[lid] = link.MemorylessEquivalent(p)
 		if l.Failure != nil {
 			av, err := failureAvailability(p, l.Failure)
 			if err != nil {
@@ -282,15 +271,7 @@ func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Built{
-		Net:           net,
-		Schedule:      sched,
-		Analyzer:      an,
-		Sources:       sources,
-		LinkProcesses: linkProcs,
-		LinkModels:    linkModels,
-		Failures:      failures,
-	}, nil
+	return &Built{Net: net, Schedule: sched, Analyzer: an, Failures: failures}, nil
 }
 
 // Bits returns the effective message length in bits (default 1016, the
@@ -300,19 +281,6 @@ func (s *Spec) Bits() int {
 		return channel.DefaultMessageBits
 	}
 	return s.MessageBits
-}
-
-// ResolveLink returns the two-state view of the effective link process of
-// one declared link under this spec's message length and default BER — the
-// model itself for scalar-parameterized links, the memoryless equivalent
-// for fading links. It lets callers compare links by their semantics
-// rather than by which physical field happened to parameterize them.
-func (s *Spec) ResolveLink(l Link) (link.Model, error) {
-	p, err := s.linkProcess(l, s.Bits())
-	if err != nil {
-		return link.Model{}, err
-	}
-	return link.MemorylessEquivalent(p), nil
 }
 
 // ResolveLinkProcess returns the effective link process of one declared

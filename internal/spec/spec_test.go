@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wirelesshart/internal/link"
 )
 
 func TestParseRejectsUnknownFields(t *testing.T) {
@@ -35,7 +37,7 @@ func TestParseMinimal(t *testing.T) {
 	if b.Net.NumNodes() != 2 || b.Net.NumLinks() != 1 {
 		t.Errorf("network %d nodes / %d links", b.Net.NumNodes(), b.Net.NumLinks())
 	}
-	pa, err := b.Analyzer.AnalyzePath(b.Sources[0])
+	pa, err := b.Analyzer.AnalyzePath(b.Analyzer.Sources()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestLinkModelPriority(t *testing.T) {
 	}
 	want := []float64{0.111, 0.0966, 0.089, 0.9 * (1 - 0.903) / 0.903}
 	for i, l := range b.Net.Links() {
-		m := b.LinkModels[l.ID]
+		m := link.MemorylessEquivalent(b.Analyzer.LinkProcess(l.ID))
 		if math.Abs(m.FailureProb()-want[i]) > 5e-4 {
 			t.Errorf("link %d p_fl = %v, want ~%v", i, m.FailureProb(), want[i])
 		}
@@ -343,7 +345,7 @@ func TestTTLAndFdownPassThrough(t *testing.T) {
 	if b.Analyzer.Fdown() != 3 {
 		t.Errorf("Fdown = %d, want 3", b.Analyzer.Fdown())
 	}
-	pa, err := b.Analyzer.AnalyzePath(b.Sources[0])
+	pa, err := b.Analyzer.AnalyzePath(b.Analyzer.Sources()[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"wirelesshart/internal/measures"
 	"wirelesshart/internal/pathmodel"
 	"wirelesshart/internal/schedule"
+	"wirelesshart/internal/spec"
 	"wirelesshart/internal/topology"
 )
 
@@ -90,23 +91,17 @@ func (r *Report) PathBySource(name string) (PathReport, bool) {
 // Analyze builds the schedule, solves every path DTMC and returns the
 // network report.
 func (n *Network) Analyze(opts ...Option) (*Report, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		if err := opt(o); err != nil {
-			return nil, err
-		}
-	}
-	a, sched, err := n.build(o)
+	b, err := n.build(opts)
 	if err != nil {
 		return nil, err
 	}
-	na, err := a.Analyze()
+	na, err := b.Analyzer.Analyze()
 	if err != nil {
 		return nil, err
 	}
 	out := &Report{
-		Fup:                sched.Fup(),
-		Schedule:           sched.Format(n.topo),
+		Fup:                b.Schedule.Fup(),
+		Schedule:           b.Schedule.Format(b.Net),
 		OverallMeanDelayMS: na.OverallMeanDelayMS,
 		Utilization:        na.UtilizationExact,
 	}
@@ -114,11 +109,11 @@ func (n *Network) Analyze(opts ...Option) (*Report, error) {
 		out.OverallDelay = append(out.OverallDelay, DelayPoint{MS: x, Prob: na.OverallDelay.Prob(x)})
 	}
 	for _, pa := range na.Paths {
-		pr, err := n.pathReport(pa, sched)
+		pr, err := pathReport(b, pa)
 		if err != nil {
 			return nil, err
 		}
-		rt, err := a.AnalyzeRoundTrip(pa.Source)
+		rt, err := b.Analyzer.AnalyzeRoundTrip(pa.Source)
 		if err != nil {
 			return nil, err
 		}
@@ -130,14 +125,14 @@ func (n *Network) Analyze(opts ...Option) (*Report, error) {
 	return out, nil
 }
 
-func (n *Network) pathReport(pa *core.PathAnalysis, sched schedule.Plan) (PathReport, error) {
-	srcNode, err := n.topo.Node(pa.Source)
+func pathReport(b *spec.Built, pa *core.PathAnalysis) (PathReport, error) {
+	srcNode, err := b.Net.Node(pa.Source)
 	if err != nil {
 		return PathReport{}, err
 	}
 	var route []string
 	for _, id := range pa.Path.Nodes() {
-		node, err := n.topo.Node(id)
+		node, err := b.Net.Node(id)
 		if err != nil {
 			return PathReport{}, err
 		}
@@ -147,7 +142,7 @@ func (n *Network) pathReport(pa *core.PathAnalysis, sched schedule.Plan) (PathRe
 		Source:          srcNode.Name,
 		Route:           route,
 		Hops:            pa.Path.Hops(),
-		Slots:           sched.SlotsForSource(pa.Source),
+		Slots:           b.Schedule.SlotsForSource(pa.Source),
 		Reachability:    pa.Reachability,
 		CycleProbs:      measures.CycleFunction(pa.Result),
 		ExpectedDelayMS: pa.ExpectedDelayMS,
@@ -208,62 +203,34 @@ func (r *SimReport) PathBySource(name string) (SimPathReport, bool) {
 // link parameters as Analyze. Failure-injection options (LinkDownDuring,
 // LinkPermanentlyDown) are honored.
 func (n *Network) Simulate(intervals int, seed int64, opts ...Option) (*SimReport, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		if err := opt(o); err != nil {
-			return nil, err
-		}
-	}
-	// Build the schedule the same way Analyze does (also validates).
-	_, plan, err := n.build(o)
+	b, err := n.build(opts)
 	if err != nil {
 		return nil, err
 	}
-	sched, ok := plan.(schedule.ExecutablePlan)
+	sched, ok := b.Schedule.(schedule.ExecutablePlan)
 	if !ok {
 		return nil, errors.New("wirelesshart: schedule is not executable")
 	}
-	// Per-link processes with injections.
+	// One steady process per link, honoring the failure injections.
 	procs := map[topology.LinkID]des.LinkProcess{}
-	o2 := defaultOptions()
-	for _, opt := range opts {
-		if err := opt(o2); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range n.topo.Links() {
-		na, err := n.topo.Node(l.A)
-		if err != nil {
-			return nil, err
-		}
-		nb, err := n.topo.Node(l.B)
-		if err != nil {
-			return nil, err
-		}
-		key := linkKey(na.Name, nb.Name)
-		m := n.models[l.ID]
-		var proc des.LinkProcess = des.NewGilbertSteady(m)
-		if o2.deadLinks[key] {
-			proc = &des.ForcedWindowProcess{Base: proc, From: 0, To: 1 << 30}
-		} else if win, ok := o2.downLinks[key]; ok {
-			proc = &des.ForcedWindowProcess{Base: proc, From: win[0], To: win[1]}
+	for _, l := range b.Net.Links() {
+		proc := des.NewProcessSteady(b.Analyzer.LinkProcess(l.ID))
+		if f, ok := b.Failures[l.ID]; ok {
+			switch f.Kind {
+			case "permanent":
+				proc = &des.ForcedWindowProcess{Base: proc, From: 0, To: 1 << 30}
+			case "window":
+				proc = &des.ForcedWindowProcess{Base: proc, From: f.FromSlot, To: f.ToSlot}
+			}
 		}
 		procs[l.ID] = proc
 	}
-	ttl := 0
-	if o.ttl > 0 {
-		ttl = o.ttl
-	}
-	fdown := o.fdown
-	if fdown < 0 {
-		fdown = -1
-	}
 	res, err := des.Run(des.Config{
-		Net:       n.topo,
+		Net:       b.Net,
 		Sched:     sched,
-		Is:        o.is,
-		TTL:       ttl,
-		Fdown:     fdown,
+		Is:        b.Analyzer.Is(),
+		TTL:       b.Analyzer.TTL(),
+		Fdown:     b.Analyzer.Fdown(),
 		Intervals: intervals,
 		Seed:      seed,
 		Links:     procs,
@@ -273,7 +240,7 @@ func (n *Network) Simulate(intervals int, seed int64, opts ...Option) (*SimRepor
 	}
 	out := &SimReport{Intervals: res.Intervals, Utilization: res.NetworkUtilization()}
 	for _, p := range res.Paths {
-		srcNode, err := n.topo.Node(p.Source)
+		srcNode, err := b.Net.Node(p.Source)
 		if err != nil {
 			return nil, err
 		}
@@ -311,27 +278,21 @@ type LinkSuggestion struct {
 // one (raising its stationary availability by delta) would raise the mean
 // per-path reachability — the paper's "routing suggestions" made concrete.
 func (n *Network) SuggestImprovements(delta float64, opts ...Option) ([]LinkSuggestion, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		if err := opt(o); err != nil {
-			return nil, err
-		}
-	}
-	a, _, err := n.build(o)
+	b, err := n.build(opts)
 	if err != nil {
 		return nil, err
 	}
-	sens, err := a.SensitivityAnalysis(delta)
+	sens, err := b.Analyzer.SensitivityAnalysis(delta)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]LinkSuggestion, 0, len(sens))
 	for _, s := range sens {
-		na, err := n.topo.Node(s.Link.A)
+		na, err := b.Net.Node(s.Link.A)
 		if err != nil {
 			return nil, err
 		}
-		nb, err := n.topo.Node(s.Link.B)
+		nb, err := b.Net.Node(s.Link.B)
 		if err != nil {
 			return nil, err
 		}
@@ -389,19 +350,13 @@ func (n *Network) PredictAttachment(via string, ebN0 float64, opts ...Option) (*
 // leaving the new node, the last entry the hop arriving at the named
 // existing node.
 func (n *Network) PredictMultiHopAttachment(via string, ebN0s []float64, opts ...Option) (*Prediction, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		if err := opt(o); err != nil {
-			return nil, err
-		}
-	}
-	node, ok := n.topo.NodeByName(via)
-	if !ok {
-		return nil, fmt.Errorf("wirelesshart: unknown node %q", via)
-	}
-	a, _, err := n.build(o)
+	b, err := n.build(opts)
 	if err != nil {
 		return nil, err
+	}
+	node, ok := b.Net.NodeByName(via)
+	if !ok {
+		return nil, fmt.Errorf("wirelesshart: unknown node %q", via)
 	}
 	peers := make([]link.Model, len(ebN0s))
 	for i, e := range ebN0s {
@@ -411,11 +366,11 @@ func (n *Network) PredictMultiHopAttachment(via string, ebN0s []float64, opts ..
 		}
 		peers[i] = m
 	}
-	cycles, reach, err := a.PredictPeerComposition(node.ID, peers)
+	cycles, reach, err := b.Analyzer.PredictPeerComposition(node.ID, peers)
 	if err != nil {
 		return nil, err
 	}
-	routes := a.Routes()
+	routes := b.Analyzer.Routes()
 	return &Prediction{
 		Via:          via,
 		CycleProbs:   cycles,

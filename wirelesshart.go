@@ -25,7 +25,6 @@ import (
 	"wirelesshart/internal/channel"
 	"wirelesshart/internal/core"
 	"wirelesshart/internal/link"
-	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/spec"
 	"wirelesshart/internal/topology"
 )
@@ -37,10 +36,9 @@ const DefaultMessageBits = channel.DefaultMessageBits
 // Network is a WirelessHART mesh under construction. The zero value is not
 // usable; create one with New.
 type Network struct {
-	topo     *topology.Network
-	models   map[topology.LinkID]link.Model
-	explicit map[topology.LinkID]bool
-	bits     int
+	topo   *topology.Network
+	models map[topology.LinkID]link.Model
+	bits   int
 	// structs is the Network's persistent path-structure cache. Every
 	// analyzer built from this Network shares it, so repeated analyses —
 	// Analyze with different link options, SuggestImprovements,
@@ -52,11 +50,10 @@ type Network struct {
 // New returns an empty network using the default message length.
 func New() *Network {
 	return &Network{
-		topo:     topology.NewNetwork(),
-		models:   map[topology.LinkID]link.Model{},
-		explicit: map[topology.LinkID]bool{},
-		bits:     DefaultMessageBits,
-		structs:  core.NewStructureMap(),
+		topo:    topology.NewNetwork(),
+		models:  map[topology.LinkID]link.Model{},
+		bits:    DefaultMessageBits,
+		structs: core.NewStructureMap(),
 	}
 }
 
@@ -161,7 +158,6 @@ func (n *Network) Link(a, b string, opts ...LinkOption) error {
 	}
 	var m link.Model
 	var err error
-	explicit := true
 	switch {
 	case s.pfl != nil:
 		m, err = link.New(*s.pfl, s.prc)
@@ -173,7 +169,6 @@ func (n *Network) Link(a, b string, opts ...LinkOption) error {
 		m, err = link.FromAvailability(*s.avail, s.prc)
 	default:
 		m, err = link.FromBER(2e-4, n.bits, s.prc)
-		explicit = false
 	}
 	if err != nil {
 		return err
@@ -183,7 +178,6 @@ func (n *Network) Link(a, b string, opts ...LinkOption) error {
 		return err
 	}
 	n.models[id] = m
-	n.explicit[id] = explicit
 	return nil
 }
 
@@ -321,9 +315,10 @@ func ExplicitSlots(fup int, slots map[string][]int) Option {
 
 // Channels sets the number of parallel frequency channels the schedule may
 // use per slot (TDMA+FDMA; the standard allows one transaction per channel
-// per slot). The default 1 reproduces the paper's single-channel
-// schedules; higher values shrink the frame and every delay. Both Analyze
-// and Simulate support multi-channel schedules.
+// per slot). It applies to generated schedules only: combined with
+// ExplicitSlots it is an error. The default 1 reproduces the paper's
+// single-channel schedules; higher values shrink the frame and every
+// delay. Both Analyze and Simulate support multi-channel schedules.
 func Channels(n int) Option {
 	return func(o *options) error {
 		if n < 1 || n > 16 {
@@ -380,67 +375,63 @@ func linkKey(a, b string) string {
 	return a + "|" + b
 }
 
-func defaultOptions() *options {
-	return &options{is: 4, fdown: -1, policy: ShortestFirst, extraIdle: 1, channels: 1}
-}
-
-// build realizes the analyzer for the current options.
-func (n *Network) build(o *options) (*core.Analyzer, schedule.Plan, error) {
-	routes, err := n.topo.UplinkRoutes()
-	if err != nil {
-		return nil, nil, err
-	}
-	if o.explicit != nil {
-		return n.buildExplicit(o, routes)
-	}
-	var order []topology.NodeID
-	if len(o.priority) > 0 {
-		for _, name := range o.priority {
-			node, ok := n.topo.NodeByName(name)
-			if !ok {
-				return nil, nil, fmt.Errorf("wirelesshart: unknown node %q in priority", name)
-			}
-			order = append(order, node.ID)
-		}
-	} else if o.policy == LongestFirst {
-		order = schedule.LongestFirst(routes)
-	} else {
-		order = schedule.ShortestFirst(routes)
-	}
-	var sched schedule.Plan
-	if o.channels > 1 {
-		sched, err = schedule.BuildMultiChannel(routes, order, o.channels, o.extraIdle)
-	} else {
-		sched, err = schedule.BuildPriority(routes, order, o.extraIdle)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return n.finishBuild(o, sched, nil)
-}
-
-// Spec exports the network together with the given analysis options as a
-// fully specified JSON scenario — the canonical form consumed by the
-// concurrent evaluation engine (internal/engine) and cmd/whart-server.
-// Analyzing the returned spec yields exactly the same results as calling
-// Analyze with the same options. DownlinkFrame(0) has no spec
-// representation and is rejected.
-func (n *Network) Spec(opts ...Option) (*spec.Spec, error) {
-	o := defaultOptions()
+// applyOptions returns the analysis settings the options select.
+func applyOptions(opts []Option) (*options, error) {
+	o := &options{is: 4, fdown: -1, policy: ShortestFirst, extraIdle: 1, channels: 1}
 	for _, opt := range opts {
 		if err := opt(o); err != nil {
 			return nil, err
 		}
 	}
+	return o, nil
+}
+
+// build realizes the options through the exported spec — the same
+// spec.BuildWith path the engine, server and CLIs take — sharing the
+// Network's structure cache. DownlinkFrame(0) has no spec field, so it
+// reaches the analyzer as an extra option.
+func (n *Network) build(opts []Option) (*spec.Built, error) {
+	o, err := applyOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	s, err := n.spec(o)
+	if err != nil {
+		return nil, err
+	}
+	extra := []core.Option{core.WithStructureCache(n.structs)}
+	if o.fdown == 0 {
+		extra = append(extra, core.WithDownlinkFrame(0))
+	}
+	return s.BuildWith(extra...)
+}
+
+// Spec exports the network together with the given analysis options as a
+// fully specified JSON scenario — the canonical form consumed by the
+// concurrent evaluation engine (internal/engine) and cmd/whart-server.
+// Analyze realizes the same spec, so analyzing the returned spec yields
+// exactly the same results as calling Analyze with the same options.
+// DownlinkFrame(0) has no spec representation and is rejected.
+func (n *Network) Spec(opts ...Option) (*spec.Spec, error) {
+	o, err := applyOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	if o.fdown == 0 {
+		return nil, errors.New("wirelesshart: a zero downlink frame cannot be expressed as a spec")
+	}
+	return n.spec(o)
+}
+
+// spec exports the network under o, leaving a zero downlink frame out. It
+// consumes o's failure maps.
+func (n *Network) spec(o *options) (*spec.Spec, error) {
 	s := &spec.Spec{
 		ReportingInterval: o.is,
 		TTL:               o.ttl,
 		MessageBits:       n.bits,
 	}
-	switch {
-	case o.fdown == 0:
-		return nil, errors.New("wirelesshart: a zero downlink frame cannot be expressed as a spec")
-	case o.fdown > 0:
+	if o.fdown > 0 {
 		s.Fdown = o.fdown
 	}
 	for _, node := range n.topo.Nodes() {
@@ -449,14 +440,6 @@ func (n *Network) Spec(opts ...Option) (*spec.Spec, error) {
 			kind = "gateway"
 		}
 		s.Nodes = append(s.Nodes, spec.Node{Name: node.Name, Kind: kind})
-	}
-	dead := map[string]bool{}
-	for k, v := range o.deadLinks {
-		dead[k] = v
-	}
-	down := map[string][2]int{}
-	for k, v := range o.downLinks {
-		down[k] = v
 	}
 	for _, l := range n.topo.Links() {
 		na, err := n.topo.Node(l.A)
@@ -471,19 +454,19 @@ func (n *Network) Spec(opts ...Option) (*spec.Spec, error) {
 		pfl, prc := m.FailureProb(), m.RecoveryProb()
 		sl := spec.Link{A: na.Name, B: nb.Name, PFl: &pfl, PRc: &prc}
 		key := linkKey(na.Name, nb.Name)
-		if dead[key] {
+		if o.deadLinks[key] {
 			sl.Failure = &spec.Failure{Kind: "permanent"}
-			delete(dead, key)
-		} else if win, ok := down[key]; ok {
+			delete(o.deadLinks, key)
+		} else if win, ok := o.downLinks[key]; ok {
 			sl.Failure = &spec.Failure{Kind: "window", FromSlot: win[0], ToSlot: win[1]}
-			delete(down, key)
+			delete(o.downLinks, key)
 		}
 		s.Links = append(s.Links, sl)
 	}
-	for key := range dead {
+	for key := range o.deadLinks {
 		return nil, fmt.Errorf("wirelesshart: permanent failure on unknown link %q", key)
 	}
-	for key := range down {
+	for key := range o.downLinks {
 		return nil, fmt.Errorf("wirelesshart: failure window on unknown link %q", key)
 	}
 	switch {
@@ -542,103 +525,4 @@ func (n *Network) Spec(opts ...Option) (*spec.Spec, error) {
 		s.Schedule.Channels = o.channels
 	}
 	return s, nil
-}
-
-// buildExplicit realizes an ExplicitSlots schedule.
-func (n *Network) buildExplicit(o *options, routes map[topology.NodeID]topology.Path) (*core.Analyzer, schedule.Plan, error) {
-	sched, err := schedule.New(o.expFup)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Sorted source-name order: both the reporting-source list and the
-	// first validation error reported must not depend on map order.
-	names := make([]string, 0, len(o.explicit))
-	for name := range o.explicit {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sources []topology.NodeID
-	for _, name := range names {
-		slots := o.explicit[name]
-		node, ok := n.topo.NodeByName(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("wirelesshart: unknown source %q in explicit schedule", name)
-		}
-		p, ok := routes[node.ID]
-		if !ok {
-			return nil, nil, fmt.Errorf("wirelesshart: node %q has no route", name)
-		}
-		if len(slots) != p.Hops() {
-			return nil, nil, fmt.Errorf("wirelesshart: source %q has %d slots for %d hops",
-				name, len(slots), p.Hops())
-		}
-		nodes := p.Nodes()
-		for h, slot := range slots {
-			if err := sched.SetTransmission(slot, nodes[h], nodes[h+1], node.ID); err != nil {
-				return nil, nil, err
-			}
-		}
-		sources = append(sources, node.ID)
-	}
-	return n.finishBuild(o, sched, sources)
-}
-
-// finishBuild attaches link models and failure injections and constructs
-// the analyzer. sources restricts reporting devices (nil = all routed).
-func (n *Network) finishBuild(o *options, sched schedule.Plan, sources []topology.NodeID) (*core.Analyzer, schedule.Plan, error) {
-	opts := []core.Option{core.WithReportingInterval(o.is), core.WithStructureCache(n.structs)}
-	if sources != nil {
-		opts = append(opts, core.WithSources(sources...))
-	}
-	if o.fdown >= 0 {
-		opts = append(opts, core.WithDownlinkFrame(o.fdown))
-	}
-	if o.ttl > 0 {
-		opts = append(opts, core.WithTTL(o.ttl))
-	}
-	modelIDs := make([]topology.LinkID, 0, len(n.models))
-	for id := range n.models {
-		modelIDs = append(modelIDs, id)
-	}
-	sort.Slice(modelIDs, func(i, j int) bool { return modelIDs[i] < modelIDs[j] })
-	for _, id := range modelIDs {
-		opts = append(opts, core.WithLinkProcess(id, n.models[id]))
-	}
-	// Failure injections by link name.
-	for _, l := range n.topo.Links() {
-		na, err := n.topo.Node(l.A)
-		if err != nil {
-			return nil, nil, err
-		}
-		nb, err := n.topo.Node(l.B)
-		if err != nil {
-			return nil, nil, err
-		}
-		key := linkKey(na.Name, nb.Name)
-		if o.deadLinks[key] {
-			opts = append(opts, core.WithLinkAvailability(l.ID, link.PermanentDown()))
-			delete(o.deadLinks, key)
-			continue
-		}
-		if win, ok := o.downLinks[key]; ok {
-			m := n.models[l.ID]
-			av, err := m.DownDuring(win[0], win[1], m.Steady())
-			if err != nil {
-				return nil, nil, err
-			}
-			opts = append(opts, core.WithLinkAvailability(l.ID, av))
-			delete(o.downLinks, key)
-		}
-	}
-	for key := range o.deadLinks {
-		return nil, nil, fmt.Errorf("wirelesshart: permanent failure on unknown link %q", key)
-	}
-	for key := range o.downLinks {
-		return nil, nil, fmt.Errorf("wirelesshart: failure window on unknown link %q", key)
-	}
-	a, err := core.New(n.topo, sched, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return a, sched, nil
 }

@@ -1,9 +1,17 @@
 package wirelesshart
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"wirelesshart/internal/engine"
 )
 
 func mustTypical(t *testing.T) *Network {
@@ -587,5 +595,215 @@ func TestExplicitSlotsValidation(t *testing.T) {
 	}
 	if _, err := n.Analyze(ExplicitSlots(7, map[string][]int{"n1": {9}})); err == nil {
 		t.Error("slot beyond frame should error")
+	}
+}
+
+// facadeCase is one row of the facade option table: a network, analysis
+// options, and the attachment probe PredictMultiHopAttachment runs on it.
+type facadeCase struct {
+	name  string
+	net   *Network
+	opts  []Option
+	via   string
+	ebN0s []float64
+}
+
+// mixedNetwork is a small mesh whose links cover every LinkOption: BER,
+// EbN0, Availability, FailureProb, a Recovery override and the default.
+func mixedNetwork(t *testing.T) *Network {
+	t.Helper()
+	n := New()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(n.Gateway("G"))
+	for _, d := range []string{"a", "b", "c", "d", "e", "f"} {
+		must(n.Device(d))
+	}
+	must(n.Link("a", "G", BER(1e-4)))
+	must(n.Link("b", "G", EbN0(8)))
+	must(n.Link("c", "a", Availability(0.9)))
+	must(n.Link("d", "b", FailureProb(0.15)))
+	must(n.Link("e", "c", Availability(0.85), Recovery(0.7)))
+	must(n.Link("f", "d"))
+	return n
+}
+
+// facadeCases is the option table shared by the facade contract test and
+// the facade golden.
+func facadeCases(t *testing.T) []facadeCase {
+	t.Helper()
+	typ := func(name string, opts ...Option) facadeCase {
+		return facadeCase{name: name, net: mustTypical(t), opts: opts, via: "n4", ebN0s: []float64{6.5, 7}}
+	}
+	return []facadeCase{
+		typ("defaults"),
+		typ("is2", ReportingInterval(2)),
+		typ("longest-first", Policy(LongestFirst)),
+		typ("priority", Priority("n10", "n9", "n8", "n7", "n6", "n5", "n4", "n3", "n2", "n1")),
+		typ("ttl", TTL(50)),
+		typ("fdown12", DownlinkFrame(12)),
+		typ("channels3", Channels(3)),
+		typ("no-idle", ExtraIdleSlots(0)),
+		typ("window", LinkDownDuring("G", "n3", 5, 25)),
+		typ("permanent", LinkPermanentlyDown("n2", "G")),
+		{name: "explicit", net: mustTypical(t), via: "n10", ebN0s: []float64{6.5, 7},
+			opts: []Option{ExplicitSlots(7, map[string][]int{"n10": {3, 6, 7}, "n1": {1}})}},
+		{name: "mixed-links", net: mixedNetwork(t), opts: []Option{ReportingInterval(3)}, via: "c", ebN0s: []float64{7.5}},
+	}
+}
+
+// facadeOutcome records every facade output of one case; a failed call
+// records only that it failed, never its error text.
+type facadeOutcome struct {
+	Name        string
+	Analyze     *Report          `json:",omitempty"`
+	AnalyzeErr  bool             `json:",omitempty"`
+	Simulate    *SimReport       `json:",omitempty"`
+	SimulateErr bool             `json:",omitempty"`
+	Suggest     []LinkSuggestion `json:",omitempty"`
+	SuggestErr  bool             `json:",omitempty"`
+	Predict     *Prediction      `json:",omitempty"`
+	PredictErr  bool             `json:",omitempty"`
+}
+
+// facadeGolden runs Analyze, Simulate(300 intervals, seed 7),
+// SuggestImprovements(0.05) and PredictMultiHopAttachment on every case of
+// the option table plus DownlinkFrame(0), and encodes the outcomes as
+// indented JSON.
+func facadeGolden(t *testing.T) []byte {
+	t.Helper()
+	cases := append(facadeCases(t), facadeCase{
+		name: "fdown0", net: mustTypical(t), opts: []Option{DownlinkFrame(0)}, via: "n4", ebN0s: []float64{6.5, 7},
+	})
+	var out []facadeOutcome
+	for _, c := range cases {
+		o := facadeOutcome{Name: c.name}
+		var err error
+		if o.Analyze, err = c.net.Analyze(c.opts...); err != nil {
+			o.AnalyzeErr = true
+		}
+		if o.Simulate, err = c.net.Simulate(300, 7, c.opts...); err != nil {
+			o.SimulateErr = true
+		}
+		if o.Suggest, err = c.net.SuggestImprovements(0.05, c.opts...); err != nil {
+			o.SuggestErr = true
+		}
+		if o.Predict, err = c.net.PredictMultiHopAttachment(c.via, c.ebN0s, c.opts...); err != nil {
+			o.PredictErr = true
+		}
+		out = append(out, o)
+	}
+	b, err := json.MarshalIndent(out, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// TestFacadeGolden pins every facade output on the option table to
+// testdata/facade.golden.json byte for byte.
+func TestFacadeGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "facade.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := facadeGolden(t)
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("facade outputs differ from testdata/facade.golden.json at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("facade outputs have %d lines, golden has %d", len(gl), len(wl))
+}
+
+// TestAnalyzeMatchesExportedSpec checks the Spec contract: evaluating
+// n.Spec(opts...) on the engine yields bit for bit what Analyze(opts...)
+// reports.
+func TestAnalyzeMatchesExportedSpec(t *testing.T) {
+	eng := engine.New(engine.Config{})
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	sameDelay := func(a []DelayPoint, b []engine.DelayPoint) bool {
+		return slices.EqualFunc(a, b, func(x DelayPoint, y engine.DelayPoint) bool {
+			return same(x.MS, y.MS) && same(x.Prob, y.Prob)
+		})
+	}
+	for _, c := range facadeCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			rep, err := c.net.Analyze(c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := c.net.Spec(c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Evaluate(context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Fup != res.Fup || rep.Schedule != res.Schedule {
+				t.Errorf("schedule: Analyze Fup %d %q, engine Fup %d %q", rep.Fup, rep.Schedule, res.Fup, res.Schedule)
+			}
+			if !same(rep.OverallMeanDelayMS, res.OverallMeanDelayMS) || !same(rep.Utilization, res.Utilization) {
+				t.Errorf("aggregates: Analyze E[Gamma] %v U %v, engine %v %v",
+					rep.OverallMeanDelayMS, rep.Utilization, res.OverallMeanDelayMS, res.Utilization)
+			}
+			if !sameDelay(rep.OverallDelay, res.OverallDelay) {
+				t.Error("overall delay distributions differ")
+			}
+			if len(rep.Paths) != len(res.Paths) {
+				t.Fatalf("Analyze has %d paths, engine %d", len(rep.Paths), len(res.Paths))
+			}
+			for i, p := range rep.Paths {
+				q := res.Paths[i]
+				if p.Source != q.Source || !slices.Equal(p.Route, q.Route) {
+					t.Fatalf("path %d: Analyze %s %v, engine %s %v", i, p.Source, p.Route, q.Source, q.Route)
+				}
+				if !slices.Equal(p.Slots, q.Slots) {
+					t.Errorf("%s slots: Analyze %v, engine %v", p.Source, p.Slots, q.Slots)
+				}
+				if !same(p.Reachability, q.Reachability) || !same(p.ExpectedDelayMS, q.ExpectedDelayMS) ||
+					!same(p.Utilization, q.Utilization) {
+					t.Errorf("%s: Analyze R %v E[tau] %v U %v, engine %v %v %v", p.Source,
+						p.Reachability, p.ExpectedDelayMS, p.Utilization,
+						q.Reachability, q.ExpectedDelayMS, q.Utilization)
+				}
+				if !slices.EqualFunc(p.CycleProbs, q.CycleProbs, same) {
+					t.Errorf("%s cycle probabilities differ: %v vs %v", p.Source, p.CycleProbs, q.CycleProbs)
+				}
+				if !sameDelay(p.DelayDistribution, q.Delay) {
+					t.Errorf("%s delay distributions differ", p.Source)
+				}
+			}
+		})
+	}
+}
+
+// TestChannelsRequireGeneratedSchedule checks that Channels with
+// ExplicitSlots is rejected, as spec.Build and the server reject a spec
+// declaring channels on explicit slots.
+func TestChannelsRequireGeneratedSchedule(t *testing.T) {
+	n := mustTypical(t)
+	opts := []Option{ExplicitSlots(7, map[string][]int{"n10": {3, 6, 7}}), Channels(2)}
+	if _, err := n.Analyze(opts...); err == nil {
+		t.Error("Analyze accepted Channels with ExplicitSlots")
+	}
+	if _, err := n.Simulate(100, 1, opts...); err == nil {
+		t.Error("Simulate accepted Channels with ExplicitSlots")
+	}
+	s, err := n.Spec(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Build(); err == nil {
+		t.Error("spec.Build accepted the exported channels-with-explicit-slots spec")
 	}
 }
