@@ -4,7 +4,7 @@ GO ?= go
 COVER_PKGS = ./internal/linalg ./internal/dtmc ./internal/pathmodel ./internal/core ./internal/obs ./internal/link ./internal/channel ./internal/cluster ./internal/spec
 COVER_MIN  = 85
 
-.PHONY: all build test race vet lint lint-selftest sarif bench bench-check cover fleet-smoke cluster-smoke clean
+.PHONY: all build test race vet fmt-check lint lint-selftest sarif bench bench-check cover fleet-smoke cluster-smoke clean
 
 all: build vet test
 
@@ -25,13 +25,21 @@ vet:
 	$(GO) vet ./...
 	$(GO) -C tools/lint vet ./...
 
-# Mirrors the CI lint job: vet, the repo's own analyzer suite (layercheck,
+# Fails when gofmt would reformat any Go file in the tree (both modules,
+# bench/ and the analyzer fixtures included) and lists those files.
+fmt-check:
+	@files=$$(gofmt -l .); \
+	if [ -n "$$files" ]; then \
+		echo "gofmt needed on:"; echo "$$files"; exit 1; \
+	fi
+
+# Mirrors the CI lint job: gofmt, vet, the repo's own analyzer suite (layercheck,
 # probfloat, mustcheck, exhaustenum, detrange, locksafe, goleak — see
 # DESIGN.md §11 and §16) over both modules plus the seeded-violation
 # selftest, and staticcheck when it is installed (CI pins and installs
 # it). whart-lint also fails on stale //whartlint:ignore directives, so
 # suppressions cannot outlive their findings.
-lint: vet lint-selftest
+lint: fmt-check vet lint-selftest
 	$(GO) -C tools/lint run ./cmd/whart-lint -dir $(CURDIR) ./...
 	$(GO) -C tools/lint run ./cmd/whart-lint -dir $(CURDIR)/tools/lint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \

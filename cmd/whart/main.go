@@ -80,7 +80,7 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return m.Chain().WriteDOT(w, "path-"+*dotPath)
+		return m.WriteDOT(w, "path-"+*dotPath)
 	}
 
 	if *suggest != 0 {

@@ -66,15 +66,17 @@ func TestRunDOT(t *testing.T) {
 }
 
 // TestRunDOTGolden pins the path DTMC rendering byte for byte: the paper's
-// Fig. 4 path (3 hops in slots 3, 6, 7 of a 7-slot frame, Is = 1) and the
-// typical network's 3-hop n10 path at Is = 4. State names, state order and
-// edge order all show in the output.
+// Fig. 4 path (3 hops in slots 3, 6, 7 of a 7-slot frame, Is = 1), the
+// same path at Is = 2 with its two goal states (Fig. 5) and the typical
+// network's 3-hop n10 path at Is = 4. State names, state order and edge
+// order all show in the output.
 func TestRunDOTGolden(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
 		golden string
 	}{
 		{[]string{"-spec", filepath.Join("testdata", "fig4.json"), "-dot", "n3"}, "fig4.dot"},
+		{[]string{"-spec", filepath.Join("testdata", "fig5.json"), "-dot", "n3"}, "fig5.dot"},
 		{[]string{"-typical", "-dot", "n10"}, "typical-n10.dot"},
 	} {
 		var b strings.Builder

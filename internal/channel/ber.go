@@ -84,27 +84,3 @@ func MessageFailureProb(ber float64, bits int) (float64, error) {
 	// -expm1(L*log1p(-b)).
 	return -math.Expm1(float64(bits) * math.Log1p(-ber)), nil
 }
-
-// BERFromFailureProb inverts MessageFailureProb: the BER that yields the
-// given message failure probability at the given message length.
-func BERFromFailureProb(pfl float64, bits int) (float64, error) {
-	if pfl < 0 || pfl >= 1 || math.IsNaN(pfl) {
-		return 0, fmt.Errorf("channel: failure probability %v out of [0,1)", pfl)
-	}
-	if bits < 1 {
-		return 0, fmt.Errorf("channel: message must have at least one bit, got %d", bits)
-	}
-	return -math.Expm1(math.Log1p(-pfl) / float64(bits)), nil
-}
-
-// DBToLinear converts a decibel power ratio to linear.
-func DBToLinear(db float64) float64 { return math.Pow(10, db/10) }
-
-// LinearToDB converts a linear power ratio to decibels. Non-positive inputs
-// return -Inf.
-func LinearToDB(lin float64) float64 {
-	if lin <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(lin)
-}

@@ -3,7 +3,6 @@ package channel
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestBEROQPSKPaperValues(t *testing.T) {
@@ -113,64 +112,6 @@ func TestMessageFailureProbEdges(t *testing.T) {
 	}
 	if _, err := MessageFailureProb(math.NaN(), 10); err == nil {
 		t.Error("NaN BER should error")
-	}
-}
-
-func TestBERFromFailureProbRoundTrip(t *testing.T) {
-	f := func(raw float64) bool {
-		if math.IsNaN(raw) || math.IsInf(raw, 0) {
-			return true
-		}
-		ber := math.Abs(math.Mod(raw, 0.001))
-		pfl, err := MessageFailureProb(ber, DefaultMessageBits)
-		if err != nil {
-			return false
-		}
-		back, err := BERFromFailureProb(pfl, DefaultMessageBits)
-		if err != nil {
-			return false
-		}
-		return math.Abs(back-ber) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBERFromFailureProbErrors(t *testing.T) {
-	if _, err := BERFromFailureProb(1, 10); err == nil {
-		t.Error("p_fl=1 should error (BER not identifiable)")
-	}
-	if _, err := BERFromFailureProb(-0.1, 10); err == nil {
-		t.Error("negative p_fl should error")
-	}
-	if _, err := BERFromFailureProb(0.5, 0); err == nil {
-		t.Error("zero bits should error")
-	}
-}
-
-func TestDBConversion(t *testing.T) {
-	if got := DBToLinear(10); math.Abs(got-10) > 1e-12 {
-		t.Errorf("DBToLinear(10) = %v, want 10", got)
-	}
-	if got := DBToLinear(0); got != 1 {
-		t.Errorf("DBToLinear(0) = %v, want 1", got)
-	}
-	if got := LinearToDB(100); math.Abs(got-20) > 1e-12 {
-		t.Errorf("LinearToDB(100) = %v, want 20", got)
-	}
-	if got := LinearToDB(0); !math.IsInf(got, -1) {
-		t.Errorf("LinearToDB(0) = %v, want -Inf", got)
-	}
-	f := func(db float64) bool {
-		if math.IsNaN(db) || math.Abs(db) > 100 {
-			return true
-		}
-		back := LinearToDB(DBToLinear(db))
-		return math.Abs(back-db) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -94,57 +94,3 @@ func (b *Blacklist) Channels() []int {
 	sort.Ints(out)
 	return out
 }
-
-// BlacklistManager applies the network manager's policy: a channel whose
-// failure count within a sliding window exceeds a threshold is banned.
-type BlacklistManager struct {
-	blacklist *Blacklist
-	threshold int
-	window    int
-	history   map[int][]bool // per channel, most recent window outcomes
-}
-
-// NewBlacklistManager returns a manager that bans a channel once it records
-// at least threshold failures within the last window observations.
-func NewBlacklistManager(threshold, window int) (*BlacklistManager, error) {
-	if threshold < 1 {
-		return nil, fmt.Errorf("channel: blacklist threshold must be >= 1, got %d", threshold)
-	}
-	if window < threshold {
-		return nil, fmt.Errorf("channel: window %d smaller than threshold %d", window, threshold)
-	}
-	return &BlacklistManager{
-		blacklist: NewBlacklist(),
-		threshold: threshold,
-		window:    window,
-		history:   map[int][]bool{},
-	}, nil
-}
-
-// Blacklist returns the managed blacklist.
-func (m *BlacklistManager) Blacklist() *Blacklist { return m.blacklist }
-
-// Record registers the outcome of a transmission on a channel and applies
-// the banning policy. It returns true if the channel is (now) banned.
-func (m *BlacklistManager) Record(ch int, success bool) (bool, error) {
-	if ch < 0 || ch >= NumChannels {
-		return false, fmt.Errorf("channel: index %d out of [0,%d)", ch, NumChannels)
-	}
-	h := append(m.history[ch], !success)
-	if len(h) > m.window {
-		h = h[len(h)-m.window:]
-	}
-	m.history[ch] = h
-	fails := 0
-	for _, f := range h {
-		if f {
-			fails++
-		}
-	}
-	if fails >= m.threshold {
-		if err := m.blacklist.Ban(ch); err != nil {
-			return false, err
-		}
-	}
-	return m.blacklist.Contains(ch), nil
-}

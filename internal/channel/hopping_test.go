@@ -119,61 +119,3 @@ func TestBlacklistChannelsSorted(t *testing.T) {
 		}
 	}
 }
-
-func TestBlacklistManagerBansAfterThreshold(t *testing.T) {
-	m, err := NewBlacklistManager(3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	banned, err := m.Record(4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if banned {
-		t.Error("one failure should not ban")
-	}
-	if _, err := m.Record(4, false); err != nil {
-		t.Fatal(err)
-	}
-	banned, err = m.Record(4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !banned {
-		t.Error("three failures in window should ban")
-	}
-	if !m.Blacklist().Contains(4) {
-		t.Error("blacklist should contain banned channel")
-	}
-}
-
-func TestBlacklistManagerWindowSlides(t *testing.T) {
-	m, err := NewBlacklistManager(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Failures diluted by successes never reach threshold within window.
-	seq := []bool{false, true, false, true, false, true, false}
-	for _, ok := range seq {
-		banned, err := m.Record(2, ok)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if banned {
-			t.Fatal("diluted failures should not ban with window 3")
-		}
-	}
-}
-
-func TestBlacklistManagerValidation(t *testing.T) {
-	if _, err := NewBlacklistManager(0, 5); err == nil {
-		t.Error("threshold 0 should error")
-	}
-	if _, err := NewBlacklistManager(5, 3); err == nil {
-		t.Error("window < threshold should error")
-	}
-	m, _ := NewBlacklistManager(1, 1)
-	if _, err := m.Record(-1, true); err == nil {
-		t.Error("bad channel index should error")
-	}
-}

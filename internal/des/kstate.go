@@ -1,7 +1,6 @@
 package des
 
 import (
-	"fmt"
 	"math/rand"
 
 	"wirelesshart/internal/link"
@@ -12,8 +11,8 @@ import (
 // distribution, per slot the state evolves through the k×k transition
 // matrix, and each attempt succeeds with the current state's packet
 // success probability. It is the independent cross-check of the analytic
-// marginalization (link.KState.MarginalFrom): over many intervals the
-// empirical per-slot success fraction must converge to the marginal.
+// availability: over many intervals the empirical per-slot success
+// fraction must converge to the chain's marginal.
 type KStateProcess struct {
 	trans   [][]float64
 	succ    []float64
@@ -31,21 +30,6 @@ func NewKStateSteady(m *link.KState) *KStateProcess {
 		succ:  m.SuccessProbs(),
 		init:  m.StationaryDist(),
 	}
-}
-
-// NewKStateStarting returns a fading process that starts in a fixed
-// channel state at slot 0 (transient-failure experiments).
-func NewKStateStarting(m *link.KState, state int) (*KStateProcess, error) {
-	if state < 0 || state >= m.States() {
-		return nil, fmt.Errorf("des: state %d out of [0,%d)", state, m.States())
-	}
-	init := make([]float64, m.States())
-	init[state] = 1
-	return &KStateProcess{
-		trans: m.TransitionMatrix(),
-		succ:  m.SuccessProbs(),
-		init:  init,
-	}, nil
 }
 
 // Reset draws the slot-0 channel state.

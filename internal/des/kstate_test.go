@@ -24,21 +24,41 @@ func burstyK3(t *testing.T) *link.KState {
 	return m
 }
 
+// marginalFrom returns the analytic per-slot success probability of m's
+// chain started in the distribution init: init evolved through slot
+// transitions of m's matrix, weighted by the per-state success
+// probabilities.
+func marginalFrom(m *link.KState, init []float64) func(slot int) float64 {
+	trans, succ := m.TransitionMatrix(), m.SuccessProbs()
+	return func(slot int) float64 {
+		cur := append([]float64(nil), init...)
+		for s := 0; s < slot; s++ {
+			next := make([]float64, len(cur))
+			for i, p := range cur {
+				for j, q := range trans[i] {
+					next[j] += p * q
+				}
+			}
+			cur = next
+		}
+		up := 0.0
+		for i, p := range cur {
+			up += p * succ[i]
+		}
+		return up
+	}
+}
+
 // TestKStateProcessMatchesAnalyticMarginal is the acceptance criterion's
 // DES cross-check at the link layer: the empirical per-slot success
 // fraction of the simulated k=3 chain, restarted from a fixed state every
-// interval, must track the analytic marginal (link.KState.MarginalFrom)
-// within a few binomial standard errors at every slot.
+// interval, must track the analytic marginal of the chain within a few
+// binomial standard errors at every slot.
 func TestKStateProcessMatchesAnalyticMarginal(t *testing.T) {
 	m := burstyK3(t)
-	marginal, err := m.StartingIn(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc, err := NewKStateStarting(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	init := []float64{1, 0, 0}
+	marginal := marginalFrom(m, init)
+	proc := &KStateProcess{trans: m.TransitionMatrix(), succ: m.SuccessProbs(), init: init}
 	const intervals = 200000
 	const slots = 12
 	rng := rand.New(rand.NewSource(11))
@@ -81,16 +101,6 @@ func TestKStateSteadyEmpiricalAvailability(t *testing.T) {
 	want := m.SteadyUp()
 	if math.Abs(got-want) > 0.01 {
 		t.Errorf("empirical steady availability %v, want %v", got, want)
-	}
-}
-
-func TestNewKStateStartingValidation(t *testing.T) {
-	m := burstyK3(t)
-	if _, err := NewKStateStarting(m, 3); err == nil {
-		t.Error("out-of-range state accepted")
-	}
-	if _, err := NewKStateStarting(m, -1); err == nil {
-		t.Error("negative state accepted")
 	}
 }
 

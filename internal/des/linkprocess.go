@@ -33,16 +33,6 @@ func NewGilbertSteady(m link.Model) *GilbertProcess {
 	return &GilbertProcess{model: m, initUp: m.SteadyUp()}
 }
 
-// NewGilbertStarting returns a Gilbert process that starts UP or DOWN
-// deterministically at slot 0 (transient-failure experiments, Fig. 17).
-func NewGilbertStarting(m link.Model, up bool) *GilbertProcess {
-	p := &GilbertProcess{model: m}
-	if up {
-		p.initUp = 1
-	}
-	return p
-}
-
 // Reset draws the slot-0 state.
 func (g *GilbertProcess) Reset(rng *rand.Rand) {
 	g.up = rng.Float64() < g.initUp

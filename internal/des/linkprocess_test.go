@@ -9,6 +9,13 @@ import (
 	"wirelesshart/internal/link"
 )
 
+// gilbertFrom returns a Gilbert process that starts UP at slot 0 with
+// probability initUp: 0 and 1 pin the slot-0 state, which isolates the
+// per-slot UP/DOWN transitions of Up.
+func gilbertFrom(m link.Model, initUp float64) *GilbertProcess {
+	return &GilbertProcess{model: m, initUp: initUp}
+}
+
 func TestGilbertSteadyEmpiricalAvailability(t *testing.T) {
 	m, err := link.New(0.184, 0.9)
 	if err != nil {
@@ -35,7 +42,7 @@ func TestGilbertSteadyEmpiricalAvailability(t *testing.T) {
 func TestGilbertStartingDownRecovery(t *testing.T) {
 	// From DOWN, the slot-1 state is UP with probability p_rc (Fig. 17).
 	m, _ := link.New(0.184, 0.9)
-	proc := NewGilbertStarting(m, false)
+	proc := gilbertFrom(m, 0)
 	rng := rand.New(rand.NewSource(5))
 	const n = 100000
 	up := 0
@@ -53,7 +60,7 @@ func TestGilbertStartingDownRecovery(t *testing.T) {
 
 func TestGilbertStartingUpFirstSlot(t *testing.T) {
 	m, _ := link.New(0.184, 0.9)
-	proc := NewGilbertStarting(m, true)
+	proc := gilbertFrom(m, 1)
 	rng := rand.New(rand.NewSource(6))
 	const n = 100000
 	up := 0
@@ -73,7 +80,7 @@ func TestGilbertSkipsToRequestedSlot(t *testing.T) {
 	// Requesting a later slot must advance the chain the right number of
 	// steps: from DOWN, P(up at slot 6) ~ steady state.
 	m, _ := link.New(0.184, 0.9)
-	proc := NewGilbertStarting(m, false)
+	proc := gilbertFrom(m, 0)
 	rng := rand.New(rand.NewSource(7))
 	const n = 200000
 	up := 0
@@ -167,7 +174,7 @@ func TestHoppingProcessValidation(t *testing.T) {
 
 func TestForcedWindowProcess(t *testing.T) {
 	m, _ := link.New(0, 0.9) // perfect link
-	proc := &ForcedWindowProcess{Base: NewGilbertStarting(m, true), From: 3, To: 6}
+	proc := &ForcedWindowProcess{Base: gilbertFrom(m, 1), From: 3, To: 6}
 	rng := rand.New(rand.NewSource(2))
 	proc.Reset(rng)
 	for s := 1; s <= 10; s++ {

@@ -14,19 +14,7 @@ import (
 // already-propagated mass again, so StepInto must refuse instead of
 // silently corrupting the result. The batch drivers rely on this contract.
 func TestStepIntoRejectsAliasing(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	g := c.MustAddState("g")
-	if err := c.AddTransition(a, g, 0.4); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddTransition(a, a, 0.6); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkAbsorbing(g); err != nil {
-		t.Fatal(err)
-	}
-	k := c.Compile()
+	k := kernelOf(t, 2, edge{0, 1, 0.4}, edge{0, 0, 0.6}, edge{1, 1, 1})
 	p := linalg.Vector{1, 0}
 	if err := k.StepInto(p, p); err == nil {
 		t.Fatal("StepInto accepted an aliased dst/src pair")
@@ -53,9 +41,8 @@ func TestTransientBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	const horizon = 40
 	for trial := 0; trial < 30; trial++ {
-		c := randomChain(t, rng)
-		base := c.Compile()
-		n := c.NumStates()
+		n, edges := randomChain(rng)
+		base := kernelOf(t, n, edges...)
 		for _, k := range []int{1, 2, 7} {
 			kernels := make([]*Kernel, k)
 			p0 := make([]linalg.Vector, k)
@@ -107,16 +94,8 @@ func TestTransientBatchMatchesScalar(t *testing.T) {
 }
 
 func TestTransientBatchInputErrors(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	g := c.MustAddState("g")
-	if err := c.AddTransition(a, g, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkAbsorbing(g); err != nil {
-		t.Fatal(err)
-	}
-	k := c.Compile()
+	edges := []edge{{0, 1, 1}, {1, 1, 1}}
+	k := kernelOf(t, 2, edges...)
 	good := []linalg.Vector{{1, 0}}
 	if _, err := k.TransientBatch(nil, nil, 1, nil); err == nil {
 		t.Error("empty batch accepted")
@@ -133,25 +112,13 @@ func TestTransientBatchInputErrors(t *testing.T) {
 	if _, err := k.TransientBatch([]*Kernel{k}, []linalg.Vector{{1}}, 1, nil); err == nil {
 		t.Error("short distribution accepted")
 	}
-	other := New()
-	other.MustAddState("x")
-	other.MustAddState("y")
-	other.MustAddState("z")
-	if err := other.AddTransition(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := other.AddTransition(1, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := other.MarkAbsorbing(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.TransientBatch([]*Kernel{other.Compile()}, good, 1, nil); err == nil {
+	other := kernelOf(t, 3, edge{0, 1, 1}, edge{1, 2, 1}, edge{2, 2, 1})
+	if _, err := k.TransientBatch([]*Kernel{other}, good, 1, nil); err == nil {
 		t.Error("pattern mismatch accepted")
 	}
 	// A second compile of the same chain has an equal but not a shared
 	// pattern, so it is rejected too.
-	_, err := k.TransientBatch([]*Kernel{c.Compile()}, good, 1, nil)
+	_, err := k.TransientBatch([]*Kernel{kernelOf(t, 2, edges...)}, good, 1, nil)
 	if err == nil || !strings.Contains(err.Error(), "does not share the compiled pattern") {
 		t.Errorf("separately compiled twin: err = %v, want a shared-pattern error", err)
 	}
@@ -163,8 +130,8 @@ func TestTransientBatchInputErrors(t *testing.T) {
 // values, result vectors) is allocation-free.
 func TestTransientBatchStepAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260809))
-	c := randomChain(t, rng)
-	base := c.Compile()
+	n, edges := randomChain(rng)
+	base := kernelOf(t, n, edges...)
 	const k = 8
 	kernels := make([]*Kernel, k)
 	p0 := make([]linalg.Vector, k)
@@ -174,7 +141,7 @@ func TestTransientBatchStepAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		kernels[j] = rk
-		p0[j] = randomDistribution(rng, c.NumStates())
+		p0[j] = randomDistribution(rng, n)
 	}
 	allocsAt := func(steps int) float64 {
 		return testing.AllocsPerRun(50, func() {
@@ -194,23 +161,12 @@ func TestTransientBatchStepAllocatesNothing(t *testing.T) {
 // loop allocates nothing.
 func BenchmarkTransientBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
-	c := New()
 	const n = 120
-	for i := 0; i < n; i++ {
-		c.MustAddState(fmt.Sprintf("s%d", i))
-	}
-	if err := c.MarkAbsorbing(n - 1); err != nil {
-		b.Fatal(err)
-	}
+	var edges []edge
 	for i := 0; i < n-1; i++ {
-		if err := c.AddTransition(i, i+1, 0.6); err != nil {
-			b.Fatal(err)
-		}
-		if err := c.AddTransition(i, i, 0.4); err != nil {
-			b.Fatal(err)
-		}
+		edges = append(edges, edge{i, i + 1, 0.6}, edge{i, i, 0.4})
 	}
-	base := c.Compile()
+	base := kernelOf(b, n, append(edges, edge{n - 1, n - 1, 1})...)
 	const horizon = 80
 	for _, k := range []int{1, 16, 128} {
 		kernels := make([]*Kernel, k)
@@ -218,9 +174,8 @@ func BenchmarkTransientBatch(b *testing.B) {
 		for j := range kernels {
 			vals := base.ValuesCopy()
 			for i := 0; i < n-1; i++ {
-				lo, _ := base.RowSpan(i)
 				p := 0.4 + 0.5*rng.Float64()
-				vals[lo], vals[lo+1] = p, 1-p
+				vals[2*i], vals[2*i+1] = p, 1-p
 			}
 			rk, err := base.Rebind(vals, 1e-9)
 			if err != nil {

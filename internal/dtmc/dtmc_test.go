@@ -9,143 +9,23 @@ import (
 	"wirelesshart/internal/linalg"
 )
 
-// buildTwoStateLink returns the paper's Fig. 3 link chain.
-func buildTwoStateLink(t *testing.T, pfl, prc float64) (*Chain, int, int) {
+// twoStateLink returns the paper's Fig. 3 link chain with UP as state 0
+// and DOWN as state 1.
+func twoStateLink(t testing.TB, pfl, prc float64) (k *Kernel, up, down int) {
 	t.Helper()
-	c := New()
-	up := c.MustAddState("UP")
-	down := c.MustAddState("DOWN")
-	for _, e := range []error{
-		c.AddTransition(up, up, 1-pfl),
-		c.AddTransition(up, down, pfl),
-		c.AddTransition(down, up, prc),
-		c.AddTransition(down, down, 1-prc),
-	} {
-		if e != nil {
-			t.Fatal(e)
-		}
-	}
-	if err := c.Validate(1e-12); err != nil {
-		t.Fatal(err)
-	}
-	return c, up, down
-}
-
-func TestAddStateDuplicate(t *testing.T) {
-	c := New()
-	if _, err := c.AddState("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AddState("a"); err == nil {
-		t.Error("duplicate state should error")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustAddState on duplicate should panic")
-		}
-	}()
-	c.MustAddState("a")
-}
-
-func TestStateLookup(t *testing.T) {
-	c := New()
-	id := c.MustAddState("x")
-	got, ok := c.StateID("x")
-	if !ok || got != id {
-		t.Errorf("StateID(x) = %d, %v", got, ok)
-	}
-	if _, ok := c.StateID("y"); ok {
-		t.Error("StateID of unknown name should report false")
-	}
-	if c.Name(id) != "x" {
-		t.Errorf("Name(%d) = %q", id, c.Name(id))
-	}
-	if c.NumStates() != 1 {
-		t.Errorf("NumStates() = %d", c.NumStates())
-	}
-}
-
-func TestAddTransitionValidation(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	b := c.MustAddState("b")
-	if err := c.AddTransition(a, b, 1.5); err == nil {
-		t.Error("probability > 1 should error")
-	}
-	if err := c.AddTransition(a, b, -0.1); err == nil {
-		t.Error("negative probability should error")
-	}
-	if err := c.AddTransition(-1, b, 0.5); err == nil {
-		t.Error("unknown from state should error")
-	}
-	if err := c.AddTransition(a, 99, 0.5); err == nil {
-		t.Error("unknown to state should error")
-	}
-	if err := c.AddTransition(a, b, math.NaN()); err == nil {
-		t.Error("NaN probability should error")
-	}
-	if err := c.MarkAbsorbing(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddTransition(b, a, 1); err == nil {
-		t.Error("transition out of absorbing state should error")
-	}
-}
-
-func TestMarkAbsorbingValidation(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	b := c.MustAddState("b")
-	if err := c.AddTransition(a, b, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkAbsorbing(a); err == nil {
-		t.Error("absorbing a state with outgoing transitions should error")
-	}
-	if err := c.MarkAbsorbing(99); err == nil {
-		t.Error("unknown state should error")
-	}
-	if err := c.MarkAbsorbing(b); err != nil {
-		t.Fatal(err)
-	}
-	if !c.IsAbsorbing(b) || c.IsAbsorbing(a) {
-		t.Error("IsAbsorbing flags wrong")
-	}
-}
-
-func TestValidate(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	b := c.MustAddState("b")
-	if err := c.Validate(1e-12); err == nil {
-		t.Error("dangling state should fail validation")
-	}
-	if err := c.AddTransition(a, b, 0.4); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkAbsorbing(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(1e-12); err == nil {
-		t.Error("row summing to 0.4 should fail validation")
-	}
-	if err := c.AddTransition(a, a, 0.6); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(1e-12); err != nil {
-		t.Errorf("valid chain failed validation: %v", err)
-	}
-	if err := New().Validate(1e-12); err == nil {
-		t.Error("empty chain should fail validation")
-	}
+	up, down = 0, 1
+	k = kernelOf(t, 2,
+		edge{up, up, 1 - pfl}, edge{up, down, pfl},
+		edge{down, up, prc}, edge{down, down, 1 - prc})
+	return k, up, down
 }
 
 func TestStepTwoStateLink(t *testing.T) {
 	// One step from UP must give [1-pfl, pfl].
 	pfl, prc := 0.0966, 0.9
-	c, up, down := buildTwoStateLink(t, pfl, prc)
+	k, up, down := twoStateLink(t, pfl, prc)
 	p1 := linalg.NewVector(2)
-	if err := c.Compile().StepInto(p1, pointMass(2, up)); err != nil {
+	if err := k.StepInto(p1, pointMass(2, up)); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(p1[up]-(1-pfl)) > 1e-15 || math.Abs(p1[down]-pfl) > 1e-15 {
@@ -156,8 +36,8 @@ func TestStepTwoStateLink(t *testing.T) {
 func TestTransientConvergesToStationary(t *testing.T) {
 	// The two-state link's stationary P(up) is prc/(prc+pfl).
 	pfl, prc := 0.184, 0.9
-	c, up, down := buildTwoStateLink(t, pfl, prc)
-	pT, err := c.Compile().Transient(pointMass(2, down), 200, nil)
+	k, up, down := twoStateLink(t, pfl, prc)
+	pT, err := k.Transient(pointMass(2, down), 200, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +50,9 @@ func TestTransientConvergesToStationary(t *testing.T) {
 func TestTransientTrajectoryFig17(t *testing.T) {
 	// Fig. 17: starting DOWN, the link recovers almost immediately. After
 	// one slot P(up) = prc = 0.9; within a few slots it is at steady state.
-	c, up, down := buildTwoStateLink(t, 0.184, 0.9)
+	k, up, down := twoStateLink(t, 0.184, 0.9)
 	var traj []linalg.Vector
-	_, err := c.Compile().Transient(pointMass(2, down), 6, func(_ int, p linalg.Vector) error {
+	_, err := k.Transient(pointMass(2, down), 6, func(_ int, p linalg.Vector) error {
 		traj = append(traj, p.Clone())
 		return nil
 	})
@@ -198,15 +78,8 @@ func TestStepPreservesMass(t *testing.T) {
 	f := func(a, b, seed uint8) bool {
 		pfl := float64(a%99+1) / 100
 		prc := float64(b%99+1) / 100
-		c := New()
-		up := c.MustAddState("UP")
-		down := c.MustAddState("DOWN")
-		_ = c.AddTransition(up, up, 1-pfl)
-		_ = c.AddTransition(up, down, pfl)
-		_ = c.AddTransition(down, up, prc)
-		_ = c.AddTransition(down, down, 1-prc)
+		k, _, _ := twoStateLink(t, pfl, prc)
 		w := float64(seed) / 255
-		k := c.Compile()
 		p, next := linalg.Vector{w, 1 - w}, linalg.NewVector(2)
 		for s := 0; s < 10; s++ {
 			if err := k.StepInto(next, p); err != nil {
@@ -222,16 +95,8 @@ func TestStepPreservesMass(t *testing.T) {
 }
 
 func TestStepAbsorbingKeepsMass(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	g := c.MustAddState("goal")
-	if err := c.AddTransition(a, g, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkAbsorbing(g); err != nil {
-		t.Fatal(err)
-	}
-	p, err := c.Compile().Transient(pointMass(2, a), 5, nil)
+	const a, g = 0, 1
+	p, err := kernelOf(t, 2, edge{a, g, 1}, edge{g, g, 1}).Transient(pointMass(2, a), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +105,15 @@ func TestStepAbsorbingKeepsMass(t *testing.T) {
 	}
 }
 
+// names labels state id by its index in the given list.
+func names(list ...string) func(int) string {
+	return func(id int) string { return list[id] }
+}
+
 func TestWriteDOT(t *testing.T) {
-	c, _, _ := buildTwoStateLink(t, 0.2, 0.8)
+	k, _, _ := twoStateLink(t, 0.2, 0.8)
 	var b strings.Builder
-	if err := c.WriteDOT(&b, "link"); err != nil {
+	if err := k.WriteDOT(&b, "link", names("UP", "DOWN")); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -255,16 +125,44 @@ func TestWriteDOT(t *testing.T) {
 }
 
 func TestWriteDOTAbsorbingShape(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	g := c.MustAddState("goal")
-	_ = c.AddTransition(a, g, 1)
-	_ = c.MarkAbsorbing(g)
+	k := kernelOf(t, 2, edge{0, 1, 1}, edge{1, 1, 1})
 	var b strings.Builder
-	if err := c.WriteDOT(&b, "m"); err != nil {
+	if err := k.WriteDOT(&b, "m", names("a", "goal")); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "doublecircle") {
 		t.Error("absorbing state should render as doublecircle")
+	}
+}
+
+// TestKernelWriteDOTExact pins the rendering byte for byte: a state whose
+// only edge is a self-loop is a double circle without its loop, a
+// self-loop beside other edges is printed, and zero-valued edges are
+// printed.
+func TestKernelWriteDOTExact(t *testing.T) {
+	k := kernelOf(t, 4,
+		edge{0, 1, 0.5}, edge{0, 2, 0.5}, edge{0, 3, 0},
+		edge{1, 1, 1},
+		edge{2, 2, 0.25}, edge{2, 1, 0.75},
+		edge{3, 3, 1})
+	var b strings.Builder
+	if err := k.WriteDOT(&b, "exact", names("start", "goal", "retry", "drop")); err != nil {
+		t.Fatal(err)
+	}
+	want := `digraph "exact" {
+  rankdir=LR;
+  s0 [label="start" shape=circle];
+  s1 [label="goal" shape=doublecircle];
+  s2 [label="retry" shape=circle];
+  s3 [label="drop" shape=doublecircle];
+  s0 -> s1 [label="0.5"];
+  s0 -> s2 [label="0.5"];
+  s0 -> s3 [label="0"];
+  s2 -> s2 [label="0.25"];
+  s2 -> s1 [label="0.75"];
+}
+`
+	if got := b.String(); got != want {
+		t.Errorf("WriteDOT:\n%s\nwant:\n%s", got, want)
 	}
 }

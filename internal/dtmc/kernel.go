@@ -1,3 +1,9 @@
+// Package dtmc implements the discrete-time Markov chain engine underlying
+// the WirelessHART path model: an immutable compressed-sparse-row kernel
+// for transient analysis, value rebinding onto a frozen sparsity pattern,
+// lock-step batch solves and DOT export. Every chain is time-homogeneous:
+// the path model encodes slot time in its age-layered states (paper
+// Algorithm 1), so a chain is a fixed matrix.
 package dtmc
 
 import (
@@ -7,19 +13,20 @@ import (
 	"wirelesshart/internal/linalg"
 )
 
-// Kernel is a chain compiled to compressed-sparse-row form for repeated
-// transient steps. Edge probabilities (and the implicit self-loops of
-// absorbing states) are frozen into the value array at compile time, so a
+// Kernel is a chain in compressed-sparse-row form for repeated transient
+// steps. Edge probabilities (absorbing states included, as explicit
+// self-loops) are frozen into the value array at construction, so a
 // Kernel is an immutable matrix: stepping is read-only and one Kernel may
 // be shared by any number of goroutines. A kernel carries no state names;
-// its errors name states by index.
+// its errors name states by index, and WriteDOT takes names from the
+// caller.
 type Kernel struct {
 	n   int
 	mat *linalg.CSR
 }
 
 // NewKernel wraps the CSR layout of an n-state chain, n = len(rowPtr)-1,
-// as a kernel without building a Chain: the layout must pass
+// as a kernel: the layout must pass
 // linalg.NewCSR's checks and every row must be a probability distribution
 // within tol, so absorbing states carry explicit self-loops. The slices
 // are retained, not copied. Builders that know their chain's layout (the
@@ -37,54 +44,8 @@ func NewKernel(rowPtr, col []int, val []float64, tol float64) (*Kernel, error) {
 	return k, nil
 }
 
-// Compile lowers the chain's slice-of-slices transition structure into
-// CSR form. Absorbing states become explicit self-loops so stepping needs
-// no per-state branch. Each call compiles afresh, so two kernels of one
-// chain share no pattern; a batch takes Rebinds of one kernel instead.
-func (c *Chain) Compile() *Kernel {
-	n := len(c.names)
-	nnz := 0
-	for id := range c.names {
-		if c.absorbing[id] {
-			nnz++
-			continue
-		}
-		nnz += len(c.out[id])
-	}
-	rowPtr := make([]int, n+1)
-	col := make([]int, 0, nnz)
-	val := make([]float64, 0, nnz)
-	for id := range c.names {
-		if c.absorbing[id] {
-			col = append(col, id)
-			val = append(val, 1)
-			rowPtr[id+1] = len(col)
-			continue
-		}
-		for _, tr := range c.out[id] {
-			col = append(col, tr.To)
-			val = append(val, tr.Prob)
-		}
-		rowPtr[id+1] = len(col)
-	}
-	mat, err := linalg.NewCSR(n, n, rowPtr, col, val)
-	if err != nil {
-		// Unreachable: the layout is constructed consistently above, and
-		// AddTransition already rejected out-of-range targets.
-		panic(fmt.Sprintf("dtmc: compiled CSR invalid: %v", err))
-	}
-	return &Kernel{n: n, mat: mat}
-}
-
 // NumStates returns the kernel's state count.
 func (k *Kernel) NumStates() int { return k.n }
-
-// RowSpan returns the half-open range [lo, hi) of compiled value positions
-// holding state id's outgoing edges, in the order the transitions were
-// added to the chain (an absorbing state compiles to a single self-loop).
-// Together with Rebind it lets callers that know their chain's layout bind
-// fresh probabilities onto the frozen sparsity pattern.
-func (k *Kernel) RowSpan(id int) (lo, hi int) { return k.mat.RowSpan(id) }
 
 // Row returns views of state id's compiled outgoing edges: the column
 // (target state) indices and the values. Both slices must be
@@ -92,7 +53,7 @@ func (k *Kernel) RowSpan(id int) (lo, hi int) { return k.mat.RowSpan(id) }
 func (k *Kernel) Row(id int) (cols []int, vals []float64) { return k.mat.Row(id) }
 
 // ValuesCopy returns a fresh copy of the kernel's compiled value array,
-// one entry per edge in RowSpan order — the canonical seed for a Rebind
+// one entry per edge in row order — the canonical seed for a Rebind
 // value pass.
 func (k *Kernel) ValuesCopy() []float64 {
 	src := k.mat.Values()
@@ -104,7 +65,7 @@ func (k *Kernel) ValuesCopy() []float64 {
 // Rebind returns a kernel that shares k's frozen CSR sparsity pattern (row
 // pointers and column indices) with values as its own value array — a
 // values-only recompile. values must hold one probability per compiled
-// edge (NNZ entries, positions per RowSpan) and is retained by the
+// edge (NNZ entries, in row order) and is retained by the
 // returned kernel; every row is checked to be a probability distribution
 // within tol.
 func (k *Kernel) Rebind(values []float64, tol float64) (*Kernel, error) {

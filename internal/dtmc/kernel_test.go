@@ -10,27 +10,47 @@ import (
 	"wirelesshart/internal/linalg"
 )
 
+// edge is one transition of a test chain. An absorbing state carries an
+// explicit self-loop edge of probability one.
+type edge struct {
+	from, to int
+	p        float64
+}
+
+// kernelOf compiles an n-state chain given as an edge list through
+// NewKernel, keeping each row's edges in list order.
+func kernelOf(t testing.TB, n int, edges ...edge) *Kernel {
+	t.Helper()
+	rowPtr := make([]int, n+1)
+	for _, e := range edges {
+		rowPtr[e.from+1]++
+	}
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	col := make([]int, len(edges))
+	val := make([]float64, len(edges))
+	next := append([]int(nil), rowPtr[:n]...)
+	for _, e := range edges {
+		col[next[e.from]], val[next[e.from]] = e.to, e.p
+		next[e.from]++
+	}
+	k, err := NewKernel(rowPtr, col, val, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
 // legacyStepAt is the pre-kernel reference implementation of the transient
-// step — the slice-of-slices walk over the chain's edges. The equivalence
-// tests pin the compiled kernel against it.
-func legacyStepAt(c *Chain, p linalg.Vector) (linalg.Vector, error) {
-	if len(p) != c.NumStates() {
-		return nil, fmt.Errorf("legacy: distribution length %d, want %d", len(p), c.NumStates())
+// step — a walk over the chain's edge list. The equivalence tests pin the
+// compiled kernel against it.
+func legacyStepAt(n int, edges []edge, p linalg.Vector) linalg.Vector {
+	out := linalg.NewVector(n)
+	for _, e := range edges {
+		out[e.to] += p[e.from] * e.p
 	}
-	out := linalg.NewVector(c.NumStates())
-	for id, mass := range p {
-		if mass == 0 {
-			continue
-		}
-		if c.IsAbsorbing(id) {
-			out[id] += mass
-			continue
-		}
-		for _, tr := range c.out[id] {
-			out[tr.To] += mass * tr.Prob
-		}
-	}
-	return out, nil
+	return out
 }
 
 // pointMass returns the distribution over n states concentrated on id.
@@ -58,24 +78,17 @@ func maxAbsDiff(a, b linalg.Vector) float64 {
 	return m
 }
 
-// randomChain builds a seeded random chain whose non-absorbing rows each
-// sum to one.
-func randomChain(t *testing.T, rng *rand.Rand) *Chain {
-	t.Helper()
-	c := New()
-	n := 3 + rng.Intn(10)
-	for i := 0; i < n; i++ {
-		c.MustAddState(fmt.Sprintf("s%d", i))
-	}
+// randomChain draws a seeded random chain of n states: about one state
+// in five past state 0 absorbs, and every other state's row sums to one.
+func randomChain(rng *rand.Rand) (n int, edges []edge) {
+	n = 3 + rng.Intn(10)
+	absorbing := make([]bool, n)
 	for i := 1; i < n; i++ {
-		if rng.Float64() < 0.2 {
-			if err := c.MarkAbsorbing(i); err != nil {
-				t.Fatal(err)
-			}
-		}
+		absorbing[i] = rng.Float64() < 0.2
 	}
 	for i := 0; i < n; i++ {
-		if c.IsAbsorbing(i) {
+		if absorbing[i] {
+			edges = append(edges, edge{i, i, 1})
 			continue
 		}
 		weights := make([]float64, 1+rng.Intn(4))
@@ -85,15 +98,10 @@ func randomChain(t *testing.T, rng *rand.Rand) *Chain {
 			total += weights[j]
 		}
 		for _, w := range weights {
-			if err := c.AddTransition(i, rng.Intn(n), w/total); err != nil {
-				t.Fatal(err)
-			}
+			edges = append(edges, edge{i, rng.Intn(n), w / total})
 		}
 	}
-	if err := c.Validate(1e-9); err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return n, edges
 }
 
 func randomDistribution(rng *rand.Rand, n int) linalg.Vector {
@@ -117,17 +125,13 @@ func TestKernelMatchesLegacyStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	const horizon = 40
 	for trial := 0; trial < 40; trial++ {
-		c := randomChain(t, rng)
-		k := c.Compile()
-		n := c.NumStates()
+		n, edges := randomChain(rng)
+		k := kernelOf(t, n, edges...)
 		p0 := randomDistribution(rng, n)
 		legacy := p0.Clone()
 		cur, next := p0.Clone(), linalg.NewVector(n)
 		for s := 0; s < horizon; s++ {
-			var err error
-			if legacy, err = legacyStepAt(c, legacy); err != nil {
-				t.Fatal(err)
-			}
+			legacy = legacyStepAt(n, edges, legacy)
 			if err := k.StepInto(next, cur); err != nil {
 				t.Fatal(err)
 			}
@@ -158,19 +162,21 @@ func TestKernelMatchesLegacyStep(t *testing.T) {
 // one (single-edge rows — absorbing self-loops included — stay at 1).
 func rerollValues(rng *rand.Rand, k *Kernel) []float64 {
 	vals := k.ValuesCopy()
+	lo := 0
 	for i := 0; i < k.NumStates(); i++ {
-		lo, hi := k.RowSpan(i)
-		if hi-lo <= 1 {
-			continue
+		cols, _ := k.Row(i)
+		hi := lo + len(cols)
+		if hi-lo > 1 {
+			var sum float64
+			for j := lo; j < hi; j++ {
+				vals[j] = 0.05 + rng.Float64()
+				sum += vals[j]
+			}
+			for j := lo; j < hi; j++ {
+				vals[j] /= sum
+			}
 		}
-		var sum float64
-		for j := lo; j < hi; j++ {
-			vals[j] = 0.05 + rng.Float64()
-			sum += vals[j]
-		}
-		for j := lo; j < hi; j++ {
-			vals[j] /= sum
-		}
+		lo = hi
 	}
 	return vals
 }
@@ -184,9 +190,8 @@ func TestKernelRebindMatchesFreshCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	const horizon = 40
 	for trial := 0; trial < 40; trial++ {
-		c := randomChain(t, rng)
-		k := c.Compile()
-		n := c.NumStates()
+		n, edges := randomChain(rng)
+		k := kernelOf(t, n, edges...)
 		p0 := randomDistribution(rng, n)
 
 		before, err := k.Transient(p0, horizon, nil)
@@ -204,25 +209,16 @@ func TestKernelRebindMatchesFreshCompile(t *testing.T) {
 				trial, rk.NumStates(), rk.NNZ(), k.NumStates(), k.NNZ())
 		}
 
-		// Full rebuild: a fresh chain with the same edges and the new
-		// probabilities, built through the normal Compile path.
-		fresh := New()
-		for i := 0; i < n; i++ {
-			fresh.MustAddState(fmt.Sprintf("s%d", i))
-		}
+		// Full rebuild: a fresh kernel with the same edges and the new
+		// probabilities, built from scratch.
+		var freshEdges []edge
 		for i := 0; i < n; i++ {
 			cols, _ := k.Row(i)
-			lo, _ := k.RowSpan(i)
-			for j, to := range cols {
-				if err := fresh.AddTransition(i, to, newVals[lo+j]); err != nil {
-					t.Fatal(err)
-				}
+			for _, to := range cols {
+				freshEdges = append(freshEdges, edge{i, to, newVals[len(freshEdges)]})
 			}
 		}
-		if err := fresh.Validate(1e-9); err != nil {
-			t.Fatal(err)
-		}
-		want, err := fresh.Compile().Transient(p0, horizon, nil)
+		want, err := kernelOf(t, n, freshEdges...).Transient(p0, horizon, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,19 +242,7 @@ func TestKernelRebindMatchesFreshCompile(t *testing.T) {
 }
 
 func TestKernelRebindRejectsBadValues(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	g := c.MustAddState("g")
-	if err := c.AddTransition(a, g, 0.7); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddTransition(a, a, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkAbsorbing(g); err != nil {
-		t.Fatal(err)
-	}
-	k := c.Compile()
+	k := kernelOf(t, 2, edge{0, 1, 0.7}, edge{0, 0, 0.3}, edge{1, 1, 1})
 	good := k.ValuesCopy()
 	if _, err := k.Rebind(good[:len(good)-1], 1e-9); err == nil {
 		t.Error("wrong value count should error")
@@ -278,36 +262,26 @@ func TestKernelRebindRejectsBadValues(t *testing.T) {
 }
 
 // TestNewKernel checks the direct CSR constructor: a layout written by hand
-// steps exactly like the compiled chain it describes, and layout errors and
-// non-stochastic rows are rejected with the offending state's index.
+// steps exactly like the edge walk of the chain it describes, and layout
+// errors and non-stochastic rows are rejected with the offending state's
+// index.
 func TestNewKernel(t *testing.T) {
 	// State 0 moves to 1 w.p. 0.7 and stays w.p. 0.3; state 1 absorbs.
 	k, err := NewKernel([]int{0, 2, 3}, []int{1, 0, 1}, []float64{0.7, 0.3, 1}, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New()
-	a := c.MustAddState("a")
-	g := c.MustAddState("g")
-	if err := c.AddTransition(a, g, 0.7); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddTransition(a, a, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkAbsorbing(g); err != nil {
-		t.Fatal(err)
-	}
-	want, err := c.Compile().Transient(linalg.Vector{1, 0}, 5, nil)
-	if err != nil {
-		t.Fatal(err)
+	edges := []edge{{0, 1, 0.7}, {0, 0, 0.3}, {1, 1, 1}}
+	want := linalg.Vector{1, 0}
+	for s := 0; s < 5; s++ {
+		want = legacyStepAt(2, edges, want)
 	}
 	got, err := k.Transient(linalg.Vector{1, 0}, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if maxAbsDiff(got, want) != 0 {
-		t.Errorf("NewKernel transient %v, compiled chain %v", got, want)
+		t.Errorf("NewKernel transient %v, edge walk %v", got, want)
 	}
 
 	for name, tc := range map[string]struct {
@@ -320,6 +294,8 @@ func TestNewKernel(t *testing.T) {
 		"row pointer span":   {[]int{0, 1, 1}, []int{1, 1}, []float64{1, 1}, "span"},
 		"row sum":            {[]int{0, 2, 3}, []int{1, 0, 1}, []float64{0.7, 0.7, 1}, "state 0 outgoing probabilities sum"},
 		"value out of range": {[]int{0, 1, 2}, []int{1, 1}, []float64{1, 1.5}, "state 1 value"},
+		"negative value":     {[]int{0, 2, 3}, []int{1, 0, 1}, []float64{1.1, -0.1, 1}, "state 0 value"},
+		"NaN value":          {[]int{0, 2, 3}, []int{1, 0, 1}, []float64{math.NaN(), 1, 1}, "state 0 value"},
 		"no self-loop":       {[]int{0, 1, 1}, []int{1}, []float64{1}, "state 1 outgoing probabilities sum"},
 	} {
 		if _, err := NewKernel(tc.rowPtr, tc.col, tc.val, 1e-9); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -329,20 +305,7 @@ func TestNewKernel(t *testing.T) {
 }
 
 func TestKernelHomogeneousStepAllocatesNothing(t *testing.T) {
-	c := New()
-	up := c.MustAddState("UP")
-	down := c.MustAddState("DOWN")
-	for _, e := range []error{
-		c.AddTransition(up, up, 0.9),
-		c.AddTransition(up, down, 0.1),
-		c.AddTransition(down, up, 0.8),
-		c.AddTransition(down, down, 0.2),
-	} {
-		if e != nil {
-			t.Fatal(e)
-		}
-	}
-	k := c.Compile()
+	k := kernelOf(t, 2, edge{0, 0, 0.9}, edge{0, 1, 0.1}, edge{1, 0, 0.8}, edge{1, 1, 0.2})
 	src := linalg.Vector{1, 0}
 	dst := linalg.NewVector(2)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -356,37 +319,8 @@ func TestKernelHomogeneousStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestCompileReflectsMutation checks that Compile lowers the chain as it
-// stands: an edge added after one compile appears in the next.
-func TestCompileReflectsMutation(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	b := c.MustAddState("b")
-	if err := c.AddTransition(a, b, 1); err != nil {
-		t.Fatal(err)
-	}
-	if k1 := c.Compile(); k1.NNZ() != 1 {
-		t.Errorf("compiled kernel has %d edges, want 1", k1.NNZ())
-	}
-	if err := c.AddTransition(b, a, 1); err != nil {
-		t.Fatal(err)
-	}
-	if k2 := c.Compile(); k2.NNZ() != 2 {
-		t.Errorf("recompiled kernel has %d edges, want 2", k2.NNZ())
-	}
-}
-
 func TestKernelAccessors(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	g := c.MustAddState("g")
-	if err := c.AddTransition(a, g, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkAbsorbing(g); err != nil {
-		t.Fatal(err)
-	}
-	k := c.Compile()
+	k := kernelOf(t, 2, edge{0, 1, 1}, edge{1, 1, 1})
 	if k.NumStates() != 2 {
 		t.Errorf("NumStates() = %d, want 2", k.NumStates())
 	}
@@ -396,12 +330,7 @@ func TestKernelAccessors(t *testing.T) {
 }
 
 func TestKernelStepErrors(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	if err := c.AddTransition(a, a, 1); err != nil {
-		t.Fatal(err)
-	}
-	k := c.Compile()
+	k := kernelOf(t, 1, edge{0, 0, 1})
 	if err := k.StepInto(linalg.NewVector(1), linalg.NewVector(2)); err == nil {
 		t.Error("wrong src length should error")
 	}
@@ -417,13 +346,8 @@ func TestKernelStepErrors(t *testing.T) {
 }
 
 func TestTransientObservedPropagatesObserverError(t *testing.T) {
-	c := New()
-	a := c.MustAddState("a")
-	if err := c.AddTransition(a, a, 1); err != nil {
-		t.Fatal(err)
-	}
 	want := fmt.Errorf("observer says no")
-	_, err := c.Compile().Transient(linalg.Vector{1}, 3, func(s int, p linalg.Vector) error {
+	_, err := kernelOf(t, 1, edge{0, 0, 1}).Transient(linalg.Vector{1}, 3, func(s int, p linalg.Vector) error {
 		if s == 2 {
 			return want
 		}
@@ -436,47 +360,27 @@ func TestTransientObservedPropagatesObserverError(t *testing.T) {
 
 // ladderChain builds an n-state absorbing chain shaped like the path
 // model's age ladder, for benchmarking.
-func ladderChain(b *testing.B, n int) (*Chain, int) {
-	b.Helper()
-	c := New()
-	for i := 0; i < n; i++ {
-		c.MustAddState(fmt.Sprintf("s%d", i))
-	}
-	if err := c.MarkAbsorbing(n - 1); err != nil {
-		b.Fatal(err)
-	}
+func ladderChain(n int) []edge {
+	var edges []edge
 	for i := 0; i < n-1; i++ {
 		next := i + 1
-		skip := i + 2
-		if skip >= n {
-			skip = n - 1
-		}
+		skip := min(i+2, n-1)
 		if next == skip {
-			if err := c.AddTransition(i, next, 1); err != nil {
-				b.Fatal(err)
-			}
+			edges = append(edges, edge{i, next, 1})
 			continue
 		}
-		if err := c.AddTransition(i, next, 0.75); err != nil {
-			b.Fatal(err)
-		}
-		if err := c.AddTransition(i, skip, 0.25); err != nil {
-			b.Fatal(err)
-		}
+		edges = append(edges, edge{i, next, 0.75}, edge{i, skip, 0.25})
 	}
-	if err := c.Validate(1e-12); err != nil {
-		b.Fatal(err)
-	}
-	return c, 0
+	return append(edges, edge{n - 1, n - 1, 1})
 }
 
 // BenchmarkKernelStepHomogeneous measures one compiled step of a 512-state
 // ladder: the hot loop, 0 allocs/op.
 func BenchmarkKernelStepHomogeneous(b *testing.B) {
-	c, start := ladderChain(b, 512)
-	k := c.Compile()
-	src := pointMass(c.NumStates(), start)
-	dst := linalg.NewVector(c.NumStates())
+	const n = 512
+	k := kernelOf(b, n, ladderChain(n)...)
+	src := pointMass(n, 0)
+	dst := linalg.NewVector(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -490,14 +394,12 @@ func BenchmarkKernelStepHomogeneous(b *testing.B) {
 // BenchmarkLegacyStepHomogeneous is the pre-kernel baseline on the same
 // chain, kept for comparison.
 func BenchmarkLegacyStepHomogeneous(b *testing.B) {
-	c, start := ladderChain(b, 512)
-	p := pointMass(c.NumStates(), start)
-	var err error
+	const n = 512
+	edges := ladderChain(n)
+	p := pointMass(n, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if p, err = legacyStepAt(c, p); err != nil {
-			b.Fatal(err)
-		}
+		p = legacyStepAt(n, edges, p)
 	}
 }

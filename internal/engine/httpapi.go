@@ -86,9 +86,7 @@ func writeEngineErr(w http.ResponseWriter, err error) {
 // decodeInto strictly parses the request body into v.
 func (s *apiServer) decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := spec.DecodeStrict(r.Body, v); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}

@@ -258,6 +258,8 @@ func TestRequestValidation(t *testing.T) {
 		{"empty scenario", "/v1/network", `{"scenario": {}}`, http.StatusBadRequest},
 		{"missing source", "/v1/evaluate", `{"scenario": ` + string(typical) + `}`, http.StatusBadRequest},
 		{"unknown source", "/v1/evaluate", `{"scenario": ` + string(typical) + `, "source": "ghost"}`, http.StatusBadRequest},
+		{"trailing data", "/v1/evaluate",
+			`{"scenario": ` + string(typical) + `, "source": "n10"} {"junk":true} garbage`, http.StatusBadRequest},
 		{"missing candidates", "/v1/predict", `{"scenario": ` + string(typical) + `}`, http.StatusBadRequest},
 		{"conflicting snr fields", "/v1/predict",
 			`{"scenario": ` + string(typical) + `, "candidates": [{"via": "n4", "ebN0": 7, "ebN0s": [7]}]}`,
@@ -275,6 +277,11 @@ func TestRequestValidation(t *testing.T) {
 				t.Error("error body missing")
 			}
 		})
+	}
+	// A body written by json.Encoder ends in a newline; trailing
+	// whitespace is not trailing data.
+	if resp := post("/v1/evaluate", `{"scenario": `+string(typical)+`, "source": "n10"}`+"\n"); resp.StatusCode != http.StatusOK {
+		t.Errorf("body with a trailing newline: status %d, want 200", resp.StatusCode)
 	}
 	for _, path := range []string{"/v1/evaluate", "/v1/network", "/v1/predict"} {
 		resp, err := http.Get(srv.URL + path)

@@ -49,9 +49,9 @@ type Metrics struct {
 	peerServed        *obs.Counter
 	peerDegradedLocal *obs.Counter
 
-	snapshotSaves        *obs.Counter
-	snapshotLoads        *obs.Counter
-	snapshotSavedEntries *obs.Gauge
+	snapshotSaves         *obs.Counter
+	snapshotLoads         *obs.Counter
+	snapshotSavedEntries  *obs.Gauge
 	snapshotLoadedEntries *obs.Gauge
 }
 

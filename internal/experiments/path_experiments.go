@@ -32,7 +32,7 @@ func computePathDTMC(is int) (*Fig4Data, error) {
 		return nil, err
 	}
 	var b strings.Builder
-	if err := m.Chain().WriteDOT(&b, "pathmodel"); err != nil {
+	if err := m.WriteDOT(&b, "pathmodel"); err != nil {
 		return nil, err
 	}
 	return &Fig4Data{

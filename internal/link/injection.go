@@ -7,7 +7,7 @@ type FailureKind int
 
 const (
 	// Transient failures last a single slot; frequency hopping recovers
-	// the link immediately (modeled by StartingDown).
+	// the link immediately (the TransientUp curve from DOWN).
 	Transient FailureKind = iota + 1
 	// RandomDuration failures (temporary loss of line of sight) block the
 	// link for a number of slots; hopping does not help.
@@ -80,58 +80,5 @@ func (m Model) DownDuring(from, to int, base Availability) (Availability, error)
 			// opportunity: elapsed = slot - to + 1.
 			return m.TransientUp(0, slot-to+1)
 		}
-	}, nil
-}
-
-// GeometricDownCycles returns the expected availability of a link whose
-// failure lasts a geometrically distributed number of cycles: at the start
-// of each cycle (of cycleSlots uplink slots) the link stays failed with
-// probability stay. The returned availability is the mixture over failure
-// durations, truncated after maxCycles cycles (remaining mass treated as
-// failed throughout).
-//
-// This realizes the paper's suggestion that "the number of cycles which are
-// affected by the failure is geometrically distributed".
-func (m Model) GeometricDownCycles(stay float64, cycleSlots, maxCycles int, base Availability) (Availability, error) {
-	if stay < 0 || stay >= 1 {
-		return nil, fmt.Errorf("link: stay probability %v out of [0,1)", stay)
-	}
-	if cycleSlots < 1 {
-		return nil, fmt.Errorf("link: cycle must have at least one slot, got %d", cycleSlots)
-	}
-	if maxCycles < 1 {
-		return nil, fmt.Errorf("link: need at least one cycle, got %d", maxCycles)
-	}
-	if base == nil {
-		base = m.Steady()
-	}
-	// Precompute the per-duration availabilities: duration d cycles means
-	// DOWN during [0, d*cycleSlots).
-	durAvail := make([]Availability, maxCycles+1)
-	for d := 1; d <= maxCycles; d++ {
-		av, err := m.DownDuring(0, d*cycleSlots, base)
-		if err != nil {
-			return nil, err
-		}
-		durAvail[d] = av
-	}
-	return func(slot int) float64 {
-		var acc, mass float64
-		p := 1.0 // P(duration >= d) before observing cycle d
-		for d := 1; d <= maxCycles; d++ {
-			var pd float64 // P(duration == d)
-			if d == maxCycles {
-				pd = p // fold the tail into the last bucket
-			} else {
-				pd = p * (1 - stay)
-			}
-			acc += pd * durAvail[d](slot)
-			mass += pd
-			p *= stay
-		}
-		if mass == 0 {
-			return 0
-		}
-		return acc / mass
 	}, nil
 }

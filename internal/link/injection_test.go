@@ -122,65 +122,3 @@ func TestBlockedValidation(t *testing.T) {
 		t.Error("to < from should error")
 	}
 }
-
-func TestGeometricDownCyclesMixture(t *testing.T) {
-	m, err := New(0.184, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cycleSlots = 20
-	// stay = 0: the failure always lasts exactly one cycle, so the
-	// mixture equals DownDuring(0, cycleSlots).
-	av, err := m.GeometricDownCycles(0, cycleSlots, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := m.DownDuring(0, cycleSlots, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, slot := range []int{0, 5, 19, 20, 21, 30, 79} {
-		if math.Abs(av(slot)-one(slot)) > 1e-12 {
-			t.Errorf("stay=0 slot %d: mixture %v vs one-cycle %v", slot, av(slot), one(slot))
-		}
-	}
-}
-
-func TestGeometricDownCyclesLongerFailuresAreWorse(t *testing.T) {
-	m, _ := New(0.184, 0.9)
-	const cycleSlots = 20
-	short, err := m.GeometricDownCycles(0.1, cycleSlots, 6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	long, err := m.GeometricDownCycles(0.8, cycleSlots, 6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// During the second cycle, a stickier failure leaves less availability.
-	for _, slot := range []int{25, 30, 35} {
-		if long(slot) >= short(slot) {
-			t.Errorf("slot %d: stickier failure should be worse: %v vs %v", slot, long(slot), short(slot))
-		}
-	}
-	// During the first cycle both are fully down.
-	if short(5) != 0 || long(5) != 0 {
-		t.Error("first cycle should be fully down in all mixtures")
-	}
-}
-
-func TestGeometricDownCyclesValidation(t *testing.T) {
-	m, _ := New(0.184, 0.9)
-	if _, err := m.GeometricDownCycles(1, 20, 4, nil); err == nil {
-		t.Error("stay = 1 should error (never recovers)")
-	}
-	if _, err := m.GeometricDownCycles(-0.1, 20, 4, nil); err == nil {
-		t.Error("negative stay should error")
-	}
-	if _, err := m.GeometricDownCycles(0.5, 0, 4, nil); err == nil {
-		t.Error("zero cycle slots should error")
-	}
-	if _, err := m.GeometricDownCycles(0.5, 20, 0, nil); err == nil {
-		t.Error("zero max cycles should error")
-	}
-}

@@ -4,16 +4,11 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-
-	"wirelesshart/internal/channel"
-	"wirelesshart/internal/dtmc"
 )
 
-// kstateTol is the row-stochasticity and distribution-normalization
-// tolerance applied to k-state parameters. It matches the chain-validation
-// tolerance used when a fitted or hand-written matrix is exported as a
-// DTMC: rows assembled from empirical transition counts (or from 1-p
-// complements) are stochastic only up to float rounding.
+// kstateTol is the row-stochasticity tolerance applied to k-state
+// parameters: rows assembled from empirical transition frequencies (or
+// from 1-p complements) are stochastic only up to float rounding.
 const kstateTol = 1e-9
 
 // KState is an immutable k-state Markov fading-channel link model
@@ -21,8 +16,7 @@ const kstateTol = 1e-9
 // over k channel states with a per-state packet success probability. The
 // paper's two-state UP/DOWN model is the k=2 special case with success
 // probabilities {1, 0} (see FromModel); richer chains capture graded
-// fading levels — deep fade, shadowed, clear — fitted from SNR traces via
-// threshold partitioning (FromSNRTrace).
+// fading levels — deep fade, shadowed, clear.
 type KState struct {
 	k     int
 	trans []float64 // row-major k×k slot transition matrix
@@ -118,47 +112,6 @@ func NewUniformMixing(stay float64, succ []float64) (*KState, error) {
 	return NewKState(trans, succ)
 }
 
-// FromSNRTrace fits a k-state fading model from a trace of per-slot linear
-// Eb/N0 samples via threshold partitioning: the SNR axis is split into k
-// bands by greedy variance-reduction (the regression-trees approach of
-// Florenzan Reyes et al., see channel.PartitionSNRTrace), the per-band
-// transition matrix is estimated from consecutive-sample counts, and each
-// band's packet success probability follows from its mean Eb/N0 through
-// the OQPSK BER curve at the given message length (paper Eqs. 1-2).
-func FromSNRTrace(trace []float64, k, bits int) (*KState, error) {
-	part, err := channel.PartitionSNRTrace(trace, k)
-	if err != nil {
-		return nil, fmt.Errorf("link: fit SNR trace: %w", err)
-	}
-	counts := make([]int, k*k)
-	rowTotal := make([]int, k)
-	for t := 0; t+1 < len(part.States); t++ {
-		i, j := part.States[t], part.States[t+1]
-		counts[i*k+j]++
-		rowTotal[i]++
-	}
-	trans := make([][]float64, k)
-	for i := range trans {
-		if rowTotal[i] == 0 {
-			return nil, fmt.Errorf("link: fit SNR trace: state %d has no observed outgoing transition; need a longer trace", i)
-		}
-		row := make([]float64, k)
-		for j := 0; j < k; j++ {
-			row[j] = float64(counts[i*k+j]) / float64(rowTotal[i])
-		}
-		trans[i] = row
-	}
-	succ := make([]float64, k)
-	for i, mean := range part.Means {
-		budget, err := channel.BudgetFromEbN0(mean, bits)
-		if err != nil {
-			return nil, fmt.Errorf("link: fit SNR trace: state %d: %w", i, err)
-		}
-		succ[i] = 1 - budget.FailureProb
-	}
-	return NewKState(trans, succ)
-}
-
 // States returns k.
 func (m *KState) States() int { return m.k }
 
@@ -200,101 +153,6 @@ func (m *KState) SteadyUp() float64 {
 func (m *KState) Steady() Availability {
 	steady := m.SteadyUp()
 	return func(int) float64 { return steady }
-}
-
-// MarginalFrom returns the per-slot availability obtained by marginalizing
-// the chain from an initial state distribution: avail(t) is the success
-// probability after evolving dist through t slot transitions — the
-// k-state generalization of the two-state TransientUp closed form. The
-// returned function is pure (it re-evolves the distribution per call) and
-// safe for concurrent use.
-func (m *KState) MarginalFrom(dist []float64) (Availability, error) {
-	if len(dist) != m.k {
-		return nil, fmt.Errorf("link: initial distribution has %d entries for %d states", len(dist), m.k)
-	}
-	sum := 0.0
-	for i, p := range dist {
-		if math.IsNaN(p) || p < 0 || p > 1 {
-			return nil, fmt.Errorf("link: initial probability %v of state %d out of [0,1]", p, i)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > kstateTol {
-		return nil, fmt.Errorf("link: initial distribution sums to %v, want 1", sum)
-	}
-	init := append([]float64(nil), dist...)
-	k := m.k
-	return func(slot int) float64 {
-		if slot < 0 {
-			slot = 0
-		}
-		cur := append([]float64(nil), init...)
-		next := make([]float64, k)
-		for t := 0; t < slot; t++ {
-			for j := range next {
-				next[j] = 0
-			}
-			for i, p := range cur {
-				if p == 0 {
-					continue
-				}
-				row := m.trans[i*k : (i+1)*k]
-				for j, q := range row {
-					next[j] += p * q
-				}
-			}
-			cur, next = next, cur
-		}
-		up := 0.0
-		for i, p := range cur {
-			up += p * m.succ[i]
-		}
-		if up > 1 {
-			return 1
-		}
-		return up
-	}, nil
-}
-
-// StartingIn returns the availability of a link known to be in the given
-// channel state at slot 0 — the k-state counterpart of StartingUp /
-// StartingDown, used for transient-failure analyses.
-func (m *KState) StartingIn(state int) (Availability, error) {
-	if state < 0 || state >= m.k {
-		return nil, fmt.Errorf("link: state %d out of [0,%d)", state, m.k)
-	}
-	dist := make([]float64, m.k)
-	dist[state] = 1
-	return m.MarginalFrom(dist)
-}
-
-// Chain exports the fading process as a DTMC with states "S0".."S{k-1}"
-// (ascending channel quality when fitted from a trace).
-func (m *KState) Chain() (*dtmc.Chain, error) {
-	c := dtmc.New()
-	ids := make([]int, m.k)
-	for i := range ids {
-		id, err := c.AddState(fmt.Sprintf("S%d", i))
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
-	}
-	for i := 0; i < m.k; i++ {
-		for j := 0; j < m.k; j++ {
-			p := m.trans[i*m.k+j]
-			if p == 0 {
-				continue
-			}
-			if err := c.AddTransition(ids[i], ids[j], p); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := c.Validate(kstateTol); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // AppendKey appends the canonical "k:<states>:<trans...>:<succ...>"

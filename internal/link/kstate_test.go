@@ -2,9 +2,10 @@ package link
 
 import (
 	"math"
-	"math/rand/v2"
 	"strings"
 	"testing"
+
+	"wirelesshart/internal/linalg"
 )
 
 // equivTol is the satellite-1 pin: the k=2 embedding must reproduce the
@@ -113,38 +114,33 @@ func TestKStateTwoStateEquivalence(t *testing.T) {
 				t.Errorf("SteadyUp() = %v, model gives %v", ks.SteadyUp(), m.SteadyUp())
 			}
 			steadyK, steadyM := ks.Steady(), m.Steady()
-			up, err := ks.StartingIn(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			down, err := ks.StartingIn(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			upM, downM := m.StartingUp(), m.StartingDown()
-			u0 := 0.37
-			mixed, err := ks.MarginalFrom([]float64{u0, 1 - u0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for slot := 0; slot <= 100; slot++ {
-				if d := math.Abs(steadyK(slot) - steadyM(slot)); d > equivTol {
-					t.Fatalf("slot %d: Steady diverges by %v", slot, d)
-				}
-				if d := math.Abs(up(slot) - upM(slot)); d > equivTol {
-					t.Fatalf("slot %d: StartingIn(0) diverges from StartingUp by %v", slot, d)
-				}
-				if d := math.Abs(down(slot) - downM(slot)); d > equivTol {
-					t.Fatalf("slot %d: StartingIn(1) diverges from StartingDown by %v", slot, d)
-				}
-				if d := math.Abs(mixed(slot) - m.TransientUp(u0, slot)); d > equivTol {
-					t.Fatalf("slot %d: MarginalFrom diverges from TransientUp by %v", slot, d)
+			// Step the embedded chain from the UP state, the DOWN state
+			// and a mixture; its success marginal must follow the
+			// model's closed-form transient.
+			k := kernelOf(t, ks.TransitionMatrix())
+			succ := ks.SuccessProbs()
+			for _, u0 := range []float64{1, 0, 0.37} {
+				_, err := k.Transient(linalg.Vector{u0, 1 - u0}, 100, func(slot int, p linalg.Vector) error {
+					if d := math.Abs(steadyK(slot) - steadyM(slot)); d > equivTol {
+						t.Fatalf("slot %d: Steady diverges by %v", slot, d)
+					}
+					got := p[0]*succ[0] + p[1]*succ[1]
+					if d := math.Abs(got - m.TransientUp(u0, slot)); d > equivTol {
+						t.Fatalf("u0 %v slot %d: embedded chain diverges from TransientUp by %v", u0, slot, d)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
 			}
 		})
 	}
 }
 
+// TestKStateMarginalConvergesToSteady steps the chain from state 0: its
+// success marginal starts at state 0's success probability and settles on
+// SteadyUp.
 func TestKStateMarginalConvergesToSteady(t *testing.T) {
 	m, err := NewKState([][]float64{
 		{0.7, 0.2, 0.1},
@@ -154,37 +150,18 @@ func TestKStateMarginalConvergesToSteady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	from, err := m.StartingIn(0)
+	succ := m.SuccessProbs()
+	marginal := func(p linalg.Vector) float64 { return p[0]*succ[0] + p[1]*succ[1] + p[2]*succ[2] }
+	p0 := linalg.Vector{1, 0, 0}
+	if got := marginal(p0); got != succ[0] {
+		t.Errorf("marginal at slot 0 = %v, want state-0 success prob %v", got, succ[0])
+	}
+	p, err := kernelOf(t, m.TransitionMatrix()).Transient(p0, 500, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(from(500)-m.SteadyUp()) > 1e-9 {
-		t.Errorf("marginal at slot 500 = %v, steady = %v", from(500), m.SteadyUp())
-	}
-	if from(0) != m.SuccessProbs()[0] {
-		t.Errorf("marginal at slot 0 = %v, want state-0 success prob %v", from(0), m.SuccessProbs()[0])
-	}
-}
-
-func TestKStateMarginalFromValidation(t *testing.T) {
-	m, err := NewUniformMixing(0.8, []float64{0.2, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.MarginalFrom([]float64{1}); err == nil {
-		t.Error("wrong-length distribution accepted")
-	}
-	if _, err := m.MarginalFrom([]float64{0.7, 0.7}); err == nil {
-		t.Error("unnormalized distribution accepted")
-	}
-	if _, err := m.MarginalFrom([]float64{-0.5, 1.5}); err == nil {
-		t.Error("negative probability accepted")
-	}
-	if _, err := m.StartingIn(2); err == nil {
-		t.Error("out-of-range state accepted")
-	}
-	if _, err := m.StartingIn(-1); err == nil {
-		t.Error("negative state accepted")
+	if got := marginal(p); math.Abs(got-m.SteadyUp()) > 1e-9 {
+		t.Errorf("marginal at slot 500 = %v, steady = %v", got, m.SteadyUp())
 	}
 }
 
@@ -226,85 +203,6 @@ func TestNewUniformMixing(t *testing.T) {
 	}
 	if _, err := NewUniformMixing(1, succ); err == nil {
 		t.Error("stay=1 (reducible identity chain) accepted")
-	}
-}
-
-func TestFromSNRTrace(t *testing.T) {
-	// Synthetic bursty trace alternating between a deep-fade band around
-	// 1.0 (linear) and a clear band around 80.0, with sticky runs.
-	rng := rand.New(rand.NewPCG(7, 1))
-	trace := make([]float64, 4000)
-	state := 0
-	for i := range trace {
-		if rng.Float64() < 0.05 {
-			state = 1 - state
-		}
-		if state == 0 {
-			trace[i] = 0.8 + 0.4*rng.Float64()
-		} else {
-			trace[i] = 70 + 20*rng.Float64()
-		}
-	}
-	m, err := FromSNRTrace(trace, 2, 1016)
-	if err != nil {
-		t.Fatal(err)
-	}
-	succ := m.SuccessProbs()
-	if succ[0] >= succ[1] {
-		t.Errorf("success probs %v not ascending with SNR band", succ)
-	}
-	if succ[1] < 0.99 {
-		t.Errorf("clear-band success prob = %v, want near 1", succ[1])
-	}
-	if succ[0] > 0.2 {
-		t.Errorf("deep-fade success prob = %v, want near 0", succ[0])
-	}
-	tr := m.TransitionMatrix()
-	// The generator flips with probability 0.05: fitted stay
-	// probabilities must recover that stickiness.
-	for i := 0; i < 2; i++ {
-		if tr[i][i] < 0.9 || tr[i][i] > 0.99 {
-			t.Errorf("fitted stay probability tr[%d][%d] = %v, want near 0.95", i, i, tr[i][i])
-		}
-	}
-
-	if _, err := FromSNRTrace([]float64{1, 2, 3}, 5, 1016); err == nil {
-		t.Error("trace with fewer distinct values than bands accepted")
-	}
-	if _, err := FromSNRTrace([]float64{1, -2, 3}, 2, 1016); err == nil {
-		t.Error("negative SNR sample accepted")
-	}
-	// A trace whose upper band appears only at the very end has no
-	// outgoing transition observed from it.
-	if _, err := FromSNRTrace([]float64{1, 1, 1, 1, 50}, 2, 1016); err == nil {
-		t.Error("trace with an unobserved outgoing transition accepted")
-	}
-}
-
-func TestKStateChain(t *testing.T) {
-	m, err := NewKState([][]float64{
-		{0.8, 0.2, 0},
-		{0.1, 0.8, 0.1},
-		{0, 0.3, 0.7},
-	}, []float64{0, 0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := m.Chain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumStates() != 3 {
-		t.Fatalf("NumStates() = %d, want 3", c.NumStates())
-	}
-	for i, name := range []string{"S0", "S1", "S2"} {
-		id, ok := c.StateID(name)
-		if !ok || id != i {
-			t.Errorf("StateID(%q) = %d,%v", name, id, ok)
-		}
-	}
-	if cols, _ := c.Compile().Row(0); len(cols) != 2 {
-		t.Errorf("state 0 has %d transitions, want 2 (zero edges skipped)", len(cols))
 	}
 }
 
@@ -365,7 +263,7 @@ func TestMemorylessEquivalent(t *testing.T) {
 	// The reduction is the iid chain: from the first transition on, the
 	// per-slot availability is the steady value from any initial state.
 	for slot := 1; slot <= 10; slot++ {
-		if d := math.Abs(red.StartingDown()(slot) - red.SteadyUp()); d > 1e-12 {
+		if d := math.Abs(red.TransientUp(0, slot) - red.SteadyUp()); d > 1e-12 {
 			t.Fatalf("iid reduction has memory: slot %d diverges by %v", slot, d)
 		}
 	}

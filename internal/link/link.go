@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"wirelesshart/internal/channel"
-	"wirelesshart/internal/dtmc"
 )
 
 // DefaultRecoveryProb is the paper's choice for p_rc: channel hopping makes
@@ -75,20 +74,6 @@ func (m Model) FailureProb() float64 { return m.pfl }
 // RecoveryProb returns p_rc.
 func (m Model) RecoveryProb() float64 { return m.prc }
 
-// MeanUpRun returns the expected number of consecutive UP slots: 1/p_fl
-// (infinite for a perfect link, reported as +Inf).
-func (m Model) MeanUpRun() float64 {
-	if m.pfl == 0 {
-		return math.Inf(1)
-	}
-	return 1 / m.pfl
-}
-
-// MeanDownRun returns the expected burst length of a failure in slots:
-// 1/p_rc. With the paper's p_rc = 0.9 a failure typically lasts a single
-// slot — the transient-error regime of Section VI-C.
-func (m Model) MeanDownRun() float64 { return 1 / m.prc }
-
 // SteadyUp returns the stationary availability π(up) = p_rc/(p_rc+p_fl)
 // (paper Eq. 4).
 func (m Model) SteadyUp() float64 {
@@ -121,37 +106,6 @@ func (m Model) Autocorrelation(k int) float64 {
 	return math.Pow(1-m.pfl-m.prc, float64(k))
 }
 
-// Chain exports the link as a two-state DTMC with states "UP" (id 0) and
-// "DOWN" (id 1), matching the paper's Fig. 3.
-func (m Model) Chain() (*dtmc.Chain, error) {
-	c := dtmc.New()
-	up, err := c.AddState("UP")
-	if err != nil {
-		return nil, err
-	}
-	down, err := c.AddState("DOWN")
-	if err != nil {
-		return nil, err
-	}
-	for _, step := range []struct {
-		from, to int
-		p        float64
-	}{
-		{from: up, to: up, p: 1 - m.pfl},
-		{from: up, to: down, p: m.pfl},
-		{from: down, to: up, p: m.prc},
-		{from: down, to: down, p: 1 - m.prc},
-	} {
-		if err := c.AddTransition(step.from, step.to, step.p); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.Validate(1e-12); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // Availability is a per-slot link availability: UpProb(t) is the
 // probability that the link is UP during uplink slot t (t counts uplink
 // slots from the start of the reporting interval, starting at 1 to match
@@ -165,15 +119,4 @@ type Availability func(slot int) float64
 func (m Model) Steady() Availability {
 	steady := m.SteadyUp()
 	return func(int) float64 { return steady }
-}
-
-// StartingUp returns the availability of a link known to be UP at slot 0.
-func (m Model) StartingUp() Availability {
-	return func(slot int) float64 { return m.TransientUp(1, slot) }
-}
-
-// StartingDown returns the availability of a link known to be DOWN at slot
-// 0 — the transient-error recovery curve of Fig. 17.
-func (m Model) StartingDown() Availability {
-	return func(slot int) float64 { return m.TransientUp(0, slot) }
 }

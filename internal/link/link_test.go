@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"wirelesshart/internal/channel"
+	"wirelesshart/internal/dtmc"
 	"wirelesshart/internal/linalg"
 )
 
@@ -154,23 +155,6 @@ func TestAutocorrelation(t *testing.T) {
 	}
 }
 
-func TestMeanRunLengths(t *testing.T) {
-	m, err := New(0.1838, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.MeanUpRun(); math.Abs(got-1/0.1838) > 1e-12 {
-		t.Errorf("MeanUpRun = %v, want %v", got, 1/0.1838)
-	}
-	if got := m.MeanDownRun(); math.Abs(got-1/0.9) > 1e-12 {
-		t.Errorf("MeanDownRun = %v, want %v", got, 1/0.9)
-	}
-	perfect, _ := New(0, 0.9)
-	if !math.IsInf(perfect.MeanUpRun(), 1) {
-		t.Error("perfect link should have infinite up run")
-	}
-}
-
 func TestTransientUpFig17(t *testing.T) {
 	// Fig. 17: from DOWN with p_fl=0.184 the link is at p_rc=0.9 after one
 	// slot and at steady state (0.8303) within a few slots.
@@ -202,21 +186,39 @@ func TestTransientUpNegativeTime(t *testing.T) {
 	}
 }
 
-func TestTransientUpMatchesChain(t *testing.T) {
-	// The closed form must match stepping the exported DTMC.
-	m, _ := New(0.2627, 0.9)
-	c, err := m.Chain()
+// kernelOf compiles a dense row-stochastic matrix, zero entries included,
+// into a DTMC kernel.
+func kernelOf(t *testing.T, trans [][]float64) *dtmc.Kernel {
+	t.Helper()
+	rowPtr := []int{0}
+	var col []int
+	var val []float64
+	for _, row := range trans {
+		for j, p := range row {
+			col = append(col, j)
+			val = append(val, p)
+		}
+		rowPtr = append(rowPtr, len(col))
+	}
+	k, err := dtmc.NewKernel(rowPtr, col, val, kstateTol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	down, ok := c.StateID("DOWN")
-	if !ok {
-		t.Fatal("DOWN state missing")
-	}
-	up, _ := c.StateID("UP")
-	p0 := make(linalg.Vector, c.NumStates())
+	return k
+}
+
+func TestTransientUpMatchesChain(t *testing.T) {
+	// The closed form must match stepping the paper's Fig. 3 DTMC, with
+	// UP as state 0 and DOWN as state 1.
+	m, _ := New(0.2627, 0.9)
+	const up, down = 0, 1
+	k := kernelOf(t, [][]float64{
+		{1 - m.FailureProb(), m.FailureProb()},
+		{m.RecoveryProb(), 1 - m.RecoveryProb()},
+	})
+	p0 := make(linalg.Vector, 2)
 	p0[down] = 1
-	_, err = c.Compile().Transient(p0, 10, func(steps int, pt linalg.Vector) error {
+	_, err := k.Transient(p0, 10, func(steps int, pt linalg.Vector) error {
 		if want := m.TransientUp(0, steps); math.Abs(pt[up]-want) > 1e-12 {
 			t.Errorf("step %d: chain %v vs closed form %v", steps, pt[up], want)
 		}
@@ -233,16 +235,14 @@ func TestAvailabilityFunctions(t *testing.T) {
 	if steady(0) != m.SteadyUp() || steady(100) != m.SteadyUp() {
 		t.Error("Steady() must be constant at SteadyUp()")
 	}
-	down := m.StartingDown()
-	if down(0) != 0 {
-		t.Errorf("StartingDown()(0) = %v, want 0", down(0))
+	if got := m.TransientUp(0, 0); got != 0 {
+		t.Errorf("TransientUp(0, 0) = %v, want 0", got)
 	}
-	up := m.StartingUp()
-	if up(0) != 1 {
-		t.Errorf("StartingUp()(0) = %v, want 1", up(0))
+	if got := m.TransientUp(1, 0); got != 1 {
+		t.Errorf("TransientUp(1, 0) = %v, want 1", got)
 	}
-	if up(1) != 1-0.184 {
-		t.Errorf("StartingUp()(1) = %v, want %v", up(1), 1-0.184)
+	if got := m.TransientUp(1, 1); got != 1-0.184 {
+		t.Errorf("TransientUp(1, 1) = %v, want %v", got, 1-0.184)
 	}
 }
 

@@ -1,10 +1,6 @@
 package link
 
-import (
-	"strconv"
-
-	"wirelesshart/internal/dtmc"
-)
+import "strconv"
 
 // Process is a per-slot link state process — the abstraction the rest of
 // the stack consumes instead of the concrete two-state Model. A Process
@@ -12,7 +8,7 @@ import (
 // success probability, and the derived per-slot availability functions
 // that parameterize the path DTMC. The classic two-state Model (paper
 // Fig. 3) is the simplest implementation; KState generalizes it to
-// k-state Markov fading channels fitted from SNR traces.
+// k-state Markov fading channels.
 //
 // Implementations must be immutable after construction and safe for
 // concurrent use: availabilities returned by Steady are shared across the
@@ -28,9 +24,6 @@ type Process interface {
 	// stationary distribution before the reporting interval begins — the
 	// assumption of the paper's evaluation sections.
 	Steady() Availability
-	// Chain exports the process as a validated DTMC over its channel
-	// states.
-	Chain() (*dtmc.Chain, error)
 	// AppendKey appends the canonical parameter encoding of the process
 	// to b and returns the extended slice. Encodings are
 	// collision-free across implementations (each starts with a distinct

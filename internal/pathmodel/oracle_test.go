@@ -427,12 +427,67 @@ func TestSolveMatchesBoundedReachability(t *testing.T) {
 	}
 }
 
+// refChain is the reference builder's labelled-edge container: named
+// states in insertion order, each with its out-edges in insertion order.
+// An absorbing state keeps its mass through a self-loop.
+type refChain struct {
+	names     []string
+	index     map[string]int
+	out       [][]refEdge
+	absorbing []bool
+}
+
+type refEdge struct {
+	to int
+	p  float64
+}
+
+// addState adds a state with a unique name and returns its id.
+func (c *refChain) addState(name string) (int, error) {
+	if _, ok := c.index[name]; ok {
+		return 0, fmt.Errorf("duplicate state %q", name)
+	}
+	id := len(c.names)
+	c.names = append(c.names, name)
+	c.index[name] = id
+	c.out = append(c.out, nil)
+	c.absorbing = append(c.absorbing, false)
+	return id, nil
+}
+
+func (c *refChain) markAbsorbing(id int) { c.absorbing[id] = true }
+
+func (c *refChain) addTransition(from, to int, p float64) {
+	c.out[from] = append(c.out[from], refEdge{to: to, p: p})
+}
+
+// compile emits the chain's CSR layout through dtmc.NewKernel, which
+// checks every row is a distribution within tol. It also returns the row
+// pointers, so rowPtr[id] is the value position of state id's first edge.
+func (c *refChain) compile(tol float64) (*dtmc.Kernel, []int, error) {
+	rowPtr := make([]int, len(c.names)+1)
+	var col []int
+	var val []float64
+	for id, edges := range c.out {
+		if c.absorbing[id] {
+			edges = []refEdge{{to: id, p: 1}}
+		}
+		for _, e := range edges {
+			col = append(col, e.to)
+			val = append(val, e.p)
+		}
+		rowPtr[id+1] = len(col)
+	}
+	k, err := dtmc.NewKernel(rowPtr, col, val, tol)
+	return k, rowPtr, err
+}
+
 // refStructure is the reference Algorithm 1: the recursive builder that
-// names every state, inserts it into a dtmc.Chain, adds its edges one
-// AddTransition at a time and compiles the validated chain. BuildStructure
+// names every state, inserts it into a refChain, adds its edges one
+// transition at a time and compiles the validated chain. BuildStructure
 // must reproduce its state order, CSR layout and bind slots exactly.
 type refStructure struct {
-	chain   *dtmc.Chain
+	chain   *refChain
 	kernel  *dtmc.Kernel
 	initial int
 	discard int
@@ -449,7 +504,7 @@ func buildReference(slots []int, fup, is, ttl int) (*refStructure, error) {
 	horizon := is * fup
 	effTTL := cfg.ttl()
 
-	r := &refStructure{chain: dtmc.New()}
+	r := &refStructure{chain: &refChain{index: map[string]int{}}}
 	type attempt struct{ hop, slot int }
 	transmit := map[int]attempt{}
 
@@ -459,22 +514,18 @@ func buildReference(slots []int, fup, is, ttl int) (*refStructure, error) {
 		if age > effTTL {
 			break
 		}
-		id, err := r.chain.AddState(fmt.Sprintf("R%d", age))
+		id, err := r.chain.addState(fmt.Sprintf("R%d", age))
 		if err != nil {
 			return nil, err
 		}
-		if err := r.chain.MarkAbsorbing(id); err != nil {
-			return nil, err
-		}
+		r.chain.markAbsorbing(id)
 		r.goals = append(r.goals, id)
 	}
-	discard, err := r.chain.AddState("Discard")
+	discard, err := r.chain.addState("Discard")
 	if err != nil {
 		return nil, err
 	}
-	if err := r.chain.MarkAbsorbing(discard); err != nil {
-		return nil, err
-	}
+	r.chain.markAbsorbing(discard)
 	r.discard = discard
 
 	type key struct{ t, h int }
@@ -488,7 +539,7 @@ func buildReference(slots []int, fup, is, ttl int) (*refStructure, error) {
 		if id, ok := ids[k]; ok {
 			return id, nil
 		}
-		id, err := r.chain.AddState(stateName(t, h, n))
+		id, err := r.chain.addState(stateName(t, h, n))
 		if err != nil {
 			return 0, err
 		}
@@ -503,51 +554,44 @@ func buildReference(slots []int, fup, is, ttl int) (*refStructure, error) {
 				if gi < 0 || gi >= len(r.goals) {
 					return 0, fmt.Errorf("no goal for arrival age %d", next)
 				}
-				if err := r.chain.AddTransition(id, r.goals[gi], placeholderProb); err != nil {
-					return 0, err
-				}
+				r.chain.addTransition(id, r.goals[gi], placeholderProb)
 			} else {
 				succ, err := construct(next, h+1)
 				if err != nil {
 					return 0, err
 				}
-				if err := r.chain.AddTransition(id, succ, placeholderProb); err != nil {
-					return 0, err
-				}
+				r.chain.addTransition(id, succ, placeholderProb)
 			}
 			fail, err := construct(next, h)
 			if err != nil {
 				return 0, err
 			}
-			if err := r.chain.AddTransition(id, fail, 1-placeholderProb); err != nil {
-				return 0, err
-			}
+			r.chain.addTransition(id, fail, 1-placeholderProb)
 			return id, nil
 		}
 		nx, err := construct(next, h)
 		if err != nil {
 			return 0, err
 		}
-		if err := r.chain.AddTransition(id, nx, 1); err != nil {
-			return 0, err
-		}
+		r.chain.addTransition(id, nx, 1)
 		return id, nil
 	}
 
 	if r.initial, err = construct(0, 0); err != nil {
 		return nil, err
 	}
-	if err := r.chain.Validate(bindTol); err != nil {
+	kernel, rowPtr, err := r.chain.compile(bindTol)
+	if err != nil {
 		return nil, err
 	}
+	r.kernel = kernel
 	transmitIDs := make([]int, 0, len(transmit))
 	for id := range transmit {
 		transmitIDs = append(transmitIDs, id)
 	}
 	sort.Ints(transmitIDs)
-	r.kernel = r.chain.Compile()
 	for _, id := range transmitIDs {
-		lo, hi := r.kernel.RowSpan(id)
+		lo, hi := rowPtr[id], rowPtr[id+1]
 		if hi-lo != 2 {
 			return nil, fmt.Errorf("transmit state %d compiled to %d edges, want 2", id, hi-lo)
 		}
@@ -649,13 +693,12 @@ func TestBuildStructureMatchesReference(t *testing.T) {
 							t.Fatalf("%s: %d states / %d edges, reference %d / %d", name,
 								got.NumStates(), got.base.NNZ(), want.kernel.NumStates(), want.kernel.NNZ())
 						}
+						// Equal columns row by row give equal row spans.
 						for id := 0; id < got.NumStates(); id++ {
-							glo, ghi := got.base.RowSpan(id)
-							wlo, whi := want.kernel.RowSpan(id)
 							gc, gv := got.base.Row(id)
 							wc, wv := want.kernel.Row(id)
-							if glo != wlo || ghi != whi || !slices.Equal(gc, wc) {
-								t.Fatalf("%s: row %d spans [%d,%d) cols %v, reference [%d,%d) cols %v", name, id, glo, ghi, gc, wlo, whi, wc)
+							if !slices.Equal(gc, wc) {
+								t.Fatalf("%s: row %d cols %v, reference cols %v", name, id, gc, wc)
 							}
 							for e := range gv {
 								if !same(gv[e], wv[e]) {
@@ -679,11 +722,12 @@ func TestBuildStructureMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: Bind: %v", name, err)
 						}
-						c := m.Chain()
 						for id := 0; id < got.NumStates(); id++ {
-							if c.Name(id) != want.chain.Name(id) || c.IsAbsorbing(id) != want.chain.IsAbsorbing(id) {
+							cols, _ := m.kernel.Row(id)
+							absorbing := len(cols) == 1 && cols[0] == id
+							if got.stateLabel(id) != want.chain.names[id] || absorbing != want.chain.absorbing[id] {
 								t.Fatalf("%s: state %d is %q (absorbing %v), reference %q (%v)", name, id,
-									c.Name(id), c.IsAbsorbing(id), want.chain.Name(id), want.chain.IsAbsorbing(id))
+									got.stateLabel(id), absorbing, want.chain.names[id], want.chain.absorbing[id])
 							}
 						}
 						res, err := m.Solve()

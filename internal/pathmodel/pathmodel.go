@@ -27,8 +27,8 @@ package pathmodel
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
-	"sync"
 
 	"wirelesshart/internal/dtmc"
 	"wirelesshart/internal/link"
@@ -112,12 +112,6 @@ type Model struct {
 	cfg    Config
 	s      *Structure
 	kernel *dtmc.Kernel
-
-	// chain materializes the bound chain lazily (DOT export and other
-	// cold-path introspection); the solve path never touches it.
-	chainOnce sync.Once
-	chain     *dtmc.Chain
-	chainErr  error
 }
 
 // Build constructs the path model per Algorithm 1: a structural build of
@@ -133,6 +127,20 @@ func Build(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	return s.Bind(cfg.Links)
+}
+
+// stateLabel names state id: goal states R<age>, then Discard, then the
+// transient states in the paper's age-tuple notation.
+func (s *Structure) stateLabel(id int) string {
+	switch {
+	case id < len(s.ages):
+		return fmt.Sprintf("R%d", s.ages[id])
+	case id == s.discard:
+		return "Discard"
+	default:
+		st := s.states[id-s.discard-1]
+		return stateName(st.t, st.h, len(s.slots))
+	}
 }
 
 // stateName renders a state in the paper's age-tuple notation: nodes that
@@ -152,60 +160,11 @@ func stateName(t, h, n int) string {
 // Structure returns the model's underlying shared structure.
 func (m *Model) Structure() *Structure { return m.s }
 
-// Chain returns the model's DTMC with its bound transition probabilities.
-// The chain is materialized from the compiled kernel on first use — the
-// solve path runs on the kernel alone — so this accessor is for
-// introspection and DOT export, not for hot loops.
-func (m *Model) Chain() *dtmc.Chain {
-	m.chainOnce.Do(func() {
-		m.chain, m.chainErr = m.materializeChain()
-	})
-	if m.chainErr != nil {
-		// The structure's rows validated at build time and the kernel's
-		// values validated at bind time, so re-assembling them cannot
-		// produce an invalid chain.
-		panic(fmt.Sprintf("pathmodel: materializing bound chain: %v", m.chainErr))
-	}
-	return m.chain
-}
-
-// materializeChain rebuilds a chain with the kernel's bound values on the
-// structure's state space, rendering the state names from each state's
-// (age, hops) record.
-func (m *Model) materializeChain() (*dtmc.Chain, error) {
-	s := m.s
-	out := dtmc.New()
-	for _, age := range s.ages {
-		if _, err := out.AddState(fmt.Sprintf("R%d", age)); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := out.AddState("Discard"); err != nil {
-		return nil, err
-	}
-	for _, st := range s.states {
-		if _, err := out.AddState(stateName(st.t, st.h, len(s.slots))); err != nil {
-			return nil, err
-		}
-	}
-	for id := 0; id < s.NumStates(); id++ {
-		if id <= s.discard {
-			if err := out.MarkAbsorbing(id); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		cols, vals := m.kernel.Row(id)
-		for k, to := range cols {
-			if err := out.AddTransition(id, to, vals[k]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := out.Validate(bindTol); err != nil {
-		return nil, err
-	}
-	return out, nil
+// WriteDOT renders the model's bound DTMC in Graphviz DOT format, the
+// paper's Figs. 4 and 5: goal states R<age>, the Discard state and the
+// age-tuple transient states.
+func (m *Model) WriteDOT(w io.Writer, title string) error {
+	return m.kernel.WriteDOT(w, title, m.s.stateLabel)
 }
 
 // GoalAges returns the arrival ages a_i of the goal states in cycle order.

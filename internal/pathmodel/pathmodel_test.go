@@ -67,17 +67,20 @@ func TestBuildFig4Structure(t *testing.T) {
 	if ages := m.GoalAges(); ages[0] != 7 {
 		t.Errorf("goal age = %d, want 7", ages[0])
 	}
-	c := m.Chain()
-	if _, ok := c.StateID("R7"); !ok {
+	labels := map[string]bool{}
+	for id := 0; id < m.NumStates(); id++ {
+		labels[m.s.stateLabel(id)] = true
+	}
+	if !labels["R7"] {
 		t.Error("missing state R7")
 	}
-	if _, ok := c.StateID("Discard"); !ok {
+	if !labels["Discard"] {
 		t.Error("missing Discard state")
 	}
 	// Paper Fig. 4 states: (t,-,-) for t=0..6 (we start ages at 0),
 	// (3,3,-)... the success chain after slot 3, and the two full tuples.
 	for _, want := range []string{"(0,-,-)", "(3,3,-)", "(6,6,6)"} {
-		if _, ok := c.StateID(want); !ok {
+		if !labels[want] {
 			t.Errorf("missing state %s", want)
 		}
 	}
@@ -310,7 +313,7 @@ func TestSolveTransientLinkStartsDown(t *testing.T) {
 		Slots: []int{1},
 		Fup:   7,
 		Is:    1,
-		Links: []link.Availability{lm.StartingDown()},
+		Links: []link.Availability{func(slot int) float64 { return lm.TransientUp(0, slot) }},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +449,7 @@ func TestWriteDOTIncludesGoals(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := m.Chain().WriteDOT(&b, "fig4"); err != nil {
+	if err := m.WriteDOT(&b, "fig4"); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"R7", "Discard", "doublecircle"} {

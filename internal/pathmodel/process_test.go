@@ -58,8 +58,8 @@ func TestBindProcessesTwoStateEquivalence(t *testing.T) {
 }
 
 // TestFadingBatchMatchesScalar pins the batch solver against scalar solves
-// at 1e-12 for k-state fading scenarios, including a transient marginal
-// that varies per slot — the acceptance criterion that fading availabilities
+// at 1e-12 for k-state fading scenarios mixed with transient marginals
+// that vary per slot — the acceptance criterion that fading availabilities
 // flow through Bind/BindBatch and SolveBatch unchanged.
 func TestFadingBatchMatchesScalar(t *testing.T) {
 	slots := []int{1, 2, 3}
@@ -71,18 +71,13 @@ func TestFadingBatchMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faded, err := bursty.StartingIn(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clear, err := bursty.StartingIn(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m, err := link.New(0.17, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Links known DOWN (faded) or UP (clear) at slot 0.
+	faded := func(slot int) float64 { return m.TransientUp(0, slot) }
+	clear := func(slot int) float64 { return m.TransientUp(1, slot) }
 	scenarios := [][]link.Availability{
 		{bursty.Steady(), bursty.Steady(), bursty.Steady()},
 		{faded, bursty.Steady(), m.Steady()},

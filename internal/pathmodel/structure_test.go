@@ -25,9 +25,10 @@ func bindScenarios(t *testing.T) map[string][]link.Availability {
 	if err != nil {
 		t.Fatal(err)
 	}
+	weakFromDown := func(slot int) float64 { return weak.TransientUp(0, slot) }
 	return map[string][]link.Availability{
 		"homogeneous": {lm.Steady(), lm.Steady(), lm.Steady()},
-		"mixed":       {lm.Steady(), weak.Steady(), weak.StartingDown()},
+		"mixed":       {lm.Steady(), weak.Steady(), weakFromDown},
 		"DownDuring":  {lm.Steady(), window, lm.Steady()},
 		"PermanentDown": {
 			lm.Steady(), link.PermanentDown(), lm.Steady(),

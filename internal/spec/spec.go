@@ -117,15 +117,31 @@ type Spec struct {
 	Sources []string `json:"sources,omitempty"`
 }
 
-// Parse decodes a spec from JSON, rejecting unknown fields.
+// Parse decodes a spec from JSON, rejecting unknown fields and trailing
+// data.
 func Parse(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(r, &s); err != nil {
 		return nil, fmt.Errorf("spec: decode: %w", err)
 	}
 	return &s, nil
+}
+
+// DecodeStrict decodes exactly one JSON value from r into v: unknown
+// fields are an error, and so is anything but whitespace after the value.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		if err == nil {
+			err = errors.New("unexpected data after the JSON value")
+		}
+		return err
+	}
+	return nil
 }
 
 // LoadFile reads a spec from a JSON file.

@@ -19,6 +19,28 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseRejectsTrailingData checks that a document is exactly one JSON
+// value: a second value or garbage after it is an error, while trailing
+// whitespace (json.Encoder's newline) is accepted.
+func TestParseRejectsTrailingData(t *testing.T) {
+	for _, doc := range []string{
+		`{"messageBits":1016} {"messageBits":8}`,
+		`{"messageBits":1016} garbage`,
+		`{"messageBits":1016}]`,
+	} {
+		if _, err := Parse(strings.NewReader(doc)); err == nil {
+			t.Errorf("Parse(%q) accepted trailing data", doc)
+		}
+	}
+	s, err := Parse(strings.NewReader("{\"messageBits\":1016}\n \t\n"))
+	if err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	if s.MessageBits != 1016 {
+		t.Errorf("MessageBits = %d, want 1016", s.MessageBits)
+	}
+}
+
 func TestParseMinimal(t *testing.T) {
 	const doc = `{
 	  "nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],

@@ -21,12 +21,6 @@ func FromAvailability(availability, prc float64) (Model, error) {
 	return Model{}, nil
 }
 
-// GeometricDownCycles mirrors the real stay-probability parameter.
-func (m Model) GeometricDownCycles(stay float64, cycleSlots, maxCycles int, base Availability) (Availability, error) {
-	_, _, _ = stay, cycleSlots, maxCycles
-	return base, nil
-}
-
 // TransientUp mirrors the real u0 parameter.
 func (m Model) TransientUp(u0 float64, t int) float64 {
 	_ = t
@@ -55,24 +49,6 @@ func FromModel(m Model) (*KState, error) {
 func NewUniformMixing(stay float64, succ []float64) (*KState, error) {
 	_, _ = stay, succ
 	return &KState{}, nil
-}
-
-// FromSNRTrace mirrors the SNR-trace fitting constructor.
-func FromSNRTrace(trace []float64, k, bits int) (*KState, error) {
-	_, _, _ = trace, k, bits
-	return &KState{}, nil
-}
-
-// MarginalFrom mirrors the transient-marginal accessor.
-func (k *KState) MarginalFrom(dist []float64) (func(int) float64, error) {
-	_ = dist
-	return nil, nil
-}
-
-// StartingIn mirrors the single-state transient marginal.
-func (k *KState) StartingIn(state int) (func(int) float64, error) {
-	_ = state
-	return nil, nil
 }
 
 // Process mirrors the pluggable link-process interface.

@@ -169,7 +169,9 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) (*Result, error) 
 			}
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool { return lessPos(diags[i].Position, diags[j].Position, diags[i].Category, diags[j].Category) })
+	sort.Slice(diags, func(i, j int) bool {
+		return lessPos(diags[i].Position, diags[j].Position, diags[i].Category, diags[j].Category)
+	})
 	res := &Result{Diagnostics: diags, Directives: make([]Directive, len(dirs))}
 	for i, d := range dirs {
 		res.Directives[i] = *d

@@ -1,11 +1,10 @@
 // Package mustcheck is errcheck scoped to the APIs whose discarded
 // results corrupt shared state instead of merely losing information. A
 // dropped error from Kernel.Rebind or Structure.Bind means a caller keeps
-// using a kernel whose rows were never revalidated; a dropped
-// Chain.Validate or NewKernel error defeats the only stochasticity check a
-// chain gets; a Compile() whose result is thrown away compiled for
-// nothing. Generic errcheck would flag every fmt.Fprintf in the repo; this
-// pass watches exactly the solver-critical surface.
+// using a kernel whose rows were never revalidated; a dropped NewKernel
+// error defeats the only stochasticity check a chain gets. Generic
+// errcheck would flag every fmt.Fprintf in the repo; this pass watches
+// exactly the solver-critical surface.
 package mustcheck
 
 import (
@@ -19,8 +18,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "mustcheck",
 	Doc: "require callers to use the results of the solver-critical APIs " +
-		"(Kernel.Rebind, Structure.Bind, Chain.Validate, Chain.AddTransition, " +
-		"Chain.Compile, CSR.WithValues): a dropped error there poisons cached kernels",
+		"(Kernel.Rebind, Structure.Bind, NewKernel, CSR.WithValues): " +
+		"a dropped error there poisons cached kernels",
 	Run: run,
 }
 
@@ -28,9 +27,6 @@ var Analyzer = &analysis.Analyzer{
 // must not be discarded. Extend it when a new cache-poisoning API appears.
 var checked = map[string]bool{
 	"(*wirelesshart/internal/dtmc.Kernel).Rebind":       true,
-	"(*wirelesshart/internal/dtmc.Chain).Validate":      true,
-	"(*wirelesshart/internal/dtmc.Chain).AddTransition": true,
-	"(*wirelesshart/internal/dtmc.Chain).Compile":       true,
 	"wirelesshart/internal/dtmc.NewKernel":              true,
 	"(*wirelesshart/internal/pathmodel.Structure).Bind": true,
 	"(*wirelesshart/internal/linalg.CSR).WithValues":    true,
@@ -50,10 +46,6 @@ var checked = map[string]bool{
 	"wirelesshart/internal/link.NewKState":                  true,
 	"wirelesshart/internal/link.FromModel":                  true,
 	"wirelesshart/internal/link.NewUniformMixing":           true,
-	"wirelesshart/internal/link.FromSNRTrace":               true,
-	"(*wirelesshart/internal/link.KState).MarginalFrom":     true,
-	"(*wirelesshart/internal/link.KState).StartingIn":       true,
-	"wirelesshart/internal/channel.PartitionSNRTrace":       true,
 	"(*wirelesshart/internal/spec.Spec).ResolveLinkProcess": true,
 
 	// Cluster surface: a dropped NewRing error leaves a replica routing on

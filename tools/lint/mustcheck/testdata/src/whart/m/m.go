@@ -10,12 +10,12 @@ import (
 )
 
 func bad() {
-	c := dtmc.New()
-	c.Validate(1e-9)           // want `result of Validate discarded; it must be checked`
-	c.AddTransition(0, 1, 0.5) // want `result of AddTransition discarded; it must be checked`
-	c.Compile()                // want `result of Compile discarded; it must be checked`
+	dtmc.NewKernel(nil, nil, nil, 1e-9) // want `result of NewKernel discarded; it must be checked`
+	link.New(0.1, 0.9)                  // want `result of New discarded; it must be checked`
+	var csr linalg.CSR
+	csr.WithValues(nil) // want `result of WithValues discarded; it must be checked`
 
-	k := dtmc.New().Compile()
+	var k dtmc.Kernel
 	k.Rebind(nil, 1e-9)        // want `result of Rebind discarded; it must be checked`
 	_, _ = k.Rebind(nil, 1e-9) // want `error result of Rebind assigned to blank identifier`
 
@@ -29,13 +29,13 @@ func bad() {
 	models, _ := st.BindBatch(nil)             // want `error result of BindBatch assigned to blank identifier`
 	results, _ := pathmodel.SolveBatch(models) // want `error result of SolveBatch assigned to blank identifier`
 	_ = results
-	var csr linalg.CSR
 	csr.MulVecBatch(nil, nil, 1, nil, nil, nil) // want `result of MulVecBatch discarded; it must be checked`
 
 	link.NewKState(nil, nil)          // want `result of NewKState discarded; it must be checked`
 	link.NewUniformMixing(0.9, nil)   // want `result of NewUniformMixing discarded; it must be checked`
 	ks, _ := link.NewKState(nil, nil) // want `error result of NewKState assigned to blank identifier`
-	ks.MarginalFrom(nil)              // want `result of MarginalFrom discarded; it must be checked`
+	_ = ks
+	link.FromModel(link.Model{}) // want `result of FromModel discarded; it must be checked`
 
 	cluster.NewRing("a", nil, 0)            // want `result of NewRing discarded; it must be checked`
 	ring, _ := cluster.NewRing("a", nil, 0) // want `error result of NewRing assigned to blank identifier`
@@ -47,16 +47,16 @@ func bad() {
 	eng.LoadSnapshot(nil)        // want `result of LoadSnapshot discarded; it must be checked`
 	_, _ = eng.LoadSnapshot(nil) // want `error result of LoadSnapshot assigned to blank identifier`
 
-	go c.Validate(1e-9)    // want `result of Validate discarded by go statement`
-	defer c.Validate(1e-9) // want `result of Validate discarded by defer statement`
+	go dtmc.NewKernel(nil, nil, nil, 1e-9) // want `result of NewKernel discarded by go statement`
+	defer k.Rebind(nil, 1e-9)              // want `result of Rebind discarded by defer statement`
 }
 
 func badDistributed(eng *engine.Engine, cl *cluster.Client, peer cluster.Member) {
-	eng.Evaluate(nil, nil)                       // want `result of Evaluate discarded; it must be checked`
-	eng.EvaluatePeer(nil, nil)                   // want `result of EvaluatePeer discarded; it must be checked`
-	eng.EvaluateBatch(nil, nil)                  // want `result of EvaluateBatch discarded; it must be checked`
-	cl.Post(nil, peer, "/evaluate", nil)         // want `result of Post discarded; it must be checked`
-	res, _ := eng.Evaluate(nil, nil)             // want `error result of Evaluate assigned to blank identifier`
+	eng.Evaluate(nil, nil)               // want `result of Evaluate discarded; it must be checked`
+	eng.EvaluatePeer(nil, nil)           // want `result of EvaluatePeer discarded; it must be checked`
+	eng.EvaluateBatch(nil, nil)          // want `result of EvaluateBatch discarded; it must be checked`
+	cl.Post(nil, peer, "/evaluate", nil) // want `result of Post discarded; it must be checked`
+	res, _ := eng.Evaluate(nil, nil)     // want `error result of Evaluate assigned to blank identifier`
 	_ = res
 	body, _ := cl.Post(nil, peer, "/evaluate", nil) // want `error result of Post assigned to blank identifier`
 	_ = body
@@ -79,14 +79,11 @@ func goodDistributed(eng *engine.Engine, cl *cluster.Client, peer cluster.Member
 }
 
 func good() error {
-	c := dtmc.New()
-	if err := c.AddTransition(0, 1, 0.5); err != nil {
+	base, err := dtmc.NewKernel(nil, nil, nil, 1e-9)
+	if err != nil {
 		return err
 	}
-	if err := c.Validate(1e-9); err != nil {
-		return err
-	}
-	k, err := c.Compile().Rebind(nil, 1e-9)
+	k, err := base.Rebind(nil, 1e-9)
 	if err != nil {
 		return err
 	}

@@ -12,8 +12,8 @@
 //
 // Rule 2 — constant probability arguments must lie in [0,1]. Calls whose
 // parameters are documented probabilities (link.New's p_fl/p_rc,
-// Chain.AddTransition's edge probability, GeometricDownCycles' stay
-// probability, ...) are checked whenever the argument is a compile-time
+// NewUniformMixing's stay probability, stats.Percentile's quantile level,
+// ...) are checked whenever the argument is a compile-time
 // constant; 1.5 in a PRc position becomes a diagnostic instead of a
 // runtime validation error three layers later.
 package probfloat
@@ -39,19 +39,16 @@ var Analyzer = &analysis.Analyzer{
 // probability-valued parameters. Extend this table when a new API grows a
 // probability parameter.
 var probArgs = map[string][]int{
-	"wirelesshart/internal/link.New":                         {0, 1}, // pfl, prc
-	"(*wirelesshart/internal/dtmc.Chain).AddTransition":      {2},    // p
-	"(wirelesshart/internal/link.Model).GeometricDownCycles": {0},    // stay
-	"(wirelesshart/internal/link.Model).TransientUp":         {0},    // u0 (initial up-probability)
-	"wirelesshart/internal/channel.BERFromFailureProb":       {0},    // pfl
-	"wirelesshart/internal/stats.GeometricPMF":               {0},    // p
-	"wirelesshart/internal/stats.GeometricMean":              {0},    // p
-	"wirelesshart/internal/stats.NegBinomialCycles":          {1},    // ps
-	"wirelesshart/internal/stats.NegBinomialReachability":    {1},    // ps
-	"(*wirelesshart/internal/stats.PMF).Quantile":            {0},    // level
-	"wirelesshart/internal/stats.Percentile":                 {1},    // q (quantile level)
-	"wirelesshart/internal/link.NewUniformMixing":            {0},    // stay
-	"wirelesshart/internal/link.FromAvailability":            {0, 1}, // availability, prc
+	"wirelesshart/internal/link.New":                      {0, 1}, // pfl, prc
+	"(wirelesshart/internal/link.Model).TransientUp":      {0},    // u0 (initial up-probability)
+	"wirelesshart/internal/stats.GeometricPMF":            {0},    // p
+	"wirelesshart/internal/stats.GeometricMean":           {0},    // p
+	"wirelesshart/internal/stats.NegBinomialCycles":       {1},    // ps
+	"wirelesshart/internal/stats.NegBinomialReachability": {1},    // ps
+	"(*wirelesshart/internal/stats.PMF).Quantile":         {0},    // level
+	"wirelesshart/internal/stats.Percentile":              {1},    // q (quantile level)
+	"wirelesshart/internal/link.NewUniformMixing":         {0},    // stay
+	"wirelesshart/internal/link.FromAvailability":         {0, 1}, // availability, prc
 }
 
 func run(pass *analysis.Pass) error {

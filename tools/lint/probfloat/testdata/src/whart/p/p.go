@@ -1,7 +1,6 @@
 package p
 
 import (
-	"wirelesshart/internal/dtmc"
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/stats"
 )
@@ -44,13 +43,12 @@ func ranges() {
 	_, _ = link.New(0.3, -0.2) // want `probability argument .* to New is outside \[0,1\]`
 	_, _ = link.New(0, 1)      // boundary values are fine
 
-	c := dtmc.New()
-	_ = c.AddTransition(0, 1, 2)   // want `probability argument 2 to AddTransition is outside \[0,1\]`
-	_ = c.AddTransition(0, 1, 0.7) // in range
+	_, _ = link.New(0.1, 2)   // want `probability argument 2 to New is outside \[0,1\]`
+	_, _ = link.New(0.1, 0.7) // in range
 
 	var m link.Model
-	_, _ = m.GeometricDownCycles(1.25, 1, 1, nil) // want `probability argument 1.25 to GeometricDownCycles is outside \[0,1\]`
-	_ = m.TransientUp(-0.5, 3)                    // want `probability argument .* to TransientUp is outside \[0,1\]`
+	_, _ = link.FromAvailability(0.8, 1.25) // want `probability argument 1.25 to FromAvailability is outside \[0,1\]`
+	_ = m.TransientUp(-0.5, 3)              // want `probability argument .* to TransientUp is outside \[0,1\]`
 
 	p := 1.5 // non-constant arguments are runtime validation's job
 	_, _ = link.New(p, 0.9)
