@@ -9,10 +9,15 @@ package wirelesshart
 // The reported ns/op measures the full regeneration cost of each artifact.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"wirelesshart/internal/engine"
 	"wirelesshart/internal/experiments"
@@ -303,6 +308,27 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := eng.Evaluate(ctx, s)
 		benchErr(b, err)
+	}
+}
+
+// BenchmarkHTTPNetworkCacheHit is a /v1/network request through the
+// engine's handler whose result is cached: request decode, key, cache
+// lookup and the response write, without a network transport.
+func BenchmarkHTTPNetworkCacheHit(b *testing.B) {
+	body, err := json.Marshal(map[string]any{"scenario": spec.TypicalSpec()})
+	benchErr(b, err)
+	h := engine.NewHandler(engine.New(engine.Config{}), 30*time.Second)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/network", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // warm-up: solve and cache
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }
 

@@ -3,7 +3,6 @@ package channel
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // NumChannels is the number of non-overlapping 2.4 GHz frequency channels
@@ -74,23 +73,5 @@ func (b *Blacklist) Ban(ch int) error {
 	return nil
 }
 
-// Unban removes a channel from the blacklist (idempotent).
-func (b *Blacklist) Unban(ch int) {
-	delete(b.banned, ch)
-}
-
 // Contains reports whether the channel is blacklisted.
 func (b *Blacklist) Contains(ch int) bool { return b.banned[ch] }
-
-// Len returns the number of blacklisted channels.
-func (b *Blacklist) Len() int { return len(b.banned) }
-
-// Channels returns the blacklisted channel indices in ascending order.
-func (b *Blacklist) Channels() []int {
-	out := make([]int, 0, len(b.banned))
-	for ch := range b.banned {
-		out = append(out, ch)
-	}
-	sort.Ints(out)
-	return out
-}

@@ -208,7 +208,9 @@ type PathResult struct {
 }
 
 // Result is a solved scenario. Results are cached and shared between
-// concurrent callers: treat them as read-only.
+// concurrent callers: treat them as read-only. The HTTP API encodes a
+// Result at most once, on its first response, and writes the stored
+// bytes on every later one.
 type Result struct {
 	// Key is the scenario's canonical cache key.
 	Key string `json:"key"`
@@ -226,6 +228,10 @@ type Result struct {
 	OverallDelay []DelayPoint `json:"overallDelay,omitempty"`
 	// Utilization is the exact network utilization (Eq. 11).
 	Utilization float64 `json:"utilization"`
+
+	encodeOnce sync.Once // guards encoded and encodeErr; see encoding
+	encoded    []byte
+	encodeErr  error
 }
 
 // Path returns the report for one source name.

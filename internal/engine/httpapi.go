@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"time"
 
 	"wirelesshart/internal/spec"
@@ -56,12 +58,88 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+// encodeIndented returns the API's response encoding of v: exactly what a
+// json.Encoder with SetIndent("", "  ") writes, trailing newline included.
+// Clients rely on this format byte for byte (DESIGN.md §7).
+func encodeIndented(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// encoding returns r's response encoding, encoding it on the first call
+// only; every later call, from any goroutine, returns the same bytes (or
+// the same error). Callers must not modify the slice.
+func (r *Result) encoding() ([]byte, error) {
+	r.encodeOnce.Do(func() { r.encoded, r.encodeErr = encodeIndented(r) })
+	return r.encoded, r.encodeErr
+}
+
+// writeJSON encodes v before committing the status, so a value that cannot
+// be encoded is answered with a 500 instead of code and an empty body.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := encodeIndented(v)
+	writeEncoded(w, code, body, err)
+}
+
+// writeEncoded answers code with an encoded body, or 500 when encoding it
+// failed.
+func writeEncoded(w http.ResponseWriter, code int, body []byte, err error) {
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	_, _ = w.Write(body)
+}
+
+// batchBody renders batchResponse{results} exactly as encodeIndented
+// would, splicing in each result's stored encoding: nested two levels
+// deep, every line of a result after its first gains four spaces. This is
+// exact because encoded JSON strings never hold a raw newline, so every
+// '\n' in an encoding is a line break. results is non-empty: the handler
+// and EvaluateBatch reject an empty batch.
+func batchBody(results []*Result) ([]byte, error) {
+	const head, tail, indent = "{\n  \"results\": [\n", "  ]\n}\n", "    "
+	encs := make([][]byte, len(results))
+	size := len(head) + len(tail)
+	for i, r := range results {
+		b, err := r.encoding()
+		if err != nil {
+			return nil, err
+		}
+		encs[i] = b
+		// b with every line indented, and a comma.
+		size += len(b) + len(indent)*bytes.Count(b, []byte{'\n'}) + 1
+	}
+	body := make([]byte, 0, size)
+	body = append(body, head...)
+	for i, b := range encs {
+		body = append(body, indent...)
+		rest := b[:len(b)-1]
+		for {
+			j := bytes.IndexByte(rest, '\n')
+			if j < 0 {
+				break
+			}
+			body = append(body, rest[:j+1]...)
+			body = append(body, indent...)
+			rest = rest[j+1:]
+		}
+		body = append(body, rest...)
+		if i < len(encs)-1 {
+			body = append(body, ',')
+		}
+		body = append(body, '\n')
+	}
+	return append(body, tail...), nil
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -172,7 +250,8 @@ func (s *apiServer) peerSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "scenario canonicalizes to %s here, not the requested %s", res.Key, req.Key)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	body, err := res.encoding()
+	writeEncoded(w, http.StatusOK, body, err)
 }
 
 func (s *apiServer) metrics(w http.ResponseWriter, r *http.Request) {
@@ -259,7 +338,8 @@ func (s *apiServer) network(w http.ResponseWriter, r *http.Request) {
 		writeEngineErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	body, err := res.encoding()
+	writeEncoded(w, http.StatusOK, body, err)
 }
 
 type batchRequest struct {
@@ -292,7 +372,8 @@ func (s *apiServer) batch(w http.ResponseWriter, r *http.Request) {
 		writeEngineErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: results})
+	body, err := batchBody(results)
+	writeEncoded(w, http.StatusOK, body, err)
 }
 
 // predictCandidate accepts either a single-hop "ebN0" or a multi-hop

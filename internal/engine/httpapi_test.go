@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -342,5 +343,34 @@ func TestBatchEndpoint(t *testing.T) {
 	resp = postJSON(t, srv.URL+"/v1/batch", map[string]any{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing scenarios: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestUnencodableResponseIs500: a value json cannot encode (NaN) is
+// answered with a 500 and a JSON error, never a 200 with an empty body —
+// and a cached result keeps answering the same 500.
+func TestUnencodableResponseIs500(t *testing.T) {
+	check := func(name string, write func(http.ResponseWriter)) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		write(rec)
+		if rec.Code != http.StatusInternalServerError {
+			t.Errorf("%s: status %d, want 500 (body %q)", name, rec.Code, rec.Body)
+		}
+		var body errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body.Error, "NaN") {
+			t.Errorf("%s: body %q (%v), want a JSON error naming NaN", name, rec.Body, err)
+		}
+	}
+	bad := &Result{Key: "k", OverallMeanDelayMS: math.NaN()}
+	check("writeJSON", func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, bad) })
+	for i := 0; i < 2; i++ {
+		check("stored encoding", func(w http.ResponseWriter) {
+			body, err := bad.encoding()
+			writeEncoded(w, http.StatusOK, body, err)
+		})
+		if _, err := batchBody([]*Result{{Key: "ok"}, bad}); err == nil {
+			t.Error("batchBody encoded a NaN result")
+		}
 	}
 }

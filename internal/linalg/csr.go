@@ -61,10 +61,6 @@ func (m *CSR) Row(i int) (cols []int, vals []float64) {
 // Values returns the backing value array (a view).
 func (m *CSR) Values() []float64 { return m.val }
 
-// RowSpan returns the half-open range [lo, hi) of positions in the value
-// and column arrays that hold row i's entries.
-func (m *CSR) RowSpan(i int) (lo, hi int) { return m.rowPtr[i], m.rowPtr[i+1] }
-
 // WithValues returns a matrix sharing m's frozen sparsity pattern (row
 // pointers and column indices) with val as its value array — a values-only
 // rebind that skips all structural validation. val must hold exactly NNZ

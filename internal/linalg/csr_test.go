@@ -138,22 +138,16 @@ func TestCSRRowAndValuesAreViews(t *testing.T) {
 }
 
 // TestCSRDense pins the layout against its dense source: every row's
-// RowSpan indexes exactly that row's nonzeros in the column and value
-// arrays, in column order, and the spans tile [0, NNZ).
+// entries are that row's nonzeros in column order, stored consecutively
+// in the value array, and the rows tile [0, NNZ).
 func TestCSRDense(t *testing.T) {
 	rows := [][]float64{{0, 0.5, 0.5}, {0, 0, 0}, {1, 0, 0}, {0.25, 0.25, 0.5}}
 	m := buildCSR(t, rows)
 	next := 0
 	for i, r := range rows {
-		lo, hi := m.RowSpan(i)
-		if lo != next {
-			t.Fatalf("row %d span starts at %d, want %d", i, lo, next)
-		}
-		next = hi
+		lo := next
 		cols, vals := m.Row(i)
-		if len(cols) != hi-lo {
-			t.Fatalf("row %d: Row has %d entries, RowSpan %d", i, len(cols), hi-lo)
-		}
+		next += len(cols)
 		got := make([]float64, len(r))
 		for e, j := range cols {
 			if vals[e] != m.Values()[lo+e] {
