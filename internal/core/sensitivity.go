@@ -39,7 +39,7 @@ type LinkSensitivity struct {
 // order. The sweep is side-effect-free and batched: a perturbation only
 // changes the paths that traverse the perturbed link, so per source the
 // affected perturbations are bound onto the cached path structure and
-// solved in one lock-step pathmodel.SolveBatch pass, while every
+// solved in one pathmodel.SolveBatch call, while every
 // unaffected (off-path or override-masked) combination reuses the baseline
 // solution — which is exactly what re-solving it would reproduce.
 func (a *Analyzer) SensitivityAnalysis(delta float64) ([]LinkSensitivity, error) {

@@ -1,7 +1,7 @@
 // Package dtmc implements the discrete-time Markov chain engine underlying
 // the WirelessHART path model: an immutable compressed-sparse-row kernel
-// for transient analysis, value rebinding onto a frozen sparsity pattern,
-// lock-step batch solves and DOT export. Every chain is time-homogeneous:
+// for transient analysis, value rebinding onto a frozen sparsity pattern
+// and DOT export. Every chain is time-homogeneous:
 // the path model encodes slot time in its age-layered states (paper
 // Algorithm 1), so a chain is a fixed matrix.
 package dtmc

@@ -403,3 +403,26 @@ func BenchmarkLegacyStepHomogeneous(b *testing.B) {
 		p = legacyStepAt(n, edges, p)
 	}
 }
+
+// TestStepIntoRejectsAliasing is the regression test for the aliasing
+// contract: advancing a distribution into itself would scatter
+// already-propagated mass again, so StepInto must refuse instead of
+// silently corrupting the result.
+func TestStepIntoRejectsAliasing(t *testing.T) {
+	k := kernelOf(t, 2, edge{0, 1, 0.4}, edge{0, 0, 0.6}, edge{1, 1, 1})
+	p := linalg.Vector{1, 0}
+	if err := k.StepInto(p, p); err == nil {
+		t.Fatal("StepInto accepted an aliased dst/src pair")
+	}
+	// The rejected call must not have touched the distribution.
+	if p[0] != 1 || p[1] != 0 {
+		t.Fatalf("aliased StepInto mutated the distribution: %v", p)
+	}
+	dst := linalg.NewVector(2)
+	if err := k.StepInto(dst, p); err != nil {
+		t.Fatal(err)
+	}
+	if dst[0] != 0.6 || dst[1] != 0.4 {
+		t.Fatalf("distinct-buffer step wrong: %v", dst)
+	}
+}

@@ -32,8 +32,8 @@ type batchItem struct {
 // directly, sub-scenarios already being solved elsewhere are joined
 // single-flight, and only the residual misses are solved — together, under
 // one worker token, each distinct path DTMC once, with the path models
-// grouped by shared structure and advanced through each frozen CSR pattern
-// in lock-step.
+// grouped by shared structure and each group solved by one
+// pathmodel.SolveBatch.
 //
 // Results are indexed like specs and shared (treat them as read-only). The
 // call fails as a whole — with the first failing sub-scenario identified —
@@ -332,8 +332,9 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 				case err == nil:
 					results[r.item][r.path] = solved[k]
 				case owned[r.item].err == nil:
-					// A failed group takes down every scenario with a path
-					// in it: the failure is a property of the shared pass.
+					// SolveBatch returns no results when any of its models
+					// fails, so a failed group takes down every scenario
+					// with a path in it.
 					owned[r.item].err = fmt.Errorf("engine: solve: %w", err)
 					e.metrics.errors.Add(1)
 				}

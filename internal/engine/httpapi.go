@@ -352,7 +352,7 @@ type batchResponse struct {
 
 // batch evaluates many scenarios in one request: duplicates and cached
 // sub-scenarios are served without solving, the residual misses are solved
-// as one lock-step batch. Results come back in request order.
+// as one batch. Results come back in request order.
 func (s *apiServer) batch(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return

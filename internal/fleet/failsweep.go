@@ -10,8 +10,8 @@ import (
 // FailureSweep configures the optional per-network robustness sweep:
 // every link of every generated network is failed in turn with a window
 // failure, and all single-link scenarios are evaluated as one engine
-// batch, so the sweep pays one lock-step CSR traversal per shared path
-// structure instead of one full solve per link.
+// batch, so their paths share cached structures: a failed-link path pays
+// one value bind and one sweep instead of an Algorithm 1 build.
 type FailureSweep struct {
 	// FromSlot and ToSlot bound the injected failure: the failed link is
 	// DOWN during uplink slots [FromSlot, ToSlot) of each reporting

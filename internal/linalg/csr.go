@@ -109,91 +109,3 @@ func (m *CSR) MulVecInto(dst, x Vector) error {
 	}
 	return nil
 }
-
-// SamePattern reports whether o shares m's frozen sparsity pattern — the
-// very same backing row-pointer and column-index arrays, as produced by
-// WithValues, not merely equal contents. Batched traversals require
-// pattern identity so one row-major pass is provably valid for every
-// scenario in the block.
-func (m *CSR) SamePattern(o *CSR) bool {
-	if m == o {
-		return true
-	}
-	return m.rows == o.rows && m.cols == o.cols &&
-		len(m.col) == len(o.col) &&
-		&m.rowPtr[0] == &o.rowPtr[0] &&
-		(len(m.col) == 0 || &m.col[0] == &o.col[0])
-}
-
-// MulVecBatch computes K simultaneous products dst_j = x_j * M_j in one
-// row-major pass over the shared sparsity pattern, for K scenarios that
-// differ only in their values. The blocks pack the K vectors
-// scenario-fastest ("column-major" across scenarios): entry i*k+j is
-// scenario j's component of state i, so one row's K components are
-// contiguous and the inner loop over scenarios streams cache lines
-// instead of re-walking the pattern per scenario. vals packs one value
-// per stored entry per scenario the same way (vals[p*k+j] is scenario j's
-// value at position p). dst must not alias x or vals.
-//
-// The pass keeps an activity frontier: srcActive[i] == false asserts that
-// row i of x is all zero across every scenario, so the pass skips it in
-// O(1) instead of scanning K components — the win that matters for
-// age-layered absorbing chains where almost every state is empty at any
-// step. A conservatively true srcActive entry is always safe: the row is
-// then scanned and skipped if it turns out to be zero. On return,
-// dstActive (cleared first) marks every column that may hold mass — a
-// superset of the truly nonzero rows of dst, suitable as the next step's
-// srcActive. The pass allocates nothing.
-func (m *CSR) MulVecBatch(dst, x []float64, k int, vals []float64, srcActive, dstActive []bool) error {
-	if k < 1 {
-		return fmt.Errorf("linalg: CSR batch width %d must be positive", k)
-	}
-	if len(x) != m.rows*k {
-		return fmt.Errorf("%w: CSR batch mulVec %d vs %d rows x %d scenarios", ErrDimension, len(x), m.rows, k)
-	}
-	if len(dst) != m.cols*k {
-		return fmt.Errorf("%w: CSR batch mulVec dst %d vs %d cols x %d scenarios", ErrDimension, len(dst), m.cols, k)
-	}
-	if len(vals) != len(m.val)*k {
-		return fmt.Errorf("%w: CSR batch values %d, want %d", ErrDimension, len(vals), len(m.val)*k)
-	}
-	if len(srcActive) != m.rows || len(dstActive) != m.cols {
-		return fmt.Errorf("%w: CSR batch masks %d/%d, want %d/%d", ErrDimension, len(srcActive), len(dstActive), m.rows, m.cols)
-	}
-	if sameBacking(dst, x) || sameBacking(dst, vals) {
-		return errors.New("linalg: CSR batch mulVec dst aliases an input")
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for j := range dstActive {
-		dstActive[j] = false
-	}
-	for i := 0; i < m.rows; i++ {
-		if !srcActive[i] {
-			continue
-		}
-		xi := x[i*k : i*k+k]
-		active := false
-		for _, v := range xi {
-			if v != 0 {
-				active = true
-				break
-			}
-		}
-		if !active {
-			continue
-		}
-		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-		for p := lo; p < hi; p++ {
-			c := m.col[p]
-			dstActive[c] = true
-			dj := dst[c*k:]
-			vp := vals[p*k : p*k+k]
-			for j, xj := range xi {
-				dj[j] += xj * vp[j]
-			}
-		}
-	}
-	return nil
-}

@@ -193,196 +193,26 @@ func TestCSRMulVecRejectsAliasing(t *testing.T) {
 	}
 }
 
-func TestCSRSamePattern(t *testing.T) {
+// TestCSRWithValues pins the values-only rebind: the new matrix reads its
+// own values through the shared pattern, leaves the original untouched,
+// and rejects a value array of the wrong length.
+func TestCSRWithValues(t *testing.T) {
 	m := buildCSR(t, [][]float64{{0.5, 0.5}, {1, 0}})
 	reb, err := m.WithValues([]float64{0.3, 0.7, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.SamePattern(m) || !m.SamePattern(reb) || !reb.SamePattern(m) {
-		t.Error("rebind must share the pattern")
+	cols, vals := reb.Row(0)
+	if len(cols) != 2 || cols[0] != 0 || cols[1] != 1 || vals[0] != 0.3 || vals[1] != 0.7 {
+		t.Errorf("rebound row 0 = %v %v, want [0 1] [0.3 0.7]", cols, vals)
+	}
+	if _, orig := m.Row(0); orig[0] != 0.5 {
+		t.Errorf("rebind changed the original values: %v", orig)
 	}
 	if _, err := m.WithValues([]float64{0.3, 0.7}); !errors.Is(err, ErrDimension) {
 		t.Errorf("short rebind: err = %v, want ErrDimension", err)
 	}
 	if _, err := m.WithValues(nil); !errors.Is(err, ErrDimension) {
 		t.Errorf("nil rebind: err = %v, want ErrDimension", err)
-	}
-	other := buildCSR(t, [][]float64{{0.5, 0.5}, {1, 0}})
-	if m.SamePattern(other) {
-		t.Error("independently built CSR must not count as the same pattern")
-	}
-}
-
-// exactMask marks the rows of a K-wide block that hold any nonzero.
-func exactMask(x []float64, n, k int) []bool {
-	mask := make([]bool, n)
-	for i := range mask {
-		for _, v := range x[i*k : i*k+k] {
-			if v != 0 {
-				mask[i] = true
-				break
-			}
-		}
-	}
-	return mask
-}
-
-// TestCSRMulVecBatchMatchesScalar pins the batched pass against K
-// independent scalar multiplies over random sparse matrices. The same
-// pass under conservative all-true source masks must be bit-identical to
-// the exact-mask pass, and the returned destination mask must cover every
-// nonzero row of the product.
-func TestCSRMulVecBatchMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(12)
-		dense := make([][]float64, n)
-		for i := range dense {
-			dense[i] = make([]float64, n)
-			for j := range dense[i] {
-				if rng.Float64() < 0.4 {
-					dense[i][j] = rng.Float64()
-				}
-			}
-		}
-		m := buildCSR(t, dense)
-		for _, k := range []int{1, 2, 5} {
-			// Per-scenario values: scenario j scales every entry by a
-			// scenario factor, realized through rebound CSRs for the
-			// scalar reference and a packed block for the batch.
-			vals := make([]float64, m.NNZ()*k)
-			scalars := make([]*CSR, k)
-			for j := 0; j < k; j++ {
-				factor := 0.5 + rng.Float64()
-				scaled := make([]float64, m.NNZ())
-				for p, v := range m.Values() {
-					scaled[p] = v * factor
-					vals[p*k+j] = v * factor
-				}
-				var err error
-				scalars[j], err = m.WithValues(scaled)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			x := make([]float64, n*k)
-			xj := make([]Vector, k)
-			for j := range xj {
-				xj[j] = NewVector(n)
-				for i := 0; i < n; i++ {
-					if rng.Float64() < 0.5 {
-						v := rng.Float64()
-						xj[j][i] = v
-						x[i*k+j] = v
-					}
-				}
-			}
-			dst := make([]float64, n*k)
-			dstActive := make([]bool, n)
-			if err := m.MulVecBatch(dst, x, k, vals, exactMask(x, n, k), dstActive); err != nil {
-				t.Fatal(err)
-			}
-			want := NewVector(n)
-			for j := 0; j < k; j++ {
-				if err := scalars[j].MulVecInto(want, xj[j]); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < n; i++ {
-					if math.Abs(dst[i*k+j]-want[i]) > 1e-12 {
-						t.Fatalf("trial %d k=%d scenario %d state %d: batch %v vs scalar %v",
-							trial, k, j, i, dst[i*k+j], want[i])
-					}
-				}
-			}
-			for i, nonzero := range exactMask(dst, n, k) {
-				if nonzero && !dstActive[i] {
-					t.Fatalf("trial %d k=%d: row %d holds mass but dstActive is false", trial, k, i)
-				}
-			}
-
-			all := make([]bool, n)
-			for i := range all {
-				all[i] = true
-			}
-			conservative := make([]float64, n*k)
-			if err := m.MulVecBatch(conservative, x, k, vals, all, dstActive); err != nil {
-				t.Fatal(err)
-			}
-			for i := range dst {
-				if conservative[i] != dst[i] {
-					t.Fatalf("trial %d k=%d: all-true mask entry %d = %v, exact mask %v",
-						trial, k, i, conservative[i], dst[i])
-				}
-			}
-		}
-	}
-}
-
-func TestCSRMulVecBatchErrors(t *testing.T) {
-	m := buildCSR(t, [][]float64{{0.5, 0.5}, {1, 0}})
-	x := make([]float64, 4)
-	dst := make([]float64, 4)
-	vals := make([]float64, 6)
-	src, out := make([]bool, 2), make([]bool, 2)
-	if err := m.MulVecBatch(dst, x, 0, vals, src, out); err == nil {
-		t.Error("zero batch width accepted")
-	}
-	if err := m.MulVecBatch(dst, x[:3], 2, vals, src, out); err == nil {
-		t.Error("short x accepted")
-	}
-	if err := m.MulVecBatch(dst[:3], x, 2, vals, src, out); err == nil {
-		t.Error("short dst accepted")
-	}
-	if err := m.MulVecBatch(dst, x, 2, make([]float64, 5), src, out); err == nil {
-		t.Error("wrong value-block size accepted")
-	}
-	if err := m.MulVecBatch(dst, x, 2, nil, src, out); err == nil {
-		t.Error("missing value block accepted")
-	}
-	if err := m.MulVecBatch(dst, x, 2, vals, src[:1], out); err == nil {
-		t.Error("short source mask accepted")
-	}
-	if err := m.MulVecBatch(dst, x, 2, vals, src, out[:1]); err == nil {
-		t.Error("short destination mask accepted")
-	}
-	if err := m.MulVecBatch(dst, dst, 2, vals, src, out); err == nil {
-		t.Error("aliased dst/x accepted")
-	}
-	if err := m.MulVecBatch(vals[:4], x, 2, vals, src, out); err == nil {
-		t.Error("aliased dst/vals accepted")
-	}
-}
-
-func TestCSRMulVecBatchAllocatesNothing(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	dense := make([][]float64, 40)
-	for i := range dense {
-		dense[i] = make([]float64, 40)
-		for j := range dense[i] {
-			if rng.Float64() < 0.2 {
-				dense[i][j] = rng.Float64()
-			}
-		}
-	}
-	m := buildCSR(t, dense)
-	const k = 16
-	x := make([]float64, 40*k)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	dst := make([]float64, 40*k)
-	vals := make([]float64, m.NNZ()*k)
-	for i := range vals {
-		vals[i] = rng.Float64()
-	}
-	srcActive, dstActive := exactMask(x, 40, k), make([]bool, 40)
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := m.MulVecBatch(dst, x, k, vals, srcActive, dstActive); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("batched multiply allocates %v times per pass, want 0", allocs)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // at K=1 and K>1, including time-varying availabilities (DownDuring
 // windows and permanent failures, which exercise the per-attempt-slot
 // evaluation). The engine's path-result memo depends on this: a path
-// solved in a lock-step batch is shared with scenarios that would have
-// solved it alone.
+// solved in a batch is shared with scenarios that would have solved it
+// alone.
 func TestBindBatchSolveBatchMatchesScalar(t *testing.T) {
 	slots := []int{1, 2, 3}
 	const fup, is, ttl = 7, 3, 14
@@ -132,11 +132,11 @@ func TestSolveBatchErrors(t *testing.T) {
 	}
 }
 
-// TestSharedKernelConcurrentSolves pins that a bound kernel is an
-// immutable matrix, safe to share: 8 goroutines step one bound model
-// through Transient (Solve) while 8 more step it, beside a second scenario,
-// through TransientBatch (SolveBatch) on the same Structure's base kernel.
-// Every goroutine must reproduce the serial results bit for bit.
+// TestSharedKernelConcurrentSolves pins that a bound kernel and its
+// structure are immutable, safe to share: 8 goroutines solve one bound
+// model while 8 more solve it beside a second scenario of the same
+// Structure through SolveBatch. Every goroutine must reproduce the serial
+// results bit for bit.
 func TestSharedKernelConcurrentSolves(t *testing.T) {
 	st, err := BuildStructure([]int{3, 6, 7}, 7, 4, 0)
 	if err != nil {

@@ -42,6 +42,42 @@ func BenchmarkPathSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveBatch measures the failure-sweep shape of a batch: 37
+// scenarios bound onto one 3-hop structure (slots 3, 6, 7 of a 7-slot
+// frame, Is=4), each failing one hop during uplink slots [0, 20) over
+// steady links of a different quality. Binding happens before the timer.
+func BenchmarkSolveBatch(b *testing.B) {
+	const scenarios = 37
+	st, err := BuildStructure([]int{3, 6, 7}, 7, 4, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([][]link.Availability, scenarios)
+	for k := range batch {
+		m, err := link.FromAvailability(0.6+0.01*float64(k), link.DefaultRecoveryProb)
+		if err != nil {
+			b.Fatal(err)
+		}
+		window, err := m.DownDuring(0, 20, m.Steady())
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch[k] = []link.Availability{m.Steady(), m.Steady(), m.Steady()}
+		batch[k][k%3] = window
+	}
+	models, err := st.BindBatch(batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveBatch(models); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPathBuildAndSolve includes model construction, the cold-cache
 // cost the engine pays on a scenario miss.
 func BenchmarkPathBuildAndSolve(b *testing.B) {

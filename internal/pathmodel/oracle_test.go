@@ -754,3 +754,127 @@ func TestBuildStructureMatchesReference(t *testing.T) {
 	}
 	t.Logf("%d geometries", cases)
 }
+
+// TestSolveMatchesStepLoop pins Solve's one-pass sweep against the
+// step-by-step recursion p(t) = p(t-1) P beyond the reference grid: long
+// horizons (Is 8, 16 and 64 in frames of up to 20 slots), a TTL that ends
+// between two cycles, availabilities of exactly 0 and 1 (edges that carry
+// no mass, leaving rows the sweep skips) and a DownDuring failure window.
+// Cycle, discard and attempt values must be bit-identical.
+func TestSolveMatchesStepLoop(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	lm, err := link.FromAvailability(0.83, link.DefaultRecoveryProb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window, err := lm.DownDuring(10, 75, lm.Steady())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// zeroOne is 0 in every fourth slot, 1 in the next and fractional
+	// otherwise.
+	zeroOne := func(slot int) float64 {
+		switch slot % 4 {
+		case 0:
+			return 0
+		case 1:
+			return 1
+		}
+		return 0.6
+	}
+	steady := func(hops int) []link.Availability {
+		avails := make([]link.Availability, hops)
+		for h := range avails {
+			avails[h] = lm.Steady()
+		}
+		return avails
+	}
+	scenarios := map[string]func(hops int) []link.Availability{
+		"steady": steady,
+		"zero-one": func(hops int) []link.Availability {
+			avails := steady(hops)
+			avails[0], avails[hops-1] = zeroOne, zeroOne
+			return avails
+		},
+		"window": func(hops int) []link.Availability {
+			avails := steady(hops)
+			avails[hops/2] = window
+			return avails
+		},
+	}
+	for _, geo := range []struct {
+		slots []int
+		fup   int
+	}{
+		{[]int{3, 6, 7}, 7},
+		{[]int{2, 5, 9, 14}, 20},
+		{[]int{1, 4, 8, 12, 16, 20}, 20},
+	} {
+		for _, is := range []int{8, 16, 64} {
+			for _, ttl := range []int{0, is/2*geo.fup + geo.fup/2} {
+				st, err := BuildStructure(geo.slots, geo.fup, is, ttl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := buildReference(geo.slots, geo.fup, is, ttl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, avails := range scenarios {
+					label := fmt.Sprintf("slots=%v fup=%d is=%d ttl=%d %s", geo.slots, geo.fup, is, ttl, name)
+					av := avails(len(geo.slots))
+					m, err := st.Bind(av)
+					if err != nil {
+						t.Fatalf("%s: Bind: %v", label, err)
+					}
+					res, err := m.Solve()
+					if err != nil {
+						t.Fatalf("%s: Solve: %v", label, err)
+					}
+					p, attempts, err := ref.solve(av, is*geo.fup)
+					if err != nil {
+						t.Fatalf("%s: step loop: %v", label, err)
+					}
+					for i, g := range ref.goals {
+						if !same(res.CycleProbs[i], p[g]) {
+							t.Errorf("%s: cycle %d %v, step loop %v", label, i+1, res.CycleProbs[i], p[g])
+						}
+					}
+					if !same(res.DiscardProb, p[ref.discard]) || !same(res.ExpectedAttempts, attempts) {
+						t.Errorf("%s: discard/attempts %v/%v, step loop %v/%v", label,
+							res.DiscardProb, res.ExpectedAttempts, p[ref.discard], attempts)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSolveAllocationsIndependentOfHorizon pins that a solve allocates a
+// fixed number of objects however long the reporting interval: the sweep
+// keeps one state vector and no per-slot buffers.
+func TestSolveAllocationsIndependentOfHorizon(t *testing.T) {
+	lm, err := link.FromAvailability(0.83, link.DefaultRecoveryProb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := map[int]float64{}
+	for _, is := range []int{4, 64} {
+		st, err := BuildStructure([]int{3, 6, 7}, 7, is, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := st.Bind([]link.Availability{lm.Steady(), lm.Steady(), lm.Steady()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[is] = testing.AllocsPerRun(20, func() {
+			if _, err := m.Solve(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[64] != allocs[4] {
+		t.Errorf("Solve allocates %v objects at Is=64 but %v at Is=4", allocs[64], allocs[4])
+	}
+}

@@ -47,27 +47,32 @@ func (m *Model) initialDistribution() linalg.Vector {
 	return p0
 }
 
-// Solve runs the transient analysis p(t) = p(t-1) P to the end of the
-// reporting interval and extracts the cycle probabilities, discard
-// probability and exact expected attempt count. The step loop runs on the
-// compiled kernel with two reused buffers and allocates nothing per step.
+// Solve computes the distribution at the end of the reporting interval,
+// p(Is*Fup), and extracts the cycle probabilities, discard probability and
+// exact expected attempt count. Every transient edge raises the message
+// age by one slot (Algorithm 1), so one pass over the structure's
+// age-ordered sweep propagates all mass: each transient state's mass is
+// final once every younger state has scattered along its row. The pass
+// adds into each state in the order the step-by-step recursion
+// p(t) = p(t-1) P would, so the result is bit-identical to it, at a cost
+// linear in states and edges.
 func (m *Model) Solve() (*Result, error) {
-	horizon := m.cfg.Is * m.cfg.Fup
-	p0 := m.initialDistribution()
+	p := m.initialDistribution()
 	var attempts float64
-	p, err := m.kernel.Transient(p0, horizon, func(t int, dist linalg.Vector) error {
-		// Mass sitting in a transmitting state at time t attempts a
-		// transmission during slot t+1; the final distribution makes no
-		// further attempt.
-		if t < horizon {
-			for _, b := range m.s.binds {
-				attempts += dist[b.state]
-			}
+	for _, id := range m.s.order {
+		mass := p[id]
+		if mass == 0 {
+			continue
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		cols, vals := m.kernel.Row(id)
+		// The bind slots are exactly the two-edge rows: mass sitting in a
+		// transmitting state attempts one transmission.
+		if len(cols) == 2 {
+			attempts += mass
+		}
+		for e, c := range cols {
+			p[c] += mass * vals[e]
+		}
 	}
 	res := &Result{
 		CycleProbs: make([]float64, len(m.s.goals)),

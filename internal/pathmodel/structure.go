@@ -76,6 +76,10 @@ type Structure struct {
 	ages    []int
 	binds   []bindSlot // ascending state id
 	states  []ageHops  // transient state discard+1+i is states[i]
+	// order lists the transient ids by age, ascending within each age:
+	// every transient edge raises the age by one, so Solve propagates
+	// all mass in one pass over it.
+	order []int
 }
 
 // BuildStructure constructs the path DTMC skeleton per Algorithm 1
@@ -83,7 +87,8 @@ type Structure struct {
 // hops-completed)) without consulting any link model: transmission edges
 // get placeholder probabilities that Bind replaces. Every state's out-edges
 // are arithmetic on (t, h), so the pass writes the CSR layout directly into
-// slices sized up front.
+// slices sized up front; a counting placement then records the age-ordered
+// sweep Solve walks.
 func BuildStructure(slots []int, fup, is, ttl int) (*Structure, error) {
 	cfg := Config{Slots: slots, Fup: fup, Is: is, TTL: ttl}
 	if err := cfg.validateGeometry(); err != nil {
@@ -106,6 +111,10 @@ func BuildStructure(slots []int, fup, is, ttl int) (*Structure, error) {
 	// the hops an all-success message has completed by age t, which is
 	// the number of hop slots <= t, capped at n-1 (hop n reaches a goal).
 	// It transmits iff hop h+1 is scheduled in the frame slot of age t+1.
+	// layer[t] counts the transient states younger than age t; it shares
+	// one allocation with the index the pass below fills.
+	buf := make([]int, effTTL*n+effTTL)
+	index, layer := buf[:effTTL*n], buf[effTTL*n:]
 	transient, transmits := 0, 0
 	done := 0
 	for t := 0; t < effTTL; t++ {
@@ -113,6 +122,7 @@ func BuildStructure(slots []int, fup, is, ttl int) (*Structure, error) {
 			done++
 		}
 		hmax := min(done, n-1)
+		layer[t] = transient
 		transient += hmax + 1
 		for h := 0; h <= hmax; h++ {
 			if slots[h] == t%fup+1 {
@@ -150,7 +160,6 @@ func BuildStructure(slots []int, fup, is, ttl int) (*Structure, error) {
 
 	// index[t*n+h] is the id of transient state (t, h), 0 while unvisited
 	// (transient ids start after the discard state, so 0 is never one).
-	index := make([]int, effTTL*n)
 	var visit func(t, h int) int
 	visit = func(t, h int) int {
 		// TTL expiry: the message is dropped the moment its age reaches
@@ -189,6 +198,16 @@ func BuildStructure(slots []int, fup, is, ttl int) (*Structure, error) {
 		return id
 	}
 	s.initial = visit(0, 0)
+
+	// Place the ids in ascending order into their age layers, reusing the
+	// index, which the pass no longer needs.
+	order := index[:transient]
+	for i, st := range s.states {
+		k := layer[st.t]
+		order[k] = discard + 1 + i
+		layer[st.t] = k + 1
+	}
+	s.order = order
 
 	base, err := dtmc.NewKernel(rowPtr, col, val, bindTol)
 	if err != nil {

@@ -15,10 +15,3 @@ func (k *Kernel) Rebind(values []float64, tol float64) (*Kernel, error) {
 	_, _ = values, tol
 	return k, nil
 }
-
-// TransientBatch mirrors the observed batched transient solve.
-func (k *Kernel) TransientBatch(kernels []*Kernel, p0 [][]float64, steps int,
-	observe func(int) error) ([][]float64, error) {
-	_, _, _, _ = kernels, p0, steps, observe
-	return nil, nil
-}

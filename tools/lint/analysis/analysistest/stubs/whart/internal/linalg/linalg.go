@@ -15,9 +15,3 @@ func (m *CSR) WithValues(val []float64) (*CSR, error) {
 	_ = val
 	return m, nil
 }
-
-// MulVecBatch mirrors the frontier-masked K-scenario batched multiply.
-func (m *CSR) MulVecBatch(dst, x []float64, k int, vals []float64, srcActive, dstActive []bool) error {
-	_, _, _, _, _, _ = dst, x, k, vals, srcActive, dstActive
-	return nil
-}

@@ -22,7 +22,7 @@ func (s *Structure) BindBatch(scenarios [][]func(int) float64) ([]*Model, error)
 	return nil, nil
 }
 
-// SolveBatch mirrors the lock-step batch solve.
+// SolveBatch mirrors the per-model batch solve.
 func SolveBatch(models []*Model) ([]*Result, error) {
 	_ = models
 	return nil, nil

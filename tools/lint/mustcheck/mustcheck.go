@@ -35,10 +35,8 @@ var checked = map[string]bool{
 
 	// Batched solver surface: every entry point returns an error whose
 	// loss silently corrupts a whole batch of scenarios at once.
-	"(*wirelesshart/internal/dtmc.Kernel).TransientBatch":    true,
 	"(*wirelesshart/internal/pathmodel.Structure).BindBatch": true,
 	"wirelesshart/internal/pathmodel.SolveBatch":             true,
-	"(*wirelesshart/internal/linalg.CSR).MulVecBatch":        true,
 
 	// Fading-link surface: every constructor validates stochasticity
 	// (row sums, probability ranges, unique stationary distribution);
