@@ -87,6 +87,53 @@ func TestRunCSVExport(t *testing.T) {
 	}
 }
 
+// TestRunAllGolden pins the reproduction's deliverable byte for byte:
+// every experiment's report from one -all run against testdata/all.golden,
+// and every figure's -csv series against testdata/csv. Any change to the
+// numbers behind a paper figure, table or extension shows up here.
+func TestRunAllGolden(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-all"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("-all output differs from testdata/all.golden:\n%s", b.String())
+	}
+
+	dir := t.TempDir()
+	if err := run([]string{"-csv", dir}, &b); err != nil {
+		t.Fatal(err)
+	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "csv", "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(goldens) != len(entries) {
+		t.Fatalf("-csv wrote %d files, testdata/csv holds %d", len(entries), len(goldens))
+	}
+	for _, g := range goldens {
+		want, err := os.ReadFile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, filepath.Base(g)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s differs from %s:\n%s", filepath.Base(g), g, got)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var b strings.Builder
 	if err := run(nil, &b); err == nil {

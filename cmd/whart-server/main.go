@@ -3,8 +3,8 @@
 // /v1/predict, caching solved scenarios in a bounded LRU and collapsing
 // concurrent identical queries into a single DTMC solve. /v1/batch takes
 // a list of scenarios at once: duplicates and cached sub-scenarios are
-// served for free, and the residual misses are solved as one batched
-// CSR traversal per shared path structure.
+// served for free, and the residual misses are solved together, one
+// batch per shared path structure.
 //
 // Usage:
 //

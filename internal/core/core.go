@@ -50,11 +50,11 @@ type Tracer interface {
 }
 
 // StructureCache shares link-model-free path structures across analyses
-// keyed by pathmodel.StructKey. A structure captures everything Algorithm
-// 1 derives from the schedule geometry — states, goal/discard ids, the
-// transmit mask and the frozen CSR sparsity pattern — so scenarios that
-// only differ in link quality or failure injections bind their values
-// onto one shared structure instead of rebuilding the chain.
+// keyed by pathmodel.StructKey. A structure captures what Algorithm 1
+// derives from the schedule geometry alone — the validated slots, goal
+// ages and state and attempt counts — so scenarios that only differ in
+// link quality or failure injections bind their values against one
+// shared structure.
 // Implementations must be safe for concurrent use; structures are
 // immutable after construction.
 type StructureCache interface {

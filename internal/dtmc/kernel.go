@@ -1,9 +1,8 @@
-// Package dtmc implements the discrete-time Markov chain engine underlying
-// the WirelessHART path model: an immutable compressed-sparse-row kernel
-// for transient analysis, value rebinding onto a frozen sparsity pattern
-// and DOT export. Every chain is time-homogeneous:
-// the path model encodes slot time in its age-layered states (paper
-// Algorithm 1), so a chain is a fixed matrix.
+// Package dtmc implements the discrete-time Markov chain behind the
+// WirelessHART path model's drawings and oracles: an immutable
+// compressed-sparse-row kernel for transient analysis and DOT export.
+// Every chain is time-homogeneous: the path model encodes slot time in its
+// age-layered states (paper Algorithm 1), so a chain is a fixed matrix.
 package dtmc
 
 import (
@@ -51,34 +50,6 @@ func (k *Kernel) NumStates() int { return k.n }
 // (target state) indices and the values. Both slices must be
 // treated as read-only.
 func (k *Kernel) Row(id int) (cols []int, vals []float64) { return k.mat.Row(id) }
-
-// ValuesCopy returns a fresh copy of the kernel's compiled value array,
-// one entry per edge in row order — the canonical seed for a Rebind
-// value pass.
-func (k *Kernel) ValuesCopy() []float64 {
-	src := k.mat.Values()
-	out := make([]float64, len(src))
-	copy(out, src)
-	return out
-}
-
-// Rebind returns a kernel that shares k's frozen CSR sparsity pattern (row
-// pointers and column indices) with values as its own value array — a
-// values-only recompile. values must hold one probability per compiled
-// edge (NNZ entries, in row order) and is retained by the
-// returned kernel; every row is checked to be a probability distribution
-// within tol.
-func (k *Kernel) Rebind(values []float64, tol float64) (*Kernel, error) {
-	mat, err := k.mat.WithValues(values)
-	if err != nil {
-		return nil, err
-	}
-	nk := &Kernel{n: k.n, mat: mat}
-	if err := nk.checkRows(tol); err != nil {
-		return nil, fmt.Errorf("dtmc: rebind: %w", err)
-	}
-	return nk, nil
-}
 
 // checkRows reports the first row that is not a probability distribution
 // within tol.

@@ -157,110 +157,6 @@ func TestKernelMatchesLegacyStep(t *testing.T) {
 	}
 }
 
-// rerollValues draws a fresh set of row-stochastic values onto k's frozen
-// sparsity pattern: every row's edges get new random weights summing to
-// one (single-edge rows — absorbing self-loops included — stay at 1).
-func rerollValues(rng *rand.Rand, k *Kernel) []float64 {
-	vals := k.ValuesCopy()
-	lo := 0
-	for i := 0; i < k.NumStates(); i++ {
-		cols, _ := k.Row(i)
-		hi := lo + len(cols)
-		if hi-lo > 1 {
-			var sum float64
-			for j := lo; j < hi; j++ {
-				vals[j] = 0.05 + rng.Float64()
-				sum += vals[j]
-			}
-			for j := lo; j < hi; j++ {
-				vals[j] /= sum
-			}
-		}
-		lo = hi
-	}
-	return vals
-}
-
-// TestKernelRebindMatchesFreshCompile is the randomized rebind equivalence
-// test: over seeded chains, rebinding new values onto a
-// compiled kernel's frozen CSR pattern must match a chain rebuilt from
-// scratch with those probabilities to 1e-12 over the whole horizon, and
-// must leave the original kernel untouched.
-func TestKernelRebindMatchesFreshCompile(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260806))
-	const horizon = 40
-	for trial := 0; trial < 40; trial++ {
-		n, edges := randomChain(rng)
-		k := kernelOf(t, n, edges...)
-		p0 := randomDistribution(rng, n)
-
-		before, err := k.Transient(p0, horizon, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		newVals := rerollValues(rng, k)
-		rk, err := k.Rebind(newVals, 1e-9)
-		if err != nil {
-			t.Fatalf("trial %d: Rebind: %v", trial, err)
-		}
-		if rk.NumStates() != k.NumStates() || rk.NNZ() != k.NNZ() {
-			t.Fatalf("trial %d: rebind changed shape: %d states/%d edges, want %d/%d",
-				trial, rk.NumStates(), rk.NNZ(), k.NumStates(), k.NNZ())
-		}
-
-		// Full rebuild: a fresh kernel with the same edges and the new
-		// probabilities, built from scratch.
-		var freshEdges []edge
-		for i := 0; i < n; i++ {
-			cols, _ := k.Row(i)
-			for _, to := range cols {
-				freshEdges = append(freshEdges, edge{i, to, newVals[len(freshEdges)]})
-			}
-		}
-		want, err := kernelOf(t, n, freshEdges...).Transient(p0, horizon, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rk.Transient(p0, horizon, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(got, want); d > 1e-12 {
-			t.Fatalf("trial %d: rebind vs fresh compile diverge by %v", trial, d)
-		}
-
-		// The source kernel still computes with its original values.
-		after, err := k.Transient(p0, horizon, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(after, before); d != 0 {
-			t.Fatalf("trial %d: rebind mutated the source kernel (diff %v)", trial, d)
-		}
-	}
-}
-
-func TestKernelRebindRejectsBadValues(t *testing.T) {
-	k := kernelOf(t, 2, edge{0, 1, 0.7}, edge{0, 0, 0.3}, edge{1, 1, 1})
-	good := k.ValuesCopy()
-	if _, err := k.Rebind(good[:len(good)-1], 1e-9); err == nil {
-		t.Error("wrong value count should error")
-	}
-	for name, mangle := range map[string]func([]float64){
-		"NaN":       func(v []float64) { v[0] = math.NaN() },
-		"negative":  func(v []float64) { v[0] = -0.1; v[1] = 1.1 },
-		"above one": func(v []float64) { v[0] = 1.5; v[1] = -0.5 },
-		"row sum":   func(v []float64) { v[0] = 0.7; v[1] = 0.7 },
-	} {
-		vals := append([]float64(nil), good...)
-		mangle(vals)
-		if _, err := k.Rebind(vals, 1e-9); err == nil {
-			t.Errorf("%s values should error", name)
-		}
-	}
-}
-
 // TestNewKernel checks the direct CSR constructor: a layout written by hand
 // steps exactly like the edge walk of the chain it describes, and layout
 // errors and non-stochastic rows are rejected with the offending state's

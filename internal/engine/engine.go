@@ -143,7 +143,7 @@ func New(cfg Config) *Engine {
 // keyed by pathmodel.StructKey. It shares the link-model-free state space:
 // scenarios that differ only in link quality or failure injections — whose
 // overridden paths can never hit the path-result memo — still reuse the
-// Algorithm 1 state space and frozen CSR pattern and pay one value bind.
+// validated geometry and pay one value bind.
 // Hits and misses are exported through /metrics.
 type structures struct{ e *Engine }
 

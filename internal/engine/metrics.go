@@ -136,12 +136,12 @@ func (m *Metrics) KernelCacheHits() int64 { return m.kernelHits.Value() }
 func (m *Metrics) KernelCacheMisses() int64 { return m.kernelMisses.Value() }
 
 // StructCacheHits returns the number of path-structure lookups served from
-// the structure cache (the state space and frozen CSR pattern were reused;
-// only a value bind was paid).
+// the structure cache (the validated geometry and its goal ages and
+// counts were reused; only a value bind was paid).
 func (m *Metrics) StructCacheHits() int64 { return m.structHits.Value() }
 
 // StructCacheMisses returns the number of path-structure lookups that had
-// to run Algorithm 1 and compile a fresh CSR pattern.
+// to validate a fresh schedule geometry (BuildStructure).
 func (m *Metrics) StructCacheMisses() int64 { return m.structMisses.Value() }
 
 func (m *Metrics) observeLatency(d time.Duration) {

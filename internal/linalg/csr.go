@@ -8,8 +8,7 @@ import (
 // CSR is a sparse matrix in compressed-sparse-row format: row i's nonzeros
 // occupy positions RowPtr[i]..RowPtr[i+1] of the column-index and value
 // arrays. The DTMC kernel compiles transition structures into this layout
-// once and then multiplies against it every slot; WithValues binds a new
-// value array onto the frozen sparsity pattern.
+// once and then multiplies against it every slot.
 type CSR struct {
 	rows, cols int
 	rowPtr     []int
@@ -60,17 +59,6 @@ func (m *CSR) Row(i int) (cols []int, vals []float64) {
 
 // Values returns the backing value array (a view).
 func (m *CSR) Values() []float64 { return m.val }
-
-// WithValues returns a matrix sharing m's frozen sparsity pattern (row
-// pointers and column indices) with val as its value array — a values-only
-// rebind that skips all structural validation. val must hold exactly NNZ
-// entries and is retained, not copied.
-func (m *CSR) WithValues(val []float64) (*CSR, error) {
-	if len(val) != len(m.val) {
-		return nil, fmt.Errorf("%w: CSR rebind with %d values, want %d", ErrDimension, len(val), len(m.val))
-	}
-	return &CSR{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, col: m.col, val: val}, nil
-}
 
 // sameBacking reports whether two slices share a backing array start — the
 // aliasing a multiply-into must reject because it zeroes dst before reading

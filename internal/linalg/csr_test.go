@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -190,29 +189,5 @@ func TestCSRMulVecRejectsAliasing(t *testing.T) {
 	dst := NewVector(2)
 	if err := m.MulVecInto(dst, v); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCSRWithValues pins the values-only rebind: the new matrix reads its
-// own values through the shared pattern, leaves the original untouched,
-// and rejects a value array of the wrong length.
-func TestCSRWithValues(t *testing.T) {
-	m := buildCSR(t, [][]float64{{0.5, 0.5}, {1, 0}})
-	reb, err := m.WithValues([]float64{0.3, 0.7, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols, vals := reb.Row(0)
-	if len(cols) != 2 || cols[0] != 0 || cols[1] != 1 || vals[0] != 0.3 || vals[1] != 0.7 {
-		t.Errorf("rebound row 0 = %v %v, want [0 1] [0.3 0.7]", cols, vals)
-	}
-	if _, orig := m.Row(0); orig[0] != 0.5 {
-		t.Errorf("rebind changed the original values: %v", orig)
-	}
-	if _, err := m.WithValues([]float64{0.3, 0.7}); !errors.Is(err, ErrDimension) {
-		t.Errorf("short rebind: err = %v, want ErrDimension", err)
-	}
-	if _, err := m.WithValues(nil); !errors.Is(err, ErrDimension) {
-		t.Errorf("nil rebind: err = %v, want ErrDimension", err)
 	}
 }

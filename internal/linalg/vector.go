@@ -1,7 +1,6 @@
 // Package linalg provides the small numeric kernel under the DTMC engine:
-// dense vectors, a compressed-sparse-row matrix with scalar and batched
-// row-vector products, and discrete convolution for probability mass
-// functions. It is hand-rolled on the standard library only.
+// dense vectors, a compressed-sparse-row matrix with a row-vector
+// product, and discrete convolution for probability mass functions. It is hand-rolled on the standard library only.
 package linalg
 
 import "errors"

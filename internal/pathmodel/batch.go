@@ -6,13 +6,11 @@ import (
 	"wirelesshart/internal/link"
 )
 
-// BindBatch binds K scenarios' availability functions onto the structure's
-// one frozen pattern, returning K models that all share the same Algorithm-1
-// skeleton and CSR sparsity. Each scenario costs one value pass plus the
-// per-row revalidation of Rebind; the chain construction and CSR compile are
-// paid zero times. Errors name the offending scenario. The returned models
-// are exactly what K individual Bind calls would produce and feed directly
-// into SolveBatch.
+// BindBatch binds K scenarios' availability functions against the
+// structure, returning K models that all share its geometry. Each scenario
+// costs one pass over its transmission attempts. Errors name the offending
+// scenario. The returned models are exactly what K individual Bind calls
+// would produce and feed directly into SolveBatch.
 func (s *Structure) BindBatch(scenarios [][]link.Availability) ([]*Model, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("pathmodel: empty bind batch")
@@ -28,12 +26,12 @@ func (s *Structure) BindBatch(scenarios [][]link.Availability) ([]*Model, error)
 	return out, nil
 }
 
-// SolveBatch solves K models bound onto one Structure (as produced by one
-// BindBatch or repeated Bind calls on one Structure), one Solve sweep
-// each, and returns their results in order. A solve is linear in the
-// structure's states and edges, so there is no per-step pattern traversal
-// left for a shared pass to amortize. Any nil model, model of another
-// structure or failed solve fails the whole batch.
+// SolveBatch solves K models bound against one Structure (as produced by
+// one BindBatch or repeated Bind calls on one Structure), one Solve
+// recursion each, and returns their results in order. A solve holds two
+// n-length layers and no shared state, so there is nothing left for a
+// shared pass to amortize. Any nil model, model of another structure or
+// failed solve fails the whole batch.
 func SolveBatch(models []*Model) ([]*Result, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("pathmodel: empty solve batch")

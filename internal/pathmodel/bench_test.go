@@ -25,8 +25,8 @@ func benchConfig(b *testing.B, is int) Config {
 // BenchmarkPathSolve measures one transient solve of a pre-built
 // homogeneous path model (the engine's hot loop) excluding construction.
 func BenchmarkPathSolve(b *testing.B) {
-	for _, is := range []int{4, 16, 64} {
-		b.Run(map[int]string{4: "Is4", 16: "Is16", 64: "Is64"}[is], func(b *testing.B) {
+	for _, is := range []int{4, 16, 64, 1024} {
+		b.Run(map[int]string{4: "Is4", 16: "Is16", 64: "Is64", 1024: "Is1024"}[is], func(b *testing.B) {
 			m, err := Build(benchConfig(b, is))
 			if err != nil {
 				b.Fatal(err)
@@ -43,7 +43,7 @@ func BenchmarkPathSolve(b *testing.B) {
 }
 
 // BenchmarkSolveBatch measures the failure-sweep shape of a batch: 37
-// scenarios bound onto one 3-hop structure (slots 3, 6, 7 of a 7-slot
+// scenarios bound against one 3-hop structure (slots 3, 6, 7 of a 7-slot
 // frame, Is=4), each failing one hop during uplink slots [0, 20) over
 // steady links of a different quality. Binding happens before the timer.
 func BenchmarkSolveBatch(b *testing.B) {
@@ -95,7 +95,8 @@ func BenchmarkPathBuildAndSolve(b *testing.B) {
 }
 
 // BenchmarkGoalTrajectories measures the full-horizon trajectory recording
-// behind the paper's Fig. 6 curves.
+// behind the paper's Fig. 6 curves, including the on-demand build of
+// Algorithm 1's explicit chain it steps.
 func BenchmarkGoalTrajectories(b *testing.B) {
 	m, err := Build(benchConfig(b, 4))
 	if err != nil {
@@ -109,9 +110,10 @@ func BenchmarkGoalTrajectories(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildStructure measures Algorithm 1 alone: the structural build
-// of a 3-hop path in slots 3, 6, 7 of a 20-slot uplink frame, the cost the
-// engine pays on a structure-cache miss before any bind or solve.
+// BenchmarkBuildStructure measures the structural phase alone for a 3-hop
+// path in slots 3, 6, 7 of a 20-slot uplink frame: geometry validation,
+// goal ages and state and attempt counts, the cost the engine pays on a
+// structure-cache miss before any bind or solve.
 func BenchmarkBuildStructure(b *testing.B) {
 	for _, is := range []int{4, 64} {
 		b.Run(map[int]string{4: "Is4", 64: "Is64"}[is], func(b *testing.B) {

@@ -3,6 +3,7 @@ package pathmodel
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -107,19 +108,30 @@ func solvedDelayMS(res *Result, fdown int) float64 {
 	return sum / res.Reachability()
 }
 
+// mustChain builds m's explicit chain, the matrix the oracles below read.
+func mustChain(t *testing.T, m *Model) *chain {
+	t.Helper()
+	c, err := m.chain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // absorption is the fundamental-matrix oracle: it solves
 // n = e_start (I-Q)^-1 for the bound chain by dense elimination, returning
 // the expected visits to every transient state and the absorption
 // probability of every absorbing state (both indexed by state id).
 func absorption(t *testing.T, m *Model) (visits, absorbed []float64) {
 	t.Helper()
+	c := mustChain(t, m)
 	n := m.NumStates()
 	idx := make([]int, n)
 	var transients []int
 	for id := range idx {
 		idx[id] = -1
-		// The absorbing states are exactly the ids <= discard.
-		if id > m.s.discard {
+		// The absorbing states are exactly the ids <= discard = G.
+		if id > len(c.ages) {
 			idx[id] = len(transients)
 			transients = append(transients, id)
 		}
@@ -132,21 +144,21 @@ func absorption(t *testing.T, m *Model) (visits, absorbed []float64) {
 		a[i][i] = 1
 	}
 	for i, id := range transients {
-		cols, vals := m.kernel.Row(id)
+		cols, vals := c.kernel.Row(id)
 		for e, to := range cols {
 			if j := idx[to]; j >= 0 {
 				a[j][i] -= vals[e]
 			}
 		}
 	}
-	a[idx[m.s.initial]][nt] = 1
+	a[idx[c.initial]][nt] = 1
 	x := solveDense(t, a)
 
 	visits = make([]float64, n)
 	absorbed = make([]float64, n)
 	for i, id := range transients {
 		visits[id] = x[i]
-		cols, vals := m.kernel.Row(id)
+		cols, vals := c.kernel.Row(id)
 		for e, to := range cols {
 			if idx[to] < 0 {
 				absorbed[to] += x[i] * vals[e]
@@ -195,19 +207,21 @@ func solveDense(t *testing.T, a [][]float64) []float64 {
 // probability of having visited a goal within k steps.
 func boundedReach(t *testing.T, m *Model, k int) float64 {
 	t.Helper()
+	c := mustChain(t, m)
 	n := m.NumStates()
 	p, next := linalg.NewVector(n), linalg.NewVector(n)
-	p[m.s.initial] = 1
+	p[c.initial] = 1
 	var reached float64
+	// The goals are the ids 0..G-1.
 	absorbGoals := func() {
-		for _, g := range m.s.goals {
+		for g := range c.ages {
 			reached += p[g]
 			p[g] = 0
 		}
 	}
 	absorbGoals()
 	for s := 0; s < k; s++ {
-		if err := m.kernel.StepInto(next, p); err != nil {
+		if err := c.kernel.StepInto(next, p); err != nil {
 			t.Fatal(err)
 		}
 		p, next = next, p
@@ -365,13 +379,15 @@ func TestSolveMatchesAbsorptionAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	visits, absorbed := absorption(t, m)
-	for i, goal := range m.s.goals {
-		if math.Abs(absorbed[goal]-res.CycleProbs[i]) > 1e-12 {
-			t.Errorf("goal %d: absorption %v vs transient %v", i, absorbed[goal], res.CycleProbs[i])
+	// The goals are the ids 0..G-1 and the discard state is G.
+	discard := len(res.CycleProbs)
+	for goal, p := range res.CycleProbs {
+		if math.Abs(absorbed[goal]-p) > 1e-12 {
+			t.Errorf("goal %d: absorption %v vs transient %v", goal, absorbed[goal], p)
 		}
 	}
-	if math.Abs(absorbed[m.s.discard]-res.DiscardProb) > 1e-12 {
-		t.Errorf("discard: absorption %v vs transient %v", absorbed[m.s.discard], res.DiscardProb)
+	if math.Abs(absorbed[discard]-res.DiscardProb) > 1e-12 {
+		t.Errorf("discard: absorption %v vs transient %v", absorbed[discard], res.DiscardProb)
 	}
 	// Expected steps to absorption cannot exceed the horizon.
 	var steps float64
@@ -397,9 +413,14 @@ func TestExpectedAttemptsMatchesFundamentalMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	visits, _ := absorption(t, m)
+	// The transmitting states are the rows with a success and a failure
+	// edge.
+	c := mustChain(t, m)
 	var attempts float64
-	for _, b := range m.s.binds {
-		attempts += visits[b.state]
+	for id, v := range visits {
+		if cols, _ := c.kernel.Row(id); len(cols) == 2 {
+			attempts += v
+		}
 	}
 	if math.Abs(attempts-res.ExpectedAttempts) > 1e-9 {
 		t.Errorf("fundamental-matrix attempts %v vs transient %v", attempts, res.ExpectedAttempts)
@@ -484,18 +505,19 @@ func (c *refChain) compile(tol float64) (*dtmc.Kernel, []int, error) {
 
 // refStructure is the reference Algorithm 1: the recursive builder that
 // names every state, inserts it into a refChain, adds its edges one
-// transition at a time and compiles the validated chain. BuildStructure
-// must reproduce its state order, CSR layout and bind slots exactly.
+// transition at a time with the scenario's availabilities and compiles the
+// validated chain through dtmc.NewKernel. A model's chain must reproduce
+// its state order, CSR layout and values exactly.
 type refStructure struct {
-	chain   *refChain
-	kernel  *dtmc.Kernel
-	initial int
-	discard int
-	goals   []int
-	binds   []bindSlot
+	chain    *refChain
+	kernel   *dtmc.Kernel
+	initial  int
+	discard  int
+	goals    []int
+	transmit []int // transmitting states, ascending id
 }
 
-func buildReference(slots []int, fup, is, ttl int) (*refStructure, error) {
+func buildReference(slots []int, fup, is, ttl int, avails []link.Availability) (*refStructure, error) {
 	cfg := Config{Slots: slots, Fup: fup, Is: is, TTL: ttl}
 	if err := cfg.validateGeometry(); err != nil {
 		return nil, err
@@ -505,9 +527,6 @@ func buildReference(slots []int, fup, is, ttl int) (*refStructure, error) {
 	effTTL := cfg.ttl()
 
 	r := &refStructure{chain: &refChain{index: map[string]int{}}}
-	type attempt struct{ hop, slot int }
-	transmit := map[int]attempt{}
-
 	a0 := slots[n-1]
 	for i := 1; i <= is; i++ {
 		age := a0 + (i-1)*fup
@@ -548,25 +567,26 @@ func buildReference(slots []int, fup, is, ttl int) (*refStructure, error) {
 		next := t + 1
 		frameSlot := (next-1)%fup + 1
 		if frameSlot == slots[h] {
-			transmit[id] = attempt{hop: h, slot: next}
+			r.transmit = append(r.transmit, id)
+			ps := avails[h](next)
 			if h == n-1 {
 				gi := (next - slots[n-1]) / fup
 				if gi < 0 || gi >= len(r.goals) {
 					return 0, fmt.Errorf("no goal for arrival age %d", next)
 				}
-				r.chain.addTransition(id, r.goals[gi], placeholderProb)
+				r.chain.addTransition(id, r.goals[gi], ps)
 			} else {
 				succ, err := construct(next, h+1)
 				if err != nil {
 					return 0, err
 				}
-				r.chain.addTransition(id, succ, placeholderProb)
+				r.chain.addTransition(id, succ, ps)
 			}
 			fail, err := construct(next, h)
 			if err != nil {
 				return 0, err
 			}
-			r.chain.addTransition(id, fail, 1-placeholderProb)
+			r.chain.addTransition(id, fail, 1-ps)
 			return id, nil
 		}
 		nx, err := construct(next, h)
@@ -580,47 +600,33 @@ func buildReference(slots []int, fup, is, ttl int) (*refStructure, error) {
 	if r.initial, err = construct(0, 0); err != nil {
 		return nil, err
 	}
-	kernel, rowPtr, err := r.chain.compile(bindTol)
-	if err != nil {
+	sort.Ints(r.transmit)
+	if r.kernel, _, err = r.chain.compile(chainTol); err != nil {
 		return nil, err
-	}
-	r.kernel = kernel
-	transmitIDs := make([]int, 0, len(transmit))
-	for id := range transmit {
-		transmitIDs = append(transmitIDs, id)
-	}
-	sort.Ints(transmitIDs)
-	for _, id := range transmitIDs {
-		lo, hi := rowPtr[id], rowPtr[id+1]
-		if hi-lo != 2 {
-			return nil, fmt.Errorf("transmit state %d compiled to %d edges, want 2", id, hi-lo)
-		}
-		at := transmit[id]
-		r.binds = append(r.binds, bindSlot{state: id, hop: at.hop, slot: at.slot, succ: lo, fail: lo + 1})
 	}
 	return r, nil
 }
 
-// solve binds avails onto the reference kernel and runs the transient
-// analysis the way Solve does, summing attempts over the transmitting
-// states in ascending id order.
-func (r *refStructure) solve(avails []link.Availability, horizon int) (linalg.Vector, float64, error) {
-	vals := r.kernel.ValuesCopy()
-	for _, b := range r.binds {
-		ps := avails[b.hop](b.slot)
-		vals[b.succ], vals[b.fail] = ps, 1-ps
-	}
-	k, err := r.kernel.Rebind(vals, bindTol)
-	if err != nil {
-		return nil, 0, err
-	}
+// solve runs the transient analysis on the reference kernel as the
+// step-by-step recursion p(t) = p(t-1) P, summing attempts over the
+// transmitting states in ascending id order at every age before the
+// horizon.
+func (r *refStructure) solve(horizon int) (linalg.Vector, float64, error) {
+	return stepLoop(r.kernel, r.initial, r.transmit, horizon)
+}
+
+// stepLoop is the kernel step loop oracle: it runs p(t) = p(t-1) P for
+// horizon steps from a point mass on initial and returns p(horizon) and
+// the expected attempts, the mass summed over the transmit states (in
+// slice order) at every age before the horizon.
+func stepLoop(k *dtmc.Kernel, initial int, transmit []int, horizon int) (linalg.Vector, float64, error) {
 	p0 := linalg.NewVector(k.NumStates())
-	p0[r.initial] = 1
+	p0[initial] = 1
 	var attempts float64
 	p, err := k.Transient(p0, horizon, func(t int, dist linalg.Vector) error {
 		if t < horizon {
-			for _, b := range r.binds {
-				attempts += dist[b.state]
+			for _, id := range transmit {
+				attempts += dist[id]
 			}
 		}
 		return nil
@@ -660,17 +666,27 @@ func slotLayouts(hops, fup int) [][]int {
 	return out
 }
 
-// TestBuildStructureMatchesReference is the differential test of
-// BuildStructure against the reference Algorithm 1 over Fup 1-12 x hops
-// 1-4 x Is 1-5 x TTL in {0, 1, Fup, Is*Fup-1, Is*Fup} x slot layouts. Row
-// pointers, columns, base values, the initial, goal and discard ids, the
-// bind slots, every rendered state name and the solved outputs must be
+// testAvails returns a fractional, slot-varying availability per hop.
+func testAvails(hops int) []link.Availability {
+	avails := make([]link.Availability, hops)
+	for h := range avails {
+		avails[h] = func(slot int) float64 { return float64((slot*7+h*3)%10+1) / 11 }
+	}
+	return avails
+}
+
+// TestBuildStructureMatchesReference is the differential test of a bound
+// model's chain against the reference Algorithm 1 over Fup 1-12 x hops
+// 1-4 x Is 1-5 x TTL in {0, 1, Fup, Is*Fup-1, Is*Fup} x slot layouts. The
+// state count, row pointers, columns, values, the initial, goal and
+// discard ids, every rendered state name and the solved outputs must be
 // bit-identical.
 func TestBuildStructureMatchesReference(t *testing.T) {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	cases := 0
 	for fup := 1; fup <= 12; fup++ {
 		for hops := 1; hops <= 4 && hops <= fup; hops++ {
+			avails := testAvails(hops)
 			for _, slots := range slotLayouts(hops, fup) {
 				for is := 1; is <= 5; is++ {
 					ttls := map[int]bool{}
@@ -681,60 +697,55 @@ func TestBuildStructureMatchesReference(t *testing.T) {
 						ttls[ttl] = true
 						cases++
 						name := fmt.Sprintf("slots=%v fup=%d is=%d ttl=%d", slots, fup, is, ttl)
-						got, err := BuildStructure(slots, fup, is, ttl)
+						m, err := Build(Config{Slots: slots, Fup: fup, Is: is, TTL: ttl, Links: avails})
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						want, err := buildReference(slots, fup, is, ttl)
+						got, err := m.chain()
+						if err != nil {
+							t.Fatalf("%s: chain: %v", name, err)
+						}
+						want, err := buildReference(slots, fup, is, ttl, avails)
 						if err != nil {
 							t.Fatalf("%s: reference: %v", name, err)
 						}
-						if got.NumStates() != want.kernel.NumStates() || got.base.NNZ() != want.kernel.NNZ() {
-							t.Fatalf("%s: %d states / %d edges, reference %d / %d", name,
-								got.NumStates(), got.base.NNZ(), want.kernel.NumStates(), want.kernel.NNZ())
+						if m.NumStates() != want.kernel.NumStates() || got.kernel.NumStates() != want.kernel.NumStates() ||
+							got.kernel.NNZ() != want.kernel.NNZ() {
+							t.Fatalf("%s: %d (structure %d) states / %d edges, reference %d / %d", name,
+								got.kernel.NumStates(), m.NumStates(), got.kernel.NNZ(), want.kernel.NumStates(), want.kernel.NNZ())
 						}
 						// Equal columns row by row give equal row spans.
-						for id := 0; id < got.NumStates(); id++ {
-							gc, gv := got.base.Row(id)
+						for id := 0; id < got.kernel.NumStates(); id++ {
+							gc, gv := got.kernel.Row(id)
 							wc, wv := want.kernel.Row(id)
 							if !slices.Equal(gc, wc) {
 								t.Fatalf("%s: row %d cols %v, reference cols %v", name, id, gc, wc)
 							}
 							for e := range gv {
 								if !same(gv[e], wv[e]) {
-									t.Fatalf("%s: row %d base values %v, reference %v", name, id, gv, wv)
+									t.Fatalf("%s: row %d values %v, reference %v", name, id, gv, wv)
 								}
 							}
-						}
-						if got.initial != want.initial || got.discard != want.discard || !slices.Equal(got.goals, want.goals) {
-							t.Fatalf("%s: initial/discard/goals %d/%d/%v, reference %d/%d/%v", name,
-								got.initial, got.discard, got.goals, want.initial, want.discard, want.goals)
-						}
-						if !slices.Equal(got.binds, want.binds) {
-							t.Fatalf("%s: binds %v, reference %v", name, got.binds, want.binds)
-						}
-
-						avails := make([]link.Availability, hops)
-						for h := range avails {
-							avails[h] = func(slot int) float64 { return float64((slot*7+h*3)%10+1) / 11 }
-						}
-						m, err := got.Bind(avails)
-						if err != nil {
-							t.Fatalf("%s: Bind: %v", name, err)
-						}
-						for id := 0; id < got.NumStates(); id++ {
-							cols, _ := m.kernel.Row(id)
-							absorbing := len(cols) == 1 && cols[0] == id
-							if got.stateLabel(id) != want.chain.names[id] || absorbing != want.chain.absorbing[id] {
+							absorbing := len(gc) == 1 && gc[0] == id
+							if got.label(id) != want.chain.names[id] || absorbing != want.chain.absorbing[id] {
 								t.Fatalf("%s: state %d is %q (absorbing %v), reference %q (%v)", name, id,
-									got.stateLabel(id), absorbing, want.chain.names[id], want.chain.absorbing[id])
+									got.label(id), absorbing, want.chain.names[id], want.chain.absorbing[id])
 							}
 						}
+						goals := make([]int, len(got.ages))
+						for g := range goals {
+							goals[g] = g
+						}
+						if got.initial != want.initial || len(got.ages) != want.discard || !slices.Equal(goals, want.goals) {
+							t.Fatalf("%s: initial/discard/goals %d/%d/%v, reference %d/%d/%v", name,
+								got.initial, len(got.ages), goals, want.initial, want.discard, want.goals)
+						}
+
 						res, err := m.Solve()
 						if err != nil {
 							t.Fatalf("%s: Solve: %v", name, err)
 						}
-						p, attempts, err := want.solve(avails, is*fup)
+						p, attempts, err := want.solve(is * fup)
 						if err != nil {
 							t.Fatalf("%s: reference solve: %v", name, err)
 						}
@@ -755,12 +766,47 @@ func TestBuildStructureMatchesReference(t *testing.T) {
 	t.Logf("%d geometries", cases)
 }
 
-// TestSolveMatchesStepLoop pins Solve's one-pass sweep against the
-// step-by-step recursion p(t) = p(t-1) P beyond the reference grid: long
-// horizons (Is 8, 16 and 64 in frames of up to 20 slots), a TTL that ends
-// between two cycles, availabilities of exactly 0 and 1 (edges that carry
-// no mass, leaving rows the sweep skips) and a DownDuring failure window.
-// Cycle, discard and attempt values must be bit-identical.
+// checkAgainstStepLoop solves m by its recursion and by stepping its
+// explicit chain Is*Fup times, and reports any cycle, discard or attempt
+// value that is not bit-identical.
+func checkAgainstStepLoop(t *testing.T, label string, m *Model) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	res, err := m.Solve()
+	if err != nil {
+		t.Fatalf("%s: Solve: %v", label, err)
+	}
+	c, err := m.chain()
+	if err != nil {
+		t.Fatalf("%s: chain: %v", label, err)
+	}
+	var transmit []int
+	for id := 0; id < c.kernel.NumStates(); id++ {
+		if cols, _ := c.kernel.Row(id); len(cols) == 2 {
+			transmit = append(transmit, id)
+		}
+	}
+	p, attempts, err := stepLoop(c.kernel, c.initial, transmit, m.cfg.Is*m.cfg.Fup)
+	if err != nil {
+		t.Fatalf("%s: step loop: %v", label, err)
+	}
+	for i := range c.ages {
+		if !same(res.CycleProbs[i], p[i]) {
+			t.Errorf("%s: cycle %d %v, step loop %v", label, i+1, res.CycleProbs[i], p[i])
+		}
+	}
+	if discard := len(c.ages); !same(res.DiscardProb, p[discard]) || !same(res.ExpectedAttempts, attempts) {
+		t.Errorf("%s: discard/attempts %v/%v, step loop %v/%v", label,
+			res.DiscardProb, res.ExpectedAttempts, p[discard], attempts)
+	}
+}
+
+// TestSolveMatchesStepLoop pins the recursion against the step-by-step
+// recursion p(t) = p(t-1) P on the reference chain beyond the reference
+// grid: long horizons (Is 8, 16 and 64 in frames of up to 20 slots), a TTL
+// that ends between two cycles, availabilities of exactly 0 and 1 (edges
+// that carry no mass) and a DownDuring failure window. Cycle, discard and
+// attempt values must be bit-identical.
 func TestSolveMatchesStepLoop(t *testing.T) {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	lm, err := link.FromAvailability(0.83, link.DefaultRecoveryProb)
@@ -816,10 +862,6 @@ func TestSolveMatchesStepLoop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := buildReference(geo.slots, geo.fup, is, ttl)
-				if err != nil {
-					t.Fatal(err)
-				}
 				for name, avails := range scenarios {
 					label := fmt.Sprintf("slots=%v fup=%d is=%d ttl=%d %s", geo.slots, geo.fup, is, ttl, name)
 					av := avails(len(geo.slots))
@@ -831,7 +873,11 @@ func TestSolveMatchesStepLoop(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: Solve: %v", label, err)
 					}
-					p, attempts, err := ref.solve(av, is*geo.fup)
+					ref, err := buildReference(geo.slots, geo.fup, is, ttl, av)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p, attempts, err := ref.solve(is * geo.fup)
 					if err != nil {
 						t.Fatalf("%s: step loop: %v", label, err)
 					}
@@ -850,21 +896,85 @@ func TestSolveMatchesStepLoop(t *testing.T) {
 	}
 }
 
+// TestSolveMatchesStepLoopRandom is the randomized form of the step-loop
+// check: 20 000 seeded geometries with Fup 1-20, 1-5 hops in random
+// slots, Is 1-8 and the default or a random TTL, each bound to constant,
+// slot-varying or failure-window availabilities that include exactly 0
+// and 1. Each must solve bit-identically to stepping its chain.
+func TestSolveMatchesStepLoopRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	// draw returns an availability of exactly 0 or 1 one time in four.
+	draw := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return 1
+		}
+		return rng.Float64()
+	}
+	cases := 20000
+	if testing.Short() {
+		cases = 2000
+	}
+	for i := 0; i < cases; i++ {
+		fup := 1 + rng.Intn(20)
+		hops := 1 + rng.Intn(min(5, fup))
+		slots := rng.Perm(fup)[:hops]
+		for h := range slots {
+			slots[h]++
+		}
+		slices.Sort(slots)
+		is := 1 + rng.Intn(8)
+		ttl := 0
+		if rng.Intn(2) == 0 {
+			ttl = 1 + rng.Intn(is*fup)
+		}
+		avails := make([]link.Availability, hops)
+		kind := rng.Intn(3)
+		for h := range avails {
+			switch kind {
+			case 0: // constant
+				p := draw()
+				avails[h] = func(int) float64 { return p }
+			case 1: // slot-varying: one draw per slot of the horizon
+				ps := make([]float64, is*fup+1)
+				for k := range ps {
+					ps[k] = draw()
+				}
+				avails[h] = func(slot int) float64 { return ps[slot] }
+			default: // failure window over a constant link
+				p, from := draw(), rng.Intn(is*fup+1)
+				to := from + rng.Intn(is*fup+1-from)
+				avails[h] = func(slot int) float64 {
+					if slot > from && slot <= to {
+						return 0
+					}
+					return p
+				}
+			}
+		}
+		m, err := Build(Config{Slots: slots, Fup: fup, Is: is, TTL: ttl, Links: avails})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstStepLoop(t, fmt.Sprintf("case %d: slots=%v fup=%d is=%d ttl=%d kind=%d", i, slots, fup, is, ttl, kind), m)
+	}
+}
+
 // TestSolveAllocationsIndependentOfHorizon pins that a solve allocates a
-// fixed number of objects however long the reporting interval: the sweep
-// keeps one state vector and no per-slot buffers.
+// fixed number of objects however long the reporting interval: the
+// recursion keeps two n-length layers and no per-age or per-state
+// buffers.
 func TestSolveAllocationsIndependentOfHorizon(t *testing.T) {
 	lm, err := link.FromAvailability(0.83, link.DefaultRecoveryProb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := map[int]float64{}
-	for _, is := range []int{4, 64} {
-		st, err := BuildStructure([]int{3, 6, 7}, 7, is, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := st.Bind([]link.Availability{lm.Steady(), lm.Steady(), lm.Steady()})
+	for _, is := range []int{4, 64, 1024} {
+		m, err := Build(Config{Slots: []int{3, 6, 7}, Fup: 7, Is: is,
+			Links: []link.Availability{lm.Steady(), lm.Steady(), lm.Steady()}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -874,7 +984,7 @@ func TestSolveAllocationsIndependentOfHorizon(t *testing.T) {
 			}
 		})
 	}
-	if allocs[64] != allocs[4] {
-		t.Errorf("Solve allocates %v objects at Is=64 but %v at Is=4", allocs[64], allocs[4])
+	if allocs[64] != allocs[4] || allocs[1024] != allocs[4] {
+		t.Errorf("Solve allocates %v objects at Is=4, %v at Is=64 and %v at Is=1024", allocs[4], allocs[64], allocs[1024])
 	}
 }

@@ -4,13 +4,14 @@
 // absorbing DTMC over message-age states whose transition probabilities are
 // inherited from per-hop link availability functions.
 //
-// The construction is split into two phases. The state space — states,
-// goal/discard ids, transmit mask and CSR sparsity pattern — depends only
-// on the schedule geometry (Slots, Fup, Is, TTL) and is built once per
-// geometry by BuildStructure. Link models, channel quality and failure
-// injections only change transition values, which Structure.Bind fills
-// onto the shared pattern in a single value pass. Build composes the two
-// for callers that need no structural reuse.
+// The construction is split into two phases. BuildStructure validates the
+// schedule geometry (Slots, Fup, Is, TTL) and derives what depends on it
+// alone: the goal ages and the state and attempt counts. Link models,
+// channel quality and failure injections only change transition values,
+// which Structure.Bind evaluates once per transmission attempt. Build
+// composes the two. Solve then runs Algorithm 1's chain as a recursion
+// over message ages without writing the chain out; the explicit transition
+// matrix is built only for the DOT drawing and the goal trajectories.
 //
 // # Time convention
 //
@@ -28,9 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
-	"wirelesshart/internal/dtmc"
 	"wirelesshart/internal/link"
 )
 
@@ -83,21 +82,6 @@ func (c Config) validateGeometry() error {
 	return nil
 }
 
-func (c Config) validate() error {
-	if err := c.validateGeometry(); err != nil {
-		return err
-	}
-	if len(c.Links) != len(c.Slots) {
-		return fmt.Errorf("pathmodel: %d hops but %d link models", len(c.Slots), len(c.Links))
-	}
-	for h, av := range c.Links {
-		if av == nil {
-			return fmt.Errorf("pathmodel: hop %d has nil availability", h+1)
-		}
-	}
-	return nil
-}
-
 // ttl returns the effective TTL.
 func (c Config) ttl() int {
 	if c.TTL == 0 {
@@ -106,22 +90,19 @@ func (c Config) ttl() int {
 	return c.TTL
 }
 
-// Model is a constructed path DTMC: a shared Structure with one scenario's
-// transition values bound onto it.
+// Model is a path DTMC with one scenario bound: a shared Structure plus
+// the availability of every transmission attempt, in age order.
 type Model struct {
-	cfg    Config
-	s      *Structure
-	kernel *dtmc.Kernel
+	cfg   Config
+	s     *Structure
+	avail []float64
 }
 
-// Build constructs the path model per Algorithm 1: a structural build of
-// the state space followed by a value bind of the link models. Callers
-// evaluating many scenarios over one schedule geometry should cache the
-// Structure (see BuildStructure) and Bind per scenario instead.
+// Build constructs the path model per Algorithm 1: the geometry's
+// Structure, then a Bind of the link models. Callers evaluating many
+// scenarios over one schedule geometry may cache the Structure (see
+// BuildStructure) and Bind per scenario instead.
 func Build(cfg Config) (*Model, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	s, err := BuildStructure(cfg.Slots, cfg.Fup, cfg.Is, cfg.TTL)
 	if err != nil {
 		return nil, err
@@ -129,42 +110,18 @@ func Build(cfg Config) (*Model, error) {
 	return s.Bind(cfg.Links)
 }
 
-// stateLabel names state id: goal states R<age>, then Discard, then the
-// transient states in the paper's age-tuple notation.
-func (s *Structure) stateLabel(id int) string {
-	switch {
-	case id < len(s.ages):
-		return fmt.Sprintf("R%d", s.ages[id])
-	case id == s.discard:
-		return "Discard"
-	default:
-		st := s.states[id-s.discard-1]
-		return stateName(st.t, st.h, len(s.slots))
-	}
-}
-
-// stateName renders a state in the paper's age-tuple notation: nodes that
-// hold a copy of the message show its age, the rest show "-".
-func stateName(t, h, n int) string {
-	parts := make([]string, n)
-	for i := 0; i < n; i++ {
-		if i <= h {
-			parts[i] = fmt.Sprintf("%d", t)
-		} else {
-			parts[i] = "-"
-		}
-	}
-	return "(" + strings.Join(parts, ",") + ")"
-}
-
 // Structure returns the model's underlying shared structure.
 func (m *Model) Structure() *Structure { return m.s }
 
-// WriteDOT renders the model's bound DTMC in Graphviz DOT format, the
-// paper's Figs. 4 and 5: goal states R<age>, the Discard state and the
-// age-tuple transient states.
+// WriteDOT renders the model's DTMC in Graphviz DOT format, the paper's
+// Figs. 4 and 5: goal states R<age>, the Discard state and the age-tuple
+// transient states.
 func (m *Model) WriteDOT(w io.Writer, title string) error {
-	return m.kernel.WriteDOT(w, title, m.s.stateLabel)
+	c, err := m.chain()
+	if err != nil {
+		return err
+	}
+	return c.kernel.WriteDOT(w, title, c.label)
 }
 
 // GoalAges returns the arrival ages a_i of the goal states in cycle order.

@@ -60,16 +60,19 @@ func TestBuildFig4Structure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goals := m.s.goals
-	if len(goals) != 1 {
+	if goals := m.GoalAges(); len(goals) != 1 {
 		t.Fatalf("goals = %d, want 1", len(goals))
 	}
 	if ages := m.GoalAges(); ages[0] != 7 {
 		t.Errorf("goal age = %d, want 7", ages[0])
 	}
+	c, err := m.chain()
+	if err != nil {
+		t.Fatal(err)
+	}
 	labels := map[string]bool{}
 	for id := 0; id < m.NumStates(); id++ {
-		labels[m.s.stateLabel(id)] = true
+		labels[c.label(id)] = true
 	}
 	if !labels["R7"] {
 		t.Error("missing state R7")

@@ -135,6 +135,39 @@ func TestStructureBindValidation(t *testing.T) {
 	}
 }
 
+// TestBindRejectsNonFiniteAvailabilities pins that NaN and ±Inf
+// availabilities are errors, not NaN measures: on every hop, and also on
+// a hop behind a permanently failed one, whose attempts carry no mass.
+func TestBindRejectsNonFiniteAvailabilities(t *testing.T) {
+	lm, err := link.FromAvailability(0.83, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := func(int) float64 { return v }
+		// Hop 2 transmits in slots 6 and 13: bad in its second cycle only.
+		badAt13 := func(slot int) float64 {
+			if slot == 13 {
+				return v
+			}
+			return 0.5
+		}
+		for name, avails := range map[string][]link.Availability{
+			"first hop":     {bad, lm.Steady(), lm.Steady()},
+			"last hop":      {lm.Steady(), lm.Steady(), bad},
+			"zero-mass hop": {link.PermanentDown(), bad, lm.Steady()},
+			"one bad slot":  {lm.Steady(), badAt13, lm.Steady()},
+			"every hop":     {bad, bad, bad},
+		} {
+			cfg := Config{Slots: []int{3, 6, 7}, Fup: 7, Is: 2, Links: avails}
+			if m, err := Build(cfg); err == nil {
+				res, _ := m.Solve()
+				t.Errorf("availability %v on %s: Build accepted it (result %+v)", v, name, res)
+			}
+		}
+	}
+}
+
 func TestStructKeyDistinguishesGeometry(t *testing.T) {
 	keys := map[string]string{
 		"base":        StructKey([]int{1, 2, 3}, 7, 3, 0),

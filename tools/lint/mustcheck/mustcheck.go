@@ -1,8 +1,8 @@
 // Package mustcheck is errcheck scoped to the APIs whose discarded
 // results corrupt shared state instead of merely losing information. A
-// dropped error from Kernel.Rebind or Structure.Bind means a caller keeps
-// using a kernel whose rows were never revalidated; a dropped NewKernel
-// error defeats the only stochasticity check a chain gets. Generic
+// dropped error from Structure.Bind means a caller solves with
+// availabilities that were never checked to lie in [0,1]; a dropped
+// NewKernel error defeats the only stochasticity check a chain gets. Generic
 // errcheck would flag every fmt.Fprintf in the repo; this pass watches
 // exactly the solver-critical surface.
 package mustcheck
@@ -18,7 +18,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "mustcheck",
 	Doc: "require callers to use the results of the solver-critical APIs " +
-		"(Kernel.Rebind, Structure.Bind, NewKernel, CSR.WithValues): " +
+		"(Structure.Bind, NewKernel, NewCSR): " +
 		"a dropped error there poisons cached kernels",
 	Run: run,
 }
@@ -26,10 +26,8 @@ var Analyzer = &analysis.Analyzer{
 // checked is the set of functions (by types.Func.FullName) whose results
 // must not be discarded. Extend it when a new cache-poisoning API appears.
 var checked = map[string]bool{
-	"(*wirelesshart/internal/dtmc.Kernel).Rebind":       true,
 	"wirelesshart/internal/dtmc.NewKernel":              true,
 	"(*wirelesshart/internal/pathmodel.Structure).Bind": true,
-	"(*wirelesshart/internal/linalg.CSR).WithValues":    true,
 	"wirelesshart/internal/linalg.NewCSR":               true,
 	"wirelesshart/internal/link.New":                    true,
 
@@ -92,7 +90,7 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkAssign flags `x, _ := k.Rebind(...)`-style assignments that blank
+// checkAssign flags `x, _ := st.Bind(...)`-style assignments that blank
 // out the error result of a watched call.
 func checkAssign(pass *analysis.Pass, as *ast.AssignStmt) {
 	if len(as.Rhs) != 1 {

@@ -10,14 +10,10 @@ import (
 )
 
 func bad() {
-	dtmc.NewKernel(nil, nil, nil, 1e-9) // want `result of NewKernel discarded; it must be checked`
-	link.New(0.1, 0.9)                  // want `result of New discarded; it must be checked`
-	var csr linalg.CSR
-	csr.WithValues(nil) // want `result of WithValues discarded; it must be checked`
-
-	var k dtmc.Kernel
-	k.Rebind(nil, 1e-9)        // want `result of Rebind discarded; it must be checked`
-	_, _ = k.Rebind(nil, 1e-9) // want `error result of Rebind assigned to blank identifier`
+	dtmc.NewKernel(nil, nil, nil, 1e-9)        // want `result of NewKernel discarded; it must be checked`
+	link.New(0.1, 0.9)                         // want `result of New discarded; it must be checked`
+	linalg.NewCSR(0, 0, nil, nil, nil)         // want `result of NewCSR discarded; it must be checked`
+	_, _ = dtmc.NewKernel(nil, nil, nil, 1e-9) // want `error result of NewKernel assigned to blank identifier`
 
 	var st pathmodel.Structure
 	mdl, _ := st.Bind(nil) // want `error result of Bind assigned to blank identifier`
@@ -46,7 +42,7 @@ func bad() {
 	_, _ = eng.LoadSnapshot(nil) // want `error result of LoadSnapshot assigned to blank identifier`
 
 	go dtmc.NewKernel(nil, nil, nil, 1e-9) // want `result of NewKernel discarded by go statement`
-	defer k.Rebind(nil, 1e-9)              // want `result of Rebind discarded by defer statement`
+	defer link.New(0.1, 0.9)               // want `result of New discarded by defer statement`
 }
 
 func badDistributed(eng *engine.Engine, cl *cluster.Client, peer cluster.Member) {
@@ -77,11 +73,7 @@ func goodDistributed(eng *engine.Engine, cl *cluster.Client, peer cluster.Member
 }
 
 func good() error {
-	base, err := dtmc.NewKernel(nil, nil, nil, 1e-9)
-	if err != nil {
-		return err
-	}
-	k, err := base.Rebind(nil, 1e-9)
+	k, err := dtmc.NewKernel(nil, nil, nil, 1e-9)
 	if err != nil {
 		return err
 	}
