@@ -62,14 +62,6 @@ func (q *EventQueue) Pop() *Event {
 	return top
 }
 
-// Peek returns the earliest event without removing it, or nil if empty.
-func (q *EventQueue) Peek() *Event {
-	if len(q.heap) == 0 {
-		return nil
-	}
-	return q.heap[0]
-}
-
 func (q *EventQueue) less(i, j int) bool {
 	a, b := q.heap[i], q.heap[j]
 	if a.Time != b.Time {

@@ -45,22 +45,16 @@ func TestEventQueueFIFOAmongEqualTimes(t *testing.T) {
 	}
 }
 
-func TestEventQueuePeekPopEmpty(t *testing.T) {
+func TestEventQueuePopEmpty(t *testing.T) {
 	var q EventQueue
 	if q.Pop() != nil {
 		t.Error("Pop() of empty queue should be nil")
-	}
-	if q.Peek() != nil {
-		t.Error("Peek() of empty queue should be nil")
 	}
 	if err := q.Push(&Event{Time: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Push(&Event{Time: 1}); err != nil {
 		t.Fatal(err)
-	}
-	if q.Peek().Time != 1 {
-		t.Errorf("Peek().Time = %d, want 1", q.Peek().Time)
 	}
 	if q.Pop().Time != 1 || q.Pop().Time != 2 {
 		t.Error("Pop order wrong")

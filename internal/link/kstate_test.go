@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"wirelesshart/internal/linalg"
 )
 
 // equivTol is the satellite-1 pin: the k=2 embedding must reproduce the
@@ -117,10 +115,10 @@ func TestKStateTwoStateEquivalence(t *testing.T) {
 			// Step the embedded chain from the UP state, the DOWN state
 			// and a mixture; its success marginal must follow the
 			// model's closed-form transient.
-			k := kernelOf(t, ks.TransitionMatrix())
+			trans := ks.TransitionMatrix()
 			succ := ks.SuccessProbs()
 			for _, u0 := range []float64{1, 0, 0.37} {
-				_, err := k.Transient(linalg.Vector{u0, 1 - u0}, 100, func(slot int, p linalg.Vector) error {
+				stepChain(t, trans, []float64{u0, 1 - u0}, 100, func(slot int, p []float64) {
 					if d := math.Abs(steadyK(slot) - steadyM(slot)); d > equivTol {
 						t.Fatalf("slot %d: Steady diverges by %v", slot, d)
 					}
@@ -128,11 +126,7 @@ func TestKStateTwoStateEquivalence(t *testing.T) {
 					if d := math.Abs(got - m.TransientUp(u0, slot)); d > equivTol {
 						t.Fatalf("u0 %v slot %d: embedded chain diverges from TransientUp by %v", u0, slot, d)
 					}
-					return nil
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 			}
 		})
 	}
@@ -151,15 +145,12 @@ func TestKStateMarginalConvergesToSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	succ := m.SuccessProbs()
-	marginal := func(p linalg.Vector) float64 { return p[0]*succ[0] + p[1]*succ[1] + p[2]*succ[2] }
-	p0 := linalg.Vector{1, 0, 0}
+	marginal := func(p []float64) float64 { return p[0]*succ[0] + p[1]*succ[1] + p[2]*succ[2] }
+	p0 := []float64{1, 0, 0}
 	if got := marginal(p0); got != succ[0] {
 		t.Errorf("marginal at slot 0 = %v, want state-0 success prob %v", got, succ[0])
 	}
-	p, err := kernelOf(t, m.TransitionMatrix()).Transient(p0, 500, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := stepChain(t, m.TransitionMatrix(), p0, 500, nil)
 	if got := marginal(p); math.Abs(got-m.SteadyUp()) > 1e-9 {
 		t.Errorf("marginal at slot 500 = %v, steady = %v", got, m.SteadyUp())
 	}

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 
-	"wirelesshart/internal/linalg"
 	"wirelesshart/internal/pathmodel"
 	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/stats"
@@ -217,7 +216,7 @@ func ComposeCycles(peer, existing []float64, is int) ([]float64, error) {
 	if is < 1 {
 		return nil, fmt.Errorf("measures: reporting interval %d must be positive", is)
 	}
-	return linalg.ConvolveTruncated(peer, existing, is), nil
+	return convolveTruncated(peer, existing, is), nil
 }
 
 // ComposedTieTolerance is the reachability difference below which two

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"wirelesshart/internal/linalg"
 	"wirelesshart/internal/stats"
 )
 
@@ -34,7 +33,7 @@ func ComposeRoundTrip(uplink, downlink []float64, is int) (*RoundTrip, error) {
 	if is < 1 {
 		return nil, fmt.Errorf("measures: reporting interval %d must be positive", is)
 	}
-	cycles := linalg.ConvolveTruncated(uplink, downlink, is)
+	cycles := convolveTruncated(uplink, downlink, is)
 	rt := &RoundTrip{CycleProbs: cycles}
 	for _, p := range cycles {
 		rt.Completion += p

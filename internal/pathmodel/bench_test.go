@@ -95,8 +95,8 @@ func BenchmarkPathBuildAndSolve(b *testing.B) {
 }
 
 // BenchmarkGoalTrajectories measures the full-horizon trajectory recording
-// behind the paper's Fig. 6 curves, including the on-demand build of
-// Algorithm 1's explicit chain it steps.
+// behind the paper's Fig. 6 curves: one solve whose cycle probabilities
+// fill every goal's curve.
 func BenchmarkGoalTrajectories(b *testing.B) {
 	m, err := Build(benchConfig(b, 4))
 	if err != nil {

@@ -2,29 +2,29 @@ package pathmodel
 
 import (
 	"fmt"
+	"io"
 	"strings"
-
-	"wirelesshart/internal/dtmc"
 )
-
-// chainTol is the row-stochasticity tolerance of a built chain.
-const chainTol = 1e-9
 
 // ageHops is a transient state's Algorithm 1 coordinates: the message age
 // t in uplink slots and the number h of hops already completed.
 type ageHops struct{ t, h int }
 
 // chain is a bound model's Algorithm 1 DTMC written out as a transition
-// matrix: the drawing of the paper's Figs. 4 and 5, the stepper behind
-// Fig. 6's trajectories, and the oracle tests check Solve against. Solve
-// itself never builds one.
+// matrix in compressed-sparse-row form: the drawing of the paper's Figs. 4
+// and 5, and the oracle tests step to check Solve against. Solve itself
+// never builds one.
 //
 // State ids follow one fixed order: the goals R_{a_1}..R_{a_G} are
 // 0..G-1, the discard state is G, and the transient states follow in
 // success-first depth-first preorder from (0,0). So the absorbing states
-// are exactly the ids <= G.
+// are exactly the ids <= G; each keeps its mass through a self-loop. A
+// transient row is {1} or {ps, 1-ps}: the success edge, then the failure
+// edge.
 type chain struct {
-	kernel  *dtmc.Kernel
+	rowPtr  []int     // state id's edges are col/val[rowPtr[id]:rowPtr[id+1]]
+	col     []int     // target state of each edge
+	val     []float64 // transition probability of each edge
 	initial int
 	ages    []int     // goal arrival ages
 	hops    int       // path length n
@@ -36,7 +36,7 @@ type chain struct {
 // bound availabilities as transmission probabilities. Every state's
 // out-edges are arithmetic on (t, h), so the pass writes the CSR layout
 // straight into slices sized from the structure's counts.
-func (m *Model) chain() (*chain, error) {
+func (m *Model) chain() *chain {
 	s := m.s
 	n := len(s.slots)
 	discard := len(s.ages)
@@ -47,11 +47,16 @@ func (m *Model) chain() (*chain, error) {
 	// index[t*n+h] is the id of transient state (t, h), 0 while unvisited
 	// (transient ids start after the discard state, so 0 is never one).
 	index := make([]int, s.effTTL*n)
-	c := &chain{ages: s.ages, hops: n, states: make([]ageHops, 0, transient)}
-	rowPtr := make([]int, numStates+1)
 	nnz := numStates + s.attempts
-	col := make([]int, nnz)
-	val := make([]float64, nnz)
+	c := &chain{
+		rowPtr: make([]int, numStates+1),
+		col:    make([]int, nnz),
+		val:    make([]float64, nnz),
+		ages:   s.ages,
+		hops:   n,
+		states: make([]ageHops, 0, transient),
+	}
+	rowPtr, col, val := c.rowPtr, c.col, c.val
 	// Absorbing goal and discard rows keep their mass through a self-loop.
 	for id := 0; id <= discard; id++ {
 		rowPtr[id+1] = id + 1
@@ -98,13 +103,42 @@ func (m *Model) chain() (*chain, error) {
 		return id
 	}
 	c.initial = visit(0, 0)
+	return c
+}
 
-	kernel, err := dtmc.NewKernel(rowPtr, col, val, chainTol)
-	if err != nil {
-		return nil, fmt.Errorf("pathmodel: chain: %w", err)
+// row returns views of state id's out-edges: the target states and the
+// transition probabilities.
+func (c *chain) row(id int) (cols []int, vals []float64) {
+	lo, hi := c.rowPtr[id], c.rowPtr[id+1]
+	return c.col[lo:hi], c.val[lo:hi]
+}
+
+// writeDOT renders the chain in Graphviz DOT format, naming each state by
+// its label and each edge by its transition probability. The absorbing
+// states (the goals, then discard) are double circles without their
+// self-loops; every transient row prints all its edges, zero-valued ones
+// included.
+func (c *chain) writeDOT(w io.Writer, title string) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "digraph %q {\n", title)
+	b.WriteString("  rankdir=LR;\n")
+	discard := len(c.ages)
+	for id := 0; id < len(c.rowPtr)-1; id++ {
+		shape := "circle"
+		if id <= discard {
+			shape = "doublecircle"
+		}
+		fmt.Fprintf(&b, "  s%d [label=%q shape=%s];\n", id, c.label(id), shape)
 	}
-	c.kernel = kernel
-	return c, nil
+	for id := discard + 1; id < len(c.rowPtr)-1; id++ {
+		cols, vals := c.row(id)
+		for e, to := range cols {
+			fmt.Fprintf(&b, "  s%d -> s%d [label=\"%.4g\"];\n", id, to, vals[e])
+		}
+	}
+	b.WriteString("}\n")
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // label names state id: goal states R<age>, then Discard, then the

@@ -9,8 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"wirelesshart/internal/dtmc"
-	"wirelesshart/internal/linalg"
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/stats"
@@ -19,7 +17,8 @@ import (
 // This file holds the independent oracles the path model is checked
 // against: the negative-binomial closed form for homogeneous steady-state
 // paths, the fundamental-matrix absorption solve, goal-absorbing bounded
-// reachability, and a reference Algorithm 1 that builds the chain by name.
+// reachability, a reference Algorithm 1 that builds the chain by name, and
+// refKernel, the step loop p(t) = p(t-1) P that all the chain oracles run.
 
 // closedForm describes a homogeneous steady-state path: hops links with
 // per-hop success probability ps, Is cycles, the final hop in frame slot
@@ -108,14 +107,128 @@ func solvedDelayMS(res *Result, fdown int) float64 {
 	return sum / res.Reachability()
 }
 
-// mustChain builds m's explicit chain, the matrix the oracles below read.
-func mustChain(t *testing.T, m *Model) *chain {
-	t.Helper()
-	c, err := m.chain()
-	if err != nil {
-		t.Fatal(err)
+// refKernelTol is the row-stochasticity tolerance of every chain the
+// oracles step.
+const refKernelTol = 1e-9
+
+// refKernel is the oracles' transition matrix: an n-state chain in
+// compressed-sparse-row form, n = len(rowPtr)-1, that scatters each
+// state's mass along its row, absorbing states included as self-loops.
+type refKernel struct {
+	rowPtr, col []int
+	val         []float64
+}
+
+// newRefKernel checks a CSR layout and wraps it: the row pointers run
+// from 0 to the edge count without decreasing, every edge targets a
+// state, and every row is a probability distribution within refKernelTol.
+// The slices are retained, not copied.
+func newRefKernel(rowPtr, col []int, val []float64) (*refKernel, error) {
+	n := len(rowPtr) - 1
+	if n < 0 || len(col) != len(val) || rowPtr[0] != 0 || rowPtr[n] != len(col) {
+		return nil, fmt.Errorf("row pointers %v do not span %d edges with %d values", rowPtr, len(col), len(val))
 	}
-	return c
+	for id := 0; id < n; id++ {
+		if rowPtr[id] > rowPtr[id+1] {
+			return nil, fmt.Errorf("row pointer decreases at state %d", id)
+		}
+	}
+	k := &refKernel{rowPtr: rowPtr, col: col, val: val}
+	for id := 0; id < n; id++ {
+		cols, vals := k.row(id)
+		var sum float64
+		for e, to := range cols {
+			if to < 0 || to >= n {
+				return nil, fmt.Errorf("state %d edge to %d out of [0,%d)", id, to, n)
+			}
+			if p := vals[e]; math.IsNaN(p) || p < -refKernelTol || p > 1+refKernelTol {
+				return nil, fmt.Errorf("state %d value %v out of [0,1]", id, p)
+			}
+			sum += vals[e]
+		}
+		if math.Abs(sum-1) > refKernelTol {
+			return nil, fmt.Errorf("state %d outgoing probabilities sum to %v", id, sum)
+		}
+	}
+	return k, nil
+}
+
+func (k *refKernel) numStates() int { return len(k.rowPtr) - 1 }
+
+// row returns views of state id's out-edges.
+func (k *refKernel) row(id int) (cols []int, vals []float64) {
+	lo, hi := k.rowPtr[id], k.rowPtr[id+1]
+	return k.col[lo:hi], k.val[lo:hi]
+}
+
+// step sets dst = src P, scattering the states' mass in id order and each
+// row's in edge order. dst and src must be distinct.
+func (k *refKernel) step(dst, src []float64) {
+	clear(dst)
+	for id, mass := range src {
+		if mass == 0 {
+			continue
+		}
+		cols, vals := k.row(id)
+		for e, to := range cols {
+			dst[to] += mass * vals[e]
+		}
+	}
+}
+
+// transient runs p(s+1) = p(s) P for steps steps from a point mass on
+// start, calls observe(s, p(s)) for every s = 0..steps, and returns
+// p(steps). The vector observe sees is valid only during the call.
+func (k *refKernel) transient(start, steps int, observe func(s int, p []float64)) []float64 {
+	cur, next := make([]float64, k.numStates()), make([]float64, k.numStates())
+	cur[start] = 1
+	observe(0, cur)
+	for s := 1; s <= steps; s++ {
+		k.step(next, cur)
+		cur, next = next, cur
+		observe(s, cur)
+	}
+	return cur
+}
+
+// mustKernel builds m's explicit chain and checks it as a refKernel: the
+// matrix the oracles below read.
+func mustKernel(t *testing.T, m *Model) (*chain, *refKernel) {
+	t.Helper()
+	c := m.chain()
+	k, err := newRefKernel(c.rowPtr, c.col, c.val)
+	if err != nil {
+		t.Fatalf("chain: %v", err)
+	}
+	return c, k
+}
+
+// TestRefKernelRejectsBadLayouts pins the checks every oracle chain goes
+// through, so a malformed chain cannot pass as a reference.
+func TestRefKernelRejectsBadLayouts(t *testing.T) {
+	for name, tc := range map[string]struct {
+		rowPtr, col []int
+		val         []float64
+	}{
+		"short rowPtr":         {[]int{}, nil, nil},
+		"col/val mismatch":     {[]int{0, 1}, []int{0}, nil},
+		"rowPtr not from zero": {[]int{1, 1}, []int{0}, []float64{1}},
+		"rowPtr not to nnz":    {[]int{0, 1}, []int{0, 0}, []float64{1, 0}},
+		"decreasing rowPtr":    {[]int{0, 2, 1, 3}, []int{0, 1, 2}, []float64{0.5, 0.5, 1}},
+		"target out of range":  {[]int{0, 1}, []int{1}, []float64{1}},
+		"negative target":      {[]int{0, 1}, []int{-1}, []float64{1}},
+		"value above one":      {[]int{0, 2}, []int{0, 0}, []float64{1.5, -0.5}},
+		"NaN value":            {[]int{0, 2}, []int{0, 0}, []float64{math.NaN(), 1}},
+		"row sums below one":   {[]int{0, 2}, []int{0, 0}, []float64{0.5, 0.4}},
+		"empty row":            {[]int{0, 1, 1}, []int{0}, []float64{1}},
+	} {
+		if _, err := newRefKernel(tc.rowPtr, tc.col, tc.val); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := newRefKernel([]int{0, 2, 3}, []int{1, 0, 1}, []float64{0.25, 0.75, 1}); err != nil {
+		t.Errorf("valid chain rejected: %v", err)
+	}
 }
 
 // absorption is the fundamental-matrix oracle: it solves
@@ -124,7 +237,7 @@ func mustChain(t *testing.T, m *Model) *chain {
 // probability of every absorbing state (both indexed by state id).
 func absorption(t *testing.T, m *Model) (visits, absorbed []float64) {
 	t.Helper()
-	c := mustChain(t, m)
+	c, k := mustKernel(t, m)
 	n := m.NumStates()
 	idx := make([]int, n)
 	var transients []int
@@ -144,7 +257,7 @@ func absorption(t *testing.T, m *Model) (visits, absorbed []float64) {
 		a[i][i] = 1
 	}
 	for i, id := range transients {
-		cols, vals := c.kernel.Row(id)
+		cols, vals := k.row(id)
 		for e, to := range cols {
 			if j := idx[to]; j >= 0 {
 				a[j][i] -= vals[e]
@@ -158,7 +271,7 @@ func absorption(t *testing.T, m *Model) (visits, absorbed []float64) {
 	absorbed = make([]float64, n)
 	for i, id := range transients {
 		visits[id] = x[i]
-		cols, vals := c.kernel.Row(id)
+		cols, vals := k.row(id)
 		for e, to := range cols {
 			if idx[to] < 0 {
 				absorbed[to] += x[i] * vals[e]
@@ -207,9 +320,9 @@ func solveDense(t *testing.T, a [][]float64) []float64 {
 // probability of having visited a goal within k steps.
 func boundedReach(t *testing.T, m *Model, k int) float64 {
 	t.Helper()
-	c := mustChain(t, m)
+	c, kern := mustKernel(t, m)
 	n := m.NumStates()
-	p, next := linalg.NewVector(n), linalg.NewVector(n)
+	p, next := make([]float64, n), make([]float64, n)
 	p[c.initial] = 1
 	var reached float64
 	// The goals are the ids 0..G-1.
@@ -221,9 +334,7 @@ func boundedReach(t *testing.T, m *Model, k int) float64 {
 	}
 	absorbGoals()
 	for s := 0; s < k; s++ {
-		if err := c.kernel.StepInto(next, p); err != nil {
-			t.Fatal(err)
-		}
+		kern.step(next, p)
 		p, next = next, p
 		absorbGoals()
 	}
@@ -415,10 +526,10 @@ func TestExpectedAttemptsMatchesFundamentalMatrix(t *testing.T) {
 	visits, _ := absorption(t, m)
 	// The transmitting states are the rows with a success and a failure
 	// edge.
-	c := mustChain(t, m)
+	_, k := mustKernel(t, m)
 	var attempts float64
 	for id, v := range visits {
-		if cols, _ := c.kernel.Row(id); len(cols) == 2 {
+		if cols, _ := k.row(id); len(cols) == 2 {
 			attempts += v
 		}
 	}
@@ -482,10 +593,8 @@ func (c *refChain) addTransition(from, to int, p float64) {
 	c.out[from] = append(c.out[from], refEdge{to: to, p: p})
 }
 
-// compile emits the chain's CSR layout through dtmc.NewKernel, which
-// checks every row is a distribution within tol. It also returns the row
-// pointers, so rowPtr[id] is the value position of state id's first edge.
-func (c *refChain) compile(tol float64) (*dtmc.Kernel, []int, error) {
+// compile emits the chain's CSR layout as a checked refKernel.
+func (c *refChain) compile() (*refKernel, error) {
 	rowPtr := make([]int, len(c.names)+1)
 	var col []int
 	var val []float64
@@ -499,18 +608,17 @@ func (c *refChain) compile(tol float64) (*dtmc.Kernel, []int, error) {
 		}
 		rowPtr[id+1] = len(col)
 	}
-	k, err := dtmc.NewKernel(rowPtr, col, val, tol)
-	return k, rowPtr, err
+	return newRefKernel(rowPtr, col, val)
 }
 
 // refStructure is the reference Algorithm 1: the recursive builder that
 // names every state, inserts it into a refChain, adds its edges one
 // transition at a time with the scenario's availabilities and compiles the
-// validated chain through dtmc.NewKernel. A model's chain must reproduce
-// its state order, CSR layout and values exactly.
+// validated chain as a refKernel. A model's chain must reproduce its state
+// order, CSR layout and values exactly.
 type refStructure struct {
 	chain    *refChain
-	kernel   *dtmc.Kernel
+	kernel   *refKernel
 	initial  int
 	discard  int
 	goals    []int
@@ -601,7 +709,7 @@ func buildReference(slots []int, fup, is, ttl int, avails []link.Availability) (
 		return nil, err
 	}
 	sort.Ints(r.transmit)
-	if r.kernel, _, err = r.chain.compile(chainTol); err != nil {
+	if r.kernel, err = r.chain.compile(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -611,27 +719,28 @@ func buildReference(slots []int, fup, is, ttl int, avails []link.Availability) (
 // step-by-step recursion p(t) = p(t-1) P, summing attempts over the
 // transmitting states in ascending id order at every age before the
 // horizon.
-func (r *refStructure) solve(horizon int) (linalg.Vector, float64, error) {
-	return stepLoop(r.kernel, r.initial, r.transmit, horizon)
+func (r *refStructure) solve(horizon int) ([]float64, float64) {
+	return stepLoop(r.kernel, r.initial, r.transmit, horizon, nil)
 }
 
 // stepLoop is the kernel step loop oracle: it runs p(t) = p(t-1) P for
 // horizon steps from a point mass on initial and returns p(horizon) and
 // the expected attempts, the mass summed over the transmit states (in
-// slice order) at every age before the horizon.
-func stepLoop(k *dtmc.Kernel, initial int, transmit []int, horizon int) (linalg.Vector, float64, error) {
-	p0 := linalg.NewVector(k.NumStates())
-	p0[initial] = 1
+// slice order) at every age before the horizon. A non-nil observe sees
+// every p(t), t = 0..horizon.
+func stepLoop(k *refKernel, initial int, transmit []int, horizon int, observe func(t int, p []float64)) ([]float64, float64) {
 	var attempts float64
-	p, err := k.Transient(p0, horizon, func(t int, dist linalg.Vector) error {
+	p := k.transient(initial, horizon, func(t int, dist []float64) {
 		if t < horizon {
 			for _, id := range transmit {
 				attempts += dist[id]
 			}
 		}
-		return nil
+		if observe != nil {
+			observe(t, dist)
+		}
 	})
-	return p, attempts, err
+	return p, attempts
 }
 
 // slotLayouts returns the distinct strictly increasing hop-slot layouts
@@ -701,23 +810,20 @@ func TestBuildStructureMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						got, err := m.chain()
-						if err != nil {
-							t.Fatalf("%s: chain: %v", name, err)
-						}
+						got, gk := mustKernel(t, m)
 						want, err := buildReference(slots, fup, is, ttl, avails)
 						if err != nil {
 							t.Fatalf("%s: reference: %v", name, err)
 						}
-						if m.NumStates() != want.kernel.NumStates() || got.kernel.NumStates() != want.kernel.NumStates() ||
-							got.kernel.NNZ() != want.kernel.NNZ() {
+						if m.NumStates() != want.kernel.numStates() || gk.numStates() != want.kernel.numStates() ||
+							len(gk.col) != len(want.kernel.col) {
 							t.Fatalf("%s: %d (structure %d) states / %d edges, reference %d / %d", name,
-								got.kernel.NumStates(), m.NumStates(), got.kernel.NNZ(), want.kernel.NumStates(), want.kernel.NNZ())
+								gk.numStates(), m.NumStates(), len(gk.col), want.kernel.numStates(), len(want.kernel.col))
 						}
 						// Equal columns row by row give equal row spans.
-						for id := 0; id < got.kernel.NumStates(); id++ {
-							gc, gv := got.kernel.Row(id)
-							wc, wv := want.kernel.Row(id)
+						for id := 0; id < gk.numStates(); id++ {
+							gc, gv := gk.row(id)
+							wc, wv := want.kernel.row(id)
 							if !slices.Equal(gc, wc) {
 								t.Fatalf("%s: row %d cols %v, reference cols %v", name, id, gc, wc)
 							}
@@ -745,10 +851,7 @@ func TestBuildStructureMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: Solve: %v", name, err)
 						}
-						p, attempts, err := want.solve(is * fup)
-						if err != nil {
-							t.Fatalf("%s: reference solve: %v", name, err)
-						}
+						p, attempts := want.solve(is * fup)
 						for i, g := range want.goals {
 							if !same(res.CycleProbs[i], p[g]) {
 								t.Errorf("%s: cycle %d %v, reference %v", name, i+1, res.CycleProbs[i], p[g])
@@ -768,7 +871,8 @@ func TestBuildStructureMatchesReference(t *testing.T) {
 
 // checkAgainstStepLoop solves m by its recursion and by stepping its
 // explicit chain Is*Fup times, and reports any cycle, discard or attempt
-// value that is not bit-identical.
+// value, or any goal trajectory entry at ages 0..Is*Fup (the paper's
+// Fig. 6), that is not bit-identical.
 func checkAgainstStepLoop(t *testing.T, label string, m *Model) {
 	t.Helper()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -776,20 +880,30 @@ func checkAgainstStepLoop(t *testing.T, label string, m *Model) {
 	if err != nil {
 		t.Fatalf("%s: Solve: %v", label, err)
 	}
-	c, err := m.chain()
+	traj, err := m.GoalTrajectories()
 	if err != nil {
-		t.Fatalf("%s: chain: %v", label, err)
+		t.Fatalf("%s: GoalTrajectories: %v", label, err)
 	}
+	c, k := mustKernel(t, m)
 	var transmit []int
-	for id := 0; id < c.kernel.NumStates(); id++ {
-		if cols, _ := c.kernel.Row(id); len(cols) == 2 {
+	for id := 0; id < k.numStates(); id++ {
+		if cols, _ := k.row(id); len(cols) == 2 {
 			transmit = append(transmit, id)
 		}
 	}
-	p, attempts, err := stepLoop(c.kernel, c.initial, transmit, m.cfg.Is*m.cfg.Fup)
-	if err != nil {
-		t.Fatalf("%s: step loop: %v", label, err)
+	horizon := m.cfg.Is * m.cfg.Fup
+	for g := range traj {
+		if len(traj[g]) != horizon+1 {
+			t.Fatalf("%s: goal %d trajectory has %d ages, want %d", label, g, len(traj[g]), horizon+1)
+		}
 	}
+	p, attempts := stepLoop(k, c.initial, transmit, horizon, func(age int, dist []float64) {
+		for g := range c.ages {
+			if !same(traj[g][age], dist[g]) {
+				t.Errorf("%s: goal %d at age %d: trajectory %v, step loop %v", label, g, age, traj[g][age], dist[g])
+			}
+		}
+	})
 	for i := range c.ages {
 		if !same(res.CycleProbs[i], p[i]) {
 			t.Errorf("%s: cycle %d %v, step loop %v", label, i+1, res.CycleProbs[i], p[i])
@@ -877,10 +991,7 @@ func TestSolveMatchesStepLoop(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					p, attempts, err := ref.solve(is * geo.fup)
-					if err != nil {
-						t.Fatalf("%s: step loop: %v", label, err)
-					}
+					p, attempts := ref.solve(is * geo.fup)
 					for i, g := range ref.goals {
 						if !same(res.CycleProbs[i], p[g]) {
 							t.Errorf("%s: cycle %d %v, step loop %v", label, i+1, res.CycleProbs[i], p[g])

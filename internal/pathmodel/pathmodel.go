@@ -10,8 +10,9 @@
 // channel quality and failure injections only change transition values,
 // which Structure.Bind evaluates once per transmission attempt. Build
 // composes the two. Solve then runs Algorithm 1's chain as a recursion
-// over message ages without writing the chain out; the explicit transition
-// matrix is built only for the DOT drawing and the goal trajectories.
+// over message ages without writing the chain out, and GoalTrajectories
+// reads the Fig. 6 curves off its result. The explicit transition matrix
+// is built only for the DOT drawing and for the tests that step it.
 //
 // # Time convention
 //
@@ -117,11 +118,7 @@ func (m *Model) Structure() *Structure { return m.s }
 // Figs. 4 and 5: goal states R<age>, the Discard state and the age-tuple
 // transient states.
 func (m *Model) WriteDOT(w io.Writer, title string) error {
-	c, err := m.chain()
-	if err != nil {
-		return err
-	}
-	return c.kernel.WriteDOT(w, title, c.label)
+	return m.chain().writeDOT(w, title)
 }
 
 // GoalAges returns the arrival ages a_i of the goal states in cycle order.

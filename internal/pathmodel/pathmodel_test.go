@@ -66,10 +66,7 @@ func TestBuildFig4Structure(t *testing.T) {
 	if ages := m.GoalAges(); ages[0] != 7 {
 		t.Errorf("goal age = %d, want 7", ages[0])
 	}
-	c, err := m.chain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := m.chain()
 	labels := map[string]bool{}
 	for id := 0; id < m.NumStates(); id++ {
 		labels[c.label(id)] = true
@@ -459,6 +456,62 @@ func TestWriteDOTIncludesGoals(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("DOT missing %q", want)
 		}
+	}
+}
+
+// TestWriteDOTExact pins the DOT writer byte for byte on a chain with
+// availabilities of exactly 1 and 0: zero-valued edges print as "0", and
+// the goals R2 and R5 and the discard state are double circles drawn
+// without their self-loops.
+func TestWriteDOTExact(t *testing.T) {
+	m, err := Build(Config{Slots: []int{1, 2}, Fup: 3, Is: 2, TTL: 5, Links: []link.Availability{
+		func(int) float64 { return 1 },
+		// Hop 2 is down through the first frame and up after it.
+		func(slot int) float64 {
+			if slot <= 3 {
+				return 0
+			}
+			return 1
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := m.WriteDOT(&b, "edge"); err != nil {
+		t.Fatal(err)
+	}
+	want := `digraph "edge" {
+  rankdir=LR;
+  s0 [label="R2" shape=doublecircle];
+  s1 [label="R5" shape=doublecircle];
+  s2 [label="Discard" shape=doublecircle];
+  s3 [label="(0,-)" shape=circle];
+  s4 [label="(1,1)" shape=circle];
+  s5 [label="(2,2)" shape=circle];
+  s6 [label="(3,3)" shape=circle];
+  s7 [label="(4,4)" shape=circle];
+  s8 [label="(1,-)" shape=circle];
+  s9 [label="(2,-)" shape=circle];
+  s10 [label="(3,-)" shape=circle];
+  s11 [label="(4,-)" shape=circle];
+  s3 -> s4 [label="1"];
+  s3 -> s8 [label="0"];
+  s4 -> s0 [label="0"];
+  s4 -> s5 [label="1"];
+  s5 -> s6 [label="1"];
+  s6 -> s7 [label="1"];
+  s7 -> s1 [label="1"];
+  s7 -> s2 [label="0"];
+  s8 -> s9 [label="1"];
+  s9 -> s10 [label="1"];
+  s10 -> s7 [label="1"];
+  s10 -> s11 [label="0"];
+  s11 -> s2 [label="1"];
+}
+`
+	if got := b.String(); got != want {
+		t.Errorf("WriteDOT =\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -1,10 +1,6 @@
 package pathmodel
 
-import (
-	"fmt"
-
-	"wirelesshart/internal/linalg"
-)
+import "fmt"
 
 // Result holds the transient solution of a path model at the end of its
 // reporting interval. Nothing writes to a Result once Solve or SolveBatch
@@ -134,29 +130,23 @@ func (m *Model) Solve() (*Result, error) {
 
 // GoalTrajectories returns, for each goal state, its transient probability
 // at every age 0..Is*Fup — the curves of the paper's Fig. 6. The returned
-// slice is indexed [goal][age]. It steps the model's explicit chain, which
-// it builds on each call.
+// slice is indexed [goal][age]. Goal R_{a_i} is entered at its arrival age
+// a_i alone, by the final hop's one transmission at that age, and is
+// absorbing; so its curve is 0 before a_i and Solve's cycle probability
+// from a_i on, the values stepping the explicit chain gives bit for bit.
 func (m *Model) GoalTrajectories() ([][]float64, error) {
-	c, err := m.chain()
+	res, err := m.Solve()
 	if err != nil {
 		return nil, err
 	}
-	horizon := m.cfg.Is * m.cfg.Fup
-	p0 := linalg.NewVector(c.kernel.NumStates())
-	p0[c.initial] = 1
-	// Goals are the state ids 0..G-1.
-	out := make([][]float64, len(m.s.ages))
-	for i := range out {
-		out[i] = make([]float64, horizon+1)
-	}
-	_, err = c.kernel.Transient(p0, horizon, func(t int, dist linalg.Vector) error {
-		for i := range out {
-			out[i][t] = dist[i]
+	n := m.cfg.Is*m.cfg.Fup + 1
+	out := make([][]float64, len(res.CycleProbs))
+	buf := make([]float64, len(out)*n)
+	for g, p := range res.CycleProbs {
+		out[g] = buf[g*n : (g+1)*n : (g+1)*n]
+		for age := res.GoalAges[g]; age < n; age++ {
+			out[g][age] = p
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -133,17 +133,6 @@ func (s *Schedule) Transmissions() []struct {
 	return out
 }
 
-// UsedSlots returns the number of non-idle slots.
-func (s *Schedule) UsedSlots() int {
-	n := 0
-	for _, e := range s.entries {
-		if !e.Idle {
-			n++
-		}
-	}
-	return n
-}
-
 // Validate checks the schedule against a network and its uplink routes:
 // every transmission must follow an existing link and belong to the
 // dedicated source's route, every route's hops must each have at least one

@@ -99,18 +99,6 @@ func (p Path) Format(n *Network) string {
 	return strings.Join(parts, " -> ")
 }
 
-// Compose joins a peer path (ending at this path's source) with this path,
-// forming the composed route of paper Section V-D (Fig. 11). The joint
-// node is not duplicated.
-func (p Path) Compose(n *Network, peer Path) (Path, error) {
-	if peer.Destination() != p.Source() {
-		return Path{}, fmt.Errorf("topology: peer path ends at %d, existing path starts at %d",
-			peer.Destination(), p.Source())
-	}
-	nodes := append(peer.Nodes(), p.nodes[1:]...)
-	return NewPath(n, nodes)
-}
-
 // UplinkRoutes computes the uplink graph routes: for every field device,
 // the BFS shortest path to the gateway, breaking ties by the lowest
 // neighbor id (the network manager's deterministic choice). It returns the

@@ -73,33 +73,6 @@ func TestPathStringsAndFormat(t *testing.T) {
 	}
 }
 
-func TestPathCompose(t *testing.T) {
-	// Fig. 11: a peer path 5 -> 3 composed with existing 3 -> G.
-	n := NewNetwork()
-	gw, _ := n.AddNode("G", Gateway)
-	n3, _ := n.AddNode("n3", FieldDevice)
-	n5, _ := n.AddNode("n5", FieldDevice)
-	if _, err := n.AddLink(n3, gw); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.AddLink(n5, n3); err != nil {
-		t.Fatal(err)
-	}
-	exist, _ := NewPath(n, []NodeID{n3, gw})
-	peer, _ := NewPath(n, []NodeID{n5, n3})
-	composed, err := exist.Compose(n, peer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if composed.Hops() != 2 || composed.Source() != n5 || composed.Destination() != gw {
-		t.Errorf("composed path wrong: %v", composed)
-	}
-	// Composing with a peer that does not end at the source must fail.
-	if _, err := peer.Compose(n, exist); err == nil {
-		t.Error("mismatched composition should error")
-	}
-}
-
 func TestUplinkRoutesTypicalNetwork(t *testing.T) {
 	// The typical network must route exactly as the paper describes:
 	// 3 one-hop, 5 two-hop, 2 three-hop paths.

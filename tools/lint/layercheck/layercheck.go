@@ -1,16 +1,16 @@
 // Package layercheck enforces the repo's import-boundary DAG. The solver
 // is layered leaf-to-top as
 //
-//	linalg/stats/channel/topology/obs/control
-//	  -> dtmc/schedule -> link -> pathmodel -> measures/des
+//	stats/channel/topology/obs/control/cluster
+//	  -> schedule/link -> pathmodel -> measures/des
 //	  -> core -> spec/gen -> engine -> experiments/fleet
 //	  -> root facade -> cmd / examples
 //
 // and every internal package declares its direct first-party imports in
 // the allowedImports table below. Growing a new edge is a deliberate
 // one-line diff here, not an accident in an import block. Three rules the
-// numerical model depends on fall out of the table: internal/linalg and
-// internal/dtmc stay leaves, internal/core never sees internal/obs or
+// numerical model depends on fall out of the table: the leaves import no
+// first-party package, internal/core never sees internal/obs or
 // internal/engine (solver purity: core results must be cacheable without
 // observability side effects), and nothing outside cmd imports cmd.
 package layercheck
@@ -36,10 +36,7 @@ var Analyzer = &analysis.Analyzer{
 // may import directly. A package absent from this table is not allowed to
 // exist under internal/ until it registers its layer here.
 var allowedImports = map[string][]string{
-	// Leaves: pure math, pure data, no first-party imports. linalg and
-	// dtmc staying (near-)leaves is what keeps the compiled CSR kernel
-	// reusable everywhere above them.
-	"internal/linalg":   {},
+	// Leaves: pure math, pure data, no first-party imports.
 	"internal/stats":    {},
 	"internal/channel":  {},
 	"internal/topology": {},
@@ -51,13 +48,12 @@ var allowedImports = map[string][]string{
 	// must never grow one upward into the engine.
 	"internal/cluster": {},
 
-	"internal/dtmc":     {"internal/linalg"},
 	"internal/schedule": {"internal/topology"},
-	"internal/link":     {"internal/channel", "internal/dtmc"},
+	"internal/link":     {"internal/channel"},
 
-	"internal/pathmodel": {"internal/dtmc", "internal/linalg", "internal/link", "internal/stats"},
+	"internal/pathmodel": {"internal/link"},
 
-	"internal/measures": {"internal/linalg", "internal/link", "internal/pathmodel", "internal/schedule", "internal/stats"},
+	"internal/measures": {"internal/pathmodel", "internal/schedule", "internal/stats"},
 	"internal/des":      {"internal/channel", "internal/link", "internal/pathmodel", "internal/schedule", "internal/stats", "internal/topology"},
 
 	"internal/core": {"internal/link", "internal/measures", "internal/pathmodel", "internal/schedule", "internal/stats", "internal/topology"},

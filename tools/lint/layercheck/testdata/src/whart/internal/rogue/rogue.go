@@ -2,5 +2,5 @@
 package rogue
 
 import (
-	_ "wirelesshart/internal/linalg" // want `package wirelesshart/internal/rogue is not registered in the layercheck DAG`
+	_ "wirelesshart/internal/stats" // want `package wirelesshart/internal/rogue is not registered in the layercheck DAG`
 )

@@ -2,7 +2,8 @@
 // results corrupt shared state instead of merely losing information. A
 // dropped error from Structure.Bind means a caller solves with
 // availabilities that were never checked to lie in [0,1]; a dropped
-// NewKernel error defeats the only stochasticity check a chain gets. Generic
+// link.NewKState error hands the solver a fading chain whose rows were
+// never checked to be stochastic. Generic
 // errcheck would flag every fmt.Fprintf in the repo; this pass watches
 // exactly the solver-critical surface.
 package mustcheck
@@ -18,17 +19,15 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "mustcheck",
 	Doc: "require callers to use the results of the solver-critical APIs " +
-		"(Structure.Bind, NewKernel, NewCSR): " +
-		"a dropped error there poisons cached kernels",
+		"(Structure.Bind, the link constructors, the cluster and engine surfaces): " +
+		"a dropped error there poisons cached models",
 	Run: run,
 }
 
 // checked is the set of functions (by types.Func.FullName) whose results
 // must not be discarded. Extend it when a new cache-poisoning API appears.
 var checked = map[string]bool{
-	"wirelesshart/internal/dtmc.NewKernel":              true,
 	"(*wirelesshart/internal/pathmodel.Structure).Bind": true,
-	"wirelesshart/internal/linalg.NewCSR":               true,
 	"wirelesshart/internal/link.New":                    true,
 
 	// Batched solver surface: every entry point returns an error whose

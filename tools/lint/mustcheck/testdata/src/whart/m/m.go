@@ -2,18 +2,14 @@ package m
 
 import (
 	"wirelesshart/internal/cluster"
-	"wirelesshart/internal/dtmc"
 	"wirelesshart/internal/engine"
-	"wirelesshart/internal/linalg"
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/pathmodel"
 )
 
 func bad() {
-	dtmc.NewKernel(nil, nil, nil, 1e-9)        // want `result of NewKernel discarded; it must be checked`
-	link.New(0.1, 0.9)                         // want `result of New discarded; it must be checked`
-	linalg.NewCSR(0, 0, nil, nil, nil)         // want `result of NewCSR discarded; it must be checked`
-	_, _ = dtmc.NewKernel(nil, nil, nil, 1e-9) // want `error result of NewKernel assigned to blank identifier`
+	link.New(0.1, 0.9)        // want `result of New discarded; it must be checked`
+	_, _ = link.New(0.1, 0.9) // want `error result of New assigned to blank identifier`
 
 	var st pathmodel.Structure
 	mdl, _ := st.Bind(nil) // want `error result of Bind assigned to blank identifier`
@@ -41,8 +37,8 @@ func bad() {
 	eng.LoadSnapshot(nil)        // want `result of LoadSnapshot discarded; it must be checked`
 	_, _ = eng.LoadSnapshot(nil) // want `error result of LoadSnapshot assigned to blank identifier`
 
-	go dtmc.NewKernel(nil, nil, nil, 1e-9) // want `result of NewKernel discarded by go statement`
-	defer link.New(0.1, 0.9)               // want `result of New discarded by defer statement`
+	go link.NewKState(nil, nil) // want `result of NewKState discarded by go statement`
+	defer link.New(0.1, 0.9)    // want `result of New discarded by defer statement`
 }
 
 func badDistributed(eng *engine.Engine, cl *cluster.Client, peer cluster.Member) {
@@ -73,11 +69,11 @@ func goodDistributed(eng *engine.Engine, cl *cluster.Client, peer cluster.Member
 }
 
 func good() error {
-	k, err := dtmc.NewKernel(nil, nil, nil, 1e-9)
+	ks, err := link.NewKState(nil, nil)
 	if err != nil {
 		return err
 	}
-	_ = k
+	_ = ks
 	var st pathmodel.Structure
 	mdl, err := st.Bind(nil)
 	_ = mdl

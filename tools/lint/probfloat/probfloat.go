@@ -6,7 +6,7 @@
 // `p == q` on computed values is almost always a latent bug; the paper's
 // measures are all defined up to a numeric tolerance. Comparisons where
 // either side is the untyped constant 0 are allowed: exact-zero tests are
-// the established sparsity idiom of the linalg hot paths (a value that was
+// the established sparsity idiom of the solver's hot loops (mass that was
 // never written is exactly 0.0), and both-constant comparisons fold at
 // compile time.
 //
