@@ -21,6 +21,7 @@ import (
 
 	"wirelesshart/internal/engine"
 	"wirelesshart/internal/experiments"
+	"wirelesshart/internal/gen"
 	"wirelesshart/internal/spec"
 )
 
@@ -329,6 +330,31 @@ func BenchmarkHTTPNetworkCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve()
+	}
+}
+
+// BenchmarkHTTPNetworkColdSolve is a /v1/network request that misses the
+// result cache: a distinct generated network (gen seed 1) per op through
+// the engine's handler. Decode, key, build, solve, measures, result
+// assembly and the first encoding of the result, without a network
+// transport.
+func BenchmarkHTTPNetworkColdSolve(b *testing.B) {
+	bodies := make([][]byte, b.N)
+	for i := range bodies {
+		g, err := gen.Generate(1, i, gen.DefaultParams())
+		benchErr(b, err)
+		bodies[i], err = json.Marshal(map[string]any{"scenario": g.Spec})
+		benchErr(b, err)
+	}
+	h := engine.NewHandler(engine.New(engine.Config{}), 30*time.Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/network", bytes.NewReader(bodies[i])))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
 	}
 }
 

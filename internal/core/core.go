@@ -528,7 +528,15 @@ func (a *Analyzer) finishNetworkAnalysis(out *NetworkAnalysis) error {
 	if out.OverallDelay, err = measures.OverallDelay(results, a.fdown); err != nil {
 		return err
 	}
-	out.OverallMeanDelayMS, err = measures.OverallMeanDelayMS(results, a.fdown)
+	// Each delivering path's E[tau] was computed from its delay
+	// distribution in pathAnalysisFrom.
+	expected := make([]float64, 0, len(out.Paths))
+	for _, pa := range out.Paths {
+		if pa.Reachability > 0 {
+			expected = append(expected, pa.ExpectedDelayMS)
+		}
+	}
+	out.OverallMeanDelayMS, err = measures.OverallMeanDelayMS(expected)
 	if err != nil && !errors.Is(err, measures.ErrNoDelivery) {
 		return err
 	}

@@ -23,9 +23,10 @@ type peerSolveRequest struct {
 }
 
 // forwardSolve sends the scenario to the ring owner of key and decodes
-// its result. Every forward is traced ("forward" traces beside the local
-// "solve" ones in /debug/traces) and counted; the caller owns the
-// degraded-local fallback.
+// its result, keeping the owner's body as the result's encoding. Every
+// forward is traced ("forward" traces beside the local "solve" ones in
+// /debug/traces) and counted; the caller owns the degraded-local
+// fallback.
 func (e *Engine) forwardSolve(ctx context.Context, s *spec.Spec, key string) (res *Result, err error) {
 	owner := e.ring.Owner(key)
 	e.metrics.peerForwarded.Add(1)
@@ -54,5 +55,8 @@ func (e *Engine) forwardSolve(ctx context.Context, s *spec.Spec, key string) (re
 	if out.Key != key {
 		return nil, fmt.Errorf("engine: peer %s returned key %s for %s", owner.ID, out.Key, key)
 	}
+	// The owner's body is this result's response encoding: keep it, so
+	// this replica serves the owner's bytes and never encodes the result.
+	out.encodeOnce.Do(func() { out.encoded = data })
 	return out, nil
 }

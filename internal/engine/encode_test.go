@@ -173,6 +173,20 @@ func TestForwardedResultBody(t *testing.T) {
 	if peer := serve(t, NewHandler(engA, 30*time.Second), PeerSolvePath, map[string]any{"key": key, "scenario": s}); !bytes.Equal(peer, want) {
 		t.Error("/v1/peer/solve body differs from the owner's /v1/network body")
 	}
+
+	// The stored bytes are the peer's: a forward through Evaluate, which
+	// never encodes, leaves the owner's body on the cached result.
+	_, engB = twoReplicaCluster(t)
+	res, err := engB.Evaluate(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if engB.MetricsSnapshot().PeerForwarded != 1 {
+		t.Fatal("b did not forward the scenario to its owner")
+	}
+	if !bytes.Equal(res.encoded, want) {
+		t.Error("the forwarded result does not hold the owner's body as its encoding")
+	}
 }
 
 // TestCachedResultServedConcurrently: many goroutines serving one cached

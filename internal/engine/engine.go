@@ -314,23 +314,23 @@ func assembleResult(key string, built *spec.Built, na *core.NetworkAnalysis) (*R
 		OverallMeanDelayMS: na.OverallMeanDelayMS,
 		Utilization:        na.UtilizationExact,
 	}
-	for _, x := range na.OverallDelay.Support() {
-		out.OverallDelay = append(out.OverallDelay, DelayPoint{MS: x, Prob: na.OverallDelay.Prob(x)})
-	}
-	for _, pa := range na.Paths {
+	out.OverallDelay = delayPoints(na.OverallDelay)
+	out.Paths = make([]PathResult, len(na.Paths))
+	for i, pa := range na.Paths {
 		src, err := built.Net.Node(pa.Source)
 		if err != nil {
 			return nil, err
 		}
-		var route []string
-		for _, id := range pa.Path.Nodes() {
+		nodes := pa.Path.Nodes()
+		route := make([]string, len(nodes))
+		for j, id := range nodes {
 			node, err := built.Net.Node(id)
 			if err != nil {
 				return nil, err
 			}
-			route = append(route, node.Name)
+			route[j] = node.Name
 		}
-		pr := PathResult{
+		out.Paths[i] = PathResult{
 			Source:          src.Name,
 			Route:           route,
 			Hops:            pa.Path.Hops(),
@@ -341,14 +341,32 @@ func assembleResult(key string, built *spec.Built, na *core.NetworkAnalysis) (*R
 			Utilization:     pa.UtilizationExact,
 		}
 		if pa.DelayDist != nil {
-			for _, x := range pa.DelayDist.Support() {
-				pr.Delay = append(pr.Delay, DelayPoint{MS: x, Prob: pa.DelayDist.Prob(x)})
-			}
+			out.Paths[i].Delay = delayPoints(pa.DelayDist)
 		}
-		out.Paths = append(out.Paths, pr)
 	}
 	sort.Slice(out.Paths, func(i, j int) bool { return out.Paths[i].Source < out.Paths[j].Source })
 	return out, nil
+}
+
+// pmf is the part of a delay distribution (a *stats.PMF) that a result
+// lists.
+type pmf interface {
+	Support() []float64
+	Prob(x float64) float64
+}
+
+// delayPoints lists a distribution's support points in ascending order, or
+// nil when it has none.
+func delayPoints(d pmf) []DelayPoint {
+	xs := d.Support()
+	if len(xs) == 0 {
+		return nil
+	}
+	out := make([]DelayPoint, len(xs))
+	for i, x := range xs {
+		out[i] = DelayPoint{MS: x, Prob: d.Prob(x)}
+	}
+	return out
 }
 
 // Candidate is one attachment option for a joining node: the existing node

@@ -60,7 +60,10 @@ type errorResponse struct {
 
 // encodeIndented returns the API's response encoding of v: exactly what a
 // json.Encoder with SetIndent("", "  ") writes, trailing newline included.
-// Clients rely on this format byte for byte (DESIGN.md §7).
+// Clients rely on this format byte for byte (DESIGN.md §7). Results and
+// /v1/evaluate bodies are written by jsonWriter instead, which produces the
+// same bytes; encodeIndented serves the small bodies and is the tests'
+// oracle for the writer.
 func encodeIndented(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -75,7 +78,7 @@ func encodeIndented(v any) ([]byte, error) {
 // only; every later call, from any goroutine, returns the same bytes (or
 // the same error). Callers must not modify the slice.
 func (r *Result) encoding() ([]byte, error) {
-	r.encodeOnce.Do(func() { r.encoded, r.encodeErr = encodeIndented(r) })
+	r.encodeOnce.Do(func() { r.encoded, r.encodeErr = r.encode() })
 	return r.encoded, r.encodeErr
 }
 
@@ -312,7 +315,9 @@ func (s *apiServer) evaluate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "node %q is not a reporting source with an uplink path", req.Source)
 		return
 	}
-	writeJSON(w, http.StatusOK, evaluateResponse{Key: res.Key, Fup: res.Fup, Schedule: res.Schedule, Path: p})
+	resp := evaluateResponse{Key: res.Key, Fup: res.Fup, Schedule: res.Schedule, Path: p}
+	body, err := resp.encode()
+	writeEncoded(w, http.StatusOK, body, err)
 }
 
 type networkRequest struct {

@@ -143,30 +143,19 @@ func OverallDelay(results []*pathmodel.Result, fdown int) (*stats.PMF, error) {
 }
 
 // OverallMeanDelayMS returns E[Gamma] (paper Eq. 13): the average of the
-// per-path expected delays. Paths with zero reachability deliver no
-// messages and have no delay; they are excluded from the average. If no
-// path delivers anything, an error is returned.
-func OverallMeanDelayMS(results []*pathmodel.Result, fdown int) (float64, error) {
-	if len(results) == 0 {
-		return 0, errors.New("measures: no paths to aggregate")
-	}
-	var sum float64
-	var alive int
-	for _, res := range results {
-		if res.Reachability() == 0 {
-			continue
-		}
-		e, err := ExpectedDelayMS(res, fdown)
-		if err != nil {
-			return 0, err
-		}
-		sum += e
-		alive++
-	}
-	if alive == 0 {
+// per-path expected delays E[tau] (ExpectedDelayMS), in path order. Paths
+// with zero reachability deliver no messages and have no delay, so the
+// caller leaves them out; if no path delivers anything, ErrNoDelivery is
+// returned.
+func OverallMeanDelayMS(expected []float64) (float64, error) {
+	if len(expected) == 0 {
 		return 0, ErrNoDelivery
 	}
-	return sum / float64(alive), nil
+	var sum float64
+	for _, e := range expected {
+		sum += e
+	}
+	return sum / float64(len(expected)), nil
 }
 
 // MinReportingInterval returns the smallest reporting interval Is (in

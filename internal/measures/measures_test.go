@@ -1,6 +1,7 @@
 package measures
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -245,15 +246,15 @@ func TestOverallMeanDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, err := OverallMeanDelayMS([]*pathmodel.Result{a, b}, 5)
+	mean, err := OverallMeanDelayMS([]float64{ea, eb})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(mean-(ea+eb)/2) > 1e-12 {
 		t.Errorf("OverallMeanDelayMS = %v, want %v", mean, (ea+eb)/2)
 	}
-	if _, err := OverallMeanDelayMS(nil, 5); err == nil {
-		t.Error("empty path list should error")
+	if _, err := OverallMeanDelayMS(nil); !errors.Is(err, ErrNoDelivery) {
+		t.Errorf("no delivering path: err %v, want ErrNoDelivery", err)
 	}
 }
 

@@ -108,39 +108,57 @@ func (n *Network) UplinkRoutes() (map[NodeID]Path, error) {
 	if err != nil {
 		return nil, err
 	}
-	// BFS from the gateway; parent[v] is v's next hop toward the gateway.
-	parent := map[NodeID]NodeID{gw: gw}
-	queue := []NodeID{gw}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range n.Neighbors(v) { // sorted: lowest id first
-			if _, ok := parent[w]; ok {
+	// BFS from the gateway over the dense node ids: parent[v] is v's next
+	// hop toward the gateway (-1 while unreached), up[v] the link to it and
+	// hops[v] its distance.
+	nn := len(n.nodes)
+	parent := make([]NodeID, nn)
+	up := make([]LinkID, nn)
+	hops := make([]int, nn)
+	for v := range parent {
+		parent[v] = -1
+	}
+	parent[gw] = gw
+	queue := make([]NodeID, 1, nn)
+	queue[0] = gw
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for _, x := range n.adjacent[v] { // sorted: lowest id first
+			if parent[x.to] >= 0 {
 				continue
 			}
-			parent[w] = v
-			queue = append(queue, w)
+			parent[x.to], up[x.to], hops[x.to] = v, x.link, hops[v]+1
+			queue = append(queue, x.to)
 		}
 	}
-	routes := map[NodeID]Path{}
+	// Each route follows the tree's edges up to the gateway; all routes
+	// share one node and one link array.
+	var nLinks, nNodes int
 	for _, node := range n.nodes {
 		if node.Kind == Gateway {
 			continue
 		}
-		if _, ok := parent[node.ID]; !ok {
+		if parent[node.ID] < 0 {
 			return nil, fmt.Errorf("topology: node %q cannot reach the gateway", node.Name)
 		}
-		var seq []NodeID
-		for v := node.ID; ; v = parent[v] {
-			seq = append(seq, v)
-			if v == gw {
-				break
-			}
+		nLinks += hops[node.ID]
+		nNodes += hops[node.ID] + 1
+	}
+	nodes, links := make([]NodeID, nNodes), make([]LinkID, nLinks)
+	routes := make(map[NodeID]Path, nn-1)
+	for _, node := range n.nodes {
+		if node.Kind == Gateway {
+			continue
 		}
-		p, err := NewPath(n, seq)
-		if err != nil {
-			return nil, err
+		h := hops[node.ID]
+		p := Path{nodes: nodes[: h+1 : h+1], links: links[:h:h]}
+		nodes, links = nodes[h+1:], links[h:]
+		v := node.ID
+		for i := 0; i < h; i++ {
+			p.nodes[i], p.links[i] = v, up[v]
+			v = parent[v]
 		}
+		p.nodes[h] = gw
 		routes[node.ID] = p
 	}
 	return routes, nil

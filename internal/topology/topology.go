@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -73,17 +74,22 @@ type Network struct {
 	names    map[string]NodeID
 	links    []Link
 	linkSet  map[[2]NodeID]LinkID
-	adjacent map[NodeID][]NodeID
+	adjacent [][]arc // by node id, sorted by neighbor id
 	gateway  NodeID
 	hasGW    bool
+}
+
+// arc is one direction of a link: the neighbor it reaches and the link.
+type arc struct {
+	to   NodeID
+	link LinkID
 }
 
 // NewNetwork returns an empty network.
 func NewNetwork() *Network {
 	return &Network{
-		names:    map[string]NodeID{},
-		linkSet:  map[[2]NodeID]LinkID{},
-		adjacent: map[NodeID][]NodeID{},
+		names:   map[string]NodeID{},
+		linkSet: map[[2]NodeID]LinkID{},
 	}
 }
 
@@ -104,6 +110,7 @@ func (n *Network) AddNode(name string, kind NodeKind) (NodeID, error) {
 	}
 	id := NodeID(len(n.nodes))
 	n.nodes = append(n.nodes, Node{ID: id, Name: name, Kind: kind})
+	n.adjacent = append(n.adjacent, nil)
 	n.names[name] = id
 	if kind == Gateway {
 		n.gateway = id
@@ -128,9 +135,16 @@ func (n *Network) AddLink(a, b NodeID) (LinkID, error) {
 	id := LinkID(len(n.links))
 	n.links = append(n.links, Link{ID: id, A: a, B: b})
 	n.linkSet[key] = id
-	n.adjacent[a] = append(n.adjacent[a], b)
-	n.adjacent[b] = append(n.adjacent[b], a)
+	n.addArc(a, arc{to: b, link: id})
+	n.addArc(b, arc{to: a, link: id})
 	return id, nil
+}
+
+// addArc inserts x into from's adjacency, keeping it sorted by neighbor.
+func (n *Network) addArc(from NodeID, x arc) {
+	arcs := n.adjacent[from]
+	i := sort.Search(len(arcs), func(i int) bool { return arcs[i].to > x.to })
+	n.adjacent[from] = slices.Insert(arcs, i, x)
 }
 
 func linkKey(a, b NodeID) [2]NodeID {
@@ -207,9 +221,13 @@ func (n *Network) Gateway() (NodeID, error) {
 
 // Neighbors returns the neighbor ids of a node, sorted ascending.
 func (n *Network) Neighbors(id NodeID) []NodeID {
+	if !n.validNode(id) {
+		return []NodeID{}
+	}
 	out := make([]NodeID, len(n.adjacent[id]))
-	copy(out, n.adjacent[id])
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	for i, x := range n.adjacent[id] {
+		out[i] = x.to
+	}
 	return out
 }
 
