@@ -358,6 +358,42 @@ func BenchmarkHTTPNetworkColdSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkHTTPBatchFailsweep is one /v1/batch failure sweep per op
+// through the engine's handler: a generated network (gen seed 1) with
+// each of its links failed in turn over uplink slots [0, 20), as
+// whart-fleet -failsweep 0-20 sends it. The ops cycle through 32 networks,
+// whose scenarios and distinct paths outnumber the 256-entry result cache
+// and path-result memo, so no op is answered by an earlier op's work.
+// Decode, keys, builds, memo lookups, the solves of the changed paths,
+// measures, assembly and the batch body, without a network transport.
+func BenchmarkHTTPBatchFailsweep(b *testing.B) {
+	const pool = 32
+	bodies := make([][]byte, pool)
+	for i := range bodies {
+		g, err := gen.Generate(1, i, gen.DefaultParams())
+		benchErr(b, err)
+		sweep := make([]*spec.Spec, len(g.Spec.Links))
+		for l := range sweep {
+			c := *g.Spec
+			c.Links = append([]spec.Link(nil), g.Spec.Links...)
+			c.Links[l].Failure = &spec.Failure{Kind: "window", FromSlot: 0, ToSlot: 20}
+			sweep[l] = &c
+		}
+		bodies[i], err = json.Marshal(map[string]any{"scenarios": sweep})
+		benchErr(b, err)
+	}
+	h := engine.NewHandler(engine.New(engine.Config{}), 30*time.Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(bodies[i%pool])))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
 func BenchmarkEngineSingleFlight8(b *testing.B) {
 	const goroutines = 8
 	ctx := context.Background()

@@ -35,27 +35,23 @@ func (a *Analyzer) PathModels() ([]SourceModel, error) {
 
 // AssembleAnalysis derives the full network analysis from externally solved
 // per-path results, one per reporting source in the same source-id order
-// PathModels returns. Together with PathModels it splits Analyze around the
-// transient solve so a batch driver can own that step.
+// PathModels returns: MeasurePath for each, then AssemblePaths. Together
+// with PathModels it splits Analyze around the transient solve so a batch
+// driver can own that step.
 func (a *Analyzer) AssembleAnalysis(results []*pathmodel.Result) (*NetworkAnalysis, error) {
 	if len(results) != len(a.sources) {
 		return nil, fmt.Errorf("core: %d results for %d sources", len(results), len(a.sources))
 	}
-	out := &NetworkAnalysis{}
+	paths := make([]*PathAnalysis, len(results))
 	for i, src := range a.sources {
 		if results[i] == nil {
 			return nil, fmt.Errorf("core: nil result for source %d", src)
 		}
-		pa, err := a.pathAnalysisFrom(src, results[i])
+		pa, err := a.MeasurePath(src, results[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: path from %d: %w", src, err)
 		}
-		out.Paths = append(out.Paths, pa)
-		out.UtilizationExact += pa.UtilizationExact
-		out.UtilizationClosed += pa.UtilizationClosed
+		paths[i] = pa
 	}
-	if err := a.finishNetworkAnalysis(out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return a.AssemblePaths(paths)
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"wirelesshart/internal/link"
@@ -101,19 +100,20 @@ func (c *structureMap) PutStructure(key string, st *pathmodel.Structure) {
 // availability — callers must not use it when a per-slot availability
 // override is in effect.
 func ProcessKey(slots []int, fup, is, ttl int, procs []link.Process) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d|%d|%d|", fup, is, ttl)
+	b := make([]byte, 0, 16+4*len(slots)+48*len(procs))
+	for _, v := range [...]int{fup, is, ttl} {
+		b = strconv.AppendInt(b, int64(v), 10)
+		b = append(b, '|')
+	}
 	for _, s := range slots {
-		sb.WriteString(strconv.Itoa(s))
-		sb.WriteByte(',')
+		b = strconv.AppendInt(b, int64(s), 10)
+		b = append(b, ',')
 	}
-	var buf []byte
 	for _, p := range procs {
-		sb.WriteByte('|')
-		buf = p.AppendKey(buf[:0])
-		sb.Write(buf)
+		b = append(b, '|')
+		b = p.AppendKey(b)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // Option configures an Analyzer.
@@ -313,6 +313,12 @@ func (a *Analyzer) Is() int { return a.is }
 // default Is*Fup).
 func (a *Analyzer) TTL() int { return a.ttl }
 
+// Route returns one source's uplink path.
+func (a *Analyzer) Route(source topology.NodeID) (topology.Path, bool) {
+	p, ok := a.routes[source]
+	return p, ok
+}
+
 // Sources returns the reporting sources in source-id order: the order of
 // PathModels and of the results AssembleAnalysis takes.
 func (a *Analyzer) Sources() []topology.NodeID {
@@ -447,13 +453,14 @@ func (a *Analyzer) analyzePathWith(source topology.NodeID, availOf func(topology
 	if err != nil {
 		return nil, err
 	}
-	return a.pathAnalysisFrom(source, res)
+	return a.MeasurePath(source, res)
 }
 
-// pathAnalysisFrom derives a path's measures from its solved DTMC result —
-// the measure half of AnalyzePath, shared by the scalar and batch solve
-// paths.
-func (a *Analyzer) pathAnalysisFrom(source topology.NodeID, res *pathmodel.Result) (*PathAnalysis, error) {
+// MeasurePath derives one source's path measures from its solved DTMC
+// result — the measure half of AnalyzePath, shared by the scalar and batch
+// solve paths. The measures depend on the result and the downlink frame
+// alone; Source and Path name the analyzer's route.
+func (a *Analyzer) MeasurePath(source topology.NodeID, res *pathmodel.Result) (*PathAnalysis, error) {
 	defer a.span("measures", "source", itoa(int(source)))()
 	pa := &PathAnalysis{
 		Source:            source,
@@ -497,50 +504,45 @@ func (a *Analyzer) Analyze() (*NetworkAnalysis, error) {
 // sensitivity sweep perturbs link values through it without mutating the
 // analyzer's configuration.
 func (a *Analyzer) analyzeWith(availOf func(topology.LinkID) link.Availability) (*NetworkAnalysis, error) {
-	sources := a.sources
-	out := &NetworkAnalysis{}
-	for _, src := range sources {
+	paths := make([]*PathAnalysis, len(a.sources))
+	for i, src := range a.sources {
 		pa, err := a.analyzePathWith(src, availOf)
 		if err != nil {
 			return nil, fmt.Errorf("core: path from %d: %w", src, err)
 		}
-		out.Paths = append(out.Paths, pa)
-		out.UtilizationExact += pa.UtilizationExact
-		out.UtilizationClosed += pa.UtilizationClosed
+		paths[i] = pa
 	}
-	if err := a.finishNetworkAnalysis(out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return a.AssemblePaths(paths)
 }
 
-// finishNetworkAnalysis derives the network-scope measures (overall delay
-// distribution and mean) from an analysis' per-path results — the
-// aggregation tail of Analyze, shared by the scalar and batch solve paths.
-// Per-path utilizations are accumulated by the callers as paths arrive.
-func (a *Analyzer) finishNetworkAnalysis(out *NetworkAnalysis) error {
+// AssemblePaths derives the network-scope measures (utilization, the
+// overall delay distribution and its mean) from per-path analyses in
+// source-id order — the aggregation tail of Analyze, shared by the scalar
+// and batch solve paths. The returned analysis holds paths itself.
+func (a *Analyzer) AssemblePaths(paths []*PathAnalysis) (*NetworkAnalysis, error) {
 	defer a.span("measures", "scope", "network")()
-	results := make([]*pathmodel.Result, len(out.Paths))
-	for i, pa := range out.Paths {
-		results[i] = pa.Result
-	}
-	var err error
-	if out.OverallDelay, err = measures.OverallDelay(results, a.fdown); err != nil {
-		return err
-	}
+	out := &NetworkAnalysis{Paths: paths}
+	results := make([]*pathmodel.Result, len(paths))
 	// Each delivering path's E[tau] was computed from its delay
-	// distribution in pathAnalysisFrom.
-	expected := make([]float64, 0, len(out.Paths))
-	for _, pa := range out.Paths {
+	// distribution in MeasurePath.
+	expected := make([]float64, 0, len(paths))
+	for i, pa := range paths {
+		out.UtilizationExact += pa.UtilizationExact
+		out.UtilizationClosed += pa.UtilizationClosed
+		results[i] = pa.Result
 		if pa.Reachability > 0 {
 			expected = append(expected, pa.ExpectedDelayMS)
 		}
 	}
+	var err error
+	if out.OverallDelay, err = measures.OverallDelay(results, a.fdown); err != nil {
+		return nil, err
+	}
 	out.OverallMeanDelayMS, err = measures.OverallMeanDelayMS(expected)
 	if err != nil && !errors.Is(err, measures.ErrNoDelivery) {
-		return err
+		return nil, err
 	}
-	return nil
+	return out, nil
 }
 
 // PredictComposition predicts the performance of attaching a new node via

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"wirelesshart/internal/link"
@@ -130,5 +133,50 @@ func TestProcessKeySeparatesImplementations(t *testing.T) {
 	fading := ProcessKey(slots, 10, 4, 0, []link.Process{ks, ks})
 	if classic == fading {
 		t.Error("classic and k-state processes share a path key")
+	}
+}
+
+// processKeyFmt is ProcessKey as it was first written, with fmt and a
+// strings.Builder: the text the path-result memo has always been keyed by.
+func processKeyFmt(slots []int, fup, is, ttl int, procs []link.Process) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%d|%d|%d|", fup, is, ttl)
+	for _, s := range slots {
+		sb.WriteString(strconv.Itoa(s))
+		sb.WriteByte(',')
+	}
+	var buf []byte
+	for _, p := range procs {
+		sb.WriteByte('|')
+		buf = p.AppendKey(buf[:0])
+		sb.Write(buf)
+	}
+	return sb.String()
+}
+
+// TestProcessKeyText pins the key text against the fmt form, over empty,
+// negative and large values and both process implementations.
+func TestProcessKeyText(t *testing.T) {
+	m := mustAvail(t, 0.83)
+	ks, err := link.FromModel(mustAvail(t, 0.61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		slots        []int
+		fup, is, ttl int
+		procs        []link.Process
+	}{
+		{nil, 0, 0, 0, nil},
+		{[]int{1}, 1, 1, 0, []link.Process{m}},
+		{[]int{3, 6, 7}, 7, 4, 0, []link.Process{m, m, m}},
+		{[]int{1, 2}, 10, 4, 25, []link.Process{m, ks}},
+		{[]int{12, 40, 99}, 100, 64, 6400, []link.Process{ks, ks, m}},
+		{[]int{-1, 0}, -5, math.MaxInt64, math.MinInt64, []link.Process{ks, m}},
+	} {
+		want := processKeyFmt(c.slots, c.fup, c.is, c.ttl, c.procs)
+		if got := ProcessKey(c.slots, c.fup, c.is, c.ttl, c.procs); got != want {
+			t.Errorf("ProcessKey = %q, want %q", got, want)
+		}
 	}
 }

@@ -202,7 +202,7 @@ func (e *Engine) forwardOwned(ctx context.Context, owned []*batchItem) []*batchI
 }
 
 // pathSolve is one distinct path DTMC of a solve: its bound model and the
-// (item, path) slots its result fills.
+// (item, path) slots its result fills, the first of which measures it.
 type pathSolve struct {
 	key   string // core.ProcessKey; "" when an availability override rules out sharing
 	model *pathmodel.Model
@@ -217,8 +217,10 @@ type pathRef struct{ item, path int }
 // solve (paths repeated across the misses are solved once), the solves are
 // grouped by shared structure in first-occurrence order and each group
 // runs one pathmodel.SolveBatch, and each miss's network analysis is
-// assembled from its results. Per-item outcomes land on the items; the
-// single-flight entries are always resolved, success or not.
+// assembled from its paths' entries. A keyed solve is measured once, as
+// its first scenario sees it, and enters the memo with those measures.
+// Per-item outcomes land on the items; the single-flight entries are
+// always resolved, success or not.
 func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool, canonStart time.Time, canonDur time.Duration) {
 	defer e.release(owned)
 
@@ -253,7 +255,7 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 
 	start := time.Now()
 	builds := make([]*spec.Built, len(owned))
-	results := make([][]*pathmodel.Result, len(owned))
+	answers := make([][]*pathEntry, len(owned))
 	var solves []*pathSolve
 	pending := map[string]*pathSolve{}
 	var hits, misses int64
@@ -268,7 +270,7 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 		builds[i] = built
 		an := built.Analyzer
 		sources := an.Sources()
-		results[i] = make([]*pathmodel.Result, len(sources))
+		answers[i] = make([]*pathEntry, len(sources))
 		for p, src := range sources {
 			key, shared := an.SourceKey(src)
 			if shared {
@@ -277,9 +279,9 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 					ps.refs = append(ps.refs, pathRef{i, p})
 					continue
 				}
-				if res, ok := e.memoGet(key); ok {
+				if ent, ok := e.memoGet(key); ok {
 					hits++
-					results[i][p] = res
+					answers[i][p] = ent
 					continue
 				}
 				misses++
@@ -324,13 +326,14 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 		solved, err := pathmodel.SolveBatch(models)
 		endSolve()
 		for k, ps := range group {
-			if err == nil && ps.key != "" {
-				e.memoPut(ps.key, solved[k])
+			var ent *pathEntry
+			if err == nil {
+				ent = e.landSolve(ps, builds, solved[k])
 			}
 			for _, r := range ps.refs {
 				switch {
 				case err == nil:
-					results[r.item][r.path] = solved[k]
+					answers[r.item][r.path] = ent
 				case owned[r.item].err == nil:
 					// SolveBatch returns no results when any of its models
 					// fails, so a failed group takes down every scenario
@@ -347,15 +350,13 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 		if it.err != nil {
 			continue
 		}
-		na, err := builds[i].Analyzer.AssembleAnalysis(results[i])
-		if err == nil {
-			it.res, err = assembleResult(it.key, builds[i], na)
-		}
+		res, err := assemble(it.key, builds[i], answers[i])
 		if err != nil {
 			it.err = fmt.Errorf("engine: solve: %w", err)
 			e.metrics.errors.Add(1)
 			continue
 		}
+		it.res = res
 		solvedItems++
 	}
 	endAnalyze()
@@ -373,6 +374,57 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 	for i := int64(0); i < solvedItems; i++ {
 		e.metrics.batchSubSeconds.Observe(per)
 	}
+}
+
+// landSolve returns the entry of a freshly solved path. A keyed solve is
+// measured as its first scenario sees it and published to the memo; an
+// unkeyed one, or one whose measurement failed, gets an entry without
+// measures, which each scenario measures itself.
+func (e *Engine) landSolve(ps *pathSolve, builds []*spec.Built, res *pathmodel.Result) *pathEntry {
+	if ps.key == "" {
+		return solveOnly(res)
+	}
+	first := ps.refs[0]
+	built := builds[first.item]
+	an := built.Analyzer
+	src := an.Sources()[first.path]
+	pa, err := an.MeasurePath(src, res)
+	if err != nil {
+		return solveOnly(res)
+	}
+	ent := newPathEntry(pa, an.Fdown(), built.Schedule.SlotsForSource(src))
+	e.memoPut(ps.key, ent)
+	return ent
+}
+
+// assemble derives one scenario's result from its paths' entries: an
+// entry measured under the scenario's downlink frame lends its measures,
+// with the scenario's own source and route, and any other is measured
+// afresh.
+func assemble(key string, built *spec.Built, answers []*pathEntry) (*Result, error) {
+	an := built.Analyzer
+	paths := make([]*core.PathAnalysis, len(answers))
+	reused := make([]*pathEntry, len(answers))
+	for p, src := range an.Sources() {
+		ent := answers[p]
+		if ent.fdown == an.Fdown() {
+			pa := ent.pa
+			pa.Source = src
+			pa.Path, _ = an.Route(src)
+			paths[p], reused[p] = &pa, ent
+			continue
+		}
+		pa, err := an.MeasurePath(src, ent.pa.Result)
+		if err != nil {
+			return nil, fmt.Errorf("core: path from %d: %w", src, err)
+		}
+		paths[p] = pa
+	}
+	na, err := an.AssemblePaths(paths)
+	if err != nil {
+		return nil, err
+	}
+	return assembleResult(key, built, na, reused)
 }
 
 // acquire waits for a worker token under a "queue" span, giving up when

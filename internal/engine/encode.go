@@ -141,6 +141,12 @@ func (w *jsonWriter) delay(depth int, name string, pts []DelayPoint) {
 	})
 }
 
+// resultPathDepth is the depth at which a Result writes its paths, the
+// depth of a PathResult's stored members.
+const resultPathDepth = 2
+
+// path writes p at depth. Its members from "hops" on come from p.tail when
+// one is stored for that depth.
 func (w *jsonWriter) path(depth int, p *PathResult) {
 	d := depth + 1
 	w.b = append(w.b, '{')
@@ -148,6 +154,17 @@ func (w *jsonWriter) path(depth int, p *PathResult) {
 	w.quote(p.Source)
 	w.field(d, "route")
 	array(w, d, p.Route, w.quote)
+	if depth == resultPathDepth && p.tail != nil {
+		w.b = append(w.b, p.tail...)
+		return
+	}
+	w.pathTail(depth, p)
+}
+
+// pathTail writes p's members from "hops" to the closing brace of an
+// object at depth whose "route" member is already written.
+func (w *jsonWriter) pathTail(depth int, p *PathResult) {
+	d := depth + 1
 	w.field(d, "hops")
 	w.int(p.Hops)
 	w.field(d, "slots")
@@ -165,6 +182,22 @@ func (w *jsonWriter) path(depth int, p *PathResult) {
 	w.b = append(w.b, '}')
 }
 
+// encodeTail returns p's members from "hops" on as a Result writes them,
+// or nil when a float cannot be encoded, so encoding the Result still
+// fails with the encoder's error.
+func encodeTail(p *PathResult) []byte {
+	w := jsonWriters.Get().(*jsonWriter)
+	defer jsonWriters.Put(w)
+	// The ']' stands for the closing bracket of the route, which the
+	// first member follows with a comma.
+	w.b, w.err = append(w.b[:0], ']'), nil
+	w.pathTail(resultPathDepth, p)
+	if w.err != nil {
+		return nil
+	}
+	return append([]byte(nil), w.b[1:]...)
+}
+
 // encode returns r's response encoding; (*Result).encoding stores it.
 func (r *Result) encode() ([]byte, error) {
 	w := newJSONWriter()
@@ -177,7 +210,7 @@ func (r *Result) encode() ([]byte, error) {
 	w.field(1, "schedule")
 	w.quote(r.Schedule)
 	w.field(1, "paths")
-	array(w, 1, r.Paths, func(p PathResult) { w.path(2, &p) })
+	array(w, 1, r.Paths, func(p PathResult) { w.path(resultPathDepth, &p) })
 	w.field(1, "overallMeanDelayMS")
 	w.float(r.OverallMeanDelayMS)
 	w.delay(1, "overallDelay", r.OverallDelay)

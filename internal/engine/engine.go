@@ -64,7 +64,7 @@ type Engine struct {
 	inflight map[string]*call // Key -> the solve in progress
 
 	memoMu sync.Mutex
-	memo   *lruCache // core.ProcessKey -> solved *pathmodel.Result, shared read-only
+	memo   *lruCache // core.ProcessKey -> *pathEntry, shared read-only
 
 	structMu    sync.Mutex
 	structCache *lruCache // pathmodel.StructKey -> *pathmodel.Structure
@@ -165,27 +165,76 @@ func (k structures) PutStructure(key string, s *pathmodel.Structure) {
 	k.e.structMu.Unlock()
 }
 
-// memoGet returns the memoized solution of the path DTMC with the given
+// memoGet returns the memo entry of the path DTMC with the given
 // core.ProcessKey. The path-result memo is the engine's one path-level
 // memo: scenario solves, batch solves and peer-path predictions that
 // realize identical steady-state path DTMCs (same slots, frame, interval,
 // TTL and link processes) share one solve. Only paths without an
 // availability override have a key, so failure-injected paths never enter
 // it. Lookups feed the kernelCache* counters; the caller counts them.
-func (e *Engine) memoGet(key string) (*pathmodel.Result, bool) {
+func (e *Engine) memoGet(key string) (*pathEntry, bool) {
 	e.memoMu.Lock()
 	defer e.memoMu.Unlock()
 	v, ok := e.memo.get(key)
 	if !ok {
 		return nil, false
 	}
-	return v.(*pathmodel.Result), true
+	return v.(*pathEntry), true
 }
 
-func (e *Engine) memoPut(key string, r *pathmodel.Result) {
+func (e *Engine) memoPut(key string, ent *pathEntry) {
 	e.memoMu.Lock()
-	e.memo.add(key, r)
+	e.memo.add(key, ent)
 	e.memoMu.Unlock()
+}
+
+// pathEntry is one path-result memo value: a solved path DTMC and what its
+// solve fixes for every scenario that realizes the same key. The measures
+// depend on the result and the downlink frame alone. The rest of the
+// report depends on them and on the slots, which are part of the key, so
+// only the source and route names differ between scenarios. Entries are
+// immutable once published.
+type pathEntry struct {
+	// pa holds the solve and the path's measures; Source and Path name the
+	// scenario that measured it.
+	pa core.PathAnalysis
+	// fdown is the downlink frame the measures were derived under, or -1
+	// when the entry holds the solve alone (a peer path, or a path whose
+	// measurement failed). A scenario reuses the measures only under an
+	// equal frame.
+	fdown int
+	// path is the path's report without source and route, its encoded
+	// members stored.
+	path PathResult
+}
+
+// solveOnly is the entry of a solve that carries no measures.
+func solveOnly(res *pathmodel.Result) *pathEntry {
+	return &pathEntry{pa: core.PathAnalysis{Result: res}, fdown: -1}
+}
+
+// newPathEntry derives the entry of a solve measured as pa under fdown,
+// with the path's slots.
+func newPathEntry(pa *core.PathAnalysis, fdown int, slots []int) *pathEntry {
+	p := measuredPath(pa, slots)
+	p.tail = encodeTail(&p)
+	return &pathEntry{pa: *pa, fdown: fdown, path: p}
+}
+
+// measuredPath is a path's report without its source and route names.
+func measuredPath(pa *core.PathAnalysis, slots []int) PathResult {
+	p := PathResult{
+		Hops:            pa.Path.Hops(),
+		Slots:           slots,
+		Reachability:    pa.Reachability,
+		CycleProbs:      measures.CycleFunction(pa.Result),
+		ExpectedDelayMS: pa.ExpectedDelayMS,
+		Utilization:     pa.UtilizationExact,
+	}
+	if pa.DelayDist != nil {
+		p.Delay = delayPoints(pa.DelayDist)
+	}
+	return p
 }
 
 // DelayPoint is one support point of a delay distribution.
@@ -205,6 +254,10 @@ type PathResult struct {
 	ExpectedDelayMS float64      `json:"expectedDelayMS"`
 	Delay           []DelayPoint `json:"delay,omitempty"`
 	Utilization     float64      `json:"utilization"`
+
+	// tail, when set, is the encoding of the members from Hops on at the
+	// depth a Result writes its paths, shared with the path-result memo.
+	tail []byte
 }
 
 // Result is a solved scenario. Results are cached and shared between
@@ -304,8 +357,10 @@ func (e *Engine) evaluateOne(ctx context.Context, s *spec.Spec, forward bool) (*
 }
 
 // assembleResult converts one scenario's solved network analysis into the
-// engine's wire result — the tail of a solve.
-func assembleResult(key string, built *spec.Built, na *core.NetworkAnalysis) (*Result, error) {
+// engine's wire result — the tail of a solve. entries, when non-nil, holds
+// per path the memo entry whose measures the analysis reused, or nil; a
+// reused path takes the entry's report and names it.
+func assembleResult(key string, built *spec.Built, na *core.NetworkAnalysis, entries []*pathEntry) (*Result, error) {
 	out := &Result{
 		Key:                key,
 		Fup:                built.Schedule.Fup(),
@@ -330,19 +385,14 @@ func assembleResult(key string, built *spec.Built, na *core.NetworkAnalysis) (*R
 			}
 			route[j] = node.Name
 		}
-		out.Paths[i] = PathResult{
-			Source:          src.Name,
-			Route:           route,
-			Hops:            pa.Path.Hops(),
-			Slots:           built.Schedule.SlotsForSource(pa.Source),
-			Reachability:    pa.Reachability,
-			CycleProbs:      measures.CycleFunction(pa.Result),
-			ExpectedDelayMS: pa.ExpectedDelayMS,
-			Utilization:     pa.UtilizationExact,
+		var p PathResult
+		if entries != nil && entries[i] != nil {
+			p = entries[i].path
+		} else {
+			p = measuredPath(pa, built.Schedule.SlotsForSource(pa.Source))
 		}
-		if pa.DelayDist != nil {
-			out.Paths[i].Delay = delayPoints(pa.DelayDist)
-		}
+		p.Source, p.Route = src.Name, route
+		out.Paths[i] = p
 	}
 	sort.Slice(out.Paths, func(i, j int) bool { return out.Paths[i].Source < out.Paths[j].Source })
 	return out, nil
@@ -450,8 +500,9 @@ func (e *Engine) PredictRanked(ctx context.Context, s *spec.Spec, cands []Candid
 // peerSolve solves (or reuses) the DTMC of a standalone peer path scheduled
 // in the first consecutive slots of its own frame, as the paper's peer
 // paths are. The solution goes through the path-result memo like any
-// steady-state path, and on a miss the model binds onto the engine's
-// structure tier. The returned result is shared: treat it as read-only.
+// steady-state path, with no measures, and on a miss the model binds onto
+// the engine's structure tier. The returned result is shared: treat it as
+// read-only.
 func (e *Engine) peerSolve(ebN0s []float64, fup, is, bits int) (*pathmodel.Result, error) {
 	slots := make([]int, len(ebN0s))
 	procs := make([]link.Process, len(ebN0s))
@@ -466,9 +517,9 @@ func (e *Engine) peerSolve(ebN0s []float64, fup, is, bits int) (*pathmodel.Resul
 		avails[i] = m.Steady()
 	}
 	key := core.ProcessKey(slots, fup, is, 0, procs)
-	if res, ok := e.memoGet(key); ok {
+	if ent, ok := e.memoGet(key); ok {
 		e.metrics.kernelHits.Add(1)
-		return res, nil
+		return ent.pa.Result, nil
 	}
 	e.metrics.kernelMisses.Add(1)
 	st, ok := structures{e}.GetStructure(pathmodel.StructKey(slots, fup, is, 0))
@@ -488,6 +539,6 @@ func (e *Engine) peerSolve(ebN0s []float64, fup, is, bits int) (*pathmodel.Resul
 	if err != nil {
 		return nil, err
 	}
-	e.memoPut(key, res)
+	e.memoPut(key, solveOnly(res))
 	return res, nil
 }

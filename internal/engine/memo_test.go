@@ -26,7 +26,7 @@ func analyzeDirect(t *testing.T, s *spec.Spec) *Result {
 		t.Fatal(err)
 	}
 	key := mustKey(t, s)
-	res, err := assembleResult(key, built, na)
+	res, err := assembleResult(key, built, na, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,14 +130,18 @@ func OverallDelay(results []*pathmodel.Result, fdown int) (*stats.PMF, error) {
 	if len(results) == 0 {
 		return nil, errors.New("measures: no paths to aggregate")
 	}
+	if fdown < 0 {
+		return nil, fmt.Errorf("measures: negative downlink frame %d", fdown)
+	}
+	// A path's goal ages strictly increase, so its delays are distinct and
+	// adding p*w point by point, path by path, sums each point in the same
+	// order as merging scaled per-path RawDelayDistributions.
 	out := stats.NewPMF()
 	w := 1 / float64(len(results))
 	for _, res := range results {
-		pmf, err := RawDelayDistribution(res, fdown)
-		if err != nil {
-			return nil, err
+		for i, p := range res.CycleProbs {
+			out.Add(DelayMS(res.GoalAges[i], i+1, fdown), p*w)
 		}
-		out.Merge(pmf.Scale(w))
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/pathmodel"
+	"wirelesshart/internal/stats"
 )
 
 // solveHomogeneous builds and solves an n-hop path with consecutive slots
@@ -231,6 +232,59 @@ func TestOverallDelayAveragesPaths(t *testing.T) {
 	}
 	if _, err := OverallDelay(nil, 5); err == nil {
 		t.Error("empty path list should error")
+	}
+}
+
+// overallDelayByMerge is OverallDelay as it was first written: each
+// path's raw distribution scaled by 1/n and merged into the sum.
+func overallDelayByMerge(t *testing.T, results []*pathmodel.Result, fdown int) *stats.PMF {
+	t.Helper()
+	out := stats.NewPMF()
+	w := 1 / float64(len(results))
+	for _, res := range results {
+		pmf, err := RawDelayDistribution(res, fdown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Merge(pmf.Scale(w))
+	}
+	return out
+}
+
+// TestOverallDelayMatchesMerge: adding each path's scaled cycle
+// probabilities straight into Gamma gives the merged scaled raw
+// distributions bit for bit, over paths that share and that split support
+// points, at several downlink frames.
+func TestOverallDelayMatchesMerge(t *testing.T) {
+	var results []*pathmodel.Result
+	for _, c := range []struct {
+		hops, start, fup, is int
+		avail                float64
+	}{
+		{2, 1, 5, 4, 0.83}, {1, 5, 5, 4, 0.9}, {3, 2, 7, 4, 0.75},
+		{2, 3, 7, 8, 0.61}, {1, 1, 7, 4, 0.99}, {4, 1, 9, 3, 0.5},
+	} {
+		results = append(results, solveHomogeneous(t, c.hops, c.start, c.fup, c.is, c.avail))
+	}
+	for n := 1; n <= len(results); n++ {
+		for _, fdown := range []int{0, 5, 7, 13} {
+			got, err := OverallDelay(results[:n], fdown)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := overallDelayByMerge(t, results[:n], fdown)
+			if got.Len() != want.Len() {
+				t.Fatalf("%d paths, fdown %d: %d support points, want %d", n, fdown, got.Len(), want.Len())
+			}
+			for _, d := range want.Support() {
+				if math.Float64bits(got.Prob(d)) != math.Float64bits(want.Prob(d)) {
+					t.Errorf("%d paths, fdown %d, delay %v: %v, want %v", n, fdown, d, got.Prob(d), want.Prob(d))
+				}
+			}
+		}
+	}
+	if _, err := OverallDelay(results, -1); err == nil {
+		t.Error("negative downlink frame accepted")
 	}
 }
 

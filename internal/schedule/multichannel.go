@@ -2,8 +2,7 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 
 	"wirelesshart/internal/topology"
 )
@@ -50,7 +49,8 @@ func (m *MultiSchedule) EntriesAt(slot int) ([]Entry, error) { return m.Entries(
 // path's delay.
 type MultiSchedule struct {
 	channels int
-	slots    [][]Entry // slots[i] holds the entries of slot i+1
+	slots    [][]Entry                 // slots[i] holds the entries of slot i+1
+	bySource map[topology.NodeID][]int // each source's 1-based slots in hop order
 }
 
 // NewMultiSchedule returns an empty multi-channel schedule over the given
@@ -104,22 +104,23 @@ func (m *MultiSchedule) place(after int, from, to, source topology.NodeID) int {
 			continue
 		}
 		m.slots[idx] = append(m.slots[idx], Entry{From: from, To: to, Source: source})
+		if m.bySource == nil {
+			m.bySource = map[topology.NodeID][]int{}
+		}
+		m.bySource[source] = append(m.bySource[source], idx+1)
 		return idx + 1
 	}
 }
 
-// SlotsForSource returns the slots of a source's hops in hop order.
+// SlotsForSource returns the slots of a source's hops in hop order (a
+// copy). place records them as it schedules each hop strictly after the
+// previous one, so the table is already in ascending slot order.
 func (m *MultiSchedule) SlotsForSource(source topology.NodeID) []int {
-	var out []int
-	for i, entries := range m.slots {
-		for _, e := range entries {
-			if e.Source == source {
-				out = append(out, i+1)
-			}
-		}
+	slots := m.bySource[source]
+	if slots == nil {
+		return nil
 	}
-	sort.Ints(out)
-	return out
+	return append(make([]int, 0, len(slots)), slots...)
 }
 
 // ValidateSources checks link existence, per-slot channel capacity and
@@ -173,25 +174,35 @@ func (m *MultiSchedule) ValidateSources(n *topology.Network, routes map[topology
 // Format renders the schedule slot by slot, with parallel transmissions
 // joined by "|".
 func (m *MultiSchedule) Format(n *topology.Network) string {
-	parts := make([]string, len(m.slots))
+	b := []byte{'('}
 	for i, entries := range m.slots {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
 		if len(entries) == 0 {
-			parts[i] = "*"
+			b = append(b, '*')
 			continue
 		}
-		sub := make([]string, len(entries))
 		for j, e := range entries {
+			if j > 0 {
+				b = append(b, '|')
+			}
+			b = append(b, '<')
 			from, errF := n.Node(e.From)
 			to, errT := n.Node(e.To)
 			if errF != nil || errT != nil {
-				sub[j] = fmt.Sprintf("<%d,%d>", e.From, e.To)
-				continue
+				b = strconv.AppendInt(b, int64(e.From), 10)
+				b = append(b, ',')
+				b = strconv.AppendInt(b, int64(e.To), 10)
+			} else {
+				b = append(b, from.Name...)
+				b = append(b, ',')
+				b = append(b, to.Name...)
 			}
-			sub[j] = fmt.Sprintf("<%s,%s>", from.Name, to.Name)
+			b = append(b, '>')
 		}
-		parts[i] = strings.Join(sub, "|")
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return string(append(b, ')'))
 }
 
 // BuildMultiChannel constructs a multi-channel schedule by greedy list

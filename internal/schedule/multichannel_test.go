@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -167,6 +168,65 @@ func TestMultiChannelFormat(t *testing.T) {
 	}
 	if !strings.Contains(out, "<n1,G>") {
 		t.Errorf("format missing entries: %s", out)
+	}
+}
+
+// formatSprintf is MultiSchedule.Format as it was first written, with a
+// fmt.Sprintf per entry and two strings.Joins.
+func formatSprintf(m *MultiSchedule, n *topology.Network) string {
+	parts := make([]string, len(m.slots))
+	for i, entries := range m.slots {
+		if len(entries) == 0 {
+			parts[i] = "*"
+			continue
+		}
+		sub := make([]string, len(entries))
+		for j, e := range entries {
+			from, errF := n.Node(e.From)
+			to, errT := n.Node(e.To)
+			if errF != nil || errT != nil {
+				sub[j] = fmt.Sprintf("<%d,%d>", e.From, e.To)
+				continue
+			}
+			sub[j] = fmt.Sprintf("<%s,%s>", from.Name, to.Name)
+		}
+		parts[i] = strings.Join(sub, "|")
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
+}
+
+// TestMultiChannelFormatMatchesSprintf pins Format's text against the
+// Sprintf form: one to four channels, both priority orders, idle padding,
+// and ids the network cannot name (the <id,id> fallback).
+func TestMultiChannelFormatMatchesSprintf(t *testing.T) {
+	net, _, routes := typical(t)
+	partial := topology.NewNetwork()
+	for _, name := range []string{"G", "n1", "n2"} {
+		if _, err := partial.AddNode(name, topology.FieldDevice); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, order := range [][]topology.NodeID{ShortestFirst(routes), LongestFirst(routes)} {
+		for channels := 1; channels <= 4; channels++ {
+			for _, idle := range []int{0, 3} {
+				m, err := BuildMultiChannel(routes, order, channels, idle)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, n := range map[string]*topology.Network{"typical": net, "partial": partial, "empty": topology.NewNetwork()} {
+					if got, want := m.Format(n), formatSprintf(m, n); got != want {
+						t.Errorf("%d channels, %d idle, %s names:\n got %s\nwant %s", channels, idle, name, got, want)
+					}
+				}
+			}
+		}
+	}
+	empty, err := NewMultiSchedule(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := empty.Format(net), formatSprintf(empty, net); got != want {
+		t.Errorf("empty schedule: got %s, want %s", got, want)
 	}
 }
 
