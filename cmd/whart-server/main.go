@@ -3,13 +3,13 @@
 // /v1/predict, caching solved scenarios in a bounded LRU and collapsing
 // concurrent identical queries into a single DTMC solve. /v1/batch takes
 // a list of scenarios at once: duplicates and cached sub-scenarios are
-// served for free, and the residual misses are solved together, one
-// batch per shared path structure.
+// served for free, and the residual misses are solved together, each
+// distinct path once.
 //
 // Usage:
 //
-//	whart-server [-addr :8080] [-workers N] [-cache N] [-structcache N]
-//	             [-timeout 30s] [-tracebuf N] [-debug] [-logjson]
+//	whart-server [-addr :8080] [-workers N] [-cache N] [-timeout 30s]
+//	             [-tracebuf N] [-debug] [-logjson]
 //	             [-id a -peers "b=http://host:8081,c=http://host:8082"]
 //	             [-snapshot /var/lib/whart/cache.snap]
 //
@@ -88,12 +88,11 @@ func main() {
 		}
 	}
 	eng := engine.New(engine.Config{
-		Workers:         cfg.workers,
-		CacheSize:       cfg.cache,
-		StructCacheSize: cfg.structCache,
-		TraceCapacity:   cfg.traceBuf,
-		TraceLogger:     slogger,
-		Ring:            ring,
+		Workers:       cfg.workers,
+		CacheSize:     cfg.cache,
+		TraceCapacity: cfg.traceBuf,
+		TraceLogger:   slogger,
+		Ring:          ring,
 	})
 	// Restore the warm cache before serving: a rejected or missing
 	// snapshot starts the replica cold, never dead, and /readyz reports
@@ -136,14 +135,13 @@ func main() {
 }
 
 type config struct {
-	addr        string
-	workers     int
-	cache       int
-	structCache int
-	traceBuf    int
-	timeout     time.Duration
-	debug       bool
-	logJSON     bool
+	addr     string
+	workers  int
+	cache    int
+	traceBuf int
+	timeout  time.Duration
+	debug    bool
+	logJSON  bool
 
 	id       string
 	peers    string
@@ -156,8 +154,7 @@ func parseFlags(args []string) (config, error) {
 	var cfg config
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.workers, "workers", 0, "max concurrent DTMC solves (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.cache, "cache", 0, "scenario cache capacity (0 = default 256)")
-	fs.IntVar(&cfg.structCache, "structcache", 0, "path-structure cache capacity (0 = same as -cache)")
+	fs.IntVar(&cfg.cache, "cache", 0, "capacity of the scenario cache, the path-result memo and the structure cache (0 = default 256)")
 	fs.IntVar(&cfg.traceBuf, "tracebuf", 0, "solve traces retained for /debug/traces (0 = default 64)")
 	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request evaluation timeout (0 = none)")
 	fs.BoolVar(&cfg.debug, "debug", false, "expose net/http/pprof under /debug/pprof/")
@@ -171,8 +168,8 @@ func parseFlags(args []string) (config, error) {
 	if fs.NArg() > 0 {
 		return config{}, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if cfg.workers < 0 || cfg.cache < 0 || cfg.structCache < 0 || cfg.traceBuf < 0 || cfg.timeout < 0 {
-		return config{}, errors.New("workers, cache, structcache, tracebuf and timeout must be non-negative")
+	if cfg.workers < 0 || cfg.cache < 0 || cfg.traceBuf < 0 || cfg.timeout < 0 {
+		return config{}, errors.New("workers, cache, tracebuf and timeout must be non-negative")
 	}
 	if cfg.peers != "" && cfg.id == "" {
 		return config{}, errors.New("-peers requires -id")

@@ -6,14 +6,21 @@ import (
 
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/pathmodel"
+	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/topology"
 )
 
-// scalarSensitivity is the pre-batch reference implementation of the
-// sensitivity sweep — one full analyzeWith per link — kept in the tests to
-// pin the batched SensitivityAnalysis against it at 1e-12.
-func scalarSensitivity(t *testing.T, a *Analyzer, delta float64) map[topology.LinkID][2]float64 {
+// scalarSensitivity is the reference implementation of the sensitivity
+// sweep — one full Analyze per link, of a fresh analyzer whose options end
+// with the improved process of that link — kept in the tests to pin
+// SensitivityAnalysis against it at 1e-12. An availability override in
+// opts keeps masking the improved process, as it does in the sweep.
+func scalarSensitivity(t *testing.T, net *topology.Network, sched schedule.Plan, opts []Option, delta float64) map[topology.LinkID][2]float64 {
 	t.Helper()
+	a, err := New(net, sched, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	base, err := a.Analyze()
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +28,7 @@ func scalarSensitivity(t *testing.T, a *Analyzer, delta float64) map[topology.Li
 	baseWorst := worstReach(base)
 	baseMean := meanReach(base)
 	out := map[topology.LinkID][2]float64{}
-	for _, l := range a.net.Links() {
+	for _, l := range net.Links() {
 		m := link.MemorylessEquivalent(a.LinkProcess(l.ID))
 		improvedAvail := m.SteadyUp() + delta
 		if improvedAvail > 1 {
@@ -31,17 +38,11 @@ func scalarSensitivity(t *testing.T, a *Analyzer, delta float64) map[topology.Li
 		if err != nil {
 			t.Fatal(err)
 		}
-		steady := improved.Steady()
-		target := l.ID
-		na, err := a.analyzeWith(func(id topology.LinkID) link.Availability {
-			if id == target {
-				if av, ok := a.overrides[id]; ok {
-					return av
-				}
-				return steady
-			}
-			return a.availability(id)
-		})
+		perturbed, err := New(net, sched, append(opts[:len(opts):len(opts)], WithLinkProcess(l.ID, improved))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		na, err := perturbed.Analyze()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,15 +69,16 @@ func TestSensitivityBatchMatchesScalarSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(net, etaA,
+	opts := []Option{
 		WithUniformLinkProcess(mustAvail(t, 0.9)),
 		WithLinkProcess(weak, mustAvail(t, 0.7)),
 		WithLinkAvailability(e3.ID, down),
-	)
+	}
+	a, err := New(net, etaA, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := scalarSensitivity(t, a, 0.05)
+	want := scalarSensitivity(t, net, etaA, opts, 0.05)
 	got, err := a.SensitivityAnalysis(0.05)
 	if err != nil {
 		t.Fatal(err)
@@ -95,9 +97,9 @@ func TestSensitivityBatchMatchesScalarSweep(t *testing.T) {
 	}
 }
 
-// TestPathModelsAssembleAnalysisMatchesAnalyze pins the engine-facing
-// split — build all models, solve externally (here as one structure-shared
-// batch), assemble — against the one-shot Analyze.
+// TestPathModelsAssembleAnalysisMatchesAnalyze pins the split the
+// benchmark ladder drives — build all models, solve each externally,
+// assemble — against the one-shot Analyze.
 func TestPathModelsAssembleAnalysisMatchesAnalyze(t *testing.T) {
 	net, _, etaA := typicalSetup(t)
 	a, err := New(net, etaA, WithUniformLinkProcess(mustAvail(t, 0.83)))
@@ -112,30 +114,10 @@ func TestPathModelsAssembleAnalysisMatchesAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Group by shared structure in first-occurrence order, as the engine's
-	// batch endpoint does, and solve each group in one batch.
 	results := make([]*pathmodel.Result, len(sms))
-	var order []*pathmodel.Structure
-	groups := map[*pathmodel.Structure][]int{}
 	for i, sm := range sms {
-		st := sm.Model.Structure()
-		if _, ok := groups[st]; !ok {
-			order = append(order, st)
-		}
-		groups[st] = append(groups[st], i)
-	}
-	for _, st := range order {
-		idx := groups[st]
-		models := make([]*pathmodel.Model, len(idx))
-		for k, i := range idx {
-			models[k] = sms[i].Model
-		}
-		batch, err := pathmodel.SolveBatch(models)
-		if err != nil {
+		if results[i], err = sm.Model.Solve(); err != nil {
 			t.Fatal(err)
-		}
-		for k, i := range idx {
-			results[i] = batch[k]
 		}
 	}
 	got, err := a.AssembleAnalysis(results)

@@ -320,7 +320,7 @@ func (a *Analyzer) Route(source topology.NodeID) (topology.Path, bool) {
 }
 
 // Sources returns the reporting sources in source-id order: the order of
-// PathModels and of the results AssembleAnalysis takes.
+// Analyze's paths and of the paths AssemblePaths takes.
 func (a *Analyzer) Sources() []topology.NodeID {
 	return append([]topology.NodeID(nil), a.sources...)
 }
@@ -368,7 +368,19 @@ type PathAnalysis struct {
 // analyzer's configuration. All builds — failure injections included —
 // bind their values onto a structure shared per schedule geometry.
 func (a *Analyzer) BuildPathModel(source topology.NodeID) (*pathmodel.Model, error) {
-	return a.buildPathModelWith(source, nil)
+	p, ok := a.routes[source]
+	if !ok {
+		return nil, fmt.Errorf("core: no route for source %d", source)
+	}
+	slots := a.sched.SlotsForSource(source)
+	if len(slots) != p.Hops() {
+		return nil, fmt.Errorf("core: source %d has %d slots for %d hops", source, len(slots), p.Hops())
+	}
+	avails := make([]link.Availability, p.Hops())
+	for h, lid := range p.Links() {
+		avails[h] = a.availability(lid)
+	}
+	return a.bind(slots, a.ttl, avails, "source", itoa(int(source)))
 }
 
 // span opens a tracing span when a Tracer is configured; without one it
@@ -403,31 +415,14 @@ func (a *Analyzer) structureFor(slots []int, ttl int) (*pathmodel.Structure, err
 	return st, nil
 }
 
-// buildPathModelWith builds one source's model, resolving per-link
-// availabilities through availOf when non-nil (the sensitivity sweep's
-// side-effect-free perturbations) and through the analyzer's configuration
-// otherwise.
-func (a *Analyzer) buildPathModelWith(source topology.NodeID, availOf func(topology.LinkID) link.Availability) (*pathmodel.Model, error) {
-	p, ok := a.routes[source]
-	if !ok {
-		return nil, fmt.Errorf("core: no route for source %d", source)
-	}
-	slots := a.sched.SlotsForSource(source)
-	if len(slots) != p.Hops() {
-		return nil, fmt.Errorf("core: source %d has %d slots for %d hops", source, len(slots), p.Hops())
-	}
-	st, err := a.structureFor(slots, a.ttl)
+// bind binds per-hop availabilities onto the structure of one schedule
+// geometry, under a "bind" span carrying attrs.
+func (a *Analyzer) bind(slots []int, ttl int, avails []link.Availability, attrs ...string) (*pathmodel.Model, error) {
+	st, err := a.structureFor(slots, ttl)
 	if err != nil {
 		return nil, err
 	}
-	if availOf == nil {
-		availOf = a.availability
-	}
-	avails := make([]link.Availability, p.Hops())
-	for h, lid := range p.Links() {
-		avails[h] = availOf(lid)
-	}
-	endBind := a.span("bind", "source", itoa(int(source)))
+	endBind := a.span("bind", attrs...)
 	m, err := st.Bind(avails)
 	endBind()
 	return m, err
@@ -438,12 +433,7 @@ func itoa(v int) string { return strconv.Itoa(v) }
 
 // AnalyzePath solves one source's path model and derives its measures.
 func (a *Analyzer) AnalyzePath(source topology.NodeID) (*PathAnalysis, error) {
-	return a.analyzePathWith(source, nil)
-}
-
-// analyzePathWith is AnalyzePath under an optional availability resolver.
-func (a *Analyzer) analyzePathWith(source topology.NodeID, availOf func(topology.LinkID) link.Availability) (*PathAnalysis, error) {
-	m, err := a.buildPathModelWith(source, availOf)
+	m, err := a.BuildPathModel(source)
 	if err != nil {
 		return nil, err
 	}
@@ -457,8 +447,8 @@ func (a *Analyzer) analyzePathWith(source topology.NodeID, availOf func(topology
 }
 
 // MeasurePath derives one source's path measures from its solved DTMC
-// result — the measure half of AnalyzePath, shared by the scalar and batch
-// solve paths. The measures depend on the result and the downlink frame
+// result — the measure half of AnalyzePath, shared with the engine, which
+// owns its solves. The measures depend on the result and the downlink frame
 // alone; Source and Path name the analyzer's route.
 func (a *Analyzer) MeasurePath(source topology.NodeID, res *pathmodel.Result) (*PathAnalysis, error) {
 	defer a.span("measures", "source", itoa(int(source)))()
@@ -497,16 +487,9 @@ type NetworkAnalysis struct {
 
 // Analyze solves every reporting source's path in the network.
 func (a *Analyzer) Analyze() (*NetworkAnalysis, error) {
-	return a.analyzeWith(nil)
-}
-
-// analyzeWith is Analyze under an optional availability resolver: the
-// sensitivity sweep perturbs link values through it without mutating the
-// analyzer's configuration.
-func (a *Analyzer) analyzeWith(availOf func(topology.LinkID) link.Availability) (*NetworkAnalysis, error) {
 	paths := make([]*PathAnalysis, len(a.sources))
 	for i, src := range a.sources {
-		pa, err := a.analyzePathWith(src, availOf)
+		pa, err := a.AnalyzePath(src)
 		if err != nil {
 			return nil, fmt.Errorf("core: path from %d: %w", src, err)
 		}
@@ -517,8 +500,8 @@ func (a *Analyzer) analyzeWith(availOf func(topology.LinkID) link.Availability) 
 
 // AssemblePaths derives the network-scope measures (utilization, the
 // overall delay distribution and its mean) from per-path analyses in
-// source-id order — the aggregation tail of Analyze, shared by the scalar
-// and batch solve paths. The returned analysis holds paths itself.
+// source-id order — the aggregation tail of Analyze, shared with the
+// engine. The returned analysis holds paths itself.
 func (a *Analyzer) AssemblePaths(paths []*PathAnalysis) (*NetworkAnalysis, error) {
 	defer a.span("measures", "scope", "network")()
 	out := &NetworkAnalysis{Paths: paths}
@@ -577,11 +560,7 @@ func (a *Analyzer) PredictPeerComposition(via topology.NodeID, peerModels []link
 		slots[i] = i + 1
 		avails[i] = m.Steady()
 	}
-	st, err := a.structureFor(slots, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	peer, err := st.Bind(avails)
+	peer, err := a.bind(slots, 0, avails, "via", itoa(int(via)))
 	if err != nil {
 		return nil, 0, err
 	}

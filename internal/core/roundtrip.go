@@ -34,11 +34,7 @@ func (a *Analyzer) AnalyzeRoundTrip(source topology.NodeID) (*measures.RoundTrip
 	}
 	// The mirrored downlink shares the uplink's schedule geometry, so its
 	// chain binds onto the same cached structure.
-	st, err := a.structureFor(slots, a.ttl)
-	if err != nil {
-		return nil, err
-	}
-	down, err := st.Bind(avails)
+	down, err := a.bind(slots, a.ttl, avails, "source", itoa(int(source)), "direction", "down")
 	if err != nil {
 		return nil, err
 	}

@@ -24,11 +24,6 @@ func MaxExpectedDelay(na *NetworkAnalysis) float64 {
 	return worst
 }
 
-// MeanExpectedDelay returns E[Gamma] — the eta_a goal.
-func MeanExpectedDelay(na *NetworkAnalysis) float64 {
-	return na.OverallMeanDelayMS
-}
-
 // OptimizeResult is the outcome of a schedule search.
 type OptimizeResult struct {
 	// Order is the best priority order found.

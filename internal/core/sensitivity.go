@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"wirelesshart/internal/link"
-	"wirelesshart/internal/pathmodel"
 	"wirelesshart/internal/topology"
 )
 
@@ -36,12 +35,12 @@ type LinkSensitivity struct {
 // resulting mean-reachability gain (worst-path gain is reported
 // alongside). A link's availability override (failure injection) keeps
 // masking the perturbation, matching the analyzer's normal resolution
-// order. The sweep is side-effect-free and batched: a perturbation only
-// changes the paths that traverse the perturbed link, so per source the
-// affected perturbations are bound onto the cached path structure and
-// solved in one pathmodel.SolveBatch call, while every
-// unaffected (off-path or override-masked) combination reuses the baseline
-// solution — which is exactly what re-solving it would reproduce.
+// order. The sweep is side-effect-free: a perturbation only changes the
+// paths that traverse the perturbed link, so each affected (path, link)
+// pair is bound onto the cached path structure and solved on its own,
+// while every unaffected (off-path or override-masked) combination reuses
+// the baseline solution — which is exactly what re-solving it would
+// reproduce.
 func (a *Analyzer) SensitivityAnalysis(delta float64) ([]LinkSensitivity, error) {
 	if delta <= 0 || delta >= 1 {
 		return nil, fmt.Errorf("core: sensitivity delta %v out of (0,1)", delta)
@@ -94,45 +93,30 @@ func (a *Analyzer) SensitivityAnalysis(delta float64) ([]LinkSensitivity, error)
 	}
 	for s, src := range a.sources {
 		p := a.routes[src]
-		var affected []int
-		for i, l := range links {
-			if perturbed[i] != nil && p.UsesLink(l.ID) {
-				affected = append(affected, i)
-			}
-		}
-		if len(affected) == 0 {
-			continue
-		}
 		slots := a.sched.SlotsForSource(src)
-		st, err := a.structureFor(slots, a.ttl)
-		if err != nil {
-			return nil, err
-		}
-		scenarios := make([][]link.Availability, len(affected))
-		for k, i := range affected {
-			target := links[i].ID
+		for i, l := range links {
+			if perturbed[i] == nil || !p.UsesLink(l.ID) {
+				continue
+			}
 			avails := make([]link.Availability, p.Hops())
 			for h, lid := range p.Links() {
-				if lid == target {
+				if lid == l.ID {
 					avails[h] = perturbed[i]
 				} else {
 					avails[h] = a.availability(lid)
 				}
 			}
-			scenarios[k] = avails
-		}
-		models, err := st.BindBatch(scenarios)
-		if err != nil {
-			return nil, fmt.Errorf("core: sensitivity of path from %d: %w", src, err)
-		}
-		endSolve := a.span("solve", "source", itoa(int(src)), "batch", itoa(len(models)))
-		results, err := pathmodel.SolveBatch(models)
-		endSolve()
-		if err != nil {
-			return nil, fmt.Errorf("core: sensitivity of path from %d: %w", src, err)
-		}
-		for k, i := range affected {
-			reach[i][s] = results[k].Reachability()
+			m, err := a.bind(slots, a.ttl, avails, "source", itoa(int(src)), "link", itoa(int(l.ID)))
+			if err != nil {
+				return nil, fmt.Errorf("core: sensitivity of path from %d: %w", src, err)
+			}
+			endSolve := a.span("solve", "source", itoa(int(src)), "link", itoa(int(l.ID)))
+			res, err := m.Solve()
+			endSolve()
+			if err != nil {
+				return nil, fmt.Errorf("core: sensitivity of path from %d: %w", src, err)
+			}
+			reach[i][s] = res.Reachability()
 		}
 	}
 

@@ -67,8 +67,6 @@ type PathResult struct {
 	Attempts int
 	// DelaySummary aggregates delivered messages' delays in ms.
 	DelaySummary stats.Summary
-
-	delays *stats.PMF
 }
 
 // Reachability returns the empirical delivery fraction.
@@ -84,11 +82,6 @@ func (p *PathResult) ReachabilityCI() (float64, error) {
 	var prop stats.Proportion
 	prop.ObserveN(p.Delivered, p.Generated)
 	return prop.ConfidenceInterval(stats.Z95)
-}
-
-// DelayPMF returns the empirical normalized delay distribution in ms.
-func (p *PathResult) DelayPMF() (*stats.PMF, error) {
-	return p.delays.Normalized()
 }
 
 // CycleProbs returns the empirical per-cycle arrival probabilities
@@ -213,7 +206,6 @@ func Run(cfg Config) (*Result, error) {
 			Source:      src,
 			Hops:        routes[src].Hops(),
 			CycleCounts: make([]int, cfg.Is),
-			delays:      stats.NewPMF(),
 		}
 	}
 	// hopIndex[src][slot] = which hop (0-based) of src's path transmits in
@@ -289,7 +281,6 @@ func Run(cfg Config) (*Result, error) {
 						}
 						delay := float64(t+(cycle-1)*fdown) * schedule.SlotDurationMS
 						ps.DelaySummary.Observe(delay)
-						ps.delays.Add(delay, 1)
 					}
 				}
 			}})

@@ -31,9 +31,7 @@ type batchItem struct {
 // within the request collapse onto one slot, cached results are returned
 // directly, sub-scenarios already being solved elsewhere are joined
 // single-flight, and only the residual misses are solved — together, under
-// one worker token, each distinct path DTMC once, with the path models
-// grouped by shared structure and each group solved by one
-// pathmodel.SolveBatch.
+// one worker token, each distinct path DTMC once.
 //
 // Results are indexed like specs and shared (treat them as read-only). The
 // call fails as a whole — with the first failing sub-scenario identified —
@@ -201,12 +199,15 @@ func (e *Engine) forwardOwned(ctx context.Context, owned []*batchItem) []*batchI
 	return local
 }
 
-// pathSolve is one distinct path DTMC of a solve: its bound model and the
-// (item, path) slots its result fills, the first of which measures it.
+// pathSolve is one distinct path DTMC of a solve: its bound model, the
+// (item, path) slots its result fills, the first of which measures it, and
+// the outcome of its solve.
 type pathSolve struct {
 	key   string // core.ProcessKey; "" when an availability override rules out sharing
 	model *pathmodel.Model
 	refs  []pathRef
+	res   *pathmodel.Result
+	err   error
 }
 
 type pathRef struct{ item, path int }
@@ -214,12 +215,12 @@ type pathRef struct{ item, path int }
 // solveOwned solves owned misses under one worker token, recording one
 // trace: every miss is built through the shared structure cache, each of
 // its paths is answered by the path-result memo or becomes one distinct
-// solve (paths repeated across the misses are solved once), the solves are
-// grouped by shared structure in first-occurrence order and each group
-// runs one pathmodel.SolveBatch, and each miss's network analysis is
-// assembled from its paths' entries. A keyed solve is measured once, as
-// its first scenario sees it, and enters the memo with those measures.
-// Per-item outcomes land on the items; the single-flight entries are
+// solve (paths repeated across the misses are solved once), the solves run
+// one after another in first-occurrence order, and each miss's network
+// analysis is assembled from its paths' entries. A keyed solve is measured
+// once, as its first scenario sees it, and enters the memo with those
+// measures. A failed solve fails only the scenarios that reference its
+// path. Per-item outcomes land on the items; the single-flight entries are
 // always resolved, success or not.
 func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool, canonStart time.Time, canonDur time.Duration) {
 	defer e.release(owned)
@@ -303,44 +304,26 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 	e.metrics.kernelMisses.Add(misses)
 	endBuild("memo.hits", strconv.FormatInt(hits, 10), "memo.misses", strconv.FormatInt(misses, 10))
 
-	// Group the distinct solves by shared structure. Iterating in
-	// first-occurrence order keeps the grouping — and therefore every
-	// floating-point reduction downstream — deterministic.
-	var order []*pathmodel.Structure
-	groups := map[*pathmodel.Structure][]*pathSolve{}
-	for _, ps := range solves {
-		st := ps.model.Structure()
-		if _, ok := groups[st]; !ok {
-			order = append(order, st)
+	endAnalyze := obs.StartSpan(ctx, "analyze")
+	if len(solves) > 0 {
+		endSolve := obs.StartSpan(ctx, "solve", "paths", strconv.Itoa(len(solves)))
+		for _, ps := range solves {
+			ps.res, ps.err = ps.model.Solve()
 		}
-		groups[st] = append(groups[st], ps)
-	}
-	endAnalyze := obs.StartSpan(ctx, "analyze", "groups", strconv.Itoa(len(order)))
-	for _, st := range order {
-		group := groups[st]
-		models := make([]*pathmodel.Model, len(group))
-		for k, ps := range group {
-			models[k] = ps.model
-		}
-		endSolve := obs.StartSpan(ctx, "solve", "paths", strconv.Itoa(len(models)))
-		solved, err := pathmodel.SolveBatch(models)
 		endSolve()
-		for k, ps := range group {
-			var ent *pathEntry
-			if err == nil {
-				ent = e.landSolve(ps, builds, solved[k])
-			}
-			for _, r := range ps.refs {
-				switch {
-				case err == nil:
-					answers[r.item][r.path] = ent
-				case owned[r.item].err == nil:
-					// SolveBatch returns no results when any of its models
-					// fails, so a failed group takes down every scenario
-					// with a path in it.
-					owned[r.item].err = fmt.Errorf("engine: solve: %w", err)
-					e.metrics.errors.Add(1)
-				}
+	}
+	for _, ps := range solves {
+		var ent *pathEntry
+		if ps.err == nil {
+			ent = e.landSolve(ps, builds)
+		}
+		for _, r := range ps.refs {
+			switch {
+			case ps.err == nil:
+				answers[r.item][r.path] = ent
+			case owned[r.item].err == nil:
+				owned[r.item].err = fmt.Errorf("engine: solve: %w", ps.err)
+				e.metrics.errors.Add(1)
 			}
 		}
 	}
@@ -380,17 +363,17 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 // measured as its first scenario sees it and published to the memo; an
 // unkeyed one, or one whose measurement failed, gets an entry without
 // measures, which each scenario measures itself.
-func (e *Engine) landSolve(ps *pathSolve, builds []*spec.Built, res *pathmodel.Result) *pathEntry {
+func (e *Engine) landSolve(ps *pathSolve, builds []*spec.Built) *pathEntry {
 	if ps.key == "" {
-		return solveOnly(res)
+		return solveOnly(ps.res)
 	}
 	first := ps.refs[0]
 	built := builds[first.item]
 	an := built.Analyzer
 	src := an.Sources()[first.path]
-	pa, err := an.MeasurePath(src, res)
+	pa, err := an.MeasurePath(src, ps.res)
 	if err != nil {
-		return solveOnly(res)
+		return solveOnly(ps.res)
 	}
 	ent := newPathEntry(pa, an.Fdown(), built.Schedule.SlotsForSource(src))
 	e.memoPut(ps.key, ent)

@@ -28,13 +28,9 @@ type Config struct {
 	// Workers bounds the number of concurrent DTMC solves. Default
 	// GOMAXPROCS.
 	Workers int
-	// CacheSize bounds the scenario result cache and the path-result memo
-	// (entries each). Default 256.
+	// CacheSize bounds the scenario result cache, the path-result memo
+	// and the structure cache (entries each). Default 256.
 	CacheSize int
-	// StructCacheSize bounds the structure cache (entries). Structures
-	// are keyed by schedule geometry alone, so far fewer distinct entries
-	// exist than scenarios; the default is CacheSize.
-	StructCacheSize int
 	// TraceCapacity bounds the in-memory ring of recent solve traces
 	// served at /debug/traces. Default obs.DefaultTraceCapacity.
 	TraceCapacity int
@@ -94,16 +90,13 @@ func New(cfg Config) *Engine {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 256
 	}
-	if cfg.StructCacheSize <= 0 {
-		cfg.StructCacheSize = cfg.CacheSize
-	}
 	e := &Engine{
 		workers:     cfg.Workers,
 		sem:         make(chan struct{}, cfg.Workers),
 		cache:       newLRU(cfg.CacheSize),
 		inflight:    map[string]*call{},
 		memo:        newLRU(cfg.CacheSize),
-		structCache: newLRU(cfg.StructCacheSize),
+		structCache: newLRU(cfg.CacheSize),
 		metrics:     newMetrics(),
 		traces:      obs.NewRecorder(cfg.TraceCapacity),
 		ring:        cfg.Ring,

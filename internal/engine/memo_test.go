@@ -80,8 +80,8 @@ func failSweep(s *spec.Spec) []*spec.Spec {
 
 // TestEvaluatePathsBitIdentical pins the one solve path against the
 // library: Evaluate, EvaluateBatch of one scenario and a failure-sweep
-// EvaluateBatch — whose columns share memoized paths and run grouped
-// SolveBatch calls — must each equal spec.Build()+Analyze() bit for bit.
+// EvaluateBatch — whose columns share memoized paths and solve each
+// distinct path once — must each equal spec.Build()+Analyze() bit for bit.
 func TestEvaluatePathsBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	for n, s := range memoNetworks(t) {
@@ -100,7 +100,7 @@ func TestEvaluatePathsBitIdentical(t *testing.T) {
 			continue // -short sweeps the typical network only
 		}
 		// The whole sweep solves as one batch; every fourth column is
-		// checked, which covers memo hits and batch groups alike.
+		// checked, which covers memo hits and fresh solves alike.
 		sweep := failSweep(s)
 		swept, err := New(Config{}).EvaluateBatch(ctx, sweep)
 		if err != nil {

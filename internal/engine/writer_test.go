@@ -269,8 +269,10 @@ func TestEvaluateBodiesMatchEncoder(t *testing.T) {
 }
 
 // BenchmarkResultEncoding is the first response encoding of 64 solved
-// generated-network results (gen seed 1): the result-to-bytes tail of a
-// cold /v1/network miss. Each op encodes all 64.
+// generated-network results (gen seed 1), assembled from the path members
+// their solves already stored: the result-to-bytes tail of a cold
+// /v1/network miss, minus the path-field formatting that
+// BenchmarkPathEncoding measures. Each op encodes all 64.
 func BenchmarkResultEncoding(b *testing.B) {
 	results := generatedResults(b, 64)[1:]
 	b.ReportAllocs()
@@ -283,6 +285,28 @@ func BenchmarkResultEncoding(b *testing.B) {
 			}
 			if _, err := fresh.encoding(); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkPathEncoding formats the members of every path of the same
+// solved generated-network results through encodeTail: the float and
+// field formatting each cold path solve pays once, in newPathEntry. Each
+// op encodes every path.
+func BenchmarkPathEncoding(b *testing.B) {
+	var paths []*PathResult
+	for _, r := range generatedResults(b, 64)[1:] {
+		for i := range r.Paths {
+			paths = append(paths, &r.Paths[i])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range paths {
+			if encodeTail(p) == nil {
+				b.Fatal("path members not encodable")
 			}
 		}
 	}

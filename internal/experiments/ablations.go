@@ -70,15 +70,13 @@ func RunOpt(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Automated schedule search vs the paper's manual schedules (ablation)\n"); err != nil {
-		return err
-	}
-	if err := fprintf(w, "bottleneck E[tau]: eta_a=%.1f ms, eta_b=%.1f ms, optimized=%.1f ms (%d evaluations)\n",
-		d.EtaABottleneck, d.EtaBBottleneck, d.OptimizedBottleneck, d.Evaluations); err != nil {
-		return err
-	}
-	return fprintf(w, "E[Gamma]: eta_a=%.1f ms, eta_b=%.1f ms, optimized=%.1f ms\n",
+	pr := &printer{w: w}
+	pr.printf("Automated schedule search vs the paper's manual schedules (ablation)\n")
+	pr.printf("bottleneck E[tau]: eta_a=%.1f ms, eta_b=%.1f ms, optimized=%.1f ms (%d evaluations)\n",
+		d.EtaABottleneck, d.EtaBBottleneck, d.OptimizedBottleneck, d.Evaluations)
+	pr.printf("E[Gamma]: eta_a=%.1f ms, eta_b=%.1f ms, optimized=%.1f ms\n",
 		d.EtaAMean, d.EtaBMean, d.OptimizedMean)
+	return pr.err
 }
 
 // HopData compares the two-state Gilbert link abstraction against a
@@ -121,15 +119,10 @@ func ComputeHop(intervals int, seed int64) (*HopData, error) {
 		prev = id
 		src = id
 	}
-	routes, err := net.UplinkRoutes()
-	if err != nil {
-		return nil, err
-	}
 	sched, err := buildExampleSchedule(net, src)
 	if err != nil {
 		return nil, err
 	}
-	_ = routes
 
 	// Heterogeneous channel population: half good (Eb/N0 = 9), half poor
 	// (Eb/N0 = 5). Hopping sees the mixture; per-slot the message fails
@@ -256,20 +249,12 @@ func RunHop(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Gilbert link abstraction vs physical channel hopping (ablation)\n"); err != nil {
-		return err
-	}
-	if err := fprintf(w, "analytic (Gilbert, mean p_fl):      R=%.4f\n", d.AnalyticReach); err != nil {
-		return err
-	}
-	if err := fprintf(w, "DES Gilbert links:                  R=%.4f\n", d.GilbertReach); err != nil {
-		return err
-	}
-	if err := fprintf(w, "DES hopping over 16 channels:       R=%.4f\n", d.HoppingReach); err != nil {
-		return err
-	}
-	if err := fprintf(w, "DES hopping + blacklisting worst 8: R=%.4f\n", d.HoppingBlacklistedReach); err != nil {
-		return err
-	}
-	return fprintf(w, "reading: calibrated to the same marginal availability, the two-state abstraction matches physical hopping (retries are a frame apart, so link-state memory is irrelevant); blacklisting the poor channels recovers near-perfect delivery\n")
+	pr := &printer{w: w}
+	pr.printf("Gilbert link abstraction vs physical channel hopping (ablation)\n")
+	pr.printf("analytic (Gilbert, mean p_fl):      R=%.4f\n", d.AnalyticReach)
+	pr.printf("DES Gilbert links:                  R=%.4f\n", d.GilbertReach)
+	pr.printf("DES hopping over 16 channels:       R=%.4f\n", d.HoppingReach)
+	pr.printf("DES hopping + blacklisting worst 8: R=%.4f\n", d.HoppingBlacklistedReach)
+	pr.printf("reading: calibrated to the same marginal availability, the two-state abstraction matches physical hopping (retries are a frame apart, so link-state memory is irrelevant); blacklisting the poor channels recovers near-perfect delivery\n")
+	return pr.err
 }

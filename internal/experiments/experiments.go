@@ -160,6 +160,17 @@ func analyzeTypical(ty *typical, sched *schedule.Schedule, opts ...core.Option) 
 	return a.Analyze()
 }
 
+// reachOf returns the reachability of src's path in na, or 0 when na has
+// no path from src.
+func reachOf(na *core.NetworkAnalysis, src topology.NodeID) float64 {
+	for _, pa := range na.Paths {
+		if pa.Source == src {
+			return pa.Reachability
+		}
+	}
+	return 0
+}
+
 // sortedPathAnalyses orders analyses by the paper's path numbering.
 func sortedPathAnalyses(ty *typical, na *core.NetworkAnalysis) []*core.PathAnalysis {
 	out := make([]*core.PathAnalysis, len(na.Paths))
@@ -170,7 +181,15 @@ func sortedPathAnalyses(ty *typical, na *core.NetworkAnalysis) []*core.PathAnaly
 	return out
 }
 
-func fprintf(w io.Writer, format string, args ...any) error {
-	_, err := fmt.Fprintf(w, format, args...)
-	return err
+// printer writes a runner's report and latches the first write error:
+// every later printf is skipped, and err holds that first error.
+type printer struct {
+	w   io.Writer
+	err error
+}
+
+func (p *printer) printf(format string, args ...any) {
+	if p.err == nil {
+		_, p.err = fmt.Fprintf(p.w, format, args...)
+	}
 }

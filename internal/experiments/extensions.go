@@ -85,21 +85,19 @@ func RunXVal(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "DES vs analytical model, typical network, 20000 reporting intervals\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("DES vs analytical model, typical network, 20000 reporting intervals\n")
 	worst := 0.0
 	for _, r := range rows {
 		diff := math.Abs(r.AnalyticReach - r.SimReach)
 		if diff > worst {
 			worst = diff
 		}
-		if err := fprintf(w, "path %2d (%d hops): R analytic=%.4f sim=%.4f (+-%.4f)  E[tau] analytic=%.1f sim=%.1f\n",
-			r.PathNumber, r.Hops, r.AnalyticReach, r.SimReach, r.SimReachCI, r.AnalyticDelay, r.SimDelay); err != nil {
-			return err
-		}
+		pr.printf("path %2d (%d hops): R analytic=%.4f sim=%.4f (+-%.4f)  E[tau] analytic=%.1f sim=%.1f\n",
+			r.PathNumber, r.Hops, r.AnalyticReach, r.SimReach, r.SimReachCI, r.AnalyticDelay, r.SimDelay)
 	}
-	return fprintf(w, "largest |analytic - simulated| reachability gap: %.4f\n", worst)
+	pr.printf("largest |analytic - simulated| reachability gap: %.4f\n", worst)
+	return pr.err
 }
 
 // CtrlRow is one control-loop stability entry.
@@ -169,14 +167,12 @@ func RunCtrl(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Control-loop stability vs link availability (paper future work)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Control-loop stability vs link availability (paper future work)\n")
 	for _, r := range rows {
-		if err := fprintf(w, "pi(up)=%.3f R=%.4f: ISE=%.3f lost=%d delivered=%d\n",
-			r.Avail, r.Reach, r.ISE, r.Lost, r.Delivered); err != nil {
-			return err
-		}
+		pr.printf("pi(up)=%.3f R=%.4f: ISE=%.3f lost=%d delivered=%d\n",
+			r.Avail, r.Reach, r.ISE, r.Lost, r.Delivered)
 	}
-	return fprintf(w, "takeaway: tracking error grows as reachability falls — the paper's stability concern quantified\n")
+	pr.printf("takeaway: tracking error grows as reachability falls — the paper's stability concern quantified\n")
+	return pr.err
 }

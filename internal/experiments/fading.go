@@ -125,19 +125,15 @@ func RunFading(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "k=3 fading chains at steady availability %.2f, typical network, 8000 reporting intervals\n", fadingAvail); err != nil {
-		return err
-	}
-	if err := fprintf(w, "%-8s %8s %14s %12s %10s\n", "stay", "lambda2", "R analytic", "R sim", "worst gap"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("k=3 fading chains at steady availability %.2f, typical network, 8000 reporting intervals\n", fadingAvail)
+	pr.printf("%-8s %8s %14s %12s %10s\n", "stay", "lambda2", "R analytic", "R sim", "worst gap")
 	for _, r := range rows {
-		if err := fprintf(w, "%-8s %8.3f %14.4f %12.4f %10.4f\n",
-			r.Label, r.Lambda2, r.AnalyticReach, r.SimReach, r.WorstGap); err != nil {
-			return err
-		}
+		pr.printf("%-8s %8.3f %14.4f %12.4f %10.4f\n",
+			r.Label, r.Lambda2, r.AnalyticReach, r.SimReach, r.WorstGap)
 	}
-	return fprintf(w, "reading: the analytic column only sees per-slot marginals, so it is flat across the sweep; the simulated reachability drops as the chain's memory (lambda2) grows — the deviation a bursty channel induces under the model's per-slot-independence assumption\n")
+	pr.printf("reading: the analytic column only sees per-slot marginals, so it is flat across the sweep; the simulated reachability drops as the chain's memory (lambda2) grows — the deviation a bursty channel induces under the model's per-slot-independence assumption\n")
+	return pr.err
 }
 
 // formatStay renders a stay probability as a compact row label.

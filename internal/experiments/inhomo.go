@@ -107,9 +107,8 @@ func RunInhomo(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Inhomogeneous links vs homogeneous-average approximation (extension)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Inhomogeneous links vs homogeneous-average approximation (extension)\n")
 	var worst, worstDelay float64
 	for _, r := range rows {
 		if e := math.Abs(r.Error); e > worst {
@@ -118,10 +117,9 @@ func RunInhomo(w io.Writer) error {
 		if e := math.Abs(r.TrueDelayMS - r.HomogDelayMS); e > worstDelay {
 			worstDelay = e
 		}
-		if err := fprintf(w, "path %2d (%d hops): R true=%.4f avg=%.4f (err %+.4f) | E[tau] true=%5.1f avg=%5.1f ms\n",
-			r.PathNumber, r.Hops, r.TrueReach, r.HomogReach, r.Error, r.TrueDelayMS, r.HomogDelayMS); err != nil {
-			return err
-		}
+		pr.printf("path %2d (%d hops): R true=%.4f avg=%.4f (err %+.4f) | E[tau] true=%5.1f avg=%5.1f ms\n",
+			r.PathNumber, r.Hops, r.TrueReach, r.HomogReach, r.Error, r.TrueDelayMS, r.HomogDelayMS)
 	}
-	return fprintf(w, "largest errors: reachability %.4f, expected delay %.1f ms — averaging away per-link quality misjudges individual paths (delays especially), which is why the paper models each link's physical layer explicitly\n", worst, worstDelay)
+	pr.printf("largest errors: reachability %.4f, expected delay %.1f ms — averaging away per-link quality misjudges individual paths (delays especially), which is why the paper models each link's physical layer explicitly\n", worst, worstDelay)
+	return pr.err
 }

@@ -68,14 +68,12 @@ func RunMultiChannel(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Multi-channel (TDMA+FDMA) schedules for the typical network (extension)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Multi-channel (TDMA+FDMA) schedules for the typical network (extension)\n")
 	for _, r := range rows {
-		if err := fprintf(w, "channels=%d  Fup=%2d  E[Gamma]=%6.1f ms  bottleneck=%6.1f ms  worst R=%.4f\n",
-			r.Channels, r.Fup, r.MeanDelay, r.BottleneckDelay, r.WorstReach); err != nil {
-			return err
-		}
+		pr.printf("channels=%d  Fup=%2d  E[Gamma]=%6.1f ms  bottleneck=%6.1f ms  worst R=%.4f\n",
+			r.Channels, r.Fup, r.MeanDelay, r.BottleneckDelay, r.WorstReach)
 	}
-	return fprintf(w, "reading: parallel channels shrink the frame toward the gateway-reception bound (10 slots), cutting both mean and bottleneck delays; reachability is schedule-independent\n")
+	pr.printf("reading: parallel channels shrink the frame toward the gateway-reception bound (10 slots), cutting both mean and bottleneck delays; reachability is schedule-independent\n")
+	return pr.err
 }

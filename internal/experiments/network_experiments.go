@@ -17,18 +17,14 @@ func RunFig12(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Typical WirelessHART network (paper Fig. 12): 30%% 1-hop, 50%% 2-hop, 20%% 3-hop\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Typical WirelessHART network (paper Fig. 12): 30%% 1-hop, 50%% 2-hop, 20%% 3-hop\n")
 	for i, src := range ty.Sources {
-		if err := fprintf(w, "path %2d: %s (%d hops)\n", i+1, ty.Routes[src].Format(ty.Net), ty.Routes[src].Hops()); err != nil {
-			return err
-		}
+		pr.printf("path %2d: %s (%d hops)\n", i+1, ty.Routes[src].Format(ty.Net), ty.Routes[src].Hops())
 	}
-	if err := fprintf(w, "schedule eta_a = %s\n", ty.EtaA.Format(ty.Net)); err != nil {
-		return err
-	}
-	return fprintf(w, "schedule eta_b (reconstructed) = %s\n", ty.EtaB.Format(ty.Net))
+	pr.printf("schedule eta_a = %s\n", ty.EtaA.Format(ty.Net))
+	pr.printf("schedule eta_b (reconstructed) = %s\n", ty.EtaB.Format(ty.Net))
+	return pr.err
 }
 
 // Fig13Row is one path's reachability across availabilities.
@@ -80,34 +76,22 @@ func RunFig13(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Per-path reachability in the typical network (paper Fig. 13)\n"); err != nil {
-		return err
-	}
-	if err := fprintf(w, "path hops"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Per-path reachability in the typical network (paper Fig. 13)\n")
+	pr.printf("path hops")
 	for _, a := range Fig13Avails {
-		if err := fprintf(w, "  pi=%.3f", a); err != nil {
-			return err
-		}
+		pr.printf("  pi=%.3f", a)
 	}
-	if err := fprintf(w, "\n"); err != nil {
-		return err
-	}
+	pr.printf("\n")
 	for _, r := range rows {
-		if err := fprintf(w, "%4d %4d", r.PathNumber, r.Hops); err != nil {
-			return err
-		}
+		pr.printf("%4d %4d", r.PathNumber, r.Hops)
 		for _, v := range r.ReachByAvail {
-			if err := fprintf(w, "  %.4f ", v); err != nil {
-				return err
-			}
+			pr.printf("  %.4f ", v)
 		}
-		if err := fprintf(w, "\n"); err != nil {
-			return err
-		}
+		pr.printf("\n")
 	}
-	return fprintf(w, "paper anchors: R>0.999 for 3-hop at pi=0.9; R~0.93 at pi=0.69\n")
+	pr.printf("paper anchors: R>0.999 for 3-hop at pi=0.9; R~0.93 at pi=0.69\n")
+	return pr.err
 }
 
 // Fig14Data is the overall delay distribution.
@@ -149,21 +133,15 @@ func RunFig14(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Overall delay distribution of the typical network (paper Fig. 14)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Overall delay distribution of the typical network (paper Fig. 14)\n")
 	for i := range d.DelayMS {
-		if err := fprintf(w, "delay %5.0f ms: %.4f\n", d.DelayMS[i], d.Prob[i]); err != nil {
-			return err
-		}
+		pr.printf("delay %5.0f ms: %.4f\n", d.DelayMS[i], d.Prob[i])
 	}
-	if err := fprintf(w, "cycle-1 fraction (<=200ms): ours=%.3f paper=0.708\n", d.Cum200); err != nil {
-		return err
-	}
-	if err := fprintf(w, "within 600ms: ours=%.3f paper=0.926\n", d.Cum600); err != nil {
-		return err
-	}
-	return fprintf(w, "within 1000ms: ours=%.3f paper=0.983\n", d.Cum1000)
+	pr.printf("cycle-1 fraction (<=200ms): ours=%.3f paper=0.708\n", d.Cum200)
+	pr.printf("within 600ms: ours=%.3f paper=0.926\n", d.Cum600)
+	pr.printf("within 1000ms: ours=%.3f paper=0.983\n", d.Cum1000)
+	return pr.err
 }
 
 // Fig15Row is one path's expected delay.
@@ -204,15 +182,13 @@ func RunFig15(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Expected delays under eta_a (paper Fig. 15)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Expected delays under eta_a (paper Fig. 15)\n")
 	for _, r := range rows {
-		if err := fprintf(w, "path %2d (%d hops): E[tau]=%.1f ms\n", r.PathNumber, r.Hops, r.ExpectedMS); err != nil {
-			return err
-		}
+		pr.printf("path %2d (%d hops): E[tau]=%.1f ms\n", r.PathNumber, r.Hops, r.ExpectedMS)
 	}
-	return fprintf(w, "E[Gamma]: ours=%.1f ms paper=235 ms; path 10: paper=421.4 ms\n", mean)
+	pr.printf("E[Gamma]: ours=%.1f ms paper=235 ms; path 10: paper=421.4 ms\n", mean)
+	return pr.err
 }
 
 // RunFig16 compares eta_a and eta_b.
@@ -225,19 +201,15 @@ func RunFig16(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Expected delays under eta_a vs eta_b (paper Fig. 16)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Expected delays under eta_a vs eta_b (paper Fig. 16)\n")
 	for i := range rowsA {
-		if err := fprintf(w, "path %2d: eta_a=%.1f ms  eta_b=%.1f ms\n",
-			rowsA[i].PathNumber, rowsA[i].ExpectedMS, rowsB[i].ExpectedMS); err != nil {
-			return err
-		}
+		pr.printf("path %2d: eta_a=%.1f ms  eta_b=%.1f ms\n",
+			rowsA[i].PathNumber, rowsA[i].ExpectedMS, rowsB[i].ExpectedMS)
 	}
-	if err := fprintf(w, "E[Gamma]: eta_a ours=%.1f (paper 235), eta_b ours=%.1f (paper 272)\n", meanA, meanB); err != nil {
-		return err
-	}
-	return fprintf(w, "paper anchors: path 10 drops 421.4 -> 291; path 7 becomes bottleneck at 317.95\n")
+	pr.printf("E[Gamma]: eta_a ours=%.1f (paper 235), eta_b ours=%.1f (paper 272)\n", meanA, meanB)
+	pr.printf("paper anchors: path 10 drops 421.4 -> 291; path 7 becomes bottleneck at 317.95\n")
+	return pr.err
 }
 
 // Tab2Row is one utilization sweep entry.
@@ -281,17 +253,15 @@ func RunTab2(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Utilization vs link availability (paper Table II)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Utilization vs link availability (paper Table II)\n")
 	paper := []float64{0.313, 0.297, 0.283, 0.263, 0.25, 0.24}
 	for i, r := range rows {
-		if err := fprintf(w, "pi(up)=%.3f  exact=%.3f corrected-Eq10=%.3f literal-Eq10=%.3f paper=%.3f\n",
-			r.Avail, r.Exact, r.ClosedForm, r.LiteralEq10, paper[i]); err != nil {
-			return err
-		}
+		pr.printf("pi(up)=%.3f  exact=%.3f corrected-Eq10=%.3f literal-Eq10=%.3f paper=%.3f\n",
+			r.Avail, r.Exact, r.ClosedForm, r.LiteralEq10, paper[i])
 	}
-	return fprintf(w, "note: Eq. 10 as printed (n+i) overshoots its own table; n+i-1 matches (see EXPERIMENTS.md)\n")
+	pr.printf("note: Eq. 10 as printed (n+i) overshoots its own table; n+i-1 matches (see EXPERIMENTS.md)\n")
+	return pr.err
 }
 
 // Tab3Row is one affected path's reachability with and without the
@@ -374,14 +344,6 @@ func ComputeTab3() ([]Tab3Row, error) {
 		return nil, err
 	}
 
-	reachOf := func(na *core.NetworkAnalysis, src topology.NodeID) float64 {
-		for _, pa := range na.Paths {
-			if pa.Source == src {
-				return pa.Reachability
-			}
-		}
-		return 0
-	}
 	paper := map[int][2]float64{ // path number -> {without, with}
 		3:  {99.92, 99.51},
 		7:  {99.64, 98.30},
@@ -415,17 +377,15 @@ func RunTab3(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Reachability with a 1-cycle failure of e3 (paper Table III)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Reachability with a 1-cycle failure of e3 (paper Table III)\n")
 	for _, r := range rows {
-		if err := fprintf(w, "path %2d (%d hops): no-failure ours=%.2f%% paper=%.2f%% | blocked-cycle ours=%.2f%% paper=%.2f%% | exact-e3-only ours=%.2f%%\n",
+		pr.printf("path %2d (%d hops): no-failure ours=%.2f%% paper=%.2f%% | blocked-cycle ours=%.2f%% paper=%.2f%% | exact-e3-only ours=%.2f%%\n",
 			r.PathNumber, r.Hops, r.WithoutFailure*100, r.PaperWithoutPct,
-			r.BlockedCycle*100, r.PaperWithFailurePct, r.ExactInjection*100); err != nil {
-			return err
-		}
+			r.BlockedCycle*100, r.PaperWithFailurePct, r.ExactInjection*100)
 	}
-	return fprintf(w, "note: the paper's numbers equal the blocked-cycle semantics; exact per-link injection is milder for paths whose early hops avoid e3\n")
+	pr.printf("note: the paper's numbers equal the blocked-cycle semantics; exact per-link injection is milder for paths whose early hops avoid e3\n")
+	return pr.err
 }
 
 // Fig18Row is one reporting-interval entry for the 1-hop path.
@@ -464,16 +424,13 @@ func RunFig18(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Reporting-interval effect on a 1-hop path at pi(up)=0.903 (paper Fig. 18)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Reporting-interval effect on a 1-hop path at pi(up)=0.903 (paper Fig. 18)\n")
 	paper := map[int]float64{1: 0.903, 2: 0.99, 4: 0.999}
 	for _, r := range rows {
-		if err := fprintf(w, "Is=%d  R: ours=%.4f paper~%.3f\n", r.Is, r.Reachability, paper[r.Is]); err != nil {
-			return err
-		}
+		pr.printf("Is=%d  R: ours=%.4f paper~%.3f\n", r.Is, r.Reachability, paper[r.Is])
 	}
-	return nil
+	return pr.err
 }
 
 // Fig19Row is one path's fast-vs-regular comparison at one availability.
@@ -507,14 +464,6 @@ func ComputeFig19(avails []float64) ([]Fig19Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		reachOf := func(na *core.NetworkAnalysis, src topology.NodeID) float64 {
-			for _, pa := range na.Paths {
-				if pa.Source == src {
-					return pa.Reachability
-				}
-			}
-			return 0
-		}
 		for i, src := range ty.Sources {
 			out = append(out, Fig19Row{
 				PathNumber:   i + 1,
@@ -534,16 +483,14 @@ func RunFig19(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Fast control Is=2 vs regular Is=4 (paper Fig. 19)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Fast control Is=2 vs regular Is=4 (paper Fig. 19)\n")
 	for _, r := range rows {
-		if err := fprintf(w, "pi=%.3f path %2d (%d hops): Is=2 R=%.4f, Is=4 R=%.4f\n",
-			r.Avail, r.PathNumber, r.Hops, r.ReachFast, r.ReachRegular); err != nil {
-			return err
-		}
+		pr.printf("pi=%.3f path %2d (%d hops): Is=2 R=%.4f, Is=4 R=%.4f\n",
+			r.Avail, r.PathNumber, r.Hops, r.ReachFast, r.ReachRegular)
 	}
-	return fprintf(w, "paper: fast control reachability is lower; the gap grows with hops and with worse links\n")
+	pr.printf("paper: fast control reachability is lower; the gap grows with hops and with worse links\n")
+	return pr.err
 }
 
 // Tab4Data is the composition prediction result.
@@ -592,16 +539,12 @@ func RunTab4(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Performance prediction by path composition (paper Table IV)\n"); err != nil {
-		return err
-	}
-	if err := fprintf(w, "alpha (via 2-hop, Eb/N0=7): gc=%.4f ours, paper=[0.6274 0.2694 0.0784 0.0193], R ours=%.2f%% paper=99.46%%\n",
-		d.CyclesAlpha, d.ReachAlpha*100); err != nil {
-		return err
-	}
-	if err := fprintf(w, "beta  (via 1-hop, Eb/N0=6): gc=%.4f ours, paper=[0.6573 0.2485 0.0707 0.0180], R ours=%.2f%% paper=99.45%%\n",
-		d.CyclesBeta, d.ReachBeta*100); err != nil {
-		return err
-	}
-	return fprintf(w, "paper conclusion: R_alpha ~ R_beta; beta preferred for its shorter expected delay (one fewer slot)\n")
+	pr := &printer{w: w}
+	pr.printf("Performance prediction by path composition (paper Table IV)\n")
+	pr.printf("alpha (via 2-hop, Eb/N0=7): gc=%.4f ours, paper=[0.6274 0.2694 0.0784 0.0193], R ours=%.2f%% paper=99.46%%\n",
+		d.CyclesAlpha, d.ReachAlpha*100)
+	pr.printf("beta  (via 1-hop, Eb/N0=6): gc=%.4f ours, paper=[0.6573 0.2485 0.0707 0.0180], R ours=%.2f%% paper=99.45%%\n",
+		d.CyclesBeta, d.ReachBeta*100)
+	pr.printf("paper conclusion: R_alpha ~ R_beta; beta preferred for its shorter expected delay (one fewer slot)\n")
+	return pr.err
 }

@@ -48,13 +48,11 @@ func RunFig4(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Path DTMC, 3-hop example path, Is=1 (paper Fig. 4)\n"); err != nil {
-		return err
-	}
-	if err := fprintf(w, "states: %d, goal ages: %v (paper: goal R7 plus Discard)\n", d.NumStates, d.GoalAges); err != nil {
-		return err
-	}
-	return fprintf(w, "%s", d.DOT)
+	pr := &printer{w: w}
+	pr.printf("Path DTMC, 3-hop example path, Is=1 (paper Fig. 4)\n")
+	pr.printf("states: %d, goal ages: %v (paper: goal R7 plus Discard)\n", d.NumStates, d.GoalAges)
+	pr.printf("%s", d.DOT)
+	return pr.err
 }
 
 // RunFig5 reports the Is=2 DTMC structure.
@@ -63,13 +61,11 @@ func RunFig5(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Path DTMC, 3-hop example path, Is=2 (paper Fig. 5)\n"); err != nil {
-		return err
-	}
-	if err := fprintf(w, "states: %d, goal ages: %v (paper: goals R7, R14 plus Discard)\n", d.NumStates, d.GoalAges); err != nil {
-		return err
-	}
-	return fprintf(w, "%s", d.DOT)
+	pr := &printer{w: w}
+	pr.printf("Path DTMC, 3-hop example path, Is=2 (paper Fig. 5)\n")
+	pr.printf("states: %d, goal ages: %v (paper: goals R7, R14 plus Discard)\n", d.NumStates, d.GoalAges)
+	pr.printf("%s", d.DOT)
+	return pr.err
 }
 
 // Fig6Data holds the transient goal-state curves.
@@ -110,16 +106,14 @@ func RunFig6(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Transient goal-state probabilities at t=28 (paper Fig. 6)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Transient goal-state probabilities at t=28 (paper Fig. 6)\n")
 	paper := []float64{0.4219, 0.3164, 0.1582, 0.06592}
 	for i, age := range d.GoalAges {
-		if err := fprintf(w, "R%-3d ours=%.5f paper=%.5f\n", age, d.Final[i], paper[i]); err != nil {
-			return err
-		}
+		pr.printf("R%-3d ours=%.5f paper=%.5f\n", age, d.Final[i], paper[i])
 	}
-	return fprintf(w, "reachability R: ours=%.4f paper=0.9624\n", d.Reachability)
+	pr.printf("reachability R: ours=%.4f paper=0.9624\n", d.Reachability)
+	return pr.err
 }
 
 // Fig7Data is the example path's delay distribution.
@@ -158,15 +152,13 @@ func RunFig7(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Delay distribution of the example path (paper Fig. 7)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Delay distribution of the example path (paper Fig. 7)\n")
 	for i := range d.DelayMS {
-		if err := fprintf(w, "delay %4.0f ms: tau=%.4f\n", d.DelayMS[i], d.Prob[i]); err != nil {
-			return err
-		}
+		pr.printf("delay %4.0f ms: tau=%.4f\n", d.DelayMS[i], d.Prob[i])
 	}
-	return fprintf(w, "E[tau]: ours=%.1f ms paper=190.8 ms\n", d.ExpectedDelay)
+	pr.printf("E[tau]: ours=%.1f ms paper=190.8 ms\n", d.ExpectedDelay)
+	return pr.err
 }
 
 // SweepRow is one availability sweep entry.
@@ -205,16 +197,13 @@ func RunFig8(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Reachability vs link availability, 3-hop path (paper Fig. 8)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Reachability vs link availability, 3-hop path (paper Fig. 8)\n")
 	paper := []float64{0.924, 0.9737, 0.9907, 0.9989, 0.9999}
 	for i, r := range rows {
-		if err := fprintf(w, "pi(up)=%.3f  R: ours=%.4f paper=%.4f\n", r.Avail, r.Reachability, paper[i]); err != nil {
-			return err
-		}
+		pr.printf("pi(up)=%.3f  R: ours=%.4f paper=%.4f\n", r.Avail, r.Reachability, paper[i])
 	}
-	return nil
+	return pr.err
 }
 
 // Fig9Data holds one delay distribution per availability.
@@ -258,23 +247,17 @@ func RunFig9(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Delay distributions vs availability (paper Fig. 9)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Delay distributions vs availability (paper Fig. 9)\n")
 	for _, d := range ds {
-		if err := fprintf(w, "pi(up)=%.3f BER=%.0e:", d.Avail, d.BER); err != nil {
-			return err
-		}
+		pr.printf("pi(up)=%.3f BER=%.0e:", d.Avail, d.BER)
 		for i := range d.DelayMS {
-			if err := fprintf(w, "  %3.0fms:%.4f", d.DelayMS[i], d.Prob[i]); err != nil {
-				return err
-			}
+			pr.printf("  %3.0fms:%.4f", d.DelayMS[i], d.Prob[i])
 		}
-		if err := fprintf(w, "\n"); err != nil {
-			return err
-		}
+		pr.printf("\n")
 	}
-	return fprintf(w, "paper anchors: tau(210)=0.3228 at 0.774; tau(210)=0.1332, tau(350)=0.1459 present in figure\n")
+	pr.printf("paper anchors: tau(210)=0.3228 at 0.774; tau(210)=0.1332, tau(350)=0.1459 present in figure\n")
+	return pr.err
 }
 
 // RunTab1 prints Table I.
@@ -283,9 +266,8 @@ func RunTab1(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Influence of pi(up) on reachability and expected delay (paper Table I)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Influence of pi(up) on reachability and expected delay (paper Table I)\n")
 	type paperRow struct{ r, d float64 }
 	paper := map[float64]paperRow{
 		0.774: {r: 97.37, d: 179},
@@ -298,12 +280,11 @@ func RunTab1(w io.Writer) error {
 		if !ok {
 			continue
 		}
-		if err := fprintf(w, "pi(up)=%.3f  R%%: ours=%.2f paper=%.2f   E[tau]: ours=%.0f ms paper=%.0f ms\n",
-			row.Avail, row.Reachability*100, p.r, row.ExpectedMS, p.d); err != nil {
-			return err
-		}
+		pr.printf("pi(up)=%.3f  R%%: ours=%.2f paper=%.2f   E[tau]: ours=%.0f ms paper=%.0f ms\n",
+			row.Avail, row.Reachability*100, p.r, row.ExpectedMS, p.d)
 	}
-	return fprintf(w, "note: the 113 ms row computes to 114.5 ms from the paper's own cycle probabilities\n")
+	pr.printf("note: the 113 ms row computes to 114.5 ms from the paper's own cycle probabilities\n")
+	return pr.err
 }
 
 // HopRow is one hop-count sweep entry.
@@ -345,16 +326,13 @@ func RunFig10(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Reachability vs hop count at pi(up)=0.83 (paper Fig. 10)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Reachability vs hop count at pi(up)=0.83 (paper Fig. 10)\n")
 	paper := []float64{0.9992, 0.9964, 0.9907, 0.9812}
 	for i, r := range rows {
-		if err := fprintf(w, "%d hops  R: ours=%.4f paper=%.4f\n", r.Hops, r.Reachability, paper[i]); err != nil {
-			return err
-		}
+		pr.printf("%d hops  R: ours=%.4f paper=%.4f\n", r.Hops, r.Reachability, paper[i])
 	}
-	return nil
+	return pr.err
 }
 
 // Fig17Data is the transient recovery curve of one link model.
@@ -389,21 +367,15 @@ func RunFig17(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Link recovery from a transient failure (paper Fig. 17)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Link recovery from a transient failure (paper Fig. 17)\n")
 	for _, d := range ds {
-		if err := fprintf(w, "p_fl=%.3f steady=%.4f up-prob by slot:", d.PFl, d.Steady); err != nil {
-			return err
-		}
+		pr.printf("p_fl=%.3f steady=%.4f up-prob by slot:", d.PFl, d.Steady)
 		for t, p := range d.UpProb {
-			if err := fprintf(w, " t%d=%.4f", t, p); err != nil {
-				return err
-			}
+			pr.printf(" t%d=%.4f", t, p)
 		}
-		if err := fprintf(w, "\n"); err != nil {
-			return err
-		}
+		pr.printf("\n")
 	}
-	return fprintf(w, "paper: the link returns to steady state almost immediately (within ~2 slots)\n")
+	pr.printf("paper: the link returns to steady state almost immediately (within ~2 slots)\n")
+	return pr.err
 }

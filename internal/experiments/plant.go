@@ -71,21 +71,15 @@ func RunPlant(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Random 30/50/20 plant networks: %d draws of %d devices (extension of Fig. 12)\n",
-		d.Networks, d.Nodes); err != nil {
-		return err
-	}
-	if err := fprintf(w, "E[Gamma]: mean=%.1f ms, min=%.1f, max=%.1f\n",
-		d.MeanDelay.Mean(), d.MeanDelay.Min(), d.MeanDelay.Max()); err != nil {
-		return err
-	}
-	if err := fprintf(w, "worst-path reachability: mean=%.4f, min=%.4f\n",
-		d.WorstPathReach.Mean(), d.WorstPathReach.Min()); err != nil {
-		return err
-	}
-	if err := fprintf(w, "network utilization: mean=%.4f, min=%.4f, max=%.4f\n",
-		d.Utilization.Mean(), d.Utilization.Min(), d.Utilization.Max()); err != nil {
-		return err
-	}
-	return fprintf(w, "reading: the paper's single typical instance is representative — every draw keeps R >= 0.99 on its worst path at BER 2e-4\n")
+	pr := &printer{w: w}
+	pr.printf("Random 30/50/20 plant networks: %d draws of %d devices (extension of Fig. 12)\n",
+		d.Networks, d.Nodes)
+	pr.printf("E[Gamma]: mean=%.1f ms, min=%.1f, max=%.1f\n",
+		d.MeanDelay.Mean(), d.MeanDelay.Min(), d.MeanDelay.Max())
+	pr.printf("worst-path reachability: mean=%.4f, min=%.4f\n",
+		d.WorstPathReach.Mean(), d.WorstPathReach.Min())
+	pr.printf("network utilization: mean=%.4f, min=%.4f, max=%.4f\n",
+		d.Utilization.Mean(), d.Utilization.Min(), d.Utilization.Max())
+	pr.printf("reading: the paper's single typical instance is representative — every draw keeps R >= 0.99 on its worst path at BER 2e-4\n")
+	return pr.err
 }

@@ -87,19 +87,17 @@ func RunRTrip(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Control-loop completion: analytic composition vs full-loop DES (extension)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Control-loop completion: analytic composition vs full-loop DES (extension)\n")
 	var worst float64
 	for _, r := range rows {
 		if d := math.Abs(r.AnalyticCompletion - r.SimCompletion); d > worst {
 			worst = d
 		}
-		if err := fprintf(w, "path %2d (%d hops): completion analytic=%.4f sim=%.4f (+-%.4f); one-cycle analytic=%.4f sim=%.4f\n",
+		pr.printf("path %2d (%d hops): completion analytic=%.4f sim=%.4f (+-%.4f); one-cycle analytic=%.4f sim=%.4f\n",
 			r.PathNumber, r.Hops, r.AnalyticCompletion, r.SimCompletion, r.SimCompletionCI,
-			r.AnalyticOneCycle, r.SimOneCycle); err != nil {
-			return err
-		}
+			r.AnalyticOneCycle, r.SimOneCycle)
 	}
-	return fprintf(w, "largest gap: %.4f — the paper's independence assumption (completion = convolved one-way cycle functions) holds to simulation accuracy because retries and direction changes are several slots apart\n", worst)
+	pr.printf("largest gap: %.4f — the paper's independence assumption (completion = convolved one-way cycle functions) holds to simulation accuracy because retries and direction changes are several slots apart\n", worst)
+	return pr.err
 }

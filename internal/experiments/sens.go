@@ -57,14 +57,12 @@ func RunSens(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Link improvement ranking, availability +0.05 probe (extension: the abstract's routing suggestions)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Link improvement ranking, availability +0.05 probe (extension: the abstract's routing suggestions)\n")
 	for _, r := range rows {
-		if err := fprintf(w, "%-8s carries %d paths: mean R gain %.6f, worst-path gain %.6f\n",
-			r.LinkName, r.SharedBy, r.MeanGain, r.WorstGain); err != nil {
-			return err
-		}
+		pr.printf("%-8s carries %d paths: mean R gain %.6f, worst-path gain %.6f\n",
+			r.LinkName, r.SharedBy, r.MeanGain, r.WorstGain)
 	}
-	return fprintf(w, "reading: e3 = n3-G (four paths, among them 3-hop path 10) tops the list — the paper's 'improving the bottleneck can considerably improve the network performance', quantified per link\n")
+	pr.printf("reading: e3 = n3-G (four paths, among them 3-hop path 10) tops the list — the paper's 'improving the bottleneck can considerably improve the network performance', quantified per link\n")
+	return pr.err
 }

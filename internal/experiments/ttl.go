@@ -64,14 +64,12 @@ func RunTTL(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := fprintf(w, "Message TTL sweep on the example path, Is=4, pi(up)=0.75 (extension of Section II-B)\n"); err != nil {
-		return err
-	}
+	pr := &printer{w: w}
+	pr.printf("Message TTL sweep on the example path, Is=4, pi(up)=0.75 (extension of Section II-B)\n")
 	for _, r := range rows {
-		if err := fprintf(w, "TTL=%2d slots: R=%.4f  E[tau]=%5.1f ms  utilization=%.4f\n",
-			r.TTL, r.Reachability, r.ExpectedDelayMS, r.UtilizationExact); err != nil {
-			return err
-		}
+		pr.printf("TTL=%2d slots: R=%.4f  E[tau]=%5.1f ms  utilization=%.4f\n",
+			r.TTL, r.Reachability, r.ExpectedDelayMS, r.UtilizationExact)
 	}
-	return fprintf(w, "reading: a tighter TTL guarantees fresher data (lower E[tau]) and frees register/slot resources, at the cost of reachability — the quantitative form of the paper's freshness argument\n")
+	pr.printf("reading: a tighter TTL guarantees fresher data (lower E[tau]) and frees register/slot resources, at the cost of reachability — the quantitative form of the paper's freshness argument\n")
+	return pr.err
 }

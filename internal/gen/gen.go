@@ -365,31 +365,6 @@ func Generate(seed uint64, index int, p Params) (*Generated, error) {
 	}, nil
 }
 
-// Synthesize builds the generator's schedule for an arbitrary network:
-// BFS uplink routes, longest-first priority (the paper's eta_b policy)
-// and, for channels > 1, the greedy multi-channel construction. The
-// returned plan is validated against every routed source.
-func Synthesize(net *topology.Network, channels, extraIdle int) (schedule.Plan, error) {
-	routes, err := net.UplinkRoutes()
-	if err != nil {
-		return nil, err
-	}
-	order := schedule.LongestFirst(routes)
-	var plan schedule.Plan
-	if channels > 1 {
-		plan, err = schedule.BuildMultiChannel(routes, order, channels, extraIdle)
-	} else {
-		plan, err = schedule.BuildPriority(routes, order, extraIdle)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.ValidateSources(net, routes, topology.SortedSources(routes)); err != nil {
-		return nil, err
-	}
-	return plan, nil
-}
-
 // nodeName is the generator's naming convention: "G" for the gateway,
 // "n<i>" for field device i.
 func nodeName(i int) string {

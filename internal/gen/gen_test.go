@@ -179,26 +179,6 @@ func TestGenerateStreamsIndependent(t *testing.T) {
 	}
 }
 
-// TestSynthesizeMatchesSpecSchedule pins that the standalone schedule
-// synthesis and the spec's policy-built schedule agree.
-func TestSynthesizeMatchesSpecSchedule(t *testing.T) {
-	for _, channels := range []int{1, 4} {
-		p := testParams()
-		p.Channels = channels
-		g, err := Generate(11, 0, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := Synthesize(g.Net, p.Channels, p.ExtraIdle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := plan.Format(g.Net), g.Plan.Format(g.Net); got != want {
-			t.Fatalf("channels=%d: Synthesize diverges from spec schedule:\n got %s\nwant %s", channels, got, want)
-		}
-	}
-}
-
 // TestGenerateFadingLinks pins the fading draw: with FadingProb = 1
 // every link carries a fading block (no scalar availability), the block
 // reconstructs into a valid k-state chain of the requested size whose

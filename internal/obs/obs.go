@@ -73,19 +73,6 @@ func (t *Trace) Name() string {
 	return t.name
 }
 
-// SetAttr annotates the trace itself (not a span).
-func (t *Trace) SetAttr(key, value string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.ended {
-		return
-	}
-	t.attrs = append(t.attrs, Attr{Key: key, Value: value})
-}
-
 // StartSpan opens a named stage span with alternating key, value
 // attributes and returns the function that closes it; the close function
 // may append further attributes learned while the stage ran (a cache

@@ -17,8 +17,7 @@ import (
 
 func TestTraceRecordsSpans(t *testing.T) {
 	rec := NewRecorder(4)
-	tr := rec.StartTrace("solve", "key", "abc")
-	tr.SetAttr("fup", "20")
+	tr := rec.StartTrace("solve", "key", "abc", "fup", "20")
 	end := tr.StartSpan("structure", "source", "3")
 	time.Sleep(time.Millisecond)
 	end("cache", "miss")
@@ -66,7 +65,6 @@ func TestTraceEndedIsFrozen(t *testing.T) {
 	rec := NewRecorder(2)
 	tr := rec.StartTrace("op")
 	tr.End(nil)
-	tr.SetAttr("late", "x")
 	tr.RecordSpan("late", time.Now(), time.Millisecond)
 	if end := tr.StartSpan("late2"); end != nil {
 		end()
@@ -84,7 +82,6 @@ func TestNilSafety(t *testing.T) {
 	if tr.Name() != "" {
 		t.Error("nil trace name")
 	}
-	tr.SetAttr("k", "v")
 	tr.StartSpan("s", "a", "b")("c", "d")
 	tr.RecordSpan("s", time.Now(), time.Second)
 	tr.End(nil)

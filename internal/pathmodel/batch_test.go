@@ -12,7 +12,7 @@ import (
 )
 
 // TestBindBatchSolveBatchMatchesScalar pins batch-vs-scalar equivalence:
-// K scenarios bound in one BindBatch and solved in one SolveBatch must
+// K scenarios bound by repeated Bind and solved in one SolveBatch must
 // match K independent Bind+Solve runs bit for bit on every result field,
 // at K=1 and K>1, including time-varying availabilities (DownDuring
 // windows and permanent failures, which exercise the per-attempt-slot
@@ -37,9 +37,11 @@ func TestBindBatchSolveBatchMatchesScalar(t *testing.T) {
 		for _, name := range names[:width] {
 			scenarios = append(scenarios, byName[name])
 		}
-		models, err := st.BindBatch(scenarios)
-		if err != nil {
-			t.Fatal(err)
+		models := make([]*Model, len(scenarios))
+		for j, avails := range scenarios {
+			if models[j], err = st.Bind(avails); err != nil {
+				t.Fatal(err)
+			}
 		}
 		batched, err := SolveBatch(models)
 		if err != nil {
@@ -79,24 +81,6 @@ func TestBindBatchSolveBatchMatchesScalar(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestBindBatchErrors(t *testing.T) {
-	st, err := BuildStructure([]int{1, 2}, 4, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.BindBatch(nil); err == nil {
-		t.Error("empty bind batch accepted")
-	}
-	lm, err := link.FromAvailability(0.83, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := []link.Availability{lm.Steady(), lm.Steady()}
-	if _, err := st.BindBatch([][]link.Availability{good, {lm.Steady()}}); err == nil {
-		t.Error("hop-count mismatch in scenario 1 accepted")
 	}
 }
 

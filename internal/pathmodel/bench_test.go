@@ -65,9 +65,11 @@ func BenchmarkSolveBatch(b *testing.B) {
 		batch[k] = []link.Availability{m.Steady(), m.Steady(), m.Steady()}
 		batch[k][k%3] = window
 	}
-	models, err := st.BindBatch(batch)
-	if err != nil {
-		b.Fatal(err)
+	models := make([]*Model, scenarios)
+	for k, avails := range batch {
+		if models[k], err = st.Bind(avails); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -111,7 +111,9 @@ func Build(cfg Config) (*Model, error) {
 	return s.Bind(cfg.Links)
 }
 
-// Structure returns the model's underlying shared structure.
+// Structure returns the model's underlying shared structure. No
+// production code calls it; it stays because the benchmark ladder in
+// bench/ groups its solves by structure.
 func (m *Model) Structure() *Structure { return m.s }
 
 // WriteDOT renders the model's DTMC in Graphviz DOT format, the paper's

@@ -60,7 +60,7 @@ func TestBindProcessesTwoStateEquivalence(t *testing.T) {
 // TestFadingBatchMatchesScalar pins the batch solver against scalar solves
 // at 1e-12 for k-state fading scenarios mixed with transient marginals
 // that vary per slot — the acceptance criterion that fading availabilities
-// flow through Bind/BindBatch and SolveBatch unchanged.
+// flow through Bind and SolveBatch unchanged.
 func TestFadingBatchMatchesScalar(t *testing.T) {
 	slots := []int{1, 2, 3}
 	st, err := BuildStructure(slots, 7, 3, 0)
@@ -83,9 +83,11 @@ func TestFadingBatchMatchesScalar(t *testing.T) {
 		{faded, bursty.Steady(), m.Steady()},
 		{clear, faded, bursty.Steady()},
 	}
-	batch, err := st.BindBatch(scenarios)
-	if err != nil {
-		t.Fatal(err)
+	batch := make([]*Model, len(scenarios))
+	for k, avails := range scenarios {
+		if batch[k], err = st.Bind(avails); err != nil {
+			t.Fatal(err)
+		}
 	}
 	results, err := SolveBatch(batch)
 	if err != nil {

@@ -3,7 +3,6 @@ package pathmodel
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"wirelesshart/internal/link"
 )
@@ -16,13 +15,17 @@ import (
 // configs with equal StructKeys share one Structure regardless of their
 // link models.
 func StructKey(slots []int, fup, is, ttl int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d|%d|%d|", fup, is, ttl)
-	for _, s := range slots {
-		sb.WriteString(strconv.Itoa(s))
-		sb.WriteByte(',')
+	var buf [64]byte
+	b := buf[:0]
+	for _, v := range [...]int{fup, is, ttl} {
+		b = strconv.AppendInt(b, int64(v), 10)
+		b = append(b, '|')
 	}
-	return sb.String()
+	for _, s := range slots {
+		b = strconv.AppendInt(b, int64(s), 10)
+		b = append(b, ',')
+	}
+	return string(b)
 }
 
 // Structure is the link-model-free geometry of a path model: validated

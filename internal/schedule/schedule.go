@@ -101,38 +101,6 @@ func (s *Schedule) SlotsForSource(source topology.NodeID) []int {
 	return out
 }
 
-// LastSlotFor returns the slot of the final transmission for a source (the
-// paper's a0, the age at which the message can first reach the gateway).
-func (s *Schedule) LastSlotFor(source topology.NodeID) (int, error) {
-	slots := s.SlotsForSource(source)
-	if len(slots) == 0 {
-		return 0, fmt.Errorf("schedule: no slots dedicated to source %d", source)
-	}
-	return slots[len(slots)-1], nil
-}
-
-// Transmissions returns all non-idle entries with their 1-based slots, in
-// slot order.
-func (s *Schedule) Transmissions() []struct {
-	Slot  int
-	Entry Entry
-} {
-	var out []struct {
-		Slot  int
-		Entry Entry
-	}
-	for i, e := range s.entries {
-		if e.Idle {
-			continue
-		}
-		out = append(out, struct {
-			Slot  int
-			Entry Entry
-		}{Slot: i + 1, Entry: e})
-	}
-	return out
-}
-
 // Validate checks the schedule against a network and its uplink routes:
 // every transmission must follow an existing link and belong to the
 // dedicated source's route, every route's hops must each have at least one

@@ -85,13 +85,6 @@ func TestSlotsForSource(t *testing.T) {
 			t.Errorf("slot[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-	last, err := s.LastSlotFor(1)
-	if err != nil || last != 7 {
-		t.Errorf("LastSlotFor = %d, %v, want 7", last, err)
-	}
-	if _, err := s.LastSlotFor(99); err == nil {
-		t.Error("unknown source should error")
-	}
 	if got := s.SlotsForSource(99); got != nil {
 		t.Errorf("unknown source slots = %v, want nil", got)
 	}
@@ -148,11 +141,11 @@ func TestBuildPriorityEtaBReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last, _ := s.LastSlotFor(sources[9]); last != 6 {
-		t.Errorf("path 10 last slot = %d, want 6", last)
+	if slots := s.SlotsForSource(sources[9]); slots[len(slots)-1] != 6 {
+		t.Errorf("path 10 last slot = %d, want 6", slots[len(slots)-1])
 	}
-	if last, _ := s.LastSlotFor(sources[6]); last != 16 {
-		t.Errorf("path 7 last slot = %d, want 16", last)
+	if slots := s.SlotsForSource(sources[6]); slots[len(slots)-1] != 16 {
+		t.Errorf("path 7 last slot = %d, want 16", slots[len(slots)-1])
 	}
 	if err := s.Validate(n, routes); err != nil {
 		t.Errorf("eta_b failed validation: %v", err)
@@ -241,20 +234,6 @@ func TestFormatEtaNotation(t *testing.T) {
 	for _, want := range []string{"<n1,G>", "<n4,n1>", "<n10,n7>", "*"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("Format() missing %q: %s", want, got)
-		}
-	}
-}
-
-func TestTransmissionsOrdered(t *testing.T) {
-	_, _, routes := typical(t)
-	s, _ := BuildPriority(routes, ShortestFirst(routes), 1)
-	trs := s.Transmissions()
-	if len(trs) != 19 {
-		t.Fatalf("Transmissions() = %d entries, want 19", len(trs))
-	}
-	for i := 1; i < len(trs); i++ {
-		if trs[i-1].Slot >= trs[i].Slot {
-			t.Error("Transmissions() must be in slot order")
 		}
 	}
 }

@@ -97,12 +97,6 @@ func (p *Proportion) ObserveN(k, n int) {
 	p.trials += n
 }
 
-// Trials returns the number of trials.
-func (p *Proportion) Trials() int { return p.trials }
-
-// Successes returns the number of successes.
-func (p *Proportion) Successes() int { return p.successes }
-
 // Estimate returns the success fraction (zero for no trials).
 func (p *Proportion) Estimate() float64 {
 	if p.trials == 0 {

@@ -63,9 +63,6 @@ func (p Path) Hops() int { return len(p.links) }
 // Source returns the first node.
 func (p Path) Source() NodeID { return p.nodes[0] }
 
-// Destination returns the last node.
-func (p Path) Destination() NodeID { return p.nodes[len(p.nodes)-1] }
-
 // UsesLink reports whether the path traverses the given link.
 func (p Path) UsesLink(id LinkID) bool {
 	for _, l := range p.links {

@@ -16,12 +16,6 @@ func (s *Structure) Bind(avails []func(int) float64) (*Model, error) {
 // Result is the solved-path stub.
 type Result struct{}
 
-// BindBatch mirrors the K-scenario bind.
-func (s *Structure) BindBatch(scenarios [][]func(int) float64) ([]*Model, error) {
-	_ = scenarios
-	return nil, nil
-}
-
 // SolveBatch mirrors the per-model batch solve.
 func SolveBatch(models []*Model) ([]*Result, error) {
 	_ = models

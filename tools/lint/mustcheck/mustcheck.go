@@ -30,10 +30,9 @@ var checked = map[string]bool{
 	"(*wirelesshart/internal/pathmodel.Structure).Bind": true,
 	"wirelesshart/internal/link.New":                    true,
 
-	// Batched solver surface: every entry point returns an error whose
-	// loss silently corrupts a whole batch of scenarios at once.
-	"(*wirelesshart/internal/pathmodel.Structure).BindBatch": true,
-	"wirelesshart/internal/pathmodel.SolveBatch":             true,
+	// Batched solver surface: its error's loss silently corrupts a whole
+	// batch of scenarios at once.
+	"wirelesshart/internal/pathmodel.SolveBatch": true,
 
 	// Fading-link surface: every constructor validates stochasticity
 	// (row sums, probability ranges, unique stationary distribution);

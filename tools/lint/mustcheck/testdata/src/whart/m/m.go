@@ -15,10 +15,8 @@ func bad() {
 	mdl, _ := st.Bind(nil) // want `error result of Bind assigned to blank identifier`
 	_ = mdl
 
-	st.BindBatch(nil)                          // want `result of BindBatch discarded; it must be checked`
-	pathmodel.SolveBatch(nil)                  // want `result of SolveBatch discarded; it must be checked`
-	models, _ := st.BindBatch(nil)             // want `error result of BindBatch assigned to blank identifier`
-	results, _ := pathmodel.SolveBatch(models) // want `error result of SolveBatch assigned to blank identifier`
+	pathmodel.SolveBatch(nil)               // want `result of SolveBatch discarded; it must be checked`
+	results, _ := pathmodel.SolveBatch(nil) // want `error result of SolveBatch assigned to blank identifier`
 	_ = results
 
 	link.NewKState(nil, nil)          // want `result of NewKState discarded; it must be checked`
