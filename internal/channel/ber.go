@@ -11,36 +11,6 @@ import (
 	"math"
 )
 
-// Modulation identifies a digital modulation scheme with a known BER curve
-// over AWGN.
-type Modulation int
-
-const (
-	// OQPSK is offset quadrature phase-shift keying, the WirelessHART
-	// (IEEE 802.15.4) radio modulation. Its AWGN bit error rate is
-	// BER = 0.5 erfc(sqrt(Eb/N0)) (paper Eq. 1).
-	OQPSK Modulation = iota + 1
-	// BPSK is binary phase-shift keying; same AWGN BER curve as OQPSK.
-	BPSK
-	// NCFSK is non-coherent binary FSK: BER = 0.5 exp(-Eb/N0 / 2). Included
-	// as a pessimistic comparator.
-	NCFSK
-)
-
-// String returns the modulation name.
-func (m Modulation) String() string {
-	switch m {
-	case OQPSK:
-		return "OQPSK"
-	case BPSK:
-		return "BPSK"
-	case NCFSK:
-		return "NCFSK"
-	default:
-		return fmt.Sprintf("Modulation(%d)", int(m))
-	}
-}
-
 // DefaultMessageBits is the bit length of a typical WirelessHART MAC-layer
 // message: the standard's 127-byte maximum payload (paper Section V-B).
 const DefaultMessageBits = 127 * 8
@@ -48,25 +18,17 @@ const DefaultMessageBits = 127 * 8
 // ErrBadSNR is returned for non-finite or negative linear SNR values.
 var ErrBadSNR = errors.New("channel: Eb/N0 must be finite and non-negative")
 
-// BER returns the bit error rate of the modulation over an AWGN channel at
-// the given linear (not dB) Eb/N0.
-func BER(m Modulation, ebN0 float64) (float64, error) {
+// BEROQPSK returns the paper's Eq. (1): the bit error rate of OQPSK, the
+// WirelessHART (IEEE 802.15.4) radio modulation, over an AWGN channel at
+// linear (not dB) Eb/N0,
+//
+//	BER = 0.5 erfc(sqrt(Eb/N0)).
+func BEROQPSK(ebN0 float64) (float64, error) {
 	if math.IsNaN(ebN0) || math.IsInf(ebN0, 0) || ebN0 < 0 {
 		return 0, fmt.Errorf("%w: %v", ErrBadSNR, ebN0)
 	}
-	switch m {
-	case OQPSK, BPSK:
-		return 0.5 * math.Erfc(math.Sqrt(ebN0)), nil
-	case NCFSK:
-		return 0.5 * math.Exp(-ebN0/2), nil
-	default:
-		return 0, fmt.Errorf("channel: unknown modulation %v", m)
-	}
+	return 0.5 * math.Erfc(math.Sqrt(ebN0)), nil
 }
-
-// BEROQPSK returns the paper's Eq. (1): the OQPSK bit error rate at linear
-// Eb/N0.
-func BEROQPSK(ebN0 float64) (float64, error) { return BER(OQPSK, ebN0) }
 
 // MessageFailureProb returns the paper's Eq. (2): the probability that a
 // message of bits length suffers at least one bit error on a binary

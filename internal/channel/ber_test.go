@@ -27,30 +27,6 @@ func TestBEROQPSKPaperValues(t *testing.T) {
 	}
 }
 
-func TestBERModulations(t *testing.T) {
-	oq, err := BER(OQPSK, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, err := BER(BPSK, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oq != bp {
-		t.Errorf("OQPSK and BPSK should share the AWGN BER curve: %v vs %v", oq, bp)
-	}
-	fsk, err := BER(NCFSK, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fsk <= oq {
-		t.Errorf("non-coherent FSK should be worse than OQPSK: %v vs %v", fsk, oq)
-	}
-	if _, err := BER(Modulation(99), 4); err == nil {
-		t.Error("unknown modulation should error")
-	}
-}
-
 func TestBERInvalidSNR(t *testing.T) {
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
 		if _, err := BEROQPSK(bad); err == nil {
@@ -126,14 +102,5 @@ func TestBERMonotoneInSNR(t *testing.T) {
 			t.Errorf("BER must decrease with SNR: BER(%v) = %v > %v", ebN0, ber, prev)
 		}
 		prev = ber
-	}
-}
-
-func TestModulationString(t *testing.T) {
-	if OQPSK.String() != "OQPSK" || BPSK.String() != "BPSK" || NCFSK.String() != "NCFSK" {
-		t.Error("modulation names wrong")
-	}
-	if Modulation(42).String() != "Modulation(42)" {
-		t.Errorf("unknown modulation String() = %q", Modulation(42).String())
 	}
 }

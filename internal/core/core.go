@@ -528,20 +528,14 @@ func (a *Analyzer) AssemblePaths(paths []*PathAnalysis) (*NetworkAnalysis, error
 	return out, nil
 }
 
-// PredictComposition predicts the performance of attaching a new node via
-// peerModel (a single new hop) to the existing path of `via`, per Section
-// VI-E: it solves a 1-hop model for the peer link, composes cycle
-// functions with the existing path, and reports the composed cycle
-// probabilities and reachability.
-func (a *Analyzer) PredictComposition(via topology.NodeID, peerModel link.Model) (cycles []float64, reach float64, err error) {
-	return a.PredictPeerComposition(via, []link.Model{peerModel})
-}
-
-// PredictPeerComposition generalizes PredictComposition to a multi-hop
-// peer path (paper Fig. 11): peerModels[0] is the hop leaving the new
-// node, the last entry the hop arriving at `via`. The peer path is assumed
-// to get consecutive early slots in its own frame, as the paper's peer
-// paths do.
+// PredictPeerComposition predicts the performance of attaching a new node
+// to the existing path of `via` through a peer path (paper Section VI-E,
+// Fig. 11): peerModels[0] is the hop leaving the new node, the last entry
+// the hop arriving at `via` (one entry for a single new hop). It solves
+// the peer path's model, composes its cycle function with the existing
+// path's, and reports the composed cycle probabilities and reachability.
+// The peer path is assumed to get consecutive early slots in its own
+// frame, as the paper's peer paths do.
 func (a *Analyzer) PredictPeerComposition(via topology.NodeID, peerModels []link.Model) (cycles []float64, reach float64, err error) {
 	if len(peerModels) == 0 {
 		return nil, 0, fmt.Errorf("core: peer path needs at least one hop")

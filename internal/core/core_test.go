@@ -484,11 +484,11 @@ func TestPredictCompositionTable4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcA, rA, err := a.PredictComposition(sources[3], peer3) // via 2-hop path 4
+	gcA, rA, err := a.PredictPeerComposition(sources[3], []link.Model{peer3}) // via 2-hop path 4
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcB, rB, err := a.PredictComposition(sources[0], peer4) // via 1-hop path 1
+	gcB, rB, err := a.PredictPeerComposition(sources[0], []link.Model{peer4}) // via 1-hop path 1
 	if err != nil {
 		t.Fatal(err)
 	}

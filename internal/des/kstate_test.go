@@ -138,7 +138,7 @@ func TestRunKStatePathMatchesAnalytic(t *testing.T) {
 	net, sched, src := chainNetwork(t, 2, 8)
 	res, err := Run(Config{
 		Net: net, Sched: sched, Is: 4, Intervals: 60000, Seed: 13, Fdown: -1,
-		Links: UniformGilbert(net, func() LinkProcess { return NewKStateSteady(m) }),
+		Links: uniformGilbert(net, func() LinkProcess { return NewKStateSteady(m) }),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func TestRunRoundTripPerfectLinks(t *testing.T) {
 	}
 	res, err := RunRoundTrip(RoundTripConfig{
 		Net: net, Sched: s, Is: 2, Intervals: 300, Seed: 2,
-		Links: UniformGilbert(net, func() LinkProcess { return NewGilbertSteady(m) }),
+		Links: uniformGilbert(net, func() LinkProcess { return NewGilbertSteady(m) }),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,24 +29,13 @@ type Config struct {
 	Intervals int
 	// Seed seeds the simulation's PRNG; runs are reproducible.
 	Seed int64
-	// Links maps every network link to its state process. Use
-	// UniformGilbert for the paper's homogeneous steady-state setup.
+	// Links maps every network link to its state process;
+	// NewProcessSteady gives a link process's stationary counterpart.
 	Links map[topology.LinkID]LinkProcess
 	// Sources restricts which field devices generate messages. Nil
 	// selects every routed source that has dedicated schedule slots
 	// (pure relays are then excluded automatically).
 	Sources []topology.NodeID
-}
-
-// UniformGilbert builds a link-process map with an independent
-// steady-state Gilbert process per network link, all sharing the same
-// model parameters.
-func UniformGilbert(net *topology.Network, newProc func() LinkProcess) map[topology.LinkID]LinkProcess {
-	out := map[topology.LinkID]LinkProcess{}
-	for _, l := range net.Links() {
-		out[l.ID] = newProc()
-	}
-	return out
 }
 
 // PathResult accumulates per-path delivery statistics.

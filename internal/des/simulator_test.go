@@ -11,6 +11,16 @@ import (
 	"wirelesshart/internal/topology"
 )
 
+// uniformGilbert builds a link-process map with one newProc() process per
+// network link.
+func uniformGilbert(net *topology.Network, newProc func() LinkProcess) map[topology.LinkID]LinkProcess {
+	out := map[topology.LinkID]LinkProcess{}
+	for _, l := range net.Links() {
+		out[l.ID] = newProc()
+	}
+	return out
+}
+
 // chainNetwork builds a linear n-hop network source -> relays -> G with a
 // consecutive-slot schedule inside a frame of fup slots.
 func chainNetwork(t *testing.T, hops, fup int) (*topology.Network, *schedule.Schedule, topology.NodeID) {
@@ -54,7 +64,7 @@ func gilbertLinks(t *testing.T, net *topology.Network, avail float64) map[topolo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return UniformGilbert(net, func() LinkProcess { return NewGilbertSteady(m) })
+	return uniformGilbert(net, func() LinkProcess { return NewGilbertSteady(m) })
 }
 
 func TestRunValidation(t *testing.T) {
@@ -118,7 +128,7 @@ func TestRunPerfectLinksAlwaysDeliver(t *testing.T) {
 	}
 	res, err := Run(Config{
 		Net: net, Sched: s, Is: 2, Intervals: 200, Seed: 1, Fdown: -1,
-		Links: UniformGilbert(net, func() LinkProcess { return NewGilbertSteady(m) }),
+		Links: uniformGilbert(net, func() LinkProcess { return NewGilbertSteady(m) }),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,7 @@ import (
 	"wirelesshart/internal/channel"
 	"wirelesshart/internal/core"
 	"wirelesshart/internal/des"
-	"wirelesshart/internal/link"
-	"wirelesshart/internal/schedule"
+	"wirelesshart/internal/spec"
 	"wirelesshart/internal/topology"
 )
 
@@ -29,23 +28,23 @@ type OptData struct {
 // ComputeOpt runs the automated schedule search against the paper's manual
 // eta_a / eta_b (ablation for Section VI-B).
 func ComputeOpt() (*OptData, error) {
-	ty, err := buildTypical()
+	typical, err := spec.TypicalSpec().Build()
 	if err != nil {
 		return nil, err
 	}
-	naA, err := analyzeTypical(ty, ty.EtaA)
+	naA, err := typical.Analyzer.Analyze()
 	if err != nil {
 		return nil, err
 	}
-	naB, err := analyzeTypical(ty, ty.EtaB)
+	naB, err := analyze(withEtaB(spec.TypicalSpec()))
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.OptimizeSchedule(ty.Net, 1, core.MaxExpectedDelay, 0)
+	res, err := core.OptimizeSchedule(typical.Net, 1, core.MaxExpectedDelay, 0)
 	if err != nil {
 		return nil, err
 	}
-	a, err := core.New(ty.Net, res.Schedule)
+	a, err := core.New(typical.Net, res.Schedule)
 	if err != nil {
 		return nil, err
 	}
@@ -99,31 +98,6 @@ type HopData struct {
 // The per-channel SNRs are fixed (not time-varying), so hopping sees a
 // heterogeneous but static channel population.
 func ComputeHop(intervals int, seed int64) (*HopData, error) {
-	// Build the example path as a network.
-	net := topology.NewNetwork()
-	gw, err := net.AddNode("G", topology.Gateway)
-	if err != nil {
-		return nil, err
-	}
-	names := []string{"n3", "n2", "n1"}
-	prev := gw
-	var src topology.NodeID
-	for _, name := range names {
-		id, err := net.AddNode(name, topology.FieldDevice)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := net.AddLink(id, prev); err != nil {
-			return nil, err
-		}
-		prev = id
-		src = id
-	}
-	sched, err := buildExampleSchedule(net, src)
-	if err != nil {
-		return nil, err
-	}
-
 	// Heterogeneous channel population: half good (Eb/N0 = 9), half poor
 	// (Eb/N0 = 5). Hopping sees the mixture; per-slot the message fails
 	// with the mean p_fl across channels.
@@ -150,32 +124,51 @@ func ComputeHop(intervals int, seed int64) (*HopData, error) {
 	// Calibrate the Gilbert abstraction to the hopping channel's
 	// availability: pi(up) = 1 - mean p_fl (the marginal per-attempt
 	// success probability the hopping link exhibits).
-	lm, err := link.FromAvailability(1-meanPfl, link.DefaultRecoveryProb)
+	avail := 1 - meanPfl
+
+	// The example path n1 -> n2 -> n3 -> G in slots 3, 6, 7 of a 7-slot
+	// frame. Links are declared from the gateway outwards, which fixes
+	// their ids and with them the simulator's per-link random streams.
+	b, err := (&spec.Spec{
+		Nodes: []spec.Node{{Name: "G", Kind: "gateway"}, {Name: "n3"}, {Name: "n2"}, {Name: "n1"}},
+		Links: []spec.Link{
+			{A: "n3", B: "G", Availability: &avail},
+			{A: "n2", B: "n3", Availability: &avail},
+			{A: "n1", B: "n2", Availability: &avail},
+		},
+		Schedule: spec.Schedule{Fup: 7, Slots: []spec.Transmission{
+			{Slot: 3, From: "n1", To: "n2", Source: "n1"},
+			{Slot: 6, From: "n2", To: "n3", Source: "n1"},
+			{Slot: 7, From: "n3", To: "G", Source: "n1"},
+		}},
+		Sources: []string{"n1"},
+	}).Build()
 	if err != nil {
 		return nil, err
 	}
+	src := b.Analyzer.Sources()[0]
 
 	// Analytic with the Gilbert abstraction at the mixture-mean p_fl.
-	a, err := core.New(net, sched, core.WithUniformLinkProcess(lm), core.WithSources(src))
-	if err != nil {
-		return nil, err
-	}
-	pa, err := a.AnalyzePath(src)
+	pa, err := b.Analyzer.AnalyzePath(src)
 	if err != nil {
 		return nil, err
 	}
 
-	runSim := func(mk func() (des.LinkProcess, error)) (float64, error) {
+	sched, _, err := steadySim(b)
+	if err != nil {
+		return nil, err
+	}
+	runSim := func(mk func(topology.LinkID) (des.LinkProcess, error)) (float64, error) {
 		links := map[topology.LinkID]des.LinkProcess{}
-		for _, l := range net.Links() {
-			p, err := mk()
+		for _, l := range b.Net.Links() {
+			p, err := mk(l.ID)
 			if err != nil {
 				return 0, err
 			}
 			links[l.ID] = p
 		}
 		res, err := des.Run(des.Config{
-			Net: net, Sched: sched, Is: 4, Intervals: intervals,
+			Net: b.Net, Sched: sched, Is: 4, Intervals: intervals,
 			Seed: seed, Fdown: -1, Links: links,
 		})
 		if err != nil {
@@ -188,14 +181,14 @@ func ComputeHop(intervals int, seed int64) (*HopData, error) {
 		return sp.Reachability(), nil
 	}
 
-	gilbert, err := runSim(func() (des.LinkProcess, error) {
-		return des.NewGilbertSteady(lm), nil
+	gilbert, err := runSim(func(id topology.LinkID) (des.LinkProcess, error) {
+		return des.NewProcessSteady(b.Analyzer.LinkProcess(id)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	hopRng := rand.New(rand.NewSource(seed + 1))
-	hopping, err := runSim(func() (des.LinkProcess, error) {
+	hopping, err := runSim(func(topology.LinkID) (des.LinkProcess, error) {
 		return des.NewHoppingProcess(snrs, 1016, nil, rand.New(rand.NewSource(hopRng.Int63())))
 	})
 	if err != nil {
@@ -207,7 +200,7 @@ func ComputeHop(intervals int, seed int64) (*HopData, error) {
 			return nil, err
 		}
 	}
-	blacklisted, err := runSim(func() (des.LinkProcess, error) {
+	blacklisted, err := runSim(func(topology.LinkID) (des.LinkProcess, error) {
 		return des.NewHoppingProcess(snrs, 1016, bl, rand.New(rand.NewSource(hopRng.Int63())))
 	})
 	if err != nil {
@@ -219,28 +212,6 @@ func ComputeHop(intervals int, seed int64) (*HopData, error) {
 		HoppingReach:            hopping,
 		HoppingBlacklistedReach: blacklisted,
 	}, nil
-}
-
-// buildExampleSchedule places the example path's hops in slots 3, 6, 7 of
-// a 7-slot frame.
-func buildExampleSchedule(net *topology.Network, src topology.NodeID) (*schedule.Schedule, error) {
-	routes, err := net.UplinkRoutes()
-	if err != nil {
-		return nil, err
-	}
-	p := routes[src]
-	s, err := schedule.New(7)
-	if err != nil {
-		return nil, err
-	}
-	slots := []int{3, 6, 7}
-	nodes := p.Nodes()
-	for h := 0; h+1 < len(nodes); h++ {
-		if err := s.SetTransmission(slots[h], nodes[h], nodes[h+1], src); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }
 
 // RunHop prints the abstraction ablation.

@@ -8,12 +8,13 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"wirelesshart/internal/core"
+	"wirelesshart/internal/des"
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/pathmodel"
 	"wirelesshart/internal/schedule"
+	"wirelesshart/internal/spec"
 	"wirelesshart/internal/topology"
 )
 
@@ -90,8 +91,9 @@ var PaperAvailabilities = []struct {
 }
 
 // examplePathModel builds the Section V-A example path: 3 hops in slots
-// 3, 6, 7 of a 7-slot frame with homogeneous steady-state links.
-func examplePathModel(avail float64, is int) (*pathmodel.Model, error) {
+// 3, 6, 7 of a 7-slot frame with homogeneous steady-state links. A ttl of
+// 0 selects the default Is*Fup.
+func examplePathModel(avail float64, is, ttl int) (*pathmodel.Model, error) {
 	lm, err := link.FromAvailability(avail, link.DefaultRecoveryProb)
 	if err != nil {
 		return nil, err
@@ -100,86 +102,64 @@ func examplePathModel(avail float64, is int) (*pathmodel.Model, error) {
 		Slots: []int{3, 6, 7},
 		Fup:   7,
 		Is:    is,
+		TTL:   ttl,
 		Links: []link.Availability{lm.Steady(), lm.Steady(), lm.Steady()},
 	})
 }
 
-// typical bundles the paper's typical network with both schedules.
-type typical struct {
-	Net     *topology.Network
-	Sources []topology.NodeID
-	Routes  map[topology.NodeID]topology.Path
-	EtaA    *schedule.Schedule
-	EtaB    *schedule.Schedule
-}
+// etaBPriority is the reconstructed eta_b: longest paths first, with path 7
+// scheduled last among the two-hop paths, matching the paper's Fig. 16
+// anchors (the exact eta_b is not printed in the paper).
+var etaBPriority = []string{"n9", "n10", "n4", "n5", "n6", "n8", "n7", "n1", "n2", "n3"}
 
-// buildTypical constructs the Fig. 12 network with eta_a (shortest-first)
-// and the reconstructed eta_b (longest-first with path 7 scheduled last
-// among the two-hop paths, matching the paper's Fig. 16 anchors; the exact
-// eta_b is not printed in the paper).
-func buildTypical() (*typical, error) {
-	net, sources, err := topology.TypicalNetwork()
-	if err != nil {
-		return nil, err
-	}
-	routes, err := net.UplinkRoutes()
-	if err != nil {
-		return nil, err
-	}
-	etaA, err := schedule.BuildPriority(routes, schedule.ShortestFirst(routes), 1)
-	if err != nil {
-		return nil, err
-	}
-	orderB := []topology.NodeID{
-		sources[8], sources[9], sources[3], sources[4], sources[5],
-		sources[7], sources[6], sources[0], sources[1], sources[2],
-	}
-	etaB, err := schedule.BuildPriority(routes, orderB, 1)
-	if err != nil {
-		return nil, err
-	}
-	return &typical{Net: net, Sources: sources, Routes: routes, EtaA: etaA, EtaB: etaB}, nil
-}
-
-// pathNumber maps a source node to the paper's 1-based path number.
-func (ty *typical) pathNumber(src topology.NodeID) int {
-	for i, s := range ty.Sources {
-		if s == src {
-			return i + 1
+// typicalSpec returns the paper's Fig. 12 network under eta_a
+// (spec.TypicalSpec) with every link at stationary availability avail; an
+// avail of 0 keeps the spec's default BER 2e-4. Node ids follow the paper,
+// so an analysis's Paths[i] is the paper's path i+1.
+func typicalSpec(avail float64) *spec.Spec {
+	s := spec.TypicalSpec()
+	if avail != 0 {
+		for i := range s.Links {
+			s.Links[i].Availability = &avail
 		}
 	}
-	return 0
+	return s
 }
 
-// analyzeTypical runs the analyzer over the typical network.
-func analyzeTypical(ty *typical, sched *schedule.Schedule, opts ...core.Option) (*core.NetworkAnalysis, error) {
-	a, err := core.New(ty.Net, sched, opts...)
+// withEtaB switches s's schedule from its policy to eta_b.
+func withEtaB(s *spec.Spec) *spec.Spec {
+	s.Schedule.Policy = ""
+	s.Schedule.Priority = etaBPriority
+	return s
+}
+
+// analyze realizes s with extra analyzer options and analyzes every path.
+func analyze(s *spec.Spec, extra ...core.Option) (*core.NetworkAnalysis, error) {
+	b, err := s.BuildWith(extra...)
 	if err != nil {
 		return nil, err
 	}
-	return a.Analyze()
+	return b.Analyzer.Analyze()
 }
 
-// reachOf returns the reachability of src's path in na, or 0 when na has
-// no path from src.
-func reachOf(na *core.NetworkAnalysis, src topology.NodeID) float64 {
-	for _, pa := range na.Paths {
-		if pa.Source == src {
-			return pa.Reachability
-		}
+// steadySim returns what the simulator needs to run b in its stationary
+// regime: the executable schedule and, per link, the simulator counterpart
+// of the link's analyzed process.
+func steadySim(b *spec.Built) (schedule.ExecutablePlan, map[topology.LinkID]des.LinkProcess, error) {
+	sched, ok := b.Schedule.(schedule.ExecutablePlan)
+	if !ok {
+		return nil, nil, errMissing("executable schedule")
 	}
-	return 0
+	procs := map[topology.LinkID]des.LinkProcess{}
+	for _, l := range b.Net.Links() {
+		procs[l.ID] = des.NewProcessSteady(b.Analyzer.LinkProcess(l.ID))
+	}
+	return sched, procs, nil
 }
 
-// sortedPathAnalyses orders analyses by the paper's path numbering.
-func sortedPathAnalyses(ty *typical, na *core.NetworkAnalysis) []*core.PathAnalysis {
-	out := make([]*core.PathAnalysis, len(na.Paths))
-	copy(out, na.Paths)
-	sort.Slice(out, func(i, j int) bool {
-		return ty.pathNumber(out[i].Source) < ty.pathNumber(out[j].Source)
-	})
-	return out
-}
+type errMissing string
+
+func (e errMissing) Error() string { return "experiments: missing " + string(e) }
 
 // printer writes a runner's report and latches the first write error:
 // every later printf is skipped, and err holds that first error.

@@ -5,10 +5,9 @@ import (
 	"math"
 
 	"wirelesshart/internal/control"
-	"wirelesshart/internal/core"
 	"wirelesshart/internal/des"
-	"wirelesshart/internal/link"
 	"wirelesshart/internal/measures"
+	"wirelesshart/internal/spec"
 	"wirelesshart/internal/stats"
 )
 
@@ -27,32 +26,32 @@ type XValRow struct {
 // ComputeXVal runs the DES on the typical network and compares it with the
 // analytical model path by path.
 func ComputeXVal(intervals int, seed int64) ([]XValRow, error) {
-	ty, err := buildTypical()
+	b, err := spec.TypicalSpec().Build() // BER 2e-4 on every link
 	if err != nil {
 		return nil, err
 	}
-	lm, err := link.FromBER(2e-4, 1016, link.DefaultRecoveryProb)
+	na, err := b.Analyzer.Analyze()
 	if err != nil {
 		return nil, err
 	}
-	na, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkProcess(lm))
+	sched, procs, err := steadySim(b)
 	if err != nil {
 		return nil, err
 	}
 	sim, err := des.Run(des.Config{
-		Net:       ty.Net,
-		Sched:     ty.EtaA,
+		Net:       b.Net,
+		Sched:     sched,
 		Is:        4,
 		Intervals: intervals,
 		Seed:      seed,
 		Fdown:     -1,
-		Links:     des.UniformGilbert(ty.Net, func() des.LinkProcess { return des.NewGilbertSteady(lm) }),
+		Links:     procs,
 	})
 	if err != nil {
 		return nil, err
 	}
 	var rows []XValRow
-	for _, pa := range sortedPathAnalyses(ty, na) {
+	for i, pa := range na.Paths {
 		sp, ok := sim.PathBySource(pa.Source)
 		if !ok {
 			return nil, errMissing("simulated path")
@@ -66,7 +65,7 @@ func ComputeXVal(intervals int, seed int64) ([]XValRow, error) {
 			return nil, err
 		}
 		rows = append(rows, XValRow{
-			PathNumber:    ty.pathNumber(pa.Source),
+			PathNumber:    i + 1,
 			Hops:          pa.Path.Hops(),
 			AnalyticReach: pa.Reachability,
 			SimReach:      sp.Reachability(),
@@ -114,7 +113,7 @@ type CtrlRow struct {
 func ComputeCtrl(intervals int) ([]CtrlRow, error) {
 	var out []CtrlRow
 	for _, pa := range PaperAvailabilities {
-		m, err := examplePathModel(pa.Avail, 4)
+		m, err := examplePathModel(pa.Avail, 4, 0)
 		if err != nil {
 			return nil, err
 		}

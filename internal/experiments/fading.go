@@ -5,9 +5,9 @@ import (
 	"math"
 	"strconv"
 
-	"wirelesshart/internal/core"
 	"wirelesshart/internal/des"
 	"wirelesshart/internal/link"
+	"wirelesshart/internal/spec"
 )
 
 // fadingAvail is the matched steady availability of every fading sweep
@@ -52,10 +52,6 @@ func fadingChain(stay float64) (*link.KState, error) {
 // sweep; the DES simulates the chain itself, and the growing gap as stay
 // approaches 1 measures what the per-slot-independence assumption hides.
 func ComputeFading(stays []float64, intervals int, seed int64) ([]FadingRow, error) {
-	ty, err := buildTypical()
-	if err != nil {
-		return nil, err
-	}
 	baseline, err := link.FromAvailability(fadingAvail, link.DefaultRecoveryProb)
 	if err != nil {
 		return nil, err
@@ -65,13 +61,18 @@ func ComputeFading(stays []float64, intervals int, seed int64) ([]FadingRow, err
 		Stay:    math.NaN(),
 		Lambda2: baseline.Autocorrelation(1),
 	}}
-	procs := []link.Process{baseline}
+	avail := fadingAvail
+	// One link declaration per sweep point, applied to every link.
+	decls := []spec.Link{{Availability: &avail}}
 	for _, stay := range stays {
 		chain, err := fadingChain(stay)
 		if err != nil {
 			return nil, err
 		}
-		procs = append(procs, chain)
+		decls = append(decls, spec.Link{Fading: &spec.Fading{
+			Transitions: chain.TransitionMatrix(),
+			Success:     chain.SuccessProbs(),
+		}})
 		// Uniform mixing: the non-unit eigenvalues are all stay - off.
 		k := float64(chain.States())
 		rows = append(rows, FadingRow{
@@ -80,20 +81,31 @@ func ComputeFading(stays []float64, intervals int, seed int64) ([]FadingRow, err
 			Lambda2: (k*stay - 1) / (k - 1),
 		})
 	}
-	for i, proc := range procs {
-		na, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkProcess(proc))
+	for i, decl := range decls {
+		s := spec.TypicalSpec()
+		for j := range s.Links {
+			s.Links[j].Availability, s.Links[j].Fading = decl.Availability, decl.Fading
+		}
+		b, err := s.Build()
 		if err != nil {
 			return nil, err
 		}
-		proc := proc
+		na, err := b.Analyzer.Analyze()
+		if err != nil {
+			return nil, err
+		}
+		sched, procs, err := steadySim(b)
+		if err != nil {
+			return nil, err
+		}
 		sim, err := des.Run(des.Config{
-			Net:       ty.Net,
-			Sched:     ty.EtaA,
+			Net:       b.Net,
+			Sched:     sched,
 			Is:        4,
 			Intervals: intervals,
 			Seed:      seed,
 			Fdown:     -1,
-			Links:     des.UniformGilbert(ty.Net, func() des.LinkProcess { return des.NewProcessSteady(proc) }),
+			Links:     procs,
 		})
 		if err != nil {
 			return nil, err

@@ -5,10 +5,7 @@ import (
 	"math"
 	"math/rand"
 
-	"wirelesshart/internal/channel"
-	"wirelesshart/internal/core"
-	"wirelesshart/internal/link"
-	"wirelesshart/internal/topology"
+	"wirelesshart/internal/spec"
 )
 
 // InhomoRow compares one path under true per-link qualities vs the
@@ -34,63 +31,41 @@ type InhomoRow struct {
 // availability everywhere — quantifying why the paper's per-link physical
 // layer matters.
 func ComputeInhomo(seed int64) ([]InhomoRow, error) {
-	ty, err := buildTypical()
+	rng := rand.New(rand.NewSource(seed))
+
+	// Per-link heterogeneous BERs, drawn in link declaration order.
+	trueSpec := spec.TypicalSpec()
+	for i := range trueSpec.Links {
+		// Log-uniform BER over two decades, [1e-5, 1e-3].
+		ber := 1e-5 * math.Pow(10, 2*rng.Float64())
+		trueSpec.Links[i].BER = &ber
+	}
+	trueBuilt, err := trueSpec.Build()
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-
-	// Per-link models with heterogeneous BERs.
-	var opts []core.Option
 	var availSum float64
-	links := ty.Net.Links()
+	links := trueBuilt.Net.Links()
 	for _, l := range links {
-		// Log-uniform BER over two decades, [1e-5, 1e-3].
-		ber := 1e-5 * math.Pow(10, 2*rng.Float64())
-		m, err := link.FromBER(ber, channel.DefaultMessageBits, link.DefaultRecoveryProb)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, core.WithLinkProcess(l.ID, m))
-		availSum += m.SteadyUp()
+		availSum += trueBuilt.Analyzer.LinkProcess(l.ID).SteadyUp()
 	}
 	avgAvail := availSum / float64(len(links))
 
-	trueA, err := core.New(ty.Net, ty.EtaA, opts...)
+	trueNA, err := trueBuilt.Analyzer.Analyze()
 	if err != nil {
 		return nil, err
 	}
-	trueNA, err := trueA.Analyze()
-	if err != nil {
-		return nil, err
-	}
-	avgModel, err := link.FromAvailability(avgAvail, link.DefaultRecoveryProb)
-	if err != nil {
-		return nil, err
-	}
-	homogNA, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkProcess(avgModel))
+	homogNA, err := analyze(typicalSpec(avgAvail))
 	if err != nil {
 		return nil, err
 	}
 
-	pathOf := func(na *core.NetworkAnalysis, src topology.NodeID) *core.PathAnalysis {
-		for _, pa := range na.Paths {
-			if pa.Source == src {
-				return pa
-			}
-		}
-		return nil
-	}
 	var rows []InhomoRow
-	for i, src := range ty.Sources {
-		tr := pathOf(trueNA, src)
-		ho := pathOf(homogNA, src)
-		if tr == nil || ho == nil {
-			return nil, errMissing("path analysis")
-		}
+	for i, tr := range trueNA.Paths {
+		ho := homogNA.Paths[i]
 		rows = append(rows, InhomoRow{
 			PathNumber:   i + 1,
-			Hops:         ty.Routes[src].Hops(),
+			Hops:         tr.Path.Hops(),
 			TrueReach:    tr.Reachability,
 			HomogReach:   ho.Reachability,
 			Error:        ho.Reachability - tr.Reachability,

@@ -4,7 +4,7 @@ import (
 	"io"
 
 	"wirelesshart/internal/core"
-	"wirelesshart/internal/schedule"
+	"wirelesshart/internal/spec"
 )
 
 // MCRow summarizes the typical network under a channel count.
@@ -24,27 +24,21 @@ type MCRow struct {
 // delay, while per-path reachability is unchanged (same number of attempts
 // per reporting interval).
 func ComputeMultiChannel() ([]MCRow, error) {
-	ty, err := buildTypical()
-	if err != nil {
-		return nil, err
-	}
 	var out []MCRow
 	for channels := 1; channels <= 4; channels++ {
-		m, err := schedule.BuildMultiChannel(ty.Routes, schedule.ShortestFirst(ty.Routes), channels, 1)
+		s := spec.TypicalSpec()
+		s.Schedule.Channels = channels
+		b, err := s.Build()
 		if err != nil {
 			return nil, err
 		}
-		a, err := core.New(ty.Net, m)
-		if err != nil {
-			return nil, err
-		}
-		na, err := a.Analyze()
+		na, err := b.Analyzer.Analyze()
 		if err != nil {
 			return nil, err
 		}
 		row := MCRow{
 			Channels:  channels,
-			Fup:       m.Fup(),
+			Fup:       b.Schedule.Fup(),
 			MeanDelay: na.OverallMeanDelayMS,
 			WorstReach: func() float64 {
 				worst := 1.0

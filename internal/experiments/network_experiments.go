@@ -8,22 +8,28 @@ import (
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/measures"
 	"wirelesshart/internal/pathmodel"
+	"wirelesshart/internal/spec"
 	"wirelesshart/internal/topology"
 )
 
 // RunFig12 prints the typical network's connectivity and routes.
 func RunFig12(w io.Writer) error {
-	ty, err := buildTypical()
+	a, err := spec.TypicalSpec().Build()
+	if err != nil {
+		return err
+	}
+	b, err := withEtaB(spec.TypicalSpec()).Build()
 	if err != nil {
 		return err
 	}
 	pr := &printer{w: w}
 	pr.printf("Typical WirelessHART network (paper Fig. 12): 30%% 1-hop, 50%% 2-hop, 20%% 3-hop\n")
-	for i, src := range ty.Sources {
-		pr.printf("path %2d: %s (%d hops)\n", i+1, ty.Routes[src].Format(ty.Net), ty.Routes[src].Hops())
+	for i, src := range a.Analyzer.Sources() {
+		p, _ := a.Analyzer.Route(src)
+		pr.printf("path %2d: %s (%d hops)\n", i+1, p.Format(a.Net), p.Hops())
 	}
-	pr.printf("schedule eta_a = %s\n", ty.EtaA.Format(ty.Net))
-	pr.printf("schedule eta_b (reconstructed) = %s\n", ty.EtaB.Format(ty.Net))
+	pr.printf("schedule eta_a = %s\n", a.Schedule.Format(a.Net))
+	pr.printf("schedule eta_b (reconstructed) = %s\n", b.Schedule.Format(b.Net))
 	return pr.err
 }
 
@@ -39,29 +45,17 @@ type Fig13Row struct {
 // ComputeFig13 evaluates per-path reachability for the given stationary
 // availabilities under eta_a.
 func ComputeFig13(avails []float64) ([]Fig13Row, error) {
-	ty, err := buildTypical()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig13Row, len(ty.Sources))
-	for i, src := range ty.Sources {
-		rows[i] = Fig13Row{PathNumber: i + 1, Hops: ty.Routes[src].Hops()}
-	}
+	var rows []Fig13Row
 	for _, avail := range avails {
-		lm, err := link.FromAvailability(avail, link.DefaultRecoveryProb)
+		na, err := analyze(typicalSpec(avail))
 		if err != nil {
 			return nil, err
 		}
-		na, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkProcess(lm))
-		if err != nil {
-			return nil, err
-		}
-		byID := map[topology.NodeID]float64{}
-		for _, pa := range na.Paths {
-			byID[pa.Source] = pa.Reachability
-		}
-		for i, src := range ty.Sources {
-			rows[i].ReachByAvail = append(rows[i].ReachByAvail, byID[src])
+		for i, pa := range na.Paths {
+			if i == len(rows) {
+				rows = append(rows, Fig13Row{PathNumber: i + 1, Hops: pa.Path.Hops()})
+			}
+			rows[i].ReachByAvail = append(rows[i].ReachByAvail, pa.Reachability)
 		}
 	}
 	return rows, nil
@@ -106,11 +100,7 @@ type Fig14Data struct {
 // ComputeFig14 derives the network-wide delay distribution under eta_a at
 // the paper's default availability.
 func ComputeFig14() (*Fig14Data, error) {
-	ty, err := buildTypical()
-	if err != nil {
-		return nil, err
-	}
-	na, err := analyzeTypical(ty, ty.EtaA)
+	na, err := analyze(spec.TypicalSpec())
 	if err != nil {
 		return nil, err
 	}
@@ -153,22 +143,18 @@ type Fig15Row struct {
 
 // ComputeFig15 computes the per-path expected delays under a schedule.
 func ComputeFig15(useEtaB bool) ([]Fig15Row, float64, error) {
-	ty, err := buildTypical()
-	if err != nil {
-		return nil, 0, err
-	}
-	sched := ty.EtaA
+	s := spec.TypicalSpec()
 	if useEtaB {
-		sched = ty.EtaB
+		withEtaB(s)
 	}
-	na, err := analyzeTypical(ty, sched)
+	na, err := analyze(s)
 	if err != nil {
 		return nil, 0, err
 	}
 	var rows []Fig15Row
-	for _, pa := range sortedPathAnalyses(ty, na) {
+	for i, pa := range na.Paths {
 		rows = append(rows, Fig15Row{
-			PathNumber: ty.pathNumber(pa.Source),
+			PathNumber: i + 1,
 			Hops:       pa.Path.Hops(),
 			ExpectedMS: pa.ExpectedDelayMS,
 		})
@@ -220,21 +206,15 @@ type Tab2Row struct {
 	LiteralEq10 float64
 }
 
+// tab2Avails is the availability sweep of the paper's Table II.
+var tab2Avails = []float64{0.693, 0.774, 0.83, 0.903, 0.948, 0.989}
+
 // ComputeTab2 sweeps network utilization over availabilities, reporting the
 // exact DTMC count, the corrected closed form and the literal Eq. 10.
 func ComputeTab2() ([]Tab2Row, error) {
-	ty, err := buildTypical()
-	if err != nil {
-		return nil, err
-	}
-	avails := []float64{0.693, 0.774, 0.83, 0.903, 0.948, 0.989}
 	var out []Tab2Row
-	for _, avail := range avails {
-		lm, err := link.FromAvailability(avail, link.DefaultRecoveryProb)
-		if err != nil {
-			return nil, err
-		}
-		na, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkProcess(lm))
+	for _, avail := range tab2Avails {
+		na, err := analyze(typicalSpec(avail))
 		if err != nil {
 			return nil, err
 		}
@@ -277,42 +257,42 @@ type Tab3Row struct {
 	PaperSemanticsMatched bool
 }
 
-// ComputeTab3 reproduces Table III in both semantics.
+// ComputeTab3 reproduces Table III in both semantics at the default
+// BER 2e-4.
 func ComputeTab3() ([]Tab3Row, error) {
-	ty, err := buildTypical()
+	base, err := spec.TypicalSpec().Build()
 	if err != nil {
 		return nil, err
 	}
-	n3, ok := ty.Net.NodeByName("n3")
+	n3, ok := base.Net.NodeByName("n3")
 	if !ok {
 		return nil, errMissing("n3")
 	}
-	gw, err := ty.Net.Gateway()
+	gw, err := base.Net.Gateway()
 	if err != nil {
 		return nil, err
 	}
-	e3, ok := ty.Net.LinkBetween(n3.ID, gw)
+	e3, ok := base.Net.LinkBetween(n3.ID, gw)
 	if !ok {
 		return nil, errMissing("link n3-G")
 	}
-	lm, err := link.FromBER(2e-4, 1016, link.DefaultRecoveryProb)
-	if err != nil {
-		return nil, err
-	}
-	fup := ty.EtaA.Fup()
-
-	baseline, err := analyzeTypical(ty, ty.EtaA, core.WithUniformLinkProcess(lm))
+	fup := base.Schedule.Fup()
+	baseline, err := base.Analyzer.Analyze()
 	if err != nil {
 		return nil, err
 	}
 
 	// Paper-compatible: every link of every affected path blocked during
-	// cycle 1.
-	affected := topology.PathsSharedByLink(ty.Routes, e3.ID)
-	blockedOpts := []core.Option{core.WithUniformLinkProcess(lm)}
+	// cycle 1. Spec has no field for this semantics, so it reaches the
+	// analyzer as availability overrides.
+	var affected []int // indices into Paths
 	blockedLinks := map[topology.LinkID]bool{}
-	for _, src := range affected {
-		for _, lid := range ty.Routes[src].Links() {
+	for i, pa := range baseline.Paths {
+		if !pa.Path.UsesLink(e3.ID) {
+			continue
+		}
+		affected = append(affected, i)
+		for _, lid := range pa.Path.Links() {
 			blockedLinks[lid] = true
 		}
 	}
@@ -321,25 +301,27 @@ func ComputeTab3() ([]Tab3Row, error) {
 		blockedIDs = append(blockedIDs, lid)
 	}
 	sort.Slice(blockedIDs, func(i, j int) bool { return blockedIDs[i] < blockedIDs[j] })
+	var blockedOpts []core.Option
 	for _, lid := range blockedIDs {
-		av, err := link.Blocked(lm.Steady(), 1, fup+1)
+		av, err := link.Blocked(base.Analyzer.LinkProcess(lid).Steady(), 1, fup+1)
 		if err != nil {
 			return nil, err
 		}
 		blockedOpts = append(blockedOpts, core.WithLinkAvailability(lid, av))
 	}
-	blocked, err := analyzeTypical(ty, ty.EtaA, blockedOpts...)
+	blocked, err := analyze(spec.TypicalSpec(), blockedOpts...)
 	if err != nil {
 		return nil, err
 	}
 
 	// Exact: only e3 is down during cycle 1 (then relaxes from DOWN).
-	downE3, err := lm.DownDuring(1, fup+1, lm.Steady())
-	if err != nil {
-		return nil, err
+	failed := spec.TypicalSpec()
+	for i, l := range failed.Links {
+		if l.A == "n3" && l.B == "G" {
+			failed.Links[i].Failure = &spec.Failure{Kind: "window", FromSlot: 1, ToSlot: fup + 1}
+		}
 	}
-	exact, err := analyzeTypical(ty, ty.EtaA,
-		core.WithUniformLinkProcess(lm), core.WithLinkAvailability(e3.ID, downE3))
+	exact, err := analyze(failed)
 	if err != nil {
 		return nil, err
 	}
@@ -351,25 +333,20 @@ func ComputeTab3() ([]Tab3Row, error) {
 		10: {99.07, 96.28},
 	}
 	var rows []Tab3Row
-	for _, src := range affected {
-		num := ty.pathNumber(src)
-		p := paper[num]
+	for _, i := range affected {
+		p := paper[i+1]
 		rows = append(rows, Tab3Row{
-			PathNumber:          num,
-			Hops:                ty.Routes[src].Hops(),
-			WithoutFailure:      reachOf(baseline, src),
-			BlockedCycle:        reachOf(blocked, src),
-			ExactInjection:      reachOf(exact, src),
+			PathNumber:          i + 1,
+			Hops:                baseline.Paths[i].Path.Hops(),
+			WithoutFailure:      baseline.Paths[i].Reachability,
+			BlockedCycle:        blocked.Paths[i].Reachability,
+			ExactInjection:      exact.Paths[i].Reachability,
 			PaperWithoutPct:     p[0],
 			PaperWithFailurePct: p[1],
 		})
 	}
 	return rows, nil
 }
-
-type errMissing string
-
-func (e errMissing) Error() string { return "experiments: missing " + string(e) }
 
 // RunTab3 prints Table III.
 func RunTab3(w io.Writer) error {
@@ -444,33 +421,25 @@ type Fig19Row struct {
 
 // ComputeFig19 compares Is=2 and Is=4 for every path and availability.
 func ComputeFig19(avails []float64) ([]Fig19Row, error) {
-	ty, err := buildTypical()
-	if err != nil {
-		return nil, err
-	}
 	var out []Fig19Row
 	for _, avail := range avails {
-		lm, err := link.FromAvailability(avail, link.DefaultRecoveryProb)
+		fastSpec := typicalSpec(avail)
+		fastSpec.ReportingInterval = 2
+		fast, err := analyze(fastSpec)
 		if err != nil {
 			return nil, err
 		}
-		fast, err := analyzeTypical(ty, ty.EtaA,
-			core.WithUniformLinkProcess(lm), core.WithReportingInterval(2))
+		regular, err := analyze(typicalSpec(avail)) // Is = 4
 		if err != nil {
 			return nil, err
 		}
-		regular, err := analyzeTypical(ty, ty.EtaA,
-			core.WithUniformLinkProcess(lm), core.WithReportingInterval(4))
-		if err != nil {
-			return nil, err
-		}
-		for i, src := range ty.Sources {
+		for i, pa := range fast.Paths {
 			out = append(out, Fig19Row{
 				PathNumber:   i + 1,
-				Hops:         ty.Routes[src].Hops(),
+				Hops:         pa.Path.Hops(),
 				Avail:        avail,
-				ReachFast:    reachOf(fast, src),
-				ReachRegular: reachOf(regular, src),
+				ReachFast:    pa.Reachability,
+				ReachRegular: regular.Paths[i].Reachability,
 			})
 		}
 	}
@@ -503,14 +472,12 @@ type Tab4Data struct {
 // either via node 3 (2-hop existing path, Eb/N0=7 peer link) or node 4
 // (1-hop existing path, Eb/N0=6 peer link).
 func ComputeTab4() (*Tab4Data, error) {
-	ty, err := buildTypical()
+	b, err := spec.TypicalSpec().Build()
 	if err != nil {
 		return nil, err
 	}
-	a, err := core.New(ty.Net, ty.EtaA)
-	if err != nil {
-		return nil, err
-	}
+	a := b.Analyzer
+	sources := a.Sources()
 	peer3, err := link.FromEbN0(7, 1016, link.DefaultRecoveryProb)
 	if err != nil {
 		return nil, err
@@ -522,11 +489,11 @@ func ComputeTab4() (*Tab4Data, error) {
 	// Existing path 1 in the paper's Fig. 20 has 2 hops, path 2 has 1
 	// hop; in the typical network these are path 4 (n4->n1->G) and path 1
 	// (n1->G).
-	gcA, rA, err := a.PredictComposition(ty.Sources[3], peer3)
+	gcA, rA, err := a.PredictPeerComposition(sources[3], []link.Model{peer3})
 	if err != nil {
 		return nil, err
 	}
-	gcB, rB, err := a.PredictComposition(ty.Sources[0], peer4)
+	gcB, rB, err := a.PredictPeerComposition(sources[0], []link.Model{peer4})
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func ComputeFig5() (*Fig4Data, error) {
 }
 
 func computePathDTMC(is int) (*Fig4Data, error) {
-	m, err := examplePathModel(0.75, is)
+	m, err := examplePathModel(0.75, is, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ type Fig6Data struct {
 
 // ComputeFig6 solves the example path at pi(up) = 0.75, Is = 4.
 func ComputeFig6() (*Fig6Data, error) {
-	m, err := examplePathModel(0.75, 4)
+	m, err := examplePathModel(0.75, 4, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ type Fig7Data struct {
 
 // ComputeFig7 derives the delay distribution of the example path.
 func ComputeFig7() (*Fig7Data, error) {
-	m, err := examplePathModel(0.75, 4)
+	m, err := examplePathModel(0.75, 4, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ type SweepRow struct {
 func ComputeFig8() ([]SweepRow, error) {
 	var out []SweepRow
 	for _, pa := range PaperAvailabilities {
-		m, err := examplePathModel(pa.Avail, 4)
+		m, err := examplePathModel(pa.Avail, 4, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +219,7 @@ type Fig9Data struct {
 func ComputeFig9() ([]Fig9Data, error) {
 	var out []Fig9Data
 	for _, pa := range PaperAvailabilities[1:] {
-		m, err := examplePathModel(pa.Avail, 4)
+		m, err := examplePathModel(pa.Avail, 4, 0)
 		if err != nil {
 			return nil, err
 		}

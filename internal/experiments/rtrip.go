@@ -4,9 +4,8 @@ import (
 	"io"
 	"math"
 
-	"wirelesshart/internal/core"
 	"wirelesshart/internal/des"
-	"wirelesshart/internal/link"
+	"wirelesshart/internal/spec"
 )
 
 // RTripRow compares one path's analytic and simulated loop completion.
@@ -31,31 +30,29 @@ type RTripRow struct {
 // probability (the same physical link serves the last uplink hop and the
 // first downlink hop a few slots later).
 func ComputeRTrip(intervals int, seed int64) ([]RTripRow, error) {
-	ty, err := buildTypical()
+	b, err := spec.TypicalSpec().Build() // BER 2e-4 on every link
 	if err != nil {
 		return nil, err
 	}
-	lm, err := link.FromBER(2e-4, 1016, link.DefaultRecoveryProb)
-	if err != nil {
-		return nil, err
-	}
-	a, err := core.New(ty.Net, ty.EtaA, core.WithUniformLinkProcess(lm))
+	sched, procs, err := steadySim(b)
 	if err != nil {
 		return nil, err
 	}
 	sim, err := des.RunRoundTrip(des.RoundTripConfig{
-		Net:       ty.Net,
-		Sched:     ty.EtaA,
+		Net:       b.Net,
+		Sched:     sched,
 		Is:        4,
 		Intervals: intervals,
 		Seed:      seed,
-		Links:     des.UniformGilbert(ty.Net, func() des.LinkProcess { return des.NewGilbertSteady(lm) }),
+		Links:     procs,
 	})
 	if err != nil {
 		return nil, err
 	}
+	a := b.Analyzer
 	var rows []RTripRow
-	for i, src := range ty.Sources {
+	for i, src := range a.Sources() {
+		route, _ := a.Route(src)
 		rt, err := a.AnalyzeRoundTrip(src)
 		if err != nil {
 			return nil, err
@@ -70,7 +67,7 @@ func ComputeRTrip(intervals int, seed int64) ([]RTripRow, error) {
 		}
 		rows = append(rows, RTripRow{
 			PathNumber:         i + 1,
-			Hops:               ty.Routes[src].Hops(),
+			Hops:               route.Hops(),
 			AnalyticCompletion: rt.Completion,
 			SimCompletion:      ls.Completion(),
 			SimCompletionCI:    ci,

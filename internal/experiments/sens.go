@@ -3,7 +3,7 @@ package experiments
 import (
 	"io"
 
-	"wirelesshart/internal/core"
+	"wirelesshart/internal/spec"
 )
 
 // SensRow is one link's improvement potential in the typical network.
@@ -19,25 +19,21 @@ type SensRow struct {
 // abstract's "routing suggestions" and Section VI-A's bottleneck
 // discussion.
 func ComputeSens() ([]SensRow, error) {
-	ty, err := buildTypical()
+	b, err := spec.TypicalSpec().Build()
 	if err != nil {
 		return nil, err
 	}
-	a, err := core.New(ty.Net, ty.EtaA)
-	if err != nil {
-		return nil, err
-	}
-	sens, err := a.SensitivityAnalysis(0.05)
+	sens, err := b.Analyzer.SensitivityAnalysis(0.05)
 	if err != nil {
 		return nil, err
 	}
 	var rows []SensRow
 	for _, s := range sens {
-		na, err := ty.Net.Node(s.Link.A)
+		na, err := b.Net.Node(s.Link.A)
 		if err != nil {
 			return nil, err
 		}
-		nb, err := ty.Net.Node(s.Link.B)
+		nb, err := b.Net.Node(s.Link.B)
 		if err != nil {
 			return nil, err
 		}

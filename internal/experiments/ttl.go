@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"wirelesshart/internal/measures"
-	"wirelesshart/internal/pathmodel"
 )
 
 // TTLRow is one TTL sweep entry for the example path.
@@ -27,17 +26,11 @@ type TTLRow struct {
 func ComputeTTL() ([]TTLRow, error) {
 	var out []TTLRow
 	for _, ttl := range []int{7, 14, 21, 28} {
-		m, err := examplePathModel(0.75, 4)
+		m, err := examplePathModel(0.75, 4, ttl)
 		if err != nil {
 			return nil, err
 		}
-		cfg := m.Config()
-		cfg.TTL = ttl
-		bounded, err := pathmodel.Build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := bounded.Solve()
+		res, err := m.Solve()
 		if err != nil {
 			return nil, err
 		}

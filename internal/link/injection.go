@@ -2,34 +2,6 @@ package link
 
 import "fmt"
 
-// FailureKind enumerates the three failure classes of paper Section VI-C.
-type FailureKind int
-
-const (
-	// Transient failures last a single slot; frequency hopping recovers
-	// the link immediately (the TransientUp curve from DOWN).
-	Transient FailureKind = iota + 1
-	// RandomDuration failures (temporary loss of line of sight) block the
-	// link for a number of slots; hopping does not help.
-	RandomDuration
-	// Permanent failures never recover; routing must change.
-	Permanent
-)
-
-// String returns the failure kind name.
-func (k FailureKind) String() string {
-	switch k {
-	case Transient:
-		return "transient"
-	case RandomDuration:
-		return "random-duration"
-	case Permanent:
-		return "permanent"
-	default:
-		return fmt.Sprintf("FailureKind(%d)", int(k))
-	}
-}
-
 // PermanentDown returns an availability that is always zero: a permanently
 // failed link (obstruction, hardware fault). The network layer is expected
 // to reroute around it.

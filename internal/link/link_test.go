@@ -281,14 +281,3 @@ func TestTransientConvergenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestFailureKindString(t *testing.T) {
-	if Transient.String() != "transient" ||
-		RandomDuration.String() != "random-duration" ||
-		Permanent.String() != "permanent" {
-		t.Error("failure kind names wrong")
-	}
-	if FailureKind(9).String() != "FailureKind(9)" {
-		t.Errorf("unknown kind String() = %q", FailureKind(9).String())
-	}
-}

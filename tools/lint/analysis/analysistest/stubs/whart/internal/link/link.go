@@ -55,15 +55,3 @@ func NewUniformMixing(stay float64, succ []float64) (*KState, error) {
 type Process interface {
 	States() int
 }
-
-// FailureKind mirrors the paper's three failure classes.
-type FailureKind int
-
-const (
-	// Transient failures last one slot.
-	Transient FailureKind = iota + 1
-	// RandomDuration failures block the link for several slots.
-	RandomDuration
-	// Permanent failures never recover.
-	Permanent
-)

@@ -1,11 +1,9 @@
 // Package exhaustenum requires switches over the model's enum types —
-// failure scenarios (link.FailureKind), node roles (topology.NodeKind),
-// modulations (channel.Modulation) and any future first-party enum — to
-// either cover every declared member or carry a default clause. The
-// failure-injection matrix of the paper (Section VI-C) is exactly the kind
-// of place where adding a fourth scenario must produce compile-visible
-// work items, not a silent fall-through that analyzes the new scenario as
-// "no failure".
+// node roles (topology.NodeKind) and any future first-party enum — to
+// either cover every declared member or carry a default clause. Adding a
+// member (a third node role, say) must produce compile-visible work
+// items, not a silent fall-through that treats the new member as none of
+// the old ones.
 //
 // An enum is any named type, defined in a first-party package, with an
 // integer or string underlying type and at least two package-level
@@ -26,8 +24,8 @@ import (
 // Analyzer is the exhaustenum pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "exhaustenum",
-	Doc: "require switch statements over first-party enum types (failure scenarios, " +
-		"node kinds, modulations) to cover all members or declare a default clause",
+	Doc: "require switch statements over first-party enum types (such as node " +
+		"kinds) to cover all members or declare a default clause",
 	Run: run,
 }
 

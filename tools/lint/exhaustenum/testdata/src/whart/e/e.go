@@ -1,6 +1,6 @@
 package e
 
-import "wirelesshart/internal/link"
+import "wirelesshart/internal/topology"
 
 // Measure is a local string-valued enum.
 type Measure string
@@ -14,12 +14,10 @@ const (
 	Util Measure = "utilization"
 )
 
-func missingMember(k link.FailureKind) string {
-	switch k { // want `switch over link.FailureKind is not exhaustive and has no default clause: missing Permanent`
-	case link.Transient:
-		return "transient"
-	case link.RandomDuration:
-		return "random"
+func missingMember(k topology.NodeKind) string {
+	switch k { // want `switch over topology.NodeKind is not exhaustive and has no default clause: missing Gateway`
+	case topology.FieldDevice:
+		return "field-device"
 	}
 	return ""
 }
@@ -32,23 +30,21 @@ func missingTwo(m Measure) int {
 	return 0
 }
 
-func defaultClause(k link.FailureKind) string {
+func defaultClause(k topology.NodeKind) string {
 	switch k { // a default keeps new members from silently falling through
-	case link.Transient:
-		return "transient"
+	case topology.FieldDevice:
+		return "field-device"
 	default:
 		return "other"
 	}
 }
 
-func fullCoverage(k link.FailureKind) string {
+func fullCoverage(k topology.NodeKind) string {
 	switch k {
-	case link.Transient:
-		return "transient"
-	case link.RandomDuration:
-		return "random"
-	case link.Permanent:
-		return "permanent"
+	case topology.FieldDevice:
+		return "field-device"
+	case topology.Gateway:
+		return "gateway"
 	}
 	return ""
 }

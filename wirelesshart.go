@@ -39,21 +39,14 @@ type Network struct {
 	topo   *topology.Network
 	models map[topology.LinkID]link.Model
 	bits   int
-	// structs is the Network's persistent path-structure cache. Every
-	// analyzer built from this Network shares it, so repeated analyses —
-	// Analyze with different link options, SuggestImprovements,
-	// failure-window sweeps — rebind link availabilities onto cached state
-	// spaces instead of re-running Algorithm 1 per call.
-	structs core.StructureCache
 }
 
 // New returns an empty network using the default message length.
 func New() *Network {
 	return &Network{
-		topo:    topology.NewNetwork(),
-		models:  map[topology.LinkID]link.Model{},
-		bits:    DefaultMessageBits,
-		structs: core.NewStructureMap(),
+		topo:   topology.NewNetwork(),
+		models: map[topology.LinkID]link.Model{},
+		bits:   DefaultMessageBits,
 	}
 }
 
@@ -387,9 +380,9 @@ func applyOptions(opts []Option) (*options, error) {
 }
 
 // build realizes the options through the exported spec — the same
-// spec.BuildWith path the engine, server and CLIs take — sharing the
-// Network's structure cache. DownlinkFrame(0) has no spec field, so it
-// reaches the analyzer as an extra option.
+// spec.BuildWith path the engine, server and CLIs take. Each build's
+// analyzer keeps its own structure map. DownlinkFrame(0) has no spec
+// field, so it reaches the analyzer as an extra option.
 func (n *Network) build(opts []Option) (*spec.Built, error) {
 	o, err := applyOptions(opts)
 	if err != nil {
@@ -399,11 +392,10 @@ func (n *Network) build(opts []Option) (*spec.Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	extra := []core.Option{core.WithStructureCache(n.structs)}
 	if o.fdown == 0 {
-		extra = append(extra, core.WithDownlinkFrame(0))
+		return s.BuildWith(core.WithDownlinkFrame(0))
 	}
-	return s.BuildWith(extra...)
+	return s.Build()
 }
 
 // Spec exports the network together with the given analysis options as a
