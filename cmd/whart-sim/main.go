@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"wirelesshart/internal/des"
-	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/spec"
 	"wirelesshart/internal/topology"
 )
@@ -60,10 +59,6 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sched, ok := built.Schedule.(schedule.ExecutablePlan)
-	if !ok {
-		return fmt.Errorf("schedule is not executable")
-	}
 	na, err := built.Analyzer.Analyze()
 	if err != nil {
 		return err
@@ -76,21 +71,17 @@ func run(args []string, w io.Writer) error {
 	for _, l := range built.Net.Links() {
 		proc := des.NewProcessSteady(built.Analyzer.LinkProcess(l.ID))
 		if f, ok := built.Failures[l.ID]; ok {
-			switch f.Kind {
-			case "permanent":
-				proc = &des.ForcedWindowProcess{Base: proc, From: 0, To: 1 << 30}
-			case "window":
-				proc = &des.ForcedWindowProcess{Base: proc, From: f.FromSlot, To: f.ToSlot}
-			}
+			from, to := f.ForcedWindow()
+			proc = &des.ForcedWindowProcess{Base: proc, From: from, To: to}
 		}
 		procs[l.ID] = proc
 	}
 	if *roundtrip {
-		return runRoundTrip(w, built, sched, procs, *intervals, *seed)
+		return runRoundTrip(w, built, procs, *intervals, *seed)
 	}
 	sim, err := des.Run(des.Config{
 		Net:       built.Net,
-		Sched:     sched,
+		Sched:     built.Schedule,
 		Is:        built.Analyzer.Is(),
 		TTL:       built.Analyzer.TTL(),
 		Fdown:     built.Analyzer.Fdown(),
@@ -144,10 +135,10 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-func runRoundTrip(w io.Writer, built *spec.Built, sched schedule.ExecutablePlan, procs map[topology.LinkID]des.LinkProcess, intervals int, seed int64) error {
+func runRoundTrip(w io.Writer, built *spec.Built, procs map[topology.LinkID]des.LinkProcess, intervals int, seed int64) error {
 	res, err := des.RunRoundTrip(des.RoundTripConfig{
 		Net:       built.Net,
-		Sched:     sched,
+		Sched:     built.Schedule,
 		Is:        built.Analyzer.Is(),
 		Intervals: intervals,
 		Seed:      seed,

@@ -15,6 +15,11 @@ import (
 // message: the standard's 127-byte maximum payload (paper Section V-B).
 const DefaultMessageBits = 127 * 8
 
+// DefaultBER is the paper's reference bit error rate: over a
+// DefaultMessageBits message it gives the reference link quality,
+// pi(up) = 0.8304 at p_rc = 0.9 (Section VI).
+const DefaultBER = 2e-4
+
 // ErrBadSNR is returned for non-finite or negative linear SNR values.
 var ErrBadSNR = errors.New("channel: Eb/N0 must be finite and non-negative")
 

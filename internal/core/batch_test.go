@@ -15,7 +15,7 @@ import (
 // with the improved process of that link — kept in the tests to pin
 // SensitivityAnalysis against it at 1e-12. An availability override in
 // opts keeps masking the improved process, as it does in the sweep.
-func scalarSensitivity(t *testing.T, net *topology.Network, sched schedule.Plan, opts []Option, delta float64) map[topology.LinkID][2]float64 {
+func scalarSensitivity(t *testing.T, net *topology.Network, sched *schedule.Schedule, opts []Option, delta float64) map[topology.LinkID][2]float64 {
 	t.Helper()
 	a, err := New(net, sched, opts...)
 	if err != nil {

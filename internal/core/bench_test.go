@@ -21,7 +21,7 @@ func benchSetup(b *testing.B) (*topology.Network, []topology.NodeID, *schedule.S
 	if err != nil {
 		b.Fatal(err)
 	}
-	etaA, err := schedule.BuildPriority(routes, schedule.ShortestFirst(routes), 1)
+	etaA, err := schedule.Build(routes, schedule.ShortestFirst(routes), 1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

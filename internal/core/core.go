@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"sync"
 
+	"wirelesshart/internal/channel"
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/measures"
 	"wirelesshart/internal/pathmodel"
@@ -24,7 +25,7 @@ import (
 type Analyzer struct {
 	net       *topology.Network
 	routes    map[topology.NodeID]topology.Path
-	sched     schedule.Plan
+	sched     *schedule.Schedule
 	is        int
 	fdown     int
 	ttl       int
@@ -233,7 +234,7 @@ func WithSources(sources ...topology.NodeID) Option {
 // returns an analyzer. By default every link uses the paper's reference
 // model (BER 2e-4, p_rc 0.9, pi(up) = 0.8304); override with
 // WithUniformLinkProcess or per-link options.
-func New(net *topology.Network, sched schedule.Plan, opts ...Option) (*Analyzer, error) {
+func New(net *topology.Network, sched *schedule.Schedule, opts ...Option) (*Analyzer, error) {
 	if net == nil || sched == nil {
 		return nil, errors.New("core: network and schedule are required")
 	}
@@ -241,7 +242,7 @@ func New(net *topology.Network, sched schedule.Plan, opts ...Option) (*Analyzer,
 	if err != nil {
 		return nil, fmt.Errorf("core: routing failed: %w", err)
 	}
-	def, err := link.FromBER(2e-4, 1016, link.DefaultRecoveryProb)
+	def, err := link.FromBER(channel.DefaultBER, channel.DefaultMessageBits, link.DefaultRecoveryProb)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ func typicalSetup(t *testing.T) (*topology.Network, []topology.NodeID, *schedule
 	if err != nil {
 		t.Fatal(err)
 	}
-	etaA, err := schedule.BuildPriority(routes, schedule.ShortestFirst(routes), 1)
+	etaA, err := schedule.Build(routes, schedule.ShortestFirst(routes), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func etaB(t *testing.T, net *topology.Network, sources []topology.NodeID) *sched
 		sources[8], sources[9], sources[3], sources[4], sources[5],
 		sources[7], sources[6], sources[0], sources[1], sources[2],
 	}
-	s, err := schedule.BuildPriority(routes, order, 1)
+	s, err := schedule.Build(routes, order, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestFig18ReportingIntervalOneHop(t *testing.T) {
 		t.Fatal(err)
 	}
 	routes, _ := net.UplinkRoutes()
-	s, err := schedule.BuildPriority(routes, schedule.ShortestFirst(routes), 0)
+	s, err := schedule.Build(routes, schedule.ShortestFirst(routes), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

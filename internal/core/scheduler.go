@@ -65,7 +65,7 @@ func OptimizeSchedule(net *topology.Network, extraIdle int, objective Objective,
 			return 0, nil, errBudget
 		}
 		res.Evaluations++
-		s, err := schedule.BuildPriority(routes, order, extraIdle)
+		s, err := schedule.Build(routes, order, 1, extraIdle)
 		if err != nil {
 			return 0, nil, err
 		}

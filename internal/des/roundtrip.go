@@ -24,7 +24,7 @@ type RoundTripConfig struct {
 	// Net, Sched, Is, Intervals, Seed, Links as in Config. The downlink
 	// frame mirrors the uplink frame (Fdown = Fup).
 	Net       *topology.Network
-	Sched     schedule.Plan
+	Sched     *schedule.Schedule
 	Is        int
 	Intervals int
 	Seed      int64

@@ -15,9 +15,8 @@ import (
 type Config struct {
 	// Net is the network topology (routes are derived from it).
 	Net *topology.Network
-	// Sched is the uplink communication schedule (single- or
-	// multi-channel).
-	Sched schedule.ExecutablePlan
+	// Sched is the uplink communication schedule.
+	Sched *schedule.Schedule
 	// Is is the reporting interval in super-frames.
 	Is int
 	// TTL is the message TTL in uplink slots (0 selects Is*Fup).

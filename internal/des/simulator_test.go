@@ -47,7 +47,7 @@ func chainNetwork(t *testing.T, hops, fup int) (*topology.Network, *schedule.Sch
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := schedule.BuildPriority(routes, schedule.ShortestFirst(routes), fup-hops)
+	s, err := schedule.Build(routes, schedule.ShortestFirst(routes), 1, fup-hops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestRunNetworkUtilizationMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := schedule.BuildPriority(routes, schedule.ShortestFirst(routes), 1)
+	s, err := schedule.Build(routes, schedule.ShortestFirst(routes), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,11 +379,11 @@ func TestRunMultiChannelSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := schedule.ShortestFirst(routes)
-	multi, err := schedule.BuildMultiChannel(routes, order, 2, 0)
+	multi, err := schedule.Build(routes, order, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := schedule.BuildPriority(routes, order, 0)
+	single, err := schedule.Build(routes, order, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func starNetwork(t *testing.T, sources, fup int) (*topology.Network, *schedule.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := schedule.BuildPriority(routes, schedule.ShortestFirst(routes), fup-sources)
+	s, err := schedule.Build(routes, schedule.ShortestFirst(routes), 1, fup-sources)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/spec"
 	"wirelesshart/internal/topology"
 )
@@ -137,7 +136,7 @@ func explicitTypical(t *testing.T) *spec.Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := built.Schedule.(schedule.ExecutablePlan)
+	plan := built.Schedule
 	name := func(id topology.NodeID) string {
 		n, err := built.Net.Node(id)
 		if err != nil {

@@ -154,10 +154,6 @@ func ComputeHop(intervals int, seed int64) (*HopData, error) {
 		return nil, err
 	}
 
-	sched, _, err := steadySim(b)
-	if err != nil {
-		return nil, err
-	}
 	runSim := func(mk func(topology.LinkID) (des.LinkProcess, error)) (float64, error) {
 		links := map[topology.LinkID]des.LinkProcess{}
 		for _, l := range b.Net.Links() {
@@ -168,7 +164,7 @@ func ComputeHop(intervals int, seed int64) (*HopData, error) {
 			links[l.ID] = p
 		}
 		res, err := des.Run(des.Config{
-			Net: b.Net, Sched: sched, Is: 4, Intervals: intervals,
+			Net: b.Net, Sched: b.Schedule, Is: 4, Intervals: intervals,
 			Seed: seed, Fdown: -1, Links: links,
 		})
 		if err != nil {

@@ -13,7 +13,6 @@ import (
 	"wirelesshart/internal/des"
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/pathmodel"
-	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/spec"
 	"wirelesshart/internal/topology"
 )
@@ -142,19 +141,15 @@ func analyze(s *spec.Spec, extra ...core.Option) (*core.NetworkAnalysis, error) 
 	return b.Analyzer.Analyze()
 }
 
-// steadySim returns what the simulator needs to run b in its stationary
-// regime: the executable schedule and, per link, the simulator counterpart
-// of the link's analyzed process.
-func steadySim(b *spec.Built) (schedule.ExecutablePlan, map[topology.LinkID]des.LinkProcess, error) {
-	sched, ok := b.Schedule.(schedule.ExecutablePlan)
-	if !ok {
-		return nil, nil, errMissing("executable schedule")
-	}
+// steadyLinks returns, per link of b, the simulator counterpart of the
+// link's analyzed process: what the simulator needs to run b in its
+// stationary regime.
+func steadyLinks(b *spec.Built) map[topology.LinkID]des.LinkProcess {
 	procs := map[topology.LinkID]des.LinkProcess{}
 	for _, l := range b.Net.Links() {
 		procs[l.ID] = des.NewProcessSteady(b.Analyzer.LinkProcess(l.ID))
 	}
-	return sched, procs, nil
+	return procs
 }
 
 type errMissing string

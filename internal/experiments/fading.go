@@ -94,18 +94,14 @@ func ComputeFading(stays []float64, intervals int, seed int64) ([]FadingRow, err
 		if err != nil {
 			return nil, err
 		}
-		sched, procs, err := steadySim(b)
-		if err != nil {
-			return nil, err
-		}
 		sim, err := des.Run(des.Config{
 			Net:       b.Net,
-			Sched:     sched,
+			Sched:     b.Schedule,
 			Is:        4,
 			Intervals: intervals,
 			Seed:      seed,
 			Fdown:     -1,
-			Links:     procs,
+			Links:     steadyLinks(b),
 		})
 		if err != nil {
 			return nil, err

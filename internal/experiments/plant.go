@@ -40,7 +40,7 @@ func ComputePlant(networks, nodes int, seed int64) (*PlantData, error) {
 		if err != nil {
 			return nil, err
 		}
-		sched, err := schedule.BuildPriority(routes, schedule.ShortestFirst(routes), 1)
+		sched, err := schedule.Build(routes, schedule.ShortestFirst(routes), 1, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -34,17 +34,13 @@ func ComputeRTrip(intervals int, seed int64) ([]RTripRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, procs, err := steadySim(b)
-	if err != nil {
-		return nil, err
-	}
 	sim, err := des.RunRoundTrip(des.RoundTripConfig{
 		Net:       b.Net,
-		Sched:     sched,
+		Sched:     b.Schedule,
 		Is:        4,
 		Intervals: intervals,
 		Seed:      seed,
-		Links:     procs,
+		Links:     steadyLinks(b),
 	})
 	if err != nil {
 		return nil, err

@@ -27,14 +27,14 @@ func TestTypicalSpecMatchesHandBuiltNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	etaA, err := schedule.BuildPriority(routes, schedule.ShortestFirst(routes), 1)
+	etaA, err := schedule.Build(routes, schedule.ShortestFirst(routes), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	etaB, err := schedule.BuildPriority(routes, []topology.NodeID{
+	etaB, err := schedule.Build(routes, []topology.NodeID{
 		sources[8], sources[9], sources[3], sources[4], sources[5],
 		sources[7], sources[6], sources[0], sources[1], sources[2],
-	}, 1)
+	}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ type Generated struct {
 	Net *topology.Network
 	// Plan is the synthesized schedule, ValidateSources-clean against
 	// Routes.
-	Plan schedule.Plan
+	Plan *schedule.Schedule
 	// Routes are the BFS uplink routes, all within the hop limit.
 	Routes map[topology.NodeID]topology.Path
 	// Depths records each node's tree depth by node id.

@@ -11,18 +11,27 @@ import (
 )
 
 func TestNewMultiScheduleValidation(t *testing.T) {
-	if _, err := NewMultiSchedule(0); err == nil {
+	_, _, routes := typical(t)
+	order := ShortestFirst(routes)
+	if _, err := Build(routes, order, 0, 0); err == nil {
 		t.Error("zero channels should error")
 	}
-	if _, err := NewMultiSchedule(17); err == nil {
+	if _, err := Build(routes, order, 17, 0); err == nil {
 		t.Error("17 channels should error")
 	}
-	m, err := NewMultiSchedule(4)
+	m, err := Build(routes, order, 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Channels() != 4 || m.Fup() != 0 {
-		t.Errorf("fresh multischedule: channels=%d fup=%d", m.Channels(), m.Fup())
+	if m.channels != 16 {
+		t.Errorf("16-channel schedule: channels=%d", m.channels)
+	}
+	s, err := New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.channels != 1 || s.Fup() != 3 {
+		t.Errorf("explicit frame: channels=%d fup=%d, want 1 and 3", s.channels, s.Fup())
 	}
 }
 
@@ -30,7 +39,7 @@ func TestBuildMultiChannelSingleChannelMatchesLowerBound(t *testing.T) {
 	// With one channel the greedy scheduler needs exactly 19 slots for
 	// the typical network (one per transmission).
 	_, _, routes := typical(t)
-	m, err := BuildMultiChannel(routes, ShortestFirst(routes), 1, 0)
+	m, err := Build(routes, ShortestFirst(routes), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +52,7 @@ func TestBuildMultiChannelShrinksFrame(t *testing.T) {
 	net, _, routes := typical(t)
 	var prev int
 	for _, ch := range []int{1, 2, 3, 4} {
-		m, err := BuildMultiChannel(routes, ShortestFirst(routes), ch, 0)
+		m, err := Build(routes, ShortestFirst(routes), ch, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +74,7 @@ func TestBuildMultiChannelShrinksFrame(t *testing.T) {
 	// Plenty of parallelism: the frame must shrink well below 19. The
 	// gateway is the common receiver, so the lower bound is the number of
 	// gateway-bound transmissions (10 paths -> 10 gateway receptions).
-	m4, _ := BuildMultiChannel(routes, ShortestFirst(routes), 4, 0)
+	m4, _ := Build(routes, ShortestFirst(routes), 4, 0)
 	if m4.Fup() > 14 {
 		t.Errorf("4 channels: frame = %d, want substantially below 19", m4.Fup())
 	}
@@ -76,12 +85,12 @@ func TestBuildMultiChannelShrinksFrame(t *testing.T) {
 
 func TestMultiChannelNoNodeConflicts(t *testing.T) {
 	net, _, routes := typical(t)
-	m, err := BuildMultiChannel(routes, ShortestFirst(routes), 4, 0)
+	m, err := Build(routes, ShortestFirst(routes), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for slot := 1; slot <= m.Fup(); slot++ {
-		entries, err := m.Entries(slot)
+		entries, err := m.EntriesAt(slot)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +113,7 @@ func TestMultiChannelNoNodeConflicts(t *testing.T) {
 
 func TestMultiChannelCausalOrder(t *testing.T) {
 	_, sources, routes := typical(t)
-	m, err := BuildMultiChannel(routes, ShortestFirst(routes), 3, 0)
+	m, err := Build(routes, ShortestFirst(routes), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +132,15 @@ func TestMultiChannelCausalOrder(t *testing.T) {
 
 func TestMultiChannelEntriesBounds(t *testing.T) {
 	_, _, routes := typical(t)
-	m, _ := BuildMultiChannel(routes, ShortestFirst(routes), 2, 1)
-	if _, err := m.Entries(0); err == nil {
+	m, _ := Build(routes, ShortestFirst(routes), 2, 1)
+	if _, err := m.EntriesAt(0); err == nil {
 		t.Error("slot 0 should error")
 	}
-	if _, err := m.Entries(m.Fup() + 1); err == nil {
+	if _, err := m.EntriesAt(m.Fup() + 1); err == nil {
 		t.Error("slot beyond frame should error")
 	}
 	// Idle padding adds empty slots.
-	last, err := m.Entries(m.Fup())
+	last, err := m.EntriesAt(m.Fup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,25 +152,25 @@ func TestMultiChannelEntriesBounds(t *testing.T) {
 func TestBuildMultiChannelValidation(t *testing.T) {
 	_, _, routes := typical(t)
 	order := ShortestFirst(routes)
-	if _, err := BuildMultiChannel(routes, order[:3], 2, 0); err == nil {
+	if _, err := Build(routes, order[:3], 2, 0); err == nil {
 		t.Error("incomplete order should error")
 	}
-	if _, err := BuildMultiChannel(routes, order, 2, -1); err == nil {
+	if _, err := Build(routes, order, 2, -1); err == nil {
 		t.Error("negative padding should error")
 	}
 	dup := append([]topology.NodeID{}, order...)
 	dup[0] = dup[1]
-	if _, err := BuildMultiChannel(routes, dup, 2, 0); err == nil {
+	if _, err := Build(routes, dup, 2, 0); err == nil {
 		t.Error("duplicate source should error")
 	}
-	if _, err := BuildMultiChannel(map[topology.NodeID]topology.Path{}, nil, 2, 0); err == nil {
+	if _, err := Build(map[topology.NodeID]topology.Path{}, nil, 2, 0); err == nil {
 		t.Error("empty routes should error")
 	}
 }
 
 func TestMultiChannelFormat(t *testing.T) {
 	net, _, routes := typical(t)
-	m, _ := BuildMultiChannel(routes, ShortestFirst(routes), 4, 0)
+	m, _ := Build(routes, ShortestFirst(routes), 4, 0)
 	out := m.Format(net)
 	if !strings.Contains(out, "|") {
 		t.Errorf("4-channel format should show parallel transmissions: %s", out)
@@ -171,9 +180,9 @@ func TestMultiChannelFormat(t *testing.T) {
 	}
 }
 
-// formatSprintf is MultiSchedule.Format as it was first written, with a
+// formatSprintf is the multi-channel Format as it was first written, with a
 // fmt.Sprintf per entry and two strings.Joins.
-func formatSprintf(m *MultiSchedule, n *topology.Network) string {
+func formatSprintf(m *Schedule, n *topology.Network) string {
 	parts := make([]string, len(m.slots))
 	for i, entries := range m.slots {
 		if len(entries) == 0 {
@@ -209,7 +218,7 @@ func TestMultiChannelFormatMatchesSprintf(t *testing.T) {
 	for _, order := range [][]topology.NodeID{ShortestFirst(routes), LongestFirst(routes)} {
 		for channels := 1; channels <= 4; channels++ {
 			for _, idle := range []int{0, 3} {
-				m, err := BuildMultiChannel(routes, order, channels, idle)
+				m, err := Build(routes, order, channels, idle)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,19 +230,18 @@ func TestMultiChannelFormatMatchesSprintf(t *testing.T) {
 			}
 		}
 	}
-	empty, err := NewMultiSchedule(2)
+	idle, err := New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := empty.Format(net), formatSprintf(empty, net); got != want {
-		t.Errorf("empty schedule: got %s, want %s", got, want)
+	if got, want := idle.Format(net), formatSprintf(idle, net); got != want || got != "(*, *, *)" {
+		t.Errorf("idle schedule: got %s, want %s", got, want)
 	}
 }
 
 func TestMultiChannelPropertyOverRandomPlants(t *testing.T) {
-	// For random plant networks: the multi-channel frame never exceeds
-	// the single-channel frame, both validate, and per-source slot
-	// sequences stay causal.
+	// For random plant networks: the frame at c channels never exceeds
+	// the one-channel frame, and both validate.
 	f := func(seed int64, nodesRaw, chRaw uint8) bool {
 		nodes := int(nodesRaw%15) + 5 // 5..19 devices
 		channels := int(chRaw%4) + 1
@@ -247,25 +255,22 @@ func TestMultiChannelPropertyOverRandomPlants(t *testing.T) {
 			return false
 		}
 		order := ShortestFirst(routes)
-		single, err := BuildPriority(routes, order, 0)
+		single, err := Build(routes, order, 1, 0)
 		if err != nil {
 			return false
 		}
-		multi, err := BuildMultiChannel(routes, order, channels, 0)
+		multi, err := Build(routes, order, channels, 0)
 		if err != nil {
 			return false
 		}
 		if multi.Fup() > single.Fup() {
 			return false
 		}
-		sources := make([]topology.NodeID, 0, len(routes))
-		for src := range routes {
-			sources = append(sources, src)
-		}
+		sources := topology.SortedSources(routes)
 		if err := multi.ValidateSources(net, routes, sources); err != nil {
 			return false
 		}
-		return single.Validate(net, routes) == nil
+		return single.ValidateSources(net, routes, sources) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -274,7 +279,7 @@ func TestMultiChannelPropertyOverRandomPlants(t *testing.T) {
 
 func TestMultiChannelValidateCatchesOverflows(t *testing.T) {
 	net, _, routes := typical(t)
-	m, err := BuildMultiChannel(routes, ShortestFirst(routes), 2, 0)
+	m, err := Build(routes, ShortestFirst(routes), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

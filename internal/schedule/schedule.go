@@ -1,16 +1,20 @@
 // Package schedule models the TDMA communication schedule of a
 // WirelessHART superframe (paper Sections II and IV): a fixed sequence of
-// 10 ms uplink slots, each either idle or dedicated to one link
-// transmission relaying one source node's message. It provides the
-// priority-based schedule builders used in the paper's scheduling study
-// (Section VI-B, schedules eta_a and eta_b).
+// 10 ms uplink slots, each either idle or dedicated to link transmissions
+// relaying source nodes' messages. The paper's eta is the one-channel
+// schedule, one transmission per slot; with more frequency channels a
+// slot holds up to one node-disjoint transmission per channel. Build is
+// the priority-based builder of the paper's scheduling study (Section
+// VI-B, schedules eta_a and eta_b); New and SetTransmission lay out an
+// explicit one-channel frame.
 package schedule
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"wirelesshart/internal/topology"
 )
@@ -19,110 +23,108 @@ import (
 // TDMA slots.
 const SlotDurationMS = 10
 
-// Entry is one slot of the communication schedule. An idle entry has Idle
-// set; otherwise From transmits to To, relaying the message originated by
-// Source (the paper's slot dedication, implicit in its eta notation).
+// maxChannels is the number of WirelessHART frequency channels.
+const maxChannels = 16
+
+// Entry is one transmission of the communication schedule: From
+// transmits to To, relaying the message originated by Source (the
+// paper's slot dedication, implicit in its eta notation).
 type Entry struct {
-	Idle   bool
 	From   topology.NodeID
 	To     topology.NodeID
 	Source topology.NodeID
 }
 
-// Schedule is an uplink communication schedule over Fup slots. Slots are
-// 1-based to match the paper's age convention (a message transmitted in the
-// slot s of the first frame arrives with age s).
+// Schedule is an uplink communication schedule over Fup slots, each
+// holding up to channels transmissions that involve no node twice (the
+// standard allows one transaction per frequency channel per slot, and a
+// radio cannot transmit and receive at once). The paper's eta is the
+// one-channel case. Slots are 1-based to match the paper's age
+// convention (a message transmitted in the slot s of the first frame
+// arrives with age s).
 type Schedule struct {
-	entries []Entry
+	channels int
+	slots    [][]Entry                 // slots[i] holds the transmissions of slot i+1
+	bySource map[topology.NodeID][]int // each source's 1-based slots in slot order
 }
 
-// New returns a schedule of fup idle slots.
+// New returns a one-channel schedule of fup idle slots, to be filled
+// with SetTransmission.
 func New(fup int) (*Schedule, error) {
 	if fup < 1 {
 		return nil, fmt.Errorf("schedule: frame needs at least one slot, got %d", fup)
 	}
-	entries := make([]Entry, fup)
-	for i := range entries {
-		entries[i].Idle = true
+	s := &Schedule{channels: 1, slots: make([][]Entry, fup), bySource: map[topology.NodeID][]int{}}
+	cells := make([]Entry, fup)
+	for i := range s.slots {
+		s.slots[i] = cells[i : i : i+1]
 	}
-	return &Schedule{entries: entries}, nil
+	return s, nil
 }
 
 // Fup returns the uplink frame size in slots.
-func (s *Schedule) Fup() int { return len(s.entries) }
-
-// Entry returns the entry of a 1-based slot.
-func (s *Schedule) Entry(slot int) (Entry, error) {
-	if slot < 1 || slot > len(s.entries) {
-		return Entry{}, fmt.Errorf("schedule: slot %d out of [1,%d]", slot, len(s.entries))
-	}
-	return s.entries[slot-1], nil
-}
+func (s *Schedule) Fup() int { return len(s.slots) }
 
 // SetTransmission dedicates a 1-based slot to a transmission from -> to
-// relaying source's message. The slot must currently be idle (TDMA: one
-// transmission per slot network-wide).
+// relaying source's message. The slot must have a free channel (for a
+// schedule from New, be idle: TDMA, one transmission per slot
+// network-wide).
 func (s *Schedule) SetTransmission(slot int, from, to, source topology.NodeID) error {
-	if slot < 1 || slot > len(s.entries) {
-		return fmt.Errorf("schedule: slot %d out of [1,%d]", slot, len(s.entries))
+	if slot < 1 || slot > len(s.slots) {
+		return fmt.Errorf("schedule: slot %d out of [1,%d]", slot, len(s.slots))
 	}
-	if !s.entries[slot-1].Idle {
+	if len(s.slots[slot-1]) >= s.channels {
 		return fmt.Errorf("schedule: slot %d already allocated", slot)
 	}
 	if from == to {
 		return fmt.Errorf("schedule: slot %d transmission loops on node %d", slot, from)
 	}
-	s.entries[slot-1] = Entry{From: from, To: to, Source: source}
+	s.slots[slot-1] = append(s.slots[slot-1], Entry{From: from, To: to, Source: source})
+	slots := s.bySource[source]
+	i, _ := slices.BinarySearch(slots, slot)
+	s.bySource[source] = slices.Insert(slots, i, slot)
 	return nil
 }
 
-// EntriesAt returns the slot's transmissions (zero or one entries for a
-// single-channel schedule), implementing ExecutablePlan.
+// EntriesAt returns the transmissions of a 1-based slot (a copy; none
+// for an idle slot).
 func (s *Schedule) EntriesAt(slot int) ([]Entry, error) {
-	e, err := s.Entry(slot)
-	if err != nil {
-		return nil, err
+	if slot < 1 || slot > len(s.slots) {
+		return nil, fmt.Errorf("schedule: slot %d out of [1,%d]", slot, len(s.slots))
 	}
-	if e.Idle {
-		return nil, nil
-	}
-	return []Entry{e}, nil
+	return slices.Clone(s.slots[slot-1]), nil
 }
 
 // SlotsForSource returns the 1-based slots dedicated to relaying source's
-// message, in slot order.
+// message, in slot order (a copy; nil for a source without slots).
 func (s *Schedule) SlotsForSource(source topology.NodeID) []int {
-	var out []int
-	for i, e := range s.entries {
-		if !e.Idle && e.Source == source {
-			out = append(out, i+1)
-		}
-	}
-	return out
+	return slices.Clone(s.bySource[source])
 }
 
-// Validate checks the schedule against a network and its uplink routes:
-// every transmission must follow an existing link and belong to the
-// dedicated source's route, every route's hops must each have at least one
-// dedicated slot, and the hops must be scheduled in causal order within the
-// frame (so a fresh message can traverse the whole path in one cycle).
-func (s *Schedule) Validate(n *topology.Network, routes map[topology.NodeID]topology.Path) error {
-	return s.ValidateSources(n, routes, topology.SortedSources(routes))
-}
-
-// ValidateSources is Validate restricted to the given reporting sources:
-// only those must have complete dedicated slot sequences. Use it for
-// networks where some routed field devices act purely as relays.
+// ValidateSources checks the schedule against a network and its uplink
+// routes: no slot holds more transmissions than channels or involves a
+// node twice, every transmission follows an existing link and relays a
+// routed source, and each of the given reporting sources has one
+// dedicated slot per hop of its route, in causal order within the frame
+// (so a fresh message can traverse the whole path in one cycle). Routed
+// field devices left out of sources act purely as relays.
 func (s *Schedule) ValidateSources(n *topology.Network, routes map[topology.NodeID]topology.Path, sources []topology.NodeID) error {
-	for i, e := range s.entries {
-		if e.Idle {
-			continue
+	for i, entries := range s.slots {
+		if len(entries) > s.channels {
+			return fmt.Errorf("schedule: slot %d has %d transmissions over %d channels", i+1, len(entries), s.channels)
 		}
-		if _, ok := n.LinkBetween(e.From, e.To); !ok {
-			return fmt.Errorf("schedule: slot %d uses non-existent link %d-%d", i+1, e.From, e.To)
-		}
-		if _, ok := routes[e.Source]; !ok {
-			return fmt.Errorf("schedule: slot %d dedicated to unknown source %d", i+1, e.Source)
+		for j, e := range entries {
+			if _, ok := n.LinkBetween(e.From, e.To); !ok {
+				return fmt.Errorf("schedule: slot %d uses non-existent link %d-%d", i+1, e.From, e.To)
+			}
+			if _, ok := routes[e.Source]; !ok {
+				return fmt.Errorf("schedule: slot %d dedicated to unknown source %d", i+1, e.Source)
+			}
+			for _, prev := range entries[:j] {
+				if prev.involves(e.From) || prev.involves(e.To) {
+					return fmt.Errorf("schedule: slot %d has a node conflict", i+1)
+				}
+			}
 		}
 	}
 	for _, src := range sources {
@@ -130,14 +132,16 @@ func (s *Schedule) ValidateSources(n *topology.Network, routes map[topology.Node
 		if !ok {
 			return fmt.Errorf("schedule: reporting source %d has no route", src)
 		}
-		slots := s.SlotsForSource(src)
+		slots := s.bySource[src]
 		if len(slots) != p.Hops() {
 			return fmt.Errorf("schedule: source %d has %d dedicated slots for a %d-hop route",
 				src, len(slots), p.Hops())
 		}
 		nodes := p.Nodes()
-		for h := 0; h < p.Hops(); h++ {
-			e := s.entries[slots[h]-1]
+		for h, slot := range slots {
+			// bySource lists only slots that hold one of src's transmissions.
+			entries := s.slots[slot-1]
+			e := entries[slices.IndexFunc(entries, func(e Entry) bool { return e.Source == src })]
 			if e.From != nodes[h] || e.To != nodes[h+1] {
 				return fmt.Errorf("schedule: source %d hop %d scheduled as %d->%d, route says %d->%d",
 					src, h+1, e.From, e.To, nodes[h], nodes[h+1])
@@ -147,41 +151,64 @@ func (s *Schedule) ValidateSources(n *topology.Network, routes map[topology.Node
 	return nil
 }
 
+// involves reports whether the node transmits or receives in e.
+func (e Entry) involves(node topology.NodeID) bool { return e.From == node || e.To == node }
+
 // Format renders the schedule in the paper's eta notation, with "*" for
-// idle slots, using node names from the network.
+// idle slots and parallel transmissions joined by "|", using node names
+// from the network.
 func (s *Schedule) Format(n *topology.Network) string {
-	parts := make([]string, len(s.entries))
-	for i, e := range s.entries {
-		if e.Idle {
-			parts[i] = "*"
+	b := []byte{'('}
+	for i, entries := range s.slots {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		if len(entries) == 0 {
+			b = append(b, '*')
 			continue
 		}
-		from, errF := n.Node(e.From)
-		to, errT := n.Node(e.To)
-		if errF != nil || errT != nil {
-			parts[i] = fmt.Sprintf("<%d,%d>", e.From, e.To)
-			continue
+		for j, e := range entries {
+			if j > 0 {
+				b = append(b, '|')
+			}
+			b = append(b, '<')
+			from, errF := n.Node(e.From)
+			to, errT := n.Node(e.To)
+			if errF != nil || errT != nil {
+				b = strconv.AppendInt(b, int64(e.From), 10)
+				b = append(b, ',')
+				b = strconv.AppendInt(b, int64(e.To), 10)
+			} else {
+				b = append(b, from.Name...)
+				b = append(b, ',')
+				b = append(b, to.Name...)
+			}
+			b = append(b, '>')
 		}
-		parts[i] = fmt.Sprintf("<%s,%s>", from.Name, to.Name)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return string(append(b, ')'))
 }
 
-// BuildPriority constructs a schedule by allocating, for each source in the
-// given priority order, one consecutive slot per hop of its route (the
-// paper's eta_a results from shortest-first priority, eta_b from
-// longest-first). extraIdle idle slots are appended to reach a desired
-// frame size (the paper's typical network pads the 19 transmissions to
-// Fup = 20).
-func BuildPriority(routes map[topology.NodeID]topology.Path, order []topology.NodeID, extraIdle int) (*Schedule, error) {
+// Build constructs a schedule over the given number of frequency
+// channels (1..16) by greedy list scheduling: sources in priority order,
+// each hop placed at the earliest slot after its predecessor hop with a
+// free channel and no node conflict. With one channel every source's
+// hops take consecutive slots (the paper's eta_a results from
+// shortest-first priority, eta_b from longest-first). extraIdle idle
+// slots are appended to reach a desired frame size (the paper's typical
+// network pads the 19 transmissions to Fup = 20).
+func Build(routes map[topology.NodeID]topology.Path, order []topology.NodeID, channels, extraIdle int) (*Schedule, error) {
 	if extraIdle < 0 {
 		return nil, fmt.Errorf("schedule: negative idle padding %d", extraIdle)
+	}
+	if channels < 1 || channels > maxChannels {
+		return nil, fmt.Errorf("schedule: channels %d out of [1,%d]", channels, maxChannels)
 	}
 	if len(order) != len(routes) {
 		return nil, fmt.Errorf("schedule: priority order has %d sources, routes have %d", len(order), len(routes))
 	}
 	total := 0
-	seen := map[topology.NodeID]bool{}
+	seen := make(map[topology.NodeID]bool, len(order))
 	for _, src := range order {
 		p, ok := routes[src]
 		if !ok {
@@ -196,21 +223,53 @@ func BuildPriority(routes map[topology.NodeID]topology.Path, order []topology.No
 	if total == 0 {
 		return nil, errors.New("schedule: no transmissions to allocate")
 	}
-	s, err := New(total + extraIdle)
-	if err != nil {
-		return nil, err
+	s := &Schedule{
+		channels: channels,
+		slots:    make([][]Entry, 0, total+extraIdle),
+		bySource: make(map[topology.NodeID][]int, len(order)),
 	}
-	slot := 1
+	// Every slot before open is full, so a placement scan starts there:
+	// with one channel it is the frame's end and each hop takes one step.
+	// Each slot holds at least one of the total transmissions, so cells
+	// has a first entry for every slot the frame grows.
+	open := 0
+	cells := make([]Entry, total)
+	table := make([]int, 0, total)
 	for _, src := range order {
 		nodes := routes[src].Nodes()
+		first := len(table)
+		after := 0
 		for h := 0; h+1 < len(nodes); h++ {
-			if err := s.SetTransmission(slot, nodes[h], nodes[h+1], src); err != nil {
-				return nil, err
+			after = s.place(max(after, open), cells, nodes[h], nodes[h+1], src)
+			table = append(table, after)
+			for open < len(s.slots) && len(s.slots[open]) == channels {
+				open++
 			}
-			slot++
 		}
+		s.bySource[src] = table[first:len(table):len(table)]
+	}
+	for i := 0; i < extraIdle; i++ {
+		s.slots = append(s.slots, nil)
 	}
 	return s, nil
+}
+
+// place schedules a transmission at the earliest slot at or after the
+// 0-based index from that has a free channel and no node conflict,
+// growing the frame as needed: slot i+1 starts in cells[i]. It returns
+// the 1-based slot.
+func (s *Schedule) place(from int, cells []Entry, tx, rx, source topology.NodeID) int {
+	for idx := from; ; idx++ {
+		if idx == len(s.slots) {
+			s.slots = append(s.slots, cells[idx:idx:idx+1])
+		}
+		entries := s.slots[idx]
+		if len(entries) == s.channels || slices.ContainsFunc(entries, func(e Entry) bool { return e.involves(tx) || e.involves(rx) }) {
+			continue
+		}
+		s.slots[idx] = append(entries, Entry{From: tx, To: rx, Source: source})
+		return idx + 1
+	}
 }
 
 // ShortestFirst returns the priority order used for the paper's eta_a:

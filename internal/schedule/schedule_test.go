@@ -31,14 +31,14 @@ func TestNewValidation(t *testing.T) {
 	if s.Fup() != 7 {
 		t.Errorf("Fup() = %d, want 7", s.Fup())
 	}
-	e, err := s.Entry(1)
-	if err != nil || !e.Idle {
-		t.Errorf("fresh slot should be idle: %+v, %v", e, err)
+	entries, err := s.EntriesAt(1)
+	if err != nil || len(entries) != 0 {
+		t.Errorf("fresh slot should be idle: %+v, %v", entries, err)
 	}
-	if _, err := s.Entry(0); err == nil {
+	if _, err := s.EntriesAt(0); err == nil {
 		t.Error("slot 0 should error (1-based)")
 	}
-	if _, err := s.Entry(8); err == nil {
+	if _, err := s.EntriesAt(8); err == nil {
 		t.Error("slot beyond frame should error")
 	}
 }
@@ -48,9 +48,9 @@ func TestSetTransmission(t *testing.T) {
 	if err := s.SetTransmission(3, 1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	e, _ := s.Entry(3)
-	if e.Idle || e.From != 1 || e.To != 2 || e.Source != 1 {
-		t.Errorf("entry = %+v", e)
+	entries, err := s.EntriesAt(3)
+	if err != nil || len(entries) != 1 || entries[0] != (Entry{From: 1, To: 2, Source: 1}) {
+		t.Errorf("entries = %+v, %v", entries, err)
 	}
 	if err := s.SetTransmission(3, 2, 3, 1); err == nil {
 		t.Error("double-booking a slot should error")
@@ -95,7 +95,7 @@ func TestBuildPriorityEtaA(t *testing.T) {
 	// paper's eta_a: 19 transmissions, paths allocated in order 1..10.
 	n, sources, routes := typical(t)
 	order := ShortestFirst(routes)
-	s, err := BuildPriority(routes, order, 1)
+	s, err := Build(routes, order, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestBuildPriorityEtaA(t *testing.T) {
 			}
 		}
 	}
-	if err := s.Validate(n, routes); err != nil {
+	if err := s.ValidateSources(n, routes, topology.SortedSources(routes)); err != nil {
 		t.Errorf("eta_a failed validation: %v", err)
 	}
 }
@@ -137,7 +137,7 @@ func TestBuildPriorityEtaBReconstruction(t *testing.T) {
 		sources[8], sources[9], sources[3], sources[4], sources[5],
 		sources[7], sources[6], sources[0], sources[1], sources[2],
 	}
-	s, err := BuildPriority(routes, order, 1)
+	s, err := Build(routes, order, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestBuildPriorityEtaBReconstruction(t *testing.T) {
 	if slots := s.SlotsForSource(sources[6]); slots[len(slots)-1] != 16 {
 		t.Errorf("path 7 last slot = %d, want 16", slots[len(slots)-1])
 	}
-	if err := s.Validate(n, routes); err != nil {
+	if err := s.ValidateSources(n, routes, topology.SortedSources(routes)); err != nil {
 		t.Errorf("eta_b failed validation: %v", err)
 	}
 }
@@ -181,28 +181,33 @@ func TestLongestFirstOrder(t *testing.T) {
 func TestBuildPriorityValidation(t *testing.T) {
 	_, sources, routes := typical(t)
 	order := ShortestFirst(routes)
-	if _, err := BuildPriority(routes, order[:5], 0); err == nil {
+	if _, err := Build(routes, order[:5], 1, 0); err == nil {
 		t.Error("incomplete priority order should error")
 	}
-	if _, err := BuildPriority(routes, order, -1); err == nil {
+	if _, err := Build(routes, order, 1, -1); err == nil {
 		t.Error("negative padding should error")
 	}
 	dup := append([]topology.NodeID{}, order...)
 	dup[1] = dup[0]
-	if _, err := BuildPriority(routes, dup, 0); err == nil {
+	if _, err := Build(routes, dup, 1, 0); err == nil {
 		t.Error("duplicate source should error")
 	}
 	unknown := append([]topology.NodeID{}, order...)
 	unknown[0] = 999
-	if _, err := BuildPriority(routes, unknown, 0); err == nil {
+	if _, err := Build(routes, unknown, 1, 0); err == nil {
 		t.Error("unknown source should error")
 	}
 	_ = sources
 }
 
 func TestBuildPriorityEmptyRoutes(t *testing.T) {
-	if _, err := BuildPriority(map[topology.NodeID]topology.Path{}, nil, 0); err == nil {
-		t.Error("empty routes should error")
+	// Idle padding alone is no schedule, at any channel count.
+	for channels := 1; channels <= 4; channels++ {
+		for _, idle := range []int{0, 2} {
+			if _, err := Build(map[topology.NodeID]topology.Path{}, nil, channels, idle); err == nil {
+				t.Errorf("%d channels, %d idle: empty routes should error", channels, idle)
+			}
+		}
 	}
 }
 
@@ -210,7 +215,7 @@ func TestValidateCatchesBadSchedules(t *testing.T) {
 	n, sources, routes := typical(t)
 	// Missing slots for a route.
 	s, _ := New(5)
-	if err := s.Validate(n, routes); err == nil {
+	if err := s.ValidateSources(n, routes, topology.SortedSources(routes)); err == nil {
 		t.Error("schedule without dedicated slots should fail validation")
 	}
 	// A transmission over a non-existent link.
@@ -219,14 +224,14 @@ func TestValidateCatchesBadSchedules(t *testing.T) {
 	if err := s2.SetTransmission(1, sources[9], gw, sources[9]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Validate(n, routes); err == nil {
+	if err := s2.ValidateSources(n, routes, topology.SortedSources(routes)); err == nil {
 		t.Error("transmission over missing link should fail validation")
 	}
 }
 
 func TestFormatEtaNotation(t *testing.T) {
 	n, _, routes := typical(t)
-	s, err := BuildPriority(routes, ShortestFirst(routes), 1)
+	s, err := Build(routes, ShortestFirst(routes), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,21 +243,77 @@ func TestFormatEtaNotation(t *testing.T) {
 	}
 }
 
-// Validate derives its source list from the routes map; the list must be
-// sorted so the FIRST violation reported (and thus the error message) is
-// the same on every run, not whichever source the map yields first.
+// ValidateSources walks the slots and the given sorted sources, never a
+// map, so the FIRST violation reported (and thus the error message) is
+// the same on every run, not whichever source a map yields first.
 func TestValidateErrorDeterministic(t *testing.T) {
 	n, _, routes := typical(t)
 	s, _ := New(5) // no dedicated slots: every source violates
-	first, want := s.Validate(n, routes), ""
+	first, want := s.ValidateSources(n, routes, topology.SortedSources(routes)), ""
 	if first == nil {
 		t.Fatal("empty schedule must fail validation")
 	}
 	want = first.Error()
 	for trial := 0; trial < 30; trial++ {
-		err := s.Validate(n, routes)
+		err := s.ValidateSources(n, routes, topology.SortedSources(routes))
 		if err == nil || err.Error() != want {
 			t.Fatalf("trial %d: error changed: %v, want %q", trial, err, want)
 		}
+	}
+}
+
+// TestValidateSourcesChecks: each of ValidateSources' checks rejects a
+// schedule that breaks only it, at one channel or two.
+func TestValidateSourcesChecks(t *testing.T) {
+	n, sources, routes := typical(t)
+	gw, _ := n.Gateway()
+	n1, n4 := sources[0], sources[3]
+	explicit := func(entries ...[4]int) *Schedule {
+		t.Helper()
+		s, err := New(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if err := s.SetTransmission(e[0], topology.NodeID(e[1]), topology.NodeID(e[2]), topology.NodeID(e[3])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	conflict := &Schedule{
+		channels: 2,
+		slots:    [][]Entry{{{From: n4, To: n1, Source: n4}, {From: n1, To: gw, Source: n1}}},
+		bySource: map[topology.NodeID][]int{n4: {1}, n1: {1}},
+	}
+	over := &Schedule{
+		channels: 1,
+		slots:    [][]Entry{{{From: n1, To: gw, Source: n1}, {From: sources[1], To: gw, Source: sources[1]}}},
+		bySource: map[topology.NodeID][]int{n1: {1}, sources[1]: {1}},
+	}
+	cases := []struct {
+		name    string
+		s       *Schedule
+		sources []topology.NodeID
+		want    string
+	}{
+		{"capacity", over, nil, "transmissions over 1 channels"},
+		{"node conflict", conflict, nil, "node conflict"},
+		{"link existence", explicit([4]int{1, int(sources[9]), int(gw), int(sources[9])}), nil, "non-existent link"},
+		{"unknown source", explicit([4]int{1, int(n1), int(gw), int(gw)}), nil, "unknown source"},
+		{"no route", explicit(), []topology.NodeID{gw}, "has no route"},
+		{"hop count", explicit([4]int{1, int(n4), int(n1), int(n4)}), []topology.NodeID{n4}, "2-hop route"},
+		{"hop match", explicit([4]int{2, int(n4), int(n1), int(n4)}, [4]int{1, int(n1), int(gw), int(n4)}), []topology.NodeID{n4}, "hop 1 scheduled as"},
+	}
+	for _, c := range cases {
+		err := c.s.ValidateSources(n, routes, c.sources)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+	// The hop-match frame written in causal order validates.
+	ok := explicit([4]int{1, int(n4), int(n1), int(n4)}, [4]int{2, int(n1), int(gw), int(n4)})
+	if err := ok.ValidateSources(n, routes, []topology.NodeID{n4}); err != nil {
+		t.Errorf("causal 2-hop frame: %v", err)
 	}
 }

@@ -11,12 +11,12 @@ import (
 	"wirelesshart/internal/topology"
 )
 
-// scanSlots is MultiSchedule.SlotsForSource as it was first written:
+// scanSlots is the multi-channel SlotsForSource as it was first written:
 // every slot of the frame scanned for the source, then sorted.
-func scanSlots(m *schedule.MultiSchedule, source topology.NodeID) []int {
+func scanSlots(m *schedule.Schedule, source topology.NodeID) []int {
 	var out []int
 	for slot := 1; slot <= m.Fup(); slot++ {
-		entries, err := m.Entries(slot)
+		entries, err := m.EntriesAt(slot)
 		if err != nil {
 			panic(err)
 		}
@@ -33,7 +33,7 @@ func scanSlots(m *schedule.MultiSchedule, source topology.NodeID) []int {
 // checkSlotTable compares SlotsForSource with the scan for every field
 // device of n, sources and pure relays alike, and checks that the
 // returned slice is a copy.
-func checkSlotTable(t *testing.T, name string, m *schedule.MultiSchedule, n *topology.Network) {
+func checkSlotTable(t *testing.T, name string, m *schedule.Schedule, n *topology.Network) {
 	t.Helper()
 	for _, id := range n.FieldDevices() {
 		got, want := m.SlotsForSource(id), scanSlots(m, id)
@@ -50,8 +50,8 @@ func checkSlotTable(t *testing.T, name string, m *schedule.MultiSchedule, n *top
 }
 
 // TestSlotsForSourceMatchesScan: the per-source slot table answers as the
-// frame scan did, on multi-channel schedules of the typical network (one
-// to four channels, both priority orders) and on 200 generated networks.
+// frame scan did, on schedules of the typical network (one to four
+// channels, both priority orders) and on 200 generated networks.
 func TestSlotsForSourceMatchesScan(t *testing.T) {
 	built, err := spec.TypicalSpec().Build()
 	if err != nil {
@@ -63,7 +63,7 @@ func TestSlotsForSourceMatchesScan(t *testing.T) {
 	}
 	for _, order := range [][]topology.NodeID{schedule.ShortestFirst(routes), schedule.LongestFirst(routes)} {
 		for channels := 1; channels <= 4; channels++ {
-			m, err := schedule.BuildMultiChannel(routes, order, channels, 2)
+			m, err := schedule.Build(routes, order, channels, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,10 +79,6 @@ func TestSlotsForSourceMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, ok := b.Schedule.(*schedule.MultiSchedule)
-		if !ok {
-			t.Fatalf("network %d: schedule is a %T, want a multi-channel one", i, b.Schedule)
-		}
-		checkSlotTable(t, "generated", m, b.Net)
+		checkSlotTable(t, "generated", b.Schedule, b.Net)
 	}
 }

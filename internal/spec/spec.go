@@ -74,6 +74,17 @@ type Failure struct {
 	ToSlot   int `json:"toSlot,omitempty"`
 }
 
+// ForcedWindow returns the half-open uplink-slot window [from, to) of
+// each reporting interval during which the failure holds the link DOWN —
+// every slot for a permanent failure. A simulator forces the link down
+// there (des.ForcedWindowProcess).
+func (f Failure) ForcedWindow() (from, to int) {
+	if f.Kind == "permanent" {
+		return 0, 1 << 30
+	}
+	return f.FromSlot, f.ToSlot
+}
+
 // Transmission is one explicit schedule entry.
 type Transmission struct {
 	Slot   int    `json:"slot"`
@@ -166,7 +177,7 @@ func (s *Spec) Write(w io.Writer) error {
 // sources (Analyzer.Sources).
 type Built struct {
 	Net      *topology.Network
-	Schedule schedule.Plan
+	Schedule *schedule.Schedule
 	Analyzer *core.Analyzer
 	// Failures maps link ids to their declared failure injections.
 	Failures map[topology.LinkID]Failure
@@ -180,8 +191,12 @@ func (s *Spec) Build() (*Built, error) {
 
 // BuildWith is Build with extra analyzer options appended — the hook the
 // evaluation engine uses to inject its structure cache
-// (core.WithStructureCache), which lets failure-injection scenarios reuse
-// cached state spaces through a value rebind, and its tracer.
+// (core.WithStructureCache), which lets scenarios sharing a schedule
+// geometry share one path structure and bind only their link values,
+// and its tracer. An extra cannot replace a declared link's process with
+// a uniform one: every declared link gets its own process from the spec,
+// and a per-link process takes precedence over core.WithUniformLinkProcess.
+// Set the spec's link fields or DefaultBER instead.
 func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
 	if len(s.Nodes) == 0 {
 		return nil, errors.New("spec: no nodes")
@@ -259,11 +274,6 @@ func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
 	if s.Fdown != 0 {
 		opts = append(opts, core.WithDownlinkFrame(s.Fdown))
 	}
-	def, err := s.defaultModel(bits)
-	if err != nil {
-		return nil, err
-	}
-	opts = append(opts, core.WithUniformLinkProcess(def))
 	// Options in sorted link order: the option list feeds the analyzer
 	// construction and cache keys, so map order would differ between runs.
 	procIDs := make([]topology.LinkID, 0, len(linkProcs))
@@ -326,14 +336,6 @@ func failureAvailability(p link.Process, f *Failure) (link.Availability, error) 
 	}
 }
 
-func (s *Spec) defaultModel(bits int) (link.Model, error) {
-	ber := 2e-4
-	if s.DefaultBER != nil {
-		ber = *s.DefaultBER
-	}
-	return link.FromBER(ber, bits, link.DefaultRecoveryProb)
-}
-
 // linkProcess resolves one declared link to its effective process: a
 // fading block (exclusive with every scalar physical field) yields a
 // k-state model, anything else the two-state model of linkModel.
@@ -380,7 +382,7 @@ func (s *Spec) linkModel(l Link, bits int) (link.Model, error) {
 		return link.FromAvailability(*l.Availability, prc)
 	default:
 		// Default physical quality, but an explicit PRc still applies.
-		ber := 2e-4
+		ber := channel.DefaultBER
 		if s.DefaultBER != nil {
 			ber = *s.DefaultBER
 		}
@@ -388,7 +390,7 @@ func (s *Spec) linkModel(l Link, bits int) (link.Model, error) {
 	}
 }
 
-func (s *Spec) buildSchedule(net *topology.Network, ids map[string]topology.NodeID) (schedule.Plan, error) {
+func (s *Spec) buildSchedule(net *topology.Network, ids map[string]topology.NodeID) (*schedule.Schedule, error) {
 	sc := s.Schedule
 	if sc.Policy != "" && len(sc.Slots) > 0 {
 		return nil, errors.New("spec: schedule declares both a policy and explicit slots")
@@ -421,10 +423,7 @@ func (s *Spec) buildSchedule(net *topology.Network, ids map[string]topology.Node
 		default:
 			return nil, fmt.Errorf("spec: unknown schedule policy %q", sc.Policy)
 		}
-		if sc.Channels > 1 {
-			return schedule.BuildMultiChannel(routes, order, sc.Channels, sc.ExtraIdle)
-		}
-		return schedule.BuildPriority(routes, order, sc.ExtraIdle)
+		return schedule.Build(routes, order, max(sc.Channels, 1), sc.ExtraIdle)
 	}
 	if sc.Fup == 0 {
 		return nil, errors.New("spec: explicit schedule requires fup")

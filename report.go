@@ -1,7 +1,6 @@
 package wirelesshart
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -10,7 +9,6 @@ import (
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/measures"
 	"wirelesshart/internal/pathmodel"
-	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/spec"
 	"wirelesshart/internal/topology"
 )
@@ -207,27 +205,19 @@ func (n *Network) Simulate(intervals int, seed int64, opts ...Option) (*SimRepor
 	if err != nil {
 		return nil, err
 	}
-	sched, ok := b.Schedule.(schedule.ExecutablePlan)
-	if !ok {
-		return nil, errors.New("wirelesshart: schedule is not executable")
-	}
 	// One steady process per link, honoring the failure injections.
 	procs := map[topology.LinkID]des.LinkProcess{}
 	for _, l := range b.Net.Links() {
 		proc := des.NewProcessSteady(b.Analyzer.LinkProcess(l.ID))
 		if f, ok := b.Failures[l.ID]; ok {
-			switch f.Kind {
-			case "permanent":
-				proc = &des.ForcedWindowProcess{Base: proc, From: 0, To: 1 << 30}
-			case "window":
-				proc = &des.ForcedWindowProcess{Base: proc, From: f.FromSlot, To: f.ToSlot}
-			}
+			from, to := f.ForcedWindow()
+			proc = &des.ForcedWindowProcess{Base: proc, From: from, To: to}
 		}
 		procs[l.ID] = proc
 	}
 	res, err := des.Run(des.Config{
 		Net:       b.Net,
-		Sched:     sched,
+		Sched:     b.Schedule,
 		Is:        b.Analyzer.Is(),
 		TTL:       b.Analyzer.TTL(),
 		Fdown:     b.Analyzer.Fdown(),

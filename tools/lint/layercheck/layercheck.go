@@ -56,7 +56,7 @@ var allowedImports = map[string][]string{
 	"internal/measures": {"internal/pathmodel", "internal/schedule", "internal/stats"},
 	"internal/des":      {"internal/channel", "internal/link", "internal/pathmodel", "internal/schedule", "internal/stats", "internal/topology"},
 
-	"internal/core": {"internal/link", "internal/measures", "internal/pathmodel", "internal/schedule", "internal/stats", "internal/topology"},
+	"internal/core": {"internal/channel", "internal/link", "internal/measures", "internal/pathmodel", "internal/schedule", "internal/stats", "internal/topology"},
 	"internal/spec": {"internal/channel", "internal/core", "internal/link", "internal/schedule", "internal/topology"},
 
 	"internal/engine": {"internal/cluster", "internal/core", "internal/link", "internal/measures", "internal/obs", "internal/pathmodel", "internal/spec"},

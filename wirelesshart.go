@@ -161,7 +161,7 @@ func (n *Network) Link(a, b string, opts ...LinkOption) error {
 	case s.avail != nil:
 		m, err = link.FromAvailability(*s.avail, s.prc)
 	default:
-		m, err = link.FromBER(2e-4, n.bits, s.prc)
+		m, err = link.FromBER(channel.DefaultBER, n.bits, s.prc)
 	}
 	if err != nil {
 		return err
