@@ -413,7 +413,7 @@ func BenchmarkEngineSingleFlight8(b *testing.B) {
 		for _, err := range errs {
 			benchErr(b, err)
 		}
-		if solves := eng.Metrics().Solves(); solves != 1 {
+		if solves := eng.MetricsSnapshot().Solves; solves != 1 {
 			b.Fatalf("%d solves, want 1", solves)
 		}
 	}

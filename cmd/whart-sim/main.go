@@ -19,7 +19,6 @@ import (
 
 	"wirelesshart/internal/des"
 	"wirelesshart/internal/spec"
-	"wirelesshart/internal/topology"
 )
 
 func main() {
@@ -64,20 +63,8 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	// One steady process per link — the two-state chain for classic
-	// links, the k-state chain for fading links — honoring the spec's
-	// failure injections.
-	procs := map[topology.LinkID]des.LinkProcess{}
-	for _, l := range built.Net.Links() {
-		proc := des.NewProcessSteady(built.Analyzer.LinkProcess(l.ID))
-		if f, ok := built.Failures[l.ID]; ok {
-			from, to := f.ForcedWindow()
-			proc = &des.ForcedWindowProcess{Base: proc, From: from, To: to}
-		}
-		procs[l.ID] = proc
-	}
 	if *roundtrip {
-		return runRoundTrip(w, built, procs, *intervals, *seed)
+		return runRoundTrip(w, built, *intervals, *seed)
 	}
 	sim, err := des.Run(des.Config{
 		Net:       built.Net,
@@ -87,7 +74,7 @@ func run(args []string, w io.Writer) error {
 		Fdown:     built.Analyzer.Fdown(),
 		Intervals: *intervals,
 		Seed:      *seed,
-		Links:     procs,
+		Links:     built.SimLinks(),
 	})
 	if err != nil {
 		return err
@@ -135,14 +122,14 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-func runRoundTrip(w io.Writer, built *spec.Built, procs map[topology.LinkID]des.LinkProcess, intervals int, seed int64) error {
+func runRoundTrip(w io.Writer, built *spec.Built, intervals int, seed int64) error {
 	res, err := des.RunRoundTrip(des.RoundTripConfig{
 		Net:       built.Net,
 		Sched:     built.Schedule,
 		Is:        built.Analyzer.Is(),
 		Intervals: intervals,
 		Seed:      seed,
-		Links:     procs,
+		Links:     built.SimLinks(),
 	})
 	if err != nil {
 		return err

@@ -1,11 +1,6 @@
 package des
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
-	"sort"
-
 	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/stats"
 	"wirelesshart/internal/topology"
@@ -96,147 +91,55 @@ func (r *RoundTripResult) LoopBySource(src topology.NodeID) (*LoopStats, bool) {
 
 // RunRoundTrip simulates the full control loop.
 func RunRoundTrip(cfg RoundTripConfig) (*RoundTripResult, error) {
-	if cfg.Net == nil || cfg.Sched == nil {
-		return nil, errors.New("des: network and schedule are required")
-	}
-	if cfg.Is < 1 {
-		return nil, fmt.Errorf("des: reporting interval %d must be positive", cfg.Is)
-	}
-	if cfg.Intervals < 1 {
-		return nil, fmt.Errorf("des: need at least one interval, got %d", cfg.Intervals)
-	}
-	routes, err := cfg.Net.UplinkRoutes()
+	s, err := newSim(cfg.Net, cfg.Sched, cfg.Is, cfg.Intervals, cfg.Seed, cfg.Links, cfg.Sources)
 	if err != nil {
 		return nil, err
 	}
-	reporting := cfg.Sources
-	if reporting == nil {
-		for src := range routes {
-			if len(cfg.Sched.SlotsForSource(src)) > 0 {
-				reporting = append(reporting, src)
-			}
-		}
-	}
-	if len(reporting) == 0 {
-		return nil, errors.New("des: no reporting sources")
-	}
-	sort.Slice(reporting, func(i, j int) bool { return reporting[i] < reporting[j] })
-	if err := cfg.Sched.ValidateSources(cfg.Net, routes, reporting); err != nil {
-		return nil, fmt.Errorf("des: schedule invalid: %w", err)
-	}
-	for _, l := range cfg.Net.Links() {
-		if cfg.Links[l.ID] == nil {
-			return nil, fmt.Errorf("des: link %d has no process", l.ID)
-		}
-	}
-	fup := cfg.Sched.Fup()
+	fup := s.fup
 	super := 2 * fup // symmetric downlink half
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	loopStats := map[topology.NodeID]*LoopStats{}
-	slotsOf := map[topology.NodeID][]int{}
-	linkSeq := map[topology.NodeID][]topology.LinkID{}
-	for _, src := range reporting {
-		loopStats[src] = &LoopStats{
-			Source:      src,
-			Hops:        routes[src].Hops(),
-			CycleCounts: make([]int, cfg.Is),
-		}
-		slotsOf[src] = cfg.Sched.SlotsForSource(src)
-		linkSeq[src] = routes[src].Links()
+	out := &RoundTripResult{Loops: make([]*LoopStats, len(s.sources)), Intervals: cfg.Intervals}
+	for i, src := range s.sources {
+		out.Loops[i] = &LoopStats{Source: src, Hops: len(s.route[i]), CycleCounts: make([]int, cfg.Is)}
 	}
-	linkIDs := make([]topology.LinkID, 0, cfg.Net.NumLinks())
-	for _, l := range cfg.Net.Links() {
-		linkIDs = append(linkIDs, l.ID)
-	}
-
-	type loopState struct {
-		upHops    int  // uplink hops completed
-		atGateway bool // uplink delivered, downlink in flight
-		downHops  int  // downlink hops completed
-		done      bool
-	}
-
+	// Per source: uplink hops completed (Hops once the sensory message is
+	// at the gateway) and downlink hops completed.
+	upHops := make([]int, len(s.sources))
+	downHops := make([]int, len(s.sources))
 	for interval := 0; interval < cfg.Intervals; interval++ {
-		states := map[topology.NodeID]*loopState{}
-		for _, src := range reporting {
-			states[src] = &loopState{}
-			loopStats[src].Generated++
-		}
-		for _, id := range linkIDs {
-			cfg.Links[id].Reset(rng)
-		}
-		linkUp := map[topology.LinkID]bool{}
-
-		horizon := cfg.Is * super
-		for g := 1; g <= horizon; g++ {
-			for _, id := range linkIDs {
-				linkUp[id] = cfg.Links[id].Up(g, rng)
-			}
+		clear(upHops)
+		clear(downHops)
+		s.reset()
+		for g := 1; g <= cfg.Is*super; g++ {
+			s.evolve(g)
 			inFrame := (g-1)%super + 1 // 1..2*fup
-			cycle := (g-1)/super + 1
-			if inFrame <= fup {
-				// Uplink half: the per-source dedicated slots.
-				for _, src := range reporting {
-					st := states[src]
-					if st.atGateway || st.done {
-						continue
+			for i, l := range out.Loops {
+				n := l.Hops
+				if inFrame <= fup {
+					// Uplink half: the per-source dedicated slots.
+					if upHops[i] < n {
+						if _, advanced := s.uplinkHop(i, upHops[i], inFrame); advanced {
+							upHops[i]++
+						}
 					}
-					h := indexOf(slotsOf[src], inFrame)
-					if h < 0 || st.upHops != h {
-						continue
-					}
-					if !linkUp[linkSeq[src][h]] {
-						continue
-					}
-					st.upHops++
-					if st.upHops == loopStats[src].Hops {
-						st.atGateway = true
-					}
-				}
-				continue
-			}
-			// Downlink half: mirrored slots, reversed hop order. Downlink
-			// hop d uses the uplink slot offset slotsOf[src][d] within
-			// the downlink half and traverses link n-1-d.
-			downSlot := inFrame - fup
-			for _, src := range reporting {
-				st := states[src]
-				if !st.atGateway || st.done {
 					continue
 				}
-				d := indexOf(slotsOf[src], downSlot)
-				if d < 0 || st.downHops != d {
+				// Downlink half: mirrored slots, reversed hop order.
+				// Downlink hop d uses the uplink slot offset slots[i][d]
+				// within the downlink half and traverses link n-1-d.
+				d := downHops[i]
+				if upHops[i] < n || d == n || s.slots[i][d] != inFrame-fup || !s.up[s.route[i][n-1-d]] {
 					continue
 				}
-				n := loopStats[src].Hops
-				if !linkUp[linkSeq[src][n-1-d]] {
-					continue
-				}
-				st.downHops++
-				if st.downHops == n {
-					st.done = true
-					loopStats[src].Completed++
-					if cycle >= 1 && cycle <= cfg.Is {
-						loopStats[src].CycleCounts[cycle-1]++
-					}
+				if downHops[i]++; downHops[i] == n {
+					l.Completed++
+					l.CycleCounts[(g-1)/super]++
 				}
 			}
 		}
-	}
-
-	out := &RoundTripResult{Intervals: cfg.Intervals}
-	for _, src := range reporting {
-		out.Loops = append(out.Loops, loopStats[src])
+		for _, l := range out.Loops {
+			l.Generated++
+		}
 	}
 	return out, nil
-}
-
-func indexOf(xs []int, v int) int {
-	for i, x := range xs {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }

@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"wirelesshart/internal/link"
@@ -142,5 +143,29 @@ func TestRunRoundTripCompletionBelowOneWay(t *testing.T) {
 	if l.Completion() >= p.Reachability() {
 		t.Errorf("loop completion %v should be below one-way reachability %v",
 			l.Completion(), p.Reachability())
+	}
+}
+
+// TestRunRoundTripLeavesSourcesUnsorted: both runners list results in
+// source-id order without reordering the caller's Sources slice.
+func TestRunRoundTripLeavesSourcesUnsorted(t *testing.T) {
+	net, s := starNetwork(t, 6, 8)
+	links := gilbertLinks(t, net, 0.8)
+	sources := []topology.NodeID{5, 2, 4}
+	rt, err := RunRoundTrip(RoundTripConfig{Net: net, Sched: s, Is: 3, Intervals: 10, Seed: 3, Links: links, Sources: sources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(Config{Net: net, Sched: s, Is: 3, Intervals: 10, Seed: 3, Links: links, Sources: sources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []topology.NodeID{5, 2, 4}; !slices.Equal(sources, want) {
+		t.Errorf("Sources = %v after the runs, want %v unchanged", sources, want)
+	}
+	for i, want := range []topology.NodeID{2, 4, 5} {
+		if rt.Loops[i].Source != want || res.Paths[i].Source != want {
+			t.Errorf("result %d: loop source %d, path source %d, want %d", i, rt.Loops[i].Source, res.Paths[i].Source, want)
+		}
 	}
 }

@@ -1,10 +1,18 @@
+// Package des is a hand-rolled simulator of the WirelessHART uplink MAC:
+// slotted TDMA with superframes, per-slot link state evolution (Gilbert
+// model, k-state fading or channel hopping with per-channel BER), message
+// lifecycle with TTL, and per-path delivery statistics. It steps one slot
+// at a time: every slot it evolves each link, in network link order, and
+// then lets each source's scheduled hop transmit. It cross-validates the
+// analytical DTMC model the way the paper's authors would validate against
+// a testbed.
 package des
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/stats"
@@ -117,47 +125,105 @@ func (r *Result) NetworkUtilization() float64 {
 	return float64(attempts) / float64(r.Intervals*r.Is*r.Fup)
 }
 
-// message tracks one in-flight sensory message.
-type message struct {
-	src       topology.NodeID
-	hopsDone  int
-	delivered bool
-	expired   bool
+// sim is the setup Run and RunRoundTrip share: the reporting sources in
+// id order, each source's dedicated frame slots and traversed links in hop
+// order, and one link process per network link in Net.Links() order.
+type sim struct {
+	sources []topology.NodeID
+	slots   [][]int // slots[i][h]: frame slot of hop h of sources[i]
+	route   [][]topology.LinkID
+	procs   []LinkProcess
+	up      []bool // up[id]: link id's state in the current slot
+	fup     int
+	rng     *rand.Rand
+}
+
+// newSim validates a run and lays out its sources, routes and link
+// processes. A nil sources selects every routed source with dedicated
+// slots; the caller's slice is never modified.
+func newSim(net *topology.Network, sched *schedule.Schedule, is, intervals int, seed int64,
+	links map[topology.LinkID]LinkProcess, sources []topology.NodeID) (*sim, error) {
+	if net == nil || sched == nil {
+		return nil, errors.New("des: network and schedule are required")
+	}
+	if is < 1 {
+		return nil, fmt.Errorf("des: reporting interval %d must be positive", is)
+	}
+	if intervals < 1 {
+		return nil, fmt.Errorf("des: need at least one interval, got %d", intervals)
+	}
+	routes, err := net.UplinkRoutes()
+	if err != nil {
+		return nil, err
+	}
+	reporting := slices.Clone(sources)
+	if sources == nil {
+		for src := range routes {
+			if len(sched.SlotsForSource(src)) > 0 {
+				reporting = append(reporting, src)
+			}
+		}
+	}
+	// Canonical source order: results are listed per source, and map
+	// order would change them per run.
+	slices.Sort(reporting)
+	if len(reporting) == 0 {
+		return nil, errors.New("des: no reporting sources")
+	}
+	if err := sched.ValidateSources(net, routes, reporting); err != nil {
+		return nil, fmt.Errorf("des: schedule invalid: %w", err)
+	}
+	s := &sim{
+		sources: reporting,
+		slots:   make([][]int, len(reporting)),
+		route:   make([][]topology.LinkID, len(reporting)),
+		procs:   make([]LinkProcess, net.NumLinks()),
+		up:      make([]bool, net.NumLinks()),
+		fup:     sched.Fup(),
+		rng:     rand.New(rand.NewSource(seed)),
+	}
+	for _, l := range net.Links() {
+		if s.procs[l.ID] = links[l.ID]; s.procs[l.ID] == nil {
+			return nil, fmt.Errorf("des: link %d has no process", l.ID)
+		}
+	}
+	for i, src := range reporting {
+		s.slots[i] = sched.SlotsForSource(src)
+		s.route[i] = routes[src].Links()
+	}
+	return s, nil
+}
+
+// reset starts a reporting interval: every link redraws its initial state.
+func (s *sim) reset() {
+	for _, p := range s.procs {
+		p.Reset(s.rng)
+	}
+}
+
+// evolve advances every link to slot t of the interval.
+func (s *sim) evolve(t int) {
+	for id, p := range s.procs {
+		s.up[id] = p.Up(t, s.rng)
+	}
+}
+
+// uplinkHop is the uplink-hop rule: hop h of source i transmits in frame
+// slot slots[i][h], and it advances if its link route[i][h] is up then.
+func (s *sim) uplinkHop(i, h, frameSlot int) (sent, advanced bool) {
+	if s.slots[i][h] != frameSlot {
+		return false, false
+	}
+	return true, s.up[s.route[i][h]]
 }
 
 // Run executes the simulation.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Net == nil || cfg.Sched == nil {
-		return nil, errors.New("des: network and schedule are required")
-	}
-	if cfg.Is < 1 {
-		return nil, fmt.Errorf("des: reporting interval %d must be positive", cfg.Is)
-	}
-	if cfg.Intervals < 1 {
-		return nil, fmt.Errorf("des: need at least one interval, got %d", cfg.Intervals)
-	}
-	routes, err := cfg.Net.UplinkRoutes()
+	s, err := newSim(cfg.Net, cfg.Sched, cfg.Is, cfg.Intervals, cfg.Seed, cfg.Links, cfg.Sources)
 	if err != nil {
 		return nil, err
 	}
-	reporting := cfg.Sources
-	if reporting == nil {
-		for src := range routes {
-			if len(cfg.Sched.SlotsForSource(src)) > 0 {
-				reporting = append(reporting, src)
-			}
-		}
-		// Canonical source order: the simulator consumes RNG draws per
-		// source, so map order would change the sample path per run.
-		sort.Slice(reporting, func(i, j int) bool { return reporting[i] < reporting[j] })
-	}
-	if len(reporting) == 0 {
-		return nil, errors.New("des: no reporting sources")
-	}
-	if err := cfg.Sched.ValidateSources(cfg.Net, routes, reporting); err != nil {
-		return nil, fmt.Errorf("des: schedule invalid: %w", err)
-	}
-	fup := cfg.Sched.Fup()
+	fup := s.fup
 	horizon := cfg.Is * fup
 	ttl := cfg.TTL
 	if ttl == 0 {
@@ -170,132 +236,47 @@ func Run(cfg Config) (*Result, error) {
 	if fdown < 0 {
 		fdown = fup
 	}
-	for _, l := range cfg.Net.Links() {
-		if cfg.Links[l.ID] == nil {
-			return nil, fmt.Errorf("des: link %d has no process", l.ID)
-		}
-	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	// Per-source bookkeeping.
-	sources := make([]topology.NodeID, 0, len(reporting))
-	sources = append(sources, reporting...)
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	pathStats := map[topology.NodeID]*PathResult{}
-	lastSlot := map[topology.NodeID]int{} // a0 per source
-	for _, src := range sources {
-		slots := cfg.Sched.SlotsForSource(src)
-		if len(slots) == 0 {
-			return nil, fmt.Errorf("des: no slots dedicated to source %d", src)
-		}
-		lastSlot[src] = slots[len(slots)-1]
-		pathStats[src] = &PathResult{
-			Source:      src,
-			Hops:        routes[src].Hops(),
-			CycleCounts: make([]int, cfg.Is),
-		}
+	out := &Result{Paths: make([]*PathResult, len(s.sources)), Intervals: cfg.Intervals, Is: cfg.Is, Fup: fup}
+	for i, src := range s.sources {
+		out.Paths[i] = &PathResult{Source: src, Hops: len(s.route[i]), CycleCounts: make([]int, cfg.Is)}
 	}
-	// hopIndex[src][slot] = which hop (0-based) of src's path transmits in
-	// that frame slot.
-	hopIndex := map[topology.NodeID]map[int]int{}
-	for _, src := range sources {
-		m := map[int]int{}
-		for h, slot := range cfg.Sched.SlotsForSource(src) {
-			m[slot] = h
-		}
-		hopIndex[src] = m
-	}
-
-	linkIDs := make([]topology.LinkID, 0, cfg.Net.NumLinks())
-	for _, l := range cfg.Net.Links() {
-		linkIDs = append(linkIDs, l.ID)
-	}
-
+	hopsDone := make([]int, len(s.sources))
 	for interval := 0; interval < cfg.Intervals; interval++ {
-		// Fresh messages and link states per reporting interval.
-		msgs := map[topology.NodeID]*message{}
-		for _, src := range sources {
-			msgs[src] = &message{src: src}
-			pathStats[src].Generated++
-		}
-		for _, id := range linkIDs {
-			cfg.Links[id].Reset(rng)
-		}
-		linkUp := map[topology.LinkID]bool{}
-
-		// Drive the interval through the event queue: one slot event per
-		// uplink slot, in time order.
-		var q EventQueue
-		for t := 1; t <= horizon; t++ {
-			t := t
-			err := q.Push(&Event{Time: t, Action: func() {
-				// 1) Evolve every link to this slot.
-				for _, id := range linkIDs {
-					linkUp[id] = cfg.Links[id].Up(t, rng)
+		// A fresh message per source and fresh link states per interval.
+		clear(hopsDone)
+		s.reset()
+		// Slots past the TTL are never reached: an undelivered message
+		// dies before their transmissions could serve it.
+		for t := 1; t <= ttl; t++ {
+			s.evolve(t)
+			frameSlot := (t-1)%fup + 1
+			for i, p := range out.Paths {
+				if hopsDone[i] == p.Hops {
+					continue
 				}
-				// 2) Execute the schedule entries of this frame slot
-				// (several with multi-channel schedules).
-				frameSlot := (t-1)%fup + 1
-				entries, err := cfg.Sched.EntriesAt(frameSlot)
-				if err != nil {
-					return
+				sent, advanced := s.uplinkHop(i, hopsDone[i], frameSlot)
+				if !sent {
+					continue
 				}
-				for _, entry := range entries {
-					msg := msgs[entry.Source]
-					if msg == nil || msg.delivered || msg.expired {
-						continue
-					}
-					h, ok := hopIndex[entry.Source][frameSlot]
-					if !ok || msg.hopsDone != h {
-						continue
-					}
-					ps := pathStats[entry.Source]
-					ps.Attempts++
-					lnk, ok := cfg.Net.LinkBetween(entry.From, entry.To)
-					if !ok {
-						continue
-					}
-					if !linkUp[lnk.ID] {
-						continue // retransmission next cycle
-					}
-					msg.hopsDone++
-					if msg.hopsDone == routes[entry.Source].Hops() {
-						msg.delivered = true
-						ps.Delivered++
-						cycle := (t-lastSlot[entry.Source])/fup + 1
-						if cycle >= 1 && cycle <= cfg.Is {
-							ps.CycleCounts[cycle-1]++
-						}
-						delay := float64(t+(cycle-1)*fdown) * schedule.SlotDurationMS
-						ps.DelaySummary.Observe(delay)
-					}
+				p.Attempts++
+				if !advanced {
+					continue // retransmission next cycle
 				}
-			}})
-			if err != nil {
-				return nil, err
+				if hopsDone[i]++; hopsDone[i] == p.Hops {
+					p.Delivered++
+					cycle := (t-1)/fup + 1
+					p.CycleCounts[cycle-1]++
+					p.DelaySummary.Observe(float64(t+(cycle-1)*fdown) * schedule.SlotDurationMS)
+				}
 			}
 		}
-		for q.Len() > 0 {
-			ev := q.Pop()
-			if ev.Time > ttl {
-				// TTL expiry: any undelivered message dies before this
-				// slot's transmissions could serve it.
-				break
-			}
-			ev.Action()
-		}
-		for _, src := range sources {
-			if !msgs[src].delivered {
-				msgs[src].expired = true
-				pathStats[src].Lost++
+		for i, p := range out.Paths {
+			p.Generated++
+			if hopsDone[i] < p.Hops {
+				p.Lost++
 			}
 		}
-	}
-
-	out := &Result{Intervals: cfg.Intervals, Is: cfg.Is, Fup: fup}
-	for _, src := range sources {
-		out.Paths = append(out.Paths, pathStats[src])
 	}
 	return out, nil
 }

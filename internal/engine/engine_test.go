@@ -115,7 +115,7 @@ func TestSingleFlight(t *testing.T) {
 			t.Fatalf("goroutine %d got a different result", i)
 		}
 	}
-	if solves := eng.Metrics().Solves(); solves != 1 {
+	if solves := eng.MetricsSnapshot().Solves; solves != 1 {
 		t.Errorf("%d solves for %d identical concurrent queries, want exactly 1", solves, goroutines)
 	}
 	snap := eng.MetricsSnapshot()
@@ -140,10 +140,10 @@ func TestCacheHit(t *testing.T) {
 	if first != second {
 		t.Error("cache hit must return the cached result")
 	}
-	if solves := eng.Metrics().Solves(); solves != 1 {
+	if solves := eng.MetricsSnapshot().Solves; solves != 1 {
 		t.Errorf("%d solves, want 1", solves)
 	}
-	if hits := eng.Metrics().CacheHits(); hits != 1 {
+	if hits := eng.MetricsSnapshot().CacheHits; hits != 1 {
 		t.Errorf("%d cache hits, want 1", hits)
 	}
 }
@@ -161,7 +161,7 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if solves := eng.Metrics().Solves(); solves != 3 {
+	if solves := eng.MetricsSnapshot().Solves; solves != 3 {
 		t.Errorf("%d solves, want 3 (capacity-1 cache must evict)", solves)
 	}
 	if snap := eng.MetricsSnapshot(); snap.CacheLen != 1 {
@@ -222,7 +222,7 @@ func TestPredictMatchesLibrary(t *testing.T) {
 		}
 	}
 	// The whole exercise re-used one cached network solve.
-	if solves := eng.Metrics().Solves(); solves != 1 {
+	if solves := eng.MetricsSnapshot().Solves; solves != 1 {
 		t.Errorf("%d network solves across predictions, want 1", solves)
 	}
 }
@@ -355,7 +355,7 @@ func TestStructCacheSharesAcrossFailureScenarios(t *testing.T) {
 	if _, err := eng.Evaluate(ctx, failureSpec(t, 5, 25)); err != nil {
 		t.Fatal(err)
 	}
-	if solves := eng.Metrics().Solves(); solves != 2 {
+	if solves := eng.MetricsSnapshot().Solves; solves != 2 {
 		t.Fatalf("%d solves, want 2 (distinct failure windows must not share results)", solves)
 	}
 	snap = eng.MetricsSnapshot()

@@ -103,7 +103,7 @@ func TestNetworkEndpointAndMetrics(t *testing.T) {
 			t.Errorf("implausible aggregates: U=%v E[Gamma]=%v", body.Utilization, body.OverallMeanDelayMS)
 		}
 	}
-	if solves := eng.Metrics().Solves(); solves != 1 {
+	if solves := eng.MetricsSnapshot().Solves; solves != 1 {
 		t.Errorf("%d solves after 2 identical requests, want 1", solves)
 	}
 	resp, err := http.Get(srv.URL + "/metrics")

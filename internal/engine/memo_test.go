@@ -227,7 +227,7 @@ func TestLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 			t.Errorf("%s follower got %+v", name, o.res)
 		}
 	}
-	if n := eng.Metrics().Solves(); n != 1 {
+	if n := eng.MetricsSnapshot().Solves; n != 1 {
 		t.Errorf("%d solves, want 1 (the followers share one retry)", n)
 	}
 }

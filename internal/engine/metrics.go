@@ -110,40 +110,6 @@ func (m *Metrics) batchDedupRatio() float64 {
 // Prometheus exposition at /metrics/prom.
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
-// Solves returns the number of full scenario solves performed.
-func (m *Metrics) Solves() int64 { return m.solves.Value() }
-
-// CacheHits returns the number of Evaluate calls served from the cache.
-func (m *Metrics) CacheHits() int64 { return m.cacheHits.Value() }
-
-// CacheMisses returns the number of Evaluate calls that had to solve.
-func (m *Metrics) CacheMisses() int64 { return m.cacheMisses.Value() }
-
-// Deduped returns the number of Evaluate calls that piggybacked on an
-// identical in-flight solve (single-flight followers).
-func (m *Metrics) Deduped() int64 { return m.deduped.Value() }
-
-// InFlight returns the number of solves currently running.
-func (m *Metrics) InFlight() int64 { return int64(m.inFlight.Value()) }
-
-// KernelCacheHits returns the number of steady-state path lookups
-// answered by the path-result memo, which skip both bind and solve. The
-// name predates the memo, which replaced a cache of compiled kernels.
-func (m *Metrics) KernelCacheHits() int64 { return m.kernelHits.Value() }
-
-// KernelCacheMisses returns the number of distinct steady-state paths
-// that missed the path-result memo and were bound and solved.
-func (m *Metrics) KernelCacheMisses() int64 { return m.kernelMisses.Value() }
-
-// StructCacheHits returns the number of path-structure lookups served from
-// the structure cache (the validated geometry and its goal ages and
-// counts were reused; only a value bind was paid).
-func (m *Metrics) StructCacheHits() int64 { return m.structHits.Value() }
-
-// StructCacheMisses returns the number of path-structure lookups that had
-// to validate a fresh schedule geometry (BuildStructure).
-func (m *Metrics) StructCacheMisses() int64 { return m.structMisses.Value() }
-
 func (m *Metrics) observeLatency(d time.Duration) {
 	m.solveSeconds.Observe(d.Seconds())
 }

@@ -112,7 +112,7 @@ func ComputeHop(intervals int, seed int64) (*HopData, error) {
 	var meanPfl float64
 	var worst []int
 	for i, s := range snrs {
-		b, err := channel.BudgetFromEbN0(s, 1016)
+		b, err := channel.BudgetFromEbN0(s, channel.DefaultMessageBits)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +185,7 @@ func ComputeHop(intervals int, seed int64) (*HopData, error) {
 	}
 	hopRng := rand.New(rand.NewSource(seed + 1))
 	hopping, err := runSim(func(topology.LinkID) (des.LinkProcess, error) {
-		return des.NewHoppingProcess(snrs, 1016, nil, rand.New(rand.NewSource(hopRng.Int63())))
+		return des.NewHoppingProcess(snrs, channel.DefaultMessageBits, nil, rand.New(rand.NewSource(hopRng.Int63())))
 	})
 	if err != nil {
 		return nil, err
@@ -197,7 +197,7 @@ func ComputeHop(intervals int, seed int64) (*HopData, error) {
 		}
 	}
 	blacklisted, err := runSim(func(topology.LinkID) (des.LinkProcess, error) {
-		return des.NewHoppingProcess(snrs, 1016, bl, rand.New(rand.NewSource(hopRng.Int63())))
+		return des.NewHoppingProcess(snrs, channel.DefaultMessageBits, bl, rand.New(rand.NewSource(hopRng.Int63())))
 	})
 	if err != nil {
 		return nil, err

@@ -10,11 +10,9 @@ import (
 	"io"
 
 	"wirelesshart/internal/core"
-	"wirelesshart/internal/des"
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/pathmodel"
 	"wirelesshart/internal/spec"
-	"wirelesshart/internal/topology"
 )
 
 // Experiment is a runnable reproduction of one paper artifact.
@@ -139,17 +137,6 @@ func analyze(s *spec.Spec, extra ...core.Option) (*core.NetworkAnalysis, error) 
 		return nil, err
 	}
 	return b.Analyzer.Analyze()
-}
-
-// steadyLinks returns, per link of b, the simulator counterpart of the
-// link's analyzed process: what the simulator needs to run b in its
-// stationary regime.
-func steadyLinks(b *spec.Built) map[topology.LinkID]des.LinkProcess {
-	procs := map[topology.LinkID]des.LinkProcess{}
-	for _, l := range b.Net.Links() {
-		procs[l.ID] = des.NewProcessSteady(b.Analyzer.LinkProcess(l.ID))
-	}
-	return procs
 }
 
 type errMissing string

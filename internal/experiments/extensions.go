@@ -41,7 +41,7 @@ func ComputeXVal(intervals int, seed int64) ([]XValRow, error) {
 		Intervals: intervals,
 		Seed:      seed,
 		Fdown:     -1,
-		Links:     steadyLinks(b),
+		Links:     b.SimLinks(),
 	})
 	if err != nil {
 		return nil, err

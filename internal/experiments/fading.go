@@ -101,7 +101,7 @@ func ComputeFading(stays []float64, intervals int, seed int64) ([]FadingRow, err
 			Intervals: intervals,
 			Seed:      seed,
 			Fdown:     -1,
-			Links:     steadyLinks(b),
+			Links:     b.SimLinks(),
 		})
 		if err != nil {
 			return nil, err

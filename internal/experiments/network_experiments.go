@@ -4,6 +4,7 @@ import (
 	"io"
 	"sort"
 
+	"wirelesshart/internal/channel"
 	"wirelesshart/internal/core"
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/measures"
@@ -478,11 +479,11 @@ func ComputeTab4() (*Tab4Data, error) {
 	}
 	a := b.Analyzer
 	sources := a.Sources()
-	peer3, err := link.FromEbN0(7, 1016, link.DefaultRecoveryProb)
+	peer3, err := link.FromEbN0(7, channel.DefaultMessageBits, link.DefaultRecoveryProb)
 	if err != nil {
 		return nil, err
 	}
-	peer4, err := link.FromEbN0(6, 1016, link.DefaultRecoveryProb)
+	peer4, err := link.FromEbN0(6, channel.DefaultMessageBits, link.DefaultRecoveryProb)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func ComputeRTrip(intervals int, seed int64) ([]RTripRow, error) {
 		Is:        4,
 		Intervals: intervals,
 		Seed:      seed,
-		Links:     steadyLinks(b),
+		Links:     b.SimLinks(),
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package spec_test
 import (
 	"testing"
 
+	"wirelesshart/internal/des"
 	"wirelesshart/internal/gen"
 	"wirelesshart/internal/spec"
 )
@@ -61,6 +62,32 @@ func TestFailureForcedWindow(t *testing.T) {
 	}
 	if from, to := (spec.Failure{Kind: "permanent"}).ForcedWindow(); from > 1 || to < 1<<20 {
 		t.Errorf("permanent failure forces [%d, %d), want every slot", from, to)
+	}
+
+	// SimLinks forces exactly the failed links down over their windows.
+	s := spec.TypicalSpec()
+	s.Links[2].Failure = &spec.Failure{Kind: "window", FromSlot: 3, ToSlot: 9}
+	s.Links[6].Failure = &spec.Failure{Kind: "permanent"}
+	b, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := b.SimLinks()
+	if len(links) != b.Net.NumLinks() || len(b.Failures) != 2 {
+		t.Fatalf("SimLinks has %d links and the build %d failures, want %d and 2", len(links), len(b.Failures), b.Net.NumLinks())
+	}
+	for _, l := range b.Net.Links() {
+		forced, isForced := links[l.ID].(*des.ForcedWindowProcess)
+		f, failed := b.Failures[l.ID]
+		if isForced != failed {
+			t.Errorf("link %d: forced %v, declared failure %v", l.ID, isForced, failed)
+			continue
+		}
+		if failed {
+			if from, to := f.ForcedWindow(); forced.From != from || forced.To != to {
+				t.Errorf("link %d forced down over [%d, %d), want [%d, %d)", l.ID, forced.From, forced.To, from, to)
+			}
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"wirelesshart/internal/channel"
 	"wirelesshart/internal/core"
+	"wirelesshart/internal/des"
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/schedule"
 	"wirelesshart/internal/topology"
@@ -77,7 +78,7 @@ type Failure struct {
 // ForcedWindow returns the half-open uplink-slot window [from, to) of
 // each reporting interval during which the failure holds the link DOWN —
 // every slot for a permanent failure. A simulator forces the link down
-// there (des.ForcedWindowProcess).
+// there (see Built.SimLinks).
 func (f Failure) ForcedWindow() (from, to int) {
 	if f.Kind == "permanent" {
 		return 0, 1 << 30
@@ -181,6 +182,22 @@ type Built struct {
 	Analyzer *core.Analyzer
 	// Failures maps link ids to their declared failure injections.
 	Failures map[topology.LinkID]Failure
+}
+
+// SimLinks returns the simulator process of every link: the steady
+// counterpart of the link's model (des.NewProcessSteady), forced down
+// over the window of a declared failure.
+func (b *Built) SimLinks() map[topology.LinkID]des.LinkProcess {
+	out := make(map[topology.LinkID]des.LinkProcess, b.Net.NumLinks())
+	for _, l := range b.Net.Links() {
+		p := des.NewProcessSteady(b.Analyzer.LinkProcess(l.ID))
+		if f, ok := b.Failures[l.ID]; ok {
+			from, to := f.ForcedWindow()
+			p = &des.ForcedWindowProcess{Base: p, From: from, To: to}
+		}
+		out[l.ID] = p
+	}
+	return out
 }
 
 // Build validates the spec and constructs the network, schedule and

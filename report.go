@@ -10,7 +10,6 @@ import (
 	"wirelesshart/internal/measures"
 	"wirelesshart/internal/pathmodel"
 	"wirelesshart/internal/spec"
-	"wirelesshart/internal/topology"
 )
 
 // DelayPoint is one support point of a delay distribution.
@@ -205,16 +204,6 @@ func (n *Network) Simulate(intervals int, seed int64, opts ...Option) (*SimRepor
 	if err != nil {
 		return nil, err
 	}
-	// One steady process per link, honoring the failure injections.
-	procs := map[topology.LinkID]des.LinkProcess{}
-	for _, l := range b.Net.Links() {
-		proc := des.NewProcessSteady(b.Analyzer.LinkProcess(l.ID))
-		if f, ok := b.Failures[l.ID]; ok {
-			from, to := f.ForcedWindow()
-			proc = &des.ForcedWindowProcess{Base: proc, From: from, To: to}
-		}
-		procs[l.ID] = proc
-	}
 	res, err := des.Run(des.Config{
 		Net:       b.Net,
 		Sched:     b.Schedule,
@@ -223,7 +212,7 @@ func (n *Network) Simulate(intervals int, seed int64, opts ...Option) (*SimRepor
 		Fdown:     b.Analyzer.Fdown(),
 		Intervals: intervals,
 		Seed:      seed,
-		Links:     procs,
+		Links:     b.SimLinks(),
 	})
 	if err != nil {
 		return nil, err
