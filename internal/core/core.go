@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -33,8 +34,18 @@ type Analyzer struct {
 	procs     map[topology.LinkID]link.Process
 	overrides map[topology.LinkID]link.Availability
 	sources   []topology.NodeID
+	keys      *sourceKeys // shared with every Override copy
 	structs   StructureCache
 	tracer    Tracer
+}
+
+// sourceKeys holds the ProcessKey of every reporting source's path, in
+// source order. The keys depend on the link processes alone, never on
+// availability overrides, so they are computed once, on the first
+// SourceKey call, for an analyzer and every Override copy of it.
+type sourceKeys struct {
+	once sync.Once
+	keys []string
 }
 
 // Tracer receives stage-timing hooks from an analysis: StartSpan opens a
@@ -101,7 +112,16 @@ func (c *structureMap) PutStructure(key string, st *pathmodel.Structure) {
 // availability — callers must not use it when a per-slot availability
 // override is in effect.
 func ProcessKey(slots []int, fup, is, ttl int, procs []link.Process) string {
-	b := make([]byte, 0, 16+4*len(slots)+48*len(procs))
+	b := appendGeometry(make([]byte, 0, 16+4*len(slots)+48*len(procs)), slots, fup, is, ttl)
+	for _, p := range procs {
+		b = append(b, '|')
+		b = p.AppendKey(b)
+	}
+	return string(b)
+}
+
+// appendGeometry appends the schedule-geometry head of a ProcessKey.
+func appendGeometry(b []byte, slots []int, fup, is, ttl int) []byte {
 	for _, v := range [...]int{fup, is, ttl} {
 		b = strconv.AppendInt(b, int64(v), 10)
 		b = append(b, '|')
@@ -110,11 +130,7 @@ func ProcessKey(slots []int, fup, is, ttl int, procs []link.Process) string {
 		b = strconv.AppendInt(b, int64(s), 10)
 		b = append(b, ',')
 	}
-	for _, p := range procs {
-		b = append(b, '|')
-		b = p.AppendKey(b)
-	}
-	return string(b)
+	return b
 }
 
 // Option configures an Analyzer.
@@ -255,6 +271,7 @@ func New(net *topology.Network, sched *schedule.Schedule, opts ...Option) (*Anal
 		uniform:   def,
 		procs:     map[topology.LinkID]link.Process{},
 		overrides: map[topology.LinkID]link.Availability{},
+		keys:      &sourceKeys{},
 	}
 	for _, opt := range opts {
 		if err := opt(a); err != nil {
@@ -277,6 +294,25 @@ func New(net *topology.Network, sched *schedule.Schedule, opts ...Option) (*Anal
 		a.fdown = sched.Fup()
 	}
 	return a, nil
+}
+
+// Override returns a copy of a with the per-slot availability overrides
+// ov added under a's own: a link that a already overrides keeps its
+// availability. The copy shares everything else with a — network, routes,
+// schedule, link processes, sources, source keys, structure cache and
+// tracer — and takes ownership of ov.
+func (a *Analyzer) Override(ov map[topology.LinkID]link.Availability) *Analyzer {
+	c := *a
+	if len(a.overrides) > 0 {
+		if ov == nil {
+			ov = make(map[topology.LinkID]link.Availability, len(a.overrides))
+		}
+		for id, av := range a.overrides {
+			ov[id] = av
+		}
+	}
+	c.overrides = ov
+	return &c
 }
 
 // LinkProcess returns the link process in effect for a link.
@@ -335,14 +371,35 @@ func (a *Analyzer) SourceKey(source topology.NodeID) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	procs := make([]link.Process, p.Hops())
-	for h, lid := range p.Links() {
-		if _, overridden := a.overrides[lid]; overridden {
+	for lid := range a.overrides {
+		if p.UsesLink(lid) {
 			return "", false
 		}
-		procs[h] = a.LinkProcess(lid)
 	}
-	return ProcessKey(a.sched.SlotsForSource(source), a.sched.Fup(), a.is, a.ttl, procs), true
+	i, ok := slices.BinarySearch(a.sources, source)
+	if !ok {
+		return a.processKey(source, p), true
+	}
+	k := a.keys
+	k.once.Do(func() {
+		k.keys = make([]string, len(a.sources))
+		for i, src := range a.sources {
+			k.keys[i] = a.processKey(src, a.routes[src])
+		}
+	})
+	return k.keys[i], true
+}
+
+// processKey is the ProcessKey of source's path p under the link
+// processes, overrides aside.
+func (a *Analyzer) processKey(source topology.NodeID, p topology.Path) string {
+	slots := a.sched.SlotsForSource(source)
+	b := appendGeometry(make([]byte, 0, 16+4*len(slots)+48*p.Hops()), slots, a.sched.Fup(), a.is, a.ttl)
+	for _, lid := range p.Links() {
+		b = append(b, '|')
+		b = a.LinkProcess(lid).AppendKey(b)
+	}
+	return string(b)
 }
 
 // PathAnalysis bundles the measures of one uplink path.

@@ -588,3 +588,71 @@ func TestPermanentFailureNeedsRerouting(t *testing.T) {
 	}
 	_ = sources
 }
+
+// TestOverride: an Override copy analyzes as an analyzer built with the
+// same overrides, leaves its origin untouched, keeps the origin's own
+// overrides over the new ones, and shares the source keys of every path
+// that crosses no overridden link.
+func TestOverride(t *testing.T) {
+	net, sources, etaA := typicalSetup(t)
+	routes, err := net.UplinkRoutes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop := routes[sources[0]].Links()[0] // n1's one hop, shared by n4 and n5
+	down := link.PermanentDown()
+	up := func(int) float64 { return 1 }
+
+	base, err := New(net, etaA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := New(net, etaA, WithLinkAvailability(hop, down))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ov := base.Override(map[topology.LinkID]link.Availability{hop: down})
+	want, err := built.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ov.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.OverallMeanDelayMS != want.OverallMeanDelayMS || got.Paths[0].Reachability != 0 {
+		t.Errorf("override: E[Gamma] %v, R1 %v; built with the override: %v, 0",
+			got.OverallMeanDelayMS, got.Paths[0].Reachability, want.OverallMeanDelayMS)
+	}
+	for _, src := range sources {
+		kb, okb := base.SourceKey(src)
+		ko, oko := ov.SourceKey(src)
+		if !okb || kb == "" {
+			t.Fatalf("source %d has no key without overrides", src)
+		}
+		crosses := routes[src].UsesLink(hop)
+		if oko == crosses || (oko && ko != kb) {
+			t.Errorf("source %d (crosses the override: %v): key (%q, %v), base %q", src, crosses, ko, oko, kb)
+		}
+	}
+	pa, err := base.AnalyzePath(sources[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa.Reachability == 0 {
+		t.Error("the origin analyzer took the copy's override")
+	}
+
+	// An override the origin was built with wins over a new one.
+	held, err := New(net, etaA, WithLinkAvailability(hop, up))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, err = held.Override(map[topology.LinkID]link.Availability{hop: down}).AnalyzePath(sources[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa.Reachability != 1 {
+		t.Errorf("origin override lost: R1 = %v, want 1", pa.Reachability)
+	}
+}

@@ -22,6 +22,10 @@ type batchItem struct {
 	join  *call // another goroutine's in-flight solve to wait on
 	owned *call // the single-flight entry this evaluation registered and must resolve
 
+	// net and an are an owned item's intact network and its own analyzer.
+	net *netBase
+	an  *core.Analyzer
+
 	res *Result
 	err error
 }
@@ -213,15 +217,21 @@ type pathSolve struct {
 type pathRef struct{ item, path int }
 
 // solveOwned solves owned misses under one worker token, recording one
-// trace: every miss is built through the shared structure cache, each of
-// its paths is answered by the path-result memo or becomes one distinct
-// solve (paths repeated across the misses are solved once), the solves run
-// one after another in first-occurrence order, and each miss's network
-// analysis is assembled from its paths' entries. A keyed solve is measured
-// once, as its first scenario sees it, and enters the memo with those
-// measures. A failed solve fails only the scenarios that reference its
-// path. Per-item outcomes land on the items; the single-flight entries are
-// always resolved, success or not.
+// trace. Each miss is realized on an intact network of the call: a miss
+// whose spec shares a base with one of the last baseScan full builds
+// (spec.SameBase) takes that build's Overlay with its own failures, and
+// any other is built in full (spec.BuildWith) through the shared
+// structure cache and becomes a base itself — so a failure sweep builds its network, routes, schedule,
+// source keys and path names once. A miss whose overlay fails is built
+// alone, so its error is the full build's. Nothing is shared beyond the
+// call. Each path of a miss is answered by the path-result memo or
+// becomes one distinct solve (paths repeated across the misses are solved
+// once), the solves run one after another in first-occurrence order, and
+// each miss's network analysis is assembled from its paths' entries. A
+// keyed solve is measured once, as its first scenario sees it, and enters
+// the memo with those measures. A failed solve fails only the scenarios
+// that reference its path. Per-item outcomes land on the items; the
+// single-flight entries are always resolved, success or not.
 func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool, canonStart time.Time, canonDur time.Duration) {
 	defer e.release(owned)
 
@@ -255,25 +265,24 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 	defer e.metrics.inFlight.Add(-1)
 
 	start := time.Now()
-	builds := make([]*spec.Built, len(owned))
 	answers := make([][]*pathEntry, len(owned))
+	var bases []*netBase
 	var solves []*pathSolve
 	pending := map[string]*pathSolve{}
 	var hits, misses int64
+	opts := []core.Option{core.WithStructureCache(structures{e}), core.WithTracer(tr)}
 	endBuild := obs.StartSpan(ctx, "build")
 	for i, it := range owned {
-		built, err := it.spec.BuildWith(core.WithStructureCache(structures{e}), core.WithTracer(tr))
-		if err != nil {
+		var err error
+		if bases, err = buildOn(bases, it, opts...); err != nil {
 			it.err = fmt.Errorf("%w: %v", ErrBadScenario, err)
 			e.metrics.errors.Add(1)
 			continue
 		}
-		builds[i] = built
-		an := built.Analyzer
-		sources := an.Sources()
-		answers[i] = make([]*pathEntry, len(sources))
-		for p, src := range sources {
-			key, shared := an.SourceKey(src)
+		answers[i] = make([]*pathEntry, len(it.net.paths))
+		for p := range it.net.paths {
+			src := it.net.paths[p].Source
+			key, shared := it.an.SourceKey(src)
 			if shared {
 				if ps, ok := pending[key]; ok {
 					hits++
@@ -287,7 +296,7 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 				}
 				misses++
 			}
-			m, err := an.BuildPathModel(src)
+			m, err := it.an.BuildPathModel(src)
 			if err != nil {
 				it.err = fmt.Errorf("engine: solve: path from %d: %w", src, err)
 				e.metrics.errors.Add(1)
@@ -302,7 +311,8 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 	}
 	e.metrics.kernelHits.Add(hits)
 	e.metrics.kernelMisses.Add(misses)
-	endBuild("memo.hits", strconv.FormatInt(hits, 10), "memo.misses", strconv.FormatInt(misses, 10))
+	endBuild("bases", strconv.Itoa(len(bases)),
+		"memo.hits", strconv.FormatInt(hits, 10), "memo.misses", strconv.FormatInt(misses, 10))
 
 	endAnalyze := obs.StartSpan(ctx, "analyze")
 	if len(solves) > 0 {
@@ -315,7 +325,7 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 	for _, ps := range solves {
 		var ent *pathEntry
 		if ps.err == nil {
-			ent = e.landSolve(ps, builds)
+			ent = e.landSolve(ps, owned)
 		}
 		for _, r := range ps.refs {
 			switch {
@@ -333,7 +343,7 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 		if it.err != nil {
 			continue
 		}
-		res, err := assemble(it.key, builds[i], answers[i])
+		res, err := assemble(it, answers[i])
 		if err != nil {
 			it.err = fmt.Errorf("engine: solve: %w", err)
 			e.metrics.errors.Add(1)
@@ -359,23 +369,51 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 	}
 }
 
+// baseScan bounds how many of a call's bases, most recent first, a miss
+// is compared with. SameBase walks a whole spec, so comparing every miss
+// with every base would cost a batch of K distinct networks K² walks; a
+// sweep lists its columns network by network.
+const baseScan = 8
+
+// buildOn realizes it on the most recent of the last baseScan bases whose
+// spec shares its base, or else builds it in full with opts and appends
+// the build to bases. It returns the bases.
+func buildOn(bases []*netBase, it *batchItem, opts ...core.Option) ([]*netBase, error) {
+	for i := len(bases) - 1; i >= max(len(bases)-baseScan, 0); i-- {
+		nb := bases[i]
+		if !nb.spec.SameBase(it.spec) {
+			continue
+		}
+		if built, err := nb.built.Overlay(it.spec); err == nil {
+			it.net, it.an = nb, built.Analyzer
+			return bases, nil
+		}
+		break
+	}
+	built, err := it.spec.BuildWith(opts...)
+	if err != nil {
+		return bases, err
+	}
+	it.net, it.an = newNetBase(it.spec, built), built.Analyzer
+	return append(bases, it.net), nil
+}
+
 // landSolve returns the entry of a freshly solved path. A keyed solve is
 // measured as its first scenario sees it and published to the memo; an
 // unkeyed one, or one whose measurement failed, gets an entry without
 // measures, which each scenario measures itself.
-func (e *Engine) landSolve(ps *pathSolve, builds []*spec.Built) *pathEntry {
+func (e *Engine) landSolve(ps *pathSolve, owned []*batchItem) *pathEntry {
 	if ps.key == "" {
 		return solveOnly(ps.res)
 	}
 	first := ps.refs[0]
-	built := builds[first.item]
-	an := built.Analyzer
-	src := an.Sources()[first.path]
-	pa, err := an.MeasurePath(src, ps.res)
+	it := owned[first.item]
+	src := it.net.paths[first.path].Source
+	pa, err := it.an.MeasurePath(src, ps.res)
 	if err != nil {
 		return solveOnly(ps.res)
 	}
-	ent := newPathEntry(pa, an.Fdown(), built.Schedule.SlotsForSource(src))
+	ent := newPathEntry(pa, it.an.Fdown(), it.net.built.Schedule.SlotsForSource(src))
 	e.memoPut(ps.key, ent)
 	return ent
 }
@@ -384,22 +422,21 @@ func (e *Engine) landSolve(ps *pathSolve, builds []*spec.Built) *pathEntry {
 // entry measured under the scenario's downlink frame lends its measures,
 // with the scenario's own source and route, and any other is measured
 // afresh.
-func assemble(key string, built *spec.Built, answers []*pathEntry) (*Result, error) {
-	an := built.Analyzer
+func assemble(it *batchItem, answers []*pathEntry) (*Result, error) {
+	an := it.an
 	paths := make([]*core.PathAnalysis, len(answers))
 	reused := make([]*pathEntry, len(answers))
-	for p, src := range an.Sources() {
+	for p, base := range it.net.paths {
 		ent := answers[p]
 		if ent.fdown == an.Fdown() {
 			pa := ent.pa
-			pa.Source = src
-			pa.Path, _ = an.Route(src)
+			pa.Source, pa.Path = base.Source, base.Path
 			paths[p], reused[p] = &pa, ent
 			continue
 		}
-		pa, err := an.MeasurePath(src, ent.pa.Result)
+		pa, err := an.MeasurePath(base.Source, ent.pa.Result)
 		if err != nil {
-			return nil, fmt.Errorf("core: path from %d: %w", src, err)
+			return nil, fmt.Errorf("core: path from %d: %w", base.Source, err)
 		}
 		paths[p] = pa
 	}
@@ -407,7 +444,7 @@ func assemble(key string, built *spec.Built, answers []*pathEntry) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return assembleResult(key, built, na, reused)
+	return assembleResult(it.key, it.net, na, reused), nil
 }
 
 // acquire waits for a worker token under a "queue" span, giving up when

@@ -1,11 +1,16 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"wirelesshart/internal/spec"
 )
@@ -151,5 +156,75 @@ func TestEvaluateBatchCanceledContext(t *testing.T) {
 	cancel()
 	if _, err := eng.EvaluateBatch(ctx, []*spec.Spec{spec.TypicalSpec()}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled batch: %v", err)
+	}
+}
+
+// interleavedSweeps is the failure sweeps of two generated networks,
+// column by column: a0, b0, a1, b1, ... — a batch over two intact networks.
+func interleavedSweeps(t *testing.T) []*spec.Spec {
+	t.Helper()
+	nets := memoNetworks(t)[1:3]
+	a, b := failSweep(nets[0]), failSweep(nets[1])
+	var out []*spec.Spec
+	for i := 0; i < max(len(a), len(b)); i++ {
+		if i < len(a) {
+			out = append(out, a[i])
+		}
+		if i < len(b) {
+			out = append(out, b[i])
+		}
+	}
+	return out
+}
+
+// TestInterleavedBatchBodyBytes: a /v1/batch whose columns alternate
+// between two networks builds each network once and derives every other
+// column from it, and its body is still the direct analyses byte for
+// byte. A column that fails, sent with the others to a fresh engine,
+// fails the batch with the error text it gave before columns shared
+// builds: an unknown failure kind (rejected by the key), an empty failure
+// window on a shared network (rejected by the overlay, then by the
+// column's own build) and a link to an unknown node.
+func TestInterleavedBatchBodyBytes(t *testing.T) {
+	sweep := interleavedSweeps(t)
+	if got := serve(t, NewHandler(New(Config{}), 30*time.Second), "/v1/batch", map[string]any{"scenarios": sweep}); !bytes.Equal(got, directBatchBody(t, sweep)) {
+		t.Error("interleaved sweeps: /v1/batch body differs from the direct analyses")
+	}
+
+	column := func(edit func(c *spec.Spec)) *spec.Spec {
+		c := *sweep[2]
+		c.Links = append([]spec.Link(nil), c.Links...)
+		edit(&c)
+		return &c
+	}
+	for _, tc := range []struct {
+		name string
+		col  *spec.Spec
+		want string
+	}{
+		{"unknown failure kind", column(func(c *spec.Spec) {
+			c.Links[3].Failure = &spec.Failure{Kind: "meteor"}
+		}), `engine: batch scenario 5: engine: invalid scenario: engine: link "n2"-"n4": unknown failure kind "meteor"`},
+		{"empty failure window", column(func(c *spec.Spec) {
+			c.Links[3].Failure = &spec.Failure{Kind: "window", FromSlot: 9, ToSlot: 3}
+		}), `engine: batch scenario 5: engine: invalid scenario: spec: link "n2"-"n4": link: invalid failure window [9,3)`},
+		{"unknown node", column(func(c *spec.Spec) {
+			c.Links[4].B = "ghost"
+		}), `engine: batch scenario 5: engine: invalid scenario: spec: link 4 references unknown node ("n4"-"ghost")`},
+	} {
+		batch := append(append(append([]*spec.Spec(nil), sweep[:5]...), tc.col), sweep[5:]...)
+		b, err := json.Marshal(map[string]any{"scenarios": batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		NewHandler(New(Config{}), 30*time.Second).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(b)))
+		var body struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusBadRequest || body.Error != tc.want {
+			t.Errorf("%s: status %d, error %q; want 400, %q", tc.name, rec.Code, body.Error, tc.want)
+		}
 	}
 }

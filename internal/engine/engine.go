@@ -349,46 +349,80 @@ func (e *Engine) evaluateOne(ctx context.Context, s *spec.Spec, forward bool) (*
 	return out[0], nil
 }
 
-// assembleResult converts one scenario's solved network analysis into the
-// engine's wire result — the tail of a solve. entries, when non-nil, holds
-// per path the memo entry whose measures the analysis reused, or nil; a
-// reused path takes the entry's report and names it.
-func assembleResult(key string, built *spec.Built, na *core.NetworkAnalysis, entries []*pathEntry) (*Result, error) {
+// assembleResult converts one scenario's solved network analysis, built
+// on nb, into the engine's wire result — the tail of a solve. entries,
+// when non-nil, holds per path the memo entry whose measures the analysis
+// reused, or nil; a reused path takes the entry's report. Every path is
+// named from nb.
+func assembleResult(key string, nb *netBase, na *core.NetworkAnalysis, entries []*pathEntry) *Result {
 	out := &Result{
 		Key:                key,
-		Fup:                built.Schedule.Fup(),
-		Is:                 built.Analyzer.Is(),
-		Schedule:           built.Schedule.Format(built.Net),
+		Fup:                nb.built.Schedule.Fup(),
+		Is:                 nb.built.Analyzer.Is(),
+		Schedule:           nb.schedule,
 		OverallMeanDelayMS: na.OverallMeanDelayMS,
 		Utilization:        na.UtilizationExact,
 	}
 	out.OverallDelay = delayPoints(na.OverallDelay)
-	out.Paths = make([]PathResult, len(na.Paths))
-	for i, pa := range na.Paths {
-		src, err := built.Net.Node(pa.Source)
-		if err != nil {
-			return nil, err
-		}
-		nodes := pa.Path.Nodes()
-		route := make([]string, len(nodes))
-		for j, id := range nodes {
-			node, err := built.Net.Node(id)
-			if err != nil {
-				return nil, err
-			}
-			route[j] = node.Name
-		}
+	out.Paths = make([]PathResult, len(nb.named))
+	for i, np := range nb.named {
 		var p PathResult
-		if entries != nil && entries[i] != nil {
-			p = entries[i].path
+		if entries != nil && entries[np.path] != nil {
+			p = entries[np.path].path
 		} else {
-			p = measuredPath(pa, built.Schedule.SlotsForSource(pa.Source))
+			pa := na.Paths[np.path]
+			p = measuredPath(pa, nb.built.Schedule.SlotsForSource(pa.Source))
 		}
-		p.Source, p.Route = src.Name, route
+		p.Source, p.Route = np.source, np.route
 		out.Paths[i] = p
 	}
-	sort.Slice(out.Paths, func(i, j int) bool { return out.Paths[i].Source < out.Paths[j].Source })
-	return out, nil
+	return out
+}
+
+// netBase is one intact network of a solve: the first build of it, the
+// spec that build came from, and what every scenario realized on it
+// shares — its reporting paths, its schedule in eta notation and its
+// paths' names. Only the scenarios of one solve share a base.
+type netBase struct {
+	spec     *spec.Spec
+	built    *spec.Built
+	paths    []core.PathAnalysis // each reporting source's Source and Path, in source order; no measures
+	schedule string
+	named    []namedPath // sorted by source name, the order of a Result's paths
+}
+
+// namedPath names one reporting source's path: its index in the base's
+// paths, and its source's and route's node names.
+type namedPath struct {
+	path   int
+	source string
+	route  []string
+}
+
+// newNetBase makes built, the build of s, a base.
+func newNetBase(s *spec.Spec, built *spec.Built) *netBase {
+	an := built.Analyzer
+	nodes := built.Net.Nodes()
+	sources := an.Sources()
+	nb := &netBase{
+		spec:     s,
+		built:    built,
+		paths:    make([]core.PathAnalysis, len(sources)),
+		schedule: built.Schedule.Format(built.Net),
+		named:    make([]namedPath, len(sources)),
+	}
+	for p, src := range sources {
+		path, _ := an.Route(src)
+		nb.paths[p] = core.PathAnalysis{Source: src, Path: path}
+		ids := path.Nodes()
+		route := make([]string, len(ids))
+		for j, id := range ids {
+			route[j] = nodes[id].Name
+		}
+		nb.named[p] = namedPath{path: p, source: nodes[src].Name, route: route}
+	}
+	sort.Slice(nb.named, func(i, j int) bool { return nb.named[i].source < nb.named[j].source })
+	return nb
 }
 
 // pmf is the part of a delay distribution (a *stats.PMF) that a result

@@ -26,11 +26,7 @@ func analyzeDirect(t *testing.T, s *spec.Spec) *Result {
 		t.Fatal(err)
 	}
 	key := mustKey(t, s)
-	res, err := assembleResult(key, built, na, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return assembleResult(key, newNetBase(s, built), na, nil)
 }
 
 // assertSameAsAnalyze requires got to be bit-identical to the direct

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -187,6 +188,46 @@ func TestEvaluateConcurrentTracing(t *testing.T) {
 		}
 		if _, ok := tr.Span("solve"); !ok {
 			t.Errorf("trace %q has no solve span", tr.Attr("key"))
+		}
+	}
+}
+
+// TestBuildSpanCountsBases: a batch's build span reports how many intact
+// networks the call built in full — one for a single network's failure
+// sweep, two for the sweeps of two networks interleaved. A miss looks
+// back over the last baseScan bases only, so two rounds over baseScan+1
+// networks build every column in full.
+func TestBuildSpanCountsBases(t *testing.T) {
+	nets := memoNetworks(t)[:baseScan+1]
+	var rounds []*spec.Spec
+	for col := 0; col < 2; col++ {
+		for _, s := range nets {
+			rounds = append(rounds, failSweep(s)[col])
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		batch []*spec.Spec
+		want  string
+	}{
+		{"single-network sweep", failSweep(memoNetworks(t)[1]), "1"},
+		{"interleaved sweeps", interleavedSweeps(t), "2"},
+		{"two rounds over baseScan+1 networks", rounds, strconv.Itoa(len(rounds))},
+	} {
+		eng := New(Config{})
+		if _, err := eng.EvaluateBatch(context.Background(), tc.batch); err != nil {
+			t.Fatal(err)
+		}
+		snap := eng.Traces().Snapshot()
+		if len(snap) != 1 {
+			t.Fatalf("%s: %d traces, want 1", tc.name, len(snap))
+		}
+		build, ok := snap[0].Span("build")
+		if !ok {
+			t.Fatalf("%s: no build span", tc.name)
+		}
+		if got := build.Attr("bases"); got != tc.want {
+			t.Errorf("%s: build span bases=%q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

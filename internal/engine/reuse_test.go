@@ -128,7 +128,9 @@ func renamed(s *spec.Spec, prefix string) *spec.Spec {
 }
 
 // explicitTypical is TypicalSpec with its shortest-first schedule written
-// out slot by slot, so the schedule no longer depends on node ids.
+// out slot by slot, so the schedule no longer depends on node ids: hop h
+// of each source's route runs from route[h] to route[h+1] in the source's
+// slot h.
 func explicitTypical(t *testing.T) *spec.Spec {
 	t.Helper()
 	s := spec.TypicalSpec()
@@ -136,7 +138,6 @@ func explicitTypical(t *testing.T) *spec.Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := built.Schedule
 	name := func(id topology.NodeID) string {
 		n, err := built.Net.Node(id)
 		if err != nil {
@@ -144,19 +145,39 @@ func explicitTypical(t *testing.T) *spec.Spec {
 		}
 		return n.Name
 	}
-	s.Schedule = spec.Schedule{Fup: plan.Fup()}
-	for slot := 1; slot <= plan.Fup(); slot++ {
-		entries, err := plan.EntriesAt(slot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
+	s.Schedule = spec.Schedule{Fup: built.Schedule.Fup()}
+	for _, src := range built.Analyzer.Sources() {
+		route, _ := built.Analyzer.Route(src)
+		nodes := route.Nodes()
+		for h, slot := range built.Schedule.SlotsForSource(src) {
 			s.Schedule.Slots = append(s.Schedule.Slots, spec.Transmission{
-				Slot: slot, From: name(e.From), To: name(e.To), Source: name(e.Source),
+				Slot: slot, From: name(nodes[h]), To: name(nodes[h+1]), Source: name(src),
 			})
 		}
 	}
+	slices.SortFunc(s.Schedule.Slots, func(a, b spec.Transmission) int { return a.Slot - b.Slot })
 	return s
+}
+
+// TestExplicitTypicalSchedule pins explicitTypical to the frame it wrote
+// when it read the schedule slot by slot: eta_a over Fup = 20.
+func TestExplicitTypicalSchedule(t *testing.T) {
+	tx := func(slot int, from, to, source string) spec.Transmission {
+		return spec.Transmission{Slot: slot, From: from, To: to, Source: source}
+	}
+	want := spec.Schedule{Fup: 20, Slots: []spec.Transmission{
+		tx(1, "n1", "G", "n1"), tx(2, "n2", "G", "n2"), tx(3, "n3", "G", "n3"),
+		tx(4, "n4", "n1", "n4"), tx(5, "n1", "G", "n4"), tx(6, "n5", "n1", "n5"),
+		tx(7, "n1", "G", "n5"), tx(8, "n6", "n2", "n6"), tx(9, "n2", "G", "n6"),
+		tx(10, "n7", "n3", "n7"), tx(11, "n3", "G", "n7"), tx(12, "n8", "n3", "n8"),
+		tx(13, "n3", "G", "n8"), tx(14, "n9", "n6", "n9"), tx(15, "n6", "n2", "n9"),
+		tx(16, "n2", "G", "n9"), tx(17, "n10", "n7", "n10"), tx(18, "n7", "n3", "n10"),
+		tx(19, "n3", "G", "n10"),
+	}}
+	got := explicitTypical(t).Schedule
+	if got.Fup != want.Fup || !slices.Equal(got.Slots, want.Slots) {
+		t.Errorf("explicit typical schedule = %+v, want %+v", got, want)
+	}
 }
 
 // TestRenamedNetworkSharesEntries: two networks that differ only in node

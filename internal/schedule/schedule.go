@@ -86,15 +86,6 @@ func (s *Schedule) SetTransmission(slot int, from, to, source topology.NodeID) e
 	return nil
 }
 
-// EntriesAt returns the transmissions of a 1-based slot (a copy; none
-// for an idle slot).
-func (s *Schedule) EntriesAt(slot int) ([]Entry, error) {
-	if slot < 1 || slot > len(s.slots) {
-		return nil, fmt.Errorf("schedule: slot %d out of [1,%d]", slot, len(s.slots))
-	}
-	return slices.Clone(s.slots[slot-1]), nil
-}
-
 // SlotsForSource returns the 1-based slots dedicated to relaying source's
 // message, in slot order (a copy; nil for a source without slots).
 func (s *Schedule) SlotsForSource(source topology.NodeID) []int {

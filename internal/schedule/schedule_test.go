@@ -31,15 +31,10 @@ func TestNewValidation(t *testing.T) {
 	if s.Fup() != 7 {
 		t.Errorf("Fup() = %d, want 7", s.Fup())
 	}
-	entries, err := s.EntriesAt(1)
-	if err != nil || len(entries) != 0 {
-		t.Errorf("fresh slot should be idle: %+v, %v", entries, err)
-	}
-	if _, err := s.EntriesAt(0); err == nil {
-		t.Error("slot 0 should error (1-based)")
-	}
-	if _, err := s.EntriesAt(8); err == nil {
-		t.Error("slot beyond frame should error")
+	for i, entries := range s.slots {
+		if len(entries) != 0 {
+			t.Errorf("fresh slot %d should be idle: %+v", i+1, entries)
+		}
 	}
 }
 
@@ -48,9 +43,8 @@ func TestSetTransmission(t *testing.T) {
 	if err := s.SetTransmission(3, 1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := s.EntriesAt(3)
-	if err != nil || len(entries) != 1 || entries[0] != (Entry{From: 1, To: 2, Source: 1}) {
-		t.Errorf("entries = %+v, %v", entries, err)
+	if entries := s.slots[2]; len(entries) != 1 || entries[0] != (Entry{From: 1, To: 2, Source: 1}) {
+		t.Errorf("slot 3 entries = %+v", entries)
 	}
 	if err := s.SetTransmission(3, 2, 3, 1); err == nil {
 		t.Error("double-booking a slot should error")

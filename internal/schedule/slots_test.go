@@ -16,11 +16,7 @@ import (
 func scanSlots(m *schedule.Schedule, source topology.NodeID) []int {
 	var out []int
 	for slot := 1; slot <= m.Fup(); slot++ {
-		entries, err := m.EntriesAt(slot)
-		if err != nil {
-			panic(err)
-		}
-		for _, e := range entries {
+		for _, e := range schedule.SlotEntries(m, slot) {
 			if e.Source == source {
 				out = append(out, slot)
 			}

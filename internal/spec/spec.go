@@ -10,8 +10,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
+	"slices"
 
 	"wirelesshart/internal/channel"
 	"wirelesshart/internal/core"
@@ -182,6 +183,10 @@ type Built struct {
 	Analyzer *core.Analyzer
 	// Failures maps link ids to their declared failure injections.
 	Failures map[topology.LinkID]Failure
+
+	// base is the analyzer without the declared failures' overrides, the
+	// one Overlay derives sibling builds from.
+	base *core.Analyzer
 }
 
 // SimLinks returns the simulator process of every link: the steady
@@ -214,13 +219,83 @@ func (s *Spec) Build() (*Built, error) {
 // a uniform one: every declared link gets its own process from the spec,
 // and a per-link process takes precedence over core.WithUniformLinkProcess.
 // Set the spec's link fields or DefaultBER instead.
+//
+// A build takes two steps. The base realizes everything but the links'
+// failures: network, link processes, schedule and an analyzer with the
+// extras and no failure overrides. The overlay (Overlay) then turns each
+// declared Failure into an availability override; an extra
+// core.WithLinkAvailability on the same link still wins. Errors are the
+// ones a single pass over the spec meets first, in link order.
 func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
+	b, resolved, err := s.buildBase(extra)
+	if err != nil {
+		// The failures of the links resolved before the error come first.
+		bits := s.Bits()
+		for _, l := range s.Links[:resolved] {
+			if l.Failure == nil {
+				continue
+			}
+			p, perr := s.linkProcess(l, bits)
+			if perr != nil {
+				continue
+			}
+			if _, ferr := failureAvailability(p, l.Failure); ferr != nil {
+				return nil, fmt.Errorf("spec: link %q-%q: %w", l.A, l.B, ferr)
+			}
+		}
+		return nil, err
+	}
+	return b.Overlay(s)
+}
+
+// Overlay derives the build of a sibling of the spec b was built from: a
+// spec equal to it in everything but its links' Failure fields (SameBase
+// decides; Overlay does not check). The result shares b's network,
+// schedule, routes, link processes and sources. Only its failure
+// overrides are its own: each of s's declared failures (spec link i is
+// link id i) acts on the link's process in b, under any extra
+// core.WithLinkAvailability b was built with. BuildWith is the base build
+// followed by this overlay.
+func (b *Built) Overlay(s *Spec) (*Built, error) {
+	var ov map[topology.LinkID]link.Availability
+	var failures map[topology.LinkID]Failure
+	for i, l := range s.Links {
+		if l.Failure == nil {
+			continue
+		}
+		lid := topology.LinkID(i)
+		av, err := failureAvailability(b.base.LinkProcess(lid), l.Failure)
+		if err != nil {
+			return nil, fmt.Errorf("spec: link %q-%q: %w", l.A, l.B, err)
+		}
+		if ov == nil {
+			ov = map[topology.LinkID]link.Availability{}
+			failures = map[topology.LinkID]Failure{}
+		}
+		ov[lid] = av
+		failures[lid] = *l.Failure
+	}
+	if ov == nil && b.Failures == nil {
+		return b, nil
+	}
+	out := &Built{Net: b.Net, Schedule: b.Schedule, Analyzer: b.base, Failures: failures, base: b.base}
+	if ov != nil {
+		out.Analyzer = b.base.Override(ov)
+	}
+	return out, nil
+}
+
+// buildBase realizes s without its links' failures: the network, each
+// declared link's process, the schedule and an analyzer configured by s
+// and then extra. It also reports how many links it resolved before an
+// error (all of them when the error came later).
+func (s *Spec) buildBase(extra []core.Option) (*Built, int, error) {
 	if len(s.Nodes) == 0 {
-		return nil, errors.New("spec: no nodes")
+		return nil, 0, errors.New("spec: no nodes")
 	}
 	bits := s.Bits()
 	net := topology.NewNetwork()
-	ids := map[string]topology.NodeID{}
+	ids := make(map[string]topology.NodeID, len(s.Nodes))
 	for _, n := range s.Nodes {
 		kind := topology.FieldDevice
 		switch n.Kind {
@@ -228,57 +303,46 @@ func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
 		case "gateway":
 			kind = topology.Gateway
 		default:
-			return nil, fmt.Errorf("spec: node %q has unknown kind %q", n.Name, n.Kind)
+			return nil, 0, fmt.Errorf("spec: node %q has unknown kind %q", n.Name, n.Kind)
 		}
 		id, err := net.AddNode(n.Name, kind)
 		if err != nil {
-			return nil, fmt.Errorf("spec: %w", err)
+			return nil, 0, fmt.Errorf("spec: %w", err)
 		}
 		ids[n.Name] = id
 	}
 
-	linkProcs := map[topology.LinkID]link.Process{}
-	injections := map[topology.LinkID]link.Availability{}
-	failures := map[topology.LinkID]Failure{}
+	opts := make([]core.Option, 0, len(s.Links)+4+len(extra))
 	for i, l := range s.Links {
 		a, okA := ids[l.A]
 		b, okB := ids[l.B]
 		if !okA || !okB {
-			return nil, fmt.Errorf("spec: link %d references unknown node (%q-%q)", i, l.A, l.B)
+			return nil, i, fmt.Errorf("spec: link %d references unknown node (%q-%q)", i, l.A, l.B)
 		}
 		lid, err := net.AddLink(a, b)
 		if err != nil {
-			return nil, fmt.Errorf("spec: %w", err)
+			return nil, i, fmt.Errorf("spec: %w", err)
 		}
 		p, err := s.linkProcess(l, bits)
 		if err != nil {
-			return nil, fmt.Errorf("spec: link %q-%q: %w", l.A, l.B, err)
+			return nil, i, fmt.Errorf("spec: link %q-%q: %w", l.A, l.B, err)
 		}
-		linkProcs[lid] = p
-		if l.Failure != nil {
-			av, err := failureAvailability(p, l.Failure)
-			if err != nil {
-				return nil, fmt.Errorf("spec: link %q-%q: %w", l.A, l.B, err)
-			}
-			injections[lid] = av
-			failures[lid] = *l.Failure
-		}
+		opts = append(opts, core.WithLinkProcess(lid, p))
 	}
+	all := len(s.Links)
 
 	sched, err := s.buildSchedule(net, ids)
 	if err != nil {
-		return nil, err
+		return nil, all, err
 	}
-
-	opts := []core.Option{}
 	if len(s.Sources) > 0 {
-		var srcIDs []topology.NodeID
-		for _, name := range s.Sources {
+		srcIDs := make([]topology.NodeID, len(s.Sources))
+		for i, name := range s.Sources {
 			id, ok := ids[name]
 			if !ok {
-				return nil, fmt.Errorf("spec: unknown reporting source %q", name)
+				return nil, all, fmt.Errorf("spec: unknown reporting source %q", name)
 			}
-			srcIDs = append(srcIDs, id)
+			srcIDs[i] = id
 		}
 		opts = append(opts, core.WithSources(srcIDs...))
 	}
@@ -291,30 +355,72 @@ func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
 	if s.Fdown != 0 {
 		opts = append(opts, core.WithDownlinkFrame(s.Fdown))
 	}
-	// Options in sorted link order: the option list feeds the analyzer
-	// construction and cache keys, so map order would differ between runs.
-	procIDs := make([]topology.LinkID, 0, len(linkProcs))
-	for lid := range linkProcs {
-		procIDs = append(procIDs, lid)
-	}
-	sort.Slice(procIDs, func(i, j int) bool { return procIDs[i] < procIDs[j] })
-	for _, lid := range procIDs {
-		opts = append(opts, core.WithLinkProcess(lid, linkProcs[lid]))
-	}
-	injIDs := make([]topology.LinkID, 0, len(injections))
-	for lid := range injections {
-		injIDs = append(injIDs, lid)
-	}
-	sort.Slice(injIDs, func(i, j int) bool { return injIDs[i] < injIDs[j] })
-	for _, lid := range injIDs {
-		opts = append(opts, core.WithLinkAvailability(lid, injections[lid]))
-	}
 	opts = append(opts, extra...)
 	an, err := core.New(net, sched, opts...)
 	if err != nil {
-		return nil, err
+		return nil, all, err
 	}
-	return &Built{Net: net, Schedule: sched, Analyzer: an, Failures: failures}, nil
+	return &Built{Net: net, Schedule: sched, Analyzer: an, base: an}, all, nil
+}
+
+// SameBase reports whether s and o realize the same intact network — they
+// are equal in every field but their links' Failure — so that the build of
+// one is the Overlay of the other. Floats compare by their bits: -0 and +0
+// differ, and a spec holding a NaN shares with none.
+func (s *Spec) SameBase(o *Spec) bool {
+	if s.ReportingInterval != o.ReportingInterval || s.TTL != o.TTL || s.Fdown != o.Fdown ||
+		s.MessageBits != o.MessageBits || !sameFloatPtr(s.DefaultBER, o.DefaultBER) ||
+		!slices.Equal(s.Nodes, o.Nodes) || !slices.Equal(s.Sources, o.Sources) ||
+		!s.Schedule.same(&o.Schedule) || len(s.Links) != len(o.Links) {
+		return false
+	}
+	for i := range s.Links {
+		if !s.Links[i].sameBase(&o.Links[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func (c *Schedule) same(o *Schedule) bool {
+	return c.Fup == o.Fup && c.Policy == o.Policy && c.ExtraIdle == o.ExtraIdle &&
+		c.Channels == o.Channels && slices.Equal(c.Slots, o.Slots) && slices.Equal(c.Priority, o.Priority)
+}
+
+// sameBase compares every field of two links but Failure.
+func (l *Link) sameBase(o *Link) bool {
+	if l.A != o.A || l.B != o.B ||
+		!sameFloatPtr(l.PFl, o.PFl) || !sameFloatPtr(l.BER, o.BER) || !sameFloatPtr(l.EbN0, o.EbN0) ||
+		!sameFloatPtr(l.Availability, o.Availability) || !sameFloatPtr(l.PRc, o.PRc) {
+		return false
+	}
+	if l.Fading == nil || o.Fading == nil {
+		return l.Fading == o.Fading
+	}
+	if !sameFloats(l.Fading.Success, o.Fading.Success) || len(l.Fading.Transitions) != len(o.Fading.Transitions) {
+		return false
+	}
+	for i, row := range l.Fading.Transitions {
+		if !sameFloats(row, o.Fading.Transitions[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameFloat(a, b float64) bool {
+	return !math.IsNaN(a) && math.Float64bits(a) == math.Float64bits(b)
+}
+
+func sameFloatPtr(a, b *float64) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return sameFloat(*a, *b)
+}
+
+func sameFloats(a, b []float64) bool {
+	return slices.EqualFunc(a, b, sameFloat)
 }
 
 // Bits returns the effective message length in bits (default 1016, the

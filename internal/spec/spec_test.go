@@ -376,3 +376,36 @@ func TestTTLAndFdownPassThrough(t *testing.T) {
 		t.Errorf("TTL-limited R = %v, want 0.903", pa.Reachability)
 	}
 }
+
+// TestBuildErrorOrder: a spec with several faults reports the one a single
+// pass over it meets first. A link's failure is checked with its link,
+// before later links and the schedule, although the failure overlay runs
+// after the base build.
+func TestBuildErrorOrder(t *testing.T) {
+	const failure = `spec: link "n1"-"G": link: invalid failure window [9,3)`
+	for _, tt := range []struct {
+		name, links, schedule, want string
+	}{
+		{"failure before an unknown endpoint",
+			`{"a": "n1", "b": "G", "failure": {"kind": "window", "fromSlot": 9, "toSlot": 3}}, {"a": "n2", "b": "zz"}`,
+			`{"policy": "shortest-first"}`, failure},
+		{"failure before a bad schedule",
+			`{"a": "n1", "b": "G", "failure": {"kind": "window", "fromSlot": 9, "toSlot": 3}}, {"a": "n2", "b": "G"}`,
+			`{"policy": "random"}`, failure},
+		{"bad link before a later failure",
+			`{"a": "n1", "b": "G", "pfl": 1.5}, {"a": "n2", "b": "G", "failure": {"kind": "meteor"}}`,
+			`{"policy": "shortest-first"}`, `spec: link "n1"-"G": link: failure probability 1.5 out of [0,1]`},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			doc := `{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}, {"name": "n2"}],
+				"links": [` + tt.links + `], "schedule": ` + tt.schedule + `}`
+			s, err := Parse(strings.NewReader(doc))
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			if _, err := s.Build(); err == nil || err.Error() != tt.want {
+				t.Errorf("Build error %v, want %q", err, tt.want)
+			}
+		})
+	}
+}
