@@ -371,8 +371,8 @@ func (a *Analyzer) SourceKey(source topology.NodeID) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	for lid := range a.overrides {
-		if p.UsesLink(lid) {
+	for h := range p.Hops() {
+		if _, over := a.overrides[p.Link(h)]; over {
 			return "", false
 		}
 	}

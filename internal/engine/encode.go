@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 )
 
 // jsonWriter appends the API's response encoding of the engine's fixed
@@ -62,10 +63,8 @@ func (w *jsonWriter) newline(depth int) { w.b = append(w.b, lineBreaks[:1+2*dept
 
 func (w *jsonWriter) int(n int) { w.b = strconv.AppendInt(w.b, int64(n), 10) }
 
-// float formats f as encoding/json does: the shortest representation, in
-// exponent form outside [1e-6, 1e21) with a one-digit negative exponent
-// written e-7 rather than e-07. NaN and ±Inf fail with the encoder's own
-// error.
+// float formats f as encoding/json does; NaN and ±Inf fail with the
+// encoder's own error.
 func (w *jsonWriter) float(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		if w.err == nil {
@@ -73,33 +72,87 @@ func (w *jsonWriter) float(f float64) {
 		}
 		return
 	}
+	w.b = appendJSONFloat(w.b, f)
+}
+
+func (w *jsonWriter) quote(s string) { w.b = appendJSONString(w.b, s) }
+
+// appendJSONFloat appends the finite f as encoding/json writes it: the
+// shortest representation, in exponent form outside [1e-6, 1e21) with a
+// one-digit negative exponent written e-7 rather than e-07.
+func appendJSONFloat(b []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
-	if n := len(w.b); format == 'e' && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
-		w.b[n-2] = w.b[n-1]
-		w.b = w.b[:n-1]
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
 	}
+	return b
 }
 
-// quote copies s between quotes when no byte needs escaping. Anything
-// else (quotes, backslashes, the HTML characters <>&, control bytes and
-// all non-ASCII) goes through json.Marshal, which keeps the encoder's
-// HTML escaping, its \u2028 and \u2029 escapes and its U+FFFD for invalid
-// UTF-8 exact.
-func (w *jsonWriter) quote(s string) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a Go string always marshals
-			w.b = append(w.b, q...)
-			return
-		}
+// jsonSafe marks the ASCII bytes appendJSONString copies unescaped.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for c := byte(0x20); c < utf8.RuneSelf; c++ {
+		safe[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 	}
-	w.b = append(w.b, '"')
-	w.b = append(w.b, s...)
-	w.b = append(w.b, '"')
+	return safe
+}()
+
+// appendJSONString appends s quoted as encoding/json writes it: with the
+// HTML characters <>& escaped, control bytes as \b, \f, \n, \r, \t or
+// \u00XX, U+2028 and U+2029 escaped, and each byte of invalid UTF-8 as
+// \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if jsonSafe[c] {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // array writes xs at depth, one element a line, each written by elem.

@@ -463,20 +463,50 @@ type Prediction struct {
 	CycleProbs   []float64 `json:"cycleProbs"`
 }
 
-// Predict evaluates the scenario (cached) and composes the candidate peer
-// path with the existing uplink path of cand.Via, reproducing the paper's
-// Section VI-E routing prediction without re-solving the network.
-func (e *Engine) Predict(ctx context.Context, s *spec.Spec, cand Candidate) (*Prediction, error) {
-	if cand.Via == "" {
-		return nil, fmt.Errorf("%w: candidate needs a via node", ErrBadScenario)
+// PredictRanked composes each candidate's peer path with the existing
+// uplink path of its via node, reproducing the paper's Section VI-E
+// routing prediction without re-solving the network, and returns the
+// predictions best-first under the paper's routing-choice rule:
+// reachability descending, ties (within measures.ComposedTieTolerance)
+// broken by the shorter composed path. It also returns the scenario's
+// key. The scenario is evaluated (cached) once, when the first candidate
+// passes its shape checks, so a malformed candidate ahead of it is
+// reported before a bad scenario.
+func (e *Engine) PredictRanked(ctx context.Context, s *spec.Spec, cands []Candidate) ([]*Prediction, string, error) {
+	if len(cands) == 0 {
+		return nil, "", fmt.Errorf("%w: no candidates", ErrBadScenario)
 	}
-	if len(cand.EbN0s) == 0 {
-		return nil, fmt.Errorf("%w: candidate %q needs at least one peer-hop Eb/N0", ErrBadScenario, cand.Via)
+	var res *Result
+	preds := make([]*Prediction, len(cands))
+	for i, c := range cands {
+		if c.Via == "" {
+			return nil, "", fmt.Errorf("%w: candidate needs a via node", ErrBadScenario)
+		}
+		if len(c.EbN0s) == 0 {
+			return nil, "", fmt.Errorf("%w: candidate %q needs at least one peer-hop Eb/N0", ErrBadScenario, c.Via)
+		}
+		if res == nil {
+			var err error
+			if res, err = e.Evaluate(ctx, s); err != nil {
+				return nil, "", err
+			}
+		}
+		p, err := e.predict(res, s.Bits(), c)
+		if err != nil {
+			return nil, "", err
+		}
+		preds[i] = p
 	}
-	res, err := e.Evaluate(ctx, s)
-	if err != nil {
-		return nil, err
-	}
+	sort.SliceStable(preds, func(i, j int) bool {
+		return measures.BetterComposed(preds[i].Reachability, preds[i].Hops,
+			preds[j].Reachability, preds[j].Hops, measures.ComposedTieTolerance)
+	})
+	return preds, res.Key, nil
+}
+
+// predict composes cand's peer path, of messages of bits bits, with the
+// uplink path of cand.Via in the solved scenario res.
+func (e *Engine) predict(res *Result, bits int, cand Candidate) (*Prediction, error) {
 	existing, ok := res.Path(cand.Via)
 	if !ok {
 		return nil, fmt.Errorf("%w: node %q is not a reporting source with an uplink path", ErrBadScenario, cand.Via)
@@ -485,7 +515,7 @@ func (e *Engine) Predict(ctx context.Context, s *spec.Spec, cand Candidate) (*Pr
 		return nil, fmt.Errorf("%w: peer path with %d hops does not fit the %d-slot frame",
 			ErrBadScenario, len(cand.EbN0s), res.Fup)
 	}
-	peer, err := e.peerSolve(cand.EbN0s, res.Fup, res.Is, s.Bits())
+	peer, err := e.peerSolve(cand.EbN0s, res.Fup, res.Is, bits)
 	if err != nil {
 		return nil, err
 	}
@@ -499,29 +529,6 @@ func (e *Engine) Predict(ctx context.Context, s *spec.Spec, cand Candidate) (*Pr
 		Reachability: measures.CycleReachability(gc),
 		CycleProbs:   gc,
 	}, nil
-}
-
-// PredictRanked predicts every candidate and returns them ordered
-// best-first under the paper's routing-choice rule: reachability
-// descending, ties (within measures.ComposedTieTolerance) broken by the
-// shorter composed path.
-func (e *Engine) PredictRanked(ctx context.Context, s *spec.Spec, cands []Candidate) ([]*Prediction, error) {
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("%w: no candidates", ErrBadScenario)
-	}
-	preds := make([]*Prediction, len(cands))
-	for i, c := range cands {
-		p, err := e.Predict(ctx, s, c)
-		if err != nil {
-			return nil, err
-		}
-		preds[i] = p
-	}
-	sort.SliceStable(preds, func(i, j int) bool {
-		return measures.BetterComposed(preds[i].Reachability, preds[i].Hops,
-			preds[j].Reachability, preds[j].Hops, measures.ComposedTieTolerance)
-	})
-	return preds, nil
 }
 
 // peerSolve solves (or reuses) the DTMC of a standalone peer path scheduled

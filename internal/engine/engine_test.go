@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -185,6 +186,13 @@ func TestPredictMatchesLibrary(t *testing.T) {
 	}
 	eng := New(Config{})
 	ctx := context.Background()
+	ranked, key, err := eng.PredictRanked(ctx, spec.TypicalSpec(), candidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mustKey(t, spec.TypicalSpec()); key != want {
+		t.Errorf("key %s, want %s", key, want)
+	}
 	var wantPreds []*wirelesshart.Prediction
 	for _, c := range candidates {
 		want, err := net.PredictAttachment(c.Via, c.EbN0s[0])
@@ -192,10 +200,11 @@ func TestPredictMatchesLibrary(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantPreds = append(wantPreds, want)
-		got, err := eng.Predict(ctx, spec.TypicalSpec(), c)
-		if err != nil {
-			t.Fatal(err)
+		i := slices.IndexFunc(ranked, func(p *Prediction) bool { return p.Via == c.Via })
+		if i < 0 {
+			t.Fatalf("via %s: no prediction", c.Via)
 		}
+		got := ranked[i]
 		if got.Hops != want.Hops {
 			t.Errorf("via %s: hops = %d, want %d", c.Via, got.Hops, want.Hops)
 		}
@@ -211,19 +220,17 @@ func TestPredictMatchesLibrary(t *testing.T) {
 			}
 		}
 	}
-	ranked, err := eng.PredictRanked(ctx, spec.TypicalSpec(), candidates)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantRanked := wirelesshart.RankPredictions(wantPreds)
 	for i := range wantRanked {
 		if ranked[i].Via != wantRanked[i].Via {
 			t.Fatalf("rank %d: %s, want %s", i, ranked[i].Via, wantRanked[i].Via)
 		}
 	}
-	// The whole exercise re-used one cached network solve.
-	if solves := eng.MetricsSnapshot().Solves; solves != 1 {
-		t.Errorf("%d network solves across predictions, want 1", solves)
+	// The whole ranking evaluated the network once.
+	m := eng.MetricsSnapshot()
+	if m.Solves != 1 || m.CacheHits+m.CacheMisses != 1 {
+		t.Errorf("%d network solves and %d cache lookups across predictions, want 1 and 1",
+			m.Solves, m.CacheHits+m.CacheMisses)
 	}
 }
 
@@ -239,7 +246,7 @@ func TestPredictValidation(t *testing.T) {
 		{Via: "n4", EbN0s: make([]float64, 64)}, // peer path exceeds the frame
 	}
 	for i, c := range cases {
-		if _, err := eng.Predict(ctx, spec.TypicalSpec(), c); !errors.Is(err, ErrBadScenario) {
+		if _, _, err := eng.PredictRanked(ctx, spec.TypicalSpec(), []Candidate{c}); !errors.Is(err, ErrBadScenario) {
 			t.Errorf("case %d: err = %v, want ErrBadScenario", i, err)
 		}
 	}

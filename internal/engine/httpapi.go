@@ -430,12 +430,7 @@ func (s *apiServer) predict(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	preds, err := s.eng.PredictRanked(ctx, req.Scenario, cands)
-	if err != nil {
-		writeEngineErr(w, err)
-		return
-	}
-	key, err := Key(req.Scenario)
+	preds, key, err := s.eng.PredictRanked(ctx, req.Scenario, cands)
 	if err != nil {
 		writeEngineErr(w, err)
 		return

@@ -11,18 +11,46 @@
 package engine
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/spec"
 )
 
-// canonScenario is the canonical form a scenario is hashed in. Field order
-// is fixed by the struct; json.Marshal of a struct is deterministic.
+// Key returns the deterministic cache key of a scenario: the hex SHA-256
+// of its canonical form. Two specs that differ only in declaration order,
+// field choice (BER vs the equivalent p_fl) or spelled-out defaults share
+// a key; any semantic change produces a new one.
+func Key(s *spec.Spec) (string, error) {
+	c := keyBufs.Get().(*keyBuf)
+	defer c.release()
+	b, err := c.canonicalize(s)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// The canonical form is the compact JSON of this object, members in this
+// order:
+//
+//	{"Nodes":[{"Name","Kind"}...],
+//	 "Links":[{"A","B","PFl","PRc","Fading"?,"Failure"}...],
+//	 "Schedule":{"Policy","Priority":[...],"ExtraIdle","Channels","Fup",
+//	             "Slots":[{"Slot","From","To","Source"}...]},
+//	 "Is","TTL","Fdown","Bits","Sources":[...]}
+//
+// Strings, numbers and lists are written byte for byte as encoding/json
+// writes them; Nodes, Links, Priority and Slots are null when empty.
 //
 // Canonicalization must merge exactly the scenario pairs that provably
 // yield identical results:
@@ -35,157 +63,242 @@ import (
 //     lexicographically.
 //   - Each link is resolved to its effective two-state model (p_fl, p_rc):
 //     a link declared via BER and one declared via the equivalent failure
-//     probability hash identically, while any numeric change misses.
+//     probability hash identically, while any numeric change misses. A
+//     k-state fading link instead carries its link.Process encoding as
+//     Fading (PFl and PRc stay 0); the member is left out for two-state
+//     links, which keeps their historical bytes. Process encodings are
+//     collision-free across implementations, so a fading link never hashes
+//     like a scalar one.
+//   - Failure is "", "permanent" or "window:from:to".
 //   - Defaults are materialized (reporting interval 4, message bits 1016,
 //     channels 1, empty sources = all field devices) so a spec spelling a
 //     default out hashes like one omitting it.
 //   - Explicit schedule entries are order-insensitive and sorted by slot;
 //     a Priority list is an ordered allocation sequence and preserved.
-type canonScenario struct {
-	Nodes    []canonNode
-	Links    []canonLink
-	Schedule canonSchedule
-	Is       int
-	TTL      int
-	Fdown    int
-	Bits     int
-	Sources  []string
+
+// keyLink is one declared link resolved for its key: its endpoints in
+// lexicographic order, its two-state model or its fading process, and its
+// failure text.
+type keyLink struct {
+	a, b    string
+	model   link.Model
+	fading  link.Process // nil for a two-state link
+	failure string
 }
 
-type canonNode struct {
-	Name, Kind string
+// keyBuf holds one Key call's scratch: the canonical text, the resolved
+// links, the link and slot orders and the sources. Buffers are pooled, so
+// a warm key allocates only what resolving its links does.
+type keyBuf struct {
+	b        []byte
+	links    []keyLink
+	order    []int32 // link indices in canonical order
+	slots    []int32 // explicit-slot indices in canonical order
+	sources  []string
+	pfl, prc floatText
 }
 
-type canonLink struct {
-	A, B     string
-	PFl, PRc float64
-	// Fading carries the canonical link.Process encoding for k-state
-	// fading links (PFl/PRc stay zero there); it is omitted — preserving
-	// the historical key bytes — for two-state links. Process encodings
-	// are collision-free across implementations, so a fading link never
-	// hashes like a scalar one.
-	Fading  string `json:",omitempty"`
-	Failure string // "", "permanent", or "window:from:to"
+var keyBufs = sync.Pool{New: func() any { return new(keyBuf) }}
+
+// release drops c's references into the spec it canonicalized and
+// recycles it.
+func (c *keyBuf) release() {
+	clear(c.links)
+	clear(c.sources)
+	keyBufs.Put(c)
 }
 
-type canonSchedule struct {
-	Policy    string
-	Priority  []string
-	ExtraIdle int
-	Channels  int
-	Fup       int
-	Slots     []canonSlot
+// floatText remembers the JSON text of the last float it wrote: nearly
+// every link shares p_rc 0.9, and formatting is the costliest part of a
+// key.
+type floatText struct {
+	bits uint64
+	text []byte
 }
 
-type canonSlot struct {
-	Slot             int
-	From, To, Source string
-}
-
-// Key returns the deterministic cache key of a scenario: the hex SHA-256
-// of its canonical form. Two specs that differ only in declaration order,
-// field choice (BER vs the equivalent p_fl) or spelled-out defaults share
-// a key; any semantic change produces a new one.
-func Key(s *spec.Spec) (string, error) {
-	c, err := canonicalize(s)
-	if err != nil {
-		return "", err
+func (t *floatText) append(b []byte, f float64) []byte {
+	if bits := math.Float64bits(f); len(t.text) == 0 || bits != t.bits {
+		t.bits, t.text = bits, appendJSONFloat(t.text[:0], f)
 	}
-	b, err := json.Marshal(c)
-	if err != nil {
-		return "", fmt.Errorf("engine: canonical marshal: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return append(b, t.text...)
 }
 
-func canonicalize(s *spec.Spec) (*canonScenario, error) {
+// canonicalize writes the canonical form of s into c and returns it; the
+// bytes stay valid until c is released.
+func (c *keyBuf) canonicalize(s *spec.Spec) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("engine: nil scenario")
 	}
-	c := &canonScenario{
-		Is:    s.ReportingInterval,
-		TTL:   s.TTL,
-		Fdown: s.Fdown,
-		Bits:  s.Bits(),
-	}
-	if c.Is == 0 {
-		c.Is = 4
-	}
-	fieldDevices := []string{}
-	for _, n := range s.Nodes {
-		kind := n.Kind
-		if kind == "" {
-			kind = "field-device"
-		}
-		if kind == "field-device" {
-			fieldDevices = append(fieldDevices, n.Name)
-		}
-		c.Nodes = append(c.Nodes, canonNode{Name: n.Name, Kind: kind})
-	}
-	for _, l := range s.Links {
+	c.links, c.order = c.links[:0], c.order[:0]
+	for i, l := range s.Links {
 		p, err := s.ResolveLinkProcess(l)
 		if err != nil {
 			return nil, fmt.Errorf("engine: link %q-%q: %w", l.A, l.B, err)
 		}
-		cl := canonLink{A: l.A, B: l.B}
+		cl := keyLink{a: l.A, b: l.B}
 		if m, ok := p.(link.Model); ok {
-			cl.PFl, cl.PRc = m.FailureProb(), m.RecoveryProb()
+			cl.model = m
 		} else {
-			cl.Fading = string(p.AppendKey(nil))
+			cl.fading = p
 		}
-		if cl.A > cl.B {
-			cl.A, cl.B = cl.B, cl.A
+		if cl.a > cl.b {
+			cl.a, cl.b = cl.b, cl.a
 		}
 		if f := l.Failure; f != nil {
 			switch f.Kind {
 			case "permanent":
-				cl.Failure = "permanent"
+				cl.failure = "permanent"
 			case "window":
-				cl.Failure = fmt.Sprintf("window:%d:%d", f.FromSlot, f.ToSlot)
+				cl.failure = "window:" + strconv.Itoa(f.FromSlot) + ":" + strconv.Itoa(f.ToSlot)
 			default:
 				return nil, fmt.Errorf("engine: link %q-%q: unknown failure kind %q", l.A, l.B, f.Kind)
 			}
 		}
-		c.Links = append(c.Links, cl)
+		c.links = append(c.links, cl)
+		c.order = append(c.order, int32(i))
 	}
-	sort.Slice(c.Links, func(i, j int) bool {
-		a, b := c.Links[i], c.Links[j]
-		if a.A != b.A {
-			return a.A < b.A
+	// Only duplicate links tie on endpoints and failure, and Build rejects
+	// those; the declaration index still makes the order total.
+	slices.SortFunc(c.order, func(i, j int32) int {
+		x, y := &c.links[i], &c.links[j]
+		if r := strings.Compare(x.a, y.a); r != 0 {
+			return r
 		}
-		if a.B != b.B {
-			return a.B < b.B
+		if r := strings.Compare(x.b, y.b); r != 0 {
+			return r
 		}
-		return a.Failure < b.Failure
+		if r := strings.Compare(x.failure, y.failure); r != 0 {
+			return r
+		}
+		return cmp.Compare(i, j)
 	})
-	sc := s.Schedule
-	c.Schedule = canonSchedule{
-		Policy:    sc.Policy,
-		Priority:  append([]string(nil), sc.Priority...),
-		ExtraIdle: sc.ExtraIdle,
-		Channels:  sc.Channels,
-		Fup:       sc.Fup,
+	slots := s.Schedule.Slots
+	c.slots = c.slots[:0]
+	for i := range slots {
+		c.slots = append(c.slots, int32(i))
 	}
-	if c.Schedule.Channels == 0 {
-		c.Schedule.Channels = 1
-	}
-	for _, tr := range sc.Slots {
-		c.Schedule.Slots = append(c.Schedule.Slots, canonSlot{
-			Slot: tr.Slot, From: tr.From, To: tr.To, Source: tr.Source,
-		})
-	}
-	sort.Slice(c.Schedule.Slots, func(i, j int) bool {
-		a, b := c.Schedule.Slots[i], c.Schedule.Slots[j]
-		if a.Slot != b.Slot {
-			return a.Slot < b.Slot
+	slices.SortFunc(c.slots, func(i, j int32) int {
+		x, y := &slots[i], &slots[j]
+		if r := cmp.Compare(x.Slot, y.Slot); r != 0 {
+			return r
 		}
-		return a.Source < b.Source
+		if r := strings.Compare(x.Source, y.Source); r != 0 {
+			return r
+		}
+		return cmp.Compare(i, j)
 	})
-	c.Sources = append([]string(nil), s.Sources...)
-	if len(c.Sources) == 0 {
-		c.Sources = fieldDevices
+
+	b := append(c.b[:0], `{"Nodes":`...)
+	c.sources = c.sources[:0]
+	for i, n := range s.Nodes {
+		b = listSep(b, i)
+		kind := n.Kind
+		if kind == "" {
+			kind = "field-device"
+		}
+		if kind == "field-device" && len(s.Sources) == 0 {
+			c.sources = append(c.sources, n.Name)
+		}
+		b = append(b, `{"Name":`...)
+		b = appendJSONString(b, n.Name)
+		b = append(b, `,"Kind":`...)
+		b = appendJSONString(b, kind)
+		b = append(b, '}')
 	}
-	sort.Strings(c.Sources)
-	return c, nil
+	b = listEnd(b, len(s.Nodes))
+
+	b = append(b, `,"Links":`...)
+	for i, li := range c.order {
+		l := &c.links[li]
+		b = listSep(b, i)
+		b = append(b, `{"A":`...)
+		b = appendJSONString(b, l.a)
+		b = append(b, `,"B":`...)
+		b = appendJSONString(b, l.b)
+		b = append(b, `,"PFl":`...)
+		b = c.pfl.append(b, l.model.FailureProb())
+		b = append(b, `,"PRc":`...)
+		b = c.prc.append(b, l.model.RecoveryProb())
+		if l.fading != nil {
+			b = append(b, `,"Fading":`...)
+			b = appendJSONString(b, string(l.fading.AppendKey(nil)))
+		}
+		b = append(b, `,"Failure":`...)
+		b = appendJSONString(b, l.failure)
+		b = append(b, '}')
+	}
+	b = listEnd(b, len(c.order))
+
+	sc := &s.Schedule
+	b = append(b, `,"Schedule":{"Policy":`...)
+	b = appendJSONString(b, sc.Policy)
+	b = append(b, `,"Priority":`...)
+	b = appendStrings(b, sc.Priority)
+	b = append(b, `,"ExtraIdle":`...)
+	b = strconv.AppendInt(b, int64(sc.ExtraIdle), 10)
+	b = append(b, `,"Channels":`...)
+	b = strconv.AppendInt(b, int64(cmp.Or(sc.Channels, 1)), 10)
+	b = append(b, `,"Fup":`...)
+	b = strconv.AppendInt(b, int64(sc.Fup), 10)
+	b = append(b, `,"Slots":`...)
+	for i, si := range c.slots {
+		tr := &slots[si]
+		b = listSep(b, i)
+		b = append(b, `{"Slot":`...)
+		b = strconv.AppendInt(b, int64(tr.Slot), 10)
+		b = append(b, `,"From":`...)
+		b = appendJSONString(b, tr.From)
+		b = append(b, `,"To":`...)
+		b = appendJSONString(b, tr.To)
+		b = append(b, `,"Source":`...)
+		b = appendJSONString(b, tr.Source)
+		b = append(b, '}')
+	}
+	b = listEnd(b, len(c.slots))
+
+	b = append(b, `},"Is":`...)
+	b = strconv.AppendInt(b, int64(cmp.Or(s.ReportingInterval, 4)), 10)
+	b = append(b, `,"TTL":`...)
+	b = strconv.AppendInt(b, int64(s.TTL), 10)
+	b = append(b, `,"Fdown":`...)
+	b = strconv.AppendInt(b, int64(s.Fdown), 10)
+	b = append(b, `,"Bits":`...)
+	b = strconv.AppendInt(b, int64(s.Bits()), 10)
+	b = append(b, `,"Sources":`...)
+	c.sources = append(c.sources, s.Sources...)
+	slices.Sort(c.sources)
+	if len(c.sources) == 0 {
+		b = append(b, "[]"...) // an empty list, never nil
+	} else {
+		b = appendStrings(b, c.sources)
+	}
+	c.b = append(b, '}')
+	return c.b, nil
+}
+
+// listSep opens a JSON array before its first element and separates the
+// others.
+func listSep(b []byte, i int) []byte {
+	if i == 0 {
+		return append(b, '[')
+	}
+	return append(b, ',')
+}
+
+// listEnd closes a JSON array of n elements; with none it writes null,
+// as encoding/json writes a nil slice.
+func listEnd(b []byte, n int) []byte {
+	if n == 0 {
+		return append(b, "null"...)
+	}
+	return append(b, ']')
+}
+
+// appendStrings appends ss as a JSON array of strings, null when empty.
+func appendStrings(b []byte, ss []string) []byte {
+	for i, x := range ss {
+		b = listSep(b, i)
+		b = appendJSONString(b, x)
+	}
+	return listEnd(b, len(ss))
 }

@@ -57,6 +57,9 @@ func (p Path) Links() []LinkID {
 	return out
 }
 
+// Link returns the link id of hop h, counted from 0 at the source.
+func (p Path) Link(h int) LinkID { return p.links[h] }
+
 // Hops returns the number of hops (links) on the path.
 func (p Path) Hops() int { return len(p.links) }
 
