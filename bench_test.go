@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -313,23 +314,54 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 }
 
 // BenchmarkHTTPNetworkCacheHit is a /v1/network request through the
-// engine's handler whose result is cached: request decode, key, cache
-// lookup and the response write, without a network transport.
+// engine's handler whose result is cached, resent byte for byte: body
+// read and hash, body-index and cache lookups and the response write,
+// without a network transport.
 func BenchmarkHTTPNetworkCacheHit(b *testing.B) {
-	body, err := json.Marshal(map[string]any{"scenario": spec.TypicalSpec()})
+	benchCacheHit(b, "/v1/network", map[string]any{"scenario": spec.TypicalSpec()}, false)
+}
+
+// BenchmarkHTTPEvaluateCacheHit is BenchmarkHTTPNetworkCacheHit for one
+// path on /v1/evaluate, whose response is encoded on every request.
+func BenchmarkHTTPEvaluateCacheHit(b *testing.B) {
+	benchCacheHit(b, "/v1/evaluate", map[string]any{"scenario": spec.TypicalSpec(), "source": "n10"}, false)
+}
+
+// BenchmarkHTTPNetworkCacheHitNewBody is a /v1/network request for a
+// cached scenario whose body differs from every earlier one in its
+// trailing whitespace, so the body index misses: request decode, key,
+// cache lookup and the response write.
+func BenchmarkHTTPNetworkCacheHitNewBody(b *testing.B) {
+	benchCacheHit(b, "/v1/network", map[string]any{"scenario": spec.TypicalSpec()}, true)
+}
+
+// benchCacheHit posts req to path once to solve and cache it, then times
+// b.N more posts. With newBody, the i-th post appends i's binary digits
+// to the body as spaces and newlines.
+func benchCacheHit(b *testing.B, path string, req any, newBody bool) {
+	body, err := json.Marshal(req)
 	benchErr(b, err)
 	h := engine.NewHandler(engine.New(engine.Config{}), 30*time.Second)
-	serve := func() {
+	n := len(body)
+	serve := func(i int) {
+		if newBody {
+			var digits [64]byte
+			body = body[:n]
+			for _, d := range strconv.AppendInt(digits[:0], int64(i), 2) {
+				body = append(body, " \n"[d-'0'])
+			}
+		}
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/network", bytes.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
-	serve() // warm-up: solve and cache
+	serve(0) // warm-up: solve and cache
+	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		serve()
+	for i := 1; i <= b.N; i++ {
+		serve(i)
 	}
 }
 

@@ -133,8 +133,8 @@ func isContextErr(err error) bool {
 func (e *Engine) claim(items []*batchItem) (owned, joined []*batchItem) {
 	e.mu.Lock()
 	for _, it := range items {
-		if v, ok := e.cache.get(it.key); ok {
-			it.res = v.(*Result)
+		if res, ok := e.cache.get(it.key); ok {
+			it.res = res
 			e.metrics.cacheHits.Add(1)
 			continue
 		}
@@ -230,8 +230,10 @@ type pathRef struct{ item, path int }
 // each miss's network analysis is assembled from its paths' entries. A
 // keyed solve is measured once, as its first scenario sees it, and enters
 // the memo with those measures. A failed solve fails only the scenarios
-// that reference its path. Per-item outcomes land on the items; the
-// single-flight entries are always resolved, success or not.
+// that reference its path. Once ctx is done the remaining solves fail with
+// its error instead of running, so a caller that gave up holds its worker
+// token for the solve in progress only. Per-item outcomes land on the
+// items; the single-flight entries are always resolved, success or not.
 func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool, canonStart time.Time, canonDur time.Duration) {
 	defer e.release(owned)
 
@@ -317,10 +319,18 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 	endAnalyze := obs.StartSpan(ctx, "analyze")
 	if len(solves) > 0 {
 		endSolve := obs.StartSpan(ctx, "solve", "paths", strconv.Itoa(len(solves)))
+		solved := 0
 		for _, ps := range solves {
-			ps.res, ps.err = ps.model.Solve()
+			if ps.err = ctx.Err(); ps.err == nil {
+				ps.res, ps.err = ps.model.Solve()
+				solved++
+			}
 		}
-		endSolve()
+		if solved < len(solves) {
+			endSolve("canceled", "true", "solved", strconv.Itoa(solved))
+		} else {
+			endSolve()
+		}
 	}
 	for _, ps := range solves {
 		var ent *pathEntry

@@ -228,3 +228,52 @@ func TestInterleavedBatchBodyBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestTimedOutSolveReturnsItsWorker: with one worker, a /v1/network
+// request whose deadline passes while its paths solve at a large Is gets
+// a 504 without solving the rest of its paths, and a request queued
+// behind it takes the worker token right after, not after a full solve.
+// The deadline and the bounds scale with the measured full solve, so the
+// test holds on slow machines and under the race detector.
+func TestTimedOutSolveReturnsItsWorker(t *testing.T) {
+	slow := spec.TypicalSpec()
+	slow.ReportingInterval = 8192
+	start := time.Now()
+	if _, err := New(Config{Workers: 1}).Evaluate(context.Background(), slow); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+
+	eng := New(Config{Workers: 1})
+	post := func(h http.Handler, s *spec.Spec) *httptest.ResponseRecorder {
+		body, err := json.Marshal(map[string]any{"scenario": s})
+		if err != nil {
+			t.Error(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/network", bytes.NewReader(body)))
+		return rec
+	}
+	timedOut := make(chan *httptest.ResponseRecorder, 1)
+	go func() { timedOut <- post(NewHandler(eng, full/8), slow) }()
+	waitFor(t, "the slow request to take the worker", func() bool { return eng.MetricsSnapshot().InFlight == 1 })
+
+	queuedAt := time.Now()
+	if rec := post(NewHandler(eng, 0), spec.TypicalSpec()); rec.Code != http.StatusOK {
+		t.Fatalf("queued request: status %d: %s", rec.Code, rec.Body)
+	}
+	if waited := time.Since(queuedAt); waited > full*6/10 {
+		t.Errorf("queued request took %v behind a timed-out request; a full solve takes %v", waited, full)
+	}
+	if rec := <-timedOut; rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("timed-out request: status %d: %s", rec.Code, rec.Body)
+	}
+	// The typical network at Is 4 fills 10 memo entries; the slow
+	// request's solved paths add fewer than its 10.
+	if n := eng.MetricsSnapshot().KernelCacheLen; n >= 20 {
+		t.Errorf("memo holds %d paths: the timed-out request solved all of its own", n)
+	}
+	if n := eng.MetricsSnapshot().CacheLen; n != 1 {
+		t.Errorf("%d cached results, want 1: a timed-out solve is not cached", n)
+	}
+}

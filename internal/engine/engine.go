@@ -29,7 +29,9 @@ type Config struct {
 	// GOMAXPROCS.
 	Workers int
 	// CacheSize bounds the scenario result cache, the path-result memo
-	// and the structure cache (entries each). Default 256.
+	// and the structure cache (entries each), and sizes the HTTP body
+	// index at 32 request bodies per cached result (8 192 at the
+	// default). Default 256.
 	CacheSize int
 	// TraceCapacity bounds the in-memory ring of recent solve traces
 	// served at /debug/traces. Default obs.DefaultTraceCapacity.
@@ -56,14 +58,14 @@ type Engine struct {
 	sem     chan struct{} // worker pool: one token per concurrent solve
 
 	mu       sync.Mutex
-	cache    *lruCache        // Key -> *Result (immutable once cached)
-	inflight map[string]*call // Key -> the solve in progress
+	cache    *lruCache[string, *Result] // Key -> result (immutable once cached)
+	inflight map[string]*call           // Key -> the solve in progress
 
 	memoMu sync.Mutex
-	memo   *lruCache // core.ProcessKey -> *pathEntry, shared read-only
+	memo   *lruCache[string, *pathEntry] // core.ProcessKey -> entry, shared read-only
 
 	structMu    sync.Mutex
-	structCache *lruCache // pathmodel.StructKey -> *pathmodel.Structure
+	structCache *lruCache[string, *pathmodel.Structure] // pathmodel.StructKey -> structure
 
 	metrics *Metrics
 	traces  *obs.Recorder
@@ -93,10 +95,10 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		workers:     cfg.Workers,
 		sem:         make(chan struct{}, cfg.Workers),
-		cache:       newLRU(cfg.CacheSize),
+		cache:       newLRU[string, *Result](cfg.CacheSize),
 		inflight:    map[string]*call{},
-		memo:        newLRU(cfg.CacheSize),
-		structCache: newLRU(cfg.CacheSize),
+		memo:        newLRU[string, *pathEntry](cfg.CacheSize),
+		structCache: newLRU[string, *pathmodel.Structure](cfg.CacheSize),
 		metrics:     newMetrics(),
 		traces:      obs.NewRecorder(cfg.TraceCapacity),
 		ring:        cfg.Ring,
@@ -142,14 +144,14 @@ type structures struct{ e *Engine }
 
 func (k structures) GetStructure(key string) (*pathmodel.Structure, bool) {
 	k.e.structMu.Lock()
-	v, ok := k.e.structCache.get(key)
+	st, ok := k.e.structCache.get(key)
 	k.e.structMu.Unlock()
 	if !ok {
 		k.e.metrics.structMisses.Add(1)
 		return nil, false
 	}
 	k.e.metrics.structHits.Add(1)
-	return v.(*pathmodel.Structure), true
+	return st, true
 }
 
 func (k structures) PutStructure(key string, s *pathmodel.Structure) {
@@ -168,11 +170,7 @@ func (k structures) PutStructure(key string, s *pathmodel.Structure) {
 func (e *Engine) memoGet(key string) (*pathEntry, bool) {
 	e.memoMu.Lock()
 	defer e.memoMu.Unlock()
-	v, ok := e.memo.get(key)
-	if !ok {
-		return nil, false
-	}
-	return v.(*pathEntry), true
+	return e.memo.get(key)
 }
 
 func (e *Engine) memoPut(key string, ent *pathEntry) {
@@ -319,6 +317,19 @@ func (e *Engine) MetricsSnapshot() Snapshot {
 	e.structMu.Unlock()
 	s.Workers = e.workers
 	return s
+}
+
+// cached returns the cached result of the scenario with the given key,
+// counting a hit as an evaluation served from the cache does. A miss
+// counts nothing: the caller then evaluates, which counts it.
+func (e *Engine) cached(key string) (*Result, bool) {
+	e.mu.Lock()
+	res, ok := e.cache.get(key)
+	e.mu.Unlock()
+	if ok {
+		e.metrics.cacheHits.Add(1)
+	}
+	return res, ok
 }
 
 // Evaluate returns the solved scenario, from the cache when possible.

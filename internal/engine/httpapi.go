@@ -32,8 +32,19 @@ const maxRequestBytes = 1 << 20
 //
 // Every request is bounded by timeout (zero means no limit) and a 1 MiB
 // body cap; scenario JSON is validated strictly (unknown fields rejected).
+// A /v1/network or /v1/evaluate body that was answered before is looked
+// up by its bytes in a body index and, while its result is cached, served
+// without decoding it again.
 func NewHandler(e *Engine, timeout time.Duration) http.Handler {
-	s := &apiServer{eng: e, timeout: timeout, started: time.Now()}
+	s := &apiServer{
+		eng:     e,
+		timeout: timeout,
+		started: time.Now(),
+		index:   newBodyIndex(bodyIndexPerResult * e.cache.cap),
+	}
+	e.Registry().GaugeFunc("whart_engine_body_index_entries",
+		"Request bodies in the HTTP body index (the most recently created handler's).",
+		func() float64 { return float64(s.index.len()) })
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.healthz)
 	mux.HandleFunc("/readyz", s.readyz)
@@ -52,6 +63,7 @@ type apiServer struct {
 	eng     *Engine
 	timeout time.Duration
 	started time.Time
+	index   *bodyIndex // /v1/network and /v1/evaluate bodies -> keys
 }
 
 type errorResponse struct {
@@ -101,6 +113,12 @@ func writeEncoded(w http.ResponseWriter, code int, body []byte, err error) {
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
+}
+
+// writeResult answers with res's stored encoding.
+func writeResult(w http.ResponseWriter, res *Result) {
+	body, err := res.encoding()
+	writeEncoded(w, http.StatusOK, body, err)
 }
 
 // batchBody renders batchResponse{results} exactly as encodeIndented
@@ -172,6 +190,23 @@ func (s *apiServer) decodeInto(w http.ResponseWriter, r *http.Request, v any) bo
 		return false
 	}
 	return true
+}
+
+// indexed looks body up in the body index and its entry's key in the
+// result cache. It fails, counting an index miss, for a body that was not
+// read in full, is not indexed or whose result was evicted: the handler
+// then decodes it.
+func (s *apiServer) indexed(body *requestBody) (bodyEntry, *Result, bool) {
+	if body.err == nil {
+		if ent, ok := s.index.get(body.sum); ok {
+			if res, ok := s.eng.cached(ent.key); ok {
+				s.eng.metrics.bodyIndexHits.Add(1)
+				return ent, res, true
+			}
+		}
+	}
+	s.eng.metrics.bodyIndexMisses.Add(1)
+	return bodyEntry{}, nil, false
 }
 
 // requireMethod enforces the HTTP verb.
@@ -253,8 +288,7 @@ func (s *apiServer) peerSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "scenario canonicalizes to %s here, not the requested %s", res.Key, req.Key)
 		return
 	}
-	body, err := res.encoding()
-	writeEncoded(w, http.StatusOK, body, err)
+	writeResult(w, res)
 }
 
 func (s *apiServer) metrics(w http.ResponseWriter, r *http.Request) {
@@ -291,8 +325,15 @@ func (s *apiServer) evaluate(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
+	body := readBody(w, r, "/v1/evaluate")
+	defer body.release()
+	if ent, res, ok := s.indexed(body); ok {
+		writePath(w, res, ent.source)
+		return
+	}
 	var req evaluateRequest
-	if !s.decodeInto(w, r, &req) {
+	if err := body.decode(&req); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if req.Scenario == nil {
@@ -310,14 +351,23 @@ func (s *apiServer) evaluate(w http.ResponseWriter, r *http.Request) {
 		writeEngineErr(w, err)
 		return
 	}
-	p, ok := res.Path(req.Source)
+	if writePath(w, res, req.Source) {
+		s.index.add(body.sum, bodyEntry{key: res.Key, source: req.Source})
+	}
+}
+
+// writePath answers /v1/evaluate with source's path in res, reporting
+// whether source has one.
+func writePath(w http.ResponseWriter, res *Result, source string) bool {
+	p, ok := res.Path(source)
 	if !ok {
-		writeErr(w, http.StatusBadRequest, "node %q is not a reporting source with an uplink path", req.Source)
-		return
+		writeErr(w, http.StatusBadRequest, "node %q is not a reporting source with an uplink path", source)
+		return false
 	}
 	resp := evaluateResponse{Key: res.Key, Fup: res.Fup, Schedule: res.Schedule, Path: p}
 	body, err := resp.encode()
 	writeEncoded(w, http.StatusOK, body, err)
+	return true
 }
 
 type networkRequest struct {
@@ -328,8 +378,15 @@ func (s *apiServer) network(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
+	body := readBody(w, r, "/v1/network")
+	defer body.release()
+	if _, res, ok := s.indexed(body); ok {
+		writeResult(w, res)
+		return
+	}
 	var req networkRequest
-	if !s.decodeInto(w, r, &req) {
+	if err := body.decode(&req); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if req.Scenario == nil {
@@ -343,8 +400,8 @@ func (s *apiServer) network(w http.ResponseWriter, r *http.Request) {
 		writeEngineErr(w, err)
 		return
 	}
-	body, err := res.encoding()
-	writeEncoded(w, http.StatusOK, body, err)
+	s.index.add(body.sum, bodyEntry{key: res.Key})
+	writeResult(w, res)
 }
 
 type batchRequest struct {

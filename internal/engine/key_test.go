@@ -427,47 +427,49 @@ func TestKeyMatchesOracle(t *testing.T) {
 	checkCanonical(t, "tied slots", slots)
 }
 
+// keySeedDocs are FuzzKey's seed specs: FuzzParseBuild's, plus names that
+// need escaping and a p_fl written in exponent form.
+var keySeedDocs = []string{
+	`{}`,
+	`{"nodes": []}`,
+	`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],
+	  "links": [{"a": "n1", "b": "G"}],
+	  "schedule": {"policy": "shortest-first"}}`,
+	`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],
+	  "links": [{"a": "n1", "b": "G", "ber": 1e-4, "failure": {"kind": "window", "fromSlot": 1, "toSlot": 5}}],
+	  "schedule": {"fup": 5, "slots": [{"slot": 1, "from": "n1", "to": "G", "source": "n1"}]},
+	  "reportingInterval": 2, "ttl": 5, "fdown": 3}`,
+	`{"nodes": [{"name": "a"}], "links": [{"a": "a", "b": "a"}]}`,
+	`{"nodes": [{"name": "G", "kind": "gateway"}], "schedule": {"policy": "zzz"}}`,
+	`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],
+	  "links": [{"a": "n1", "b": "G",
+	    "fading": {"transitions": [[0.9, 0.05, 0.05], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]],
+	               "success": [0.1, 0.6, 0.99]}}],
+	  "schedule": {"policy": "shortest-first"}}`,
+	`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],
+	  "links": [{"a": "n1", "b": "G",
+	    "fading": {"transitions": [[0.9, 0.2], [0.4, 0.6]], "success": [1, 0]}}],
+	  "schedule": {"policy": "shortest-first"}}`,
+	`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],
+	  "links": [{"a": "n1", "b": "G", "ber": 1e-4,
+	    "fading": {"transitions": [[0.9, 0.1], [0.4, 0.6]], "success": [1, 0]}}],
+	  "schedule": {"policy": "shortest-first"}}`,
+	`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],
+	  "links": [{"a": "n1", "b": "G",
+	    "fading": {"transitions": [[0.9, 0.1], [0.4, 0.6]], "success": [1, -0.5]},
+	    "failure": {"kind": "window", "fromSlot": 1, "toSlot": 5}}],
+	  "schedule": {"policy": "shortest-first"}}`,
+	`{"nodes": [{"name": "G<&>", "kind": "gateway"}, {"name": "n\u2028\u00e9"}, {"name": "\t\"x"}],
+	  "links": [{"a": "n\u2028\u00e9", "b": "G<&>", "pfl": 1e-7, "prc": 0.25},
+	            {"a": "\t\"x", "b": "n\u2028\u00e9", "failure": {"kind": "permanent"}}],
+	  "schedule": {"priority": ["\t\"x", "n\u2028\u00e9"], "channels": 2}, "sources": []}`,
+}
+
 // FuzzKey asserts that the append writer and the oracle agree, byte for
-// byte or error for error, on every spec Parse accepts. The seeds are
-// FuzzParseBuild's, plus names that need escaping and a p_fl written in
-// exponent form.
+// byte or error for error, on every spec Parse accepts, starting from
+// keySeedDocs.
 func FuzzKey(f *testing.F) {
-	seeds := []string{
-		`{}`,
-		`{"nodes": []}`,
-		`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],
-		  "links": [{"a": "n1", "b": "G"}],
-		  "schedule": {"policy": "shortest-first"}}`,
-		`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],
-		  "links": [{"a": "n1", "b": "G", "ber": 1e-4, "failure": {"kind": "window", "fromSlot": 1, "toSlot": 5}}],
-		  "schedule": {"fup": 5, "slots": [{"slot": 1, "from": "n1", "to": "G", "source": "n1"}]},
-		  "reportingInterval": 2, "ttl": 5, "fdown": 3}`,
-		`{"nodes": [{"name": "a"}], "links": [{"a": "a", "b": "a"}]}`,
-		`{"nodes": [{"name": "G", "kind": "gateway"}], "schedule": {"policy": "zzz"}}`,
-		`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],
-		  "links": [{"a": "n1", "b": "G",
-		    "fading": {"transitions": [[0.9, 0.05, 0.05], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]],
-		               "success": [0.1, 0.6, 0.99]}}],
-		  "schedule": {"policy": "shortest-first"}}`,
-		`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],
-		  "links": [{"a": "n1", "b": "G",
-		    "fading": {"transitions": [[0.9, 0.2], [0.4, 0.6]], "success": [1, 0]}}],
-		  "schedule": {"policy": "shortest-first"}}`,
-		`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],
-		  "links": [{"a": "n1", "b": "G", "ber": 1e-4,
-		    "fading": {"transitions": [[0.9, 0.1], [0.4, 0.6]], "success": [1, 0]}}],
-		  "schedule": {"policy": "shortest-first"}}`,
-		`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}],
-		  "links": [{"a": "n1", "b": "G",
-		    "fading": {"transitions": [[0.9, 0.1], [0.4, 0.6]], "success": [1, -0.5]},
-		    "failure": {"kind": "window", "fromSlot": 1, "toSlot": 5}}],
-		  "schedule": {"policy": "shortest-first"}}`,
-		`{"nodes": [{"name": "G<&>", "kind": "gateway"}, {"name": "n\u2028\u00e9"}, {"name": "\t\"x"}],
-		  "links": [{"a": "n\u2028\u00e9", "b": "G<&>", "pfl": 1e-7, "prc": 0.25},
-		            {"a": "\t\"x", "b": "n\u2028\u00e9", "failure": {"kind": "permanent"}}],
-		  "schedule": {"priority": ["\t\"x", "n\u2028\u00e9"], "channels": 2}, "sources": []}`,
-	}
-	for _, s := range seeds {
+	for _, s := range keySeedDocs {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, doc string) {

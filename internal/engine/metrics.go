@@ -37,6 +37,9 @@ type Metrics struct {
 	structMisses *obs.Counter
 	solveSeconds *obs.Histogram
 
+	bodyIndexHits   *obs.Counter
+	bodyIndexMisses *obs.Counter
+
 	batchRequests   *obs.Counter
 	batchScenarios  *obs.Counter
 	batchDeduped    *obs.Counter
@@ -70,6 +73,11 @@ func newMetrics() *Metrics {
 		structHits:   reg.Counter("whart_engine_struct_cache_hits_total", "Path-structure lookups served from the structure cache."),
 		structMisses: reg.Counter("whart_engine_struct_cache_misses_total", "Path-structure lookups that ran Algorithm 1."),
 		solveSeconds: reg.Histogram("whart_engine_solve_duration_seconds", "End-to-end scenario solve latency.", solveLatencyBuckets),
+
+		bodyIndexHits: reg.Counter("whart_engine_body_index_hits_total",
+			"/v1/network and /v1/evaluate requests answered through the body index, without decoding (each also counts a cache hit)."),
+		bodyIndexMisses: reg.Counter("whart_engine_body_index_misses_total",
+			"/v1/network and /v1/evaluate requests whose body was decoded: not indexed, or its result evicted."),
 
 		batchRequests:  reg.Counter("whart_engine_batch_requests_total", "Batch evaluations received."),
 		batchScenarios: reg.Counter("whart_engine_batch_scenarios_total", "Sub-scenarios received across all batch evaluations."),

@@ -223,7 +223,7 @@ func TestNaNMemoEntryIs500(t *testing.T) {
 	serve(t, h, "/v1/network", map[string]any{"scenario": spec.TypicalSpec()})
 	eng.memoMu.Lock()
 	for _, le := range eng.memo.entries() {
-		ent := le.val.(*pathEntry)
+		ent := le.val
 		pa := ent.pa
 		pa.ExpectedDelayMS = math.NaN()
 		poisoned := newPathEntry(&pa, ent.fdown, []int{1})

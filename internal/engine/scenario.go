@@ -131,15 +131,15 @@ func (c *keyBuf) canonicalize(s *spec.Spec) ([]byte, error) {
 	}
 	c.links, c.order = c.links[:0], c.order[:0]
 	for i, l := range s.Links {
-		p, err := s.ResolveLinkProcess(l)
+		cl := keyLink{a: l.A, b: l.B}
+		var err error
+		if l.Fading == nil {
+			cl.model, err = s.ResolveLinkModel(l)
+		} else {
+			cl.fading, err = s.ResolveLinkProcess(l)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("engine: link %q-%q: %w", l.A, l.B, err)
-		}
-		cl := keyLink{a: l.A, b: l.B}
-		if m, ok := p.(link.Model); ok {
-			cl.model = m
-		} else {
-			cl.fading = p
 		}
 		if cl.a > cl.b {
 			cl.a, cl.b = cl.b, cl.a

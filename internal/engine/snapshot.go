@@ -52,7 +52,7 @@ func (e *Engine) SaveSnapshot(w io.Writer) (int, error) {
 	e.mu.Unlock()
 	entries := make([]cluster.SnapshotEntry, 0, len(cached))
 	for _, en := range cached {
-		b, err := json.Marshal(en.val.(*Result))
+		b, err := json.Marshal(en.val)
 		if err != nil {
 			return 0, fmt.Errorf("engine: snapshot entry %s: %w", en.key, err)
 		}

@@ -9,7 +9,8 @@ import (
 )
 
 // TestBuiltLinkProcessesResolveFromSpec: every declared link of a built
-// spec carries the process ResolveLinkProcess gives it, on the typical
+// spec carries the process ResolveLinkProcess gives it (and a two-state
+// one the model ResolveLinkModel gives it), on the typical
 // network under a non-default BER and message length and on 16 generated
 // networks (fading and failure-injected links included). A link that fell
 // back to core's own default would show the paper's BER instead of
@@ -49,6 +50,15 @@ func TestBuiltLinkProcessesResolveFromSpec(t *testing.T) {
 			if string(got.AppendKey(nil)) != string(want.AppendKey(nil)) {
 				t.Errorf("spec %d link %s-%s: analyzer process %s, want %s",
 					i, l.A, l.B, got.AppendKey(nil), want.AppendKey(nil))
+			}
+			// The unboxed accessor gives a two-state link the same model
+			// and refuses a fading one.
+			m, err := s.ResolveLinkModel(l)
+			switch {
+			case l.Fading != nil && err == nil:
+				t.Errorf("spec %d link %s-%s: ResolveLinkModel accepted a fading link", i, l.A, l.B)
+			case l.Fading == nil && (err != nil || m != want):
+				t.Errorf("spec %d link %s-%s: ResolveLinkModel = %v, %v; want %v", i, l.A, l.B, m, err, want)
 			}
 		}
 	}

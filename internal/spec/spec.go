@@ -440,6 +440,17 @@ func (s *Spec) ResolveLinkProcess(l Link) (link.Process, error) {
 	return s.linkProcess(l, s.Bits())
 }
 
+// ResolveLinkModel returns the effective two-state model of one declared
+// link without a fading block — the model ResolveLinkProcess boxes for
+// it — and rejects a link with one. Scenario keys resolve two-state links
+// through it, so keying a spec does not box every link.
+func (s *Spec) ResolveLinkModel(l Link) (link.Model, error) {
+	if l.Fading != nil {
+		return link.Model{}, fmt.Errorf("link has a fading block, not a two-state model")
+	}
+	return s.linkModel(l, s.Bits())
+}
+
 // failureAvailability injects a declared failure into a link's per-slot
 // availability. A window failure on a two-state link relaxes back through
 // the model's transient curve (paper Section VI-C); on a fading link the

@@ -41,6 +41,7 @@ var checked = map[string]bool{
 	"wirelesshart/internal/link.FromModel":                  true,
 	"wirelesshart/internal/link.NewUniformMixing":           true,
 	"(*wirelesshart/internal/spec.Spec).ResolveLinkProcess": true,
+	"(*wirelesshart/internal/spec.Spec).ResolveLinkModel":   true,
 
 	// Cluster surface: a dropped NewRing error leaves a replica routing on
 	// a nil or half-validated ring, and a dropped snapshot error either
