@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"wirelesshart/internal/cluster"
 	"wirelesshart/internal/engine"
 	"wirelesshart/internal/experiments"
 	"wirelesshart/internal/gen"
@@ -387,6 +388,49 @@ func BenchmarkHTTPNetworkColdSolve(b *testing.B) {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
+	}
+}
+
+// BenchmarkHTTPNetworkForwarded is a /v1/network request to a replica of
+// a two-replica ring for a distinct generated network (gen seed 1) that
+// the other replica owns, served over a loopback HTTP server. The
+// request's replica decodes, keys and forwards; the owner decodes, keys,
+// builds, solves and encodes; the request's replica then parses the
+// owner's body, caches it and answers with it.
+func BenchmarkHTTPNetworkForwarded(b *testing.B) {
+	ringA, err := cluster.NewRing("a", []cluster.Member{{ID: "a"}, {ID: "b"}}, 0)
+	benchErr(b, err)
+	owner := httptest.NewServer(engine.NewHandler(engine.New(engine.Config{Ring: ringA}), 30*time.Second))
+	defer owner.Close()
+	ringB, err := cluster.NewRing("b", []cluster.Member{{ID: "a", URL: owner.URL}, {ID: "b"}}, 0)
+	benchErr(b, err)
+	engB := engine.New(engine.Config{Ring: ringB})
+	h := engine.NewHandler(engB, 30*time.Second)
+	bodies := make([][]byte, 0, b.N)
+	for i := 0; len(bodies) < b.N; i++ {
+		g, err := gen.Generate(1, i, gen.DefaultParams())
+		benchErr(b, err)
+		key, err := engine.Key(g.Spec)
+		benchErr(b, err)
+		if ringB.IsOwner(key) {
+			continue
+		}
+		body, err := json.Marshal(map[string]any{"scenario": g.Spec})
+		benchErr(b, err)
+		bodies = append(bodies, body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/network", bytes.NewReader(bodies[i])))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	b.StopTimer()
+	if m := engB.MetricsSnapshot(); m.PeerForwarded != int64(b.N) || m.PeerDegradedLocal != 0 {
+		b.Fatalf("forwarded %d of %d requests, %d degraded", m.PeerForwarded, b.N, m.PeerDegradedLocal)
 	}
 }
 

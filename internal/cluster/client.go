@@ -232,7 +232,7 @@ func (c *Client) attempt(ctx context.Context, peer Member, path string, body []b
 		return nil, true, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponseBytes))
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, true, err
 	}
@@ -248,6 +248,20 @@ func (c *Client) attempt(ctx context.Context, peer Member, path string, body []b
 // maxPeerResponseBytes bounds a peer response; solved results with full
 // delay distributions stay far under this.
 const maxPeerResponseBytes = 32 << 20
+
+// readBody reads resp's body, cut at maxPeerResponseBytes. A body whose
+// length the peer announced within the cap is read into one buffer of that
+// length; any other grows its buffer as it reads.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxPeerResponseBytes {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxPeerResponseBytes))
+}
 
 // firstLine trims an error body for diagnostics.
 func firstLine(b []byte) string {

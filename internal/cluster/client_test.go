@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,6 +43,51 @@ func TestPostSuccess(t *testing.T) {
 	}
 	if ct := gotBody.Load(); ct != "application/json" {
 		t.Errorf("content type %v", ct)
+	}
+}
+
+// lengthRecorder is a transport that notes the Content-Length of every
+// response it returns (-1 when the peer did not announce one).
+type lengthRecorder struct{ lengths []int64 }
+
+func (l *lengthRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		l.lengths = append(l.lengths, resp.ContentLength)
+	}
+	return resp, err
+}
+
+// TestPostReadsSizedAndChunkedBodies: a body whose length the peer
+// announces and one it sends in chunks of unknown total both come back
+// whole.
+func TestPostReadsSizedAndChunkedBodies(t *testing.T) {
+	body := []byte(strings.Repeat(`{"delay":[0.125,1e-7]},`, 400))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/sized" {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Write(body)
+			return
+		}
+		for i := 0; i < len(body); i += 1000 {
+			w.Write(body[i:min(i+1000, len(body))])
+			w.(http.Flusher).Flush()
+		}
+	}))
+	defer srv.Close()
+	rec := &lengthRecorder{}
+	c := testClient(ClientConfig{Transport: rec})
+	for _, path := range []string{"/sized", "/chunked"} {
+		out, err := c.Post(context.Background(), Member{ID: "p", URL: srv.URL}, path, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !bytes.Equal(out, body) {
+			t.Errorf("%s: got %d bytes, want the %d sent", path, len(out), len(body))
+		}
+	}
+	if want := []int64{int64(len(body)), -1}; !reflect.DeepEqual(rec.lengths, want) {
+		t.Errorf("response lengths %v, want %v: one sized and one chunked body", rec.lengths, want)
 	}
 }
 

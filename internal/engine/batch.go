@@ -343,7 +343,11 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 				answers[r.item][r.path] = ent
 			case owned[r.item].err == nil:
 				owned[r.item].err = fmt.Errorf("engine: solve: %w", ps.err)
-				e.metrics.errors.Add(1)
+				// A solve the caller's context stopped is a client
+				// timeout, as in acquire, not a solver failure.
+				if !isContextErr(ps.err) {
+					e.metrics.errors.Add(1)
+				}
 			}
 		}
 	}

@@ -233,7 +233,7 @@ func TestInterleavedBatchBodyBytes(t *testing.T) {
 // request whose deadline passes while its paths solve at a large Is gets
 // a 504 without solving the rest of its paths, and a request queued
 // behind it takes the worker token right after, not after a full solve.
-// The deadline and the bounds scale with the measured full solve, so the
+// The timeout counts no engine error. The deadline and the bounds scale with the measured full solve, so the
 // test holds on slow machines and under the race detector.
 func TestTimedOutSolveReturnsItsWorker(t *testing.T) {
 	slow := spec.TypicalSpec()
@@ -275,5 +275,8 @@ func TestTimedOutSolveReturnsItsWorker(t *testing.T) {
 	}
 	if n := eng.MetricsSnapshot().CacheLen; n != 1 {
 		t.Errorf("%d cached results, want 1: a timed-out solve is not cached", n)
+	}
+	if n := eng.MetricsSnapshot().Errors; n != 0 {
+		t.Errorf("errors = %d, want 0: a timed-out solve is the client's timeout, not an engine error", n)
 	}
 }

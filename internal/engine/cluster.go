@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"wirelesshart/internal/spec"
 )
@@ -23,10 +24,11 @@ type peerSolveRequest struct {
 }
 
 // forwardSolve sends the scenario to the ring owner of key and decodes
-// its result, keeping the owner's body as the result's encoding. Every
-// forward is traced ("forward" traces beside the local "solve" ones in
-// /debug/traces) and counted; the caller owns the degraded-local
-// fallback.
+// its result with decodeResult, keeping the owner's body as the result's
+// encoding. Every forward is traced ("forward" traces beside the local
+// "solve" ones in /debug/traces, with a "peer" span for the round trip and
+// a "decode" span for the parse) and counted; the caller owns the
+// degraded-local fallback, which a body the reader rejects also takes.
 func (e *Engine) forwardSolve(ctx context.Context, s *spec.Spec, key string) (res *Result, err error) {
 	owner := e.ring.Owner(key)
 	e.metrics.peerForwarded.Add(1)
@@ -48,8 +50,10 @@ func (e *Engine) forwardSolve(ctx context.Context, s *spec.Spec, key string) (re
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{}
-	if err := json.Unmarshal(data, out); err != nil {
+	endDecode := tr.StartSpan("decode", "bytes", strconv.Itoa(len(data)))
+	out, err := decodeResult(data)
+	endDecode()
+	if err != nil {
 		return nil, fmt.Errorf("engine: peer %s: undecodable result: %w", owner.ID, err)
 	}
 	if out.Key != key {

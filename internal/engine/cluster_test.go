@@ -111,6 +111,37 @@ func TestClusterForwardAndCrossReplicaHit(t *testing.T) {
 	}
 }
 
+// TestForwardTraceSpans: a forward's trace splits its time into the
+// owner's round trip ("peer") and the local parse of the owner's body
+// ("decode"), in that order.
+func TestForwardTraceSpans(t *testing.T) {
+	_, engB := twoReplicaCluster(t)
+	s := scenarioOwnedBy(t, engB.Ring(), "a")
+	if _, err := engB.Evaluate(context.Background(), s); err != nil {
+		t.Fatal(err)
+	}
+	var forwards int
+	for _, tr := range engB.Traces().Snapshot() {
+		if tr.Name != "forward" {
+			continue
+		}
+		forwards++
+		var names []string
+		for _, sp := range tr.Spans {
+			names = append(names, sp.Name)
+		}
+		if len(names) != 2 || names[0] != "peer" || names[1] != "decode" || tr.Error != "" {
+			t.Errorf("forward trace spans %v, error %q; want [peer decode] and no error", names, tr.Error)
+		}
+		if dec, _ := tr.Span("decode"); dec.Attr("bytes") == "" || dec.Attr("bytes") == "0" {
+			t.Errorf("decode span does not carry the body's size: %+v", dec)
+		}
+	}
+	if forwards != 1 {
+		t.Errorf("%d forward traces, want 1", forwards)
+	}
+}
+
 // TestClusterDegradedLocal kills the owner and requires the non-owner to
 // answer anyway, counting the degradation.
 func TestClusterDegradedLocal(t *testing.T) {
@@ -171,6 +202,36 @@ func TestClusterRejectsMismatchedPeerResult(t *testing.T) {
 	if snap.PeerForwardErrors != 1 || snap.PeerDegradedLocal != 1 || snap.Solves != 1 {
 		t.Errorf("errors=%d degraded=%d solves=%d, want 1/1/1",
 			snap.PeerForwardErrors, snap.PeerDegradedLocal, snap.Solves)
+	}
+}
+
+// TestClusterUndecodablePeerResult: a peer body the result reader
+// rejects, json.Unmarshal's looser forms included, is a forward error and
+// degrades to a local solve.
+func TestClusterUndecodablePeerResult(t *testing.T) {
+	for name, body := range map[string]string{
+		"truncated":         `{"key":"`,
+		"reordered members": `{"fup":0,"key":"k","is":0,"schedule":"","paths":null,"overallMeanDelayMS":0,"utilization":0}`,
+		"trailing data":     `{"key":"k","fup":0,"is":0,"schedule":"","paths":null,"overallMeanDelayMS":0,"utilization":0} x`,
+	} {
+		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, body)
+		}))
+		ring, err := cluster.NewRing("b", []cluster.Member{{ID: "a", URL: peer.URL}, {ID: "b"}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := New(Config{Ring: ring, PeerClient: fastPeerClient()})
+		s := scenarioOwnedBy(t, ring, "a")
+		if res, err := eng.Evaluate(context.Background(), s); err != nil || len(res.Paths) != 10 {
+			t.Errorf("%s: the request did not degrade to a local solve: %v", name, err)
+		}
+		snap := eng.MetricsSnapshot()
+		if snap.PeerForwardErrors != 1 || snap.PeerDegradedLocal != 1 || snap.Solves != 1 {
+			t.Errorf("%s: errors=%d degraded=%d solves=%d, want 1/1/1",
+				name, snap.PeerForwardErrors, snap.PeerDegradedLocal, snap.Solves)
+		}
+		peer.Close()
 	}
 }
 

@@ -89,8 +89,8 @@ func (e *Engine) LoadSnapshot(r io.Reader) (n int, err error) {
 	}
 	results := make([]*Result, len(entries))
 	for i, en := range entries {
-		res := &Result{}
-		if err := json.Unmarshal(en.Value, res); err != nil {
+		res, err := decodeResult(en.Value)
+		if err != nil {
 			return 0, fmt.Errorf("%w: entry %d (%s): %v", cluster.ErrSnapshotCorrupt, i, en.Key, err)
 		}
 		if res.Key != en.Key {

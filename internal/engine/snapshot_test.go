@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -194,5 +195,43 @@ func TestSnapshotEmptyCache(t *testing.T) {
 	}
 	if st := fresh.SnapshotStatus(); st.State != SnapshotLoaded || st.Entries != 0 {
 		t.Errorf("status = %+v", st)
+	}
+}
+
+// TestSnapshotLoadMatchesUnmarshal: a snapshot saved from an engine warmed
+// with TypicalSpec and generated networks restores, in its recency order,
+// the very results that decoding each entry with json.Unmarshal gives.
+func TestSnapshotLoadMatchesUnmarshal(t *testing.T) {
+	eng := New(Config{})
+	warmEngine(t, eng, 3)
+	for _, s := range memoNetworks(t) {
+		if _, err := eng.Evaluate(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := eng.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := cluster.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := New(Config{})
+	if _, err := restored.LoadSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := restored.cache.entries()
+	if len(got) != len(entries) || len(got) < 10 {
+		t.Fatalf("restored %d entries from a snapshot of %d", len(got), len(entries))
+	}
+	for i, en := range entries {
+		want := &Result{}
+		if err := json.Unmarshal(en.Value, want); err != nil {
+			t.Fatal(err)
+		}
+		if got[i].key != en.Key || !reflect.DeepEqual(got[i].val, want) {
+			t.Errorf("entry %d (%s): restored result differs from json.Unmarshal's", i, en.Key[:12])
+		}
 	}
 }
