@@ -434,39 +434,68 @@ func BenchmarkHTTPNetworkForwarded(b *testing.B) {
 	}
 }
 
-// BenchmarkHTTPBatchFailsweep is one /v1/batch failure sweep per op
-// through the engine's handler: a generated network (gen seed 1) with
-// each of its links failed in turn over uplink slots [0, 20), as
-// whart-fleet -failsweep 0-20 sends it. The ops cycle through 32 networks,
-// whose scenarios and distinct paths outnumber the 256-entry result cache
-// and path-result memo, so no op is answered by an earlier op's work.
-// Decode, keys, builds, memo lookups, the solves of the changed paths,
-// measures, assembly and the batch body, without a network transport.
+// BenchmarkHTTPBatchFailsweep is one /v1/batch of failure sweeps per op
+// through the engine's handler: generated networks (gen seed 1) with each
+// of their links failed in turn over uplink slots [0, 20), as whart-fleet
+// -failsweep 0-20 sends them. Decode, keys, builds, memo lookups, the
+// solves of the changed paths, measures, assembly and the batch body,
+// without a network transport.
+//
+//   - sweep: one network's whole sweep per op. The ops cycle through 32
+//     networks, whose scenarios and distinct paths outnumber the 256-entry
+//     result cache and path-result memo, so no op is answered by an
+//     earlier op's work.
+//   - interleaved16: the first 8 columns of 16 networks' sweeps per op,
+//     interleaved column by column (a0, b0, ..., p0, a1, ...), so one
+//     batch holds 16 intact networks. The ops cycle through 4 such
+//     batches over 64 networks, whose 512 scenarios outnumber the result
+//     cache.
 func BenchmarkHTTPBatchFailsweep(b *testing.B) {
-	const pool = 32
-	bodies := make([][]byte, pool)
-	for i := range bodies {
+	sweeps := make([][]*spec.Spec, 64)
+	for i := range sweeps {
 		g, err := gen.Generate(1, i, gen.DefaultParams())
 		benchErr(b, err)
-		sweep := make([]*spec.Spec, len(g.Spec.Links))
-		for l := range sweep {
+		sweeps[i] = make([]*spec.Spec, len(g.Spec.Links))
+		for l := range sweeps[i] {
 			c := *g.Spec
 			c.Links = append([]spec.Link(nil), g.Spec.Links...)
 			c.Links[l].Failure = &spec.Failure{Kind: "window", FromSlot: 0, ToSlot: 20}
-			sweep[l] = &c
+			sweeps[i][l] = &c
 		}
-		bodies[i], err = json.Marshal(map[string]any{"scenarios": sweep})
-		benchErr(b, err)
 	}
-	h := engine.NewHandler(engine.New(engine.Config{}), 30*time.Second)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(bodies[i%pool])))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+	body := func(scenarios []*spec.Spec) []byte {
+		out, err := json.Marshal(map[string]any{"scenarios": scenarios})
+		benchErr(b, err)
+		return out
+	}
+	var one, interleaved [][]byte
+	for _, sweep := range sweeps[:32] {
+		one = append(one, body(sweep))
+	}
+	for n := 0; n < len(sweeps); n += 16 {
+		var batch []*spec.Spec
+		for col := 0; col < 8; col++ {
+			for _, sweep := range sweeps[n : n+16] {
+				batch = append(batch, sweep[col])
+			}
 		}
+		interleaved = append(interleaved, body(batch))
+	}
+	for _, bc := range []struct {
+		name   string
+		bodies [][]byte
+	}{{"sweep", one}, {"interleaved16", interleaved}} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := engine.NewHandler(engine.New(engine.Config{}), 30*time.Second)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(bc.bodies[i%len(bc.bodies)])))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
 	}
 }
 

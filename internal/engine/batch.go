@@ -18,9 +18,10 @@ import (
 type batchItem struct {
 	spec  *spec.Spec
 	key   string
-	dupOf int   // index of the earlier identical scenario, or -1
-	join  *call // another goroutine's in-flight solve to wait on
-	owned *call // the single-flight entry this evaluation registered and must resolve
+	base  digest // keyAndBase's base digest
+	dupOf int    // index of the earlier identical scenario, or -1
+	join  *call  // another goroutine's in-flight solve to wait on
+	owned *call  // the single-flight entry this evaluation registered and must resolve
 
 	// net and an are an owned item's intact network and its own analyzer.
 	net *netBase
@@ -68,12 +69,12 @@ func (e *Engine) evaluate(ctx context.Context, specs []*spec.Spec, forward, batc
 	first := make(map[string]int, len(specs))
 	todo := make([]*batchItem, 0, len(specs))
 	for i, s := range specs {
-		key, err := Key(s)
+		key, base, err := keyAndBase(s)
 		if err != nil {
 			e.metrics.errors.Add(1)
 			return nil, fail(i, fmt.Errorf("%w: %v", ErrBadScenario, err))
 		}
-		it := &batchItem{spec: s, key: key, dupOf: -1}
+		it := &batchItem{spec: s, key: key, base: base, dupOf: -1}
 		if j, ok := first[key]; ok {
 			it.dupOf = j
 			e.metrics.batchDeduped.Add(1)
@@ -218,15 +219,16 @@ type pathRef struct{ item, path int }
 
 // solveOwned solves owned misses under one worker token, recording one
 // trace. Each miss is realized on an intact network of the call: a miss
-// whose spec shares a base with one of the last baseScan full builds
-// (spec.SameBase) takes that build's Overlay with its own failures, and
-// any other is built in full (spec.BuildWith) through the shared
-// structure cache and becomes a base itself — so a failure sweep builds its network, routes, schedule,
-// source keys and path names once. A miss whose overlay fails is built
-// alone, so its error is the full build's. Nothing is shared beyond the
-// call. Each path of a miss is answered by the path-result memo or
-// becomes one distinct solve (paths repeated across the misses are solved
-// once), the solves run one after another in first-occurrence order, and
+// whose base digest (keyAndBase) has a base in the call takes that base's
+// Overlay with its own failures, and any other is built in full
+// (spec.BuildWith) through the shared structure cache and becomes the
+// base of its digest — so a batch builds each intact network's network,
+// routes, schedule, source keys and path names once, however its columns
+// interleave or spell it. A miss whose overlay fails is built alone, so
+// its error is the full build's. Nothing is shared beyond the call. Each
+// path of a miss is answered by the path-result memo or becomes one
+// distinct solve (paths repeated across the misses are solved once), the
+// solves run one after another in first-occurrence order, and
 // each miss's network analysis is assembled from its paths' entries. A
 // keyed solve is measured once, as its first scenario sees it, and enters
 // the memo with those measures. A failed solve fails only the scenarios
@@ -268,15 +270,14 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 
 	start := time.Now()
 	answers := make([][]*pathEntry, len(owned))
-	var bases []*netBase
+	bases := map[digest]*netBase{}
 	var solves []*pathSolve
 	pending := map[string]*pathSolve{}
 	var hits, misses int64
 	opts := []core.Option{core.WithStructureCache(structures{e}), core.WithTracer(tr)}
 	endBuild := obs.StartSpan(ctx, "build")
 	for i, it := range owned {
-		var err error
-		if bases, err = buildOn(bases, it, opts...); err != nil {
+		if err := buildOn(bases, it, opts...); err != nil {
 			it.err = fmt.Errorf("%w: %v", ErrBadScenario, err)
 			e.metrics.errors.Add(1)
 			continue
@@ -383,33 +384,22 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 	}
 }
 
-// baseScan bounds how many of a call's bases, most recent first, a miss
-// is compared with. SameBase walks a whole spec, so comparing every miss
-// with every base would cost a batch of K distinct networks K² walks; a
-// sweep lists its columns network by network.
-const baseScan = 8
-
-// buildOn realizes it on the most recent of the last baseScan bases whose
-// spec shares its base, or else builds it in full with opts and appends
-// the build to bases. It returns the bases.
-func buildOn(bases []*netBase, it *batchItem, opts ...core.Option) ([]*netBase, error) {
-	for i := len(bases) - 1; i >= max(len(bases)-baseScan, 0); i-- {
-		nb := bases[i]
-		if !nb.spec.SameBase(it.spec) {
-			continue
-		}
+// buildOn realizes it on the base of its digest in bases, or else builds
+// it in full with opts and makes the build the base of its digest.
+func buildOn(bases map[digest]*netBase, it *batchItem, opts ...core.Option) error {
+	if nb, ok := bases[it.base]; ok {
 		if built, err := nb.built.Overlay(it.spec); err == nil {
 			it.net, it.an = nb, built.Analyzer
-			return bases, nil
+			return nil
 		}
-		break
 	}
 	built, err := it.spec.BuildWith(opts...)
 	if err != nil {
-		return bases, err
+		return err
 	}
-	it.net, it.an = newNetBase(it.spec, built), built.Analyzer
-	return append(bases, it.net), nil
+	it.net, it.an = newNetBase(built), built.Analyzer
+	bases[it.base] = it.net
+	return nil
 }
 
 // landSolve returns the entry of a freshly solved path. A keyed solve is

@@ -390,12 +390,11 @@ func assembleResult(key string, nb *netBase, na *core.NetworkAnalysis, entries [
 	return out
 }
 
-// netBase is one intact network of a solve: the first build of it, the
-// spec that build came from, and what every scenario realized on it
-// shares — its reporting paths, its schedule in eta notation and its
-// paths' names. Only the scenarios of one solve share a base.
+// netBase is one intact network of a solve: the first build of it and
+// what every scenario realized on it shares — its reporting paths, its
+// schedule in eta notation and its paths' names. Only the scenarios of one
+// solve share a base.
 type netBase struct {
-	spec     *spec.Spec
 	built    *spec.Built
 	paths    []core.PathAnalysis // each reporting source's Source and Path, in source order; no measures
 	schedule string
@@ -410,13 +409,12 @@ type namedPath struct {
 	route  []string
 }
 
-// newNetBase makes built, the build of s, a base.
-func newNetBase(s *spec.Spec, built *spec.Built) *netBase {
+// newNetBase makes built a base.
+func newNetBase(built *spec.Built) *netBase {
 	an := built.Analyzer
 	nodes := built.Net.Nodes()
 	sources := an.Sources()
 	nb := &netBase{
-		spec:     s,
 		built:    built,
 		paths:    make([]core.PathAnalysis, len(sources)),
 		schedule: built.Schedule.Format(built.Net),

@@ -115,10 +115,19 @@ func writeEncoded(w http.ResponseWriter, code int, body []byte, err error) {
 	_, _ = w.Write(body)
 }
 
-// writeResult answers with res's stored encoding.
-func writeResult(w http.ResponseWriter, res *Result) {
-	body, err := res.encoding()
+// writeOK answers 200 with an answer's encoding. An answer that could not
+// be encoded (a NaN measure) is a 500 and counts as an engine error.
+func (s *apiServer) writeOK(w http.ResponseWriter, body []byte, err error) {
+	if err != nil {
+		s.eng.metrics.errors.Add(1)
+	}
 	writeEncoded(w, http.StatusOK, body, err)
+}
+
+// writeResult answers with res's stored encoding.
+func (s *apiServer) writeResult(w http.ResponseWriter, res *Result) {
+	body, err := res.encoding()
+	s.writeOK(w, body, err)
 }
 
 // batchBody renders batchResponse{results} exactly as encodeIndented
@@ -288,7 +297,7 @@ func (s *apiServer) peerSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "scenario canonicalizes to %s here, not the requested %s", res.Key, req.Key)
 		return
 	}
-	writeResult(w, res)
+	s.writeResult(w, res)
 }
 
 func (s *apiServer) metrics(w http.ResponseWriter, r *http.Request) {
@@ -328,7 +337,7 @@ func (s *apiServer) evaluate(w http.ResponseWriter, r *http.Request) {
 	body := readBody(w, r, "/v1/evaluate")
 	defer body.release()
 	if ent, res, ok := s.indexed(body); ok {
-		writePath(w, res, ent.source)
+		s.writePath(w, res, ent.source)
 		return
 	}
 	var req evaluateRequest
@@ -351,14 +360,14 @@ func (s *apiServer) evaluate(w http.ResponseWriter, r *http.Request) {
 		writeEngineErr(w, err)
 		return
 	}
-	if writePath(w, res, req.Source) {
+	if s.writePath(w, res, req.Source) {
 		s.index.add(body.sum, bodyEntry{key: res.Key, source: req.Source})
 	}
 }
 
 // writePath answers /v1/evaluate with source's path in res, reporting
 // whether source has one.
-func writePath(w http.ResponseWriter, res *Result, source string) bool {
+func (s *apiServer) writePath(w http.ResponseWriter, res *Result, source string) bool {
 	p, ok := res.Path(source)
 	if !ok {
 		writeErr(w, http.StatusBadRequest, "node %q is not a reporting source with an uplink path", source)
@@ -366,7 +375,7 @@ func writePath(w http.ResponseWriter, res *Result, source string) bool {
 	}
 	resp := evaluateResponse{Key: res.Key, Fup: res.Fup, Schedule: res.Schedule, Path: p}
 	body, err := resp.encode()
-	writeEncoded(w, http.StatusOK, body, err)
+	s.writeOK(w, body, err)
 	return true
 }
 
@@ -381,7 +390,7 @@ func (s *apiServer) network(w http.ResponseWriter, r *http.Request) {
 	body := readBody(w, r, "/v1/network")
 	defer body.release()
 	if _, res, ok := s.indexed(body); ok {
-		writeResult(w, res)
+		s.writeResult(w, res)
 		return
 	}
 	var req networkRequest
@@ -401,7 +410,7 @@ func (s *apiServer) network(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.index.add(body.sum, bodyEntry{key: res.Key})
-	writeResult(w, res)
+	s.writeResult(w, res)
 }
 
 type batchRequest struct {
@@ -435,7 +444,7 @@ func (s *apiServer) batch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, err := batchBody(results)
-	writeEncoded(w, http.StatusOK, body, err)
+	s.writeOK(w, body, err)
 }
 
 // predictCandidate accepts either a single-hop "ebN0" or a multi-hop

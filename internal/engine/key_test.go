@@ -56,10 +56,19 @@ type canonSlot struct {
 	From, To, Source string
 }
 
-// oracleCanonical returns json.Marshal of s's canonScenario. Its sorts are
-// stable, which agrees with the unstable sorts it once used whenever no
-// two links (or slots) tie — for every spec Build accepts.
+// oracleCanonical returns json.Marshal of s's canonScenario.
 func oracleCanonical(s *spec.Spec) ([]byte, error) {
+	c, err := oracleScenario(s)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(c)
+}
+
+// oracleScenario returns s's canonScenario. Its sorts are stable, which
+// agrees with the unstable sorts it once used whenever no two links (or
+// slots) tie — for every spec Build accepts.
+func oracleScenario(s *spec.Spec) (*canonScenario, error) {
 	if s == nil {
 		return nil, fmt.Errorf("engine: nil scenario")
 	}
@@ -140,7 +149,7 @@ func oracleCanonical(s *spec.Spec) ([]byte, error) {
 		c.Sources = fieldDevices
 	}
 	sort.Strings(c.Sources)
-	return json.Marshal(c)
+	return c, nil
 }
 
 // canonicalBytes returns the canonical form Key hashes, copied out of its
@@ -153,7 +162,8 @@ func canonicalBytes(s *spec.Spec) ([]byte, error) {
 }
 
 // checkCanonical fails unless the append writer and the oracle agree on s:
-// the same bytes, a key that hashes them, or the same error text.
+// the same bytes, a key that hashes them and a base digest that hashes
+// them with every failure written as "", or the same error text.
 func checkCanonical(t *testing.T, name string, s *spec.Spec) {
 	t.Helper()
 	got, err := canonicalBytes(s)
@@ -171,6 +181,20 @@ func checkCanonical(t *testing.T, name string, s *spec.Spec) {
 	sum := sha256.Sum256(want)
 	if k, err := Key(s); err != nil || k != hex.EncodeToString(sum[:]) {
 		t.Errorf("%s: Key = %s, %v; want the hash of the canonical form", name, k, err)
+	}
+	c, err := oracleScenario(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.Links {
+		c.Links[i].Failure = ""
+	}
+	cleared, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, base, err := keyAndBase(s); err != nil || base != sha256.Sum256(cleared) {
+		t.Errorf("%s: base digest %x, %v; want the hash of the canonical form without failures", name, base, err)
 	}
 }
 

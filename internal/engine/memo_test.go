@@ -2,13 +2,16 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
+	"wirelesshart/internal/channel"
 	"wirelesshart/internal/gen"
 	"wirelesshart/internal/spec"
 )
@@ -26,7 +29,7 @@ func analyzeDirect(t *testing.T, s *spec.Spec) *Result {
 		t.Fatal(err)
 	}
 	key := mustKey(t, s)
-	return assembleResult(key, newNetBase(s, built), na, nil)
+	return assembleResult(key, newNetBase(built), na, nil)
 }
 
 // assertSameAsAnalyze requires got to be bit-identical to the direct
@@ -72,6 +75,64 @@ func failSweep(s *spec.Spec) []*spec.Spec {
 		out[i] = &c
 	}
 	return out
+}
+
+// spellings returns s written four other ways that key alike: its links
+// declared in reverse order, each link's endpoints swapped, each two-state
+// link as the p_fl and p_rc it resolves to, and its defaults spelled out.
+func spellings(t *testing.T, s *spec.Spec) []*spec.Spec {
+	t.Helper()
+	out := make([]*spec.Spec, 4)
+	for i := range out {
+		out[i] = cloneSpec(t, s)
+	}
+	slices.Reverse(out[0].Links)
+	for i := range out[1].Links {
+		l := &out[1].Links[i]
+		l.A, l.B = l.B, l.A
+	}
+	for i, l := range out[2].Links {
+		if l.Fading != nil {
+			continue
+		}
+		m, err := s.ResolveLinkModel(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pfl, prc := m.FailureProb(), m.RecoveryProb()
+		out[2].Links[i] = spec.Link{A: l.A, B: l.B, PFl: &pfl, PRc: &prc, Failure: l.Failure}
+	}
+	d := out[3]
+	ber := channel.DefaultBER
+	d.MessageBits, d.DefaultBER = d.Bits(), cmp.Or(d.DefaultBER, &ber)
+	d.ReportingInterval = cmp.Or(d.ReportingInterval, 4)
+	d.Schedule.Channels = cmp.Or(d.Schedule.Channels, 1)
+	for i := range d.Nodes {
+		d.Nodes[i].Kind = cmp.Or(d.Nodes[i].Kind, "field-device")
+		if d.Nodes[i].Kind == "field-device" && len(s.Sources) == 0 {
+			d.Sources = append(d.Sources, d.Nodes[i].Name)
+		}
+	}
+	return out
+}
+
+// freshBatchBody is the /v1/batch body of specs assembled from
+// per-scenario answers, each from a fresh engine.
+func freshBatchBody(t *testing.T, specs []*spec.Spec) []byte {
+	t.Helper()
+	results := make([]*Result, len(specs))
+	for i, s := range specs {
+		res, err := New(Config{}).Evaluate(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = res
+	}
+	body, err := batchBody(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // TestEvaluatePathsBitIdentical pins the one solve path against the

@@ -6,11 +6,12 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"wirelesshart/internal/gen"
 	"wirelesshart/internal/obs"
 	"wirelesshart/internal/spec"
 )
@@ -192,31 +193,43 @@ func TestEvaluateConcurrentTracing(t *testing.T) {
 	}
 }
 
-// TestBuildSpanCountsBases: a batch's build span reports how many intact
-// networks the call built in full — one for a single network's failure
-// sweep, two for the sweeps of two networks interleaved. A miss looks
-// back over the last baseScan bases only, so two rounds over baseScan+1
-// networks build every column in full.
+// TestBuildSpanCountsBases: a batch builds each intact network once,
+// and its build span reports how many it built — one for a single
+// network's failure sweep, also when its columns spell the network four
+// ways, two for the sweeps of two networks interleaved, and sixteen for
+// two rounds over sixteen networks. Every body is byte for byte the
+// per-scenario answers of fresh engines.
 func TestBuildSpanCountsBases(t *testing.T) {
-	nets := memoNetworks(t)[:baseScan+1]
-	var rounds []*spec.Spec
+	var nets, rounds, spelled []*spec.Spec
+	for i := 0; i < 16; i++ {
+		g, err := gen.Generate(16, i, gen.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, g.Spec)
+	}
 	for col := 0; col < 2; col++ {
 		for _, s := range nets {
 			rounds = append(rounds, failSweep(s)[col])
 		}
+	}
+	for i, c := range failSweep(nets[0]) {
+		spelled = append(spelled, spellings(t, c)[i%4])
 	}
 	for _, tc := range []struct {
 		name  string
 		batch []*spec.Spec
 		want  string
 	}{
-		{"single-network sweep", failSweep(memoNetworks(t)[1]), "1"},
+		{"single-network sweep", failSweep(nets[0]), "1"},
 		{"interleaved sweeps", interleavedSweeps(t), "2"},
-		{"two rounds over baseScan+1 networks", rounds, strconv.Itoa(len(rounds))},
+		{"two rounds over 16 networks", rounds, "16"},
+		{"one network's sweep spelled four ways", spelled, "1"},
 	} {
 		eng := New(Config{})
-		if _, err := eng.EvaluateBatch(context.Background(), tc.batch); err != nil {
-			t.Fatal(err)
+		body := serve(t, NewHandler(eng, 30*time.Second), "/v1/batch", map[string]any{"scenarios": tc.batch})
+		if !bytes.Equal(body, freshBatchBody(t, tc.batch)) {
+			t.Errorf("%s: /v1/batch body differs from the per-scenario answers", tc.name)
 		}
 		snap := eng.Traces().Snapshot()
 		if len(snap) != 1 {

@@ -216,7 +216,8 @@ func TestRenamedNetworkSharesEntries(t *testing.T) {
 
 // TestNaNMemoEntryIs500: a memo entry whose measures hold a NaN stores no
 // encoded members, so a scenario that reuses it answers with the
-// encoder's 500 on /v1/network and /v1/batch, as a measured NaN would.
+// encoder's 500 on /v1/network and /v1/batch, as a measured NaN would,
+// and each counts as an engine error.
 func TestNaNMemoEntryIs500(t *testing.T) {
 	eng := New(Config{})
 	h := NewHandler(eng, 30*time.Second)
@@ -249,6 +250,10 @@ func TestNaNMemoEntryIs500(t *testing.T) {
 		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "NaN") {
 			t.Errorf("%s: status %d, body %q; want a 500 naming NaN", path, rec.Code, rec.Body)
 		}
+	}
+	// An answer the server cannot give is an engine error.
+	if n := eng.MetricsSnapshot().Errors; n != 2 {
+		t.Errorf("errors = %d after two unencodable answers, want 2", n)
 	}
 }
 

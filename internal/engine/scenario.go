@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"slices"
 	"strconv"
@@ -30,15 +31,49 @@ import (
 // field choice (BER vs the equivalent p_fl) or spelled-out defaults share
 // a key; any semantic change produces a new one.
 func Key(s *spec.Spec) (string, error) {
+	key, _, err := keyAndBase(s)
+	return key, err
+}
+
+// digest is a SHA-256 sum: a scenario's base digest.
+type digest = [sha256.Size]byte
+
+// keyAndBase returns the key of s and its base digest, both from one
+// canonical pass. The base digest is the SHA-256 of the canonical form
+// with every "Failure" member written as "": the sum behind the key of s
+// with its failures cleared. (Links sort by their endpoints first, which
+// are unique in any spec Build accepts, so clearing failures moves no
+// link.) Two specs with one base digest realize the same intact network,
+// so the build of either is the spec.Built.Overlay of the other.
+func keyAndBase(s *spec.Spec) (string, digest, error) {
 	c := keyBufs.Get().(*keyBuf)
 	defer c.release()
 	b, err := c.canonicalize(s)
 	if err != nil {
-		return "", err
+		return "", digest{}, err
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	base := sum
+	if len(c.failures) > 0 {
+		if c.h == nil {
+			c.h = sha256.New()
+		}
+		c.h.Reset()
+		at := 0
+		for _, f := range c.failures {
+			c.h.Write(b[at:f[0]])
+			c.h.Write(noFailure)
+			at = f[1]
+		}
+		c.h.Write(b[at:])
+		c.sum = c.h.Sum(c.sum[:0])
+		copy(base[:], c.sum)
+	}
+	return hex.EncodeToString(sum[:]), base, nil
 }
+
+// noFailure is the text of a "Failure" member without a failure.
+var noFailure = []byte(`""`)
 
 // The canonical form is the compact JSON of this object, members in this
 // order:
@@ -92,10 +127,13 @@ type keyLink struct {
 type keyBuf struct {
 	b        []byte
 	links    []keyLink
-	order    []int32 // link indices in canonical order
-	slots    []int32 // explicit-slot indices in canonical order
+	order    []int32  // link indices in canonical order
+	slots    []int32  // explicit-slot indices in canonical order
+	failures [][2]int // the spans of b holding a non-empty "Failure" value
 	sources  []string
 	pfl, prc floatText
+	h        hash.Hash // the base digest's hasher
+	sum      []byte    // the base digest's scratch
 }
 
 var keyBufs = sync.Pool{New: func() any { return new(keyBuf) }}
@@ -129,7 +167,7 @@ func (c *keyBuf) canonicalize(s *spec.Spec) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("engine: nil scenario")
 	}
-	c.links, c.order = c.links[:0], c.order[:0]
+	c.links, c.order, c.failures = c.links[:0], c.order[:0], c.failures[:0]
 	for i, l := range s.Links {
 		cl := keyLink{a: l.A, b: l.B}
 		var err error
@@ -224,7 +262,11 @@ func (c *keyBuf) canonicalize(s *spec.Spec) ([]byte, error) {
 			b = appendJSONString(b, string(l.fading.AppendKey(nil)))
 		}
 		b = append(b, `,"Failure":`...)
+		at := len(b)
 		b = appendJSONString(b, l.failure)
+		if l.failure != "" {
+			c.failures = append(c.failures, [2]int{at, len(b)})
+		}
 		b = append(b, '}')
 	}
 	b = listEnd(b, len(c.order))

@@ -1,13 +1,15 @@
 package spec_test
 
 import (
+	"cmp"
 	"encoding/json"
+	"maps"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"wirelesshart/internal/channel"
 	"wirelesshart/internal/core"
 	"wirelesshart/internal/des"
 	"wirelesshart/internal/gen"
@@ -16,26 +18,6 @@ import (
 	"wirelesshart/internal/stats"
 	"wirelesshart/internal/topology"
 )
-
-// fullSpec sets every field of a spec, so that changing any one of them
-// is visible to SameBase. It need not build.
-func fullSpec() *spec.Spec {
-	f := func(v float64) *float64 { return &v }
-	return &spec.Spec{
-		Nodes: []spec.Node{{Name: "G", Kind: "gateway"}, {Name: "a", Kind: "field-device"}},
-		Links: []spec.Link{{
-			A: "a", B: "G", PFl: f(0.1), BER: f(2e-4), EbN0: f(7), Availability: f(0.8), PRc: f(0.9),
-			Fading:  &spec.Fading{Transitions: [][]float64{{0.9, 0.1}, {0.2, 0.8}}, Success: []float64{0.95, 0.3}},
-			Failure: &spec.Failure{Kind: "window", FromSlot: 1, ToSlot: 5},
-		}},
-		Schedule: spec.Schedule{
-			Fup: 7, Slots: []spec.Transmission{{Slot: 1, From: "a", To: "G", Source: "a"}},
-			Policy: "shortest-first", ExtraIdle: 2, Priority: []string{"a"}, Channels: 2,
-		},
-		ReportingInterval: 4, TTL: 30, Fdown: 5, MessageBits: 512, DefaultBER: f(1e-4),
-		Sources: []string{"a"},
-	}
-}
 
 // clone deep-copies a spec through its JSON form.
 func clone(t *testing.T, s *spec.Spec) *spec.Spec {
@@ -49,108 +31,6 @@ func clone(t *testing.T, s *spec.Spec) *spec.Spec {
 		t.Fatal(err)
 	}
 	return &c
-}
-
-// fieldPaths lists the dotted path of every leaf field of a spec type,
-// through structs, pointers to structs and slices of structs.
-func fieldPaths(t reflect.Type, prefix string) []string {
-	var out []string
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		path := prefix + f.Name
-		ft := f.Type
-		if ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice {
-			ft = ft.Elem()
-		}
-		if ft.Kind() == reflect.Struct {
-			out = append(out, fieldPaths(ft, path+".")...)
-			continue
-		}
-		out = append(out, path)
-	}
-	return out
-}
-
-// TestSameBase: each field of a spec but a link's Failure, changed on its
-// own, makes a different base; a Failure-only change keeps it. Every leaf
-// field of the spec types has a row, so a field added later without a
-// comparison fails here.
-func TestSameBase(t *testing.T) {
-	f := func(v float64) *float64 { return &v }
-	fields := map[string]func(s *spec.Spec){
-		"Nodes.Name":                             func(s *spec.Spec) { s.Nodes[1].Name = "b" },
-		"Nodes.Kind":                             func(s *spec.Spec) { s.Nodes[1].Kind = "" },
-		"Links.A":                                func(s *spec.Spec) { s.Links[0].A = "G2" },
-		"Links.B":                                func(s *spec.Spec) { s.Links[0].B = "G2" },
-		"Links.PFl":                              func(s *spec.Spec) { s.Links[0].PFl = f(0.2) },
-		"Links.BER":                              func(s *spec.Spec) { s.Links[0].BER = nil },
-		"Links.EbN0":                             func(s *spec.Spec) { s.Links[0].EbN0 = f(8) },
-		"Links.Availability":                     func(s *spec.Spec) { s.Links[0].Availability = f(0.81) },
-		"Links.PRc":                              func(s *spec.Spec) { s.Links[0].PRc = f(0.5) },
-		"Links.Fading.Transitions":               func(s *spec.Spec) { s.Links[0].Fading.Transitions[1][0] = 0.3 },
-		"Links.Fading.Success":                   func(s *spec.Spec) { s.Links[0].Fading.Success[1] = 0.4 },
-		"Links.Failure.Kind":                     func(s *spec.Spec) { s.Links[0].Failure.Kind = "permanent" },
-		"Links.Failure.FromSlot":                 func(s *spec.Spec) { s.Links[0].Failure.FromSlot = 2 },
-		"Links.Failure.ToSlot":                   func(s *spec.Spec) { s.Links[0].Failure.ToSlot = 9 },
-		"Schedule.Fup":                           func(s *spec.Spec) { s.Schedule.Fup = 8 },
-		"Schedule.Slots.Slot":                    func(s *spec.Spec) { s.Schedule.Slots[0].Slot = 2 },
-		"Schedule.Slots.From":                    func(s *spec.Spec) { s.Schedule.Slots[0].From = "b" },
-		"Schedule.Slots.To":                      func(s *spec.Spec) { s.Schedule.Slots[0].To = "b" },
-		"Schedule.Slots.Source":                  func(s *spec.Spec) { s.Schedule.Slots[0].Source = "b" },
-		"Schedule.Policy":                        func(s *spec.Spec) { s.Schedule.Policy = "longest-first" },
-		"Schedule.ExtraIdle":                     func(s *spec.Spec) { s.Schedule.ExtraIdle = 3 },
-		"Schedule.Priority":                      func(s *spec.Spec) { s.Schedule.Priority = append(s.Schedule.Priority, "G") },
-		"Schedule.Channels":                      func(s *spec.Spec) { s.Schedule.Channels = 3 },
-		"ReportingInterval":                      func(s *spec.Spec) { s.ReportingInterval = 2 },
-		"TTL":                                    func(s *spec.Spec) { s.TTL = 31 },
-		"Fdown":                                  func(s *spec.Spec) { s.Fdown = 6 },
-		"MessageBits":                            func(s *spec.Spec) { s.MessageBits = 1016 },
-		"DefaultBER":                             func(s *spec.Spec) { s.DefaultBER = f(3e-4) },
-		"Sources":                                func(s *spec.Spec) { s.Sources = nil },
-		"Links.Fading (dropped)":                 func(s *spec.Spec) { s.Links[0].Fading = nil },
-		"Links.Failure (dropped)":                func(s *spec.Spec) { s.Links[0].Failure = nil },
-		"Links (one more)":                       func(s *spec.Spec) { s.Links = append(s.Links, spec.Link{A: "a", B: "G"}) },
-		"Links.Fading.Transitions (row dropped)": func(s *spec.Spec) { s.Links[0].Fading.Transitions = s.Links[0].Fading.Transitions[:1] },
-	}
-	for _, path := range fieldPaths(reflect.TypeOf(spec.Spec{}), "") {
-		if _, ok := fields[path]; !ok {
-			t.Errorf("spec field %s has no SameBase row", path)
-		}
-	}
-	base := fullSpec()
-	if !base.SameBase(clone(t, base)) {
-		t.Fatal("a spec and its copy have different bases")
-	}
-	for name, edit := range fields {
-		c := clone(t, base)
-		edit(c)
-		want := strings.HasPrefix(name, "Links.Failure")
-		if got := base.SameBase(c); got != want {
-			t.Errorf("%s changed: SameBase = %v, want %v", name, got, want)
-		}
-		if got := c.SameBase(base); got != want {
-			t.Errorf("%s changed, reversed: SameBase = %v, want %v", name, got, want)
-		}
-	}
-
-	// Floats compare by their bits: -0 is not +0, and a NaN shares with
-	// nothing, not even an identical spec.
-	zero, negZero := clone(t, base), clone(t, base)
-	zero.Links[0].PFl, negZero.Links[0].PFl = f(0), f(math.Copysign(0, -1))
-	if zero.SameBase(negZero) {
-		t.Error("pfl +0 and -0 share a base")
-	}
-	for name, edit := range map[string]func(s *spec.Spec){
-		"pfl":    func(s *spec.Spec) { s.Links[0].PFl = f(math.NaN()) },
-		"fading": func(s *spec.Spec) { s.Links[0].Fading.Success[0] = math.NaN() },
-	} {
-		a, b := clone(t, base), clone(t, base)
-		edit(a)
-		edit(b)
-		if a.SameBase(b) {
-			t.Errorf("a NaN %s shares a base", name)
-		}
-	}
 }
 
 // analysisBits lists every number of a network analysis, floats by their
@@ -201,6 +81,66 @@ func bitsOf(t *testing.T, name string, b *spec.Built) []uint64 {
 	return analysisBits(na)
 }
 
+// forcedWindows lists the simulator window a build forces on each link,
+// {-1, -1} for none, by the link's endpoint names in lexicographic order:
+// link ids follow declaration order.
+func forcedWindows(b *spec.Built) map[[2]string][2]int {
+	nodes, sim := b.Net.Nodes(), b.SimLinks()
+	out := map[[2]string][2]int{}
+	for _, l := range b.Net.Links() {
+		ends := [2]string{nodes[l.A].Name, nodes[l.B].Name}
+		if ends[0] > ends[1] {
+			ends[0], ends[1] = ends[1], ends[0]
+		}
+		w := [2]int{-1, -1}
+		if f, ok := sim[l.ID].(*des.ForcedWindowProcess); ok {
+			w = [2]int{f.From, f.To}
+		}
+		out[ends] = w
+	}
+	return out
+}
+
+// spellings returns s written four other ways that realize the same
+// network: its links declared in reverse order, each link's endpoints
+// swapped, each two-state link as the p_fl and p_rc it resolves to, and
+// its defaults spelled out.
+func spellings(t *testing.T, s *spec.Spec) map[string]*spec.Spec {
+	t.Helper()
+	out := map[string]*spec.Spec{}
+	for _, w := range []string{"reversed", "swapped", "p_fl", "defaults"} {
+		out[w] = clone(t, s)
+	}
+	slices.Reverse(out["reversed"].Links)
+	for i := range out["swapped"].Links {
+		l := &out["swapped"].Links[i]
+		l.A, l.B = l.B, l.A
+	}
+	for i, l := range out["p_fl"].Links {
+		if l.Fading != nil {
+			continue
+		}
+		m, err := s.ResolveLinkModel(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pfl, prc := m.FailureProb(), m.RecoveryProb()
+		out["p_fl"].Links[i] = spec.Link{A: l.A, B: l.B, PFl: &pfl, PRc: &prc}
+	}
+	d := out["defaults"]
+	ber := channel.DefaultBER
+	d.MessageBits, d.DefaultBER = d.Bits(), cmp.Or(d.DefaultBER, &ber)
+	d.ReportingInterval = cmp.Or(d.ReportingInterval, 4)
+	d.Schedule.Channels = cmp.Or(d.Schedule.Channels, 1)
+	for i := range d.Nodes {
+		d.Nodes[i].Kind = cmp.Or(d.Nodes[i].Kind, "field-device")
+		if d.Nodes[i].Kind == "field-device" && len(s.Sources) == 0 {
+			d.Sources = append(d.Sources, d.Nodes[i].Name)
+		}
+	}
+	return out
+}
+
 // sameBuild reports how an overlay differs from the full build of the
 // same spec, whose analysis lists want: its analysis, its source keys and
 // its simulator links.
@@ -216,17 +156,11 @@ func sameBuild(t *testing.T, name string, ov, full *spec.Built, want []uint64) {
 			t.Errorf("%s: source %d key (%q, %v), full build (%q, %v)", name, src, kO, okO, kF, okF)
 		}
 	}
-	simO, simF := ov.SimLinks(), full.SimLinks()
-	for id, pF := range simF {
-		fF, forcedF := pF.(*des.ForcedWindowProcess)
-		fO, forcedO := simO[id].(*des.ForcedWindowProcess)
-		if forcedO != forcedF || (forcedF && (fO.From != fF.From || fO.To != fF.To)) {
-			t.Errorf("%s: link %d simulator forcing differs: overlay %+v, full %+v", name, id, simO[id], pF)
-		}
+	if wO, wF := forcedWindows(ov), forcedWindows(full); !maps.Equal(wO, wF) {
+		t.Errorf("%s: simulator forcing differs: overlay %v, full %v", name, wO, wF)
 	}
-	if len(simO) != len(simF) || len(ov.Failures) != len(full.Failures) {
-		t.Errorf("%s: %d simulator links and %d failures, full build %d and %d",
-			name, len(simO), len(ov.Failures), len(simF), len(full.Failures))
+	if len(ov.Failures) != len(full.Failures) {
+		t.Errorf("%s: %d failures, full build %d", name, len(ov.Failures), len(full.Failures))
 	}
 }
 
@@ -265,7 +199,10 @@ func injected(t *testing.T, s *spec.Spec, b *spec.Built, l int, f spec.Failure) 
 // network whose links fade), permanent and window, derived as an Overlay
 // of the intact build and of the first failed column's build, equals the
 // full BuildWith of that column — bit-identical analyses, identical
-// source keys and the same forced simulator windows.
+// source keys and the same forced simulator windows. On the first 8
+// networks and the fading one, every column of each of four other
+// spellings of the network (spellings) is an overlay of the intact build
+// too.
 func TestOverlayMatchesBuild(t *testing.T) {
 	n := 64
 	if testing.Short() {
@@ -303,9 +240,6 @@ func TestOverlayMatchesBuild(t *testing.T) {
 				c := *s
 				c.Links = append([]spec.Link(nil), s.Links...)
 				c.Links[l].Failure = &f
-				if !s.SameBase(&c) {
-					t.Fatalf("network %d link %d: a failed column has another base", i, l)
-				}
 				full, err := c.BuildWith(cache)
 				if err != nil {
 					t.Fatal(err)
@@ -337,6 +271,27 @@ func TestOverlayMatchesBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameBuild(t, name(i, -1, f, "first column"), ov, intact, bitsOf(t, name(i, -1, f, "intact"), intact))
+		}
+		if i >= 8 && i < len(specs)-1 {
+			continue
+		}
+		for way, sib := range spellings(t, s) {
+			for _, f := range failures {
+				for l := range sib.Links {
+					c := clone(t, sib)
+					c.Links[l].Failure = &f
+					full, err := c.BuildWith(cache)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ov, err := intact.Overlay(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n := name(i, l, f, way)
+					sameBuild(t, n, ov, full, bitsOf(t, n, full))
+				}
+			}
 		}
 	}
 }
@@ -388,6 +343,20 @@ func TestOverlayKeepsExtraAvailability(t *testing.T) {
 	// n1's one hop is link 0, held up in every slot by the extra.
 	if r := na.Paths[0].Reachability; r != 1 {
 		t.Errorf("n1 reachability %v under an always-up extra, want 1", r)
+	}
+}
+
+// TestOverlayRejectsForeignLink: a failure on a link the base network
+// does not have is an error, not an override of another link.
+func TestOverlayRejectsForeignLink(t *testing.T) {
+	intact, err := spec.TypicalSpec().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := spec.TypicalSpec()
+	s.Links[0] = spec.Link{A: "n4", B: "n9", Failure: &spec.Failure{Kind: "permanent"}}
+	if _, err := intact.Overlay(s); err == nil || !strings.Contains(err.Error(), "not in the base network") {
+		t.Errorf("overlay of a failure on a link the base lacks: %v", err)
 	}
 }
 

@@ -10,9 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"slices"
 
 	"wirelesshart/internal/channel"
 	"wirelesshart/internal/core"
@@ -227,44 +225,37 @@ func (s *Spec) Build() (*Built, error) {
 // core.WithLinkAvailability on the same link still wins. Errors are the
 // ones a single pass over the spec meets first, in link order.
 func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
-	b, resolved, err := s.buildBase(extra)
+	b, err := s.buildBase(extra)
 	if err != nil {
-		// The failures of the links resolved before the error come first.
-		bits := s.Bits()
-		for _, l := range s.Links[:resolved] {
-			if l.Failure == nil {
-				continue
-			}
-			p, perr := s.linkProcess(l, bits)
-			if perr != nil {
-				continue
-			}
-			if _, ferr := failureAvailability(p, l.Failure); ferr != nil {
-				return nil, fmt.Errorf("spec: link %q-%q: %w", l.A, l.B, ferr)
-			}
-		}
 		return nil, err
 	}
 	return b.Overlay(s)
 }
 
 // Overlay derives the build of a sibling of the spec b was built from: a
-// spec equal to it in everything but its links' Failure fields (SameBase
-// decides; Overlay does not check). The result shares b's network,
-// schedule, routes, link processes and sources. Only its failure
-// overrides are its own: each of s's declared failures (spec link i is
-// link id i) acts on the link's process in b, under any extra
-// core.WithLinkAvailability b was built with. BuildWith is the base build
-// followed by this overlay.
+// spec that realizes the same intact network and may differ in its links'
+// Failure fields (the engine's base digest decides; Overlay does not
+// check). The result shares b's network, schedule, routes, link processes
+// and sources. Only its failure overrides are its own: each of s's
+// declared failures acts on the process of the link b's network has
+// between the failed link's endpoints, under any extra
+// core.WithLinkAvailability b was built with. A sibling may therefore
+// declare its links in another order or orientation. BuildWith is the
+// base build followed by this overlay.
 func (b *Built) Overlay(s *Spec) (*Built, error) {
 	var ov map[topology.LinkID]link.Availability
 	var failures map[topology.LinkID]Failure
-	for i, l := range s.Links {
+	for _, l := range s.Links {
 		if l.Failure == nil {
 			continue
 		}
-		lid := topology.LinkID(i)
-		av, err := failureAvailability(b.base.LinkProcess(lid), l.Failure)
+		na, okA := b.Net.NodeByName(l.A)
+		nb, okB := b.Net.NodeByName(l.B)
+		lnk, ok := b.Net.LinkBetween(na.ID, nb.ID)
+		if !okA || !okB || !ok {
+			return nil, fmt.Errorf("spec: link %q-%q is not in the base network", l.A, l.B)
+		}
+		av, err := failureAvailability(b.base.LinkProcess(lnk.ID), l.Failure)
 		if err != nil {
 			return nil, fmt.Errorf("spec: link %q-%q: %w", l.A, l.B, err)
 		}
@@ -272,8 +263,8 @@ func (b *Built) Overlay(s *Spec) (*Built, error) {
 			ov = map[topology.LinkID]link.Availability{}
 			failures = map[topology.LinkID]Failure{}
 		}
-		ov[lid] = av
-		failures[lid] = *l.Failure
+		ov[lnk.ID] = av
+		failures[lnk.ID] = *l.Failure
 	}
 	if ov == nil && b.Failures == nil {
 		return b, nil
@@ -287,11 +278,12 @@ func (b *Built) Overlay(s *Spec) (*Built, error) {
 
 // buildBase realizes s without its links' failures: the network, each
 // declared link's process, the schedule and an analyzer configured by s
-// and then extra. It also reports how many links it resolved before an
-// error (all of them when the error came later).
-func (s *Spec) buildBase(extra []core.Option) (*Built, int, error) {
+// and then extra. It checks each declared failure against its link's
+// process as soon as it has resolved it, so a spec with several faults
+// fails on the one a single pass meets first.
+func (s *Spec) buildBase(extra []core.Option) (*Built, error) {
 	if len(s.Nodes) == 0 {
-		return nil, 0, errors.New("spec: no nodes")
+		return nil, errors.New("spec: no nodes")
 	}
 	bits := s.Bits()
 	net := topology.NewNetwork()
@@ -303,11 +295,11 @@ func (s *Spec) buildBase(extra []core.Option) (*Built, int, error) {
 		case "gateway":
 			kind = topology.Gateway
 		default:
-			return nil, 0, fmt.Errorf("spec: node %q has unknown kind %q", n.Name, n.Kind)
+			return nil, fmt.Errorf("spec: node %q has unknown kind %q", n.Name, n.Kind)
 		}
 		id, err := net.AddNode(n.Name, kind)
 		if err != nil {
-			return nil, 0, fmt.Errorf("spec: %w", err)
+			return nil, fmt.Errorf("spec: %w", err)
 		}
 		ids[n.Name] = id
 	}
@@ -317,30 +309,32 @@ func (s *Spec) buildBase(extra []core.Option) (*Built, int, error) {
 		a, okA := ids[l.A]
 		b, okB := ids[l.B]
 		if !okA || !okB {
-			return nil, i, fmt.Errorf("spec: link %d references unknown node (%q-%q)", i, l.A, l.B)
+			return nil, fmt.Errorf("spec: link %d references unknown node (%q-%q)", i, l.A, l.B)
 		}
 		lid, err := net.AddLink(a, b)
 		if err != nil {
-			return nil, i, fmt.Errorf("spec: %w", err)
+			return nil, fmt.Errorf("spec: %w", err)
 		}
 		p, err := s.linkProcess(l, bits)
+		if err == nil && l.Failure != nil {
+			_, err = failureAvailability(p, l.Failure)
+		}
 		if err != nil {
-			return nil, i, fmt.Errorf("spec: link %q-%q: %w", l.A, l.B, err)
+			return nil, fmt.Errorf("spec: link %q-%q: %w", l.A, l.B, err)
 		}
 		opts = append(opts, core.WithLinkProcess(lid, p))
 	}
-	all := len(s.Links)
 
 	sched, err := s.buildSchedule(net, ids)
 	if err != nil {
-		return nil, all, err
+		return nil, err
 	}
 	if len(s.Sources) > 0 {
 		srcIDs := make([]topology.NodeID, len(s.Sources))
 		for i, name := range s.Sources {
 			id, ok := ids[name]
 			if !ok {
-				return nil, all, fmt.Errorf("spec: unknown reporting source %q", name)
+				return nil, fmt.Errorf("spec: unknown reporting source %q", name)
 			}
 			srcIDs[i] = id
 		}
@@ -358,69 +352,9 @@ func (s *Spec) buildBase(extra []core.Option) (*Built, int, error) {
 	opts = append(opts, extra...)
 	an, err := core.New(net, sched, opts...)
 	if err != nil {
-		return nil, all, err
+		return nil, err
 	}
-	return &Built{Net: net, Schedule: sched, Analyzer: an, base: an}, all, nil
-}
-
-// SameBase reports whether s and o realize the same intact network — they
-// are equal in every field but their links' Failure — so that the build of
-// one is the Overlay of the other. Floats compare by their bits: -0 and +0
-// differ, and a spec holding a NaN shares with none.
-func (s *Spec) SameBase(o *Spec) bool {
-	if s.ReportingInterval != o.ReportingInterval || s.TTL != o.TTL || s.Fdown != o.Fdown ||
-		s.MessageBits != o.MessageBits || !sameFloatPtr(s.DefaultBER, o.DefaultBER) ||
-		!slices.Equal(s.Nodes, o.Nodes) || !slices.Equal(s.Sources, o.Sources) ||
-		!s.Schedule.same(&o.Schedule) || len(s.Links) != len(o.Links) {
-		return false
-	}
-	for i := range s.Links {
-		if !s.Links[i].sameBase(&o.Links[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *Schedule) same(o *Schedule) bool {
-	return c.Fup == o.Fup && c.Policy == o.Policy && c.ExtraIdle == o.ExtraIdle &&
-		c.Channels == o.Channels && slices.Equal(c.Slots, o.Slots) && slices.Equal(c.Priority, o.Priority)
-}
-
-// sameBase compares every field of two links but Failure.
-func (l *Link) sameBase(o *Link) bool {
-	if l.A != o.A || l.B != o.B ||
-		!sameFloatPtr(l.PFl, o.PFl) || !sameFloatPtr(l.BER, o.BER) || !sameFloatPtr(l.EbN0, o.EbN0) ||
-		!sameFloatPtr(l.Availability, o.Availability) || !sameFloatPtr(l.PRc, o.PRc) {
-		return false
-	}
-	if l.Fading == nil || o.Fading == nil {
-		return l.Fading == o.Fading
-	}
-	if !sameFloats(l.Fading.Success, o.Fading.Success) || len(l.Fading.Transitions) != len(o.Fading.Transitions) {
-		return false
-	}
-	for i, row := range l.Fading.Transitions {
-		if !sameFloats(row, o.Fading.Transitions[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameFloat(a, b float64) bool {
-	return !math.IsNaN(a) && math.Float64bits(a) == math.Float64bits(b)
-}
-
-func sameFloatPtr(a, b *float64) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return sameFloat(*a, *b)
-}
-
-func sameFloats(a, b []float64) bool {
-	return slices.EqualFunc(a, b, sameFloat)
+	return &Built{Net: net, Schedule: sched, Analyzer: an, base: an}, nil
 }
 
 // Bits returns the effective message length in bits (default 1016, the
@@ -529,7 +463,8 @@ func (s *Spec) buildSchedule(net *topology.Network, ids map[string]topology.Node
 	if sc.Policy != "" && len(sc.Slots) > 0 {
 		return nil, errors.New("spec: schedule declares both a policy and explicit slots")
 	}
-	if sc.Channels != 0 && sc.Policy == "" && len(sc.Priority) == 0 {
+	// One channel is the default, so an explicit schedule may spell it out.
+	if sc.Channels != 0 && sc.Channels != 1 && sc.Policy == "" && len(sc.Priority) == 0 {
 		return nil, errors.New("spec: channels require a generated schedule (policy or priority)")
 	}
 	if sc.Policy != "" && len(sc.Priority) > 0 {

@@ -345,6 +345,13 @@ func TestSpecChannelsRequirePolicy(t *testing.T) {
 	if _, err := s.Build(); err == nil {
 		t.Error("channels with explicit slots should error")
 	}
+	// One channel is the default, which an explicit schedule may spell out.
+	for _, ch := range []int{1, -1} {
+		s.Schedule.Channels = ch
+		if _, err := s.Build(); (err == nil) != (ch == 1) {
+			t.Errorf("channels %d with explicit slots: Build error %v", ch, err)
+		}
+	}
 }
 
 func TestTTLAndFdownPassThrough(t *testing.T) {
