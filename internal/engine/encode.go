@@ -77,10 +77,19 @@ func (w *jsonWriter) float(f float64) {
 
 func (w *jsonWriter) quote(s string) { w.b = appendJSONString(w.b, s) }
 
+// maxExactInt is 2^53: every integer of smaller magnitude is a float64.
+const maxExactInt = 1 << 53
+
 // appendJSONFloat appends the finite f as encoding/json writes it: the
 // shortest representation, in exponent form outside [1e-6, 1e21) with a
-// one-digit negative exponent written e-7 rather than e-07.
+// one-digit negative exponent written e-7 rather than e-07. A whole number
+// below 2^53 in magnitude, as every delay in milliseconds is, is written
+// by the integer formatter, which gives the same digits; -0 is not, as
+// json writes its sign.
 func appendJSONFloat(b []byte, f float64) []byte {
+	if _, frac := math.Modf(f); frac == 0 && math.Abs(f) < maxExactInt && !(f == 0 && math.Signbit(f)) {
+		return strconv.AppendInt(b, int64(f), 10)
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -115,12 +117,12 @@ func TestBatchBodyShapes(t *testing.T) {
 		"bare":       {{Key: "k"}},
 		"bare+typed": {{Key: "k", Paths: []PathResult{{Source: "n1"}}}, typical},
 	} {
-		got, err := batchBody(results)
+		got, err := appendBatchBody(nil, results)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if want := indented(t, batchResponse{Results: results}); !bytes.Equal(got, want) {
-			t.Errorf("%s: batchBody\n%s\nwant\n%s", name, got, want)
+			t.Errorf("%s: appendBatchBody\n%s\nwant\n%s", name, got, want)
 		}
 	}
 }
@@ -249,5 +251,131 @@ func TestCachedResultServedConcurrently(t *testing.T) {
 	}
 	if solves := eng.MetricsSnapshot().Solves; solves != 1 {
 		t.Errorf("%d solves, want 1", solves)
+	}
+}
+
+// TestBatchBodyBufferReuse: batches of different sizes sent through one
+// handler, back to back and then from several goroutines at once, each get
+// the indented encoding of their own results, so no body carries bytes of
+// an earlier one built in the same pooled buffer.
+func TestBatchBodyBufferReuse(t *testing.T) {
+	typical := spec.TypicalSpec()
+	batches := [][]*spec.Spec{
+		failSweep(typical),
+		{typical},
+		append(failSweep(typical)[:3], typical),
+		{failSweep(typical)[5]},
+	}
+	reqs := make([][]byte, len(batches))
+	wants := make([][]byte, len(batches))
+	for i, batch := range batches {
+		req, err := json.Marshal(map[string]any{"scenarios": batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = req
+		wants[i] = indented(t, batchResponse{Results: evaluateAll(t, New(Config{}), batch)})
+	}
+	h := NewHandler(New(Config{}), 30*time.Second)
+	post := func(i int) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(reqs[i])))
+		return rec.Body.Bytes()
+	}
+	for round := 0; round < 2; round++ {
+		for i := range batches {
+			if got := post(i); !bytes.Equal(got, wants[i]) {
+				t.Fatalf("round %d, batch %d: body differs from the indented encoding", round, i)
+			}
+		}
+	}
+
+	const goroutines, perG = 8, 6
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < perG; k++ {
+				i := (g + k) % len(batches)
+				if got := post(i); !bytes.Equal(got, wants[i]) {
+					t.Errorf("goroutine %d, batch %d: body differs from the indented encoding", g, i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestBatchBodyBuffersBounded: the handler keeps at most keptBatchBodies
+// buffers, none above maxKeptBatchBody, and hands a kept one back empty.
+func TestBatchBodyBuffersBounded(t *testing.T) {
+	s := &apiServer{batchBodies: make(chan []byte, keptBatchBodies)}
+	if b := s.batchBuffer(); b != nil {
+		t.Fatalf("a fresh handler handed out a %d-byte buffer", cap(b))
+	}
+	s.keepBatchBuffer(make([]byte, 10, maxKeptBatchBody+1))
+	if n := len(s.batchBodies); n != 0 {
+		t.Fatalf("an outsized buffer was kept (%d kept)", n)
+	}
+	for i := 0; i < keptBatchBodies+2; i++ {
+		s.keepBatchBuffer(make([]byte, 10, maxKeptBatchBody))
+	}
+	if n := len(s.batchBodies); n != keptBatchBodies {
+		t.Fatalf("%d buffers kept, want %d", n, keptBatchBodies)
+	}
+	if b := s.batchBuffer(); len(b) != 0 || cap(b) != maxKeptBatchBody {
+		t.Fatalf("reused buffer has len %d, cap %d; want 0, %d", len(b), cap(b), maxKeptBatchBody)
+	}
+}
+
+// jsonFloatByStrconv is appendJSONFloat without its integer path: the
+// strconv formatting encoding/json applies to every float.
+func jsonFloatByStrconv(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// TestAppendJSONFloatIntegers: the integer path writes what strconv and
+// encoding/json write, around its edges (±0, ±2^53, 1e21, tiny and
+// subnormal values) and on random whole numbers and random bit patterns.
+func TestAppendJSONFloatIntegers(t *testing.T) {
+	two53 := float64(maxExactInt)
+	inputs := []float64{
+		0, math.Copysign(0, -1), 1, -1, 10, 120, 4210, 1e15, 0.5, -0.5, 1.5, 123.25,
+		two53, math.Nextafter(two53, 0), math.Nextafter(two53, math.Inf(1)), two53 - 1, two53 + 2,
+		1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)), 1e20, 1e22,
+		1e-6, 1e-7, math.Nextafter(1e-6, 0), 5e-324, math.SmallestNonzeroFloat64, 0x1p-1022, math.Nextafter(0x1p-1022, 0),
+		math.MaxFloat64, math.MaxInt64, math.MinInt64,
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		inputs = append(inputs,
+			math.Float64frombits(rng.Uint64()),
+			float64(rng.Int63n(1<<54)-1<<53),
+			float64(rng.Intn(100000))*10,
+		)
+	}
+	for _, f := range inputs {
+		for _, v := range []float64{f, -f} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				continue
+			}
+			got := appendJSONFloat(nil, v)
+			if want := jsonFloatByStrconv(nil, v); !bytes.Equal(got, want) {
+				t.Fatalf("%v (bits %#x): %s, strconv writes %s", v, math.Float64bits(v), got, want)
+			}
+			if want, err := json.Marshal(v); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%v (bits %#x): %s, encoding/json writes %s (%v)", v, math.Float64bits(v), got, want, err)
+			}
+		}
 	}
 }

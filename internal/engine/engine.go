@@ -437,20 +437,19 @@ func newNetBase(built *spec.Built) *netBase {
 // pmf is the part of a delay distribution (a *stats.PMF) that a result
 // lists.
 type pmf interface {
-	Support() []float64
-	Prob(x float64) float64
+	Points() (xs, ps []float64)
 }
 
 // delayPoints lists a distribution's support points in ascending order, or
 // nil when it has none.
 func delayPoints(d pmf) []DelayPoint {
-	xs := d.Support()
+	xs, ps := d.Points()
 	if len(xs) == 0 {
 		return nil
 	}
 	out := make([]DelayPoint, len(xs))
 	for i, x := range xs {
-		out[i] = DelayPoint{MS: x, Prob: d.Prob(x)}
+		out[i] = DelayPoint{MS: x, Prob: ps[i]}
 	}
 	return out
 }

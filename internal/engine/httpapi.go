@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 
@@ -41,6 +42,8 @@ func NewHandler(e *Engine, timeout time.Duration) http.Handler {
 		timeout: timeout,
 		started: time.Now(),
 		index:   newBodyIndex(bodyIndexPerResult * e.cache.cap),
+
+		batchBodies: make(chan []byte, keptBatchBodies),
 	}
 	e.Registry().GaugeFunc("whart_engine_body_index_entries",
 		"Request bodies in the HTTP body index (the most recently created handler's).",
@@ -64,6 +67,8 @@ type apiServer struct {
 	timeout time.Duration
 	started time.Time
 	index   *bodyIndex // /v1/network and /v1/evaluate bodies -> keys
+	// batchBodies holds /v1/batch body buffers for reuse.
+	batchBodies chan []byte
 }
 
 type errorResponse struct {
@@ -130,26 +135,63 @@ func (s *apiServer) writeResult(w http.ResponseWriter, res *Result) {
 	s.writeOK(w, body, err)
 }
 
-// batchBody renders batchResponse{results} exactly as encodeIndented
-// would, splicing in each result's stored encoding: nested two levels
-// deep, every line of a result after its first gains four spaces. This is
-// exact because encoded JSON strings never hold a raw newline, so every
-// '\n' in an encoding is a line break. results is non-empty: the handler
-// and EvaluateBatch reject an empty batch.
-func batchBody(results []*Result) ([]byte, error) {
+// A /v1/batch body is built in a buffer the handler reuses: a failure
+// sweep's body is megabytes, and a fresh slice per request allocated and
+// zeroed that much. The handler keeps at most keptBatchBodies buffers of at
+// most maxKeptBatchBody bytes each, so it holds 16 MiB at most and one
+// outsized batch does not pin its buffer. A sync.Pool keeps too little
+// here: a handler goroutine parks on the solve workers and may resume on
+// another P, whose pool shard is empty, and an idle shard's buffer is
+// dropped after two garbage collections; on two CPUs it regrew about
+// 0.6 MB a request in BenchmarkHTTPBatchFailsweep/sweep.
+const (
+	keptBatchBodies  = 4
+	maxKeptBatchBody = 4 << 20
+)
+
+// batchBuffer returns an empty buffer to build a /v1/batch body in.
+func (s *apiServer) batchBuffer() []byte {
+	select {
+	case b := <-s.batchBodies:
+		return b[:0]
+	default:
+		return nil
+	}
+}
+
+// keepBatchBuffer offers b for reuse once the response writer has copied
+// it out.
+func (s *apiServer) keepBatchBuffer(b []byte) {
+	if cap(b) > maxKeptBatchBody {
+		return
+	}
+	select {
+	case s.batchBodies <- b:
+	default:
+	}
+}
+
+// appendBatchBody appends batchResponse{results} to body exactly as
+// encodeIndented would render it, splicing in each result's stored
+// encoding: nested two levels deep, every line of a result after its
+// first gains four spaces. This is exact because encoded JSON strings
+// never hold a raw newline, so every '\n' in an encoding is a line break.
+// results is non-empty: the handler and EvaluateBatch reject an empty
+// batch. On an error body is returned unchanged.
+func appendBatchBody(body []byte, results []*Result) ([]byte, error) {
 	const head, tail, indent = "{\n  \"results\": [\n", "  ]\n}\n", "    "
 	encs := make([][]byte, len(results))
 	size := len(head) + len(tail)
 	for i, r := range results {
 		b, err := r.encoding()
 		if err != nil {
-			return nil, err
+			return body, err
 		}
 		encs[i] = b
 		// b with every line indented, and a comma.
 		size += len(b) + len(indent)*bytes.Count(b, []byte{'\n'}) + 1
 	}
-	body := make([]byte, 0, size)
+	body = slices.Grow(body, size)
 	body = append(body, head...)
 	for i, b := range encs {
 		body = append(body, indent...)
@@ -443,8 +485,9 @@ func (s *apiServer) batch(w http.ResponseWriter, r *http.Request) {
 		writeEngineErr(w, err)
 		return
 	}
-	body, err := batchBody(results)
+	body, err := appendBatchBody(s.batchBuffer(), results)
 	s.writeOK(w, body, err)
+	s.keepBatchBuffer(body)
 }
 
 // predictCandidate accepts either a single-hop "ebN0" or a multi-hop

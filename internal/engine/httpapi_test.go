@@ -369,8 +369,8 @@ func TestUnencodableResponseIs500(t *testing.T) {
 			body, err := bad.encoding()
 			writeEncoded(w, http.StatusOK, body, err)
 		})
-		if _, err := batchBody([]*Result{{Key: "ok"}, bad}); err == nil {
-			t.Error("batchBody encoded a NaN result")
+		if _, err := appendBatchBody(nil, []*Result{{Key: "ok"}, bad}); err == nil {
+			t.Error("appendBatchBody encoded a NaN result")
 		}
 	}
 }

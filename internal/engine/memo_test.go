@@ -128,7 +128,7 @@ func freshBatchBody(t *testing.T, specs []*spec.Spec) []byte {
 		}
 		results[i] = res
 	}
-	body, err := batchBody(results)
+	body, err := appendBatchBody(nil, results)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,17 +271,27 @@ func (c *keyBuf) canonicalize(s *spec.Spec) ([]byte, error) {
 	}
 	b = listEnd(b, len(c.order))
 
+	// The schedule members are written as the build reads them: a
+	// generated schedule (policy or priority) ignores fup and builds at
+	// least one channel, an explicit one ignores extraIdle and fails on any
+	// channel count but 0 (one) and 1.
 	sc := &s.Schedule
+	extraIdle, channels, fup := sc.ExtraIdle, cmp.Or(sc.Channels, 1), sc.Fup
+	if sc.Policy != "" || len(sc.Priority) > 0 {
+		channels, fup = max(sc.Channels, 1), 0
+	} else {
+		extraIdle = 0
+	}
 	b = append(b, `,"Schedule":{"Policy":`...)
 	b = appendJSONString(b, sc.Policy)
 	b = append(b, `,"Priority":`...)
 	b = appendStrings(b, sc.Priority)
 	b = append(b, `,"ExtraIdle":`...)
-	b = strconv.AppendInt(b, int64(sc.ExtraIdle), 10)
+	b = strconv.AppendInt(b, int64(extraIdle), 10)
 	b = append(b, `,"Channels":`...)
-	b = strconv.AppendInt(b, int64(cmp.Or(sc.Channels, 1)), 10)
+	b = strconv.AppendInt(b, int64(channels), 10)
 	b = append(b, `,"Fup":`...)
-	b = strconv.AppendInt(b, int64(sc.Fup), 10)
+	b = strconv.AppendInt(b, int64(fup), 10)
 	b = append(b, `,"Slots":`...)
 	for i, si := range c.slots {
 		tr := &slots[si]

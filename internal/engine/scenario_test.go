@@ -138,6 +138,61 @@ func TestKeyCanonicalization(t *testing.T) {
 			same: true,
 		},
 		{
+			name: "policy schedule with channels -1, which builds one channel",
+			spec: func() *spec.Spec {
+				s := spec.TypicalSpec()
+				s.Schedule.Channels = -1
+				return s
+			},
+			same: true,
+		},
+		{
+			name: "fup beside a policy, which the build ignores",
+			spec: func() *spec.Spec {
+				s := spec.TypicalSpec()
+				s.Schedule.Fup = 40
+				return s
+			},
+			same: true,
+		},
+		{
+			name: "fup beside a priority order, which the build ignores",
+			base: func() *spec.Spec {
+				s := spec.TypicalSpec()
+				s.Schedule.Policy = ""
+				s.Schedule.Priority = []string{"n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8", "n9", "n10"}
+				return s
+			},
+			spec: func() *spec.Spec {
+				s := spec.TypicalSpec()
+				s.Schedule.Policy = ""
+				s.Schedule.Priority = []string{"n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8", "n9", "n10"}
+				s.Schedule.Fup = 40
+				return s
+			},
+			same: true,
+		},
+		{
+			name: "extraIdle beside explicit slots, which the build ignores",
+			base: func() *spec.Spec { return explicitTypical(t) },
+			spec: func() *spec.Spec {
+				s := explicitTypical(t)
+				s.Schedule.ExtraIdle = 3
+				return s
+			},
+			same: true,
+		},
+		{
+			name: "explicit schedule with channels -1, which fails to build",
+			base: func() *spec.Spec { return explicitTypical(t) },
+			spec: func() *spec.Spec {
+				s := explicitTypical(t)
+				s.Schedule.Channels = -1
+				return s
+			},
+			same: false,
+		},
+		{
 			name: "one link BER changed",
 			spec: func() *spec.Spec {
 				s := spec.TypicalSpec()

@@ -55,11 +55,11 @@ func DelayDistribution(res *pathmodel.Result, fdown int) (*stats.PMF, error) {
 	if fdown < 0 {
 		return nil, fmt.Errorf("measures: negative downlink frame %d", fdown)
 	}
-	pmf := stats.NewPMF()
-	for i, p := range res.CycleProbs {
-		pmf.Add(DelayMS(res.GoalAges[i], i+1, fdown), p)
+	pmf := rawDelays(res, fdown)
+	if err := pmf.Normalize(); err != nil {
+		return nil, err
 	}
-	return pmf.Normalized()
+	return pmf, nil
 }
 
 // RawDelayDistribution returns the unnormalized delay PMF: mass at d_i
@@ -69,11 +69,18 @@ func RawDelayDistribution(res *pathmodel.Result, fdown int) (*stats.PMF, error) 
 	if fdown < 0 {
 		return nil, fmt.Errorf("measures: negative downlink frame %d", fdown)
 	}
+	return rawDelays(res, fdown), nil
+}
+
+// rawDelays is RawDelayDistribution for a valid fdown. A path's goal ages
+// strictly increase, so its delays ascend and each Add appends.
+func rawDelays(res *pathmodel.Result, fdown int) *stats.PMF {
 	pmf := stats.NewPMF()
+	pmf.Grow(len(res.CycleProbs))
 	for i, p := range res.CycleProbs {
 		pmf.Add(DelayMS(res.GoalAges[i], i+1, fdown), p)
 	}
-	return pmf, nil
+	return pmf
 }
 
 // ExpectedDelayMS returns E[tau] (paper Eq. 9) in milliseconds.
@@ -133,17 +140,72 @@ func OverallDelay(results []*pathmodel.Result, fdown int) (*stats.PMF, error) {
 	if fdown < 0 {
 		return nil, fmt.Errorf("measures: negative downlink frame %d", fdown)
 	}
-	// A path's goal ages strictly increase, so its delays are distinct and
-	// adding p*w point by point, path by path, sums each point in the same
-	// order as merging scaled per-path RawDelayDistributions.
-	out := stats.NewPMF()
+	// A path's goal ages strictly increase, so its delays ascend. Merging
+	// the paths' delay lists hands Add every point in ascending order, so
+	// each Add appends or accumulates on the last point, and equal delays
+	// in path order, so each point sums p*w in the order of adding path by
+	// path — the same bits as merging scaled RawDelayDistributions.
 	w := 1 / float64(len(results))
-	for _, res := range results {
-		for i, p := range res.CycleProbs {
-			out.Add(DelayMS(res.GoalAges[i], i+1, fdown), p*w)
+	h := make(delayHeap, 0, len(results))
+	n := 0
+	for p, res := range results {
+		n += len(res.CycleProbs)
+		if len(res.CycleProbs) > 0 {
+			h = append(h, delayCursor{delay: DelayMS(res.GoalAges[0], 1, fdown), path: p})
 		}
 	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	out := stats.NewPMF()
+	out.Grow(n)
+	for len(h) > 0 {
+		c := &h[0]
+		res := results[c.path]
+		out.Add(c.delay, res.CycleProbs[c.cycle]*w)
+		if c.cycle++; c.cycle < len(res.CycleProbs) {
+			c.delay = DelayMS(res.GoalAges[c.cycle], c.cycle+1, fdown)
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		h.down(0)
+	}
 	return out, nil
+}
+
+// delayCursor is a path's next point in OverallDelay's merge: the delay
+// of its cycle (0-based).
+type delayCursor struct {
+	delay       float64
+	path, cycle int
+}
+
+// delayHeap is a binary min-heap of the paths' cursors, ordered by delay
+// and then by path.
+type delayHeap []delayCursor
+
+func (h delayHeap) less(i, j int) bool {
+	a, b := &h[i], &h[j]
+	return a.delay < b.delay || !(b.delay < a.delay) && a.path < b.path
+}
+
+// down moves h[i] down until neither child is less than it.
+func (h delayHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // OverallMeanDelayMS returns E[Gamma] (paper Eq. 13): the average of the

@@ -56,9 +56,13 @@ func (rt *RoundTrip) DelayDistribution(fup, fdown int) (*stats.PMF, error) {
 		return nil, fmt.Errorf("measures: invalid frame sizes %d/%d", fup, fdown)
 	}
 	pmf := stats.NewPMF()
+	pmf.Grow(len(rt.CycleProbs))
 	frameMS := float64(fup+fdown) * 10
 	for k, p := range rt.CycleProbs {
 		pmf.Add(float64(k+1)*frameMS, p)
 	}
-	return pmf.Normalized()
+	if err := pmf.Normalize(); err != nil {
+		return nil, err
+	}
+	return pmf, nil
 }

@@ -6,62 +6,101 @@
 package stats
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // PMF is a probability mass function over float64 support points. The zero
 // value is an empty PMF ready for use.
+//
+// The support is kept in ascending order by construction, so every
+// reduction walks it in that order and sums bit-identically from run to
+// run (float addition is not associative). A point added above the current
+// largest one, or onto it, costs O(1); the delay distributions are built
+// that way. Writing an existing point stores x again, as a map key is, so
+// a zero point carries the sign last written. Support points must not be
+// NaN.
 type PMF struct {
-	points map[float64]float64
+	xs []float64 // support points, ascending
+	ps []float64 // ps[i] is the probability at xs[i]
 }
 
 // NewPMF returns an empty PMF.
-func NewPMF() *PMF { return &PMF{points: map[float64]float64{}} }
+func NewPMF() *PMF { return &PMF{} }
+
+// Grow reserves room for n more support points.
+func (m *PMF) Grow(n int) {
+	m.xs = slices.Grow(m.xs, n)
+	m.ps = slices.Grow(m.ps, n)
+}
+
+// find returns the index of x in the support, or the index at which it
+// would be inserted and false. A point above the last one, or equal to
+// it, is found without a search.
+func (m *PMF) find(x float64) (int, bool) {
+	n := len(m.xs)
+	if n == 0 || x > m.xs[n-1] {
+		return n, false
+	}
+	if cmp.Compare(x, m.xs[n-1]) == 0 {
+		return n - 1, true
+	}
+	return slices.BinarySearch(m.xs, x)
+}
 
 // Set assigns probability p to support point x, replacing any prior value.
 func (m *PMF) Set(x, p float64) {
-	if m.points == nil {
-		m.points = map[float64]float64{}
+	if i, ok := m.find(x); ok {
+		m.xs[i], m.ps[i] = x, p
+	} else {
+		m.insert(i, x, p)
 	}
-	m.points[x] = p
 }
 
-// Add accumulates probability p onto support point x.
+// Add accumulates probability p onto support point x. A new point starts
+// from zero mass, so it holds 0+p (+0 where p is -0).
 func (m *PMF) Add(x, p float64) {
-	if m.points == nil {
-		m.points = map[float64]float64{}
+	if i, ok := m.find(x); ok {
+		m.xs[i], m.ps[i] = x, m.ps[i]+p
+	} else {
+		m.insert(i, x, 0+p)
 	}
-	m.points[x] += p
+}
+
+func (m *PMF) insert(i int, x, p float64) {
+	m.xs = slices.Insert(m.xs, i, x)
+	m.ps = slices.Insert(m.ps, i, p)
 }
 
 // Prob returns the probability at support point x (zero if absent).
-func (m *PMF) Prob(x float64) float64 { return m.points[x] }
+func (m *PMF) Prob(x float64) float64 {
+	if i, ok := m.find(x); ok {
+		return m.ps[i]
+	}
+	return 0
+}
 
 // Len returns the number of support points.
-func (m *PMF) Len() int { return len(m.points) }
+func (m *PMF) Len() int { return len(m.xs) }
 
 // Support returns the support points in ascending order.
 func (m *PMF) Support() []float64 {
-	out := make([]float64, 0, len(m.points))
-	for x := range m.points {
-		out = append(out, x)
-	}
-	sort.Float64s(out)
-	return out
+	return append(make([]float64, 0, len(m.xs)), m.xs...)
 }
 
-// Total returns the total probability mass. Like every PMF reduction, it
-// accumulates in ascending support order: float addition is not
-// associative, so summing in map-iteration order would make results
-// differ between runs at the ulp level — visible wherever outputs must be
-// byte-identical per seed (the fleet reports).
+// Points returns the support points in ascending order and their
+// probabilities, index for index. The slices are the PMF's own: callers
+// must not modify them, and they are valid until the PMF next changes.
+func (m *PMF) Points() (xs, ps []float64) { return m.xs, m.ps }
+
+// Total returns the total probability mass.
 func (m *PMF) Total() float64 {
 	var s float64
-	for _, x := range m.Support() {
-		s += m.points[x]
+	for _, p := range m.ps {
+		s += p
 	}
 	return s
 }
@@ -71,8 +110,8 @@ func (m *PMF) Total() float64 {
 // renormalizing.
 func (m *PMF) Mean() float64 {
 	var s float64
-	for _, x := range m.Support() {
-		s += x * m.points[x]
+	for i, x := range m.xs {
+		s += x * m.ps[i]
 	}
 	return s
 }
@@ -83,9 +122,9 @@ func (m *PMF) Mean() float64 {
 func (m *PMF) Variance() float64 {
 	mean := m.Mean()
 	var s float64
-	for _, x := range m.Support() {
+	for i, x := range m.xs {
 		d := x - mean
-		s += d * d * m.points[x]
+		s += d * d * m.ps[i]
 	}
 	return s
 }
@@ -99,26 +138,43 @@ func (m *PMF) StdDev() float64 {
 	return math.Sqrt(v)
 }
 
+// Normalize scales m to total mass one in place. It returns an error,
+// leaving m unchanged, if the PMF has no mass.
+func (m *PMF) Normalize() error {
+	tot := m.Total()
+	if tot <= 0 {
+		return errors.New("stats: cannot normalize PMF with no mass")
+	}
+	for i := range m.ps {
+		m.ps[i] /= tot
+	}
+	return nil
+}
+
 // Normalized returns a copy scaled to total mass one. It returns an error
 // if the PMF has no mass.
 func (m *PMF) Normalized() (*PMF, error) {
-	tot := m.Total()
-	if tot <= 0 {
-		return nil, errors.New("stats: cannot normalize PMF with no mass")
-	}
-	out := NewPMF()
-	for x, p := range m.points {
-		out.points[x] = p / tot
+	out := m.clone()
+	if err := out.Normalize(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // Scale returns a copy with every probability multiplied by alpha.
 func (m *PMF) Scale(alpha float64) *PMF {
-	out := NewPMF()
-	for x, p := range m.points {
-		out.points[x] = p * alpha
+	out := m.clone()
+	for i := range out.ps {
+		out.ps[i] *= alpha
 	}
+	return out
+}
+
+func (m *PMF) clone() *PMF {
+	out := &PMF{}
+	out.Grow(len(m.xs))
+	out.xs = append(out.xs, m.xs...)
+	out.ps = append(out.ps, m.ps...)
 	return out
 }
 
@@ -127,19 +183,19 @@ func (m *PMF) Merge(other *PMF) {
 	if other == nil {
 		return
 	}
-	for x, p := range other.points {
-		m.Add(x, p)
+	for i, x := range other.xs {
+		m.Add(x, other.ps[i])
 	}
 }
 
-// CDFAt returns the cumulative probability P[X <= x], accumulating in
-// support order for run-to-run bit stability.
+// CDFAt returns the cumulative probability P[X <= x].
 func (m *PMF) CDFAt(x float64) float64 {
 	var s float64
-	for _, pt := range m.Support() {
-		if pt <= x {
-			s += m.points[pt]
+	for i, pt := range m.xs {
+		if !(pt <= x) {
+			break
 		}
+		s += m.ps[i]
 	}
 	return s
 }
@@ -151,8 +207,8 @@ func (m *PMF) Quantile(level float64) (float64, error) {
 		return 0, errors.New("stats: quantile of empty PMF")
 	}
 	var cum float64
-	for _, x := range m.Support() {
-		cum += m.points[x]
+	for i, x := range m.xs {
+		cum += m.ps[i]
 		if cum >= level-1e-12 {
 			return x, nil
 		}
@@ -163,11 +219,11 @@ func (m *PMF) Quantile(level float64) (float64, error) {
 // String renders the PMF as "x:p" pairs in support order.
 func (m *PMF) String() string {
 	s := ""
-	for i, x := range m.Support() {
+	for i, x := range m.xs {
 		if i > 0 {
 			s += " "
 		}
-		s += fmt.Sprintf("%g:%.6g", x, m.points[x])
+		s += fmt.Sprintf("%g:%.6g", x, m.ps[i])
 	}
 	return s
 }
