@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 
 	"wirelesshart/internal/spec"
@@ -55,14 +56,14 @@ func (x *bodyIndex) len() int {
 	return x.lru.len()
 }
 
-// requestBody is one request body read in full under the request cap.
+// requestBody is one request body read under the request cap.
 type requestBody struct {
-	// buf holds the endpoint, a 0x00 byte and then the body, so that the
-	// index key is one hash of buf.
-	buf  bytes.Buffer
+	// buf holds an indexed body's endpoint and a 0x00 byte, and then the
+	// body, so that the index key is one hash of buf.
+	buf  []byte
 	head int               // the length of the endpoint prefix
 	err  error             // why reading stopped early; nil when the body was read to EOF
-	sum  [sha256.Size]byte // the index key of buf; set only when err is nil
+	sum  [sha256.Size]byte // the index key of buf; set only for an indexed body read in full
 }
 
 // maxPooledBody bounds the buffers kept for reuse, so one large body does
@@ -71,33 +72,57 @@ const maxPooledBody = 64 << 10
 
 var requestBodies = sync.Pool{New: func() any { return new(requestBody) }}
 
-// readBody reads r's body under the request cap and, when it was read in
-// full, hashes it with endpoint into its index key. Release the body when
-// the handler is done with it.
+// readBody reads r's body under the request cap. A body whose length the
+// client announced within the cap is read into one buffer of that length
+// (and one byte more, for the read that meets its end); any other grows
+// its buffer as it reads. With an endpoint, a body read in full is hashed
+// with endpoint into its index key; a body no handler indexes passes "".
+// Release the body when the handler is done with it.
 func readBody(w http.ResponseWriter, r *http.Request, endpoint string) *requestBody {
 	b := requestBodies.Get().(*requestBody)
-	b.buf.Reset()
-	b.buf.WriteString(endpoint)
-	b.buf.WriteByte(0)
-	b.head = b.buf.Len()
-	_, b.err = b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if b.err == nil {
-		b.sum = sha256.Sum256(b.buf.Bytes())
+	b.buf, b.err = b.buf[:0], nil
+	if endpoint != "" {
+		b.buf = append(append(b.buf, endpoint...), 0)
+	}
+	b.head = len(b.buf)
+	if n := r.ContentLength; n >= 0 && n <= maxRequestBytes {
+		b.buf = slices.Grow(b.buf, int(n)+1)
+	}
+	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	for {
+		if len(b.buf) == cap(b.buf) {
+			b.buf = slices.Grow(b.buf, bytes.MinRead)
+		}
+		n, err := body.Read(b.buf[len(b.buf):cap(b.buf)])
+		b.buf = b.buf[:len(b.buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			b.err = err
+			break
+		}
+	}
+	if endpoint != "" && b.err == nil {
+		b.sum = sha256.Sum256(b.buf)
 	}
 	return b
 }
 
 func (b *requestBody) release() {
-	if b.buf.Cap() <= maxPooledBody {
+	if cap(b.buf) <= maxPooledBody {
 		requestBodies.Put(b)
 	}
 }
 
-// decode strictly parses the body into v, failing exactly as decoding the
-// request stream would: the bytes read, then the error that stopped the
-// read, if any.
-func (b *requestBody) decode(v any) error {
-	var r io.Reader = bytes.NewReader(b.buf.Bytes()[b.head:])
+// data returns the body's bytes.
+func (b *requestBody) data() []byte { return b.buf[b.head:] }
+
+// decodeStrict parses the body into v with spec.DecodeStrict, failing
+// exactly as decoding the request stream would: the bytes read, then the
+// error that stopped the read, if any.
+func (b *requestBody) decodeStrict(v any) error {
+	var r io.Reader = bytes.NewReader(b.data())
 	if b.err != nil {
 		r = io.MultiReader(r, errReader{b.err})
 	}

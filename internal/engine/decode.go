@@ -7,6 +7,8 @@ import (
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"wirelesshart/internal/spec"
 )
 
 // decodeResult parses a Result from its JSON encoding without
@@ -19,9 +21,8 @@ import (
 // Anything else is an error. A body it accepts, json.Unmarshal accepts too,
 // into a deeply equal Result with bit-identical floats.
 func decodeResult(data []byte) (*Result, error) {
-	r := resultReaders.Get().(*resultReader)
+	r := newJSONReader(data)
 	defer r.recycle()
-	r.b, r.i, r.err = data, 0, nil
 	res := &Result{}
 	r.expect('{')
 	r.name("key")
@@ -42,22 +43,19 @@ func decodeResult(data []byte) (*Result, error) {
 	r.field("utilization")
 	res.Utilization = r.float()
 	r.expect('}')
-	r.ws()
-	if r.err == nil && r.i < len(r.b) {
-		r.fail("data after the result")
-	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// resultReader is decodeResult's cursor over one body. The first error
-// sticks: every later read fails at once, so a sequence of reads needs
-// one check at its end. Each slice is read into a scratch buffer of its
-// element type and copied out at its exact length; no element type nests
-// inside itself, so one buffer per type serves the whole body.
-type resultReader struct {
+// jsonReader is the engine's cursor over one JSON body: decodeResult's
+// and the request reader's (request.go). The first error sticks: every
+// later read fails at once, so a sequence of reads needs one check at its
+// end. Each slice is read into a scratch buffer of its element type and
+// copied out at its exact length; no element type nests inside itself,
+// so one buffer per type serves the whole body.
+type jsonReader struct {
 	b   []byte
 	i   int
 	err error
@@ -67,29 +65,64 @@ type resultReader struct {
 	floats []float64
 	points []DelayPoint
 	paths  []PathResult
+
+	rows  [][]float64
+	nodes []spec.Node
+	links []spec.Link
+	slots []spec.Transmission
+	specs []*spec.Spec
+	cands []predictCandidate
+
+	// slab holds the values floatPtr points into, one body's at most.
+	slab     []float64
+	interned [256]string
 }
 
-// resultReaders recycles readers, so a warm reader's scratch buffers have
+// jsonReaders recycles readers, so a warm reader's scratch buffers have
 // grown to a body's longest slices and a decode only allocates its result.
-var resultReaders = sync.Pool{New: func() any { return new(resultReader) }}
+var jsonReaders = sync.Pool{New: func() any { return new(jsonReader) }}
+
+// newJSONReader returns a pooled reader at the start of data.
+func newJSONReader(data []byte) *jsonReader {
+	r := jsonReaders.Get().(*jsonReader)
+	r.b, r.i, r.err = data, 0, nil
+	return r
+}
 
 // recycle drops what r holds of the last body, so a pooled reader keeps
-// no decoded result alive, and puts r back in the pool.
-func (r *resultReader) recycle() {
+// no decoded value alive but its interned strings, and puts r back in
+// the pool.
+func (r *jsonReader) recycle() {
 	clear(r.strs[:cap(r.strs)])
 	clear(r.paths[:cap(r.paths)])
-	r.b, r.err = nil, nil
-	resultReaders.Put(r)
+	clear(r.rows[:cap(r.rows)])
+	clear(r.nodes[:cap(r.nodes)])
+	clear(r.links[:cap(r.links)])
+	clear(r.slots[:cap(r.slots)])
+	clear(r.specs[:cap(r.specs)])
+	clear(r.cands[:cap(r.cands)])
+	r.b, r.err, r.slab = nil, nil, nil
+	jsonReaders.Put(r)
 }
 
-func (r *resultReader) fail(what string) {
+// end reads the whitespace after the body's one value and returns the
+// first error of the read: data after the value is one.
+func (r *jsonReader) end() error {
+	r.ws()
+	if r.err == nil && r.i < len(r.b) {
+		r.fail("data after the value")
+	}
+	return r.err
+}
+
+func (r *jsonReader) fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("offset %d: %s", r.i, what)
 	}
 }
 
 // ws skips JSON whitespace.
-func (r *resultReader) ws() {
+func (r *jsonReader) ws() {
 	i := r.i
 	for i < len(r.b) {
 		if c := r.b[i]; c > ' ' || (c != ' ' && c != '\n' && c != '\t' && c != '\r') {
@@ -101,13 +134,13 @@ func (r *resultReader) ws() {
 }
 
 // peek skips whitespace and reports whether the next byte is c.
-func (r *resultReader) peek(c byte) bool {
+func (r *jsonReader) peek(c byte) bool {
 	r.ws()
 	return r.err == nil && r.i < len(r.b) && r.b[r.i] == c
 }
 
 // expect reads the byte c after any whitespace.
-func (r *resultReader) expect(c byte) {
+func (r *jsonReader) expect(c byte) {
 	if !r.peek(c) {
 		r.fail("want " + strconv.QuoteRune(rune(c)))
 		return
@@ -116,7 +149,7 @@ func (r *resultReader) expect(c byte) {
 }
 
 // name reads the member name s and its colon.
-func (r *resultReader) name(s string) {
+func (r *jsonReader) name(s string) {
 	if !r.nameIs(s) {
 		r.fail("want member " + strconv.Quote(s))
 		return
@@ -125,7 +158,7 @@ func (r *resultReader) name(s string) {
 }
 
 // nameIs reports whether the quoted name s comes next, and reads it if so.
-func (r *resultReader) nameIs(s string) bool {
+func (r *jsonReader) nameIs(s string) bool {
 	if !r.peek('"') {
 		return false
 	}
@@ -138,14 +171,14 @@ func (r *resultReader) nameIs(s string) bool {
 }
 
 // field reads the comma before the member s, then its name.
-func (r *resultReader) field(s string) {
+func (r *jsonReader) field(s string) {
 	r.expect(',')
 	r.name(s)
 }
 
 // optField reads the comma and name of the member s, which may be left
 // out, and reports whether it was there. When it is not, nothing is read.
-func (r *resultReader) optField(s string) bool {
+func (r *jsonReader) optField(s string) bool {
 	at := r.i
 	if r.peek(',') {
 		r.i++
@@ -158,8 +191,59 @@ func (r *resultReader) optField(s string) bool {
 	return false
 }
 
+// member reads the name and colon of an object's next member, after the
+// comma before it, and returns the name's index in names; at the object's
+// closing brace it reads the brace and returns -1. The members may come
+// in any order, each at most once: seen holds one bit per name and starts
+// at 0 for each object, so it tells the first member, which no comma
+// precedes, from the rest. A name that is not in names byte for byte (an
+// escaped one among them) or that repeats is an error, and so is -1.
+func (r *jsonReader) member(names []string, seen *uint64) int {
+	if r.peek('}') {
+		r.i++
+		return -1
+	}
+	if *seen != 0 {
+		r.expect(',')
+	}
+	if !r.peek('"') {
+		r.fail("want a member name")
+		return -1
+	}
+	rest := r.b[r.i+1:]
+	for k, s := range names {
+		if len(rest) <= len(s) || rest[len(s)] != '"' || string(rest[:len(s)]) != s {
+			continue
+		}
+		if *seen&(1<<k) != 0 {
+			r.fail("repeated member " + strconv.Quote(s))
+			return -1
+		}
+		*seen |= 1 << k
+		r.i += len(s) + 2
+		r.expect(':')
+		if r.err != nil {
+			return -1
+		}
+		return k
+	}
+	r.fail("unknown member")
+	return -1
+}
+
+// object reads the '{' that opens an object and reports true, or reads
+// null, which leaves the value zero as encoding/json does, and reports
+// false. On an error it reports false.
+func (r *jsonReader) object() bool {
+	if r.null() {
+		return false
+	}
+	r.expect('{')
+	return r.err == nil
+}
+
 // null reads the literal null if it comes next and reports whether it did.
-func (r *resultReader) null() bool {
+func (r *jsonReader) null() bool {
 	if r.peek('n') && len(r.b)-r.i >= 4 && string(r.b[r.i:r.i+4]) == "null" {
 		r.i += 4
 		return true
@@ -169,7 +253,7 @@ func (r *resultReader) null() bool {
 
 // readArray reads null as a nil slice, or an array whose elements elem
 // reads, collected in *scratch and returned in a slice of exact length.
-func readArray[T any](r *resultReader, scratch *[]T, elem func() T) []T {
+func readArray[T any](r *jsonReader, scratch *[]T, elem func() T) []T {
 	if r.null() {
 		return nil
 	}
@@ -194,7 +278,7 @@ func readArray[T any](r *resultReader, scratch *[]T, elem func() T) []T {
 	return append(make([]T, 0, len(buf)), buf...)
 }
 
-func (r *resultReader) path() PathResult {
+func (r *jsonReader) path() PathResult {
 	var p PathResult
 	r.expect('{')
 	r.name("source")
@@ -220,7 +304,7 @@ func (r *resultReader) path() PathResult {
 	return p
 }
 
-func (r *resultReader) point() DelayPoint {
+func (r *jsonReader) point() DelayPoint {
 	var pt DelayPoint
 	r.expect('{')
 	r.name("ms")
@@ -233,7 +317,7 @@ func (r *resultReader) point() DelayPoint {
 
 // number reads a number as the JSON grammar writes it and returns its
 // text and whether it has neither a fraction nor an exponent.
-func (r *resultReader) number() (text []byte, integer bool) {
+func (r *jsonReader) number() (text []byte, integer bool) {
 	r.ws()
 	if r.err != nil {
 		return nil, false
@@ -281,7 +365,7 @@ func (r *resultReader) number() (text []byte, integer bool) {
 	return b[start:j], integer
 }
 
-func (r *resultReader) int() int {
+func (r *jsonReader) int() int {
 	text, integer := r.number()
 	if r.err != nil {
 		return 0
@@ -298,7 +382,7 @@ func (r *resultReader) int() int {
 	return int(n)
 }
 
-func (r *resultReader) float() float64 {
+func (r *jsonReader) float() float64 {
 	text, _ := r.number()
 	if r.err != nil {
 		return 0
@@ -313,7 +397,7 @@ func (r *resultReader) float() float64 {
 
 // str reads a string. One without escapes, control bytes or invalid
 // UTF-8 is copied as it stands; any other goes through unquote.
-func (r *resultReader) str() string {
+func (r *jsonReader) str() string {
 	if !r.peek('"') {
 		r.fail("want a string")
 		return ""
@@ -324,7 +408,7 @@ func (r *resultReader) str() string {
 		switch {
 		case c == '"':
 			r.i = j + 1
-			return string(r.b[start:j])
+			return r.intern(r.b[start:j])
 		case c == '\\' || c < ' ':
 			return r.unquote(start)
 		case c < utf8.RuneSelf:
@@ -342,11 +426,36 @@ func (r *resultReader) str() string {
 	return ""
 }
 
+// maxInterned bounds the strings intern shares.
+const maxInterned = 32
+
+// intern returns b as a string, and the string of an earlier b with the
+// same bytes if it is still in r's table: a body names each node many
+// times (in its nodes, links and slots, in every scenario of a batch and
+// every route of a result), and names are most of its strings. The table
+// is a fixed array indexed by a hash of the bytes, so it holds at most
+// len(r.interned) short strings, each until an other string takes its
+// place.
+func (r *jsonReader) intern(b []byte) string {
+	if len(b) > maxInterned {
+		return string(b)
+	}
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	slot := &r.interned[h%uint32(len(r.interned))]
+	if *slot != string(b) {
+		*slot = string(b)
+	}
+	return *slot
+}
+
 // unquote reads the rest of a string whose contents begin at start, as
 // encoding/json does: escapes decoded, a \u escape of a lone or misplaced
 // surrogate and each byte of invalid UTF-8 replaced by U+FFFD, and a raw
 // control byte an error.
-func (r *resultReader) unquote(start int) string {
+func (r *jsonReader) unquote(start int) string {
 	b := r.b
 	// The string's text up to the next quote bounds most decodings.
 	out := make([]byte, 0, bytes.IndexByte(b[start:], '"')+1)

@@ -233,14 +233,17 @@ func writeEngineErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// decodeInto strictly parses the request body into v.
-func (s *apiServer) decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := spec.DecodeStrict(r.Body, v); err != nil {
+// decodeUnindexed reads and decodes the body of a request that no
+// handler indexes, answering 400 when it does not decode.
+func decodeUnindexed[T any, P requestReader[T]](w http.ResponseWriter, r *http.Request) (T, bool) {
+	body := readBody(w, r, "")
+	defer body.release()
+	req, err := decodeRequest[T, P](body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+		return req, false
 	}
-	return true
+	return req, true
 }
 
 // indexed looks body up in the body index and its entry's key in the
@@ -319,8 +322,8 @@ func (s *apiServer) peerSolve(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var req peerSolveRequest
-	if !s.decodeInto(w, r, &req) {
+	req, ok := decodeUnindexed[peerSolveRequest](w, r)
+	if !ok {
 		return
 	}
 	if req.Scenario == nil {
@@ -382,8 +385,8 @@ func (s *apiServer) evaluate(w http.ResponseWriter, r *http.Request) {
 		s.writePath(w, res, ent.source)
 		return
 	}
-	var req evaluateRequest
-	if err := body.decode(&req); err != nil {
+	req, err := decodeRequest[evaluateRequest](body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -435,8 +438,8 @@ func (s *apiServer) network(w http.ResponseWriter, r *http.Request) {
 		s.writeResult(w, res)
 		return
 	}
-	var req networkRequest
-	if err := body.decode(&req); err != nil {
+	req, err := decodeRequest[networkRequest](body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -470,8 +473,8 @@ func (s *apiServer) batch(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var req batchRequest
-	if !s.decodeInto(w, r, &req) {
+	req, ok := decodeUnindexed[batchRequest](w, r)
+	if !ok {
 		return
 	}
 	if len(req.Scenarios) == 0 {
@@ -513,8 +516,8 @@ func (s *apiServer) predict(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var req predictRequest
-	if !s.decodeInto(w, r, &req) {
+	req, ok := decodeUnindexed[predictRequest](w, r)
+	if !ok {
 		return
 	}
 	if req.Scenario == nil {

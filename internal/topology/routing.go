@@ -103,7 +103,22 @@ func (p Path) Format(n *Network) string {
 // the BFS shortest path to the gateway, breaking ties by the lowest
 // neighbor id (the network manager's deterministic choice). It returns the
 // paths keyed by source node id. Unreachable nodes produce an error.
+//
+// The routes are computed once per state of the network, so a schedule
+// builder and an analyzer of one network share them: every call until the
+// next AddNode or AddLink returns the same map (or error), which callers
+// must not modify. Concurrent calls are safe.
 func (n *Network) UplinkRoutes() (map[NodeID]Path, error) {
+	if r := n.routes.Load(); r != nil {
+		return r.paths, r.err
+	}
+	paths, err := n.uplinkRoutes()
+	n.routes.Store(&uplinkRoutes{paths, err})
+	return paths, err
+}
+
+// uplinkRoutes computes what UplinkRoutes returns.
+func (n *Network) uplinkRoutes() (map[NodeID]Path, error) {
 	gw, err := n.Gateway()
 	if err != nil {
 		return nil, err

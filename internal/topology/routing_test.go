@@ -2,7 +2,9 @@ package topology
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -156,6 +158,63 @@ func TestUplinkRoutesUnreachable(t *testing.T) {
 	}
 	if _, err := n.UplinkRoutes(); err == nil {
 		t.Error("unreachable node should error")
+	}
+}
+
+// TestUplinkRoutesFollowChanges: routes are computed once per state of
+// the network. Calls in between share one map, concurrent first calls
+// included, and AddNode or AddLink makes the next call route the changed
+// network.
+func TestUplinkRoutesFollowChanges(t *testing.T) {
+	n := NewNetwork()
+	g, err := n.AddNode("G", Gateway)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := n.AddNode("a", FieldDevice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.UplinkRoutes(); err == nil {
+		t.Fatal("unreachable node should error")
+	}
+	if _, err := n.AddLink(a, g); err != nil {
+		t.Fatal(err)
+	}
+	maps := make([]map[NodeID]Path, 4)
+	var wg sync.WaitGroup
+	for i := range maps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			maps[i], _ = n.UplinkRoutes()
+		}(i)
+	}
+	wg.Wait()
+	first, err := n.UplinkRoutes()
+	if err != nil || len(first) != 1 || first[a].Hops() != 1 {
+		t.Fatalf("routes after AddLink: %v, %v", first, err)
+	}
+	for i, m := range maps {
+		if len(m) != 1 || m[a].Hops() != 1 {
+			t.Errorf("concurrent call %d: %v", i, m)
+		}
+	}
+	if again, _ := n.UplinkRoutes(); reflect.ValueOf(again).UnsafePointer() != reflect.ValueOf(first).UnsafePointer() {
+		t.Error("a second call on an unchanged network routed it again")
+	}
+	b, err := n.AddNode("b", FieldDevice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.UplinkRoutes(); err == nil {
+		t.Error("routes after AddNode still omit the new, unreachable node")
+	}
+	if _, err := n.AddLink(b, a); err != nil {
+		t.Fatal(err)
+	}
+	if routes, err := n.UplinkRoutes(); err != nil || routes[b].Hops() != 2 {
+		t.Errorf("routes after the second AddLink: %v, %v", routes, err)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // NodeID identifies a node within a network.
@@ -77,6 +78,16 @@ type Network struct {
 	adjacent [][]arc // by node id, sorted by neighbor id
 	gateway  NodeID
 	hasGW    bool
+
+	// routes holds UplinkRoutes' answer until AddNode or AddLink changes
+	// the network.
+	routes atomic.Pointer[uplinkRoutes]
+}
+
+// uplinkRoutes is one UplinkRoutes answer.
+type uplinkRoutes struct {
+	paths map[NodeID]Path
+	err   error
 }
 
 // arc is one direction of a link: the neighbor it reaches and the link.
@@ -116,6 +127,7 @@ func (n *Network) AddNode(name string, kind NodeKind) (NodeID, error) {
 		n.gateway = id
 		n.hasGW = true
 	}
+	n.routes.Store(nil)
 	return id, nil
 }
 
@@ -137,6 +149,7 @@ func (n *Network) AddLink(a, b NodeID) (LinkID, error) {
 	n.linkSet[key] = id
 	n.addArc(a, arc{to: b, link: id})
 	n.addArc(b, arc{to: a, link: id})
+	n.routes.Store(nil)
 	return id, nil
 }
 
