@@ -17,6 +17,7 @@ import (
 // lookup, single-flight and the solve.
 type batchItem struct {
 	spec  *spec.Spec
+	links []spec.ResolvedLink // the resolution the key was written from
 	key   string
 	base  digest // keyAndBase's base digest
 	dupOf int    // index of the earlier identical scenario, or -1
@@ -65,16 +66,18 @@ func (e *Engine) evaluate(ctx context.Context, specs []*spec.Spec, forward, batc
 		return err
 	}
 	canonStart := time.Now()
+	c := keyBufs.Get().(*keyBuf) // holds the items' resolved links until evaluate returns
+	defer c.release()
 	items := make([]*batchItem, len(specs))
 	first := make(map[string]int, len(specs))
 	todo := make([]*batchItem, 0, len(specs))
 	for i, s := range specs {
-		key, base, err := keyAndBase(s)
+		links, key, base, err := c.keyAndBase(s)
 		if err != nil {
 			e.metrics.errors.Add(1)
 			return nil, fail(i, fmt.Errorf("%w: %v", ErrBadScenario, err))
 		}
-		it := &batchItem{spec: s, key: key, base: base, dupOf: -1}
+		it := &batchItem{spec: s, links: links, key: key, base: base, dupOf: -1}
 		if j, ok := first[key]; ok {
 			it.dupOf = j
 			e.metrics.batchDeduped.Add(1)
@@ -220,12 +223,12 @@ type pathRef struct{ item, path int }
 // solveOwned solves owned misses under one worker token, recording one
 // trace. Each miss is realized on an intact network of the call: a miss
 // whose base digest (keyAndBase) has a base in the call takes that base's
-// Overlay with its own failures, and any other is built in full
-// (spec.BuildWith) through the shared structure cache and becomes the
-// base of its digest — so a batch builds each intact network's network,
-// routes, schedule, source keys and path names once, however its columns
-// interleave or spell it. A miss whose overlay fails is built alone, so
-// its error is the full build's. Nothing is shared beyond the call. Each
+// Overlay with its own failures, and any other is built in full from its
+// key's link resolution (spec.BuildResolved) through the shared structure
+// cache and becomes the base of its digest — so a batch builds each intact
+// network's network, routes, schedule, source keys and path names once,
+// however its columns interleave or spell it. A miss whose overlay fails
+// is built alone, so its error is the full build's. Nothing is shared beyond the call. Each
 // path of a miss is answered by the path-result memo or becomes one
 // distinct solve (paths repeated across the misses are solved once), the
 // solves run one after another in first-occurrence order, and
@@ -385,7 +388,7 @@ func (e *Engine) solveOwned(ctx context.Context, owned []*batchItem, batch bool,
 }
 
 // buildOn realizes it on the base of its digest in bases, or else builds
-// it in full with opts and makes the build the base of its digest.
+// its resolution in full with opts and makes that the base of its digest.
 func buildOn(bases map[digest]*netBase, it *batchItem, opts ...core.Option) error {
 	if nb, ok := bases[it.base]; ok {
 		if built, err := nb.built.Overlay(it.spec); err == nil {
@@ -393,7 +396,7 @@ func buildOn(bases map[digest]*netBase, it *batchItem, opts ...core.Option) erro
 			return nil
 		}
 	}
-	built, err := it.spec.BuildWith(opts...)
+	built, err := it.spec.BuildResolved(it.links, opts...)
 	if err != nil {
 		return err
 	}

@@ -104,11 +104,11 @@ func TestFadingTwoStateEngineEquivalence(t *testing.T) {
 	scalar := fadingSpec(nil)
 	// Match the scalar default exactly: resolve the default-parameterized
 	// link to its model and spell that model as a fading block.
-	p, err := scalar.ResolveLinkProcess(scalar.Links[0])
-	if err != nil {
-		t.Fatal(err)
+	r := scalar.ResolveLinks(nil)[0]
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	m := link.MemorylessEquivalent(p)
+	m := link.MemorylessEquivalent(r.Process())
 	embed := fadingSpec(&spec.Fading{
 		Transitions: [][]float64{
 			{1 - m.FailureProb(), m.FailureProb()},

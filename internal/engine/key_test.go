@@ -87,42 +87,13 @@ func oracleScenario(s *spec.Spec) (*canonScenario, error) {
 		}
 		c.Nodes = append(c.Nodes, canonNode{Name: n.Name, Kind: kind})
 	}
-	for _, l := range s.Links {
-		p, err := s.ResolveLinkProcess(l)
-		if err != nil {
-			return nil, fmt.Errorf("engine: link %q-%q: %w", l.A, l.B, err)
+	for _, r := range s.ResolveLinks(nil) {
+		if r.Err != nil {
+			return nil, fmt.Errorf("engine: link %q-%q: %w", r.A, r.B, r.Err)
 		}
-		cl := canonLink{A: l.A, B: l.B}
-		if m, ok := p.(link.Model); ok {
-			cl.PFl, cl.PRc = m.FailureProb(), m.RecoveryProb()
-		} else {
-			cl.Fading = string(p.AppendKey(nil))
-		}
-		if cl.A > cl.B {
-			cl.A, cl.B = cl.B, cl.A
-		}
-		if f := l.Failure; f != nil {
-			switch f.Kind {
-			case "permanent":
-				cl.Failure = "permanent"
-			case "window":
-				cl.Failure = fmt.Sprintf("window:%d:%d", f.FromSlot, f.ToSlot)
-			default:
-				return nil, fmt.Errorf("engine: link %q-%q: unknown failure kind %q", l.A, l.B, f.Kind)
-			}
-		}
-		c.Links = append(c.Links, cl)
+		c.Links = append(c.Links, oracleLink(r.A, r.B, r.Process(), r.Failure))
 	}
-	sort.SliceStable(c.Links, func(i, j int) bool {
-		a, b := c.Links[i], c.Links[j]
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.Failure < b.Failure
-	})
+	sort.SliceStable(c.Links, func(i, j int) bool { return linkLess(c.Links[i], c.Links[j]) })
 	sc := s.Schedule
 	c.Schedule = canonSchedule{
 		Policy:    sc.Policy,
@@ -152,13 +123,52 @@ func oracleScenario(s *spec.Spec) (*canonScenario, error) {
 	return c, nil
 }
 
+// oracleLink is the canonical entry of a link between a and b with
+// process p and failure f (whose kind resolution has checked).
+func oracleLink(a, b string, p link.Process, f *spec.Failure) canonLink {
+	cl := canonLink{A: min(a, b), B: max(a, b)}
+	if m, ok := p.(link.Model); ok {
+		cl.PFl, cl.PRc = m.FailureProb(), m.RecoveryProb()
+	} else {
+		cl.Fading = string(p.AppendKey(nil))
+	}
+	if f != nil {
+		switch f.Kind {
+		case "permanent":
+			cl.Failure = "permanent"
+		case "window":
+			cl.Failure = fmt.Sprintf("window:%d:%d", f.FromSlot, f.ToSlot)
+		}
+	}
+	return cl
+}
+
+// linkLess orders canonical links by endpoints, then failure text.
+func linkLess(a, b canonLink) bool {
+	if a.A != b.A {
+		return a.A < b.A
+	}
+	if a.B != b.B {
+		return a.B < b.B
+	}
+	return a.Failure < b.Failure
+}
+
 // canonicalBytes returns the canonical form Key hashes, copied out of its
 // pooled buffer.
 func canonicalBytes(s *spec.Spec) ([]byte, error) {
 	c := keyBufs.Get().(*keyBuf)
 	defer c.release()
-	b, err := c.canonicalize(s)
+	_, b, err := c.canonicalize(s)
 	return bytes.Clone(b), err
+}
+
+// keyAndBase returns the key of s and its base digest.
+func keyAndBase(s *spec.Spec) (string, digest, error) {
+	c := keyBufs.Get().(*keyBuf)
+	defer c.release()
+	_, key, base, err := c.keyAndBase(s)
+	return key, base, err
 }
 
 // checkCanonical fails unless the append writer and the oracle agree on s:
@@ -195,6 +205,125 @@ func checkCanonical(t *testing.T, name string, s *spec.Spec) {
 	}
 	if _, base, err := keyAndBase(s); err != nil || base != sha256.Sum256(cleared) {
 		t.Errorf("%s: base digest %x, %v; want the hash of the canonical form without failures", name, base, err)
+	}
+}
+
+// checkKeyBuild fails unless the key and the build of s read one
+// resolution of its links: Key fails exactly when a link does not resolve,
+// with the first such link's error, and Build then fails too; when both
+// succeed, every built link's process has the text the key wrote for that
+// link (its fading encoding, or the two-state model of its p_fl and p_rc).
+func checkKeyBuild(t *testing.T, name string, s *spec.Spec) {
+	t.Helper()
+	if s == nil {
+		return
+	}
+	var wantErr error
+	for _, r := range s.ResolveLinks(nil) {
+		if r.Err != nil {
+			wantErr = fmt.Errorf("engine: link %q-%q: %w", r.A, r.B, r.Err)
+			break
+		}
+	}
+	text, err := canonicalBytes(s)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Errorf("%s: key error %v, resolution's %v", name, err, wantErr)
+		return
+	}
+	built, buildErr := s.Build()
+	if err != nil {
+		if buildErr == nil {
+			t.Errorf("%s: Build accepted a scenario Key rejected (%v)", name, err)
+		}
+		return
+	}
+	if buildErr != nil {
+		return
+	}
+	var c canonScenario
+	if err := json.Unmarshal(text, &c); err != nil {
+		t.Fatalf("%s: canonical form: %v", name, err)
+	}
+	// The key sorts links by their oriented endpoints, which are unique
+	// in a built spec; link ids follow declaration order.
+	ids := make([]int, len(s.Links))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		x, y := s.Links[ids[i]], s.Links[ids[j]]
+		return linkLess(canonLink{A: min(x.A, x.B), B: max(x.A, x.B)}, canonLink{A: min(y.A, y.B), B: max(y.A, y.B)})
+	})
+	if len(c.Links) != len(ids) {
+		t.Fatalf("%s: key wrote %d links, spec declares %d", name, len(c.Links), len(ids))
+	}
+	netLinks := built.Net.Links()
+	for k, cl := range c.Links {
+		want := cl.Fading
+		if want == "" {
+			m, err := link.New(cl.PFl, cl.PRc)
+			if err != nil {
+				t.Errorf("%s: link %s-%s: key wrote an invalid model: %v", name, cl.A, cl.B, err)
+				continue
+			}
+			want = string(m.AppendKey(nil))
+		}
+		if got := string(built.Analyzer.LinkProcess(netLinks[ids[k]].ID).AppendKey(nil)); got != want {
+			t.Errorf("%s: link %s-%s: built process %s, key wrote %s", name, cl.A, cl.B, got, want)
+		}
+	}
+}
+
+// TestKeyAgreesWithBuild runs checkKeyBuild over every key case (the
+// typical network with links given by pfl, ber, ebN0, availability, a bare
+// prc, defaultBer and messageBits, and fading blocks; and 64 generated
+// networks, every fourth with fading links) and over scenarios some link
+// of which does not resolve, whose key error texts it pins. A window the
+// build rejects is no key error: the key checks failure kinds only.
+func TestKeyAgreesWithBuild(t *testing.T) {
+	for _, c := range keyCases(t) {
+		checkKeyBuild(t, c.name, c.spec)
+	}
+	f := func(x float64) *float64 { return &x }
+	for _, tt := range []struct {
+		edit func(s *spec.Spec)
+		want string
+	}{
+		{func(s *spec.Spec) { s.Links[4].BER = f(-1) },
+			`engine: link "n5"-"n1": channel: BER -1 out of [0,1]`},
+		{func(s *spec.Spec) { s.Links[2].PFl = f(1.5) },
+			`engine: link "n3"-"G": link: failure probability 1.5 out of [0,1]`},
+		{func(s *spec.Spec) { s.Links[0].PRc = f(0) },
+			`engine: link "n1"-"G": link: recovery probability 0 out of (0,1]`},
+		{func(s *spec.Spec) { s.Links[5].EbN0 = f(-3) },
+			`engine: link "n6"-"n2": channel: Eb/N0 must be finite and non-negative: -3`},
+		{func(s *spec.Spec) { s.Links[6].Availability = f(1.2) },
+			`engine: link "n7"-"n3": link: availability 1.2 out of (0,1]`},
+		{func(s *spec.Spec) { s.DefaultBER = f(2) },
+			`engine: link "n1"-"G": channel: BER 2 out of [0,1]`},
+		{func(s *spec.Spec) { s.MessageBits = -5 },
+			`engine: link "n1"-"G": channel: message must have at least one bit, got -5`},
+		{func(s *spec.Spec) { s.Links[1].Failure = &spec.Failure{Kind: "flaky"} },
+			`engine: link "n2"-"G": unknown failure kind "flaky"`},
+		{func(s *spec.Spec) { s.Links[1].Failure, s.Links[1].EbN0 = &spec.Failure{Kind: "flaky"}, f(-3) },
+			`engine: link "n2"-"G": channel: Eb/N0 must be finite and non-negative: -3`},
+		{func(s *spec.Spec) { s.Links[7].Failure, s.Links[8].BER = &spec.Failure{Kind: "flaky"}, f(2) },
+			`engine: link "n8"-"n3": unknown failure kind "flaky"`},
+		{func(s *spec.Spec) {
+			s.Links[3].PRc = f(0.5)
+			s.Links[3].Fading = &spec.Fading{Transitions: [][]float64{{1}}, Success: []float64{1}}
+		}, `engine: link "n4"-"n1": fading block conflicts with scalar field "prc"`},
+		{func(s *spec.Spec) {
+			s.Links[3].Fading = &spec.Fading{Transitions: [][]float64{{0.5, 0.6}, {0.5, 0.5}}, Success: []float64{1, 0}}
+		}, `engine: link "n4"-"n1": fading block: link: transition row 0 sums to 1.1, want 1`},
+		{func(s *spec.Spec) { s.Links[9].Failure = &spec.Failure{Kind: "window", FromSlot: 9, ToSlot: 3} }, ""},
+	} {
+		s := spec.TypicalSpec()
+		tt.edit(s)
+		if _, err := Key(s); (err == nil) != (tt.want == "") || err != nil && err.Error() != tt.want {
+			t.Errorf("Key error %v, want %q", err, tt.want)
+		}
+		checkKeyBuild(t, tt.want, s)
 	}
 }
 
@@ -490,18 +619,26 @@ var keySeedDocs = []string{
 }
 
 // FuzzKey asserts that the append writer and the oracle agree, byte for
-// byte or error for error, on every spec Parse accepts, starting from
-// keySeedDocs.
+// byte or error for error, and that key and build agree (checkKeyBuild),
+// on every spec Parse accepts, starting from keySeedDocs.
 func FuzzKey(f *testing.F) {
 	for _, s := range keySeedDocs {
 		f.Add(s)
 	}
+	// Links given by each physical field in turn under a non-default BER
+	// and message length.
+	f.Add(`{"nodes": [{"name": "G", "kind": "gateway"}, {"name": "n1"}, {"name": "n2"}, {"name": "n3"}, {"name": "n4"}, {"name": "n5"}],
+	  "links": [{"a": "n1", "b": "G", "pfl": 0.2, "prc": 0.7}, {"a": "n2", "b": "G", "ebN0": 6},
+	            {"a": "n3", "b": "n1", "availability": 0.93}, {"a": "n4", "b": "n2", "prc": 0.8},
+	            {"a": "n5", "b": "n3", "fading": {"transitions": [[0.9, 0.1], [0.4, 0.6]], "success": [1, 0]}}],
+	  "schedule": {"policy": "shortest-first"}, "defaultBer": 3e-4, "messageBits": 512}`)
 	f.Fuzz(func(t *testing.T, doc string) {
 		s, err := spec.Parse(strings.NewReader(doc))
 		if err != nil {
 			return
 		}
 		checkCanonical(t, doc, s)
+		checkKeyBuild(t, doc, s)
 	})
 }
 

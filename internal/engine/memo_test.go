@@ -91,15 +91,15 @@ func spellings(t *testing.T, s *spec.Spec) []*spec.Spec {
 		l := &out[1].Links[i]
 		l.A, l.B = l.B, l.A
 	}
+	resolved := s.ResolveLinks(nil)
 	for i, l := range out[2].Links {
 		if l.Fading != nil {
 			continue
 		}
-		m, err := s.ResolveLinkModel(l)
-		if err != nil {
+		if err := resolved[i].Err; err != nil {
 			t.Fatal(err)
 		}
-		pfl, prc := m.FailureProb(), m.RecoveryProb()
+		pfl, prc := resolved[i].Model.FailureProb(), resolved[i].Model.RecoveryProb()
 		out[2].Links[i] = spec.Link{A: l.A, B: l.B, PFl: &pfl, PRc: &prc, Failure: l.Failure}
 	}
 	d := out[3]

@@ -11,6 +11,7 @@
 package engine
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
@@ -22,7 +23,6 @@ import (
 	"strings"
 	"sync"
 
-	"wirelesshart/internal/link"
 	"wirelesshart/internal/spec"
 )
 
@@ -31,26 +31,28 @@ import (
 // field choice (BER vs the equivalent p_fl) or spelled-out defaults share
 // a key; any semantic change produces a new one.
 func Key(s *spec.Spec) (string, error) {
-	key, _, err := keyAndBase(s)
+	c := keyBufs.Get().(*keyBuf)
+	defer c.release()
+	_, key, _, err := c.keyAndBase(s)
 	return key, err
 }
 
 // digest is a SHA-256 sum: a scenario's base digest.
 type digest = [sha256.Size]byte
 
-// keyAndBase returns the key of s and its base digest, both from one
-// canonical pass. The base digest is the SHA-256 of the canonical form
-// with every "Failure" member written as "": the sum behind the key of s
-// with its failures cleared. (Links sort by their endpoints first, which
-// are unique in any spec Build accepts, so clearing failures moves no
-// link.) Two specs with one base digest realize the same intact network,
-// so the build of either is the spec.Built.Overlay of the other.
-func keyAndBase(s *spec.Spec) (string, digest, error) {
-	c := keyBufs.Get().(*keyBuf)
-	defer c.release()
-	b, err := c.canonicalize(s)
+// keyAndBase returns the link resolution of s (valid until c is released,
+// and what spec.BuildResolved builds s from), its key and its base digest,
+// all from one canonical pass. The base digest is the SHA-256 of the
+// canonical form with every "Failure" member written as "": the sum
+// behind the key of s with its failures cleared. (Links sort by their
+// endpoints first, which are unique in any spec Build accepts, so clearing
+// failures moves no link.) Two specs with one base digest realize the same
+// intact network, so the build of either is the spec.Built.Overlay of the
+// other.
+func (c *keyBuf) keyAndBase(s *spec.Spec) ([]spec.ResolvedLink, string, digest, error) {
+	links, b, err := c.canonicalize(s)
 	if err != nil {
-		return "", digest{}, err
+		return nil, "", digest{}, err
 	}
 	sum := sha256.Sum256(b)
 	base := sum
@@ -69,7 +71,7 @@ func keyAndBase(s *spec.Spec) (string, digest, error) {
 		c.sum = c.h.Sum(c.sum[:0])
 		copy(base[:], c.sum)
 	}
-	return hex.EncodeToString(sum[:]), base, nil
+	return links, hex.EncodeToString(sum[:]), base, nil
 }
 
 // noFailure is the text of a "Failure" member without a failure.
@@ -96,9 +98,10 @@ var noFailure = []byte(`""`)
 //   - Link order is not semantic (routing consults sorted neighbor sets,
 //     never link ids), so links are sorted and their endpoints oriented
 //     lexicographically.
-//   - Each link is resolved to its effective two-state model (p_fl, p_rc):
-//     a link declared via BER and one declared via the equivalent failure
-//     probability hash identically, while any numeric change misses. A
+//   - Each link is written from the resolution the build reads: a
+//     two-state link as its model (p_fl, p_rc), so a link declared via BER
+//     and one via the equivalent failure probability hash identically,
+//     while any numeric change misses. A
 //     k-state fading link instead carries its link.Process encoding as
 //     Fading (PFl and PRc stay 0); the member is left out for two-state
 //     links, which keeps their historical bytes. Process encodings are
@@ -111,22 +114,14 @@ var noFailure = []byte(`""`)
 //   - Explicit schedule entries are order-insensitive and sorted by slot;
 //     a Priority list is an ordered allocation sequence and preserved.
 
-// keyLink is one declared link resolved for its key: its endpoints in
-// lexicographic order, its two-state model or its fading process, and its
-// failure text.
-type keyLink struct {
-	a, b    string
-	model   link.Model
-	fading  link.Process // nil for a two-state link
-	failure string
-}
-
-// keyBuf holds one Key call's scratch: the canonical text, the resolved
-// links, the link and slot orders and the sources. Buffers are pooled, so
-// a warm key allocates only what resolving its links does.
+// keyBuf holds the scratch of one Key call or one evaluation's keys: the
+// resolved links, the canonical text, the link and slot orders and the
+// sources. Buffers are pooled, so a warm key allocates only what resolving
+// its links does.
 type keyBuf struct {
+	links    []spec.ResolvedLink // every key's resolution, appended in turn
+	ends     [][2]string         // the key's links' endpoints in lexicographic order
 	b        []byte
-	links    []keyLink
 	order    []int32  // link indices in canonical order
 	slots    []int32  // explicit-slot indices in canonical order
 	failures [][2]int // the spans of b holding a non-empty "Failure" value
@@ -138,11 +133,13 @@ type keyBuf struct {
 
 var keyBufs = sync.Pool{New: func() any { return new(keyBuf) }}
 
-// release drops c's references into the spec it canonicalized and
+// release drops c's references into the specs it canonicalized and
 // recycles it.
 func (c *keyBuf) release() {
 	clear(c.links)
+	clear(c.ends)
 	clear(c.sources)
+	c.links = c.links[:0]
 	keyBufs.Put(c)
 }
 
@@ -161,54 +158,37 @@ func (t *floatText) append(b []byte, f float64) []byte {
 	return append(b, t.text...)
 }
 
-// canonicalize writes the canonical form of s into c and returns it; the
-// bytes stay valid until c is released.
-func (c *keyBuf) canonicalize(s *spec.Spec) ([]byte, error) {
+// canonicalize resolves the links of s onto c.links and writes the
+// canonical form of s into c; it returns the resolution and the form.
+func (c *keyBuf) canonicalize(s *spec.Spec) ([]spec.ResolvedLink, []byte, error) {
 	if s == nil {
-		return nil, fmt.Errorf("engine: nil scenario")
+		return nil, nil, fmt.Errorf("engine: nil scenario")
 	}
-	c.links, c.order, c.failures = c.links[:0], c.order[:0], c.failures[:0]
-	for i, l := range s.Links {
-		cl := keyLink{a: l.A, b: l.B}
-		var err error
-		if l.Fading == nil {
-			cl.model, err = s.ResolveLinkModel(l)
-		} else {
-			cl.fading, err = s.ResolveLinkProcess(l)
+	from := len(c.links)
+	c.links = s.ResolveLinks(c.links)
+	links := c.links[from:]
+	c.order, c.ends, c.failures = c.order[:0], c.ends[:0], c.failures[:0]
+	for i := range links {
+		l := &links[i]
+		if l.Err != nil {
+			return nil, nil, fmt.Errorf("engine: link %q-%q: %w", l.A, l.B, l.Err)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("engine: link %q-%q: %w", l.A, l.B, err)
-		}
-		if cl.a > cl.b {
-			cl.a, cl.b = cl.b, cl.a
-		}
-		if f := l.Failure; f != nil {
-			switch f.Kind {
-			case "permanent":
-				cl.failure = "permanent"
-			case "window":
-				cl.failure = "window:" + strconv.Itoa(f.FromSlot) + ":" + strconv.Itoa(f.ToSlot)
-			default:
-				return nil, fmt.Errorf("engine: link %q-%q: unknown failure kind %q", l.A, l.B, f.Kind)
-			}
-		}
-		c.links = append(c.links, cl)
+		c.ends = append(c.ends, [2]string{min(l.A, l.B), max(l.A, l.B)})
 		c.order = append(c.order, int32(i))
 	}
 	// Only duplicate links tie on endpoints and failure, and Build rejects
 	// those; the declaration index still makes the order total.
 	slices.SortFunc(c.order, func(i, j int32) int {
-		x, y := &c.links[i], &c.links[j]
-		if r := strings.Compare(x.a, y.a); r != 0 {
+		x, y := &c.ends[i], &c.ends[j]
+		if r := strings.Compare(x[0], y[0]); r != 0 {
 			return r
 		}
-		if r := strings.Compare(x.b, y.b); r != 0 {
+		if r := strings.Compare(x[1], y[1]); r != 0 {
 			return r
 		}
-		if r := strings.Compare(x.failure, y.failure); r != 0 {
-			return r
-		}
-		return cmp.Compare(i, j)
+		var fx, fy [48]byte // the longest window text fits
+		r := bytes.Compare(appendFailure(fx[:0], links[i].Failure), appendFailure(fy[:0], links[j].Failure))
+		return cmp.Or(r, cmp.Compare(i, j))
 	})
 	slots := s.Schedule.Slots
 	c.slots = c.slots[:0]
@@ -217,13 +197,7 @@ func (c *keyBuf) canonicalize(s *spec.Spec) ([]byte, error) {
 	}
 	slices.SortFunc(c.slots, func(i, j int32) int {
 		x, y := &slots[i], &slots[j]
-		if r := cmp.Compare(x.Slot, y.Slot); r != 0 {
-			return r
-		}
-		if r := strings.Compare(x.Source, y.Source); r != 0 {
-			return r
-		}
-		return cmp.Compare(i, j)
+		return cmp.Or(cmp.Compare(x.Slot, y.Slot), strings.Compare(x.Source, y.Source), cmp.Compare(i, j))
 	})
 
 	b := append(c.b[:0], `{"Nodes":`...)
@@ -247,24 +221,24 @@ func (c *keyBuf) canonicalize(s *spec.Spec) ([]byte, error) {
 
 	b = append(b, `,"Links":`...)
 	for i, li := range c.order {
-		l := &c.links[li]
+		l := &links[li]
 		b = listSep(b, i)
 		b = append(b, `{"A":`...)
-		b = appendJSONString(b, l.a)
+		b = appendJSONString(b, c.ends[li][0])
 		b = append(b, `,"B":`...)
-		b = appendJSONString(b, l.b)
+		b = appendJSONString(b, c.ends[li][1])
 		b = append(b, `,"PFl":`...)
-		b = c.pfl.append(b, l.model.FailureProb())
+		b = c.pfl.append(b, l.Model.FailureProb())
 		b = append(b, `,"PRc":`...)
-		b = c.prc.append(b, l.model.RecoveryProb())
-		if l.fading != nil {
+		b = c.prc.append(b, l.Model.RecoveryProb())
+		if l.KState != nil {
 			b = append(b, `,"Fading":`...)
-			b = appendJSONString(b, string(l.fading.AppendKey(nil)))
+			b = appendJSONString(b, string(l.KState.AppendKey(nil)))
 		}
-		b = append(b, `,"Failure":`...)
-		at := len(b)
-		b = appendJSONString(b, l.failure)
-		if l.failure != "" {
+		b = append(b, `,"Failure":"`...)
+		at := len(b) - 1
+		b = append(appendFailure(b, l.Failure), '"')
+		if l.Failure != nil {
 			c.failures = append(c.failures, [2]int{at, len(b)})
 		}
 		b = append(b, '}')
@@ -325,7 +299,22 @@ func (c *keyBuf) canonicalize(s *spec.Spec) ([]byte, error) {
 		b = appendStrings(b, c.sources)
 	}
 	c.b = append(b, '}')
-	return c.b, nil
+	return links, c.b, nil
+}
+
+// appendFailure appends the key text of a resolved (kind-checked) failure:
+// empty without one, else "permanent" or "window:from:to".
+func appendFailure(b []byte, f *spec.Failure) []byte {
+	switch {
+	case f == nil:
+		return b
+	case f.Kind == "permanent":
+		return append(b, "permanent"...)
+	}
+	b = append(b, "window:"...)
+	b = strconv.AppendInt(b, int64(f.FromSlot), 10)
+	b = append(b, ':')
+	return strconv.AppendInt(b, int64(f.ToSlot), 10)
 }
 
 // listSep opens a JSON array before its first element and separates the

@@ -29,11 +29,11 @@ func mustKey(t *testing.T, s *spec.Spec) string {
 // 2e-4 over 1016 bits: 1-(1-2e-4)^1016.
 func typicalPFl(t *testing.T) float64 {
 	t.Helper()
-	p, err := (&spec.Spec{}).ResolveLinkProcess(spec.Link{A: "a", B: "b"})
-	if err != nil {
-		t.Fatal(err)
+	r := (&spec.Spec{Links: []spec.Link{{A: "a", B: "b"}}}).ResolveLinks(nil)[0]
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	return link.MemorylessEquivalent(p).FailureProb()
+	return link.MemorylessEquivalent(r.Process()).FailureProb()
 }
 
 // networkAnswer is the status and body of a /v1/network request for s to

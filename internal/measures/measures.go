@@ -62,17 +62,9 @@ func DelayDistribution(res *pathmodel.Result, fdown int) (*stats.PMF, error) {
 	return pmf, nil
 }
 
-// RawDelayDistribution returns the unnormalized delay PMF: mass at d_i
-// equals the cycle probability, total mass equals R. This is the form
-// averaged into the paper's network-wide Fig. 14.
-func RawDelayDistribution(res *pathmodel.Result, fdown int) (*stats.PMF, error) {
-	if fdown < 0 {
-		return nil, fmt.Errorf("measures: negative downlink frame %d", fdown)
-	}
-	return rawDelays(res, fdown), nil
-}
-
-// rawDelays is RawDelayDistribution for a valid fdown. A path's goal ages
+// rawDelays returns the unnormalized delay PMF for a valid fdown: mass at
+// d_i equals the cycle probability, total mass equals R. This is the form
+// averaged into the paper's network-wide Fig. 14. A path's goal ages
 // strictly increase, so its delays ascend and each Add appends.
 func rawDelays(res *pathmodel.Result, fdown int) *stats.PMF {
 	pmf := stats.NewPMF()
@@ -144,7 +136,7 @@ func OverallDelay(results []*pathmodel.Result, fdown int) (*stats.PMF, error) {
 	// the paths' delay lists hands Add every point in ascending order, so
 	// each Add appends or accumulates on the last point, and equal delays
 	// in path order, so each point sums p*w in the order of adding path by
-	// path — the same bits as merging scaled RawDelayDistributions.
+	// path — the same bits as merging scaled raw distributions (rawDelays).
 	w := 1 / float64(len(results))
 	h := make(delayHeap, 0, len(results))
 	n := 0

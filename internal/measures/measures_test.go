@@ -217,10 +217,7 @@ func TestOverallDelayAveragesPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := RawDelayDistribution(a, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := rawDelays(a, 5)
 	for _, d := range raw.Support() {
 		if math.Abs(overall.Prob(d)-raw.Prob(d)) > 1e-12 {
 			t.Errorf("delay %v: overall %v vs raw %v", d, overall.Prob(d), raw.Prob(d))
@@ -242,11 +239,7 @@ func overallDelayByMerge(t *testing.T, results []*pathmodel.Result, fdown int) *
 	out := stats.NewPMF()
 	w := 1 / float64(len(results))
 	for _, res := range results {
-		pmf, err := RawDelayDistribution(res, fdown)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Merge(pmf.Scale(w))
+		out.Merge(rawDelays(res, fdown).Scale(w))
 	}
 	return out
 }

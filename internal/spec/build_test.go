@@ -5,16 +5,17 @@ import (
 
 	"wirelesshart/internal/des"
 	"wirelesshart/internal/gen"
+	"wirelesshart/internal/link"
 	"wirelesshart/internal/spec"
 )
 
 // TestBuiltLinkProcessesResolveFromSpec: every declared link of a built
-// spec carries the process ResolveLinkProcess gives it (and a two-state
-// one the model ResolveLinkModel gives it), on the typical
-// network under a non-default BER and message length and on 16 generated
-// networks (fading and failure-injected links included). A link that fell
-// back to core's own default would show the paper's BER instead of
-// DefaultBER.
+// spec carries the process ResolveLinks gives it (a two-state one its
+// Model by value and no KState, a fading one its KState and the zero
+// Model), on the typical network under a non-default BER and message
+// length and on 16 generated networks (fading and failure-injected links
+// included). A link that fell back to core's own default would show the
+// paper's BER instead of DefaultBER.
 func TestBuiltLinkProcessesResolveFromSpec(t *testing.T) {
 	typical := spec.TypicalSpec()
 	ber := 5e-4
@@ -35,11 +36,20 @@ func TestBuiltLinkProcessesResolveFromSpec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)
 		}
-		for _, l := range s.Links {
-			want, err := s.ResolveLinkProcess(l)
-			if err != nil {
-				t.Fatal(err)
+		resolved := s.ResolveLinks(nil)
+		if len(resolved) != len(s.Links) {
+			t.Fatalf("spec %d: %d resolved links for %d declared", i, len(resolved), len(s.Links))
+		}
+		for j, l := range s.Links {
+			r := resolved[j]
+			if r.Err != nil {
+				t.Fatal(r.Err)
 			}
+			if r.A != l.A || r.B != l.B || r.Failure != l.Failure {
+				t.Errorf("spec %d link %d: resolved %s-%s (failure %v), declared %s-%s (failure %v)",
+					i, j, r.A, r.B, r.Failure, l.A, l.B, l.Failure)
+			}
+			want := r.Process()
 			a, _ := b.Net.NodeByName(l.A)
 			c, _ := b.Net.NodeByName(l.B)
 			lnk, ok := b.Net.LinkBetween(a.ID, c.ID)
@@ -51,14 +61,13 @@ func TestBuiltLinkProcessesResolveFromSpec(t *testing.T) {
 				t.Errorf("spec %d link %s-%s: analyzer process %s, want %s",
 					i, l.A, l.B, got.AppendKey(nil), want.AppendKey(nil))
 			}
-			// The unboxed accessor gives a two-state link the same model
-			// and refuses a fading one.
-			m, err := s.ResolveLinkModel(l)
+			// A two-state link is its Model, unboxed; a fading one has
+			// only its KState.
 			switch {
-			case l.Fading != nil && err == nil:
-				t.Errorf("spec %d link %s-%s: ResolveLinkModel accepted a fading link", i, l.A, l.B)
-			case l.Fading == nil && (err != nil || m != want):
-				t.Errorf("spec %d link %s-%s: ResolveLinkModel = %v, %v; want %v", i, l.A, l.B, m, err, want)
+			case l.Fading != nil && (r.KState == nil || r.Model != link.Model{}):
+				t.Errorf("spec %d link %s-%s: fading link resolved to model %v, k-state %v", i, l.A, l.B, r.Model, r.KState)
+			case l.Fading == nil && (r.KState != nil || link.Process(r.Model) != got):
+				t.Errorf("spec %d link %s-%s: model %v, k-state %v; analyzer has %v", i, l.A, l.B, r.Model, r.KState, got)
 			}
 		}
 	}

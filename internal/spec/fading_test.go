@@ -119,8 +119,8 @@ func TestFadingBlockValidation(t *testing.T) {
 				t.Fatalf("Build() error = %v, want containing %q", err, tt.wantErr)
 			}
 			// The resolution surface must agree with Build.
-			if _, rerr := s.ResolveLinkProcess(s.Links[0]); rerr == nil {
-				t.Error("ResolveLinkProcess accepted a link Build rejected")
+			if r := s.ResolveLinks(nil); r[0].Err == nil {
+				t.Error("ResolveLinks accepted a link Build rejected")
 			}
 		})
 	}
@@ -179,10 +179,11 @@ func TestFadingWindowFailure(t *testing.T) {
 	}
 	// Round-trip: the resolved process still reports the chain, and its
 	// memoryless two-state view keeps the chain's stationary availability.
-	p, err := s.ResolveLinkProcess(s.Links[0])
-	if err != nil {
-		t.Fatal(err)
+	r := s.ResolveLinks(nil)[0]
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
+	p := r.Process()
 	ks, ok := p.(*link.KState)
 	if !ok {
 		t.Fatalf("resolved process is %T, want *link.KState", p)

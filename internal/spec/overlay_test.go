@@ -116,15 +116,15 @@ func spellings(t *testing.T, s *spec.Spec) map[string]*spec.Spec {
 		l := &out["swapped"].Links[i]
 		l.A, l.B = l.B, l.A
 	}
+	resolved := s.ResolveLinks(nil)
 	for i, l := range out["p_fl"].Links {
 		if l.Fading != nil {
 			continue
 		}
-		m, err := s.ResolveLinkModel(l)
-		if err != nil {
+		if err := resolved[i].Err; err != nil {
 			t.Fatal(err)
 		}
-		pfl, prc := m.FailureProb(), m.RecoveryProb()
+		pfl, prc := resolved[i].Model.FailureProb(), resolved[i].Model.RecoveryProb()
 		out["p_fl"].Links[i] = spec.Link{A: l.A, B: l.B, PFl: &pfl, PRc: &prc}
 	}
 	d := out["defaults"]
@@ -169,11 +169,13 @@ func sameBuild(t *testing.T, name string, ov, full *spec.Built, want []uint64) {
 // process, for the link the built network has between its endpoints.
 func injected(t *testing.T, s *spec.Spec, b *spec.Built, l int, f spec.Failure) core.Option {
 	t.Helper()
-	p, err := s.ResolveLinkProcess(s.Links[l])
-	if err != nil {
-		t.Fatal(err)
+	r := s.ResolveLinks(nil)[l]
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
+	p := r.Process()
 	var av link.Availability
+	var err error
 	switch m, twoState := p.(link.Model); {
 	case f.Kind == "permanent":
 		av = link.PermanentDown()

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"wirelesshart/internal/channel"
 	"wirelesshart/internal/core"
@@ -209,23 +210,33 @@ func (s *Spec) Build() (*Built, error) {
 	return s.BuildWith()
 }
 
-// BuildWith is Build with extra analyzer options appended — the hook the
-// evaluation engine uses to inject its structure cache
-// (core.WithStructureCache), which lets scenarios sharing a schedule
-// geometry share one path structure and bind only their link values,
-// and its tracer. An extra cannot replace a declared link's process with
-// a uniform one: every declared link gets its own process from the spec,
-// and a per-link process takes precedence over core.WithUniformLinkProcess.
-// Set the spec's link fields or DefaultBER instead.
+// BuildWith is Build with extra analyzer options appended, such as a
+// structure cache (core.WithStructureCache), which lets scenarios sharing
+// a schedule geometry share one path structure and bind only their link
+// values, or a tracer. An extra cannot replace a declared link's process
+// with a uniform one: every declared link gets its own process from the
+// spec, and a per-link process takes precedence over
+// core.WithUniformLinkProcess. Set the spec's link fields or DefaultBER
+// instead. BuildWith is BuildResolved on the links' ResolveLinks.
+func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
+	return s.BuildResolved(s.ResolveLinks(nil), extra...)
+}
+
+// BuildResolved is BuildWith on links, the resolution ResolveLinks gave
+// for s, so a caller that keys s from links builds what it keyed.
 //
 // A build takes two steps. The base realizes everything but the links'
 // failures: network, link processes, schedule and an analyzer with the
 // extras and no failure overrides. The overlay (Overlay) then turns each
 // declared Failure into an availability override; an extra
 // core.WithLinkAvailability on the same link still wins. Errors are the
-// ones a single pass over the spec meets first, in link order.
-func (s *Spec) BuildWith(extra ...core.Option) (*Built, error) {
-	b, err := s.buildBase(extra)
+// ones a single pass over the spec meets first, in link order, a link's
+// resolution error at that link's turn.
+func (s *Spec) BuildResolved(links []ResolvedLink, extra ...core.Option) (*Built, error) {
+	if len(links) != len(s.Links) {
+		return nil, fmt.Errorf("spec: %d resolved links for %d declared", len(links), len(s.Links))
+	}
+	b, err := s.buildBase(links, extra)
 	if err != nil {
 		return nil, err
 	}
@@ -277,15 +288,14 @@ func (b *Built) Overlay(s *Spec) (*Built, error) {
 }
 
 // buildBase realizes s without its links' failures: the network, each
-// declared link's process, the schedule and an analyzer configured by s
-// and then extra. It checks each declared failure against its link's
-// process as soon as it has resolved it, so a spec with several faults
-// fails on the one a single pass meets first.
-func (s *Spec) buildBase(extra []core.Option) (*Built, error) {
+// resolved link's process, the schedule and an analyzer configured by s
+// and then extra. At each link's turn it meets the link's resolution
+// error and checks its declared failure against its process, so a spec
+// with several faults fails on the one a single pass meets first.
+func (s *Spec) buildBase(links []ResolvedLink, extra []core.Option) (*Built, error) {
 	if len(s.Nodes) == 0 {
 		return nil, errors.New("spec: no nodes")
 	}
-	bits := s.Bits()
 	net := topology.NewNetwork()
 	ids := make(map[string]topology.NodeID, len(s.Nodes))
 	for _, n := range s.Nodes {
@@ -304,8 +314,8 @@ func (s *Spec) buildBase(extra []core.Option) (*Built, error) {
 		ids[n.Name] = id
 	}
 
-	opts := make([]core.Option, 0, len(s.Links)+4+len(extra))
-	for i, l := range s.Links {
+	opts := make([]core.Option, 0, len(links)+4+len(extra))
+	for i, l := range links {
 		a, okA := ids[l.A]
 		b, okB := ids[l.B]
 		if !okA || !okB {
@@ -315,7 +325,7 @@ func (s *Spec) buildBase(extra []core.Option) (*Built, error) {
 		if err != nil {
 			return nil, fmt.Errorf("spec: %w", err)
 		}
-		p, err := s.linkProcess(l, bits)
+		p, err := l.Process(), l.Err
 		if err == nil && l.Failure != nil {
 			_, err = failureAvailability(p, l.Failure)
 		}
@@ -366,23 +376,70 @@ func (s *Spec) Bits() int {
 	return s.MessageBits
 }
 
-// ResolveLinkProcess returns the effective link process of one declared
-// link — the same resolution Build applies: the k-state fading model when
-// a fading block is present, the scalar-field two-state model otherwise.
-// The evaluation engine hashes its canonical encoding into scenario keys.
-func (s *Spec) ResolveLinkProcess(l Link) (link.Process, error) {
-	return s.linkProcess(l, s.Bits())
+// ResolvedLink is one declared link as Build realizes it: its endpoints as
+// declared, its process (a two-state Model by value, which boxes nothing,
+// or a KState) and its failure, or Err, why it does not resolve.
+type ResolvedLink struct {
+	A, B    string
+	Model   link.Model   // zero for a fading link
+	KState  *link.KState // nil for a two-state link
+	Failure *Failure     // nil without one; of a known kind when Err is nil
+	Err     error
 }
 
-// ResolveLinkModel returns the effective two-state model of one declared
-// link without a fading block — the model ResolveLinkProcess boxes for
-// it — and rejects a link with one. Scenario keys resolve two-state links
-// through it, so keying a spec does not box every link.
-func (s *Spec) ResolveLinkModel(l Link) (link.Model, error) {
-	if l.Fading != nil {
-		return link.Model{}, fmt.Errorf("link has a fading block, not a two-state model")
+// Process returns the link's process: KState if set, else Model.
+func (r *ResolvedLink) Process() link.Process {
+	if r.KState != nil {
+		return r.KState
 	}
-	return s.linkModel(l, s.Bits())
+	return r.Model
+}
+
+// ResolveLinks appends the resolution of each declared link to dst, in
+// declaration order. It is the one derivation of a link's process from
+// its fields, as Link documents them, with PRc (default 0.9) as a
+// two-state link's recovery probability. A link's error is recorded on
+// it: a bad fading block or physical parameter, or else an unknown
+// failure kind.
+func (s *Spec) ResolveLinks(dst []ResolvedLink) []ResolvedLink {
+	bits := s.Bits()
+	ber := channel.DefaultBER
+	if s.DefaultBER != nil {
+		ber = *s.DefaultBER
+	}
+	for _, l := range s.Links {
+		r := ResolvedLink{A: l.A, B: l.B, Failure: l.Failure}
+		prc := link.DefaultRecoveryProb
+		if l.PRc != nil {
+			prc = *l.PRc
+		}
+		scalar := slices.IndexFunc([]*float64{l.PFl, l.BER, l.EbN0, l.Availability, l.PRc},
+			func(v *float64) bool { return v != nil })
+		switch {
+		case l.Fading != nil && scalar >= 0:
+			names := [...]string{"pfl", "ber", "ebN0", "availability", "prc"}
+			r.Err = fmt.Errorf("fading block conflicts with scalar field %q", names[scalar])
+		case l.Fading != nil:
+			if r.KState, r.Err = link.NewKState(l.Fading.Transitions, l.Fading.Success); r.Err != nil {
+				r.Err = fmt.Errorf("fading block: %w", r.Err)
+			}
+		case l.PFl != nil:
+			r.Model, r.Err = link.New(*l.PFl, prc)
+		case l.BER != nil:
+			r.Model, r.Err = link.FromBER(*l.BER, bits, prc)
+		case l.EbN0 != nil:
+			r.Model, r.Err = link.FromEbN0(*l.EbN0, bits, prc)
+		case l.Availability != nil:
+			r.Model, r.Err = link.FromAvailability(*l.Availability, prc)
+		default:
+			r.Model, r.Err = link.FromBER(ber, bits, prc)
+		}
+		if f := l.Failure; r.Err == nil && f != nil && f.Kind != "permanent" && f.Kind != "window" {
+			r.Err = fmt.Errorf("unknown failure kind %q", f.Kind)
+		}
+		dst = append(dst, r)
+	}
+	return dst
 }
 
 // failureAvailability injects a declared failure into a link's per-slot
@@ -401,60 +458,6 @@ func failureAvailability(p link.Process, f *Failure) (link.Availability, error) 
 		return link.Blocked(p.Steady(), f.FromSlot, f.ToSlot)
 	default:
 		return nil, fmt.Errorf("unknown failure kind %q", f.Kind)
-	}
-}
-
-// linkProcess resolves one declared link to its effective process: a
-// fading block (exclusive with every scalar physical field) yields a
-// k-state model, anything else the two-state model of linkModel.
-func (s *Spec) linkProcess(l Link, bits int) (link.Process, error) {
-	if l.Fading == nil {
-		return s.linkModel(l, bits)
-	}
-	var conflict string
-	switch {
-	case l.PFl != nil:
-		conflict = "pfl"
-	case l.BER != nil:
-		conflict = "ber"
-	case l.EbN0 != nil:
-		conflict = "ebN0"
-	case l.Availability != nil:
-		conflict = "availability"
-	case l.PRc != nil:
-		conflict = "prc"
-	}
-	if conflict != "" {
-		return nil, fmt.Errorf("fading block conflicts with scalar field %q", conflict)
-	}
-	p, err := link.NewKState(l.Fading.Transitions, l.Fading.Success)
-	if err != nil {
-		return nil, fmt.Errorf("fading block: %w", err)
-	}
-	return p, nil
-}
-
-func (s *Spec) linkModel(l Link, bits int) (link.Model, error) {
-	prc := link.DefaultRecoveryProb
-	if l.PRc != nil {
-		prc = *l.PRc
-	}
-	switch {
-	case l.PFl != nil:
-		return link.New(*l.PFl, prc)
-	case l.BER != nil:
-		return link.FromBER(*l.BER, bits, prc)
-	case l.EbN0 != nil:
-		return link.FromEbN0(*l.EbN0, bits, prc)
-	case l.Availability != nil:
-		return link.FromAvailability(*l.Availability, prc)
-	default:
-		// Default physical quality, but an explicit PRc still applies.
-		ber := channel.DefaultBER
-		if s.DefaultBER != nil {
-			ber = *s.DefaultBER
-		}
-		return link.FromBER(ber, bits, prc)
 	}
 }
 

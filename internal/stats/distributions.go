@@ -5,20 +5,6 @@ import (
 	"math"
 )
 
-// GeometricPMF returns P[N = k] = (1-p)^(k-1) p for k >= 1: the number of
-// reporting intervals until the first message loss when each interval loses
-// the message independently with probability p (Section V of the paper uses
-// its complement with p = 1-R).
-func GeometricPMF(p float64, k int) (float64, error) {
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("stats: geometric parameter %v out of [0,1]", p)
-	}
-	if k < 1 {
-		return 0, fmt.Errorf("stats: geometric support starts at 1, got %d", k)
-	}
-	return math.Pow(1-p, float64(k-1)) * p, nil
-}
-
 // GeometricMean returns E[N] = 1/p, the paper's expected number of
 // reporting intervals until the first loss (E[N] = 1/(1-R)).
 func GeometricMean(p float64) (float64, error) {

@@ -6,23 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestGeometricPMF(t *testing.T) {
-	p, err := GeometricPMF(0.5, 1)
-	if err != nil || p != 0.5 {
-		t.Errorf("GeometricPMF(0.5, 1) = %v, %v, want 0.5", p, err)
-	}
-	p, err = GeometricPMF(0.5, 3)
-	if err != nil || p != 0.125 {
-		t.Errorf("GeometricPMF(0.5, 3) = %v, %v, want 0.125", p, err)
-	}
-	if _, err := GeometricPMF(-0.1, 1); err == nil {
-		t.Error("negative parameter should error")
-	}
-	if _, err := GeometricPMF(0.5, 0); err == nil {
-		t.Error("k=0 should error")
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	// Paper Section V: E[N] = 1/(1-R). With R = 0.9624 a loss occurs on
 	// average every ~26.6 reporting intervals.

@@ -43,11 +43,11 @@ func TestReferenceLinkDefinedOnce(t *testing.T) {
 		Links:    []spec.Link{{A: "a", B: "G"}},
 		Schedule: spec.Schedule{Policy: "shortest-first"},
 	}
-	p, err := s.ResolveLinkProcess(s.Links[0])
-	if err != nil {
-		t.Fatal(err)
+	r := s.ResolveLinks(nil)[0]
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	if p != link.Process(want) {
+	if p := r.Process(); p != link.Process(want) {
 		t.Errorf("spec default link = %+v, want %+v", p, want)
 	}
 	built, err := s.Build()

@@ -1,16 +1,22 @@
 // Stub of the real internal/spec surface the analyzers watch.
 package spec
 
-import "wirelesshart/internal/link"
-
 // Spec is the scenario specification stub.
 type Spec struct{}
 
-// Link is one link entry stub.
-type Link struct{}
+// Built is the realized-network stub.
+type Built struct{}
 
-// ResolveLinkProcess mirrors the fading-aware link resolution.
-func (s *Spec) ResolveLinkProcess(l Link) (link.Process, error) {
-	_ = l
+// ResolvedLink is the resolved-link stub.
+type ResolvedLink struct{}
+
+// ResolveLinks mirrors the one link resolver.
+func (s *Spec) ResolveLinks(dst []ResolvedLink) []ResolvedLink {
+	return dst
+}
+
+// BuildResolved mirrors the build that consumes a resolution.
+func (s *Spec) BuildResolved(links []ResolvedLink) (*Built, error) {
+	_ = links
 	return nil, nil
 }

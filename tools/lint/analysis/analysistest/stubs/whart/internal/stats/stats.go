@@ -19,12 +19,6 @@ func Percentile(sample []float64, q float64) (float64, error) {
 	return sample[0], nil
 }
 
-// GeometricPMF mirrors the real success-probability parameter.
-func GeometricPMF(p float64, k int) (float64, error) {
-	_, _ = p, k
-	return 0, nil
-}
-
 // GeometricMean mirrors the real success-probability parameter.
 func GeometricMean(p float64) (float64, error) {
 	_ = p

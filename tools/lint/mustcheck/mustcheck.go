@@ -37,11 +37,15 @@ var checked = map[string]bool{
 	// Fading-link surface: every constructor validates stochasticity
 	// (row sums, probability ranges, unique stationary distribution);
 	// a dropped error hands the solver an invalid chain.
-	"wirelesshart/internal/link.NewKState":                  true,
-	"wirelesshart/internal/link.FromModel":                  true,
-	"wirelesshart/internal/link.NewUniformMixing":           true,
-	"(*wirelesshart/internal/spec.Spec).ResolveLinkProcess": true,
-	"(*wirelesshart/internal/spec.Spec).ResolveLinkModel":   true,
+	"wirelesshart/internal/link.NewKState":        true,
+	"wirelesshart/internal/link.FromModel":        true,
+	"wirelesshart/internal/link.NewUniformMixing": true,
+
+	// Link resolution: a dropped resolution, or a build on one whose error
+	// is discarded, keys or solves a scenario whose links were never
+	// checked.
+	"(*wirelesshart/internal/spec.Spec).ResolveLinks":  true,
+	"(*wirelesshart/internal/spec.Spec).BuildResolved": true,
 
 	// Cluster surface: a dropped NewRing error leaves a replica routing on
 	// a nil or half-validated ring, and a dropped snapshot error either

@@ -5,6 +5,7 @@ import (
 	"wirelesshart/internal/engine"
 	"wirelesshart/internal/link"
 	"wirelesshart/internal/pathmodel"
+	"wirelesshart/internal/spec"
 )
 
 func bad() {
@@ -24,6 +25,12 @@ func bad() {
 	ks, _ := link.NewKState(nil, nil) // want `error result of NewKState assigned to blank identifier`
 	_ = ks
 	link.FromModel(link.Model{}) // want `result of FromModel discarded; it must be checked`
+
+	var s spec.Spec
+	s.ResolveLinks(nil)              // want `result of ResolveLinks discarded; it must be checked`
+	s.BuildResolved(nil)             // want `result of BuildResolved discarded; it must be checked`
+	built, _ := s.BuildResolved(nil) // want `error result of BuildResolved assigned to blank identifier`
+	_ = built
 
 	cluster.NewRing("a", nil, 0)            // want `result of NewRing discarded; it must be checked`
 	ring, _ := cluster.NewRing("a", nil, 0) // want `error result of NewRing assigned to blank identifier`
@@ -75,5 +82,11 @@ func good() error {
 	var st pathmodel.Structure
 	mdl, err := st.Bind(nil)
 	_ = mdl
+	if err != nil {
+		return err
+	}
+	var s spec.Spec
+	built, err := s.BuildResolved(s.ResolveLinks(nil))
+	_ = built
 	return err
 }

@@ -41,7 +41,6 @@ var Analyzer = &analysis.Analyzer{
 var probArgs = map[string][]int{
 	"wirelesshart/internal/link.New":                      {0, 1}, // pfl, prc
 	"(wirelesshart/internal/link.Model).TransientUp":      {0},    // u0 (initial up-probability)
-	"wirelesshart/internal/stats.GeometricPMF":            {0},    // p
 	"wirelesshart/internal/stats.GeometricMean":           {0},    // p
 	"wirelesshart/internal/stats.NegBinomialCycles":       {1},    // ps
 	"wirelesshart/internal/stats.NegBinomialReachability": {1},    // ps
